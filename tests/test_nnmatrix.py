@@ -1,9 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pabraid import IntPoly, NNMatrix, largest_real_root, poly_matrix_det
+import pabraid.nnmatrix as nnmatrix
+from pabraid import (
+    IntPoly,
+    NNMatrix,
+    braid_char_poly,
+    largest_real_root,
+    poly_matrix_det,
+    transition_matrix,
+)
 
 from helpers import (
     GOLDEN_8x8,
@@ -17,6 +27,22 @@ from helpers import (
 
 FIB = NNMatrix.from_rows([[1, 1], [1, 0]])
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+# Tuples whose leading eigenvalues nearly coincide, so power iteration crawls;
+# the formula route also fails on all three ("no sign change above mu").
+HARD_TUPLES = [
+    (38, 28, 3, 23, 30, 1, 13, 20, 1, 35, 8),
+    (10, 18, 19, 39, 1, 35, 1, 9, 25, 36, 7),
+    (9, 5, 33, 24, 37, 20, 28, 33, 23, 34, 21, 1),
+]
+
+
+def assert_certified(cert, poly, tol):
+    """The enclosure is exact, narrower than tol, and brackets a root of poly."""
+    lower, upper = Fraction(cert.lower), Fraction(cert.upper)
+    assert cert.lower <= cert.eigenvalue <= cert.upper
+    assert upper - lower <= Fraction(tol)
+    assert poly(lower) <= 0 <= poly(upper)
 
 
 class TestConstruction:
@@ -83,7 +109,7 @@ class TestPrimitive:
 class TestSpectralRadius:
     def test_one_by_one(self):
         cert = NNMatrix.from_rows([[2]]).spectral_radius()
-        assert cert.eigenvalue == pytest.approx(2.0, abs=1e-12)
+        assert cert.lower == cert.eigenvalue == cert.upper == 2.0
         assert cert.right_eigenvector == (1.0,)
 
     def test_fibonacci_golden_ratio(self):
@@ -109,12 +135,63 @@ class TestSpectralRadius:
             root = largest_real_root(m.char_poly(), lower=0.0)
             assert abs(cert.eigenvalue - root) <= 1e-9
 
-    def test_sparse_path_agrees(self):
-        rng = random.Random(31)
-        m = random_primitive_matrix(rng, max_size=6)
-        plain = m.spectral_radius()
-        vectored = m._spectral_radius_sparse(1e-10)
-        assert abs(plain.eigenvalue - vectored.eigenvalue) <= 1e-9
+    @pytest.mark.parametrize(
+        "values", [(60, 60), (20,) * 6, (63, 63), (30, 33, 64)], ids=str
+    )
+    def test_matches_char_poly_root_either_side_of_128(self, values):
+        # sizes 122, 126, 128 and 130 all run the same sparse solver
+        m = transition_matrix(values)
+        root = largest_real_root(braid_char_poly(values), lower=1.0)
+        assert abs(m.spectral_radius().eigenvalue - root) <= 1e-9
+
+    @pytest.mark.parametrize("values", HARD_TUPLES, ids=str)
+    def test_hard_tuples_certified(self, values):
+        cert = transition_matrix(values).spectral_radius()
+        assert_certified(cert, braid_char_poly(values), 1e-10)
+
+    def test_retries_a_shift_that_loses_positivity(self):
+        # after the warm-up, sigma is within 1e-10 of lambda while other
+        # quotients lag, and the first Noda solve returns negative entries
+        values = (10, 19, 29, 36, 39, 29, 22, 1, 4)
+        cert = transition_matrix(values).spectral_radius()
+        assert_certified(cert, braid_char_poly(values), 1e-10)
+
+    def test_retries_an_exactly_singular_shift(self, monkeypatch):
+        # a 300-step warm-up leaves sigma equal to lambda in double precision
+        monkeypatch.setattr(nnmatrix, "_POWER_WARMUP", 300)
+        values = HARD_TUPLES[2]
+        cert = transition_matrix(values).spectral_radius()
+        assert_certified(cert, braid_char_poly(values), 1e-10)
+
+    def test_bounds_round_outward(self):
+        # 1/10 rounds up to the nearest double and 2/3 rounds down
+        assert Fraction(nnmatrix._round_down(Fraction(1, 10))) < Fraction(1, 10)
+        assert Fraction(-nnmatrix._round_down(-Fraction(2, 3))) > Fraction(2, 3)
+
+    def test_unreachable_tol_names_the_step_cap(self):
+        with pytest.raises(RuntimeError, match="within 64 power and 500 Noda steps"):
+            FIB.spectral_radius(tol=1e-16)
+
+
+_CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_TOLS = st.sampled_from([1e-6, 1e-10, 1e-12])
+
+
+class TestCertificateProperties:
+    @_CERT_SETTINGS
+    @given(rng=st.randoms(use_true_random=False), tol=_TOLS)
+    def test_random_primitive_matrix(self, rng, tol):
+        m = random_primitive_matrix(rng)
+        assert_certified(m.spectral_radius(tol=tol), m.char_poly(), tol)
+
+    @_CERT_SETTINGS
+    @given(
+        values=st.lists(st.integers(1, 12), min_size=2, max_size=6).map(tuple),
+        tol=_TOLS,
+    )
+    def test_random_braid_tuple(self, values, tol):
+        cert = transition_matrix(values).spectral_radius(tol=tol)
+        assert_certified(cert, braid_char_poly(values), tol)
 
 
 class TestCharPoly:
