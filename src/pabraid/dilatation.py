@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import (
-    IntPoly,
-    first_real_root_above,
-    largest_real_root,
-    roots_outside_unit_disk,
-)
+from .intpoly import IntPoly, first_real_root_above, largest_real_root
 from .nnmatrix import PFCertificate
-from .treebuilder import BraidTuple, transition_matrix
+from .treebuilder import BraidTuple, dominant_matrix, transition_matrix
 
 __all__ = [
     "DilatationReport",
@@ -33,6 +28,8 @@ __all__ = [
 
 _T_MINUS_1 = IntPoly((-1, 1))
 _TWO_T = IntPoly((0, 2))
+_LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
+_LIMIT_AGREEMENT = 1e-9  # slack allowed between the climbed root and the enclosure
 
 
 def _prefix_params(prefix):
@@ -74,10 +71,15 @@ def braid_char_poly(m):
     """
     if not isinstance(m, BraidTuple):
         m = BraidTuple(tuple(int(v) for v in m))
-    dom = dominant_chain(m.prefix)[-1]
+    return _close(dominant_chain(m.prefix)[-1], m.values[-1], m.sign)
+
+
+def _close(dom, last, sign):
+    # t^last P + sign P*, the characteristic polynomial on top of the prefix
+    # whose dominant polynomial is P
     mirrored = dom.reciprocal(dom.degree)
-    poly = dom.shift(m.values[-1])
-    return poly + mirrored if m.sign > 0 else poly - mirrored
+    poly = dom.shift(last)
+    return poly + mirrored if sign > 0 else poly - mirrored
 
 
 def _climb_chain(chain, tol):
@@ -89,11 +91,6 @@ def _climb_chain(chain, tol):
     for poly in chain[1:]:
         mu = first_real_root_above(poly, mu, tol)
     return mu
-
-
-def _formula_lambda(m, poly, tol):
-    chain = dominant_chain(m.prefix)
-    return first_real_root_above(poly, _climb_chain(chain, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -137,12 +134,13 @@ def dilatation(m, method="both", tol=1e-10):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(m, BraidTuple):
         m = BraidTuple(tuple(int(v) for v in m))
-    poly = braid_char_poly(m)
+    chain = dominant_chain(m.prefix)
+    poly = _close(chain[-1], m.values[-1], m.sign)
     lam_formula = None
     lam_matrix = None
     certificate = None
     if method in ("formula", "both"):
-        lam_formula = _formula_lambda(m, poly, tol)
+        lam_formula = first_real_root_above(poly, _climb_chain(chain, tol), tol)
     if method in ("matrix", "both"):
         certificate = transition_matrix(m).spectral_radius(tol=tol)
         lam_matrix = certificate.eigenvalue
@@ -155,21 +153,29 @@ def dilatation(m, method="both", tol=1e-10):
 def limit_dilatation(prefix, tol=1e-10):
     """Limit of the dilatations as the parameters after ``prefix`` grow.
 
-    This is the largest root of the dominant polynomial of the prefix.  At
-    desk scale (degree <= 400) the returned largest real root is checked,
-    via the full set of roots outside the unit disk, to also be the maximal
-    root modulus.
+    This is the largest root of the dominant polynomial P of the prefix,
+    found by climbing the chain.  It is certified against the dominant
+    block B of the transition matrix: ``spectral_radius`` accepts only a
+    primitive B, and det(tI - B) = P exactly (``pabraid verify`` and the
+    tests check this identity), so by the Perron-Frobenius theorem the
+    eigenvalue of B is a simple root of P strictly larger in modulus than
+    every other root.  The climbed root must lie within 1e-9 of the exact
+    Collatz-Wielandt enclosure of that eigenvalue, else AssertionError.
+    The enclosure has a fixed width, independent of ``tol``: the climbed
+    root is accurate to about 5e-13 whatever ``tol`` is.
     """
-    chain = dominant_chain(prefix)
+    vals = _prefix_params(prefix)
+    return _certified_limit(vals, dominant_chain(vals), tol)
+
+
+def _certified_limit(vals, chain, tol):
     mu = _climb_chain(chain, tol)
-    dom = chain[-1]
-    if dom.degree <= 400:
-        outside = roots_outside_unit_disk(dom, tol=tol)
-        top_modulus = max(abs(z) for z in outside)
-        if abs(top_modulus - mu) > 1e-9:
-            raise AssertionError(
-                f"largest real root {mu} disagrees with max root modulus {top_modulus}"
-            )
+    cert = dominant_matrix(vals).spectral_radius(tol=_LIMIT_ENCLOSURE)
+    if not cert.lower - _LIMIT_AGREEMENT <= mu <= cert.upper + _LIMIT_AGREEMENT:
+        raise AssertionError(
+            f"largest real root {mu} lies outside the Perron-Frobenius enclosure "
+            f"[{cert.lower}, {cert.upper}] of the dominant block"
+        )
     return mu
 
 
@@ -226,11 +232,13 @@ def convergence_table(prefix, last_values, tol=1e-10):
         raise ValueError("the sweep range must be nonempty")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
-    limit = limit_dilatation(vals, tol=tol)
+    chain = dominant_chain(vals)
+    limit = _certified_limit(vals, chain, tol)
+    sign = 1 if len(vals) % 2 == 1 else -1  # sign of every full tuple
     rows = []
     for last in steps:
         full = vals + (last,)
-        poly = braid_char_poly(full)
+        poly = _close(chain[-1], last, sign)
         lam = first_real_root_above(poly, limit, tol)
         rows.append(ScanRow(full, lam, lam - limit, poly.degree))
     gaps = [r.gap_to_limit for r in rows]

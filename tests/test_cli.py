@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from pabraid import NNMatrix
 from pabraid.cli import main
 
 from helpers import GOLDEN_8x8
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -61,6 +64,28 @@ class TestLimitCommand:
         rc, out, _ = run(capsys, "limit", "--prefix", "4")
         assert rc == 0
         assert round(float(out.strip()), 5) == 1.45109
+
+    def test_deep_prefix(self, capsys):
+        rc, out, err = run(capsys, "limit", "--prefix", ",".join(["5"] * 15))
+        assert (rc, out, err) == (0, "2.0050186672\n", "")
+
+    def test_tol_below_enclosure_width(self, capsys):
+        rc, out, err = run(capsys, "limit", "--prefix", "4", "--tol", "1e-16")
+        assert (rc, out, err) == (0, "1.4510850921\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
+        (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
+        (("limit", "--prefix", "4"), "limit-4.txt"),
+    ],
+)
+def test_golden_stdout(capsys, argv, golden):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
 
 
 class TestScanCommand:

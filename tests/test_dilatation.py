@@ -1,7 +1,9 @@
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pabraid import (
     IntPoly,
@@ -10,6 +12,7 @@ from pabraid import (
     convergence_table,
     dilatation,
     dominant_chain,
+    dominant_matrix,
     limit_dilatation,
     monotonicity_check,
     roots_outside_unit_disk,
@@ -19,6 +22,9 @@ from pabraid import (
 from helpers import bisect_root
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+# the package re-exports the function dilatation under the module's name
+dilatation_module = importlib.import_module("pabraid.dilatation")
 
 
 class TestDominantChain:
@@ -130,6 +136,54 @@ class TestLimitDilatation:
         limit = limit_dilatation((4,))
         for m in (1, 5, 12, 25):
             assert dilatation((4, m), method="formula").lambda_formula > limit
+
+    def test_deep_prefix_with_exact_sign_change(self):
+        # a Durand-Kerner cross-check once rejected this value as 2.0050186766
+        value = limit_dilatation((5,) * 15)
+        assert f"{value:.10f}" == "2.0050186672"
+        dom = dominant_chain((5,) * 15)[-1]
+        slack = Fraction(1, 10**9)
+        assert dom(Fraction(value) - slack) < 0 < dom(Fraction(value) + slack)
+
+    @pytest.mark.parametrize("prefix", [(5,) * 25, (2,) * 40, (1,) * 60])
+    def test_long_prefixes_inside_enclosure(self, prefix):
+        assert_in_enclosure(limit_dilatation(prefix), prefix)
+
+    def test_tol_below_enclosure_width(self):
+        assert f"{limit_dilatation((4,), tol=1e-16):.10f}" == "1.4510850921"
+
+    @pytest.mark.parametrize("wrong", [-1.0, 2.0 + 1e-8])
+    def test_wrong_climbed_root_is_rejected(self, monkeypatch, wrong):
+        # (1,) has the dominant polynomial t (t - 2) (t + 1)
+        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain, tol: wrong)
+        with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
+            limit_dilatation((1,))
+        with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
+            convergence_table((1,), range(1, 4))
+
+    def test_climbed_root_within_agreement_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain, tol: 2.0 + 5e-10)
+        assert limit_dilatation((1,)) == 2.0 + 5e-10
+
+
+def assert_in_enclosure(value, prefix):
+    # the climbed float may sit an ulp outside the outward-rounded enclosure,
+    # so allow the climb's accuracy, far below the library's 1e-9 slack
+    cert = dominant_matrix(prefix).spectral_radius()
+    assert cert.lower - 1e-12 <= value <= cert.upper + 1e-12
+
+
+_PREFIXES = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple)
+
+
+class TestLimitCertificateProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(prefix=_PREFIXES)
+    def test_limit_lies_in_dominant_block_enclosure(self, prefix):
+        block = dominant_matrix(prefix)
+        assert block.char_poly() == dominant_chain(prefix)[-1]
+        assert block.is_primitive()
+        assert_in_enclosure(limit_dilatation(prefix), prefix)
 
 
 class TestMonotonicity:

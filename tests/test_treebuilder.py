@@ -95,6 +95,13 @@ class TestDominantMatrix:
         for prefix in ((1,), (3,), (1, 1), (2, 2), (4, 1), (2, 1, 2)):
             assert dominant_matrix(prefix).char_poly() == dominant_chain(prefix)[-1]
 
+    @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (2, 3), (2, 2, 1), (3, 1, 4, 1)])
+    def test_independent_of_appended_parameter(self, prefix):
+        block = dominant_matrix(prefix)
+        for appended in (2, 3, 7):
+            full = transition_matrix(tuple(prefix) + (appended,))
+            assert full.submatrix(block.size) == block
+
 
 def _recipe_oracle(prefix, appended, reciprocal):
     # recompute the bordered determinant directly on a chosen extension
