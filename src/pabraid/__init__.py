@@ -17,7 +17,6 @@ from .nnmatrix import NNMatrix, PFCertificate, poly_matrix_det
 from .treebuilder import (
     BraidTuple,
     StructureReport,
-    TreeMapSpec,
     block_boundaries,
     dominant_matrix,
     dual_recessive_poly,
@@ -41,7 +40,6 @@ from .volume import (
     find_parameters,
     ideal_tetrahedron_volume,
     lobachevsky,
-    lobachevsky_by_parts,
     twist_number,
     volume_lower_bound,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "poly_matrix_det",
     "BraidTuple",
     "StructureReport",
-    "TreeMapSpec",
     "block_boundaries",
     "transition_matrix",
     "dominant_matrix",
@@ -78,7 +75,6 @@ __all__ = [
     "find_parameters",
     "ideal_tetrahedron_volume",
     "lobachevsky",
-    "lobachevsky_by_parts",
     "twist_number",
     "volume_lower_bound",
     "__version__",

@@ -20,9 +20,10 @@ from .dilatation import (
 )
 from .treebuilder import (
     BraidTuple,
-    block_boundaries,
+    closing_sign,
     dominant_matrix,
     dual_recessive_poly,
+    parse_params,
     recessive_poly,
     transition_matrix,
     validate_structure,
@@ -30,21 +31,15 @@ from .treebuilder import (
 from .volume import find_parameters, volume_lower_bound
 
 
-def _tuple_arg(text):
+def _params_arg(text, minimum=1):
     try:
-        return BraidTuple.parse(text)
+        return parse_params(text, minimum)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _prefix_arg(text):
-    try:
-        vals = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse prefix {text!r}") from None
-    if not vals or any(v < 1 for v in vals):
-        raise argparse.ArgumentTypeError("prefix entries must be integers >= 1")
-    return vals
+def _tuple_arg(text):
+    return BraidTuple(_params_arg(text, 2))
 
 
 def build_parser():
@@ -58,17 +53,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
-        if out:
-            p.add_argument("--out", help="write the report to this path instead of stdout")
+    def common(p, tol=False):
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10, help="matrix-route enclosure width")
+        p.add_argument("--out", help="write the report to this path instead of stdout")
 
     p = sub.add_parser("dilatation", help="dilatation of one tuple, one or both routes")
     p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
     p.add_argument("--method", choices=("formula", "matrix", "both"), default="both")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--dump-matrix", action="store_true", help="include the transition matrix")
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("polynomial", help="characteristic polynomial of one tuple")
     p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
@@ -86,19 +81,18 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("scan", help="sweep the last parameter, CSV output")
-    p.add_argument("--prefix", required=True, type=_prefix_arg)
+    p.add_argument("--prefix", required=True, type=_params_arg)
     p.add_argument("--m-max", required=True, type=int)
     p.add_argument("--m-min", type=int, default=1)
     common(p)
 
     p = sub.add_parser("limit", help="limit dilatation of a prefix")
-    p.add_argument("--prefix", required=True, type=_prefix_arg)
-    common(p, out=False)
+    p.add_argument("--prefix", required=True, type=_params_arg)
 
     p = sub.add_parser("bound", help="witness parameters for dilatation/volume targets")
     p.add_argument("--lambda", required=True, type=float, dest="target_lambda")
     p.add_argument("--volume", required=True, type=float, dest="target_volume")
-    common(p)
+    common(p, tol=True)
 
     return parser
 
@@ -148,13 +142,13 @@ def _run_matrix(args):
 def _run_scan(args):
     if args.m_max < args.m_min:
         raise ValueError("--m-max must be >= --m-min")
-    rows = convergence_table(args.prefix, range(args.m_min, args.m_max + 1), tol=args.tol)
+    rows = convergence_table(args.prefix, range(args.m_min, args.m_max + 1))
     lines = [ScanRow.CSV_HEADER] + [r.csv_line() for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _run_limit(args):
-    value = limit_dilatation(args.prefix, tol=args.tol)
+    value = limit_dilatation(args.prefix)
     return f"{value:.10f}\n"
 
 
@@ -193,16 +187,16 @@ def _run_verify(args):
     for prefix in prefixes:
         chain = dominant_chain(prefix)
         dom = chain[-1]
-        sign = 1 if len(prefix) % 2 == 1 else -1
-        if dominant_matrix(prefix).char_poly() != dom:
+        sign = closing_sign(len(prefix) + 1)
+        block = dominant_matrix(prefix)
+        if block.char_poly() != dom:
             failures.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         if recessive_poly(prefix) != dom.reciprocal(dom.degree) * sign:
             failures.append(f"prefix {prefix}: recessive polynomial mismatch")
         if dual_recessive_poly(prefix) != dom * sign:
             failures.append(f"prefix {prefix}: dual recessive polynomial mismatch")
-        cut = block_boundaries(prefix)[-1] + 1
-        if not dominant_matrix(prefix).is_primitive():
-            failures.append(f"prefix {prefix}: dominant block of size {cut} not primitive")
+        if not block.is_primitive():
+            failures.append(f"prefix {prefix}: dominant block of size {block.size} not primitive")
 
     lines = [
         f"tuples checked: {len(tuples)}",

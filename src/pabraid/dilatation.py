@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .intpoly import IntPoly, first_real_root_above, largest_real_root
 from .nnmatrix import PFCertificate
-from .treebuilder import BraidTuple, dominant_matrix, transition_matrix
+from .treebuilder import BraidTuple, closing_sign, dominant_matrix, params, transition_matrix
 
 __all__ = [
     "DilatationReport",
@@ -32,18 +32,6 @@ _LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
 _LIMIT_AGREEMENT = 1e-9  # slack allowed between the climbed root and the enclosure
 
 
-def _prefix_params(prefix):
-    if isinstance(prefix, BraidTuple):
-        vals = prefix.values
-    else:
-        vals = tuple(int(v) for v in prefix)
-    if not vals:
-        raise ValueError("prefix must contain at least one parameter")
-    if any(v < 1 for v in vals):
-        raise ValueError("every parameter must be >= 1")
-    return vals
-
-
 def dominant_chain(prefix):
     """The chain of dominant polynomials for the nested prefixes of ``prefix``.
 
@@ -51,7 +39,7 @@ def dominant_chain(prefix):
     t^(m_i) (t-1) P + (-1)^i 2t P* where P is the previous element and P*
     its reciprocal at its own degree.  Element i is monic of degree n_i + 1.
     """
-    vals = _prefix_params(prefix)
+    vals = params(prefix, 1)
     first = _T_MINUS_1.shift(vals[0] + 1) - _TWO_T
     chain = [first]
     for i, m in enumerate(vals[1:], start=2):
@@ -69,8 +57,7 @@ def braid_char_poly(m):
     prefix and sigma the tuple sign; coincides coefficientwise with
     char_poly(transition_matrix(m)).
     """
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
+    m = BraidTuple(m)
     return _close(dominant_chain(m.prefix)[-1], m.values[-1], m.sign)
 
 
@@ -82,14 +69,14 @@ def _close(dom, last, sign):
     return poly + mirrored if sign > 0 else poly - mirrored
 
 
-def _climb_chain(chain, tol):
+def _climb_chain(chain):
     # The dominant roots ascend strictly level by level, and each level has
     # exactly one root above the previous level's root.  Walking the chain
     # with that lower bound isolates the top root unambiguously, even when
     # the lower real roots of deep chains cluster within ~1e-3 of it.
-    mu = largest_real_root(chain[0], lower=1.0, tol=tol)
+    mu = largest_real_root(chain[0], lower=1.0)
     for poly in chain[1:]:
-        mu = first_real_root_above(poly, mu, tol)
+        mu = first_real_root_above(poly, mu)
     return mu
 
 
@@ -129,18 +116,19 @@ def dilatation(m, method="both", tol=1e-10):
     ``method`` selects the route: "formula" takes the largest real root of
     the chain polynomial, "matrix" the Perron-Frobenius eigenvalue of the
     transition matrix, "both" runs the two and records their difference.
+    ``tol`` is the width of the matrix route's enclosure; the formula route
+    reaches a fixed accuracy and ignores it.
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
+    m = BraidTuple(m)
     chain = dominant_chain(m.prefix)
     poly = _close(chain[-1], m.values[-1], m.sign)
     lam_formula = None
     lam_matrix = None
     certificate = None
     if method in ("formula", "both"):
-        lam_formula = first_real_root_above(poly, _climb_chain(chain, tol), tol)
+        lam_formula = first_real_root_above(poly, _climb_chain(chain))
     if method in ("matrix", "both"):
         certificate = transition_matrix(m).spectral_radius(tol=tol)
         lam_matrix = certificate.eigenvalue
@@ -150,7 +138,7 @@ def dilatation(m, method="both", tol=1e-10):
     return DilatationReport(m.values, poly, lam_formula, lam_matrix, agreement, certificate)
 
 
-def limit_dilatation(prefix, tol=1e-10):
+def limit_dilatation(prefix):
     """Limit of the dilatations as the parameters after ``prefix`` grow.
 
     This is the largest root of the dominant polynomial P of the prefix,
@@ -161,15 +149,14 @@ def limit_dilatation(prefix, tol=1e-10):
     eigenvalue of B is a simple root of P strictly larger in modulus than
     every other root.  The climbed root must lie within 1e-9 of the exact
     Collatz-Wielandt enclosure of that eigenvalue, else AssertionError.
-    The enclosure has a fixed width, independent of ``tol``: the climbed
-    root is accurate to about 5e-13 whatever ``tol`` is.
+    The climbed root is accurate to about 5e-13.
     """
-    vals = _prefix_params(prefix)
-    return _certified_limit(vals, dominant_chain(vals), tol)
+    vals = params(prefix, 1)
+    return _certified_limit(vals, dominant_chain(vals))
 
 
-def _certified_limit(vals, chain, tol):
-    mu = _climb_chain(chain, tol)
+def _certified_limit(vals, chain):
+    mu = _climb_chain(chain)
     cert = dominant_matrix(vals).spectral_radius(tol=_LIMIT_ENCLOSURE)
     if not cert.lower - _LIMIT_AGREEMENT <= mu <= cert.upper + _LIMIT_AGREEMENT:
         raise AssertionError(
@@ -192,14 +179,13 @@ def monotonicity_check(m, i, tol=1e-10):
     ``i`` is 1-based.  The boolean demands a drop of more than 10*tol, so a
     true value cannot be numerical noise.
     """
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
+    m = BraidTuple(m)
     if not (1 <= i <= len(m)):
         raise ValueError(f"coordinate index {i} outside 1..{len(m)}")
     bumped = list(m.values)
     bumped[i - 1] += 1
-    before = dilatation(m, method="formula", tol=tol).lambda_formula
-    after = dilatation(bumped, method="formula", tol=tol).lambda_formula
+    before = dilatation(m, method="formula").lambda_formula
+    after = dilatation(bumped, method="formula").lambda_formula
     return MonotonicityCheck(before, after, before - after > 10 * tol)
 
 
@@ -219,27 +205,27 @@ class ScanRow:
         return f"{head};{self.lam!r};{self.gap_to_limit!r};{self.poly_degree}"
 
 
-def convergence_table(prefix, last_values, tol=1e-10):
+def convergence_table(prefix, last_values):
     """Sweep the last parameter and report the gap to the limit dilatation.
 
     ``last_values`` must be strictly increasing; the returned gaps are then
     checked to be positive and strictly decreasing, which is the convergence
     statement being reproduced.
     """
-    vals = _prefix_params(prefix)
+    vals = params(prefix, 1)
     steps = [int(v) for v in last_values]
     if not steps:
         raise ValueError("the sweep range must be nonempty")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
     chain = dominant_chain(vals)
-    limit = _certified_limit(vals, chain, tol)
-    sign = 1 if len(vals) % 2 == 1 else -1  # sign of every full tuple
+    limit = _certified_limit(vals, chain)
+    sign = closing_sign(len(vals) + 1)
     rows = []
     for last in steps:
         full = vals + (last,)
         poly = _close(chain[-1], last, sign)
-        lam = first_real_root_above(poly, limit, tol)
+        lam = first_real_root_above(poly, limit)
         rows.append(ScanRow(full, lam, lam - limit, poly.degree))
     gaps = [r.gap_to_limit for r in rows]
     if any(g <= 0 for g in gaps) or any(b >= a for a, b in zip(gaps, gaps[1:])):

@@ -1,9 +1,8 @@
 """Exact integer-coefficient polynomials and deterministic root extraction.
 
 All algebra on :class:`IntPoly` is performed with arbitrary-precision
-integers, so it is exact.  Only the two root finders return floating-point
-values; each comes with a stated tolerance and is deterministic for fixed
-input.
+integers, so it is exact.  Only the root finders return floating-point
+values; each states its accuracy and is deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -332,8 +331,8 @@ _SCAN_LIMIT = 10**7
 _BISECT_STEPS = 41  # final bracket width 2^-41 < 5e-13
 
 
-def largest_real_root(f, lower=0.0, tol=1e-10):
-    """Largest real root of ``f`` strictly above ``lower``, within ``tol``.
+def largest_real_root(f, lower=0.0):
+    """Largest real root of ``f`` strictly above ``lower``, to about 5e-13.
 
     Brackets by a descending integer scan from a root bound, bisects the
     bracket to below 5e-13 with certified signs, then polishes with Newton
@@ -345,8 +344,6 @@ def largest_real_root(f, lower=0.0, tol=1e-10):
         f = IntPoly(f)
     if f.degree < 1:
         raise ValueError("largest_real_root needs a nonconstant polynomial")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     coeffs = f.coeffs if f.coeffs[-1] > 0 else tuple(-c for c in f.coeffs)
     oracle = _SignOracle(coeffs)
 
@@ -369,7 +366,7 @@ def largest_real_root(f, lower=0.0, tol=1e-10):
         bracket = _fine_scan(oracle, lower, min(lo_int, bound))
     if bracket is None:
         raise ValueError(f"no real root above {lower!r}")
-    return _bisect(f, oracle, *bracket, tol)
+    return _bisect(f, oracle, *bracket)
 
 
 def _fine_scan(oracle, lower, hi):
@@ -387,7 +384,7 @@ def _fine_scan(oracle, lower, hi):
     return None
 
 
-def _bisect(f, oracle, lo, hi, shift, tol):
+def _bisect(f, oracle, lo, hi, shift):
     # invariant: p(lo/2^shift) < 0 < p(hi/2^shift), hi - lo == 1
     while shift < _BISECT_STEPS:
         lo <<= 1
@@ -423,14 +420,14 @@ def _bisect(f, oracle, lo, hi, shift, tol):
 _PROBE_SHIFT = 48  # dyadic sampling grid, 2^-48 ~ 3.6e-15
 
 
-def first_real_root_above(f, lower, tol=1e-10):
+def first_real_root_above(f, lower):
     """Smallest real root of ``f`` strictly above ``lower``.
 
     Intended for polynomials whose root structure right above ``lower``
     begins with an isolated simple root (the sign is then negative between
     ``lower`` and that root): the sign is sampled just above ``lower``, the
     change is bracketed by doubling steps and bisected with certified
-    signs.  Accuracy is about 4e-15, independent of tol.
+    signs.  Accuracy is about 4e-15.
 
     Raises ValueError when no sign change is found up to the root bound.
     """
@@ -438,8 +435,6 @@ def first_real_root_above(f, lower, tol=1e-10):
         f = IntPoly(f)
     if f.degree < 1:
         raise ValueError("first_real_root_above needs a nonconstant polynomial")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     coeffs = f.coeffs if f.coeffs[-1] > 0 else tuple(-c for c in f.coeffs)
     oracle = _SignOracle(coeffs)
     s = _PROBE_SHIFT

@@ -28,7 +28,9 @@ from .nnmatrix import NNMatrix, poly_matrix_det
 
 __all__ = [
     "BraidTuple",
-    "TreeMapSpec",
+    "params",
+    "parse_params",
+    "closing_sign",
     "StructureCheck",
     "StructureReport",
     "block_boundaries",
@@ -40,6 +42,42 @@ __all__ = [
 ]
 
 
+# name and too-short message of a parameter list, by its minimum length
+_KINDS = {
+    1: ("prefix", "a prefix needs at least one parameter"),
+    2: ("braid tuple", "a braid tuple needs at least two parameters; "
+        "a single star does not define a member of the family"),
+}
+
+
+def params(values, minimum):
+    """Validated parameter tuple: at least ``minimum`` integers, each >= 1.
+
+    Minimum 2 gives a braid tuple, minimum 1 a prefix.  ``values`` is any
+    iterable, a :class:`BraidTuple` included; raises ValueError otherwise.
+    """
+    vals = tuple(int(v) for v in values)
+    if len(vals) < minimum:
+        raise ValueError(_KINDS[minimum][1])
+    if any(v < 1 for v in vals):
+        raise ValueError("every parameter must be >= 1")
+    return vals
+
+
+def parse_params(text, minimum):
+    """:func:`params` of comma-separated integers such as ``"4,2"``."""
+    try:
+        vals = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse {_KINDS[minimum][0]} {text!r}") from None
+    return params(vals, minimum)
+
+
+def closing_sign(length):
+    """(-1)^(k+1) for a tuple of ``length`` = k+1 parameters: +1 when even."""
+    return 1 if length % 2 == 0 else -1
+
+
 @dataclass(frozen=True)
 class BraidTuple:
     """Parameter tuple (m_1, ..., m_{k+1}) selecting one braid of the family."""
@@ -47,23 +85,11 @@ class BraidTuple:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if len(vals) < 2:
-            raise ValueError(
-                "a braid tuple needs at least two parameters; "
-                "a single star does not define a member of the family"
-            )
-        if any(v < 1 for v in vals):
-            raise ValueError("every parameter must be >= 1")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", params(self.values, 2))
 
     @classmethod
     def parse(cls, text):
-        try:
-            vals = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse braid tuple {text!r}") from None
-        return cls(vals)
+        return cls(parse_params(text, 2))
 
     def __len__(self):
         return len(self.values)
@@ -90,7 +116,7 @@ class BraidTuple:
     @property
     def sign(self):
         """(-1)^(k+1): +1 for an even number of parameters, -1 for odd."""
-        return 1 if len(self.values) % 2 == 0 else -1
+        return closing_sign(len(self.values))
 
     @property
     def prefix(self):
@@ -106,22 +132,9 @@ def block_boundaries(values):
     return tuple(out)
 
 
-def _as_params(values, minimum, what):
-    if isinstance(values, BraidTuple):
-        vals = values.values
-    else:
-        vals = tuple(int(v) for v in values)
-    if len(vals) < minimum:
-        raise ValueError(f"{what} needs at least {minimum} parameter(s)")
-    if any(v < 1 for v in vals):
-        raise ValueError("every parameter must be >= 1")
-    return vals
-
-
 def transition_matrix(m):
     """Transition matrix of the combined map for the full tuple ``m``."""
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
+    m = BraidTuple(m)
     return NNMatrix(m.size, _entries(m.values))
 
 
@@ -158,7 +171,7 @@ def dominant_matrix(prefix):
     This is the upper-left (n_i + 1)-square block of any extension of the
     prefix, here of the prefix extended by 1.
     """
-    vals = _as_params(prefix, 1, "dominant_matrix")
+    vals = params(prefix, 1)
     cut = block_boundaries(vals)[-1] + 1
     return transition_matrix(vals + (1,)).submatrix(cut)
 
@@ -179,7 +192,7 @@ def dual_recessive_poly(prefix):
 
 
 def _bordered_det(prefix, reciprocal):
-    vals = _as_params(prefix, 1, "recessive polynomial")
+    vals = params(prefix, 1)
     matrix = transition_matrix(vals + (1,))
     cut = block_boundaries(vals)[-1] + 1
     last = matrix.size
@@ -233,8 +246,7 @@ def validate_structure(m):
     entry (N, l+1) > 1; rows l+1 and N agree on columns 1..l; and the rows
     strictly between them form a unit superdiagonal with nothing else.
     """
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
+    m = BraidTuple(m)
     matrix = transition_matrix(m)
     ns = m.boundaries
     l = ns[-2]
@@ -275,39 +287,3 @@ def validate_structure(m):
         "rows %d..%d" % (l + 2, last - 1) if not bad else f"offending rows {bad}",
     )
     return StructureReport(m.values, tuple(checks))
-
-
-@dataclass(frozen=True)
-class TreeMapSpec:
-    """A graph self-map given by edge images, kept as transition counts only.
-
-    ``images[j]`` lists the edges crossed by the image of edge j; a negative
-    index means the edge is traversed against its orientation.  Only the
-    unordered crossing counts are meaningful here, and they must reproduce
-    the transition matrix entry (|i|, j) -> count.
-    """
-
-    edge_count: int
-    images: dict[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.edge_count < 1:
-            raise ValueError("edge_count must be >= 1")
-        for j, path in self.images.items():
-            if not (1 <= j <= self.edge_count):
-                raise ValueError(f"image given for unknown edge {j}")
-            for e in path:
-                if not (1 <= abs(e) <= self.edge_count):
-                    raise ValueError(f"edge path of {j} crosses unknown edge {e}")
-
-    def transition_matrix(self):
-        entries = {}
-        for j, path in self.images.items():
-            for e in path:
-                key = (abs(e), j)
-                entries[key] = entries.get(key, 0) + 1
-        return NNMatrix(self.edge_count, entries)
-
-    def matches(self, matrix):
-        """True when the crossing counts reproduce ``matrix`` exactly."""
-        return self.transition_matrix() == matrix

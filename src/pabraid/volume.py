@@ -9,7 +9,7 @@ hard-coded, and a second independent quadrature certifies it in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from scipy.integrate import quad
@@ -20,7 +20,6 @@ from .treebuilder import BraidTuple
 
 __all__ = [
     "lobachevsky",
-    "lobachevsky_by_parts",
     "ideal_tetrahedron_volume",
     "volume_lower_bound",
     "twist_number",
@@ -35,46 +34,6 @@ def lobachevsky(theta):
         return 0.0
     value, _ = quad(lambda u: math.log(abs(2.0 * math.sin(u))), 0.0, theta, limit=200)
     return -value
-
-
-def lobachevsky_by_parts(theta):
-    """Independent evaluation via integration by parts.
-
-    Rewrites the defining integral as -theta log(2 sin theta) plus the
-    integral of u cot u, whose integrand is analytic at 0, and integrates
-    the latter with an in-house adaptive Simpson rule.
-    """
-    if theta == 0.0:
-        return 0.0
-
-    def integrand(u):
-        return 1.0 if u == 0.0 else u * math.cos(u) / math.sin(u)
-
-    tail = _adaptive_simpson(integrand, 0.0, theta, 1e-13)
-    return -theta * math.log(2.0 * math.sin(theta)) + tail
-
-
-def _adaptive_simpson(g, a, b, eps):
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(g, a, b, fa, fm, fb, whole, eps, 50)
-
-
-def _simpson_step(g, a, b, fa, fm, fb, whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * eps
-    return _simpson_step(g, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        g, m, b, fm, frm, fb, right, half, depth - 1
-    )
 
 
 @lru_cache(maxsize=1)
@@ -93,9 +52,7 @@ def volume_lower_bound(k):
 
 def twist_number(m):
     """Twist number of the alternating closed braid: the tuple length k+1."""
-    if not isinstance(m, BraidTuple):
-        m = BraidTuple(tuple(int(v) for v in m))
-    return len(m)
+    return len(BraidTuple(m))
 
 
 @dataclass(frozen=True)
@@ -110,17 +67,28 @@ class BoundReport:
     target_volume: float
 
     def to_json_dict(self):
-        return {
-            "k": self.k,
-            "m": self.m,
-            "lambda_achieved": self.lambda_achieved,
-            "volume_bound": self.volume_bound,
-            "target_lambda": self.target_lambda,
-            "target_volume": self.target_volume,
-        }
+        return asdict(self)
 
 
 _SEARCH_CAP = 10**6
+
+
+def _least_below(f, target, start):
+    # least m >= start with f(m) < target, for f non-increasing in m and
+    # every m below start failing: double from start, then bisect
+    lo, hi = start - 1, start
+    while f(hi) >= target:
+        lo = hi
+        hi *= 2
+        if hi > _SEARCH_CAP:
+            raise RuntimeError("parameter search exceeded the cap")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def find_parameters(target_lambda, target_volume, tol=1e-10):
@@ -152,49 +120,22 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
 
     def diagonal_lambda(mm):
         if mm not in cache:
-            report = dilatation((mm,) * width, method="formula", tol=tol)
-            cache[mm] = report.lambda_formula
+            cache[mm] = dilatation((mm,) * width, method="formula").lambda_formula
         return cache[mm]
 
     # the chain-base root is a lower bound for the dilatation, so its own
-    # threshold is a cheap starting point for the doubling phase
+    # threshold is a cheap starting point for the search on the diagonal
     def base_root(mm):
         poly = IntPoly((-1, 1)).shift(mm + 1) - IntPoly((0, 2))
-        return largest_real_root(poly, lower=1.0, tol=tol)
+        return largest_real_root(poly, lower=1.0)
 
-    start = 1
-    while base_root(start) >= target_lambda:
-        start *= 2
-        if start > _SEARCH_CAP:
-            raise RuntimeError("parameter search exceeded the cap")
-    lo = start // 2
-    while start - lo > 1:
-        mid = (start + lo) // 2
-        if base_root(mid) < target_lambda:
-            start = mid
-        else:
-            lo = mid
-
+    start = _least_below(base_root, target_lambda, 1)
     # every m below `start` already fails the cheap lower bound
-    probe = start
-    lo_fail = start - 1
-    while diagonal_lambda(probe) >= target_lambda:
-        lo_fail = probe
-        probe *= 2
-        if probe > _SEARCH_CAP:
-            raise RuntimeError("parameter search exceeded the cap")
-    hi = probe
-    while hi - lo_fail > 1:
-        mid = (hi + lo_fail) // 2
-        if diagonal_lambda(mid) < target_lambda:
-            hi = mid
-        else:
-            lo_fail = mid
-    m = hi
+    m = _least_below(diagonal_lambda, target_lambda, start)
     achieved = diagonal_lambda(m)
 
     off_diagonal = (m + 1,) + (m,) * k
-    off_lambda = dilatation(off_diagonal, method="formula", tol=tol).lambda_formula
+    off_lambda = dilatation(off_diagonal, method="formula").lambda_formula
     assert off_lambda <= achieved + 10 * tol, "monotonicity spot check failed"
 
     # certify the witness through the independent matrix route

@@ -5,6 +5,8 @@ bisection, boolean matrix powers) so the library's fast paths are checked
 against arithmetic that shares nothing with them.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +114,82 @@ def random_primitive_matrix(rng, max_size=8, max_entry=3):
         m = random_nn_matrix(rng, max_size, max_entry)
         if m.is_primitive():
             return m
+
+
+def lobachevsky_by_parts(theta):
+    """Independent evaluation via integration by parts.
+
+    Rewrites the defining integral as -theta log(2 sin theta) plus the
+    integral of u cot u, whose integrand is analytic at 0, and integrates
+    the latter with an in-house adaptive Simpson rule.
+    """
+    if theta == 0.0:
+        return 0.0
+
+    def integrand(u):
+        return 1.0 if u == 0.0 else u * math.cos(u) / math.sin(u)
+
+    tail = _adaptive_simpson(integrand, 0.0, theta, 1e-13)
+    return -theta * math.log(2.0 * math.sin(theta)) + tail
+
+
+def _adaptive_simpson(g, a, b, eps):
+    fa, fb = g(a), g(b)
+    m = 0.5 * (a + b)
+    fm = g(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_step(g, a, b, fa, fm, fb, whole, eps, 50)
+
+
+def _simpson_step(g, a, b, fa, fm, fb, whole, eps, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = g(lm), g(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+        return left + right + (left + right - whole) / 15.0
+    half = 0.5 * eps
+    return _simpson_step(g, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
+        g, m, b, fm, frm, fb, right, half, depth - 1
+    )
+
+
+@dataclass(frozen=True)
+class TreeMapSpec:
+    """A graph self-map given by edge images, kept as transition counts only.
+
+    ``images[j]`` lists the edges crossed by the image of edge j; a negative
+    index means the edge is traversed against its orientation.  Only the
+    unordered crossing counts are meaningful here, and they must reproduce
+    the transition matrix entry (|i|, j) -> count.
+    """
+
+    edge_count: int
+    images: dict[int, tuple[int, ...]]
+
+    def __post_init__(self):
+        if self.edge_count < 1:
+            raise ValueError("edge_count must be >= 1")
+        for j, path in self.images.items():
+            if not (1 <= j <= self.edge_count):
+                raise ValueError(f"image given for unknown edge {j}")
+            for e in path:
+                if not (1 <= abs(e) <= self.edge_count):
+                    raise ValueError(f"edge path of {j} crosses unknown edge {e}")
+
+    def transition_matrix(self):
+        entries = {}
+        for j, path in self.images.items():
+            for e in path:
+                key = (abs(e), j)
+                entries[key] = entries.get(key, 0) + 1
+        return NNMatrix(self.edge_count, entries)
+
+    def matches(self, matrix):
+        """True when the crossing counts reproduce ``matrix`` exactly."""
+        return self.transition_matrix() == matrix
 
 
 GOLDEN_8x8 = [

@@ -17,7 +17,7 @@ import time
 import pabraid as pb
 from pabraid import IntPoly
 
-from helpers import GOLDEN_8x8, random_primitive_matrix, wielandt_positive
+from helpers import GOLDEN_8x8, lobachevsky_by_parts, random_primitive_matrix, wielandt_positive
 
 GRID_LENGTHS = (2, 3, 4)
 GRID_MAX = 5
@@ -244,6 +244,6 @@ def test_criterion_11_parameter_search():
 def test_criterion_12_tetrahedron_constant():
     v3 = pb.ideal_tetrahedron_volume()
     lhs = 3 * pb.lobachevsky(math.pi / 3)
-    rhs = 2 * pb.lobachevsky_by_parts(math.pi / 6)
+    rhs = 2 * lobachevsky_by_parts(math.pi / 6)
     ok = abs(v3 - 1.0149416064) <= 1e-8 and abs(lhs - rhs) <= 1e-8
     assert _report(12, ok, f"v3 = {v3:.12f}, quadrature split = {abs(lhs - rhs):.2e}")

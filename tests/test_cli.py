@@ -69,10 +69,6 @@ class TestLimitCommand:
         rc, out, err = run(capsys, "limit", "--prefix", ",".join(["5"] * 15))
         assert (rc, out, err) == (0, "2.0050186672\n", "")
 
-    def test_tol_below_enclosure_width(self, capsys):
-        rc, out, err = run(capsys, "limit", "--prefix", "4", "--tol", "1e-16")
-        assert (rc, out, err) == (0, "1.4510850921\n", "")
-
 
 @pytest.mark.parametrize(
     "argv, golden",
@@ -161,3 +157,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["limit", "--prefix", "4", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polynomial", "--tuple", "4,2"],
+            ["matrix", "--tuple", "4,2"],
+            ["verify", "--max-k", "1", "--max-m", "2"],
+            ["limit", "--prefix", "4"],
+            ["scan", "--prefix", "4", "--m-max", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_unknown_where_accuracy_is_fixed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-12"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dilatation", "--tuple", "4,2", "--method", "matrix"],
+            ["bound", "--lambda", "10", "--volume", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_kept_for_the_matrix_route(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--tol", "1e-12")
+        assert (rc, err) == (0, "") and out

@@ -149,20 +149,17 @@ class TestLimitDilatation:
     def test_long_prefixes_inside_enclosure(self, prefix):
         assert_in_enclosure(limit_dilatation(prefix), prefix)
 
-    def test_tol_below_enclosure_width(self):
-        assert f"{limit_dilatation((4,), tol=1e-16):.10f}" == "1.4510850921"
-
     @pytest.mark.parametrize("wrong", [-1.0, 2.0 + 1e-8])
     def test_wrong_climbed_root_is_rejected(self, monkeypatch, wrong):
         # (1,) has the dominant polynomial t (t - 2) (t + 1)
-        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain, tol: wrong)
+        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain: wrong)
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
             limit_dilatation((1,))
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
             convergence_table((1,), range(1, 4))
 
     def test_climbed_root_within_agreement_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain, tol: 2.0 + 5e-10)
+        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain: 2.0 + 5e-10)
         assert limit_dilatation((1,)) == 2.0 + 5e-10
 
 

@@ -170,11 +170,10 @@ class TestLargestRealRoot:
             assert root <= bound + 1e-9
 
     def test_residual_property(self):
-        tol = 1e-10
         for text in ("t^2 - t - 1", "t^6 - t^5 - 2*t", "t^4 - t^3 - 4*t^2 - t + 1"):
             p = IntPoly.parse(text)
-            root = largest_real_root(p, lower=0.5, tol=tol)
-            assert abs(p(root)) <= tol * abs(p.derivative()(root)) + tol
+            root = largest_real_root(p, lower=0.5)
+            assert abs(p(root)) <= 1e-10 * abs(p.derivative()(root)) + 1e-10
 
     def test_determinism(self):
         p = IntPoly.parse("t^6 - t^5 - 2*t")

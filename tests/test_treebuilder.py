@@ -1,25 +1,29 @@
+import contextlib
+import io
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pabraid import (
     BraidTuple,
     IntPoly,
     NNMatrix,
-    TreeMapSpec,
     block_boundaries,
     braid_char_poly,
     dominant_chain,
     dominant_matrix,
     dual_recessive_poly,
+    limit_dilatation,
     poly_matrix_det,
     recessive_poly,
     transition_matrix,
     validate_structure,
 )
+from pabraid.cli import main
 from pabraid.treebuilder import StructureCheck, StructureReport
 
-from helpers import GOLDEN_8x8
+from helpers import GOLDEN_8x8, TreeMapSpec
 
 
 class TestBraidTuple:
@@ -49,6 +53,55 @@ class TestBraidTuple:
     def test_block_boundaries(self):
         assert block_boundaries((4,)) == (5,)
         assert block_boundaries((4, 2)) == (5, 8)
+
+
+_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda values: (v for v in values),
+    "BraidTuple": BraidTuple,
+}
+
+
+@st.composite
+def _given_params(draw):
+    """Entries in [-2, 6], as a list, tuple, generator or (when valid) BraidTuple."""
+    values = draw(st.lists(st.integers(-2, 6), max_size=5))
+    forms = ["list", "tuple", "generator"]
+    if len(values) >= 2 and min(values) >= 1:
+        forms.append("BraidTuple")
+    return values, draw(st.sampled_from(forms))
+
+
+def _accepts(call, values, form):
+    try:
+        call(_FORMS[form](values))
+    except ValueError:
+        return False
+    return True
+
+
+def _cli_exit(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestParameterPath:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(given_params=_given_params())
+    def test_one_rule_for_tuples_and_prefixes(self, given_params):
+        values, form = given_params
+        is_prefix = len(values) >= 1 and all(v >= 1 for v in values)
+        is_tuple = is_prefix and len(values) >= 2
+        assert _accepts(BraidTuple, values, form) == is_tuple
+        for call in (dominant_chain, dominant_matrix, recessive_poly, limit_dilatation):
+            assert _accepts(call, values, form) == is_prefix, call.__name__
+        text = ",".join(map(str, values))
+        assert _cli_exit("matrix", f"--tuple={text}") == (0 if is_tuple else 2)
+        assert _cli_exit("limit", f"--prefix={text}") == (0 if is_prefix else 2)
 
 
 class TestTransitionMatrix:

@@ -10,10 +10,11 @@ from pabraid import (
     find_parameters,
     ideal_tetrahedron_volume,
     lobachevsky,
-    lobachevsky_by_parts,
     twist_number,
     volume_lower_bound,
 )
+
+from helpers import lobachevsky_by_parts
 
 V3_REFERENCE = 1.0149416064
 
