@@ -3,12 +3,16 @@
 The characteristic polynomial of a braid tuple factors through a chain of
 dominant polynomials built inductively from the first parameter; the
 dilatation is the largest real root and can be cross-checked against the
-Perron-Frobenius eigenvalue of the transition matrix.
+Perron-Frobenius eigenvalue of the transition matrix.  The formula route
+evaluates the chain as a 2x2 transfer recurrence and decides "is the
+dilatation below x?" exactly at dyadic x (``_below``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .intpoly import IntPoly, first_real_root_above, largest_real_root
 from .nnmatrix import PFCertificate
@@ -30,6 +34,10 @@ _T_MINUS_1 = IntPoly((-1, 1))
 _TWO_T = IntPoly((0, 2))
 _LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
 _LIMIT_AGREEMENT = 1e-9  # slack allowed between the climbed root and the enclosure
+_GRID = 48  # the formula route's dyadic grid, 2^-48 ~ 3.6e-15
+# half-width, in grid units, of the first bracket around the float hint; the
+# hint fell within one unit on every grid and random-sweep tuple measured
+_HINT_UNITS = 4
 
 
 def dominant_chain(prefix):
@@ -80,6 +88,114 @@ def _climb_chain(chain):
     return mu
 
 
+def _levels(vals):
+    # (m, s) for each chain level: P' = t^m (t-1) P + 2s t P*, the first
+    # level on P = P* = 1 with m = m_1 + 1 and s = -1
+    levels = [(vals[0] + 1, -1)]
+    levels += [(m, 1 if i % 2 == 0 else -1) for i, m in enumerate(vals[1:-1], start=2)]
+    return levels
+
+
+def _below(vals, num, shift):
+    """Exactly whether λ(vals) < x for the dyadic x = num / 2^shift.
+
+    Write P for a chain level and P* for its reciprocal at its own degree.
+    The next level is P' = t^m (t-1) P + 2s t P* with s = ±1, and then
+    P'* = (1-t) P* + 2s t^m P, so the pair (P(x), P*(x)) moves by one 2×2
+    matrix per level; the tuple's polynomial is t^last P + σ P* with σ the
+    closing sign.  The pair is carried as integers scaled by
+    2^(shift·deg), so no degree-N polynomial is expanded.
+
+    Ascending roots: each level has exactly one root above the previous
+    level's largest root and is negative between the two, and so has the
+    closing polynomial above the last level's root (the lemma ``_climb_chain``
+    walks on).  Hence for x > 1, λ < x exactly when every level and the
+    closing polynomial are positive at x.  False for x <= 1, since λ > 1.
+    """
+    one = 1 << shift
+    if num <= one:
+        return False
+    powers = {}
+    p = q = 1  # the scaled pair (P(x), P*(x)) of the empty prefix
+    for m, s in _levels(vals):
+        if m not in powers:
+            powers[m] = num**m
+        xm = powers[m]
+        p, q = (
+            xm * (num - one) * p + ((2 * s * num * q) << (shift * m)),
+            (((one - num) * q) << (shift * m)) + ((2 * s * xm * p) << shift),
+        )
+        if p <= 0:
+            return False
+    last = vals[-1]
+    return num**last * p + ((closing_sign(len(vals)) * q) << (shift * last)) > 0
+
+
+def _float_hint(vals):
+    # λ by bisecting a double-precision pass of the recurrence: each level
+    # is divided by x^m and the pair normalised, which keeps every sign; a
+    # guide for the exact bracket, never a result
+    sigma = closing_sign(len(vals))
+    levels = _levels(vals)
+
+    def below(x):
+        p = q = 1.0
+        for m, s in levels:
+            r = x**-m
+            p, q = (x - 1.0) * p + 2.0 * s * x * r * q, (1.0 - x) * r * q + 2.0 * s * p
+            if not p > 0.0:
+                return False
+            scale = max(p, abs(q))
+            p, q = p / scale, q / scale
+        return p + sigma * q * x ** -vals[-1] > 0.0
+
+    lo, hi = 1.0, 2.0
+    while not below(hi):
+        lo, hi = hi, 2.0 * hi
+        if math.isinf(hi):
+            return hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _formula_cell(vals):
+    """λ(vals) from the exact decision ``_below`` on the 2^-48 grid.
+
+    Returns ``(lam, lo, hi)``: the grid cell lo/2^48 < λ < hi/2^48 with
+    hi = lo + 1, and its midpoint as a float.  λ is never a grid point: the
+    tuple's polynomial is monic with constant term ±1, so its only rational
+    roots could be ±1.  A float hint places the first bracket; exact
+    decisions confirm it, widen it when it misses, and bisect it to one
+    unit.
+    """
+    hint = _float_hint(vals)
+    if math.isfinite(hint):
+        centre = math.floor(hint * 2.0**_GRID)
+        lo, hi = centre - _HINT_UNITS, centre + _HINT_UNITS
+    else:
+        lo, hi = 1 << _GRID, 2 << _GRID  # doubling from 1
+    if _below(vals, hi, _GRID):
+        while _below(vals, lo, _GRID):
+            lo, hi = lo - 2 * (hi - lo), lo
+    else:
+        lo, hi = hi, hi + 2 * (hi - lo)
+        while not _below(vals, hi, _GRID):
+            lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _below(vals, mid, _GRID):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) * 2.0 ** -(_GRID + 1), lo, hi
+
+
 @dataclass(frozen=True)
 class DilatationReport:
     """Dilatation of one braid tuple with the evidence that produced it."""
@@ -90,6 +206,9 @@ class DilatationReport:
     lambda_matrix: float | None
     agreement: float | None
     certificate: PFCertificate | None
+    # the formula route's certified cell lo < λ < hi, exact dyadic rationals;
+    # not part of the JSON report
+    formula_bracket: tuple[Fraction, Fraction] | None = None
 
     def to_json_dict(self):
         cert = None
@@ -113,29 +232,33 @@ class DilatationReport:
 def dilatation(m, method="both", tol=1e-10):
     """Dilatation of the braid tuple ``m``.
 
-    ``method`` selects the route: "formula" takes the largest real root of
-    the chain polynomial, "matrix" the Perron-Frobenius eigenvalue of the
-    transition matrix, "both" runs the two and records their difference.
-    ``tol`` is the width of the matrix route's enclosure; the formula route
-    reaches a fixed accuracy and ignores it.
+    ``method`` selects the route: "formula" bisects the exact decision
+    "is λ < x?" on the chain's transfer recurrence down to a 2^-48 cell,
+    kept as ``formula_bracket``; "matrix" takes the Perron-Frobenius
+    eigenvalue of the transition matrix; "both" runs the two and records
+    their difference.  ``tol`` is the width of the matrix route's
+    enclosure; the formula route reaches a fixed accuracy and ignores it.
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
     m = BraidTuple(m)
-    chain = dominant_chain(m.prefix)
-    poly = _close(chain[-1], m.values[-1], m.sign)
+    poly = braid_char_poly(m)
     lam_formula = None
     lam_matrix = None
     certificate = None
+    bracket = None
     if method in ("formula", "both"):
-        lam_formula = first_real_root_above(poly, _climb_chain(chain))
+        lam_formula, lo, hi = _formula_cell(m.values)
+        bracket = (Fraction(lo, 1 << _GRID), Fraction(hi, 1 << _GRID))
     if method in ("matrix", "both"):
         certificate = transition_matrix(m).spectral_radius(tol=tol)
         lam_matrix = certificate.eigenvalue
     agreement = None
     if lam_formula is not None and lam_matrix is not None:
         agreement = abs(lam_formula - lam_matrix)
-    return DilatationReport(m.values, poly, lam_formula, lam_matrix, agreement, certificate)
+    return DilatationReport(
+        m.values, poly, lam_formula, lam_matrix, agreement, certificate, bracket
+    )
 
 
 def limit_dilatation(prefix):
@@ -173,20 +296,22 @@ class MonotonicityCheck:
     strictly_decreasing: bool
 
 
-def monotonicity_check(m, i, tol=1e-10):
+def monotonicity_check(m, i):
     """Compare the dilatation of ``m`` with the tuple incremented at slot i.
 
-    ``i`` is 1-based.  The boolean demands a drop of more than 10*tol, so a
-    true value cannot be numerical noise.
+    ``i`` is 1-based.  The boolean is exact: with x the upper end of the
+    incremented tuple's certified cell, λ(incremented) < x holds by
+    construction, and the check asks ``_below`` whether x <= λ(m).  It is
+    False also when both dilatations lie in one 2^-48 cell.
     """
     m = BraidTuple(m)
     if not (1 <= i <= len(m)):
         raise ValueError(f"coordinate index {i} outside 1..{len(m)}")
     bumped = list(m.values)
     bumped[i - 1] += 1
-    before = dilatation(m, method="formula").lambda_formula
-    after = dilatation(bumped, method="formula").lambda_formula
-    return MonotonicityCheck(before, after, before - after > 10 * tol)
+    before = _formula_cell(m.values)[0]
+    after, _, x = _formula_cell(tuple(bumped))
+    return MonotonicityCheck(before, after, not _below(m.values, x, _GRID))
 
 
 @dataclass(frozen=True)

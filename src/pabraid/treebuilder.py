@@ -54,14 +54,25 @@ def params(values, minimum):
     """Validated parameter tuple: at least ``minimum`` integers, each >= 1.
 
     Minimum 2 gives a braid tuple, minimum 1 a prefix.  ``values`` is any
-    iterable, a :class:`BraidTuple` included; raises ValueError otherwise.
+    iterable, a :class:`BraidTuple` included; an integral value such as 3.0
+    counts as an integer.  Raises ValueError otherwise.
     """
-    vals = tuple(int(v) for v in values)
+    vals = tuple(_integer(v) for v in values)
     if len(vals) < minimum:
         raise ValueError(_KINDS[minimum][1])
     if any(v < 1 for v in vals):
         raise ValueError("every parameter must be >= 1")
     return vals
+
+
+def _integer(v):
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise ValueError(f"parameter {v!r} is not an integer")
+    return n
 
 
 def parse_params(text, minimum):

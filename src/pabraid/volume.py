@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .dilatation import dilatation
-from .intpoly import IntPoly, largest_real_root
+from .dilatation import _below, _formula_cell, dilatation
 from .treebuilder import BraidTuple
 
 __all__ = [
@@ -73,18 +73,18 @@ class BoundReport:
 _SEARCH_CAP = 10**6
 
 
-def _least_below(f, target, start):
-    # least m >= start with f(m) < target, for f non-increasing in m and
-    # every m below start failing: double from start, then bisect
-    lo, hi = start - 1, start
-    while f(hi) >= target:
+def _least_below(below):
+    # least m >= 1 with below(m), for a predicate that holds from some m
+    # on: double from 1, then bisect
+    lo, hi = 0, 1
+    while not below(hi):
         lo = hi
         hi *= 2
         if hi > _SEARCH_CAP:
             raise RuntimeError("parameter search exceeded the cap")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if f(mid) < target:
+        if below(mid):
             hi = mid
         else:
             lo = mid
@@ -97,9 +97,13 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     k is the least value whose volume bound exceeds ``target_volume``; m is
     the least value for which the diagonal tuple (m, ..., m) with k+1
     entries has dilatation below ``target_lambda`` (monotone in m, so found
-    by doubling plus binary search).  By monotonicity any tuple with every
-    entry >= m satisfies the dilatation bound as well; one off-diagonal
-    spot check per report asserts that.
+    by doubling plus binary search).  The target is the exact value of the
+    float passed, and each comparison with it is an exact decision on the
+    chain's transfer recurrence, so λ(m) < target and λ(m-1) >= target are
+    proved, not inferred from rounded roots.  By monotonicity any tuple
+    with every entry >= m satisfies the dilatation bound as well; an exact
+    off-diagonal spot check per report asserts that, and the matrix route
+    (enclosure width ``tol``) cross-checks the reported dilatation.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -116,27 +120,13 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
         k += 1
 
     width = k + 1
-    cache = {}
-
-    def diagonal_lambda(mm):
-        if mm not in cache:
-            cache[mm] = dilatation((mm,) * width, method="formula").lambda_formula
-        return cache[mm]
-
-    # the chain-base root is a lower bound for the dilatation, so its own
-    # threshold is a cheap starting point for the search on the diagonal
-    def base_root(mm):
-        poly = IntPoly((-1, 1)).shift(mm + 1) - IntPoly((0, 2))
-        return largest_real_root(poly, lower=1.0)
-
-    start = _least_below(base_root, target_lambda, 1)
-    # every m below `start` already fails the cheap lower bound
-    m = _least_below(diagonal_lambda, target_lambda, start)
-    achieved = diagonal_lambda(m)
+    target = Fraction(target_lambda)
+    num, shift = target.numerator, target.denominator.bit_length() - 1
+    m = _least_below(lambda mm: _below((mm,) * width, num, shift))
+    achieved = _formula_cell((m,) * width)[0]
 
     off_diagonal = (m + 1,) + (m,) * k
-    off_lambda = dilatation(off_diagonal, method="formula").lambda_formula
-    assert off_lambda <= achieved + 10 * tol, "monotonicity spot check failed"
+    assert _below(off_diagonal, num, shift), "monotonicity spot check failed"
 
     # certify the witness through the independent matrix route
     matrix_lambda = dilatation((m,) * width, method="matrix", tol=tol).lambda_matrix

@@ -5,6 +5,7 @@ bisection, boolean matrix powers) so the library's fast paths are checked
 against arithmetic that shares nothing with them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,6 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 from pabraid import IntPoly, NNMatrix
+
+
+def grid_tuples():
+    """The 775-tuple grid: lengths 2, 3 and 4 with entries 1..5."""
+    return [
+        tv
+        for length in (2, 3, 4)
+        for tv in itertools.product(range(1, 6), repeat=length)
+    ]
 
 
 def bisect_root(poly, lo, hi, steps=60):

@@ -9,7 +9,6 @@ Perron-Frobenius enclosure); the stated bound is kept and the test fails
 with the measured value.
 """
 
-import itertools
 import math
 import random
 import time
@@ -17,20 +16,15 @@ import time
 import pabraid as pb
 from pabraid import IntPoly
 
-from helpers import GOLDEN_8x8, lobachevsky_by_parts, random_primitive_matrix, wielandt_positive
-
-GRID_LENGTHS = (2, 3, 4)
-GRID_MAX = 5
+from helpers import (
+    GOLDEN_8x8,
+    grid_tuples,
+    lobachevsky_by_parts,
+    random_primitive_matrix,
+    wielandt_positive,
+)
 
 _grid_cache = {}
-
-
-def grid_tuples():
-    return [
-        tv
-        for length in GRID_LENGTHS
-        for tv in itertools.product(range(1, GRID_MAX + 1), repeat=length)
-    ]
 
 
 def grid_data():

@@ -13,13 +13,14 @@ from pabraid import (
     dilatation,
     dominant_chain,
     dominant_matrix,
+    first_real_root_above,
     limit_dilatation,
     monotonicity_check,
     roots_outside_unit_disk,
     transition_matrix,
 )
 
-from helpers import bisect_root
+from helpers import bisect_root, grid_tuples
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -91,7 +92,7 @@ class TestDilatation:
 
     def test_matrix_only(self):
         report = dilatation((4, 2), method="matrix")
-        assert report.lambda_formula is None
+        assert report.lambda_formula is None and report.formula_bracket is None
         assert 1.80 < report.lambda_matrix < 1.85
 
     def test_agreement_across_methods(self):
@@ -105,6 +106,7 @@ class TestDilatation:
     def test_json_dict(self):
         payload = dilatation((4, 2), method="both").to_json_dict()
         assert payload["tuple"] == [4, 2]
+        assert "formula_bracket" not in payload
         assert payload["polynomial"] == "t^8 - t^7 - 2*t^5 - 2*t^3 - t + 1"
         assert set(payload["certificate"]) == {
             "irreducible",
@@ -116,6 +118,90 @@ class TestDilatation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             dilatation((4, 2), method="magic")
+
+
+def _dyadic(x):
+    """(num, shift) with x == num / 2^shift, for a dyadic rational x."""
+    x = Fraction(x)
+    shift = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << shift
+    return x.numerator, shift
+
+
+def _below(values, x):
+    return dilatation_module._below(values, *_dyadic(x))
+
+
+def _overlaps(bracket, cert):
+    lo, hi = bracket
+    return lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi
+
+
+class TestTransferRecurrence:
+    @pytest.mark.parametrize("values", [(4, 2), (1, 1), (4, 2, 7), (3, 1, 5, 2), (2, 2, 3, 1)])
+    def test_decision_matches_expanded_polynomials(self, values):
+        # λ < x exactly when every chain level and the closing polynomial
+        # are positive at x; checked against the expanded polynomials
+        polys = dominant_chain(values[:-1]) + [braid_char_poly(values)]
+        for num in range(1, 64):
+            x = Fraction(num, 16)
+            expected = x > 1 and all(poly(x) > 0 for poly in polys)
+            assert _below(values, x) == expected, x
+
+    def test_false_at_and_below_one(self):
+        for x in (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-3)):
+            assert not _below((1, 1), x)
+
+    def test_cell_brackets_the_decision(self):
+        report = dilatation((4, 2), method="formula")
+        lo, hi = report.formula_bracket
+        assert hi - lo == Fraction(1, 2**48)
+        assert lo < Fraction(report.lambda_formula) < hi
+        assert not _below((4, 2), lo) and _below((4, 2), hi)
+
+    @pytest.mark.parametrize("hint", [1.0, 1.8097893, 1.9, 7.5, math.inf, math.nan])
+    def test_cell_does_not_depend_on_the_float_hint(self, monkeypatch, hint):
+        # a hint that misses is widened, one that is not finite is replaced
+        # by doubling from 1
+        expected = dilatation_module._formula_cell((4, 2))
+        monkeypatch.setattr(dilatation_module, "_float_hint", lambda values: hint)
+        assert dilatation_module._formula_cell((4, 2)) == expected
+
+    def test_matches_root_isolation_on_the_grid(self):
+        # the former formula route, where it succeeds, gives the same float
+        for values in grid_tuples():
+            chain = dominant_chain(values[:-1])
+            old = first_real_root_above(
+                braid_char_poly(values), dilatation_module._climb_chain(chain)
+            )
+            assert dilatation_module._formula_cell(values)[0] == old, values
+
+    @pytest.mark.parametrize("values", [(1, 1, 28), (4, 200), (2, 2, 40)])
+    def test_former_sign_change_failures(self, values):
+        # root isolation found no sign change above the climbed root here
+        report = dilatation(values, method="both")
+        assert _overlaps(report.formula_bracket, report.certificate)
+        assert report.agreement <= 1e-9
+
+
+_SWEEP_TUPLES = st.lists(st.integers(1, 40), min_size=2, max_size=12).map(tuple)
+
+
+class TestFormulaCellProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=_SWEEP_TUPLES)
+    def test_cell_meets_perron_frobenius_enclosure(self, values):
+        cert = transition_matrix(values).spectral_radius()
+        report = dilatation(values, method="formula")
+        assert _overlaps(report.formula_bracket, cert)
+        lower, upper = Fraction(cert.lower), Fraction(cert.upper)
+        step = Fraction(1, 2**64)
+        assert not _below(values, lower - step)
+        assert _below(values, upper + step)
+        # further below, a chain level rather than the closing polynomial
+        # may be the one that turns negative
+        for j in range(1, 8):
+            assert not _below(values, 1 + (lower - 1) * j / 8)
 
 
 class TestLimitDilatation:
@@ -191,6 +277,20 @@ class TestMonotonicity:
 
     def test_second_coordinate(self):
         assert monotonicity_check((4, 2), 2).strictly_decreasing
+
+    def test_drop_far_below_float_margins(self):
+        # a drop of 5.7e-11 is proved by one exact decision
+        result = monotonicity_check((4, 60), 2)
+        assert result.strictly_decreasing
+        assert 0 < result.lambda_before - result.lambda_after < 1e-10
+
+    def test_drop_inside_one_grid_cell_is_not_claimed(self):
+        # both dilatations share a 2^-48 cell, so no dyadic x separates them
+        assert not monotonicity_check((4, 90), 2).strictly_decreasing
+
+    def test_no_tolerance_option(self):
+        with pytest.raises(TypeError):
+            monotonicity_check((1, 1), 1, tol=1e-10)
 
     def test_componentwise_diagonal(self):
         for m in (1, 2, 4):

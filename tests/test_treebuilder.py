@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,12 +64,16 @@ _FORMS = {
 }
 
 
+_ENTRIES = st.one_of(st.integers(-2, 6), st.sampled_from([2.7, 0.5, -1.5, 3.0, 1.0]))
+
+
 @st.composite
 def _given_params(draw):
-    """Entries in [-2, 6], as a list, tuple, generator or (when valid) BraidTuple."""
-    values = draw(st.lists(st.integers(-2, 6), max_size=5))
+    """Entries in [-2, 6] or a few floats, integral ones among them, as a
+    list, tuple, generator or (when valid) BraidTuple."""
+    values = draw(st.lists(_ENTRIES, max_size=5))
     forms = ["list", "tuple", "generator"]
-    if len(values) >= 2 and min(values) >= 1:
+    if len(values) >= 2 and all(v == int(v) >= 1 for v in values):
         forms.append("BraidTuple")
     return values, draw(st.sampled_from(forms))
 
@@ -94,14 +99,22 @@ class TestParameterPath:
     @given(given_params=_given_params())
     def test_one_rule_for_tuples_and_prefixes(self, given_params):
         values, form = given_params
-        is_prefix = len(values) >= 1 and all(v >= 1 for v in values)
+        # a float counts when integral, but the CLI reads "3.0" as no integer
+        is_prefix = len(values) >= 1 and all(v == int(v) >= 1 for v in values)
         is_tuple = is_prefix and len(values) >= 2
         assert _accepts(BraidTuple, values, form) == is_tuple
         for call in (dominant_chain, dominant_matrix, recessive_poly, limit_dilatation):
             assert _accepts(call, values, form) == is_prefix, call.__name__
+        as_text = all(isinstance(v, int) for v in values)
         text = ",".join(map(str, values))
-        assert _cli_exit("matrix", f"--tuple={text}") == (0 if is_tuple else 2)
-        assert _cli_exit("limit", f"--prefix={text}") == (0 if is_prefix else 2)
+        assert _cli_exit("matrix", f"--tuple={text}") == (0 if is_tuple and as_text else 2)
+        assert _cli_exit("limit", f"--prefix={text}") == (0 if is_prefix and as_text else 2)
+
+    @pytest.mark.parametrize("values", [(2.7, 3), (3, 2.5), (2, "3")])
+    def test_rejects_and_names_non_integral_values(self, values):
+        bad = next(v for v in values if not isinstance(v, int))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            BraidTuple(values)
 
 
 class TestTransitionMatrix:

@@ -94,6 +94,13 @@ class TestFindParameters:
             worse = dilatation((report.m - 1,) * width, method="formula")
             assert worse.lambda_formula >= report.target_lambda
 
+    def test_target_is_the_exact_float(self):
+        # λ((2,)*5) lies in one 2^-48 cell; a target at either end of that
+        # cell is decided exactly, 3.6e-15 apart
+        lo, hi = dilatation((2,) * 5, method="formula").formula_bracket
+        assert find_parameters(float(hi), 1.2).m == 2
+        assert find_parameters(float(lo), 1.2).m == 3
+
     def test_json_round_trip(self):
         report = find_parameters(10, 0.1)
         payload = json.loads(json.dumps(report.to_json_dict()))
