@@ -5,7 +5,8 @@ dominant polynomials built inductively from the first parameter; the
 dilatation is the largest real root and can be cross-checked against the
 Perron-Frobenius eigenvalue of the transition matrix.  The formula route
 evaluates the chain as a 2x2 transfer recurrence and decides "is the
-dilatation below x?" exactly at dyadic x (``_below``).
+dilatation below x?" and "is the limit below x?" exactly at dyadic x
+(``_below``, ``_limit_below``); every root is a cell of such decisions.
 """
 
 from __future__ import annotations
@@ -13,10 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .intpoly import IntPoly, first_real_root_above, largest_real_root
+from .intpoly import IntPoly
 from .nnmatrix import PFCertificate
-from .treebuilder import BraidTuple, closing_sign, dominant_matrix, params, transition_matrix
+from .treebuilder import (
+    BraidTuple,
+    block_boundaries,
+    closing_sign,
+    dominant_matrix,
+    params,
+    transition_matrix,
+)
 
 __all__ = [
     "DilatationReport",
@@ -33,8 +42,10 @@ __all__ = [
 _T_MINUS_1 = IntPoly((-1, 1))
 _TWO_T = IntPoly((0, 2))
 _LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
-_LIMIT_AGREEMENT = 1e-9  # slack allowed between the climbed root and the enclosure
 _GRID = 48  # the formula route's dyadic grid, 2^-48 ~ 3.6e-15
+# the finest grid, 2^-1024, that scan rows and monotonicity checks refine
+# to when two roots share a 2^-48 cell
+_FINEST_GRID = 1024
 # half-width, in grid units, of the first bracket around the float hint; the
 # hint fell within one unit on every grid and random-sweep tuple measured
 _HINT_UNITS = 4
@@ -77,47 +88,34 @@ def _close(dom, last, sign):
     return poly + mirrored if sign > 0 else poly - mirrored
 
 
-def _climb_chain(chain):
-    # The dominant roots ascend strictly level by level, and each level has
-    # exactly one root above the previous level's root.  Walking the chain
-    # with that lower bound isolates the top root unambiguously, even when
-    # the lower real roots of deep chains cluster within ~1e-3 of it.
-    mu = largest_real_root(chain[0], lower=1.0)
-    for poly in chain[1:]:
-        mu = first_real_root_above(poly, mu)
-    return mu
-
-
-def _levels(vals):
-    # (m, s) for each chain level: P' = t^m (t-1) P + 2s t P*, the first
-    # level on P = P* = 1 with m = m_1 + 1 and s = -1
-    levels = [(vals[0] + 1, -1)]
-    levels += [(m, 1 if i % 2 == 0 else -1) for i, m in enumerate(vals[1:-1], start=2)]
+def _levels(prefix):
+    # (m, s) for each chain level of the prefix: P' = t^m (t-1) P + 2s t P*,
+    # the first level on P = P* = 1 with m = m_1 + 1 and s = -1
+    levels = [(prefix[0] + 1, -1)]
+    levels += [(m, 1 if i % 2 == 0 else -1) for i, m in enumerate(prefix[1:], start=2)]
     return levels
 
 
-def _below(vals, num, shift):
-    """Exactly whether λ(vals) < x for the dyadic x = num / 2^shift.
+def _pair(prefix, num, shift):
+    """The prefix's dominant pair (P(x), P*(x)) at x = num / 2^shift, or None.
 
     Write P for a chain level and P* for its reciprocal at its own degree.
     The next level is P' = t^m (t-1) P + 2s t P* with s = ±1, and then
     P'* = (1-t) P* + 2s t^m P, so the pair (P(x), P*(x)) moves by one 2×2
-    matrix per level; the tuple's polynomial is t^last P + σ P* with σ the
-    closing sign.  The pair is carried as integers scaled by
-    2^(shift·deg), so no degree-N polynomial is expanded.
+    matrix per level.  It is carried as integers scaled by 2^(shift·deg),
+    so no degree-N polynomial is expanded.
 
     Ascending roots: each level has exactly one root above the previous
-    level's largest root and is negative between the two, and so has the
-    closing polynomial above the last level's root (the lemma ``_climb_chain``
-    walks on).  Hence for x > 1, λ < x exactly when every level and the
-    closing polynomial are positive at x.  False for x <= 1, since λ > 1.
+    level's largest root and is negative between the two.  Hence for x > 1
+    every level is positive at x exactly when μ(prefix) < x, the largest
+    root of the last level; None answers "μ >= x", as does any x <= 1.
     """
     one = 1 << shift
     if num <= one:
-        return False
+        return None
     powers = {}
-    p = q = 1  # the scaled pair (P(x), P*(x)) of the empty prefix
-    for m, s in _levels(vals):
+    p = q = 1  # the scaled pair of the empty prefix
+    for m, s in _levels(prefix):
         if m not in powers:
             powers[m] = num**m
         xm = powers[m]
@@ -126,17 +124,39 @@ def _below(vals, num, shift):
             (((one - num) * q) << (shift * m)) + ((2 * s * xm * p) << shift),
         )
         if p <= 0:
-            return False
+            return None
+    return p, q
+
+
+def _limit_below(prefix, num, shift):
+    """Exactly whether μ(prefix) < x for the dyadic x = num / 2^shift."""
+    return _pair(prefix, num, shift) is not None
+
+
+def _below(vals, num, shift):
+    """Exactly whether λ(vals) < x for the dyadic x = num / 2^shift.
+
+    The tuple's polynomial t^last P + σ P*, with P the prefix's dominant
+    polynomial and σ the closing sign, has exactly one root above μ(prefix)
+    and is negative between the two (the lemma of ``_pair``).  So λ < x
+    exactly when μ < x and the closing polynomial is positive at x.
+    """
+    pair = _pair(vals[:-1], num, shift)
+    if pair is None:
+        return False
+    p, q = pair
     last = vals[-1]
     return num**last * p + ((closing_sign(len(vals)) * q) << (shift * last)) > 0
 
 
-def _float_hint(vals):
-    # λ by bisecting a double-precision pass of the recurrence: each level
-    # is divided by x^m and the pair normalised, which keeps every sign; a
-    # guide for the exact bracket, never a result
-    sigma = closing_sign(len(vals))
-    levels = _levels(vals)
+def _float_hint(prefix, last=None, lo=1.0, hi=None):
+    # λ(prefix + (last,)), or μ(prefix) when last is None, by bisecting a
+    # double-precision pass of the recurrence inside [lo, hi], doubling from
+    # lo when hi is None: each level is divided by x^m and the pair
+    # normalised, which keeps every sign; a guide for the exact bracket,
+    # never a result
+    sigma = closing_sign(len(prefix) + 1)
+    levels = _levels(prefix)
 
     def below(x):
         p = q = 1.0
@@ -147,13 +167,14 @@ def _float_hint(vals):
                 return False
             scale = max(p, abs(q))
             p, q = p / scale, q / scale
-        return p + sigma * q * x ** -vals[-1] > 0.0
+        return last is None or p + sigma * q * x**-last > 0.0
 
-    lo, hi = 1.0, 2.0
-    while not below(hi):
-        lo, hi = hi, 2.0 * hi
-        if math.isinf(hi):
-            return hi
+    if hi is None:
+        hi = 2.0 * lo
+        while not below(hi):
+            lo, hi = hi, 2.0 * hi
+            if math.isinf(hi):
+                return hi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if below(mid):
@@ -164,36 +185,103 @@ def _float_hint(vals):
     return hi
 
 
-def _formula_cell(vals):
-    """λ(vals) from the exact decision ``_below`` on the 2^-48 grid.
+class _Cell:
+    """A root r held on the 2^-shift grid as lo <= r·2^shift < lo + 1.
 
-    Returns ``(lam, lo, hi)``: the grid cell lo/2^48 < λ < hi/2^48 with
-    hi = lo + 1, and its midpoint as a float.  λ is never a grid point: the
-    tuple's polynomial is monic with constant term ±1, so its only rational
-    roots could be ±1.  A float hint places the first bracket; exact
-    decisions confirm it, widen it when it misses, and bisect it to one
-    unit.
+    ``below(num, shift)`` is the exact decision "r < num / 2^shift" that
+    produced the cell and refines it.
     """
-    hint = _float_hint(vals)
+
+    __slots__ = ("below", "lo", "shift")
+
+    def __init__(self, below, lo, shift=_GRID):
+        self.below, self.lo, self.shift = below, lo, shift
+
+    def ends(self, shift):
+        # (lo, hi) in units of 2^-shift, for shift >= self.shift
+        d = shift - self.shift
+        return self.lo << d, (self.lo + 1) << d
+
+    def refine(self):
+        if self.shift >= _FINEST_GRID:
+            raise RuntimeError(
+                "separating two roots needs a grid finer than the finest "
+                f"grid 2^-{_FINEST_GRID}"
+            )
+        self.lo = _bisect(self.below, 2 * self.lo, 2 * self.lo + 2, self.shift + 1)
+        self.shift += 1
+
+    def bracket(self):
+        return Fraction(self.lo, 1 << self.shift), Fraction(self.lo + 1, 1 << self.shift)
+
+    def value(self):
+        # the midpoint of the root's 2^-48 cell
+        return (2 * (self.lo >> (self.shift - _GRID)) + 1) * 2.0 ** -(_GRID + 1)
+
+
+def _bisect(below, lo, hi, shift):
+    # the one-unit cell inside [lo, hi] with not below(lo) and below(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid, shift):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _formula_cell(below, hint):
+    """The 2^-48 cell of the root r of the exact decision ``below``.
+
+    ``below(num, shift)`` answers "r < num / 2^shift"; the cell holds
+    lo <= r < lo + 1 in units of 2^-48.  A tuple's λ is never a grid point:
+    its polynomial is monic with constant term ±1, so its only rational
+    roots could be ±1.  A limit μ can be one: (1,) has μ = 2.  The float
+    ``hint`` places the first bracket; exact decisions confirm it, widen it
+    when it misses, and bisect it to one unit.  A hint that is not finite
+    is replaced by doubling from 1.
+    """
     if math.isfinite(hint):
         centre = math.floor(hint * 2.0**_GRID)
         lo, hi = centre - _HINT_UNITS, centre + _HINT_UNITS
     else:
         lo, hi = 1 << _GRID, 2 << _GRID  # doubling from 1
-    if _below(vals, hi, _GRID):
-        while _below(vals, lo, _GRID):
+    if below(hi, _GRID):
+        while below(lo, _GRID):
             lo, hi = lo - 2 * (hi - lo), lo
     else:
         lo, hi = hi, hi + 2 * (hi - lo)
-        while not _below(vals, hi, _GRID):
+        while not below(hi, _GRID):
             lo, hi = hi, hi + 2 * (hi - lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _below(vals, mid, _GRID):
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) * 2.0 ** -(_GRID + 1), lo, hi
+    return _Cell(below, _bisect(below, lo, hi, _GRID))
+
+
+def _tuple_cell(vals):
+    # λ(vals) on the 2^-48 grid
+    return _formula_cell(partial(_below, vals), _float_hint(vals[:-1], vals[-1]))
+
+
+def _limit_cell(prefix):
+    # μ(prefix) on the 2^-48 grid
+    return _formula_cell(partial(_limit_below, prefix), _float_hint(prefix))
+
+
+def _separate(upper, lower):
+    """Refine two cells of distinct roots until they are disjoint.
+
+    Returns whether ``upper`` then lies above ``lower``.  The coarser cell
+    is refined first, both when their grids agree.
+    """
+    while True:
+        shift = max(upper.shift, lower.shift)
+        up_lo, up_hi = upper.ends(shift)
+        low_lo, low_hi = lower.ends(shift)
+        if up_lo >= low_hi or low_lo >= up_hi:
+            return up_lo >= low_hi
+        coarse = min(upper.shift, lower.shift)
+        for cell in (upper, lower):
+            if cell.shift == coarse:
+                cell.refine()
 
 
 @dataclass(frozen=True)
@@ -248,8 +336,8 @@ def dilatation(m, method="both", tol=1e-10):
     certificate = None
     bracket = None
     if method in ("formula", "both"):
-        lam_formula, lo, hi = _formula_cell(m.values)
-        bracket = (Fraction(lo, 1 << _GRID), Fraction(hi, 1 << _GRID))
+        cell = _tuple_cell(m.values)
+        lam_formula, bracket = cell.value(), cell.bracket()
     if method in ("matrix", "both"):
         certificate = transition_matrix(m).spectral_radius(tol=tol)
         lam_matrix = certificate.eigenvalue
@@ -264,29 +352,31 @@ def dilatation(m, method="both", tol=1e-10):
 def limit_dilatation(prefix):
     """Limit of the dilatations as the parameters after ``prefix`` grow.
 
-    This is the largest root of the dominant polynomial P of the prefix,
-    found by climbing the chain.  It is certified against the dominant
-    block B of the transition matrix: ``spectral_radius`` accepts only a
-    primitive B, and det(tI - B) = P exactly (``pabraid verify`` and the
-    tests check this identity), so by the Perron-Frobenius theorem the
-    eigenvalue of B is a simple root of P strictly larger in modulus than
-    every other root.  The climbed root must lie within 1e-9 of the exact
-    Collatz-Wielandt enclosure of that eigenvalue, else AssertionError.
-    The climbed root is accurate to about 5e-13.
+    This is μ, the largest root of the dominant polynomial P of the prefix:
+    the midpoint of its cell lo <= μ < lo + 2^-48, bisected from the exact
+    decision "μ < x" (every chain level positive at x).  The cell is
+    certified against the dominant block B of the transition matrix:
+    ``spectral_radius`` accepts only a primitive B, and det(tI - B) = P
+    exactly (``pabraid verify`` and the tests check this identity), so by
+    the Perron-Frobenius theorem the eigenvalue of B is a simple root of P
+    strictly larger in modulus than every other root.  The cell must meet
+    the exact Collatz-Wielandt enclosure of that eigenvalue, else
+    AssertionError.
     """
-    vals = params(prefix, 1)
-    return _certified_limit(vals, dominant_chain(vals))
+    return _certified_limit(params(prefix, 1)).value()
 
 
-def _certified_limit(vals, chain):
-    mu = _climb_chain(chain)
+def _certified_limit(vals):
+    cell = _limit_cell(vals)
     cert = dominant_matrix(vals).spectral_radius(tol=_LIMIT_ENCLOSURE)
-    if not cert.lower - _LIMIT_AGREEMENT <= mu <= cert.upper + _LIMIT_AGREEMENT:
+    lo, hi = cell.bracket()
+    if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
-            f"largest real root {mu} lies outside the Perron-Frobenius enclosure "
-            f"[{cert.lower}, {cert.upper}] of the dominant block"
+            f"the limit's cell [{float(lo)!r}, {float(hi)!r}] misses the "
+            f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of the "
+            "dominant block"
         )
-    return mu
+    return cell
 
 
 @dataclass(frozen=True)
@@ -299,19 +389,19 @@ class MonotonicityCheck:
 def monotonicity_check(m, i):
     """Compare the dilatation of ``m`` with the tuple incremented at slot i.
 
-    ``i`` is 1-based.  The boolean is exact: with x the upper end of the
-    incremented tuple's certified cell, λ(incremented) < x holds by
-    construction, and the check asks ``_below`` whether x <= λ(m).  It is
-    False also when both dilatations lie in one 2^-48 cell.
+    ``i`` is 1-based.  The boolean is exact: the two certified 2^-48 cells
+    are refined on finer grids until they are disjoint, and it tells
+    whether λ(m) lies above λ(incremented).  Dilatations closer than
+    2^-1024 raise RuntimeError.
     """
     m = BraidTuple(m)
     if not (1 <= i <= len(m)):
         raise ValueError(f"coordinate index {i} outside 1..{len(m)}")
     bumped = list(m.values)
     bumped[i - 1] += 1
-    before = _formula_cell(m.values)[0]
-    after, _, x = _formula_cell(tuple(bumped))
-    return MonotonicityCheck(before, after, not _below(m.values, x, _GRID))
+    before = _tuple_cell(m.values)
+    after = _tuple_cell(tuple(bumped))
+    return MonotonicityCheck(before.value(), after.value(), _separate(before, after))
 
 
 @dataclass(frozen=True)
@@ -322,6 +412,9 @@ class ScanRow:
     lam: float
     gap_to_limit: float
     poly_degree: int
+    # the certified bracket lo < λ < hi, exact dyadic rationals; not part of
+    # the CSV line
+    bracket: tuple[Fraction, Fraction] | None = None
 
     CSV_HEADER = "tuple;lambda;gap_to_limit;poly_degree"
 
@@ -331,11 +424,15 @@ class ScanRow:
 
 
 def convergence_table(prefix, last_values):
-    """Sweep the last parameter and report the gap to the limit dilatation.
+    """Sweep the last parameter and certify the convergence to the limit.
 
-    ``last_values`` must be strictly increasing; the returned gaps are then
-    checked to be positive and strictly decreasing, which is the convergence
-    statement being reproduced.
+    ``last_values`` must be strictly increasing.  Each row's ``lam`` is the
+    midpoint of λ's 2^-48 cell and ``gap_to_limit`` the difference of that
+    float and the limit's, so deep rows may show a gap of 0.0.  The
+    statement being reproduced, λ falling strictly toward μ, is certified
+    on exact brackets instead: each row's ``bracket`` lies above μ's cell
+    and below the previous row's bracket, refining the cells on grids down
+    to 2^-1024 as far as a row needs (RuntimeError beyond).
     """
     vals = params(prefix, 1)
     steps = [int(v) for v in last_values]
@@ -343,16 +440,34 @@ def convergence_table(prefix, last_values):
         raise ValueError("the sweep range must be nonempty")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
-    chain = dominant_chain(vals)
-    limit = _certified_limit(vals, chain)
-    sign = closing_sign(len(vals) + 1)
-    rows = []
+    mu = _certified_limit(vals)
+    limit = mu.value()
+    cells = []
     for last in steps:
-        full = vals + (last,)
-        poly = _close(chain[-1], last, sign)
-        lam = first_real_root_above(poly, limit)
-        rows.append(ScanRow(full, lam, lam - limit, poly.degree))
-    gaps = [r.gap_to_limit for r in rows]
-    if any(g <= 0 for g in gaps) or any(b >= a for a, b in zip(gaps, gaps[1:])):
-        raise RuntimeError("convergence gaps are not positive and strictly decreasing")
-    return rows
+        prev = cells[-1] if cells else None
+        cell = _row_cell(vals + (last,), mu, prev)
+        if not _separate(cell, mu) or (prev is not None and not _separate(prev, cell)):
+            raise RuntimeError(f"the dilatations do not fall strictly toward μ at {vals + (last,)}")
+        cells.append(cell)
+    degree = block_boundaries(vals)[-1] + 1  # of the prefix's dominant polynomial
+    return [
+        ScanRow(vals + (last,), cell.value(), cell.value() - limit, degree + last, cell.bracket())
+        for last, cell in zip(steps, cells)
+    ]
+
+
+def _row_cell(full, mu, prev):
+    # λ(full) inside the warm bracket from μ's cell up to the previous row's:
+    # bisected exactly when the float hint cannot help, that is below the
+    # 2^-48 grid or within a few of its units
+    below = partial(_below, full)
+    if prev is None:
+        return _formula_cell(below, _float_hint(full[:-1], full[-1], mu.value()))
+    shift = max(mu.shift, prev.shift)
+    lo, hi = mu.ends(shift)[0], prev.ends(shift)[1]
+    if shift == _GRID and hi - lo > 2 * _HINT_UNITS:
+        hint = _float_hint(full[:-1], full[-1], lo * 2.0**-shift, hi * 2.0**-shift)
+        return _formula_cell(below, hint)
+    if not below(hi, shift):
+        raise RuntimeError(f"the dilatations do not fall strictly toward μ at {full}")
+    return _Cell(below, _bisect(below, lo, hi, shift), shift)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .dilatation import _below, _formula_cell, dilatation
-from .treebuilder import BraidTuple
+from .dilatation import _below, _tuple_cell
+from .treebuilder import BraidTuple, transition_matrix
 
 __all__ = [
     "lobachevsky",
@@ -123,13 +123,13 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
     m = _least_below(lambda mm: _below((mm,) * width, num, shift))
-    achieved = _formula_cell((m,) * width)[0]
+    achieved = _tuple_cell((m,) * width).value()
 
     off_diagonal = (m + 1,) + (m,) * k
     assert _below(off_diagonal, num, shift), "monotonicity spot check failed"
 
     # certify the witness through the independent matrix route
-    matrix_lambda = dilatation((m,) * width, method="matrix", tol=tol).lambda_matrix
+    matrix_lambda = transition_matrix((m,) * width).spectral_radius(tol=tol).eigenvalue
     assert abs(matrix_lambda - achieved) <= 1e-9, (
         f"formula/matrix disagreement at the witness: {achieved} vs {matrix_lambda}"
     )

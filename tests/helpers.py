@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pabraid import IntPoly, NNMatrix
+from pabraid import IntPoly, NNMatrix, first_real_root_above, largest_real_root
 
 
 def grid_tuples():
@@ -22,6 +22,20 @@ def grid_tuples():
         for length in (2, 3, 4)
         for tv in itertools.product(range(1, 6), repeat=length)
     ]
+
+
+def climb_chain(chain):
+    """Largest root of the last chain polynomial, by walking up the chain.
+
+    The dominant roots ascend strictly level by level, and each level has
+    exactly one root above the previous level's root.  Walking the chain
+    with that lower bound isolates the top root unambiguously, even when
+    the lower real roots of deep chains cluster within ~1e-3 of it.
+    """
+    mu = largest_real_root(chain[0], lower=1.0)
+    for poly in chain[1:]:
+        mu = first_real_root_above(poly, mu)
+    return mu
 
 
 def bisect_root(poly, lo, hi, steps=60):

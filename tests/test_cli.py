@@ -96,6 +96,15 @@ class TestScanCommand:
         gaps = [float(ln.split(";")[2]) for ln in lines[1:]]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_rows_inside_the_limits_cell(self, capsys):
+        # from m = 33 on λ shares the limit's 2^-48 cell, so the printed
+        # gap is 0.0; the order is certified on the exact brackets
+        rc, out, err = run(capsys, "scan", "--prefix", "7,4,2,8", "--m-max", "40")
+        assert (rc, err) == (0, "")
+        rows = [line.split(";") for line in out.splitlines()[1:]]
+        assert len(rows) == 40 and rows[-1][2] == "0.0"
+        assert rows[-1][1] == "2.4141496116083605"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "scan", "--prefix", "2", "--m-max", "4")
         _, second, _ = run(capsys, "scan", "--prefix", "2", "--m-max", "4")

@@ -1,9 +1,10 @@
 import importlib
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pabraid import (
     IntPoly,
@@ -20,7 +21,7 @@ from pabraid import (
     transition_matrix,
 )
 
-from helpers import bisect_root, grid_tuples
+from helpers import bisect_root, climb_chain, grid_tuples
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -132,6 +133,10 @@ def _below(values, x):
     return dilatation_module._below(values, *_dyadic(x))
 
 
+def _limit_below(prefix, x):
+    return dilatation_module._limit_below(prefix, *_dyadic(x))
+
+
 def _overlaps(bracket, cert):
     lo, hi = bracket
     return lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi
@@ -160,21 +165,19 @@ class TestTransferRecurrence:
         assert not _below((4, 2), lo) and _below((4, 2), hi)
 
     @pytest.mark.parametrize("hint", [1.0, 1.8097893, 1.9, 7.5, math.inf, math.nan])
-    def test_cell_does_not_depend_on_the_float_hint(self, monkeypatch, hint):
+    def test_cell_does_not_depend_on_the_float_hint(self, hint):
         # a hint that misses is widened, one that is not finite is replaced
         # by doubling from 1
-        expected = dilatation_module._formula_cell((4, 2))
-        monkeypatch.setattr(dilatation_module, "_float_hint", lambda values: hint)
-        assert dilatation_module._formula_cell((4, 2)) == expected
+        expected = dilatation_module._tuple_cell((4, 2)).lo
+        below = partial(dilatation_module._below, (4, 2))
+        assert dilatation_module._formula_cell(below, hint).lo == expected
 
     def test_matches_root_isolation_on_the_grid(self):
         # the former formula route, where it succeeds, gives the same float
         for values in grid_tuples():
             chain = dominant_chain(values[:-1])
-            old = first_real_root_above(
-                braid_char_poly(values), dilatation_module._climb_chain(chain)
-            )
-            assert dilatation_module._formula_cell(values)[0] == old, values
+            old = first_real_root_above(braid_char_poly(values), climb_chain(chain))
+            assert dilatation_module._tuple_cell(values).value() == old, values
 
     @pytest.mark.parametrize("values", [(1, 1, 28), (4, 200), (2, 2, 40)])
     def test_former_sign_change_failures(self, values):
@@ -211,6 +214,9 @@ class TestLimitDilatation:
     def test_factorable_prefix(self):
         # t^3 - t^2 - 2t = t (t - 2) (t + 1)
         assert limit_dilatation((1,)) == pytest.approx(2.0, abs=1e-12)
+        # μ = 2 is a grid point, so its cell is [2, 2 + 2^-48)
+        assert not _limit_below((1,), Fraction(2))
+        assert limit_dilatation((1,)) == 2.0 + 2.0**-49
 
     def test_two_level_prefix_against_oracle(self):
         poly = dominant_chain((1, 1))[-1]
@@ -231,29 +237,43 @@ class TestLimitDilatation:
         slack = Fraction(1, 10**9)
         assert dom(Fraction(value) - slack) < 0 < dom(Fraction(value) + slack)
 
-    @pytest.mark.parametrize("prefix", [(5,) * 25, (2,) * 40, (1,) * 60])
+    # (3,)*300 once spent 18 s climbing the chain level by level
+    @pytest.mark.parametrize("prefix", [(5,) * 25, (2,) * 40, (1,) * 60, (3,) * 300])
     def test_long_prefixes_inside_enclosure(self, prefix):
         assert_in_enclosure(limit_dilatation(prefix), prefix)
 
+    # the names predate the limit cell; the seam patched is now the cell
     @pytest.mark.parametrize("wrong", [-1.0, 2.0 + 1e-8])
     def test_wrong_climbed_root_is_rejected(self, monkeypatch, wrong):
         # (1,) has the dominant polynomial t (t - 2) (t + 1)
-        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain: wrong)
+        monkeypatch.setattr(dilatation_module, "_limit_cell", lambda prefix: _cell_at(wrong))
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
             limit_dilatation((1,))
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
             convergence_table((1,), range(1, 4))
 
     def test_climbed_root_within_agreement_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(dilatation_module, "_climb_chain", lambda chain: 2.0 + 5e-10)
-        assert limit_dilatation((1,)) == 2.0 + 5e-10
+        # the cell just below 2 is not μ's, but it touches the enclosure
+        # [2, 2] of (1,)
+        cert = dominant_matrix((1,)).spectral_radius()
+        assert cert.lower == cert.upper == 2.0
+        below_two = 2.0 - 2.0**-49
+        monkeypatch.setattr(dilatation_module, "_limit_cell", lambda prefix: _cell_at(below_two))
+        assert limit_dilatation((1,)) == below_two
+
+
+def _cell_at(x):
+    # the 2^-48 cell holding the float x, with no decision to refine it
+    return dilatation_module._Cell(None, math.floor(x * 2**48))
 
 
 def assert_in_enclosure(value, prefix):
-    # the climbed float may sit an ulp outside the outward-rounded enclosure,
-    # so allow the climb's accuracy, far below the library's 1e-9 slack
-    cert = dominant_matrix(prefix).spectral_radius()
-    assert cert.lower - 1e-12 <= value <= cert.upper + 1e-12
+    # the value is the midpoint of μ's cell lo <= μ < hi of width 2^-48; the
+    # cell must bracket the decision and meet the exact enclosure
+    half = Fraction(1, 2**49)
+    lo, hi = Fraction(value) - half, Fraction(value) + half
+    assert not _limit_below(prefix, lo) and _limit_below(prefix, hi)
+    assert _overlaps((lo, hi), dominant_matrix(prefix).spectral_radius())
 
 
 _PREFIXES = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple)
@@ -262,6 +282,10 @@ _PREFIXES = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple)
 class TestLimitCertificateProperties:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(prefix=_PREFIXES)
+    # the climbed root of (1,6,1) fell an ulp below the enclosure; (1,) has
+    # the grid point μ = 2
+    @example(prefix=(1, 6, 1))
+    @example(prefix=(1,))
     def test_limit_lies_in_dominant_block_enclosure(self, prefix):
         block = dominant_matrix(prefix)
         assert block.char_poly() == dominant_chain(prefix)[-1]
@@ -284,9 +308,13 @@ class TestMonotonicity:
         assert result.strictly_decreasing
         assert 0 < result.lambda_before - result.lambda_after < 1e-10
 
-    def test_drop_inside_one_grid_cell_is_not_claimed(self):
-        # both dilatations share a 2^-48 cell, so no dyadic x separates them
-        assert not monotonicity_check((4, 90), 2).strictly_decreasing
+    def test_drop_inside_one_grid_cell_is_proved(self):
+        # both dilatations share a 2^-48 cell; finer grids separate them
+        result = monotonicity_check((4, 90), 2)
+        assert result.strictly_decreasing
+        assert result.lambda_before == result.lambda_after
+        before, after = (dilatation_module._tuple_cell(v) for v in ((4, 90), (4, 91)))
+        assert not dilatation_module._separate(after, before)
 
     def test_no_tolerance_option(self):
         with pytest.raises(TypeError):
@@ -335,11 +363,41 @@ class TestConvergence:
         final = roots_outside_unit_disk(base.shift(60) + mirrored)[0]
         assert abs(final - GOLDEN_RATIO) < 1e-6
 
+    def test_finest_grid_is_a_named_cap(self, monkeypatch):
+        # λ(4,150) - μ(4) is about 2^-80
+        monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 60)
+        with pytest.raises(RuntimeError, match=r"finest grid 2\^-60"):
+            convergence_table((4,), [150])
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             convergence_table((4,), [])
         with pytest.raises(ValueError):
             convergence_table((4,), [3, 2])
+
+
+_SCAN_PREFIXES = st.lists(st.integers(1, 10), min_size=1, max_size=6).map(tuple)
+
+
+class TestConvergenceProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(prefix=_SCAN_PREFIXES)
+    def test_rows_fall_strictly_toward_the_limit(self, prefix):
+        rows = convergence_table(prefix, range(1, 41))
+        limit = limit_dilatation(prefix)
+        upper = None
+        for row in rows:
+            lo, hi = row.bracket
+            assert not _below(row.tuple_values, lo) and _below(row.tuple_values, hi)
+            assert _limit_below(prefix, lo)  # μ < lo
+            assert upper is None or hi <= upper
+            upper = lo
+            # the printed float is the midpoint of the 2^-48 cell holding it
+            half = Fraction(1, 2**49)
+            assert Fraction(row.lam) - half <= lo < hi <= Fraction(row.lam) + half
+            assert row.gap_to_limit == row.lam - limit
+        last = transition_matrix(rows[-1].tuple_values).spectral_radius()
+        assert _overlaps(rows[-1].bracket, last)
 
 
 class TestScanRow:
