@@ -7,6 +7,7 @@ codes: 0 success, 1 computational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +43,10 @@ def _tuple_arg(text):
     return BraidTuple(_params_arg(text, 2))
 
 
+@functools.cache
 def build_parser():
+    # built on the first call, not at import, and shared by every later
+    # call: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="pabraid",
         description=(

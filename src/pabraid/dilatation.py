@@ -369,14 +369,20 @@ def limit_dilatation(prefix):
 def _certified_limit(vals):
     cell = _limit_cell(vals)
     cert = dominant_matrix(vals).spectral_radius(tol=_LIMIT_ENCLOSURE)
+    _check_overlap(cell, cert, "the limit", "the dominant block")
+    return cell
+
+
+def _check_overlap(cell, cert, root, matrix):
+    # the formula route's cell and the matrix route's enclosure, compared
+    # exactly: they must share a point
     lo, hi = cell.bracket()
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
-            f"the limit's cell [{float(lo)!r}, {float(hi)!r}] misses the "
-            f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of the "
-            "dominant block"
+            f"{root}'s cell [{float(lo)!r}, {float(hi)!r}] misses the "
+            f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of "
+            f"{matrix}"
         )
-    return cell
 
 
 @dataclass(frozen=True)

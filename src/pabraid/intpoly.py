@@ -1,15 +1,17 @@
-"""Exact integer-coefficient polynomials and deterministic root extraction.
+"""Exact integer-coefficient polynomials and a float-guided real-root finder.
 
 All algebra on :class:`IntPoly` is performed with arbitrary-precision
-integers, so it is exact.  Only the root finders return floating-point
-values; each states its accuracy and is deterministic for fixed input.
+integers, so it is exact.  The root finders start from the eigenvalues of
+the companion matrix (``np.roots``).  A real root is returned only after an
+exact sign change on the dyadic grid 2^-48 confirms it, so it is certified
+to lie in its grid cell; which root is found (the largest, or the first
+above a bound) rests on the floating-point eigenvalues.
+``roots_outside_unit_disk`` returns the eigenvalues themselves, unconfirmed.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import random
 import re
 
 import numpy as np
@@ -20,8 +22,6 @@ __all__ = [
     "first_real_root_above",
     "roots_outside_unit_disk",
 ]
-
-_EPS = 2.220446049250313e-16
 
 # one term of the text grammar, e.g. "-2*t^5", "+t", "7"
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?\s*\*?\s*(t(?:\^(\d+))?)?$")
@@ -230,282 +230,121 @@ def _exact_sign_at_dyadic(coeffs, num, shift):
     return (acc > 0) - (acc < 0)
 
 
-_FIX_BITS = 320  # fraction bits of the fixed-point tier
+_GRID = 48  # roots are returned on the dyadic grid 2^-48 ~ 3.6e-15
+_WINDOW_CAP = 1 << 32  # widest confirmation half-window, in grid units (~1.5e-5)
 
 
-class _SignOracle:
-    """Certified sign of a polynomial at dyadic rationals.
+def _eigenvalues(coeffs):
+    # companion-matrix eigenvalues; int / int rounds correctly at any size
+    top = max(abs(c) for c in coeffs)
+    return np.roots([c / top for c in reversed(coeffs)])
 
-    Three tiers, each rigorous: a float Horner pass with a running error
-    bound; a fixed-point integer Horner (320 fraction bits) with a
-    truncation-error bound, which survives the catastrophic cancellation
-    that defeats doubles on deep chain polynomials; and exact big-integer
-    evaluation as the final authority.  The float tier is bypassed once it
-    repeatedly fails to certify.
+
+def _confirmed_root(coeffs, x, base, descending):
+    """A root of p near the float ``x``, on grid points >= ``base``, or None.
+
+    Exact signs at the grid points c = floor(x·2^48) and c ± w, for w = 4,
+    8, ... up to the cap: the first of the two half-windows [c - w, c] and
+    [c, c + w] whose ends differ in sign (the upper one first when
+    ``descending``) is bisected to one grid unit, and the cell's midpoint
+    returned.  Testing c itself finds the two roots of a close pair whose
+    eigenvalues merged into a complex pair centred between them.  A grid
+    point where p is exactly zero is returned as it is.
     """
 
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-        top = max(abs(c) for c in coeffs)
-        # keep float conversion in range; truncation error is absorbed by +1
-        down = max(0, top.bit_length() - 970)
-        if down:
-            self._fc = [float(c >> down) for c in coeffs]
-            self._fa = [float((abs(c) >> down) + 1) for c in coeffs]
-        else:
-            self._fc = [float(c) for c in coeffs]
-            self._fa = [abs(f) for f in self._fc]
-        self._guard = (2 * len(coeffs) + 4) * _EPS
-        self._float_misses = 0
-        self._fixed = None
+    def sign(n):
+        return _exact_sign_at_dyadic(coeffs, n, _GRID)
 
-    def sign(self, num, shift=0):
-        if self._float_misses < 4 and abs(num) < (1 << 52):
-            x = num * 2.0 ** -shift
-            v = 0.0
-            b = 0.0
-            ax = abs(x)
-            for c, a in zip(reversed(self._fc), reversed(self._fa)):
-                v = v * x + c
-                b = b * ax + a
-            bound = self._guard * b + 5e-308
-            if v > bound:
-                self._float_misses = 0
-                return 1
-            if v < -bound:
-                self._float_misses = 0
-                return -1
-            self._float_misses += 1
-        s = self._fixed_point_sign(num, shift)
-        if s is not None:
-            return s
-        return _exact_sign_at_dyadic(self.coeffs, num, shift)
-
-    def _fixed_point_sign(self, num, shift):
-        coeffs = self.coeffs
-        d = len(coeffs) - 1
-        if d < 1:
-            return (coeffs[0] > 0) - (coeffs[0] < 0) if coeffs else 0
-        if self._fixed is None:
-            self._fixed = [c << _FIX_BITS for c in coeffs]
-        scaled = self._fixed
-        acc = scaled[d]
-        for i in range(d - 1, -1, -1):
-            acc = ((acc * num) >> shift) + scaled[i]
-        # every truncation loses < 1 unit, amplified by at most |x| per step
-        err_bits = d.bit_length() + 3
-        if num and (abs(num) >> shift):  # |x| >= 1
-            log2x = math.log2(abs(num)) - shift
-            if log2x > 0:
-                err_bits += math.ceil(d * log2x) + 2
-        if abs(acc) >> err_bits:
-            return 1 if acc > 0 else -1
-        return None
-
-
-def _integer_root_bound(coeffs):
-    """Integer B with every root of the polynomial strictly inside |z| < B.
-
-    Minimum of the Cauchy bound and a power-of-two Fujiwara bound; the
-    latter keeps B small for high-degree polynomials whose large
-    coefficients sit far below the leading term.
-    """
-    lead = abs(coeffs[-1])
-    rest = [abs(c) for c in coeffs[:-1]]
-    if not rest or not max(rest):
-        return 1
-    cauchy = 1 + -(-max(rest) // lead)
-    d = len(coeffs) - 1
-    exp = 0
-    for k in range(1, d + 1):
-        c = coeffs[d - k]
-        if c:
-            bits = abs(c).bit_length() - lead.bit_length() + 1
-            if bits > 0:
-                exp = max(exp, -(-bits // k))
-    fujiwara = 1 << (exp + 1)
-    return min(cauchy, fujiwara) + 1
-
-
-_SCAN_LIMIT = 10**7
-_BISECT_STEPS = 41  # final bracket width 2^-41 < 5e-13
-
-
-def largest_real_root(f, lower=0.0):
-    """Largest real root of ``f`` strictly above ``lower``, to about 5e-13.
-
-    Brackets by a descending integer scan from a root bound, bisects the
-    bracket to below 5e-13 with certified signs, then polishes with Newton
-    when float evaluation of the coefficients is exact.  Deterministic.
-
-    Raises ValueError when no sign change is found above ``lower``.
-    """
-    if not isinstance(f, IntPoly):
-        f = IntPoly(f)
-    if f.degree < 1:
-        raise ValueError("largest_real_root needs a nonconstant polynomial")
-    coeffs = f.coeffs if f.coeffs[-1] > 0 else tuple(-c for c in f.coeffs)
-    oracle = _SignOracle(coeffs)
-
-    bound = _integer_root_bound(coeffs)
-    if bound <= lower:
-        raise ValueError(f"no real root above {lower!r} (root bound {bound})")
-    if bound - lower > _SCAN_LIMIT:
-        raise RuntimeError("root bound too large for a descending integer scan")
-
-    lo_int = math.floor(lower) + 1
-    bracket = None
-    for x in range(bound, lo_int - 1, -1):
-        s = oracle.sign(x)
-        if s == 0:
-            return float(x)
-        if s < 0:
-            bracket = (x, x + 1, 0)
-            break
-    if bracket is None:
-        bracket = _fine_scan(oracle, lower, min(lo_int, bound))
-    if bracket is None:
-        raise ValueError(f"no real root above {lower!r}")
-    return _bisect(f, oracle, *bracket)
-
-
-def _fine_scan(oracle, lower, hi):
-    # No integer sign change: look for one on dyadic grids inside (lower, hi].
-    for scale_bits in (6, 12):
-        scale = 1 << scale_bits
-        start = hi * scale - 1
-        stop = math.floor(lower * scale)
-        for num in range(start, stop, -1):
-            if num <= lower * scale:
-                break
-            s = oracle.sign(num, scale_bits)
-            if s <= 0:
-                return (num, num + 1, scale_bits)
+    centre = max(math.floor(x * 2.0**_GRID), base)
+    s_centre = sign(centre)
+    if s_centre == 0:
+        return centre * 2.0**-_GRID
+    w = 4
+    while w <= _WINDOW_CAP:
+        halves = [(centre + w, centre), (max(centre - w, base), centre)]
+        if not descending:
+            halves.reverse()
+        for end, inner in halves:
+            s = sign(end)
+            if s == 0:
+                return end * 2.0**-_GRID
+            if s != s_centre:
+                return _bisect_cell(sign, inner, s_centre, end)
+        w *= 2
     return None
 
 
-def _bisect(f, oracle, lo, hi, shift):
-    # invariant: p(lo/2^shift) < 0 < p(hi/2^shift), hi - lo == 1
-    while shift < _BISECT_STEPS:
-        lo <<= 1
-        hi <<= 1
-        shift += 1
-        mid = lo + 1
-        s = oracle.sign(mid, shift)
+def _bisect_cell(sign, a, s_a, b):
+    # p has the nonzero sign s_a at the grid point a and the other at b
+    while abs(b - a) > 1:
+        mid = (a + b) // 2
+        s = sign(mid)
         if s == 0:
-            return mid * 2.0 ** -shift
-        if s < 0:
-            lo = mid
+            return mid * 2.0**-_GRID
+        if s == s_a:
+            a = mid
         else:
-            hi = mid
-    root = (lo + hi) * 2.0 ** -(shift + 1)
-    # Newton polish only while float evaluation of the coefficients is exact
-    if max(abs(c) for c in f.coeffs) < (1 << 50):
-        width = 2.0 ** -shift
-        deriv = f.derivative()
-        x = root
-        for _ in range(8):
-            dfx = deriv(x)
-            if dfx == 0:
-                break
-            step = f(x) / dfx
-            x -= step
-            if abs(step) < 1e-16 * max(1.0, abs(x)):
-                break
-        if abs(x - root) <= 4 * width:
-            root = x
-    return root
+            b = mid
+    return (a + b) * 2.0 ** -(_GRID + 1)
 
 
-_PROBE_SHIFT = 48  # dyadic sampling grid, 2^-48 ~ 3.6e-15
+def _confirm_first(f, lower, name, descending):
+    # the first eigenvalue real part above `lower`, in the given order,
+    # that exact signs confirm
+    if not isinstance(f, IntPoly):
+        f = IntPoly(f)
+    if f.degree < 1:
+        raise ValueError(f"{name} needs a nonconstant polynomial")
+    base = math.floor(lower * 2.0**_GRID) + 1  # the first grid point above lower
+    xs = sorted({z.real for z in _eigenvalues(f.coeffs) if z.real > lower}, reverse=descending)
+    for x in xs:
+        root = _confirmed_root(f.coeffs, x, base, descending)
+        if root is not None:
+            return root
+    raise ValueError(f"no real root above {lower!r} with a sign change")
+
+
+def largest_real_root(f, lower=0.0):
+    """Largest real root of ``f`` strictly above ``lower``.
+
+    The real parts of the eigenvalues above ``lower`` are tried from the
+    largest down; the first one within about 1.5e-5 of an exact sign change
+    on the 2^-48 grid gives the root.  The result is certified to lie in
+    that 2^-48 cell (it is the cell's midpoint, or the grid point itself
+    where ``f`` vanishes exactly).  That it is the largest root rests on
+    the floating-point eigenvalues, which can misorder roots in a tight
+    cluster.  A root of even multiplicity shows no sign change and is not
+    returned.  Deterministic.
+
+    Raises ValueError for a constant polynomial, and when no candidate
+    above ``lower`` is confirmed.
+    """
+    return _confirm_first(f, lower, "largest_real_root", descending=True)
 
 
 def first_real_root_above(f, lower):
     """Smallest real root of ``f`` strictly above ``lower``.
 
-    Intended for polynomials whose root structure right above ``lower``
-    begins with an isolated simple root (the sign is then negative between
-    ``lower`` and that root): the sign is sampled just above ``lower``, the
-    change is bracketed by doubling steps and bisected with certified
-    signs.  Accuracy is about 4e-15.
+    As :func:`largest_real_root`, with the eigenvalues' real parts tried
+    from the smallest up: the result is certified to lie in its 2^-48 cell,
+    that it is the first root above ``lower`` rests on the eigenvalues, and
+    a root of even multiplicity is not returned.
 
-    Raises ValueError when no sign change is found up to the root bound.
+    Raises ValueError for a constant polynomial, and when no candidate
+    above ``lower`` is confirmed.
     """
-    if not isinstance(f, IntPoly):
-        f = IntPoly(f)
-    if f.degree < 1:
-        raise ValueError("first_real_root_above needs a nonconstant polynomial")
-    coeffs = f.coeffs if f.coeffs[-1] > 0 else tuple(-c for c in f.coeffs)
-    oracle = _SignOracle(coeffs)
-    s = _PROBE_SHIFT
-    base = math.floor(lower * 2.0**s) + 1  # strictly above lower
-    limit = (_integer_root_bound(coeffs) + 1) << s
-
-    a = None
-    last_positive = None
-    off = 1
-    while base + off <= limit:
-        x = base + off
-        sgn = oracle.sign(x, s)
-        if sgn == 0:
-            return x * 2.0**-s
-        if sgn < 0:
-            a = x
-            break
-        last_positive = x
-        off *= 16
-    if a is None:
-        raise ValueError(f"no sign change above {lower!r} up to the root bound")
-    if last_positive is not None:
-        # the sign was still positive just above `lower`: the first crossing
-        # sits between the last positive sample and the negative one
-        lo, hi = last_positive, a
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            sgn = oracle.sign(mid, s)
-            if sgn == 0:
-                return mid * 2.0**-s
-            if sgn > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) * 2.0 ** -(s + 1)
-
-    # overshooting the root with a large first step is harmless (the bracket
-    # still isolates it), so jump well past the sampling scale immediately
-    h = max(a - base, 1 << 18)
-    while True:
-        b = a + h
-        sgn = oracle.sign(b, s)
-        if sgn == 0:
-            return b * 2.0**-s
-        if sgn > 0:
-            break
-        a = b
-        h *= 2
-        if a > limit:
-            raise ValueError("polynomial never turns positive above the root bound")
-    while b - a > 1:
-        mid = (a + b) // 2
-        sgn = oracle.sign(mid, s)
-        if sgn == 0:
-            return mid * 2.0**-s
-        if sgn < 0:
-            a = mid
-        else:
-            b = mid
-    return (a + b) * 2.0 ** -(s + 1)
+    return _confirm_first(f, lower, "first_real_root_above", descending=False)
 
 
 def roots_outside_unit_disk(f, tol=1e-10):
     """All complex roots of modulus > 1 + tol, with multiplicity.
 
-    Durand-Kerner simultaneous iteration from seeded, randomly perturbed
-    points on a circle at the root bound, followed by a Newton polish and a
-    clustering pass so that a root of multiplicity m is reported m times
-    (roots closer than 1e-6 are treated as one cluster).  Returns a list of
-    complex numbers sorted by decreasing modulus; the empty list is a valid
-    result.
+    The companion-matrix eigenvalues (``np.roots``; Edelman and Murakami,
+    Math. Comp. 64, 1995) of modulus above 1 + tol, sorted by decreasing
+    modulus.  They are floating-point values, not certified: a root of
+    modulus within the eigenvalue error of 1 + tol can fall on either
+    side, and a multiple root comes back as a cluster of nearby values.
+    The empty list is a valid result.
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(f)
@@ -513,65 +352,6 @@ def roots_outside_unit_disk(f, tol=1e-10):
         raise ValueError("the zero polynomial has no root set")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    coeffs = list(f.coeffs)
-    while coeffs[0] == 0:  # roots at 0 lie inside the disk
-        coeffs.pop(0)
-    d = len(coeffs) - 1
-    if d == 0:
-        return []
-
-    top = max(abs(c) for c in coeffs)
-    p = np.array([c / top for c in reversed(coeffs)], dtype=float)
-    dp = p[:-1] * np.arange(d, 0, -1)
-    radius = float(_integer_root_bound(coeffs))
-
-    rng = random.Random(314159)
-    z = np.array(
-        [
-            radius
-            * cmath.exp(2j * math.pi * (j + 0.5) / d)
-            * (1.0 + 1e-3 * rng.random())
-            for j in range(d)
-        ]
-    )
-    lead = p[0]
-    for _ in range(10000):
-        pv = np.polyval(p, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        den = lead * diff.prod(axis=1)
-        den = np.where(den == 0, 1e-300, den)
-        step = pv / den
-        z = z - step
-        if np.max(np.abs(step)) < 1e-13:
-            break
-
-    # per-root Newton polish, kept only when the residual improves
-    for _ in range(3):
-        pv = np.polyval(p, z)
-        dv = np.polyval(dp, z)
-        safe = np.where(dv == 0, 1.0, dv)
-        cand = z - np.where(dv == 0, 0.0, pv / safe)
-        better = np.abs(np.polyval(p, cand)) <= np.abs(pv)
-        z = np.where(better, cand, z)
-
-    clusters = _cluster(sorted(z.tolist(), key=lambda w: (w.real, w.imag)))
-    out = []
-    for centre, count in clusters:
-        if abs(centre) > 1.0 + tol:
-            out.extend([centre] * count)
+    out = [complex(z) for z in _eigenvalues(f.coeffs) if abs(z) > 1.0 + tol]
     out.sort(key=lambda w: (-abs(w), -w.real, -w.imag))
     return out
-
-
-def _cluster(points, eps=1e-6):
-    groups = []
-    for w in points:
-        for g in groups:
-            if abs(w - g[0] / g[1]) < eps:
-                g[0] += w
-                g[1] += 1
-                break
-        else:
-            groups.append([w, 1])
-    return [(total / count, count) for total, count in groups]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .dilatation import _below, _tuple_cell
+from .dilatation import _below, _check_overlap, _tuple_cell
 from .treebuilder import BraidTuple, transition_matrix
 
 __all__ = [
@@ -102,8 +102,9 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     chain's transfer recurrence, so λ(m) < target and λ(m-1) >= target are
     proved, not inferred from rounded roots.  By monotonicity any tuple
     with every entry >= m satisfies the dilatation bound as well; an exact
-    off-diagonal spot check per report asserts that, and the matrix route
-    (enclosure width ``tol``) cross-checks the reported dilatation.
+    off-diagonal spot check per report asserts that.  The matrix route's
+    enclosure (width ``tol``) must overlap the witness's 2^-48 cell, an
+    exact cross-check of the reported dilatation at any ``tol``.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -123,21 +124,19 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
     m = _least_below(lambda mm: _below((mm,) * width, num, shift))
-    achieved = _tuple_cell((m,) * width).value()
+    cell = _tuple_cell((m,) * width)
 
     off_diagonal = (m + 1,) + (m,) * k
     assert _below(off_diagonal, num, shift), "monotonicity spot check failed"
 
     # certify the witness through the independent matrix route
-    matrix_lambda = transition_matrix((m,) * width).spectral_radius(tol=tol).eigenvalue
-    assert abs(matrix_lambda - achieved) <= 1e-9, (
-        f"formula/matrix disagreement at the witness: {achieved} vs {matrix_lambda}"
-    )
+    cert = transition_matrix((m,) * width).spectral_radius(tol=tol)
+    _check_overlap(cell, cert, "the witness", "its transition matrix")
 
     return BoundReport(
         k=k,
         m=m,
-        lambda_achieved=achieved,
+        lambda_achieved=cell.value(),
         volume_bound=volume_lower_bound(k),
         target_lambda=target_lambda,
         target_volume=target_volume,

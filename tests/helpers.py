@@ -28,9 +28,11 @@ def climb_chain(chain):
     """Largest root of the last chain polynomial, by walking up the chain.
 
     The dominant roots ascend strictly level by level, and each level has
-    exactly one root above the previous level's root.  Walking the chain
-    with that lower bound isolates the top root unambiguously, even when
-    the lower real roots of deep chains cluster within ~1e-3 of it.
+    exactly one root above the previous level's root.  Each step asks the
+    generic finder for the first root above the previous one; its answer
+    is certified to lie in its 2^-48 cell, and the chain's lemma says it is
+    the dominant root, even when the lower real roots of deep chains
+    cluster within ~1e-3 of it.
     """
     mu = largest_real_root(chain[0], lower=1.0)
     for poly in chain[1:]:

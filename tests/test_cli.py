@@ -1,9 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from pabraid import NNMatrix
+from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import main
 
 from helpers import GOLDEN_8x8
@@ -137,6 +138,14 @@ class TestBoundCommand:
         rc, _, err = run(capsys, "bound", "--lambda", "0.9", "--volume", "1")
         assert rc == 1 and "error:" in err
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-5"])
+    def test_loose_tol_certifies_the_same_witness(self, capsys, tol):
+        # a wide matrix-route enclosure still overlaps the witness's cell
+        rc, loose, err = run(capsys, "bound", "--lambda", "1.5", "--volume", "3", "--tol", tol)
+        assert (rc, err) == (0, "")
+        _, tight, _ = run(capsys, "bound", "--lambda", "1.5", "--volume", "3", "--tol", "1e-7")
+        assert loose == tight
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
@@ -144,6 +153,58 @@ class TestVerifyCommand:
         assert rc == 0
         assert "tuples checked: 4" in out
         assert "failures: 0" in out
+
+
+class TestRepeatedCalls:
+    # main reuses one parser; each call must still start from the defaults
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        _, first, _ = run(capsys, "dilatation", "--tuple", "4,2", "--json")
+        _, second, _ = run(capsys, "dilatation", "--tuple", "4,2")
+        assert json.loads(first)["tuple"] == [4, 2]
+        assert second.startswith("tuple: ")
+
+    def test_options_do_not_change_later_defaults(self, capsys):
+        _, narrow, _ = run(capsys, "scan", "--prefix", "4", "--m-max", "5", "--m-min", "3")
+        _, full, _ = run(capsys, "scan", "--prefix", "4", "--m-max", "5")
+        assert len(narrow.splitlines()) == 4
+        assert len(full.splitlines()) == 6
+
+
+class _RootFinderCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def refuse_root_finders(monkeypatch):
+    # rebind the generic root finders in every pabraid namespace, as the
+    # benchmark's tracer does, so a call through any imported name raises
+    def refuse(*args, **kwargs):
+        raise _RootFinderCalled
+
+    for name, module in list(sys.modules.items()):
+        if name == "pabraid" or name.startswith("pabraid."):
+            for finder in ("largest_real_root", "first_real_root_above", "roots_outside_unit_disk"):
+                if hasattr(module, finder):
+                    monkeypatch.setattr(module, finder, refuse)
+
+
+class TestNoGenericRootFinder:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dilatation", "--tuple", "4,2,7", "--method", "both"),
+            ("limit", "--prefix", "4,2"),
+            ("scan", "--prefix", "4,2", "--m-max", "10"),
+            ("bound", "--lambda", "1.5", "--volume", "3"),
+            ("verify", "--max-k", "1", "--max-m", "3"),
+        ],
+    )
+    def test_commands(self, capsys, refuse_root_finders, argv):
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+
+    def test_monotonicity_check(self, refuse_root_finders):
+        assert monotonicity_check((4, 2, 7), 2).strictly_decreasing
 
 
 class TestUsageErrors:

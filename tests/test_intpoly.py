@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pabraid import (
     IntPoly,
@@ -193,6 +194,106 @@ class TestFirstRealRootAbove:
     def test_no_root_above(self):
         with pytest.raises(ValueError):
             first_real_root_above(IntPoly.parse("t^2 - 5*t + 6"), 3.5)
+
+
+def _grid_cell(root):
+    # the float a finder must return for a rational root: the root itself
+    # on the 2^-48 grid, else the midpoint of its cell (|root| < 16 keeps
+    # the midpoint exact in a double)
+    scaled = root * 2**48
+    if scaled.denominator == 1:
+        return root
+    return Fraction(2 * math.floor(scaled) + 1, 2**49)
+
+
+@st.composite
+def _rational_roots(draw, closest, clusters):
+    # distinct rationals in [-8, 8] plus up to two neighbours, each 2^-13
+    # to 2^-closest above a root: of distinct drawn roots, or with
+    # ``clusters`` of any root, neighbours included
+    roots = set(
+        draw(
+            st.lists(
+                st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    if clusters:
+        for _ in range(draw(st.integers(0, 2))):
+            root = draw(st.sampled_from(sorted(roots)))
+            roots.add(root + Fraction(1, 2 ** draw(st.integers(13, closest))))
+    else:
+        for root in draw(st.lists(st.sampled_from(sorted(roots)), max_size=2, unique=True)):
+            roots.add(root + Fraction(1, 2 ** draw(st.integers(13, closest))))
+    return sorted(roots)
+
+
+def _product(roots, c):
+    # (b·t - a) for each root a/b, times t^2 + c, which has no real root
+    p = IntPoly((c, 0, 1))
+    for root in roots:
+        p = p * IntPoly((-root.numerator, root.denominator))
+    return p
+
+
+def _lower_bound(roots, j):
+    # a float strictly between roots[j - 1] and roots[j], or below roots[0]
+    return float(roots[0] - 1) if j == 0 else float((roots[j - 1] + roots[j]) / 2)
+
+
+class TestRationalRootProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(roots=_rational_roots(closest=16, clusters=False), c=st.integers(1, 9), data=st.data())
+    def test_finders_land_in_the_right_roots_cell(self, roots, c, data):
+        p = _product(roots, c)
+        j = data.draw(st.integers(0, len(roots) - 1))
+        lower = _lower_bound(roots, j)
+        assert Fraction(first_real_root_above(p, lower)) == _grid_cell(roots[j])
+        assert Fraction(largest_real_root(p, lower)) == _grid_cell(roots[-1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(roots=_rational_roots(closest=24, clusters=True), c=st.integers(1, 9), data=st.data())
+    def test_a_returned_root_is_certified_in_tight_clusters(self, roots, c, data):
+        # in a cluster the eigenvalues may misorder the roots or miss them,
+        # but whatever is returned is the cell of a root above lower
+        p = _product(roots, c)
+        j = data.draw(st.integers(0, len(roots) - 1))
+        lower = _lower_bound(roots, j)
+        cells = {_grid_cell(root) for root in roots[j:]}
+        for finder in (first_real_root_above, largest_real_root):
+            try:
+                root = finder(p, lower)
+            except ValueError:
+                continue
+            assert Fraction(root) in cells
+
+
+class TestFinderRegressions:
+    def test_first_root_above_a_low_bound(self):
+        p = IntPoly.parse("t^3 - 6*t^2 + 9")
+        root = first_real_root_above(p, -10.0)
+        assert abs(root - bisect_root(p, -2, -1)) < 1e-12  # about -1.1240
+
+    def test_largest_root_of_a_degree_nine_polynomial(self):
+        p = IntPoly((9, 8, -9, 6, -7, 3, -8, 5, -2, 1))
+        root = largest_real_root(p, lower=-10.0)
+        assert abs(root - bisect_root(p, Fraction(3, 2), 2)) < 1e-12  # about 1.6908
+
+    def test_roots_on_the_unit_circle_are_not_outside(self):
+        # two of the twelve roots have modulus exactly 1
+        p = IntPoly((-8, 0, 3, -2, 7, 9, -4, 9, -8, -7, -1, -1, 3))
+        assert len(roots_outside_unit_disk(p)) == 6
+
+    def test_even_multiplicity_root_is_not_returned(self):
+        # (t - 1)(t - 2)^2 does not change sign at its double root 2
+        p = IntPoly.parse("t - 1") * IntPoly.parse("t - 2") * IntPoly.parse("t - 2")
+        assert largest_real_root(p, lower=0.0) == 1.0
+        with pytest.raises(ValueError, match="no real root above 1.5"):
+            largest_real_root(p, lower=1.5)
+        with pytest.raises(ValueError):
+            first_real_root_above(p, 1.5)
 
 
 class TestRootsOutsideUnitDisk:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -113,6 +114,19 @@ class TestFindParameters:
             "target_volume",
         }
         assert payload["k"] == 2 and payload["m"] == 1
+
+    def test_witness_cell_missing_the_enclosure_is_refused(self, monkeypatch):
+        volume_module = importlib.import_module("pabraid.volume")
+        exact_cell = volume_module._tuple_cell
+
+        def shifted_cell(vals):
+            cell = exact_cell(vals)
+            cell.lo += 1 << 20  # about 3.7e-9 above the dilatation
+            return cell
+
+        monkeypatch.setattr(volume_module, "_tuple_cell", shifted_cell)
+        with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
+            find_parameters(1.5, 3)
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
