@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .intpoly import IntPoly
+from .intpoly import _GRID, IntPoly
 from .nnmatrix import PFCertificate
 from .treebuilder import (
     BraidTuple,
@@ -39,10 +39,7 @@ __all__ = [
     "convergence_table",
 ]
 
-_T_MINUS_1 = IntPoly((-1, 1))
-_TWO_T = IntPoly((0, 2))
 _LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
-_GRID = 48  # the formula route's dyadic grid, 2^-48 ~ 3.6e-15
 # the finest grid, 2^-1024, that scan rows and monotonicity checks refine
 # to when two roots share a 2^-48 cell
 _FINEST_GRID = 1024
@@ -57,15 +54,14 @@ def dominant_chain(prefix):
     The first element is t^(m_1+1) (t-1) - 2t; each later element i is
     t^(m_i) (t-1) P + (-1)^i 2t P* where P is the previous element and P*
     its reciprocal at its own degree.  Element i is monic of degree n_i + 1.
+    The chain is the level rule of ``_levels`` folded from P = 1.
     """
-    vals = params(prefix, 1)
-    first = _T_MINUS_1.shift(vals[0] + 1) - _TWO_T
-    chain = [first]
-    for i, m in enumerate(vals[1:], start=2):
-        prev = chain[-1]
-        grown = prev.shift(m + 1) - prev.shift(m)  # t^m (t-1) * prev
-        twist = _TWO_T * prev.reciprocal(prev.degree)
-        chain.append(grown + twist if i % 2 == 0 else grown - twist)
+    chain = []
+    poly = IntPoly((1,))
+    for m, s in _levels(params(prefix, 1)):
+        twist = poly.reciprocal(poly.degree).shift(1) * (2 * s)
+        poly = poly.shift(m + 1) - poly.shift(m) + twist  # t^m (t-1) P + 2s t P*
+        chain.append(poly)
     return chain
 
 
@@ -90,10 +86,9 @@ def _close(dom, last, sign):
 
 def _levels(prefix):
     # (m, s) for each chain level of the prefix: P' = t^m (t-1) P + 2s t P*,
-    # the first level on P = P* = 1 with m = m_1 + 1 and s = -1
-    levels = [(prefix[0] + 1, -1)]
-    levels += [(m, 1 if i % 2 == 0 else -1) for i, m in enumerate(prefix[1:], start=2)]
-    return levels
+    # from P = P* = 1, with m = m_1 + 1 on the first level and s the parity
+    # sign closing_sign(i) on level i
+    return [(m + (i == 1), closing_sign(i)) for i, m in enumerate(prefix, start=1)]
 
 
 def _pair(prefix, num, shift):
@@ -432,18 +427,19 @@ class ScanRow:
 def convergence_table(prefix, last_values):
     """Sweep the last parameter and certify the convergence to the limit.
 
-    ``last_values`` must be strictly increasing.  Each row's ``lam`` is the
-    midpoint of λ's 2^-48 cell and ``gap_to_limit`` the difference of that
-    float and the limit's, so deep rows may show a gap of 0.0.  The
-    statement being reproduced, λ falling strictly toward μ, is certified
-    on exact brackets instead: each row's ``bracket`` lies above μ's cell
-    and below the previous row's bracket, refining the cells on grids down
-    to 2^-1024 as far as a row needs (RuntimeError beyond).
+    ``last_values`` must be strictly increasing integers >= 1.  Each row's
+    ``lam`` is the midpoint of λ's 2^-48 cell and ``gap_to_limit`` the
+    difference of that float and the limit's, so deep rows may show a gap
+    of 0.0.  The statement being reproduced, λ falling strictly toward μ,
+    is certified on exact brackets instead: each row's ``bracket`` lies
+    above μ's cell and below the previous row's bracket, refining the cells
+    on grids down to 2^-1024 as far as a row needs (RuntimeError beyond).
     """
     vals = params(prefix, 1)
-    steps = [int(v) for v in last_values]
+    steps = tuple(last_values)
     if not steps:
         raise ValueError("the sweep range must be nonempty")
+    steps = params(steps, 1)
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
     mu = _certified_limit(vals)

@@ -230,7 +230,7 @@ def _exact_sign_at_dyadic(coeffs, num, shift):
     return (acc > 0) - (acc < 0)
 
 
-_GRID = 48  # roots are returned on the dyadic grid 2^-48 ~ 3.6e-15
+_GRID = 48  # the dyadic grid 2^-48 ~ 3.6e-15 of every certified root cell
 _WINDOW_CAP = 1 << 32  # widest confirmation half-window, in grid units (~1.5e-5)
 
 
@@ -350,8 +350,8 @@ def roots_outside_unit_disk(f, tol=1e-10):
         f = IntPoly(f)
     if f.is_zero():
         raise ValueError("the zero polynomial has no root set")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     out = [complex(z) for z in _eigenvalues(f.coeffs) if abs(z) > 1.0 + tol]
     out.sort(key=lambda w: (-abs(w), -w.real, -w.imag))
     return out

@@ -4,8 +4,8 @@ The directed graph of a matrix T has an edge from vertex j to vertex i
 exactly when the entry (i, j) is nonzero; irreducibility and primitivity
 are decided on that graph.  Characteristic polynomials are computed
 exactly (fraction-free Bareiss elimination at integer nodes followed by
-exact interpolation), the spectral radius by Noda inverse iteration with
-an exact Collatz-Wielandt enclosure.
+integer Newton interpolation), the spectral radius by Noda inverse
+iteration with an exact Collatz-Wielandt enclosure.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ class NNMatrix:
         is narrower than tol, when an iterate entry underflows, or when a
         Noda solve is not positive even from the fallback shift.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {tol!r}")
         if not self.is_primitive():
             raise ValueError(
                 "spectral_radius requires a primitive matrix "
@@ -300,8 +300,7 @@ class NNMatrix:
         scale = max(d for _, d in pairs)
         ints = [p * (scale // d) for p, d in pairs]
         lo = hi = None
-        for row, den in zip(self._row_major(), ints):
-            num = sum(val * ints[j] for j, val in row)
+        for num, den in zip(self.matvec(ints), ints):
             if lo is None or num * lo[1] < lo[0] * den:
                 lo = (num, den)
             if hi is None or num * hi[1] > hi[0] * den:
@@ -339,17 +338,18 @@ class NNMatrix:
         """Exact monic characteristic polynomial det(tI - M).
 
         Evaluates the determinant at the integer nodes 0..N with
-        fraction-free Bareiss elimination and interpolates exactly.
+        fraction-free Bareiss elimination, then integer Newton interpolation.
         """
         n = self.size
         base = [[-v for v in row] for row in self.to_rows()]
-        values = []
-        for x in range(n + 1):
+
+        def shifted(x):
             work = [row[:] for row in base]
             for i in range(n):
                 work[i][i] += x
-            values.append(_bareiss_det(work))
-        poly = _interpolate_at_integer_nodes(values)
+            return work
+
+        poly = _det_poly(shifted, n)
         if poly.degree != n or not poly.is_monic():
             raise AssertionError("characteristic polynomial is not monic of degree N")
         return poly
@@ -410,47 +410,36 @@ def _bareiss_det(a):
     return sign * a[n - 1][n - 1]
 
 
-_FALLING = [[1]]  # falling-factorial basis x(x-1)...(x-j+1), integer coefficients
+def _det_poly(matrix_at, degree):
+    """The polynomial p of degree <= ``degree`` with p(x) = det(matrix_at(x)).
 
-
-def _falling_basis(j):
-    while len(_FALLING) <= j:
-        prev = _FALLING[-1]
-        step = len(_FALLING) - 1
-        nxt = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i + 1] += c
-            nxt[i] -= step * c
-        _FALLING.append(nxt)
-    return _FALLING[j]
-
-
-def _interpolate_at_integer_nodes(values):
-    """Exact polynomial through the points (0, values[0]), (1, values[1]), ..."""
-    deltas = []
-    level = list(values)
-    deltas.append(level[0])
-    while len(level) > 1:
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-        deltas.append(level[0])
-    coeffs = [Fraction(0)] * len(values)
-    for j, dj in enumerate(deltas):
-        if dj:
-            fj = Fraction(dj, math.factorial(j))
-            for i, b in enumerate(_falling_basis(j)):
-                if b:
-                    coeffs[i] += fj * b
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("interpolation produced non-integer coefficients")
-    return IntPoly(int(c) for c in coeffs)
+    Integer Newton interpolation at the nodes x = 0..degree: the j-th
+    forward difference of the Bareiss values, divided exactly by j!, is the
+    coefficient d_j of the Newton form d_0 + t (d_1 + (t-1) (d_2 + ...)),
+    which is expanded in integers by p <- p (t - j) + d_j from j = degree
+    down.
+    """
+    level = [_bareiss_det(matrix_at(x)) for x in range(degree + 1)]
+    newton = []
+    for j in range(degree + 1):
+        d, rem = divmod(level[0], math.factorial(j))
+        if rem:
+            raise AssertionError("interpolation produced non-integer coefficients")
+        newton.append(d)
+        level = [b - a for a, b in zip(level, level[1:])]
+    coeffs = []
+    for j in range(degree, -1, -1):
+        coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[j]
+    return IntPoly(coeffs)
 
 
 def poly_matrix_det(rows):
     """Exact determinant of a square matrix of IntPoly entries.
 
     Works by evaluating the determinant at enough integer nodes and
-    interpolating; the node count comes from the row-degree bound on the
-    determinant degree.
+    integer Newton interpolation; the node count comes from the row-degree
+    bound on the determinant degree.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -462,8 +451,4 @@ def poly_matrix_det(rows):
         degs = [p.degree for p in r if not p.is_zero()]
         if degs:
             bound += max(degs)
-    values = []
-    for x in range(bound + 1):
-        work = [[p(x) for p in r] for r in rows]
-        values.append(_bareiss_det(work))
-    return _interpolate_at_integer_nodes(values)
+    return _det_poly(lambda x: [[p(x) for p in r] for r in rows], bound)

@@ -74,14 +74,14 @@ _SEARCH_CAP = 10**6
 
 
 def _least_below(below):
-    # least m >= 1 with below(m), for a predicate that holds from some m
+    # least n >= 1 with below(n), for a predicate that holds from some n
     # on: double from 1, then bisect
     lo, hi = 0, 1
     while not below(hi):
         lo = hi
         hi *= 2
         if hi > _SEARCH_CAP:
-            raise RuntimeError("parameter search exceeded the cap")
+            raise RuntimeError(f"parameter search exceeded the cap {_SEARCH_CAP}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):
@@ -108,18 +108,12 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
-    if target_lambda <= 1.0:
-        raise ValueError("target_lambda must exceed 1")
-    if target_volume <= 0.0:
-        raise ValueError("target_volume must be positive")
+    if not 1.0 < target_lambda < math.inf:
+        raise ValueError("target_lambda must be finite and exceed 1")
+    if not 0.0 < target_volume < math.inf:
+        raise ValueError("target_volume must be finite and positive")
 
-    v3 = ideal_tetrahedron_volume()
-    k = max(1, int(math.floor(2.0 * target_volume / v3)) + 2)
-    while k > 1 and volume_lower_bound(k - 1) > target_volume:
-        k -= 1
-    while volume_lower_bound(k) <= target_volume:
-        k += 1
-
+    k = _least_below(lambda kk: volume_lower_bound(kk) > target_volume)
     width = k + 1
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
@@ -127,7 +121,8 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     cell = _tuple_cell((m,) * width)
 
     off_diagonal = (m + 1,) + (m,) * k
-    assert _below(off_diagonal, num, shift), "monotonicity spot check failed"
+    if not _below(off_diagonal, num, shift):
+        raise AssertionError("monotonicity spot check failed")
 
     # certify the witness through the independent matrix route
     cert = transition_matrix((m,) * width).spectral_radius(tol=tol)

@@ -147,6 +147,27 @@ class TestBoundCommand:
         assert loose == tight
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--prefix", "4", "--m-max", "3", "--m-min", "0"),
+        ("scan", "--prefix", "4", "--m-max", "3", "--m-min", "-5"),
+        ("bound", "--lambda", "inf", "--volume", "1"),
+        ("bound", "--lambda", "nan", "--volume", "1"),
+        ("bound", "--lambda", "1.5", "--volume", "inf"),
+        ("bound", "--lambda", "1.5", "--volume", "3", "--tol", "inf"),
+        ("dilatation", "--tuple", "4,2", "--tol", "inf"),
+        ("dilatation", "--tuple", "4,2", "--tol", "nan"),
+    ],
+    ids=" ".join,
+)
+def test_rejected_inputs_exit_1_with_an_error_line(capsys, argv):
+    # an uncaught exception would escape main and fail the test
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--max-k", "1", "--max-m", "2")

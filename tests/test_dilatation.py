@@ -188,6 +188,25 @@ class TestTransferRecurrence:
         assert report.agreement <= 1e-9
 
 
+class TestPairProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=st.lists(st.integers(1, 20), min_size=1, max_size=6).map(tuple),
+        shift=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_pair_is_the_scaled_dominant_pair(self, prefix, shift, data):
+        # the transfer recurrence carries the chain's last polynomial P and
+        # its reciprocal P*, scaled by 2^(shift·deg P), wherever it answers
+        num = data.draw(st.integers((1 << shift) + 1, 4 << shift), label="num")
+        pair = dilatation_module._pair(prefix, num, shift)
+        if pair is not None:
+            dom = dominant_chain(prefix)[-1]
+            x = Fraction(num, 1 << shift)
+            scale = 1 << (shift * dom.degree)
+            assert pair == (dom(x) * scale, dom.reciprocal(dom.degree)(x) * scale)
+
+
 _SWEEP_TUPLES = st.lists(st.integers(1, 40), min_size=2, max_size=12).map(tuple)
 
 
@@ -375,6 +394,11 @@ class TestConvergence:
             convergence_table((4,), [])
         with pytest.raises(ValueError):
             convergence_table((4,), [3, 2])
+
+    @pytest.mark.parametrize("last_values", [[0, 1], [-5, 1], [1.5, 2]], ids=str)
+    def test_rejects_last_values_that_are_not_parameters(self, last_values):
+        with pytest.raises(ValueError):
+            convergence_table((4,), last_values)
 
 
 _SCAN_PREFIXES = st.lists(st.integers(1, 10), min_size=1, max_size=6).map(tuple)

@@ -344,6 +344,11 @@ class TestRootsOutsideUnitDisk:
         with pytest.raises(ValueError):
             roots_outside_unit_disk(IntPoly())
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            roots_outside_unit_disk(IntPoly.parse("t^2 - t - 1"), tol=tol)
+
     def test_determinism(self):
         p = IntPoly.parse("t^5 - t^3 - 2*t - 7")
         assert roots_outside_unit_disk(p) == roots_outside_unit_disk(p)

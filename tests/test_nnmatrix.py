@@ -168,6 +168,11 @@ class TestSpectralRadius:
         assert Fraction(nnmatrix._round_down(Fraction(1, 10))) < Fraction(1, 10)
         assert Fraction(-nnmatrix._round_down(-Fraction(2, 3))) > Fraction(2, 3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            FIB.spectral_radius(tol=tol)
+
     def test_unreachable_tol_names_the_step_cap(self):
         with pytest.raises(RuntimeError, match="within 64 power and 500 Noda steps"):
             FIB.spectral_radius(tol=1e-16)
@@ -277,3 +282,25 @@ class TestPolyMatrixDet:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             poly_matrix_det([[IntPoly((1,))], [IntPoly((1,)), IntPoly((1,))]])
+
+    def test_values_of_a_non_integer_polynomial_are_refused(self):
+        # 0, 1, 1 at t = 0, 1, 2 interpolate t (3 - t) / 2
+        with pytest.raises(AssertionError, match="non-integer coefficients"):
+            nnmatrix._det_poly(lambda x: [[(0, 1, 1)[x]]], 2)
+
+
+# entries of degree 0-12 with large coefficients, beyond the grid's polynomials
+_ENTRIES = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=13).map(IntPoly)
+_DET_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestPolyMatrixDetProperties:
+    @_DET_SETTINGS
+    @given(p=_ENTRIES)
+    def test_one_by_one(self, p):
+        assert poly_matrix_det([[p]]) == p
+
+    @_DET_SETTINGS
+    @given(p=_ENTRIES, q=_ENTRIES, r=_ENTRIES, s=_ENTRIES)
+    def test_two_by_two(self, p, q, r, s):
+        assert poly_matrix_det([[p, q], [r, s]]) == p * s - q * r

@@ -1,6 +1,10 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,48 @@ class TestFindParameters:
             find_parameters(1.0, 5)
         with pytest.raises(ValueError):
             find_parameters(2.0, 0)
+
+    @pytest.mark.parametrize(
+        "target_lambda, target_volume, name",
+        [
+            (math.inf, 1.0, "target_lambda"),
+            (math.nan, 1.0, "target_lambda"),
+            (1.5, math.inf, "target_volume"),
+            (1.5, math.nan, "target_volume"),
+        ],
+    )
+    def test_rejects_non_finite_targets(self, target_lambda, target_volume, name):
+        with pytest.raises(ValueError, match=name):
+            find_parameters(target_lambda, target_volume)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 41])
+    def test_volume_bound_must_exceed_the_target(self, k):
+        # a target equal to the bound of k is not beaten by k itself
+        assert find_parameters(10, volume_lower_bound(k)).k == k + 1
+
+    def test_search_names_its_cap(self):
+        volume_module = importlib.import_module("pabraid.volume")
+        with pytest.raises(RuntimeError, match="cap 1000000"):
+            volume_module._least_below(lambda n: False)
+
+    def test_spot_check_runs_under_python_O(self):
+        # the off-diagonal check must not be an assert, which -O strips
+        code = (
+            "import importlib\n"
+            "volume = importlib.import_module('pabraid.volume')\n"
+            "below = volume._below\n"
+            "volume._below = lambda v, num, shift: len(set(v)) == 1 and below(v, num, shift)\n"
+            "try:\n"
+            "    volume.find_parameters(10, 0.1)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(importlib.import_module("pabraid").__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "monotonicity spot check failed\n")
 
 
 class TestBoundReport:
