@@ -7,6 +7,10 @@ Perron-Frobenius eigenvalue of the transition matrix.  The formula route
 evaluates the chain as a 2x2 transfer recurrence and decides "is the
 dilatation below x?" and "is the limit below x?" exactly at dyadic x
 (``_below``, ``_limit_below``); every root is a cell of such decisions.
+Each decision climbs a ladder of precisions (``_decide``): the recurrence
+runs on balls, a midpoint and a radius that always enclose the exact value,
+and a sign counts only when its ball excludes 0.  The last rung is the same
+recurrence on exact integers, so every answer is the exact one.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ _FINEST_GRID = 1024
 # half-width, in grid units, of the first bracket around the float hint; the
 # hint fell within one unit on every grid and random-sweep tuple measured
 _HINT_UNITS = 4
+# the ladder of ``_decide``: guard bits of the first rung above the grid's,
+# the growth from rung to rung, and how many times wider than a rung the
+# exact integers must be before the rung is tried
+_GUARD_BITS = 64
+_RUNG_GROWTH = 4
+_EXACT_RATIO = 64
 
 
 def dominant_chain(prefix):
@@ -91,41 +101,96 @@ def _levels(prefix):
     return [(m + (i == 1), closing_sign(i)) for i, m in enumerate(prefix, start=1)]
 
 
-def _pair(prefix, num, shift):
-    """The prefix's dominant pair (P(x), P*(x)) at x = num / 2^shift, or None.
+def _pair(prefix, num, shift, prec=None):
+    """The prefix's dominant pair (P(x), P*(x)) at x = num / 2^shift, as balls.
 
     Write P for a chain level and P* for its reciprocal at its own degree.
     The next level is P' = t^m (t-1) P + 2s t P* with s = ±1, and then
     P'* = (1-t) P* + 2s t^m P, so the pair (P(x), P*(x)) moves by one 2×2
-    matrix per level.  It is carried as integers scaled by 2^(shift·deg),
-    so no degree-N polynomial is expanded.
+    matrix per level and no degree-N polynomial is expanded.  Each value is
+    a ball (mid, rad, exp) of integers: the true value lies in
+    [mid - rad, mid + rad]·2^exp.  With ``prec`` bits the pair is rounded
+    outward to that precision after each level, and x^m is squared up at
+    it.  With ``prec`` None nothing is rounded and the radii stay 0: the
+    pair is exact, P(x) and P*(x) as integers scaled by 2^(shift·deg).
 
     Ascending roots: each level has exactly one root above the previous
     level's largest root and is negative between the two.  Hence for x > 1
     every level is positive at x exactly when μ(prefix) < x, the largest
-    root of the last level; None answers "μ >= x", as does any x <= 1.
+    root of the last level.  False answers "μ >= x", as for any x <= 1: a
+    level's ball lies at or below 0.  None answers nothing: a level's ball
+    holds 0, so ``prec`` was too low to tell its sign.
     """
     one = 1 << shift
     if num <= one:
-        return None
+        return False
     powers = {}
-    p = q = 1  # the scaled pair of the empty prefix
+    p = q = 1  # the pair of the empty prefix
+    rp = rq = exp = 0
     for m, s in _levels(prefix):
         if m not in powers:
-            powers[m] = num**m
-        xm = powers[m]
+            powers[m] = _power(num, shift, m, prec)
+        xm, xr, lift = powers[m]  # x^m = (xm ± xr)·2^-lift
+        if prec is not None:
+            err = xm * rp + xr * (abs(p) + rp)  # the radius of x^m P
+            rp, rq = (
+                err * (num - one) + ((2 * num * rq) << lift),
+                (((num - one) * rq) << lift) + ((2 * err) << shift),
+            )
         p, q = (
-            xm * (num - one) * p + ((2 * s * num * q) << (shift * m)),
-            (((one - num) * q) << (shift * m)) + ((2 * s * xm * p) << shift),
+            xm * (num - one) * p + ((2 * s * num * q) << lift),
+            (((one - num) * q) << lift) + ((2 * s * xm * p) << shift),
         )
-        if p <= 0:
-            return None
-    return p, q
+        exp -= shift + lift
+        if prec is not None:
+            d = max(abs(p).bit_length(), abs(q).bit_length(), rp.bit_length(), rq.bit_length()) - prec
+            if d > 0:
+                (p, rp), (q, rq), exp = _round(p, rp, d), _round(q, rq, d), exp + d
+        if p <= rp:  # the ball does not lie above 0
+            return None if p > -rp else False
+    return (p, rp, exp), (q, rq, exp)
+
+
+def _decision(prefix, last, num, shift, prec):
+    # one rung: whether μ(prefix) < x when last is None, else whether
+    # λ(prefix + (last,)) < x; None when a ball at prec holds 0
+    pair = _pair(prefix, num, shift, prec)
+    if not pair:
+        return pair
+    if last is None:
+        return True
+    (p, rp, _), (q, rq, _) = pair
+    xl, xr, lift = _power(num, shift, last, prec)
+    closing = xl * p + ((closing_sign(len(prefix) + 1) * q) << lift)
+    rad = 0 if prec is None else xl * rp + xr * (abs(p) + rp) + (rq << lift)
+    if closing <= rad:
+        return None if closing > -rad else False
+    return True
+
+
+def _decide(prefix, last, num, shift):
+    """The exact answer of ``_decision``, climbing a ladder of precisions.
+
+    The first rung carries ``shift`` + 64 bits, each next rung 4 times as
+    many, and the last rung is exact.  A rung answers only when every ball
+    it signs excludes 0, so each answer is the exact one.  A decision whose
+    exact integers (about degree·shift bits) are at most 64 times wider than
+    a rung goes to the exact rung at once: there the balls cost more than
+    the exact integers they replace.
+    """
+    width = shift * (sum(prefix) + len(prefix) + 1 + (last or 0))
+    prec = shift + _GUARD_BITS
+    while prec * _EXACT_RATIO < width:
+        answer = _decision(prefix, last, num, shift, prec)
+        if answer is not None:
+            return answer
+        prec *= _RUNG_GROWTH
+    return _decision(prefix, last, num, shift, None)
 
 
 def _limit_below(prefix, num, shift):
     """Exactly whether μ(prefix) < x for the dyadic x = num / 2^shift."""
-    return _pair(prefix, num, shift) is not None
+    return _decide(prefix, None, num, shift)
 
 
 def _below(vals, num, shift):
@@ -136,12 +201,29 @@ def _below(vals, num, shift):
     and is negative between the two (the lemma of ``_pair``).  So λ < x
     exactly when μ < x and the closing polynomial is positive at x.
     """
-    pair = _pair(vals[:-1], num, shift)
-    if pair is None:
-        return False
-    p, q = pair
-    last = vals[-1]
-    return num**last * p + ((closing_sign(len(vals)) * q) << (shift * last)) > 0
+    return _decide(vals[:-1], vals[-1], num, shift)
+
+
+def _round(mid, rad, d):
+    # the ball mid ± rad divided by 2^d, rounded outward to integers
+    return mid >> d, -(-rad >> d) + 1
+
+
+def _power(num, shift, n, prec):
+    # x^n for x = num / 2^shift as (mid, rad, lift), the ball mid ± rad
+    # times 2^-lift: squared up with each product rounded outward to prec
+    # bits, but never past the units (lift >= 0); exact when prec is None
+    if prec is None:
+        return num**n, 0, shift * n
+    mid, rad, lift = num, 0, shift
+    for bit in bin(n)[3:]:
+        mid, rad, lift = mid * mid, 2 * mid * rad + rad * rad, 2 * lift
+        if bit == "1":
+            mid, rad, lift = mid * num, rad * num, lift + shift
+        d = min(max(mid.bit_length(), rad.bit_length()) - prec, lift)
+        if d > 0:
+            (mid, rad), lift = _round(mid, rad, d), lift - d
+    return mid, rad, lift
 
 
 def _float_hint(prefix, last=None, lo=1.0, hi=None):

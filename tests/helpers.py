@@ -5,6 +5,7 @@ bisection, boolean matrix powers) so the library's fast paths are checked
 against arithmetic that shares nothing with them.
 """
 
+import importlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,25 @@ def grid_tuples():
         for length in (2, 3, 4)
         for tv in itertools.product(range(1, 6), repeat=length)
     ]
+
+
+def record_rungs(monkeypatch):
+    """Record every rung the decision ladder climbs, as (prec, answer).
+
+    prec None is the exact rung; answer None is a ball rung that could not
+    tell.  Not an oracle: a spy on ``pabraid.dilatation._decision``.
+    """
+    module = importlib.import_module("pabraid.dilatation")
+    decision = module._decision
+    rungs = []
+
+    def recorded(prefix, last, num, shift, prec):
+        answer = decision(prefix, last, num, shift, prec)
+        rungs.append((prec, answer))
+        return answer
+
+    monkeypatch.setattr(module, "_decision", recorded)
+    return rungs
 
 
 def climb_chain(chain):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -71,14 +72,14 @@ class TestLimitCommand:
         assert (rc, out, err) == (0, "2.0050186672\n", "")
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
-        (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
-        (("limit", "--prefix", "4"), "limit-4.txt"),
-    ],
-)
+GOLDEN_COMMANDS = [
+    (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
+    (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
+    (("limit", "--prefix", "4"), "limit-4.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_COMMANDS)
 def test_golden_stdout(capsys, argv, golden):
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
@@ -226,6 +227,31 @@ class TestNoGenericRootFinder:
 
     def test_monotonicity_check(self, refuse_root_finders):
         assert monotonicity_check((4, 2, 7), 2).strictly_decreasing
+
+
+class TestDecisionLadder:
+    # every decision wider than one rung climbs the ladder, and the ball
+    # rungs either answer what they can or are made to answer nothing, so
+    # that the exact rung answers everything
+    @pytest.mark.parametrize("ball_rungs", ["answering", "undecided"])
+    def test_stdout_does_not_depend_on_the_rungs(self, capsys, monkeypatch, ball_rungs):
+        commands = [
+            ("bound", "--lambda", "1.5", "--volume", "3"),
+            ("dilatation", "--tuple", "4,2,7", "--method", "formula", "--json"),
+        ]
+        expected = [(GOLDEN / golden).read_text() for _, golden in GOLDEN_COMMANDS]
+        expected += [run(capsys, *argv)[1] for argv in commands]
+        module = importlib.import_module("pabraid.dilatation")
+        monkeypatch.setattr(module, "_EXACT_RATIO", 1)
+        if ball_rungs == "undecided":
+            decision = module._decision
+
+            def undecided(prefix, last, num, shift, prec):
+                return None if prec is not None else decision(prefix, last, num, shift, prec)
+
+            monkeypatch.setattr(module, "_decision", undecided)
+        argvs = [argv for argv, _ in GOLDEN_COMMANDS] + commands
+        assert [run(capsys, *argv) for argv in argvs] == [(0, out, "") for out in expected]
 
 
 class TestUsageErrors:

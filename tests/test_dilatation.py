@@ -21,7 +21,7 @@ from pabraid import (
     transition_matrix,
 )
 
-from helpers import bisect_root, climb_chain, grid_tuples
+from helpers import bisect_root, climb_chain, grid_tuples, record_rungs
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -197,14 +197,79 @@ class TestPairProperties:
     )
     def test_pair_is_the_scaled_dominant_pair(self, prefix, shift, data):
         # the transfer recurrence carries the chain's last polynomial P and
-        # its reciprocal P*, scaled by 2^(shift·deg P), wherever it answers
+        # its reciprocal P* as balls: exactly, with radius 0, on the exact
+        # rung, and inside the balls on every rung that answers
         num = data.draw(st.integers((1 << shift) + 1, 4 << shift), label="num")
-        pair = dilatation_module._pair(prefix, num, shift)
-        if pair is not None:
-            dom = dominant_chain(prefix)[-1]
-            x = Fraction(num, 1 << shift)
-            scale = 1 << (shift * dom.degree)
-            assert pair == (dom(x) * scale, dom.reciprocal(dom.degree)(x) * scale)
+        dom = dominant_chain(prefix)[-1]
+        x = Fraction(num, 1 << shift)
+        values = (dom(x), dom.reciprocal(dom.degree)(x))
+        exact = dilatation_module._pair(prefix, num, shift)
+        assert exact is not None
+        for prec in (None, 2, 8, shift + 8, shift + 64):
+            pair = dilatation_module._pair(prefix, num, shift, prec)
+            if pair is None:
+                continue
+            assert bool(pair) == bool(exact)
+            for (mid, rad, exp), value in zip(pair or (), values):
+                assert prec is not None or (rad, exp) == (0, -shift * dom.degree)
+                assert abs(mid - value / Fraction(2) ** exp) <= rad
+
+
+class TestBallLadder:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=st.lists(st.integers(1, 40), min_size=1, max_size=12).map(tuple),
+        last=st.one_of(st.none(), st.integers(1, 40)),
+        data=st.data(),
+    )
+    def test_ladder_answers_as_the_exact_rung(self, prefix, last, data):
+        # points 2^-4 ... 2^-200 from either end of the root's 2^-48 cell,
+        # on grids up to 2^-256: the ladder answers as the exact rung, and
+        # no rung of any precision, down to 8 bits, answers otherwise
+        if last is None:
+            cell = dilatation_module._limit_cell(prefix)
+            decide = partial(dilatation_module._limit_below, prefix)
+        else:
+            cell = dilatation_module._tuple_cell(prefix + (last,))
+            decide = partial(dilatation_module._below, prefix + (last,))
+        end = Fraction(cell.lo + data.draw(st.integers(0, 1), label="end"), 2**48)
+        j = data.draw(st.integers(4, 200), label="j")
+        x = end + data.draw(st.sampled_from((-1, 1)), label="side") * Fraction(1, 2**j)
+        num, shift = _dyadic(x)
+        pad = data.draw(st.integers(0, 256 - shift), label="pad")
+        num, shift = num << pad, shift + pad
+        exact = dilatation_module._decision(prefix, last, num, shift, None)
+        assert decide(num, shift) == exact
+        for prec in (8, 32, 128, shift + dilatation_module._GUARD_BITS, 4 * shift + 256):
+            assert dilatation_module._decision(prefix, last, num, shift, prec) in (None, exact)
+
+    @pytest.mark.parametrize(
+        "prefix, last, num, prec",
+        [((6, 3, 1, 7), None, 881490580989148, 18), ((11, 12), 1, 563358923290302, 14)],
+    )
+    def test_a_ball_holding_zero_answers_nothing(self, prefix, last, num, prec):
+        # found by search: at these points below the root, the last level's
+        # (or the closing polynomial's) ball holds 0 with a positive
+        # midpoint, so only its radius keeps the rung from answering "below"
+        assert dilatation_module._decision(prefix, last, num, 48, None) is False
+        assert dilatation_module._decision(prefix, last, num, 48, prec) is None
+
+    @pytest.mark.parametrize("shift", [0, 48, 256])
+    def test_a_root_on_the_grid_reaches_the_exact_rung(self, monkeypatch, shift):
+        # μ(1) = 2 is a root of the first level t (t - 2) (t + 1): at x = 2
+        # the level is 0, which no ball holding 0 can tell from positive
+        rungs = record_rungs(monkeypatch)
+        assert not dilatation_module._limit_below((1,), 2 << shift, shift)
+        assert not dilatation_module._below((1, 5), 2 << shift, shift)
+        assert rungs == [(None, False)] * 2
+
+    def test_a_root_on_the_grid_below_a_long_prefix(self, monkeypatch):
+        # the same zero under eleven more levels climbs the ladder: rounded
+        # balls hold 0, and only a rung that rounds nothing may answer
+        rungs = record_rungs(monkeypatch)
+        assert not dilatation_module._limit_below((1,) + (40,) * 11, 2 << 256, 256)
+        assert rungs[0] == (256 + dilatation_module._GUARD_BITS, None)
+        assert rungs[-1][1] is False
 
 
 _SWEEP_TUPLES = st.lists(st.integers(1, 40), min_size=2, max_size=12).map(tuple)

@@ -19,7 +19,7 @@ from pabraid import (
     volume_lower_bound,
 )
 
-from helpers import lobachevsky_by_parts
+from helpers import lobachevsky_by_parts, record_rungs
 
 V3_REFERENCE = 1.0149416064
 
@@ -131,6 +131,20 @@ class TestFindParameters:
         monkeypatch.setattr(volume_module, "_tuple_cell", shifted_cell)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
             find_parameters(1.5, 3)
+
+    def test_headline_search_settles_on_the_ball_rungs(self, monkeypatch):
+        # a count, not a timing: no decision of the headline search falls
+        # through the ball rungs to the exact rung.  The exact rung answers
+        # only the two narrow decisions m = 1, 2 of the doubling, at once
+        rungs = record_rungs(monkeypatch)
+        report = find_parameters(1.1, 20)
+        assert (report.k, report.m) == (41, 79)
+        fell_through = [
+            rung for before, rung in zip(rungs, rungs[1:]) if rung[0] is None and before[1] is None
+        ]
+        assert fell_through == []
+        assert [rung for rung in rungs if rung[0] is None] == [(None, False)] * 2
+        assert sum(prec is not None and answer is not None for prec, answer in rungs) == 18
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
