@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .intpoly import _GRID, IntPoly
 from .nnmatrix import PFCertificate
@@ -366,7 +366,6 @@ class DilatationReport:
     """Dilatation of one braid tuple with the evidence that produced it."""
 
     tuple_values: tuple[int, ...]
-    polynomial: IntPoly
     lambda_formula: float | None
     lambda_matrix: float | None
     agreement: float | None
@@ -374,6 +373,11 @@ class DilatationReport:
     # the formula route's certified cell lo < λ < hi, exact dyadic rationals;
     # not part of the JSON report
     formula_bracket: tuple[Fraction, Fraction] | None = None
+
+    @cached_property
+    def polynomial(self):
+        """The characteristic polynomial, expanded from the chain when first read."""
+        return braid_char_poly(self.tuple_values)
 
     def to_json_dict(self):
         cert = None
@@ -407,7 +411,6 @@ def dilatation(m, method="both", tol=1e-10):
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
     m = BraidTuple(m)
-    poly = braid_char_poly(m)
     lam_formula = None
     lam_matrix = None
     certificate = None
@@ -422,7 +425,7 @@ def dilatation(m, method="both", tol=1e-10):
     if lam_formula is not None and lam_matrix is not None:
         agreement = abs(lam_formula - lam_matrix)
     return DilatationReport(
-        m.values, poly, lam_formula, lam_matrix, agreement, certificate, bracket
+        m.values, lam_formula, lam_matrix, agreement, certificate, bracket
     )
 
 

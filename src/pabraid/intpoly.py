@@ -7,6 +7,11 @@ exact sign change on the dyadic grid 2^-48 confirms it, so it is certified
 to lie in its grid cell; which root is found (the largest, or the first
 above a bound) rests on the floating-point eigenvalues.
 ``roots_outside_unit_disk`` returns the eigenvalues themselves, unconfirmed.
+
+No library code calls the three root finders: the formula route decides
+its roots exactly on the chain's transfer recurrence.  They stay here
+because the tests use them as oracles, and the benchmark tracer
+(``bench/tracing.py``) binds them by name.
 """
 
 from __future__ import annotations
@@ -45,17 +50,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = [c if type(c) is int else _integer(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, power, coeff=1):
-        """coeff * t^power"""
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        return cls((0,) * power + (coeff,))
 
     @classmethod
     def parse(cls, text):
@@ -114,7 +112,7 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, _coeffs_of(other)
+        a, b = self.coeffs, _as_poly(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -157,17 +155,11 @@ class IntPoly:
             return self
         return IntPoly((0,) * n + self.coeffs)
 
-    def scale(self, c):
-        return self * int(c)
-
     def __call__(self, x):
         r = 0
         for c in reversed(self.coeffs):
             r = r * x + c
         return r
-
-    def derivative(self):
-        return IntPoly(i * self.coeffs[i] for i in range(1, len(self.coeffs)))
 
     def reciprocal(self, nominal_degree):
         """Coefficient reversal t^d * p(1/t) at the explicit nominal degree d.
@@ -209,16 +201,19 @@ class IntPoly:
         return f"IntPoly({str(self)!r})"
 
 
-def _coeffs_of(other):
-    if isinstance(other, IntPoly):
-        return other.coeffs
-    if isinstance(other, int):
-        return (other,) if other else ()
-    raise TypeError(f"cannot combine IntPoly with {type(other).__name__}")
+def _integer(v, what="parameter"):
+    """``v`` as an int; ValueError unless it is integral (3.0 is, 2.9 is not)."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return n
 
 
 def _as_poly(other):
-    return other if isinstance(other, IntPoly) else IntPoly((int(other),))
+    return other if isinstance(other, IntPoly) else IntPoly((other,))
 
 
 def _exact_sign_at_dyadic(coeffs, num, shift):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _integer
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 
@@ -52,12 +52,14 @@ class NNMatrix:
     __slots__ = ("size", "entries", "_succ", "_rows")
 
     def __init__(self, size, entries):
-        size = int(size)
+        size = _integer(size, "matrix size")
         if size < 1:
             raise ValueError("matrix size must be >= 1")
         clean = {}
         for (i, j), v in dict(entries).items():
-            i, j, v = int(i), int(j), int(v)
+            if not type(i) is type(j) is type(v) is int:
+                i, j = _integer(i, "matrix index"), _integer(j, "matrix index")
+                v = _integer(v, "matrix entry")
             if not (1 <= i <= size and 1 <= j <= size):
                 raise ValueError(f"entry ({i},{j}) outside 1..{size}")
             if v < 0:
@@ -78,19 +80,6 @@ class NNMatrix:
         entries = {
             (i + 1, j + 1): v for i, r in enumerate(rows) for j, v in enumerate(r) if v
         }
-        return cls(n, entries)
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse the wire format: first line N, then one 'row col value' per line."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        n = int(lines[0])
-        entries = {}
-        for ln in lines[1:]:
-            i, j, v = (int(tok) for tok in ln.split())
-            entries[(i, j)] = v
         return cls(n, entries)
 
     def text(self):
@@ -120,9 +109,6 @@ class NNMatrix:
         return NNMatrix(
             n, {(i, j): v for (i, j), v in self.entries.items() if i <= n and j <= n}
         )
-
-    def transpose(self):
-        return NNMatrix(self.size, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NNMatrix):
@@ -312,27 +298,6 @@ class NNMatrix:
         lam = 0.5 * (lower + upper)
         residual = float(abs(w - lam * v).max())
         return PFCertificate(True, True, lam, lower, upper, tuple(v.tolist()), residual)
-
-    def subinvariance_bound(self, y):
-        """min over i with y_i > 0 of (My)_i / y_i, for primitive M.
-
-        For strictly positive y the returned s satisfies My >= s*y, hence
-        lambda >= s, with equality iff My = s*y.  A vector with any zero
-        coordinate yields the trivial bound 0 by convention.
-        """
-        if not self.is_primitive():
-            raise ValueError("subinvariance_bound requires a primitive matrix")
-        y = list(y)
-        if len(y) != self.size:
-            raise ValueError("vector length does not match matrix size")
-        if any(yi < 0 for yi in y):
-            raise ValueError("y must be non-negative")
-        if not any(y):
-            raise ValueError("y must be non-zero")
-        if min(y) == 0:
-            return 0.0
-        w = self.matvec(y)
-        return min(wi / yi for wi, yi in zip(w, y))
 
     def char_poly(self):
         """Exact monic characteristic polynomial det(tI - M).

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _integer
 from .nnmatrix import NNMatrix, poly_matrix_det
 
 __all__ = [
@@ -65,16 +65,6 @@ def params(values, minimum):
     return vals
 
 
-def _integer(v):
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != v:
-        raise ValueError(f"parameter {v!r} is not an integer")
-    return n
-
-
 def parse_params(text, minimum):
     """:func:`params` of comma-separated integers such as ``"4,2"``."""
     try:
@@ -97,10 +87,6 @@ class BraidTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "values", params(self.values, 2))
-
-    @classmethod
-    def parse(cls, text):
-        return cls(parse_params(text, 2))
 
     def __len__(self):
         return len(self.values)
@@ -207,7 +193,7 @@ def _bordered_det(prefix, reciprocal):
     matrix = transition_matrix(vals + (1,))
     cut = block_boundaries(vals)[-1] + 1
     last = matrix.size
-    t = IntPoly.monomial(1)
+    t = IntPoly((0, 1))
     rows = []
     for i in range(1, cut + 1):
         src = last if i == cut else i

@@ -16,6 +16,7 @@ from functools import lru_cache
 from scipy.integrate import quad
 
 from .dilatation import _below, _check_overlap, _tuple_cell
+from .intpoly import _integer
 from .treebuilder import BraidTuple, transition_matrix
 
 __all__ = [
@@ -44,7 +45,7 @@ def ideal_tetrahedron_volume():
 
 def volume_lower_bound(k):
     """Lower bound (k-1)/2 times the ideal tetrahedron volume, for k >= 1."""
-    k = int(k)
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     return 0.5 * (k - 1) * ideal_tetrahedron_volume()

@@ -109,7 +109,7 @@ def cofactor_det(rows):
 
 def char_poly_oracle(matrix):
     """det(tI - M) by cofactor expansion over polynomial entries."""
-    t = IntPoly.monomial(1)
+    t = IntPoly((0, 1))
     dense = matrix.to_rows()
     rows = [
         [(t - v) if i == j else IntPoly((-v,)) for j, v in enumerate(row)]
@@ -120,13 +120,25 @@ def char_poly_oracle(matrix):
 
 def det_identity_minus_tm(matrix):
     """det(I - t*M) by cofactor expansion over polynomial entries."""
-    t = IntPoly.monomial(1)
+    t = IntPoly((0, 1))
     dense = matrix.to_rows()
     rows = [
         [IntPoly((1,)) - t * v if i == j else IntPoly((0, -v)) for j, v in enumerate(row)]
         for i, row in enumerate(dense)
     ]
     return cofactor_det(rows)
+
+
+def subinvariance_bound(matrix, y):
+    """min_i (My)_i / y_i for a positive vector y, on the dense rows.
+
+    My >= s*y for this s, so the Perron-Frobenius eigenvalue of a primitive
+    M is at least s (Collatz-Wielandt), with equality iff y is an
+    eigenvector.
+    """
+    return min(
+        sum(a * b for a, b in zip(row, y)) / yi for row, yi in zip(matrix.to_rows(), y)
+    )
 
 
 def wielandt_positive(matrix):

@@ -1,10 +1,11 @@
-import importlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import pabraid
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import main
 
@@ -58,7 +59,7 @@ class TestMatrixCommand:
     def test_sparse_round_trip(self, capsys):
         rc, out, _ = run(capsys, "matrix", "--tuple", "4,2", "--sparse")
         assert rc == 0
-        assert NNMatrix.from_text(out) == NNMatrix.from_rows(GOLDEN_8x8)
+        assert out == NNMatrix.from_rows(GOLDEN_8x8).text()
 
 
 class TestLimitCommand:
@@ -227,6 +228,33 @@ class TestNoGenericRootFinder:
 
     def test_monotonicity_check(self, refuse_root_finders):
         assert monotonicity_check((4, 2, 7), 2).strictly_decreasing
+
+
+def _tracer_module():
+    # read, not changed: the benchmark's tracer as it is committed
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPublicNames:
+    # the benchmark tracer binds library functions by name, so deleting
+    # one breaks `bench/run.py --trace 1`; this fails first
+    @pytest.mark.parametrize(
+        "name", [f"{layer}.{n}" for layer, ns in _tracer_module().TRACED.items() for n in ns]
+    )
+    def test_every_traced_name_resolves(self, name):
+        layer, *path = name.split(".")
+        owner = importlib.import_module(f"pabraid.{layer}")
+        for attr in path:
+            owner = getattr(owner, attr)
+        assert callable(owner)
+
+    def test_every_exported_name_resolves(self):
+        missing = [n for n in pabraid.__all__ if not hasattr(pabraid, n)]
+        assert missing == []
 
 
 class TestDecisionLadder:

@@ -120,6 +120,20 @@ class TestDilatation:
         with pytest.raises(ValueError):
             dilatation((4, 2), method="magic")
 
+    @pytest.mark.parametrize("method", ["formula", "matrix", "both"])
+    def test_polynomial_is_expanded_only_when_read(self, monkeypatch, method):
+        calls = []
+
+        def spy(m):
+            calls.append(m)
+            return braid_char_poly(m)
+
+        monkeypatch.setattr(dilatation_module, "braid_char_poly", spy)
+        report = dilatation((4, 2, 7), method=method)
+        assert calls == []
+        assert report.polynomial == report.polynomial == braid_char_poly((4, 2, 7))
+        assert calls == [(4, 2, 7)]
+
 
 def _dyadic(x):
     """(num, shift) with x == num / 2^shift, for a dyadic rational x."""

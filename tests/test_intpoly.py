@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pabraid import (
     IntPoly,
+    NNMatrix,
     first_real_root_above,
     largest_real_root,
     roots_outside_unit_disk,
+    volume_lower_bound,
 )
 
 from helpers import bisect_root
@@ -43,7 +46,7 @@ class TestArithmetic:
 
     def test_scale_and_neg(self):
         p = IntPoly.parse("t^2 - 3*t")
-        assert p.scale(-2) == -p * 2 == IntPoly.parse("6*t - 2*t^2")
+        assert -p * 2 == p * -2 == IntPoly.parse("6*t - 2*t^2")
 
     def test_trailing_zeros_stripped(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -54,10 +57,29 @@ class TestArithmetic:
         p = IntPoly.parse("t^3 - t^2 - 2*t")
         assert p(Fraction(1, 2)) == Fraction(1, 8) - Fraction(1, 4) - 1
 
-    def test_derivative(self):
-        assert IntPoly.parse("t^3 - t^2 - 2*t").derivative() == IntPoly.parse(
-            "3*t^2 - 2*t - 2"
-        )
+
+class TestIntegralInput:
+    # one integral check for coefficients, matrices and volume bounds: an
+    # integral value of another type counts, any other value is refused
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: NNMatrix.from_rows([[0, 1.5], [1, 0]]), id="matrix-entry"),
+            pytest.param(lambda: NNMatrix(2.9, {(1, 2): 1, (2, 1): 1}), id="matrix-size"),
+            pytest.param(lambda: NNMatrix(2, {(1.5, 2): 1}), id="matrix-index"),
+            pytest.param(lambda: IntPoly([1.7, 2.2]), id="coefficient"),
+            pytest.param(lambda: IntPoly.parse("t") - 0.5, id="constant-operand"),
+            pytest.param(lambda: volume_lower_bound(2.9), id="volume-k"),
+        ],
+    )
+    def test_non_integral_input_is_refused(self, call):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+
+    def test_integral_values_of_other_types_count(self):
+        assert IntPoly([1.0, np.int64(2), True]) == IntPoly((1, 2, 1))
+        assert NNMatrix(2.0, {(1, 2): 1.0}) == NNMatrix(2, {(1, 2): 1})
+        assert volume_lower_bound(3.0) == volume_lower_bound(3)
 
 
 class TestReciprocal:
@@ -174,7 +196,8 @@ class TestLargestRealRoot:
         for text in ("t^2 - t - 1", "t^6 - t^5 - 2*t", "t^4 - t^3 - 4*t^2 - t + 1"):
             p = IntPoly.parse(text)
             root = largest_real_root(p, lower=0.5)
-            assert abs(p(root)) <= 1e-10 * abs(p.derivative()(root)) + 1e-10
+            slope = sum(i * c * root ** (i - 1) for i, c in enumerate(p.coeffs) if i)
+            assert abs(p(root)) <= 1e-10 * abs(slope) + 1e-10
 
     def test_determinism(self):
         p = IntPoly.parse("t^6 - t^5 - 2*t")

@@ -22,14 +22,14 @@ from pabraid import (
     validate_structure,
 )
 from pabraid.cli import main
-from pabraid.treebuilder import StructureCheck, StructureReport
+from pabraid.treebuilder import StructureCheck, StructureReport, parse_params
 
 from helpers import GOLDEN_8x8, TreeMapSpec
 
 
 class TestBraidTuple:
     def test_parse_and_str(self):
-        bt = BraidTuple.parse("4,2")
+        bt = BraidTuple(parse_params("4,2", 2))
         assert bt.values == (4, 2) and str(bt) == "4,2"
 
     def test_derived_quantities(self):
@@ -49,7 +49,7 @@ class TestBraidTuple:
         with pytest.raises(ValueError):
             BraidTuple((1, 0))
         with pytest.raises(ValueError):
-            BraidTuple.parse("1,x")
+            parse_params("1,x", 2)
 
     def test_block_boundaries(self):
         assert block_boundaries((4,)) == (5,)
@@ -173,7 +173,7 @@ def _recipe_oracle(prefix, appended, reciprocal):
     # recompute the bordered determinant directly on a chosen extension
     mat = transition_matrix(tuple(prefix) + (appended,))
     cut = block_boundaries(prefix)[-1] + 1
-    t = IntPoly.monomial(1)
+    t = IntPoly((0, 1))
     rows = []
     for i in range(1, cut + 1):
         src = mat.size if i == cut else i
