@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -164,12 +165,11 @@ def _run_bound(args):
 def _run_verify(args):
     if args.max_k < 1 or args.max_m < 1:
         raise ValueError("--max-k and --max-m must be >= 1")
-    tuples = []
-    for length in range(2, args.max_k + 2):
-        grid = [()]
-        for _ in range(length):
-            grid = [g + (v,) for g in grid for v in range(1, args.max_m + 1)]
-        tuples.extend(grid)
+    tuples = [
+        values
+        for length in range(2, args.max_k + 2)
+        for values in itertools.product(range(1, args.max_m + 1), repeat=length)
+    ]
 
     failures = []
     for values in tuples:

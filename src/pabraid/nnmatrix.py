@@ -1,11 +1,14 @@
 """Sparse non-negative integer matrices with a Perron-Frobenius toolkit.
 
 The directed graph of a matrix T has an edge from vertex j to vertex i
-exactly when the entry (i, j) is nonzero; irreducibility and primitivity
-are decided on that graph.  Characteristic polynomials are computed
-exactly (fraction-free Bareiss elimination at integer nodes followed by
-integer Newton interpolation), the spectral radius by Noda inverse
-iteration with an exact Collatz-Wielandt enclosure.
+exactly when the entry (i, j) is nonzero.  One breadth-first search from
+vertex 0, along the edges and against them, decides irreducibility (every
+vertex gets a depth both ways) and primitivity: in addition, the gcd over
+all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
+Characteristic polynomials are computed exactly (fraction-free Bareiss
+elimination at integer nodes followed by integer Newton interpolation),
+the spectral radius by Noda inverse iteration with an exact
+Collatz-Wielandt enclosure.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries", "_succ", "_rows")
+    __slots__ = ("size", "entries")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -68,8 +71,6 @@ class NNMatrix:
                 clean[(i, j)] = v
         self.size = size
         self.entries = clean
-        self._succ = None
-        self._rows = None
 
     @classmethod
     def from_rows(cls, rows):
@@ -123,14 +124,17 @@ class NNMatrix:
 
     # -- digraph machinery -------------------------------------------------
 
-    def _successors(self):
-        # successor list of the directed graph: edge j -> i iff entry (i,j) != 0
-        if self._succ is None:
-            succ = [[] for _ in range(self.size)]
-            for (i, j) in self.entries:
-                succ[j - 1].append(i - 1)
-            self._succ = succ
-        return self._succ
+    def _depths(self):
+        """Breadth-first depths from vertex 0; None unless strongly connected."""
+        succ = [[] for _ in range(self.size)]
+        pred = [[] for _ in range(self.size)]
+        for i, j in self.entries:
+            succ[j - 1].append(i - 1)
+            pred[i - 1].append(j - 1)
+        depth = _bfs_depths(succ)
+        if min(depth) < 0 or min(_bfs_depths(pred)) < 0:
+            return None
+        return depth
 
     def is_irreducible(self):
         """True iff the directed graph is strongly connected.
@@ -138,53 +142,21 @@ class NNMatrix:
         A 1x1 matrix is irreducible only with a self-loop (a positive-length
         closed walk is required).
         """
-        n = self.size
-        if n == 1:
+        if self.size == 1:
             return (1, 1) in self.entries
-        succ = self._successors()
-        pred = [[] for _ in range(n)]
-        for u, vs in enumerate(succ):
-            for v in vs:
-                pred[v].append(u)
-        return _reaches_all(succ, n) and _reaches_all(pred, n)
-
-    def _period(self):
-        # gcd of cycle lengths, valid when strongly connected
-        succ = self._successors()
-        n = self.size
-        dist = [-1] * n
-        dist[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        g = 0
-        for u in range(n):
-            for v in succ[u]:
-                g = math.gcd(g, dist[u] + 1 - dist[v])
-        return g
+        return self._depths() is not None
 
     def is_primitive(self):
-        """True iff irreducible with cycle-length gcd 1."""
-        return self.is_irreducible() and self._period() == 1
+        """True iff irreducible with cycle-length gcd (the period) 1."""
+        depth = self._depths()
+        if depth is None:
+            return False
+        g = 0
+        for i, j in self.entries:
+            g = math.gcd(g, depth[j - 1] + 1 - depth[i - 1])
+        return g == 1
 
     # -- numerics ----------------------------------------------------------
-
-    def _row_major(self):
-        if self._rows is None:
-            rows = [[] for _ in range(self.size)]
-            for (i, j), v in sorted(self.entries.items()):
-                rows[i - 1].append((j - 1, v))
-            self._rows = rows
-        return self._rows
-
-    def matvec(self, v):
-        return [sum(val * v[j] for j, val in row) for row in self._row_major()]
 
     def spectral_radius(self, tol=1e-10):
         """Certified Perron-Frobenius eigenvalue and eigenvector of a primitive matrix.
@@ -285,8 +257,11 @@ class NNMatrix:
         pairs = [x.as_integer_ratio() for x in v.tolist()]
         scale = max(d for _, d in pairs)
         ints = [p * (scale // d) for p, d in pairs]
+        mv = [0] * self.size
+        for (i, j), val in self.entries.items():
+            mv[i - 1] += val * ints[j - 1]
         lo = hi = None
-        for num, den in zip(self.matvec(ints), ints):
+        for num, den in zip(mv, ints):
             if lo is None or num * lo[1] < lo[0] * den:
                 lo = (num, den)
             if hi is None or num * hi[1] > hi[0] * den:
@@ -320,19 +295,17 @@ class NNMatrix:
         return poly
 
 
-def _reaches_all(adj, n):
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
+def _bfs_depths(adj):
+    """Breadth-first depth of every vertex from vertex 0; -1 if unreached."""
+    depth = [-1] * len(adj)
+    depth[0] = 0
+    order = [0]
+    for u in order:
         for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                order.append(v)
+    return depth
 
 
 def _round_down(q):

@@ -98,10 +98,6 @@ class BraidTuple:
         return ",".join(str(v) for v in self.values)
 
     @property
-    def k(self):
-        return len(self.values) - 1
-
-    @property
     def boundaries(self):
         """The indices n_j = m_1 + ... + m_j + j for j = 1..k+1."""
         return block_boundaries(self.values)

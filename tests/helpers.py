@@ -145,8 +145,25 @@ def wielandt_positive(matrix):
     """Whether M^((N-1)^2 + 1) is entrywise positive, by boolean powers."""
     n = matrix.size
     adj = np.array(matrix.to_rows(), dtype=np.int64) > 0
-    power = (n - 1) * (n - 1) + 1
-    result = np.eye(n, dtype=bool)
+    return _positive_power(adj, (n - 1) * (n - 1) + 1)
+
+
+def strongly_connected(matrix):
+    """Whether (I + M)^(N-1) is entrywise positive, by boolean powers.
+
+    A 1x1 matrix also needs its self-loop: without it the graph has no
+    closed walk of positive length.
+    """
+    n = matrix.size
+    if n == 1:
+        return matrix.entry(1, 1) > 0
+    adj = np.array(matrix.to_rows(), dtype=np.int64) > 0
+    return _positive_power(adj | np.eye(n, dtype=bool), n - 1)
+
+
+def _positive_power(adj, power):
+    """Whether the boolean matrix power adj^power is entrywise positive."""
+    result = np.eye(len(adj), dtype=bool)
     base = adj
     while power:
         if power & 1:
@@ -249,6 +266,15 @@ class TreeMapSpec:
         """True when the crossing counts reproduce ``matrix`` exactly."""
         return self.transition_matrix() == matrix
 
+
+# Tuples whose leading eigenvalues nearly coincide, so power iteration crawls.
+# Root isolation once found no sign change above the climbed root on all
+# three; the transfer recurrence now certifies each of them.
+HARD_TUPLES = [
+    (38, 28, 3, 23, 30, 1, 13, 20, 1, 35, 8),
+    (10, 18, 19, 39, 1, 35, 1, 9, 25, 36, 7),
+    (9, 5, 33, 24, 37, 20, 28, 33, 23, 34, 21, 1),
+]
 
 GOLDEN_8x8 = [
     [0, 1, 0, 0, 0, 0, 0, 0],

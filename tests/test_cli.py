@@ -1,5 +1,7 @@
+import doctest
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -255,6 +257,14 @@ class TestPublicNames:
     def test_every_exported_name_resolves(self):
         missing = [n for n in pabraid.__all__ if not hasattr(pabraid, n)]
         assert missing == []
+
+
+class TestDocstringExamples:
+    @pytest.mark.parametrize(
+        "name", ["pabraid"] + [f"pabraid.{m.name}" for m in pkgutil.iter_modules(pabraid.__path__)]
+    )
+    def test_examples_pass(self, name):
+        assert doctest.testmod(importlib.import_module(name)).failed == 0
 
 
 class TestDecisionLadder:

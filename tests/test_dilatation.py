@@ -21,7 +21,7 @@ from pabraid import (
     transition_matrix,
 )
 
-from helpers import bisect_root, climb_chain, grid_tuples, record_rungs
+from helpers import HARD_TUPLES, bisect_root, climb_chain, grid_tuples, record_rungs
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -194,7 +194,7 @@ class TestTransferRecurrence:
             old = first_real_root_above(braid_char_poly(values), climb_chain(chain))
             assert dilatation_module._tuple_cell(values).value() == old, values
 
-    @pytest.mark.parametrize("values", [(1, 1, 28), (4, 200), (2, 2, 40)])
+    @pytest.mark.parametrize("values", [(1, 1, 28), (4, 200), (2, 2, 40), *HARD_TUPLES])
     def test_former_sign_change_failures(self, values):
         # root isolation found no sign change above the climbed root here
         report = dilatation(values, method="both")

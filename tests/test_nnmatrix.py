@@ -17,11 +17,13 @@ from pabraid import (
 
 from helpers import (
     GOLDEN_8x8,
+    HARD_TUPLES,
     char_poly_oracle,
     cofactor_det,
     det_identity_minus_tm,
     random_nn_matrix,
     random_primitive_matrix,
+    strongly_connected,
     subinvariance_bound,
     wielandt_positive,
 )
@@ -29,13 +31,31 @@ from helpers import (
 FIB = NNMatrix.from_rows([[1, 1], [1, 0]])
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
-# Tuples whose leading eigenvalues nearly coincide, so power iteration crawls;
-# the formula route also fails on all three ("no sign change above mu").
-HARD_TUPLES = [
-    (38, 28, 3, 23, 30, 1, 13, 20, 1, 35, 8),
-    (10, 18, 19, 39, 1, 35, 1, 9, 25, 36, 7),
-    (9, 5, 33, 24, 37, 20, 28, 33, 23, 34, 21, 1),
-]
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 10))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    return NNMatrix(n, draw(st.dictionaries(cell, st.integers(1, 3), max_size=2 * n)))
+
+
+@st.composite
+def block_cyclic_matrices(draw):
+    # vertex v lies in class v mod p and every edge u -> w steps to the next
+    # class, so each cycle length is a multiple of p.  The cycle through all
+    # vertices makes the graph strongly connected unless one of its edges is
+    # dropped; an optional chord may break the cyclic structure.
+    p = draw(st.integers(2, 4))
+    n = p * draw(st.integers(1, 3))
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    if draw(st.booleans()):
+        edges.pop(draw(st.integers(0, n - 1)))
+    step = st.tuples(st.integers(0, n - 1), st.integers(0, n // p - 1))
+    edges += [(u, (u + 1) % p + p * q) for u, q in draw(st.lists(step, max_size=n))]
+    if draw(st.booleans()):
+        edges.append(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    label = draw(st.permutations(range(1, n + 1)))
+    return NNMatrix(n, {(label[w], label[u]): draw(st.integers(1, 3)) for u, w in edges})
 
 
 def assert_certified(cert, poly, tol):
@@ -109,6 +129,12 @@ class TestPrimitive:
         for _ in range(120):
             m = random_nn_matrix(rng, max_size=8)
             assert m.is_primitive() == wielandt_positive(m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=st.one_of(sparse_matrices(), block_cyclic_matrices()))
+    def test_graph_search_agrees_with_boolean_powers(self, m):
+        assert m.is_irreducible() == strongly_connected(m)
+        assert m.is_primitive() == wielandt_positive(m)
 
 
 class TestSpectralRadius:

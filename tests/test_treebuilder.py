@@ -34,7 +34,6 @@ class TestBraidTuple:
 
     def test_derived_quantities(self):
         bt = BraidTuple((2, 2, 3))
-        assert bt.k == 2
         assert bt.boundaries == (3, 6, 10)
         assert bt.size == 10
         assert bt.sign == -1
