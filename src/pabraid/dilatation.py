@@ -407,6 +407,10 @@ def dilatation(m, method="both", tol=1e-10):
     eigenvalue of the transition matrix; "both" runs the two and records
     their difference.  ``tol`` is the width of the matrix route's
     enclosure; the formula route reaches a fixed accuracy and ignores it.
+    The matrix route's Noda iteration starts just above the upper end of
+    the formula cell, or of the float hint with method "matrix"; its
+    enclosure is still exact on the matrix alone, so ``lambda_matrix`` lies
+    within ``tol`` of λ wherever it started.
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -419,7 +423,13 @@ def dilatation(m, method="both", tol=1e-10):
         cell = _tuple_cell(m.values)
         lam_formula, bracket = cell.value(), cell.bracket()
     if method in ("matrix", "both"):
-        certificate = transition_matrix(m).spectral_radius(tol=tol)
+        # Noda's iteration starts just above λ: at the cell's upper end, or
+        # at the float hint without a cell
+        if bracket is None:
+            above = _float_hint(m.values[:-1], m.values[-1])
+        else:
+            above = float(bracket[1])
+        certificate = transition_matrix(m).spectral_radius(tol=tol, _above=above)
         lam_matrix = certificate.eigenvalue
     agreement = None
     if lam_formula is not None and lam_matrix is not None:
@@ -441,14 +451,18 @@ def limit_dilatation(prefix):
     the Perron-Frobenius theorem the eigenvalue of B is a simple root of P
     strictly larger in modulus than every other root.  The cell must meet
     the exact Collatz-Wielandt enclosure of that eigenvalue, else
-    AssertionError.
+    AssertionError.  That enclosure comes from Noda's iteration started
+    just above the cell's upper end and is evaluated on B alone, so the
+    cross-check stays independent of the cell.
     """
     return _certified_limit(params(prefix, 1)).value()
 
 
 def _certified_limit(vals):
     cell = _limit_cell(vals)
-    cert = dominant_matrix(vals).spectral_radius(tol=_LIMIT_ENCLOSURE)
+    cert = dominant_matrix(vals).spectral_radius(
+        tol=_LIMIT_ENCLOSURE, _above=float(cell.bracket()[1])
+    )
     _check_overlap(cell, cert, "the limit", "the dominant block")
     return cell
 

@@ -8,7 +8,9 @@ all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
 Characteristic polynomials are computed exactly (fraction-free Bareiss
 elimination at integer nodes followed by integer Newton interpolation),
 the spectral radius by Noda inverse iteration with an exact
-Collatz-Wielandt enclosure.
+Collatz-Wielandt enclosure.  The iteration starts at a caller's float just
+above the eigenvalue when there is one; the enclosure is still evaluated on
+the matrix alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 _POWER_WARMUP = 64  # power steps before Noda iteration takes over
 _NODA_STEPS = 500  # Noda steps before spectral_radius gives up
 _SMALLEST_NORMAL = 2.0**-1022
+# relative gap between a caller's float just above lambda and the first Noda
+# shift: it covers that float's rounding
+_SEED_MARGIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -158,19 +163,30 @@ class NNMatrix:
 
     # -- numerics ----------------------------------------------------------
 
-    def spectral_radius(self, tol=1e-10):
+    def spectral_radius(self, tol=1e-10, *, _above=None):
         """Certified Perron-Frobenius eigenvalue and eigenvector of a primitive matrix.
 
-        A short power warm-up from the all-ones vector is followed by Noda's
-        inverse iteration (Numer. Math. 17, 1971): each step shifts by the
-        Collatz-Wielandt upper bound sigma = max_i (Mv)_i/v_i and solves with
-        sigma*I - D^-1 M D, D = diag(v), which keeps every iterate positive
-        and converges quadratically.  The rescaling keeps tiny eigenvector
-        entries relatively accurate.  The enclosure
-        min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is then evaluated
-        exactly on the float vector and rounded outward to ``lower`` and
-        ``upper``, with ``upper - lower <= tol``; ``eigenvalue`` is their
-        midpoint.  The eigenvector is normalized to max entry 1.
+        Noda's inverse iteration (Numer. Math. 17, 1971): each step shifts by
+        the Collatz-Wielandt upper bound sigma = max_i (Mv)_i/v_i and solves
+        with sigma*I - D^-1 M D, D = diag(v), which keeps every iterate
+        positive and converges quadratically once sigma is near lambda.  The
+        rescaling keeps tiny eigenvector entries relatively accurate.
+
+        A caller that holds a float just above lambda (the formula route's
+        cell, or its float hint) passes it as the private ``_above``.  The
+        first step is then a Noda step from the all-ones vector with the
+        shift x = _above*(1 + 1e-13) in place of sigma: for x > lambda,
+        xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a positive
+        solution.  Without ``_above``, or when the float y is not positive,
+        cannot be factorized or underflows, the iteration starts after 64
+        power steps from the all-ones vector instead.
+
+        The enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is
+        evaluated exactly on the float vector and the matrix alone, then
+        rounded outward to ``lower`` and ``upper``, with
+        ``upper - lower <= tol``; ``eigenvalue`` is their midpoint.  A wrong
+        ``_above`` thus costs steps, never a false enclosure.  The
+        eigenvector is normalized to max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
@@ -201,51 +217,66 @@ class NNMatrix:
         cols = np.repeat(diag, np.diff(indptr))
         diagonal = rows == cols
 
+        def solve(shift, scaled):
+            # y with (shift*I - scaled) y = 1, or None when the factor is
+            # singular or y is not positive
+            data = -scaled
+            data[diagonal] += shift
+            # each factor is freed on return, before the next is built: two
+            # alive at once fragment the heap, +8 MB peak RSS at N=3360
+            try:
+                lu = splu(csc_matrix((data, rows, indptr), shape=(n, n)))
+            except RuntimeError:  # shift equals lambda to double precision
+                return None
+            y = lu.solve(np.ones(n))
+            return y if np.all(y > 0) else None
+
         def normalized(x):
+            # x scaled to max entry 1, with Mx; None when an entry falls
+            # below the smallest normal double
             x = x / x.max()
-            if not x.min() >= _SMALLEST_NORMAL:
-                raise RuntimeError(
-                    "an iterate entry fell below the smallest normal double "
-                    f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
-                )
-            return x, a @ x
+            return (x, a @ x) if x.min() >= _SMALLEST_NORMAL else None
 
         v = np.ones(n)
         w = a @ v
-        for step in range(_POWER_WARMUP + _NODA_STEPS):
+        warmup, steps = _POWER_WARMUP, _POWER_WARMUP + _NODA_STEPS
+        if _above is not None and math.isfinite(_above):
+            y = solve(_above * (1 + _SEED_MARGIN), vals)
+            start = None if y is None else normalized(y)
+            if start is not None:  # the first of the Noda steps
+                (v, w), warmup, steps = start, 0, _NODA_STEPS - 1
+        for step in range(steps):
             ratios = w / v
             lo, sigma = float(ratios.min()), float(ratios.max())
             if sigma - lo <= tol:
                 cert = self._certificate(v, w, tol)
                 if cert is not None:
                     return cert
-            if step < _POWER_WARMUP:
-                v, w = normalized(w)
-                continue
-            scaled = vals * v[cols] / v[rows]
-            # Noda's shift sigma first.  The solve fails (singular factor) or
-            # loses positivity when sigma is far closer to lambda than v is to
-            # the eigenvector; the step is then retried from above sigma by
-            # the current enclosure width.
-            for shift in (sigma, 2 * sigma - lo + 4 * math.ulp(sigma)):
-                data = -scaled
-                data[diagonal] += shift
-                # free each factor before the next is built: two alive at once
-                # fragment the heap, +8 MB peak RSS at N=3360
-                try:
-                    lu = splu(csc_matrix((data, rows, indptr), shape=(n, n)))
-                except RuntimeError:  # shift equals lambda to double precision
-                    continue
-                y = lu.solve(np.ones(n))
-                del lu
-                if np.all(y > 0):
-                    break
+            if step < warmup:
+                nxt = normalized(w)
             else:
-                raise RuntimeError("Noda iteration produced a non-positive entry")
-            v, w = normalized(v * y)
+                scaled = vals * v[cols] / v[rows]
+                # Noda's shift sigma first.  The solve fails (singular factor)
+                # or loses positivity when sigma is far closer to lambda than
+                # v is to the eigenvector; the step is then retried from above
+                # sigma by the current enclosure width.
+                for shift in (sigma, 2 * sigma - lo + 4 * math.ulp(sigma)):
+                    y = solve(shift, scaled)
+                    if y is not None:
+                        break
+                else:
+                    raise RuntimeError("Noda iteration produced a non-positive entry")
+                nxt = normalized(v * y)
+            if nxt is None:
+                raise RuntimeError(
+                    "an iterate entry fell below the smallest normal double "
+                    f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
+                )
+            v, w = nxt
+        power = f"{warmup} power and " if warmup else ""
         raise RuntimeError(
-            f"spectral radius not certified to tol={tol} within {_POWER_WARMUP} "
-            f"power and {_NODA_STEPS} Noda steps"
+            f"spectral radius not certified to tol={tol} within {power}"
+            f"{_NODA_STEPS} Noda steps"
         )
 
     def _certificate(self, v, w, tol):

@@ -105,7 +105,10 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     with every entry >= m satisfies the dilatation bound as well; an exact
     off-diagonal spot check per report asserts that.  The matrix route's
     enclosure (width ``tol``) must overlap the witness's 2^-48 cell, an
-    exact cross-check of the reported dilatation at any ``tol``.
+    exact cross-check of the reported dilatation at any ``tol``.  Its Noda
+    iteration starts just above the cell's upper end, but the enclosure is
+    evaluated on the transition matrix alone: a wrong cell costs time,
+    never a false overlap.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -126,7 +129,9 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
         raise AssertionError("monotonicity spot check failed")
 
     # certify the witness through the independent matrix route
-    cert = transition_matrix((m,) * width).spectral_radius(tol=tol)
+    cert = transition_matrix((m,) * width).spectral_radius(
+        tol=tol, _above=float(cell.bracket()[1])
+    )
     _check_overlap(cell, cert, "the witness", "its transition matrix")
 
     return BoundReport(

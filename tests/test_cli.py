@@ -79,6 +79,8 @@ GOLDEN_COMMANDS = [
     (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
     (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
     (("limit", "--prefix", "4"), "limit-4.txt"),
+    (("bound", "--lambda", "1.1", "--volume", "20"), "bound-1.1-20.json"),
+    (("bound", "--lambda", "1.02", "--volume", "20"), "bound-1.02-20.json"),
 ]
 
 
@@ -162,6 +164,7 @@ class TestBoundCommand:
         ("bound", "--lambda", "1.5", "--volume", "3", "--tol", "inf"),
         ("dilatation", "--tuple", "4,2", "--tol", "inf"),
         ("dilatation", "--tuple", "4,2", "--tol", "nan"),
+        ("dilatation", "--tuple", "1,2", "--tol", "1e-16"),
     ],
     ids=" ".join,
 )

@@ -10,7 +10,10 @@ from pabraid import (
     IntPoly,
     NNMatrix,
     braid_char_poly,
+    dilatation,
+    find_parameters,
     largest_real_root,
+    limit_dilatation,
     poly_matrix_det,
     transition_matrix,
 )
@@ -58,12 +61,22 @@ def block_cyclic_matrices(draw):
     return NNMatrix(n, {(label[w], label[u]): draw(st.integers(1, 3)) for u, w in edges})
 
 
+def scaled_value(poly, x):
+    """poly(x)·2^(s·deg) exactly, in integers, for the float x = num / 2^s."""
+    num, den = x.as_integer_ratio()
+    s = den.bit_length() - 1
+    value = 0
+    for k, c in enumerate(reversed(poly.coeffs)):
+        value = value * num + (c << s * k)
+    return value
+
+
 def assert_certified(cert, poly, tol):
     """The enclosure is exact, narrower than tol, and brackets a root of poly."""
     lower, upper = Fraction(cert.lower), Fraction(cert.upper)
     assert cert.lower <= cert.eigenvalue <= cert.upper
     assert upper - lower <= Fraction(tol)
-    assert poly(lower) <= 0 <= poly(upper)
+    assert scaled_value(poly, cert.lower) <= 0 <= scaled_value(poly, cert.upper)
 
 
 class TestConstruction:
@@ -207,6 +220,76 @@ class TestSpectralRadius:
     def test_unreachable_tol_names_the_step_cap(self):
         with pytest.raises(RuntimeError, match="within 64 power and 500 Noda steps"):
             FIB.spectral_radius(tol=1e-16)
+        # a seeded start runs no power steps
+        with pytest.raises(RuntimeError, match=r"to tol=1e-16 within 500 Noda steps$"):
+            FIB.spectral_radius(tol=1e-16, _above=GOLDEN_RATIO)
+
+
+def adjacent_floats(poly, lo, hi):
+    """The adjacent floats around the one root of poly in [lo, hi], where it rises."""
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if scaled_value(poly, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestSeededStart:
+    # the private ``_above`` shift starts Noda's iteration; the callers pass
+    # the upper end of the formula route's cell
+
+    @pytest.mark.parametrize(
+        "source",
+        [FIB, NNMatrix.from_rows(GOLDEN_8x8), *HARD_TUPLES, (79,) * 42],
+        ids=["FIB", "GOLDEN_8x8", "hard0", "hard1", "hard2", "(79,)*42"],
+    )
+    def test_any_start_shift_is_certified(self, source):
+        # below lambda, on either side of it by one ulp, and far above
+        if isinstance(source, NNMatrix):
+            m, poly = source, source.char_poly()
+        else:
+            m, poly = transition_matrix(source), braid_char_poly(source)
+        cert = m.spectral_radius()
+        below, above = adjacent_floats(poly, cert.lower, cert.upper)
+        for shift in (1.0, below - 1e-6, below, above, 2 * above, 10 * above):
+            assert_certified(m.spectral_radius(_above=shift), poly, 1e-10)
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        # a spy on splu where spectral_radius imports it
+        import scipy.sparse.linalg
+
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: find_parameters(1.1, 20),
+            lambda: limit_dilatation((24,) * 40),
+            lambda: dilatation((79,) * 42),
+            lambda: dilatation((79,) * 42, method="matrix"),
+        ],
+        ids=[
+            "find_parameters(1.1, 20)",
+            "limit_dilatation((24,)*40)",
+            "dilatation((79,)*42)",
+            "matrix route (79,)*42",
+        ],
+    )
+    def test_a_start_just_above_lambda_needs_few_factorizations(self, factorizations, run):
+        # from the all-ones vector these make 86, 33, 86 and 86
+        run()
+        assert 1 <= len(factorizations) <= 3
 
 
 _CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -226,8 +309,12 @@ class TestCertificateProperties:
         tol=_TOLS,
     )
     def test_random_braid_tuple(self, values, tol):
-        cert = transition_matrix(values).spectral_radius(tol=tol)
-        assert_certified(cert, braid_char_poly(values), tol)
+        # unseeded, and seeded at the formula route's cell
+        for cert in (
+            transition_matrix(values).spectral_radius(tol=tol),
+            dilatation(values, tol=tol).certificate,
+        ):
+            assert_certified(cert, braid_char_poly(values), tol)
 
 
 class TestCharPoly:
