@@ -40,7 +40,6 @@ from .volume import (
     find_parameters,
     ideal_tetrahedron_volume,
     lobachevsky,
-    twist_number,
     volume_lower_bound,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "find_parameters",
     "ideal_tetrahedron_volume",
     "lobachevsky",
-    "twist_number",
     "volume_lower_bound",
     "__version__",
 ]

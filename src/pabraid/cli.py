@@ -58,9 +58,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=False):
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-10, help="matrix-route enclosure width")
+    def common(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     p = sub.add_parser("dilatation", help="dilatation of one tuple, one or both routes")
@@ -68,7 +66,8 @@ def build_parser():
     p.add_argument("--method", choices=("formula", "matrix", "both"), default="both")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--dump-matrix", action="store_true", help="include the transition matrix")
-    common(p, tol=True)
+    p.add_argument("--tol", type=float, default=1e-10, help="matrix-route enclosure width")
+    common(p)
 
     p = sub.add_parser("polynomial", help="characteristic polynomial of one tuple")
     p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
@@ -97,7 +96,7 @@ def build_parser():
     p = sub.add_parser("bound", help="witness parameters for dilatation/volume targets")
     p.add_argument("--lambda", required=True, type=float, dest="target_lambda")
     p.add_argument("--volume", required=True, type=float, dest="target_volume")
-    common(p, tol=True)
+    common(p)
 
     return parser
 
@@ -158,7 +157,7 @@ def _run_limit(args):
 
 
 def _run_bound(args):
-    report = find_parameters(args.target_lambda, args.target_volume, tol=args.tol)
+    report = find_parameters(args.target_lambda, args.target_volume)
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 

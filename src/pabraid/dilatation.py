@@ -43,7 +43,6 @@ __all__ = [
     "convergence_table",
 ]
 
-_LIMIT_ENCLOSURE = 1e-10  # width of the Perron-Frobenius enclosure of the limit
 # the finest grid, 2^-1024, that scan rows and monotonicity checks refine
 # to when two roots share a 2^-48 cell
 _FINEST_GRID = 1024
@@ -404,36 +403,28 @@ def dilatation(m, method="both", tol=1e-10):
     ``method`` selects the route: "formula" bisects the exact decision
     "is λ < x?" on the chain's transfer recurrence down to a 2^-48 cell,
     kept as ``formula_bracket``; "matrix" takes the Perron-Frobenius
-    eigenvalue of the transition matrix; "both" runs the two and records
+    eigenvalue of the transition matrix; "both" runs the two, certifies
+    that the cell meets the matrix enclosure (``_cross_check``) and records
     their difference.  ``tol`` is the width of the matrix route's
     enclosure; the formula route reaches a fixed accuracy and ignores it.
-    The matrix route's Noda iteration starts just above the upper end of
-    the formula cell, or of the float hint with method "matrix"; its
-    enclosure is still exact on the matrix alone, so ``lambda_matrix`` lies
-    within ``tol`` of λ wherever it started.
+    Without a cell, method "matrix" starts Noda's iteration just above the
+    float hint; the enclosure is exact on the matrix alone either way, so
+    ``lambda_matrix`` lies within ``tol`` of λ.
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
     m = BraidTuple(m)
-    lam_formula = None
-    lam_matrix = None
-    certificate = None
-    bracket = None
-    if method in ("formula", "both"):
+    lam_formula = agreement = certificate = bracket = None
+    if method == "matrix":
+        above = _float_hint(m.values[:-1], m.values[-1])
+        certificate = transition_matrix(m).spectral_radius(tol=tol, _above=above)
+    else:
         cell = _tuple_cell(m.values)
         lam_formula, bracket = cell.value(), cell.bracket()
-    if method in ("matrix", "both"):
-        # Noda's iteration starts just above λ: at the cell's upper end, or
-        # at the float hint without a cell
-        if bracket is None:
-            above = _float_hint(m.values[:-1], m.values[-1])
-        else:
-            above = float(bracket[1])
-        certificate = transition_matrix(m).spectral_radius(tol=tol, _above=above)
-        lam_matrix = certificate.eigenvalue
-    agreement = None
-    if lam_formula is not None and lam_matrix is not None:
-        agreement = abs(lam_formula - lam_matrix)
+        if method == "both":
+            certificate = _cross_check(cell, transition_matrix(m), tol)
+            agreement = abs(lam_formula - certificate.eigenvalue)
+    lam_matrix = None if certificate is None else certificate.eigenvalue
     return DilatationReport(
         m.values, lam_formula, lam_matrix, agreement, certificate, bracket
     )
@@ -449,34 +440,38 @@ def limit_dilatation(prefix):
     ``spectral_radius`` accepts only a primitive B, and det(tI - B) = P
     exactly (``pabraid verify`` and the tests check this identity), so by
     the Perron-Frobenius theorem the eigenvalue of B is a simple root of P
-    strictly larger in modulus than every other root.  The cell must meet
-    the exact Collatz-Wielandt enclosure of that eigenvalue, else
-    AssertionError.  That enclosure comes from Noda's iteration started
-    just above the cell's upper end and is evaluated on B alone, so the
-    cross-check stays independent of the cell.
+    strictly larger in modulus than every other root.  ``_cross_check``
+    requires the cell to meet the exact Collatz-Wielandt enclosure of that
+    eigenvalue, else AssertionError.
     """
     return _certified_limit(params(prefix, 1)).value()
 
 
 def _certified_limit(vals):
     cell = _limit_cell(vals)
-    cert = dominant_matrix(vals).spectral_radius(
-        tol=_LIMIT_ENCLOSURE, _above=float(cell.bracket()[1])
-    )
-    _check_overlap(cell, cert, "the limit", "the dominant block")
+    _cross_check(cell, dominant_matrix(vals))
     return cell
 
 
-def _check_overlap(cell, cert, root, matrix):
-    # the formula route's cell and the matrix route's enclosure, compared
-    # exactly: they must share a point
+def _cross_check(cell, matrix, tol=1e-10):
+    """The Perron-Frobenius certificate of ``matrix``, checked against ``cell``.
+
+    The formula route's cell and the matrix route's Collatz-Wielandt
+    enclosure (width ``tol``) are compared exactly and must share a point,
+    else AssertionError; the test is exact at any ``tol``.  Noda's
+    iteration starts just above the cell's upper end, but the enclosure is
+    evaluated on the matrix alone: a wrong cell costs steps, never a false
+    overlap.
+    """
     lo, hi = cell.bracket()
+    cert = matrix.spectral_radius(tol=tol, _above=float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
-            f"{root}'s cell [{float(lo)!r}, {float(hi)!r}] misses the "
+            f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
             f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of "
-            f"{matrix}"
+            f"its {matrix.size}x{matrix.size} matrix"
         )
+    return cert
 
 
 @dataclass(frozen=True)

@@ -225,12 +225,6 @@ class StructureReport:
     def failures(self):
         return tuple(c for c in self.checks if not c.ok)
 
-    def __str__(self):
-        lines = [f"structure checks for ({','.join(map(str, self.tuple_values))}):"]
-        for c in self.checks:
-            lines.append(f"  [{'ok' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
-        return "\n".join(lines)
-
 
 def validate_structure(m):
     """Check the gluing-pattern entries of the transition matrix of ``m``.

@@ -15,15 +15,14 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .dilatation import _below, _check_overlap, _tuple_cell
+from .dilatation import _below, _cross_check, _tuple_cell
 from .intpoly import _integer
-from .treebuilder import BraidTuple, transition_matrix
+from .treebuilder import transition_matrix
 
 __all__ = [
     "lobachevsky",
     "ideal_tetrahedron_volume",
     "volume_lower_bound",
-    "twist_number",
     "BoundReport",
     "find_parameters",
 ]
@@ -49,11 +48,6 @@ def volume_lower_bound(k):
     if k < 1:
         raise ValueError("k must be >= 1")
     return 0.5 * (k - 1) * ideal_tetrahedron_volume()
-
-
-def twist_number(m):
-    """Twist number of the alternating closed braid: the tuple length k+1."""
-    return len(BraidTuple(m))
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ def _least_below(below):
     return hi
 
 
-def find_parameters(target_lambda, target_volume, tol=1e-10):
+def find_parameters(target_lambda, target_volume):
     """Smallest (k, m) with the diagonal tuple beating both targets.
 
     k is the least value whose volume bound exceeds ``target_volume``; m is
@@ -103,12 +97,9 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     chain's transfer recurrence, so λ(m) < target and λ(m-1) >= target are
     proved, not inferred from rounded roots.  By monotonicity any tuple
     with every entry >= m satisfies the dilatation bound as well; an exact
-    off-diagonal spot check per report asserts that.  The matrix route's
-    enclosure (width ``tol``) must overlap the witness's 2^-48 cell, an
-    exact cross-check of the reported dilatation at any ``tol``.  Its Noda
-    iteration starts just above the cell's upper end, but the enclosure is
-    evaluated on the transition matrix alone: a wrong cell costs time,
-    never a false overlap.
+    off-diagonal spot check per report asserts that.  The witness's 2^-48
+    cell is cross-checked exactly against the Perron-Frobenius enclosure of
+    its transition matrix (``_cross_check``).
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -128,11 +119,7 @@ def find_parameters(target_lambda, target_volume, tol=1e-10):
     if not _below(off_diagonal, num, shift):
         raise AssertionError("monotonicity spot check failed")
 
-    # certify the witness through the independent matrix route
-    cert = transition_matrix((m,) * width).spectral_radius(
-        tol=tol, _above=float(cell.bracket()[1])
-    )
-    _check_overlap(cell, cert, "the witness", "its transition matrix")
+    _cross_check(cell, transition_matrix((m,) * width))
 
     return BoundReport(
         k=k,

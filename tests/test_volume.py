@@ -15,7 +15,6 @@ from pabraid import (
     find_parameters,
     ideal_tetrahedron_volume,
     lobachevsky,
-    twist_number,
     volume_lower_bound,
 )
 
@@ -67,13 +66,6 @@ class TestVolumeLowerBound:
             volume_lower_bound(0)
 
 
-class TestTwistNumber:
-    def test_examples(self):
-        assert twist_number((4, 2)) == 2
-        assert twist_number((2, 2, 3)) == 3
-        assert twist_number((1, 1, 1, 1)) == 4
-
-
 class TestFindParameters:
     def test_easy_targets(self):
         report = find_parameters(10, 0.1)
@@ -120,17 +112,25 @@ class TestFindParameters:
         assert payload["k"] == 2 and payload["m"] == 1
 
     def test_witness_cell_missing_the_enclosure_is_refused(self, monkeypatch):
-        volume_module = importlib.import_module("pabraid.volume")
-        exact_cell = volume_module._tuple_cell
+        # bound and dilatation(method="both") run the same cross-check
+        exact_cell = importlib.import_module("pabraid.dilatation")._tuple_cell
 
         def shifted_cell(vals):
             cell = exact_cell(vals)
             cell.lo += 1 << 20  # about 3.7e-9 above the dilatation
             return cell
 
-        monkeypatch.setattr(volume_module, "_tuple_cell", shifted_cell)
+        for module in ("pabraid.volume", "pabraid.dilatation"):
+            monkeypatch.setattr(importlib.import_module(module), "_tuple_cell", shifted_cell)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
             find_parameters(1.5, 3)
+        with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
+            dilatation((4, 2), method="both")
+
+    def test_no_tolerance_option(self):
+        # the cross-check is exact at any enclosure width
+        with pytest.raises(TypeError):
+            find_parameters(1.1, 20, tol=1e-10)
 
     def test_headline_search_settles_on_the_ball_rungs(self, monkeypatch):
         # a count, not a timing: no decision of the headline search falls
