@@ -7,10 +7,10 @@ vertex gets a depth both ways) and primitivity: in addition, the gcd over
 all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
 Characteristic polynomials are computed exactly (fraction-free Bareiss
 elimination at integer nodes followed by integer Newton interpolation),
-the spectral radius by Noda inverse iteration with an exact
-Collatz-Wielandt enclosure.  The iteration starts at a caller's float just
-above the eigenvalue when there is one; the enclosure is still evaluated on
-the matrix alone.
+the spectral radius by Noda inverse iteration from the all-ones vector
+with an exact Collatz-Wielandt enclosure.  A caller's float just above the
+eigenvalue, when there is one, is the first step's shift; the enclosure is
+still evaluated on the matrix alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .intpoly import IntPoly, _integer
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 
-_POWER_WARMUP = 64  # power steps before Noda iteration takes over
 _NODA_STEPS = 500  # Noda steps before spectral_radius gives up
 _SMALLEST_NORMAL = 2.0**-1022
 # relative gap between a caller's float just above lambda and the first Noda
@@ -172,14 +171,14 @@ class NNMatrix:
         positive and converges quadratically once sigma is near lambda.  The
         rescaling keeps tiny eigenvector entries relatively accurate.
 
-        A caller that holds a float just above lambda (the formula route's
-        cell, or its float hint) passes it as the private ``_above``.  The
-        first step is then a Noda step from the all-ones vector with the
-        shift x = _above*(1 + 1e-13) in place of sigma: for x > lambda,
-        xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a positive
-        solution.  Without ``_above``, or when the float y is not positive,
-        cannot be factorized or underflows, the iteration starts after 64
-        power steps from the all-ones vector instead.
+        The iteration starts from the all-ones vector.  A caller that holds a
+        float just above lambda (the formula route's cell, or its float hint)
+        passes it as the private ``_above``, and the first step tries the
+        shift x = _above*(1 + 1e-13) before sigma: for x > lambda, xI - M is
+        a nonsingular M-matrix and (xI - M)y = 1 has a positive solution.
+        When the float y is not positive or cannot be factorized, that costs
+        one factorization and the step goes on with sigma, exactly as
+        without ``_above``.
 
         The enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is
         evaluated exactly on the float vector and the matrix alone, then
@@ -217,66 +216,47 @@ class NNMatrix:
         cols = np.repeat(diag, np.diff(indptr))
         diagonal = rows == cols
 
-        def solve(shift, scaled):
-            # y with (shift*I - scaled) y = 1, or None when the factor is
-            # singular or y is not positive
-            data = -scaled
-            data[diagonal] += shift
-            # each factor is freed on return, before the next is built: two
-            # alive at once fragment the heap, +8 MB peak RSS at N=3360
-            try:
-                lu = splu(csc_matrix((data, rows, indptr), shape=(n, n)))
-            except RuntimeError:  # shift equals lambda to double precision
-                return None
-            y = lu.solve(np.ones(n))
-            return y if np.all(y > 0) else None
-
-        def normalized(x):
-            # x scaled to max entry 1, with Mx; None when an entry falls
-            # below the smallest normal double
-            x = x / x.max()
-            return (x, a @ x) if x.min() >= _SMALLEST_NORMAL else None
-
         v = np.ones(n)
         w = a @ v
-        warmup, steps = _POWER_WARMUP, _POWER_WARMUP + _NODA_STEPS
-        if _above is not None and math.isfinite(_above):
-            y = solve(_above * (1 + _SEED_MARGIN), vals)
-            start = None if y is None else normalized(y)
-            if start is not None:  # the first of the Noda steps
-                (v, w), warmup, steps = start, 0, _NODA_STEPS - 1
-        for step in range(steps):
+        for step in range(_NODA_STEPS):
             ratios = w / v
             lo, sigma = float(ratios.min()), float(ratios.max())
             if sigma - lo <= tol:
                 cert = self._certificate(v, w, tol)
                 if cert is not None:
                     return cert
-            if step < warmup:
-                nxt = normalized(w)
+            scaled = vals * v[cols] / v[rows]
+            # Noda's shift sigma first.  The solve fails (singular factor) or
+            # loses positivity when sigma is far closer to lambda than v is to
+            # the eigenvector; the step is then retried from above sigma by the
+            # current enclosure width.
+            shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
+            if step == 0 and _above is not None and math.isfinite(_above):
+                shifts = (_above * (1 + _SEED_MARGIN), *shifts)
+            for shift in shifts:
+                # y with (shift*I - D^-1 M D) y = 1.  The factor is freed
+                # before the next is built: two alive at once fragment the
+                # heap, +8 MB peak RSS at N=3360.
+                data = -scaled
+                data[diagonal] += shift
+                try:
+                    y = splu(csc_matrix((data, rows, indptr), shape=(n, n))).solve(np.ones(n))
+                except RuntimeError:  # shift equals lambda to double precision
+                    continue
+                if np.all(y > 0):
+                    break
             else:
-                scaled = vals * v[cols] / v[rows]
-                # Noda's shift sigma first.  The solve fails (singular factor)
-                # or loses positivity when sigma is far closer to lambda than
-                # v is to the eigenvector; the step is then retried from above
-                # sigma by the current enclosure width.
-                for shift in (sigma, 2 * sigma - lo + 4 * math.ulp(sigma)):
-                    y = solve(shift, scaled)
-                    if y is not None:
-                        break
-                else:
-                    raise RuntimeError("Noda iteration produced a non-positive entry")
-                nxt = normalized(v * y)
-            if nxt is None:
+                raise RuntimeError("Noda iteration produced a non-positive entry")
+            v = v * y
+            v = v / v.max()
+            if not v.min() >= _SMALLEST_NORMAL:
                 raise RuntimeError(
                     "an iterate entry fell below the smallest normal double "
                     f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
                 )
-            v, w = nxt
-        power = f"{warmup} power and " if warmup else ""
+            w = a @ v
         raise RuntimeError(
-            f"spectral radius not certified to tol={tol} within {power}"
-            f"{_NODA_STEPS} Noda steps"
+            f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
         )
 
     def _certificate(self, v, w, tol):

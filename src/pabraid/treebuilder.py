@@ -14,9 +14,9 @@ and columns n_i+1 .. n_{i+1}:
   and 2 in column n_i + 1.
 
 The upper-left (n_i + 1)-square block is the transition matrix of the
-dominant (restricted) map, and two bordered determinants extract the
-recessive polynomials of the family; both are independent of any further
-parameters (the tests check this).
+dominant (restricted) map, and a bordered determinant extracts the
+recessive polynomial of the family, whose reversal is the dual one; both
+are independent of any further parameters (the tests check this).
 """
 
 from __future__ import annotations
@@ -176,15 +176,6 @@ def recessive_poly(prefix):
     replace row n_i + 1 by the last row, and keep the upper-left
     (n_i + 1)-square corner.  Independent of the appended parameter.
     """
-    return _bordered_det(prefix, reciprocal=False)
-
-
-def dual_recessive_poly(prefix):
-    """Same bordered determinant applied to I - tB instead of tI - B."""
-    return _bordered_det(prefix, reciprocal=True)
-
-
-def _bordered_det(prefix, reciprocal):
     vals = params(prefix, 1)
     matrix = transition_matrix(vals + (1,))
     cut = block_boundaries(vals)[-1] + 1
@@ -196,13 +187,17 @@ def _bordered_det(prefix, reciprocal):
         row = []
         for j in range(1, cut + 1):
             a = matrix.entry(src, j)
-            if reciprocal:
-                cell = IntPoly((1,)) - t * a if src == j else IntPoly((-a,)) * t
-            else:
-                cell = t - a if src == j else IntPoly((-a,))
-            row.append(cell)
+            row.append(t - a if src == j else IntPoly((-a,)))
         rows.append(row)
     return poly_matrix_det(rows)
+
+
+def dual_recessive_poly(prefix):
+    """Same bordered determinant applied to I - tB instead of tI - B.
+
+    Each row of I - tB is t times the row of tI - B at 1/t.
+    """
+    return recessive_poly(prefix).reciprocal(block_boundaries(params(prefix, 1))[-1] + 1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from pabraid import IntPoly, NNMatrix, first_real_root_above, largest_real_root
+from pabraid import (
+    IntPoly,
+    NNMatrix,
+    block_boundaries,
+    first_real_root_above,
+    largest_real_root,
+    poly_matrix_det,
+    transition_matrix,
+)
 
 
 def grid_tuples():
@@ -127,6 +135,32 @@ def det_identity_minus_tm(matrix):
         for i, row in enumerate(dense)
     ]
     return cofactor_det(rows)
+
+
+def bordered_det_oracle(prefix, appended, reciprocal):
+    """The recessive polynomial's bordered determinant on one extension.
+
+    Rows of tI - B, or of I - tB when ``reciprocal``, for the transition
+    matrix B of ``prefix + (appended,)``, with row n_i + 1 replaced by the
+    last row and cut to the upper-left (n_i + 1)-square corner.  The
+    determinant is the library's ``poly_matrix_det``, which the tests check
+    against cofactor expansion.
+    """
+    mat = transition_matrix(tuple(prefix) + (appended,))
+    cut = block_boundaries(prefix)[-1] + 1
+    t = IntPoly((0, 1))
+    rows = []
+    for i in range(1, cut + 1):
+        src = mat.size if i == cut else i
+        row = []
+        for j in range(1, cut + 1):
+            a = mat.entry(src, j)
+            if reciprocal:
+                row.append(IntPoly((1,)) - t * a if src == j else IntPoly((0, -a)))
+            else:
+                row.append(t - a if src == j else IntPoly((-a,)))
+        rows.append(row)
+    return poly_matrix_det(rows)
 
 
 def subinvariance_bound(matrix, y):

@@ -157,6 +157,8 @@ class TestBoundCommand:
         ("dilatation", "--tuple", "4,2", "--tol", "inf"),
         ("dilatation", "--tuple", "4,2", "--tol", "nan"),
         ("dilatation", "--tuple", "1,2", "--tol", "1e-16"),
+        ("scan", "--prefix", "4", "--m-max", "100000000000000000000000"),
+        ("verify", "--max-k", "12", "--max-m", "9"),
     ],
     ids=" ".join,
 )
@@ -165,6 +167,23 @@ def test_rejected_inputs_exit_1_with_an_error_line(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, asks",
+    [
+        (("scan", "--prefix", "4", "--m-max", "100001"), "100001 rows"),
+        (("scan", "--prefix", "4", "--m-max", "9" * 30), "9" * 30 + " rows"),
+        # 9^2 + 9^3 + ... + 9^13
+        (("verify", "--max-k", "12", "--max-m", "9"), "2859599056860 tuples"),
+        (("verify", "--max-k", "1000000000", "--max-m", "1"), "1000000000 tuples"),
+        (("verify", "--max-k", "1000000000", "--max-m", "2"), "more than 2^4096 tuples"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+)
+def test_ranges_beyond_the_limit_are_refused_before_they_are_built(capsys, argv, asks):
+    rc, _, err = run(capsys, *argv)
+    assert (rc, err) == (1, f"error: {argv[0]} asks for {asks}; the limit is 100000\n")
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,8 @@ from helpers import (
     subinvariance_bound,
     wielandt_positive,
 )
+
+dilatation_module = importlib.import_module("pabraid.dilatation")
 
 FIB = NNMatrix.from_rows([[1, 1], [1, 0]])
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -77,6 +80,28 @@ def assert_certified(cert, poly, tol):
     assert cert.lower <= cert.eigenvalue <= cert.upper
     assert upper - lower <= Fraction(tol)
     assert scaled_value(poly, cert.lower) <= 0 <= scaled_value(poly, cert.upper)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    # a spy on splu where spectral_radius imports it: one entry per
+    # factorization, False where the factor was singular
+    import scipy.sparse.linalg
+
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(*args, **kwargs):
+        try:
+            lu = splu(*args, **kwargs)
+        except RuntimeError:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return calls
 
 
 class TestConstruction:
@@ -194,18 +219,20 @@ class TestSpectralRadius:
         assert_certified(cert, braid_char_poly(values), 1e-10)
 
     def test_retries_a_shift_that_loses_positivity(self):
-        # after the warm-up, sigma is within 1e-10 of lambda while other
-        # quotients lag, and the first Noda solve returns negative entries
-        values = (10, 19, 29, 36, 39, 29, 22, 1, 4)
+        # from the all-ones vector, the seventh shift sigma is within 1e-10 of
+        # lambda while other quotients lag, and its solve returns negative
+        # entries
+        values = (14, 1, 17)
         cert = transition_matrix(values).spectral_radius()
         assert_certified(cert, braid_char_poly(values), 1e-10)
 
-    def test_retries_an_exactly_singular_shift(self, monkeypatch):
-        # a 300-step warm-up leaves sigma equal to lambda in double precision
-        monkeypatch.setattr(nnmatrix, "_POWER_WARMUP", 300)
-        values = HARD_TUPLES[2]
+    def test_retries_an_exactly_singular_shift(self, factorizations):
+        # from the all-ones vector, the seventh shift sigma equals lambda in
+        # double precision and its factor is singular
+        values = (35, 1)
         cert = transition_matrix(values).spectral_radius()
         assert_certified(cert, braid_char_poly(values), 1e-10)
+        assert factorizations.count(False) == 1
 
     def test_bounds_round_outward(self):
         # 1/10 rounds up to the nearest double and 2/3 rounds down
@@ -218,11 +245,10 @@ class TestSpectralRadius:
             FIB.spectral_radius(tol=tol)
 
     def test_unreachable_tol_names_the_step_cap(self):
-        with pytest.raises(RuntimeError, match="within 64 power and 500 Noda steps"):
-            FIB.spectral_radius(tol=1e-16)
-        # a seeded start runs no power steps
-        with pytest.raises(RuntimeError, match=r"to tol=1e-16 within 500 Noda steps$"):
-            FIB.spectral_radius(tol=1e-16, _above=GOLDEN_RATIO)
+        # seeded or not, the same cap
+        for above in (None, GOLDEN_RATIO):
+            with pytest.raises(RuntimeError, match=r"to tol=1e-16 within 500 Noda steps$"):
+                FIB.spectral_radius(tol=1e-16, _above=above)
 
 
 def adjacent_floats(poly, lo, hi):
@@ -256,21 +282,6 @@ class TestSeededStart:
         for shift in (1.0, below - 1e-6, below, above, 2 * above, 10 * above):
             assert_certified(m.spectral_radius(_above=shift), poly, 1e-10)
 
-    @pytest.fixture
-    def factorizations(self, monkeypatch):
-        # a spy on splu where spectral_radius imports it
-        import scipy.sparse.linalg
-
-        calls = []
-        splu = scipy.sparse.linalg.splu
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        return calls
-
     @pytest.mark.parametrize(
         "run",
         [
@@ -287,9 +298,27 @@ class TestSeededStart:
         ],
     )
     def test_a_start_just_above_lambda_needs_few_factorizations(self, factorizations, run):
-        # from the all-ones vector these make 86, 33, 86 and 86
+        # from the all-ones vector these make 103, 73, 103 and 103
         run()
         assert 1 <= len(factorizations) <= 3
+
+    @pytest.mark.parametrize(
+        "source", [FIB, (19, 40, 2, 27, 2, 28, 34, 7, 23)], ids=["FIB", "(19,40,...,23)"]
+    )
+    def test_a_failed_seed_costs_one_factorization(self, factorizations, source):
+        # FIB is seeded at 1.0, below lambda, where the solve cannot be
+        # positive (Collatz-Wielandt); the tuple at its formula cell's upper
+        # end, where rounding makes the float solve lose positivity
+        if isinstance(source, NNMatrix):
+            matrix, above = source, 1.0
+        else:
+            matrix = transition_matrix(source)
+            above = float(dilatation_module._tuple_cell(source).bracket()[1])
+        unseeded = matrix.spectral_radius()
+        count = len(factorizations)
+        assert count > 0  # Noda steps from the start, with no power steps
+        assert matrix.spectral_radius(_above=above) == unseeded
+        assert len(factorizations) == 2 * count + 1
 
 
 _CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -16,7 +16,6 @@ from pabraid import (
     dominant_matrix,
     dual_recessive_poly,
     limit_dilatation,
-    poly_matrix_det,
     recessive_poly,
     transition_matrix,
     validate_structure,
@@ -24,7 +23,7 @@ from pabraid import (
 from pabraid.cli import main
 from pabraid.treebuilder import StructureCheck, StructureReport, parse_params
 
-from helpers import GOLDEN_8x8, TreeMapSpec
+from helpers import GOLDEN_8x8, TreeMapSpec, bordered_det_oracle
 
 
 class TestBraidTuple:
@@ -168,25 +167,6 @@ class TestDominantMatrix:
             assert full.submatrix(block.size) == block
 
 
-def _recipe_oracle(prefix, appended, reciprocal):
-    # recompute the bordered determinant directly on a chosen extension
-    mat = transition_matrix(tuple(prefix) + (appended,))
-    cut = block_boundaries(prefix)[-1] + 1
-    t = IntPoly((0, 1))
-    rows = []
-    for i in range(1, cut + 1):
-        src = mat.size if i == cut else i
-        row = []
-        for j in range(1, cut + 1):
-            a = mat.entry(src, j)
-            if reciprocal:
-                row.append(IntPoly((1,)) - t * a if src == j else IntPoly((0, -a)))
-            else:
-                row.append(t - a if src == j else IntPoly((-a,)))
-        rows.append(row)
-    return poly_matrix_det(rows)
-
-
 class TestRecessivePolynomials:
     def test_worked_example(self):
         assert recessive_poly((4,)) == IntPoly.parse("-2*t^5 - t + 1")
@@ -201,10 +181,18 @@ class TestRecessivePolynomials:
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (2, 3), (2, 2, 1)])
     def test_independent_of_appended_parameter(self, prefix):
         for reciprocal in (False, True):
-            one = _recipe_oracle(prefix, 1, reciprocal)
-            two = _recipe_oracle(prefix, 2, reciprocal)
-            three = _recipe_oracle(prefix, 3, reciprocal)
+            one = bordered_det_oracle(prefix, 1, reciprocal)
+            two = bordered_det_oracle(prefix, 2, reciprocal)
+            three = bordered_det_oracle(prefix, 3, reciprocal)
             assert one == two == three
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+        appended=st.integers(1, 4),
+    )
+    def test_dual_is_the_bordered_determinant_of_identity_minus_tb(self, prefix, appended):
+        assert dual_recessive_poly(prefix) == bordered_det_oracle(prefix, appended, True)
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (3, 2), (1, 2, 1)])
     def test_mirror_identities(self, prefix):
