@@ -19,6 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+import scipy.sparse.linalg
+from scipy.sparse import coo_matrix, csc_matrix
+
 from .intpoly import IntPoly, _integer
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
@@ -198,10 +202,7 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        import numpy as np
-        from scipy.sparse import coo_matrix, csc_matrix
-        from scipy.sparse.linalg import splu
-
+        splu = scipy.sparse.linalg.splu  # looked up per call, so it can be wrapped
         n = self.size
         # M on a column-major pattern that holds the whole diagonal, so each
         # sigma*I - D^-1 M D is a new data array on a fixed structure

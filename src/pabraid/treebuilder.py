@@ -125,9 +125,26 @@ def block_boundaries(values):
     return tuple(out)
 
 
+# the most nonzeros of a transition matrix; building its entries takes
+# about 220 bytes per nonzero at its peak
+_MAX_NONZEROS = 1_000_000
+
+
 def transition_matrix(m):
-    """Transition matrix of the combined map for the full tuple ``m``."""
+    """Transition matrix of the combined map for the full tuple ``m``.
+
+    A tuple of k+1 parameters gives N + k^2 + 4k nonzeros, k^2 of them in
+    the hub rows; above ``_MAX_NONZEROS`` it raises ValueError before
+    building anything.
+    """
     m = BraidTuple(m)
+    k = len(m) - 1
+    nonzeros = m.size + k * k + 4 * k
+    if nonzeros > _MAX_NONZEROS:
+        raise ValueError(
+            f"the transition matrix of size {m.size} would have {nonzeros} "
+            f"nonzeros; the limit is {_MAX_NONZEROS}"
+        )
     return NNMatrix(m.size, _entries(m.values))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
 
 from pabraid import (
     IntPoly,
@@ -223,6 +224,22 @@ def random_primitive_matrix(rng, max_size=8, max_entry=3):
         m = random_nn_matrix(rng, max_size, max_entry)
         if m.is_primitive():
             return m
+
+
+def lobachevsky_by_quad(theta):
+    """Minus the integral of log|2 sin u| over [0, theta], by QUADPACK.
+
+    The range is cut at the multiples of π inside it, where the integrand
+    has logarithmic singularities, and each piece is integrated on its own.
+    """
+    lo, hi = sorted((0.0, theta))
+    cuts = [n * math.pi for n in range(math.floor(lo / math.pi) + 1, math.ceil(hi / math.pi))]
+    ends = [lo, *cuts, hi]
+    total = sum(
+        quad(lambda u: math.log(abs(2.0 * math.sin(u))), a, b, limit=200)[0]
+        for a, b in zip(ends, ends[1:])
+    )
+    return -total if theta > 0 else total
 
 
 def lobachevsky_by_parts(theta):

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from pabraid import (
     NNMatrix,
     block_boundaries,
     braid_char_poly,
+    dilatation,
     dominant_chain,
     dominant_matrix,
     dual_recessive_poly,
@@ -141,6 +144,49 @@ class TestTransitionMatrix:
     def test_size_matches_boundaries(self):
         for tv in ((1, 1), (4, 2), (2, 2, 3), (1, 2, 3, 4)):
             assert transition_matrix(tv).size == block_boundaries(tv)[-1]
+
+
+class TestMatrixSizeLimit:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 30), min_size=2, max_size=40))
+    def test_counted_nonzeros_are_the_entries(self, values):
+        # the count the limit reads, N + k^2 + 4k, is exactly what is built
+        k = len(values) - 1
+        matrix = transition_matrix(values)
+        assert len(matrix.entries) == matrix.size + k * k + 4 * k
+
+    @pytest.fixture
+    def no_entries(self, monkeypatch):
+        # a matrix past the limit must not be built: without the limit these
+        # tests would fill gigabytes
+        def refuse(vals):
+            raise AssertionError("entries built")
+
+        monkeypatch.setattr(importlib.import_module("pabraid.treebuilder"), "_entries", refuse)
+
+    @pytest.mark.parametrize(
+        "values, nonzeros",
+        [((10**7,) * 2, 20000007), ((1,) * 1001, 1006002), ((2 * 10**5,) * 5, 1000037)],
+    )
+    def test_refused_before_anything_is_built(self, no_entries, values, nonzeros):
+        with pytest.raises(ValueError, match=f"{nonzeros} nonzeros; the limit is 1000000$"):
+            transition_matrix(values)
+
+    def test_dilatation_refuses_the_matrix_route_only(self, no_entries):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the limit is 1000000"):
+            dilatation((10**7,) * 2, method="both")
+        assert time.perf_counter() - start < 0.1
+        assert dilatation((10**7,) * 2, method="formula").lambda_formula > 1.0
+
+    def test_cli_prints_one_error_line(self, no_entries):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["dilatation", "--tuple", "10000000,10000000"]) == 1
+        assert err.getvalue() == (
+            "error: the transition matrix of size 20000002 would have 20000007 "
+            "nonzeros; the limit is 1000000\n"
+        )
 
 
 class TestDominantMatrix:

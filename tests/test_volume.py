@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,23 @@ from pabraid import (
     volume_lower_bound,
 )
 
-from helpers import lobachevsky_by_parts, record_rungs
+from helpers import lobachevsky_by_parts, lobachevsky_by_quad, record_rungs
 
 V3_REFERENCE = 1.0149416064
+# v3 = 3/2 Cl_2(2π/3) cut after 50 decimals (OEIS A143298)
+V3_DIGITS = Fraction("1.01494160640965362502120255427452028594168930753029")
+# π and log(2π/3), cut after 50 decimals
+PI_DIGITS = Fraction("3.14159265358979323846264338327950288419716939937510")
+LOG_DIGITS = Fraction("0.73926477774123579216541423588870957507530438945281")
+SRC = Path(importlib.import_module("pabraid").__file__).parent
+
+# (0, π/2], (π/2, π), beyond π and below 0
+THETAS = [
+    1e-9, 0.1, 0.3, math.pi / 6, math.pi / 3, 1.0, 1.5, math.pi / 2,
+    1.6, 2.0, 2.5, 3.0, 3.1,
+    math.pi + 0.3, 4.0, 5.5, 7.0, 10.0, 20.0,
+    -1e-9, -0.1, -1.0, -2.0, -3.5, -10.0,
+]
 
 
 class TestLobachevsky:
@@ -38,6 +53,20 @@ class TestLobachevsky:
         rhs = 2 * lobachevsky_by_parts(math.pi / 6)
         assert abs(lhs - rhs) < 1e-8
 
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_series_matches_both_quadratures(self, theta):
+        value = lobachevsky(theta)
+        assert abs(value - lobachevsky_by_quad(theta)) <= 1e-12
+        # integration by parts holds on (0, π) only; the test's own
+        # reduction by oddness and periodicity takes |theta| there
+        by_parts = math.copysign(1.0, theta) * lobachevsky_by_parts(abs(theta) % math.pi)
+        assert abs(value - by_parts) <= 1e-12
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_odd_and_pi_periodic(self, theta):
+        assert abs(lobachevsky(theta + math.pi) - lobachevsky(theta)) <= 1e-12
+        assert abs(lobachevsky(-theta) + lobachevsky(theta)) <= 1e-12
+
 
 class TestTetrahedronVolume:
     def test_reference_digits(self):
@@ -45,6 +74,51 @@ class TestTetrahedronVolume:
 
     def test_cached_value_is_stable(self):
         assert ideal_tetrahedron_volume() == ideal_tetrahedron_volume()
+
+    def test_float_is_correctly_rounded(self):
+        assert ideal_tetrahedron_volume() == float(V3_DIGITS) == 1.0149416064096537
+
+    def test_exact_enclosure(self):
+        # 1.01494160640965362502 is v3 cut after 20 digits, about 1.2e-21
+        # low; the enclosure is narrower than that and lies above it
+        lo, hi = importlib.import_module("pabraid.volume")._v3_enclosure(64)
+        assert lo < V3_DIGITS < hi
+        assert Fraction("1.01494160640965362502") < lo < hi < Fraction("1.01494160640965362503")
+        assert hi - lo <= Fraction(1, 2**60)
+
+    @pytest.mark.parametrize("bits", [16, 32, 128, 256])
+    def test_enclosure_narrows_with_its_precision(self, bits):
+        # it meets the bracket [V3_DIGITS, V3_DIGITS + 1e-50] of v3
+        lo, hi = importlib.import_module("pabraid.volume")._v3_enclosure(bits)
+        assert lo < V3_DIGITS + Fraction(1, 10**50) and V3_DIGITS < hi
+        assert hi - lo <= Fraction(1, 2**bits)
+
+    @pytest.mark.parametrize("scale", [12, 20, 33, 47, 64])
+    def test_parts_round_outward(self, scale):
+        # at scales this coarse a unit rounded the wrong way shows
+        volume = importlib.import_module("pabraid.volume")
+        one = 1 << scale
+        (a_lo, a_hi), (b_lo, b_hi) = (volume._arctan_inverse(n, one) for n in (5, 239))
+        assert 16 * a_lo - 4 * b_hi < PI_DIGITS * one < 16 * a_hi - 4 * b_lo
+        pi_lo = math.floor(PI_DIGITS * one)
+        pi_hi = pi_lo + 1
+        log = LOG_DIGITS * one
+        assert volume._log_2pi_over_3(pi_lo, one, False) <= log
+        assert log <= volume._log_2pi_over_3(pi_hi, one, True)
+        # v3 = π (1 - log(2π/3) + the Clausen sum)
+        clausen = (V3_DIGITS / PI_DIGITS - 1 + LOG_DIGITS) * one
+        assert volume._clausen_sum(pi_lo, one, False) <= clausen
+        assert clausen <= volume._clausen_sum(pi_hi, one, True)
+
+    def test_only_the_tests_integrate(self):
+        # the sources never name scipy.integrate, and the CLI leaves it out
+        assert [p.name for p in SRC.glob("*.py") if "scipy.integrate" in p.read_text()] == []
+        code = "import sys, pabraid.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestVolumeLowerBound:
@@ -164,6 +238,27 @@ class TestFindParameters:
     def test_rejects_non_finite_targets(self, target_lambda, target_volume, name):
         with pytest.raises(ValueError, match=name):
             find_parameters(target_lambda, target_volume)
+
+    @pytest.mark.parametrize("k", [41, 74, 116])
+    def test_k_is_decided_exactly_at_the_target(self, k):
+        # the two floats on either side of (k-1)/2 v3.  A float comparison
+        # with volume_lower_bound, even of v3 correctly rounded, errs on the
+        # lower one at k = 74 and on the upper one at k = 116
+        exact = Fraction(k - 1, 2) * V3_DIGITS
+        below = float(exact)
+        if Fraction(below) > exact:
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, math.inf)
+        assert Fraction(below) < exact < exact + Fraction(1, 10**47) < Fraction(above)
+        assert find_parameters(10, below).k == k
+        assert find_parameters(10, above).k == k + 1
+
+    def test_undecided_volume_names_its_precision(self, monkeypatch):
+        # with the enclosure of v3 capped at 2^-16, 20 v3 rounded to a
+        # float lies inside 20 times it
+        monkeypatch.setattr(importlib.import_module("pabraid.volume"), "_V3_BITS_CAP", 16)
+        with pytest.raises(RuntimeError, match=r"k=41 exceeds .* within 2\^-16$"):
+            find_parameters(10, float(20 * V3_DIGITS))
 
     @pytest.mark.parametrize("k", [2, 3, 10, 41])
     def test_volume_bound_must_exceed_the_target(self, k):
