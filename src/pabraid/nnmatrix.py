@@ -5,12 +5,13 @@ exactly when the entry (i, j) is nonzero.  One breadth-first search from
 vertex 0, along the edges and against them, decides irreducibility (every
 vertex gets a depth both ways) and primitivity: in addition, the gcd over
 all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
-Characteristic polynomials are computed exactly (fraction-free Bareiss
-elimination at integer nodes followed by integer Newton interpolation),
-the spectral radius by Noda inverse iteration from the all-ones vector
-with an exact Collatz-Wielandt enclosure.  A caller's float just above the
-eigenvalue, when there is one, is the first step's shift; the enclosure is
-still evaluated on the matrix alone.
+Characteristic polynomials are computed exactly: fraction-free Bareiss
+elimination gives det(xI - M) at the N integer nodes 0..N-1, and integer
+Newton interpolation the part below the known t^N.  The spectral radius
+comes from Noda inverse iteration from the all-ones vector with an exact
+Collatz-Wielandt enclosure.  A caller's float just above the eigenvalue,
+when there is one, is the first step's shift; the enclosure is still
+evaluated on the matrix alone.
 """
 
 from __future__ import annotations
@@ -289,22 +290,14 @@ class NNMatrix:
     def char_poly(self):
         """Exact monic characteristic polynomial det(tI - M).
 
-        Evaluates the determinant at the integer nodes 0..N with
-        fraction-free Bareiss elimination, then integer Newton interpolation.
+        det(xI - M) - x^N has degree below N: its fraction-free Bareiss
+        values at the N integer nodes 0..N-1 are interpolated, then t^N is
+        added back.
         """
         n = self.size
         base = [[-v for v in row] for row in self.to_rows()]
-
-        def shifted(x):
-            work = [row[:] for row in base]
-            for i in range(n):
-                work[i][i] += x
-            return work
-
-        poly = _det_poly(shifted, n)
-        if poly.degree != n or not poly.is_monic():
-            raise AssertionError("characteristic polynomial is not monic of degree N")
-        return poly
+        values = [_shifted_det(base, x, n) - x**n for x in range(n)]
+        return _interpolate(values) + IntPoly((0,) * n + (1,))
 
 
 def _bfs_depths(adj):
@@ -360,25 +353,33 @@ def _bareiss_det(a):
     return sign * a[n - 1][n - 1]
 
 
-def _det_poly(matrix_at, degree):
-    """The polynomial p of degree <= ``degree`` with p(x) = det(matrix_at(x)).
+def _shifted_det(base, x, count):
+    """det of the integer rows ``base`` with x added to its first ``count`` diagonal entries."""
+    work = [row[:] for row in base]
+    for i in range(count):
+        work[i][i] += x
+    return _bareiss_det(work)
 
-    Integer Newton interpolation at the nodes x = 0..degree: the j-th
-    forward difference of the Bareiss values, divided exactly by j!, is the
+
+def _interpolate(values):
+    """The integer polynomial p of degree < len(values) with p(x) = values[x].
+
+    Integer Newton interpolation at the nodes x = 0, 1, ...: the j-th
+    forward difference of the values, divided exactly by j!, is the
     coefficient d_j of the Newton form d_0 + t (d_1 + (t-1) (d_2 + ...)),
-    which is expanded in integers by p <- p (t - j) + d_j from j = degree
+    which is expanded in integers by p <- p (t - j) + d_j from the last j
     down.
     """
-    level = [_bareiss_det(matrix_at(x)) for x in range(degree + 1)]
+    level = list(values)
     newton = []
-    for j in range(degree + 1):
+    for j in range(len(values)):
         d, rem = divmod(level[0], math.factorial(j))
         if rem:
             raise AssertionError("interpolation produced non-integer coefficients")
         newton.append(d)
         level = [b - a for a, b in zip(level, level[1:])]
     coeffs = []
-    for j in range(degree, -1, -1):
+    for j in reversed(range(len(values))):
         coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += newton[j]
     return IntPoly(coeffs)
@@ -401,4 +402,4 @@ def poly_matrix_det(rows):
         degs = [p.degree for p in r if not p.is_zero()]
         if degs:
             bound += max(degs)
-    return _det_poly(lambda x: [[p(x) for p in r] for r in rows], bound)
+    return _interpolate([_bareiss_det([[p(x) for p in r] for r in rows]) for x in range(bound + 1)])

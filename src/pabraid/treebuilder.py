@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix, poly_matrix_det
+from .intpoly import _integer
+from .nnmatrix import NNMatrix, _interpolate, _shifted_det
 
 __all__ = [
     "BraidTuple",
@@ -191,22 +191,15 @@ def recessive_poly(prefix):
 
     Determinant of the bordered block: take tI - B for any extension B,
     replace row n_i + 1 by the last row, and keep the upper-left
-    (n_i + 1)-square corner.  Independent of the appended parameter.
+    (n_i + 1)-square corner.  Independent of the appended parameter.  Only
+    the first n_i diagonal entries carry t, so the degree is at most n_i:
+    the Bareiss values at the n_i + 1 integer nodes 0..n_i are interpolated.
     """
     vals = params(prefix, 1)
-    matrix = transition_matrix(vals + (1,))
+    rows = transition_matrix(vals + (1,)).to_rows()
     cut = block_boundaries(vals)[-1] + 1
-    last = matrix.size
-    t = IntPoly((0, 1))
-    rows = []
-    for i in range(1, cut + 1):
-        src = last if i == cut else i
-        row = []
-        for j in range(1, cut + 1):
-            a = matrix.entry(src, j)
-            row.append(t - a if src == j else IntPoly((-a,)))
-        rows.append(row)
-    return poly_matrix_det(rows)
+    base = [[-v for v in row[:cut]] for row in rows[: cut - 1] + rows[-1:]]
+    return _interpolate([_shifted_det(base, x, cut - 1) for x in range(cut)])
 
 
 def dual_recessive_poly(prefix):

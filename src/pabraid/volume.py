@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dilatation import _below, _cross_check, _tuple_cell
+from .dilatation import _below, dilatation
 from .intpoly import _integer
-from .treebuilder import transition_matrix
 
 __all__ = [
     "lobachevsky",
@@ -230,9 +229,9 @@ def find_parameters(target_lambda, target_volume):
     recurrence, so λ(m) < target and λ(m-1) >= target are proved, not
     inferred from rounded roots.  By monotonicity any tuple
     with every entry >= m satisfies the dilatation bound as well; an exact
-    off-diagonal spot check per report asserts that.  The witness's 2^-48
-    cell is cross-checked exactly against the Perron-Frobenius enclosure of
-    its transition matrix (``_cross_check``).
+    off-diagonal spot check per report asserts that.  The witness comes from
+    ``dilatation(..., method="both")``, which cross-checks its 2^-48 cell
+    exactly against the Perron-Frobenius enclosure of its transition matrix.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -247,18 +246,16 @@ def find_parameters(target_lambda, target_volume):
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
     m = _least_below(lambda mm: _below((mm,) * width, num, shift))
-    cell = _tuple_cell((m,) * width)
+    witness = dilatation((m,) * width, method="both")
 
     off_diagonal = (m + 1,) + (m,) * k
     if not _below(off_diagonal, num, shift):
         raise AssertionError("monotonicity spot check failed")
 
-    _cross_check(cell, transition_matrix((m,) * width))
-
     return BoundReport(
         k=k,
         m=m,
-        lambda_achieved=cell.value(),
+        lambda_achieved=witness.lambda_formula,
         volume_bound=volume_lower_bound(k),
         target_lambda=target_lambda,
         target_volume=target_volume,

@@ -243,14 +243,18 @@ def lobachevsky_by_quad(theta):
 
 
 def lobachevsky_by_parts(theta):
-    """Independent evaluation via integration by parts.
+    """Independent evaluation via integration by parts, for 0 <= theta < π.
 
     Rewrites the defining integral as -theta log(2 sin theta) plus the
     integral of u cot u, whose integrand is analytic at 0, and integrates
-    the latter with an in-house adaptive Simpson rule.
+    the latter with an in-house adaptive Simpson rule.  The rewriting holds
+    on (0, π) only, where sin is positive; theta = 0 is the empty integral,
+    and any other theta raises ValueError.
     """
     if theta == 0.0:
         return 0.0
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"integration by parts needs 0 < theta < pi, not {theta!r}")
 
     def integrand(u):
         return 1.0 if u == 0.0 else u * math.cos(u) / math.sin(u)
@@ -259,12 +263,30 @@ def lobachevsky_by_parts(theta):
     return -theta * math.log(2.0 * math.sin(theta)) + tail
 
 
+# integrand evaluations per adaptive Simpson integral.  The test angles need
+# at most 16 145 (theta = 3.1); near the pole of u cot u at π the rule would
+# otherwise subdivide to its depth cap, about 2^50 evaluations
+SIMPSON_BUDGET = 250_000
+
+
 def _adaptive_simpson(g, a, b, eps):
-    fa, fb = g(a), g(b)
+    calls = 0
+
+    def counted(u):
+        nonlocal calls
+        calls += 1
+        if calls > SIMPSON_BUDGET:
+            raise RuntimeError(
+                f"adaptive Simpson exceeded its budget of {SIMPSON_BUDGET} "
+                "integrand evaluations (SIMPSON_BUDGET)"
+            )
+        return g(u)
+
+    fa, fb = counted(a), counted(b)
     m = 0.5 * (a + b)
-    fm = g(m)
+    fm = counted(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(g, a, b, fa, fm, fb, whole, eps, 50)
+    return _simpson_step(counted, a, b, fa, fm, fb, whole, eps, 50)
 
 
 def _simpson_step(g, a, b, fa, fm, fb, whole, eps, depth):

@@ -364,8 +364,9 @@ class TestCharPoly:
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(2)
-        for _ in range(40):
-            m = random_nn_matrix(rng, max_size=6)
+        mats = [random_nn_matrix(rng, max_size=6) for _ in range(40)]
+        mats += [NNMatrix(1, {}), NNMatrix(3, {}), NNMatrix.from_rows([[10**6] * 2] * 2)]
+        for m in mats:
             assert m.char_poly() == char_poly_oracle(m)
 
     def test_reciprocal_is_det_identity_minus_tm(self):
@@ -422,7 +423,7 @@ class TestPolyMatrixDet:
     def test_values_of_a_non_integer_polynomial_are_refused(self):
         # 0, 1, 1 at t = 0, 1, 2 interpolate t (3 - t) / 2
         with pytest.raises(AssertionError, match="non-integer coefficients"):
-            nnmatrix._det_poly(lambda x: [[(0, 1, 1)[x]]], 2)
+            nnmatrix._interpolate([0, 1, 1])
 
 
 # entries of degree 0-12 with large coefficients, beyond the grid's polynomials

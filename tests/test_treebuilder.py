@@ -232,13 +232,19 @@ class TestRecessivePolynomials:
             three = bordered_det_oracle(prefix, 3, reciprocal)
             assert one == two == three
 
+    # False: the integer-row recessive_poly against the oracle's polynomial
+    # matrix; True: its reversal against the rows of I - tB
+    @pytest.mark.parametrize("reciprocal", [False, True])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         prefix=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
         appended=st.integers(1, 4),
     )
-    def test_dual_is_the_bordered_determinant_of_identity_minus_tb(self, prefix, appended):
-        assert dual_recessive_poly(prefix) == bordered_det_oracle(prefix, appended, True)
+    def test_dual_is_the_bordered_determinant_of_identity_minus_tb(
+        self, reciprocal, prefix, appended
+    ):
+        poly = dual_recessive_poly if reciprocal else recessive_poly
+        assert poly(prefix) == bordered_det_oracle(prefix, appended, reciprocal)
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (3, 2), (1, 2, 1)])
     def test_mirror_identities(self, prefix):

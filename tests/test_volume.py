@@ -19,7 +19,7 @@ from pabraid import (
     volume_lower_bound,
 )
 
-from helpers import lobachevsky_by_parts, lobachevsky_by_quad, record_rungs
+from helpers import SIMPSON_BUDGET, lobachevsky_by_parts, lobachevsky_by_quad, record_rungs
 
 V3_REFERENCE = 1.0149416064
 # v3 = 3/2 Cl_2(2π/3) cut after 50 decimals (OEIS A143298)
@@ -61,6 +61,34 @@ class TestLobachevsky:
         # reduction by oddness and periodicity takes |theta| there
         by_parts = math.copysign(1.0, theta) * lobachevsky_by_parts(abs(theta) % math.pi)
         assert abs(value - by_parts) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [-0.1, math.pi, 4.0, math.nan])
+    def test_by_parts_refuses_angles_outside_zero_to_pi(self, theta):
+        with pytest.raises(ValueError, match="0 < theta < pi"):
+            lobachevsky_by_parts(theta)
+
+    def test_by_parts_ends_near_pi(self):
+        # near the pole of u cot u the evaluation budget ends the integral;
+        # in a subprocess, so that a missing budget cannot hang the suite
+        code = (
+            "import math, time\n"
+            "from helpers import lobachevsky_by_parts\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    lobachevsky_by_parts(math.pi - 1e-6)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        paths = [str(SRC.parent), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        message, elapsed = proc.stdout.splitlines()
+        assert f"budget of {SIMPSON_BUDGET} integrand evaluations" in message
+        assert float(elapsed) < 5.0
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_odd_and_pi_periodic(self, theta):
@@ -187,15 +215,15 @@ class TestFindParameters:
 
     def test_witness_cell_missing_the_enclosure_is_refused(self, monkeypatch):
         # bound and dilatation(method="both") run the same cross-check
-        exact_cell = importlib.import_module("pabraid.dilatation")._tuple_cell
+        module = importlib.import_module("pabraid.dilatation")
+        exact_cell = module._tuple_cell
 
         def shifted_cell(vals):
             cell = exact_cell(vals)
             cell.lo += 1 << 20  # about 3.7e-9 above the dilatation
             return cell
 
-        for module in ("pabraid.volume", "pabraid.dilatation"):
-            monkeypatch.setattr(importlib.import_module(module), "_tuple_cell", shifted_cell)
+        monkeypatch.setattr(module, "_tuple_cell", shifted_cell)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
             find_parameters(1.5, 3)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
