@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .intpoly import _GRID, IntPoly
+from .intpoly import _GRID, IntPoly, _integer
 from .nnmatrix import PFCertificate
 from .treebuilder import (
     BraidTuple,
@@ -405,14 +405,16 @@ def dilatation(m, method="both", tol=1e-10):
     kept as ``formula_bracket``; "matrix" takes the Perron-Frobenius
     eigenvalue of the transition matrix; "both" runs the two, certifies
     that the cell meets the matrix enclosure (``_cross_check``) and records
-    their difference.  ``tol`` is the width of the matrix route's
-    enclosure; the formula route reaches a fixed accuracy and ignores it.
+    their difference.  ``tol``, positive and finite, is the matrix route's
+    enclosure width; the formula route reaches a fixed accuracy and ignores it.
     Without a cell, method "matrix" starts Noda's iteration just above the
     float hint; the enclosure is exact on the matrix alone either way, so
     ``lambda_matrix`` lies within ``tol`` of λ.
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     m = BraidTuple(m)
     lam_formula = agreement = certificate = bracket = None
     if method == "matrix":
@@ -490,6 +492,7 @@ def monotonicity_check(m, i):
     2^-1024 raise RuntimeError.
     """
     m = BraidTuple(m)
+    i = _integer(i, "coordinate index")
     if not (1 <= i <= len(m)):
         raise ValueError(f"coordinate index {i} outside 1..{len(m)}")
     bumped = list(m.values)

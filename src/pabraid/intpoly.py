@@ -149,10 +149,9 @@ class IntPoly:
 
     def shift(self, n):
         """Multiply by t^n."""
+        n = _integer(n, "shift")
         if n < 0:
             raise ValueError("shift must be >= 0")
-        if not self.coeffs:
-            return self
         return IntPoly((0,) * n + self.coeffs)
 
     def __call__(self, x):
@@ -167,15 +166,12 @@ class IntPoly:
         The nominal degree matters: polynomials with zero constant term are
         not involutive unless d is tracked explicitly.
         """
-        d = int(nominal_degree)
+        d = _integer(nominal_degree, "nominal degree")
         if d < self.degree:
             raise ValueError(
                 f"nominal degree {d} is smaller than the actual degree {self.degree}"
             )
-        out = [0] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return IntPoly(out)
+        return IntPoly((0,) * (d - self.degree) + self.coeffs[::-1])
 
     def __str__(self):
         if not self.coeffs:
@@ -203,6 +199,8 @@ class IntPoly:
 
 def _integer(v, what="parameter"):
     """``v`` as an int; ValueError unless it is integral (3.0 is, 2.9 is not)."""
+    if type(v) is int:
+        return v
     try:
         n = int(v)
     except (TypeError, ValueError, OverflowError):

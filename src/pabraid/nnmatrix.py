@@ -5,9 +5,9 @@ exactly when the entry (i, j) is nonzero.  One breadth-first search from
 vertex 0, along the edges and against them, decides irreducibility (every
 vertex gets a depth both ways) and primitivity: in addition, the gcd over
 all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
-Characteristic polynomials are computed exactly: fraction-free Bareiss
-elimination gives det(xI - M) at the N integer nodes 0..N-1, and integer
-Newton interpolation the part below the known t^N.  The spectral radius
+Characteristic polynomials are exact: Berkowitz's division-free recurrence
+grows det(tI - A_r) over the leading blocks A_r, in integers or over any
+commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
 comes from Noda inverse iteration from the all-ones vector with an exact
 Collatz-Wielandt enclosure.  A caller's float just above the eigenvalue,
 when there is one, is the first step's shift; the enclosure is still
@@ -288,16 +288,12 @@ class NNMatrix:
         return PFCertificate(True, True, lam, lower, upper, tuple(v.tolist()), residual)
 
     def char_poly(self):
-        """Exact monic characteristic polynomial det(tI - M).
+        """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
 
-        det(xI - M) - x^N has degree below N: its fraction-free Bareiss
-        values at the N integer nodes 0..N-1 are interpolated, then t^N is
-        added back.
+        >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
+        IntPoly('t^2 - t - 1')
         """
-        n = self.size
-        base = [[-v for v in row] for row in self.to_rows()]
-        values = [_shifted_det(base, x, n) - x**n for x in range(n)]
-        return _interpolate(values) + IntPoly((0,) * n + (1,))
+        return IntPoly(_berkowitz(self.size, self.entries)[-1])
 
 
 def _bfs_depths(adj):
@@ -319,87 +315,57 @@ def _round_down(q):
     return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
 
 
-def _bareiss_det(a):
-    """Fraction-free determinant of a square integer matrix (mutates a)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        ar = a[r]
-        piv = ar[r]
-        if piv == 0:
-            for rr in range(r + 1, n):
-                if a[rr][r]:
-                    a[r], a[rr] = a[rr], a[r]
-                    sign = -sign
-                    ar = a[r]
-                    piv = ar[r]
-                    break
-            else:
-                return 0
-        for i in range(r + 1, n):
-            ai = a[i]
-            f = ai[r]
-            if f:
-                for j in range(r + 1, n):
-                    ai[j] = (piv * ai[j] - f * ar[j]) // prev
-                ai[r] = 0
-            elif piv != prev:
-                for j in range(r + 1, n):
-                    v = ai[j]
-                    if v:
-                        ai[j] = piv * v // prev
-        prev = piv
-    return sign * a[n - 1][n - 1]
+def _berkowitz(size, entries):
+    """Ascending coefficients of det(tI - A_r) for the last two leading blocks A_r.
 
-
-def _shifted_det(base, x, count):
-    """det of the integer rows ``base`` with x added to its first ``count`` diagonal entries."""
-    work = [row[:] for row in base]
-    for i in range(count):
-        work[i][i] += x
-    return _bareiss_det(work)
-
-
-def _interpolate(values):
-    """The integer polynomial p of degree < len(values) with p(x) = values[x].
-
-    Integer Newton interpolation at the nodes x = 0, 1, ...: the j-th
-    forward difference of the values, divided exactly by j!, is the
-    coefficient d_j of the Newton form d_0 + t (d_1 + (t-1) (d_2 + ...)),
-    which is expanded in integers by p <- p (t - j) + d_j from the last j
-    down.
+    ``entries`` maps 1-based ``(row, col)`` pairs to the nonzero entries of
+    A over a commutative ring (ints or IntPoly); size 0 gives [[1]].  By
+    Berkowitz's division-free recurrence (Inform. Process. Lett. 18, 1984),
+    det(tI - A_r) = (t - a) q - sum_k (R A_{r-1}^k S) [q / t^(k+1)] for
+    A_r = [[A_{r-1}, S], [R, a]] and q = det(tI - A_{r-1}), [.] dropping
+    negative powers; A_{r-1}^k S touches only nonzeros, none if R or S is 0.
     """
-    level = list(values)
-    newton = []
-    for j in range(len(values)):
-        d, rem = divmod(level[0], math.factorial(j))
-        if rem:
-            raise AssertionError("interpolation produced non-integer coefficients")
-        newton.append(d)
-        level = [b - a for a, b in zip(level, level[1:])]
-    coeffs = []
-    for j in reversed(range(len(values))):
-        coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += newton[j]
-    return IntPoly(coeffs)
+    left = [[] for _ in range(size + 1)]  # row r: (j, v) with j < r
+    cols = [[] for _ in range(size + 1)]  # column r: (i, v) with i < r, then the block's
+    for (i, j), v in entries.items():
+        if j < i:
+            left[i].append((j, v))
+        elif i < j:
+            cols[j].append((i, v))
+    last = [[1]]
+    for r in range(1, size + 1):
+        q, a = last[-1], entries.get((r, r), 0)
+        new = [c - a * d for c, d in zip([0] + q, q + [0])]
+        if left[r] and cols[r]:
+            v = [0] * r
+            for i, x in cols[r]:
+                v[i] = x
+            for k in range(r - 1):
+                g = sum(x * v[j] for j, x in left[r])
+                if g:
+                    for j in range(r - 1 - k):
+                        new[j] -= g * q[j + k + 1]
+                w = [0] * r  # A_{r-1} v
+                for j, y in enumerate(v):
+                    if y:
+                        for i, x in cols[j]:
+                            w[i] += x * y
+                v = w
+        cols[r].append((r, a))
+        for j, x in left[r]:
+            cols[j].append((r, x))
+        last = [q, new]
+    return last
 
 
 def poly_matrix_det(rows):
     """Exact determinant of a square matrix of IntPoly entries.
 
-    Works by evaluating the determinant at enough integer nodes and
-    integer Newton interpolation; the node count comes from the row-degree
-    bound on the determinant degree.
+    Berkowitz's recurrence over the IntPoly entries gives det(tI - A), whose
+    constant term is det(-A) = (-1)^n det(A); the empty matrix gives 1.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("polynomial matrix must be square")
-    if n == 0:
-        return IntPoly((1,))
-    bound = 0
-    for r in rows:
-        degs = [p.degree for p in r if not p.is_zero()]
-        if degs:
-            bound += max(degs)
-    return _interpolate([_bareiss_det([[p(x) for p in r] for r in rows]) for x in range(bound + 1)])
+    entries = {(i + 1, j + 1): p for i, r in enumerate(rows) for j, p in enumerate(r) if p}
+    return IntPoly(((-1) ** n,)) * _berkowitz(n, entries)[-1][0]

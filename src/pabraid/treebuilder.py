@@ -16,15 +16,17 @@ and columns n_i+1 .. n_{i+1}:
 The upper-left (n_i + 1)-square block is the transition matrix of the
 dominant (restricted) map, and a bordered determinant extracts the
 recessive polynomial of the family, whose reversal is the dual one; both
-are independent of any further parameters (the tests check this).
+are independent of any further parameters (the tests check this).  The
+bordered determinant is linear in its last row, the only one without t, so
+one run of the Berkowitz recurrence in ``nnmatrix`` gives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import _integer
-from .nnmatrix import NNMatrix, _interpolate, _shifted_det
+from .intpoly import IntPoly, _integer
+from .nnmatrix import NNMatrix, _berkowitz
 
 __all__ = [
     "BraidTuple",
@@ -191,15 +193,16 @@ def recessive_poly(prefix):
 
     Determinant of the bordered block: take tI - B for any extension B,
     replace row n_i + 1 by the last row, and keep the upper-left
-    (n_i + 1)-square corner.  Independent of the appended parameter.  Only
-    the first n_i diagonal entries carry t, so the degree is at most n_i:
-    the Bareiss values at the n_i + 1 integer nodes 0..n_i are interpolated.
+    (n_i + 1)-square corner.  Independent of the appended parameter.  The
+    block is tI - B' without t in its last row, for the corner B' of B with
+    that row replaced; by linearity in the last row its determinant is
+    det(tI - B') - t det(tI - B'_{n_i}), from one Berkowitz run on B'.
     """
-    vals = params(prefix, 1)
-    rows = transition_matrix(vals + (1,)).to_rows()
-    cut = block_boundaries(vals)[-1] + 1
-    base = [[-v for v in row[:cut]] for row in rows[: cut - 1] + rows[-1:]]
-    return _interpolate([_shifted_det(base, x, cut - 1) for x in range(cut)])
+    b = transition_matrix(params(prefix, 1) + (1,))
+    cut = b.size - 1  # n_i + 1; the last row is n_i + 2
+    bordered = {(min(i, cut), j): v for (i, j), v in b.entries.items() if i != cut and j <= cut}
+    corner, full = _berkowitz(cut, bordered)
+    return IntPoly(full) - IntPoly(corner).shift(1)
 
 
 def dual_recessive_poly(prefix):

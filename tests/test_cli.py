@@ -157,6 +157,10 @@ class TestBoundCommand:
         ("dilatation", "--tuple", "4,2", "--tol", "inf"),
         ("dilatation", "--tuple", "4,2", "--tol", "nan"),
         ("dilatation", "--tuple", "1,2", "--tol", "1e-16"),
+        ("dilatation", "--tuple", "4,2", "--method", "formula", "--tol", "-1"),
+        ("dilatation", "--tuple", "4,2", "--method", "formula", "--tol", "0"),
+        ("dilatation", "--tuple", "4,2", "--method", "formula", "--tol", "nan"),
+        ("dilatation", "--tuple", "4,2", "--method", "formula", "--tol", "inf"),
         ("scan", "--prefix", "4", "--m-max", "100000000000000000000000"),
         ("verify", "--max-k", "12", "--max-m", "9"),
     ],

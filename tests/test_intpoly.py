@@ -11,6 +11,7 @@ from pabraid import (
     NNMatrix,
     first_real_root_above,
     largest_real_root,
+    monotonicity_check,
     roots_outside_unit_disk,
     volume_lower_bound,
 )
@@ -70,6 +71,10 @@ class TestIntegralInput:
             pytest.param(lambda: IntPoly([1.7, 2.2]), id="coefficient"),
             pytest.param(lambda: IntPoly.parse("t") - 0.5, id="constant-operand"),
             pytest.param(lambda: volume_lower_bound(2.9), id="volume-k"),
+            pytest.param(lambda: IntPoly.parse("t").reciprocal(2.9), id="nominal-degree"),
+            pytest.param(lambda: IntPoly.parse("t").reciprocal("3"), id="nominal-degree-text"),
+            pytest.param(lambda: IntPoly.parse("t").shift(1.5), id="shift"),
+            pytest.param(lambda: monotonicity_check((4, 2), 1.5), id="coordinate-index"),
         ],
     )
     def test_non_integral_input_is_refused(self, call):
@@ -80,6 +85,10 @@ class TestIntegralInput:
         assert IntPoly([1.0, np.int64(2), True]) == IntPoly((1, 2, 1))
         assert NNMatrix(2.0, {(1, 2): 1.0}) == NNMatrix(2, {(1, 2): 1})
         assert volume_lower_bound(3.0) == volume_lower_bound(3)
+        p = IntPoly.parse("t^2 - t - 1")
+        assert p.reciprocal(3.0) == p.reciprocal(3)
+        assert p.shift(2.0) == p.shift(2)
+        assert monotonicity_check((4, 2), 2.0) == monotonicity_check((4, 2), 2)
 
 
 class TestReciprocal:

@@ -369,6 +369,18 @@ class TestCharPoly:
         for m in mats:
             assert m.char_poly() == char_poly_oracle(m)
 
+    # all-zero diagonals, where every proper leading block is singular
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40])
+    def test_cycle_and_nilpotent_shift(self, n):
+        shift = {(i, i + 1): 1 for i in range(1, n)}
+        t_n = IntPoly((0,) * n + (1,))
+        assert NNMatrix(n, shift).char_poly() == t_n
+        assert NNMatrix(n, {**shift, (n, 1): 1}).char_poly() == t_n - 1
+
+    def test_matches_the_chain_at_size_132(self):
+        values = (10,) * 12
+        assert transition_matrix(values).char_poly() == braid_char_poly(values)
+
     def test_reciprocal_is_det_identity_minus_tm(self):
         rng = random.Random(12)
         mats = [random_nn_matrix(rng, max_size=6) for _ in range(25)]
@@ -420,10 +432,8 @@ class TestPolyMatrixDet:
         with pytest.raises(ValueError):
             poly_matrix_det([[IntPoly((1,))], [IntPoly((1,)), IntPoly((1,))]])
 
-    def test_values_of_a_non_integer_polynomial_are_refused(self):
-        # 0, 1, 1 at t = 0, 1, 2 interpolate t (3 - t) / 2
-        with pytest.raises(AssertionError, match="non-integer coefficients"):
-            nnmatrix._interpolate([0, 1, 1])
+    def test_empty_matrix_has_determinant_one(self):
+        assert poly_matrix_det([]) == IntPoly((1,))
 
 
 # entries of degree 0-12 with large coefficients, beyond the grid's polynomials
