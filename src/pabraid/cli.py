@@ -12,15 +12,18 @@ import gc
 import itertools
 import json
 import sys
+from collections import deque
 
 from .dilatation import (
     ScanRow,
+    _expanded,
     braid_char_poly,
     convergence_table,
     dilatation,
     dominant_chain,
     limit_dilatation,
 )
+from .intpoly import IntPoly
 from .treebuilder import (
     BraidTuple,
     closing_sign,
@@ -197,8 +200,7 @@ def _run_verify(args):
         poly = braid_char_poly(bt)
         if matrix.char_poly() != poly:
             failures.append(f"{bt}: formula and matrix polynomials differ")
-        mirrored = poly.reciprocal(bt.size)
-        if poly != (mirrored if bt.sign > 0 else -mirrored):
+        if poly != poly.reciprocal(bt.size) * bt.sign:
             failures.append(f"{bt}: polynomial is not (anti)reciprocal")
         if not matrix.is_primitive():
             failures.append(f"{bt}: transition matrix is not primitive")
@@ -208,8 +210,7 @@ def _run_verify(args):
 
     prefixes = sorted({values[:-1] for values in tuples})
     for prefix in prefixes:
-        chain = dominant_chain(prefix)
-        dom = chain[-1]
+        dom = IntPoly(deque(_expanded(prefix), maxlen=1)[0])
         sign = closing_sign(len(prefix) + 1)
         block = dominant_matrix(prefix)
         if block.char_poly() != dom:

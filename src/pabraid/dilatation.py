@@ -1,8 +1,9 @@
 """Dilatations of the braid family, by polynomial chain and by matrix.
 
 The characteristic polynomial of a braid tuple factors through a chain of
-dominant polynomials built inductively from the first parameter; the
-dilatation is the largest real root and can be cross-checked against the
+dominant polynomials built inductively from the first parameter, expanded
+on request by folding ascending coefficient lists level by level.  The
+dilatation is its largest real root and can be cross-checked against the
 Perron-Frobenius eigenvalue of the transition matrix.  The formula route
 evaluates the chain as a 2x2 transfer recurrence and decides "is the
 dilatation below x?" and "is the limit below x?" exactly at dyadic x
@@ -16,11 +17,12 @@ recurrence on exact integers, so every answer is the exact one.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .intpoly import _GRID, IntPoly, _integer
+from .intpoly import _GRID, IntPoly, _integer, _tolerance
 from .nnmatrix import PFCertificate
 from .treebuilder import (
     BraidTuple,
@@ -63,34 +65,37 @@ def dominant_chain(prefix):
     The first element is t^(m_1+1) (t-1) - 2t; each later element i is
     t^(m_i) (t-1) P + (-1)^i 2t P* where P is the previous element and P*
     its reciprocal at its own degree.  Element i is monic of degree n_i + 1.
-    The chain is the level rule of ``_levels`` folded from P = 1.
+    The levels are folded on coefficient lists (``_expanded``).
+
+    >>> [str(p) for p in dominant_chain((1, 1))]
+    ['t^3 - t^2 - 2*t', 't^5 - 2*t^4 - 5*t^3 + 2*t']
     """
-    chain = []
-    poly = IntPoly((1,))
-    for m, s in _levels(params(prefix, 1)):
-        twist = poly.reciprocal(poly.degree).shift(1) * (2 * s)
-        poly = poly.shift(m + 1) - poly.shift(m) + twist  # t^m (t-1) P + 2s t P*
-        chain.append(poly)
-    return chain
+    return [IntPoly(p) for p in _expanded(params(prefix, 1))]
 
 
 def braid_char_poly(m):
     """Characteristic polynomial of the braid tuple, from the chain formula.
 
     Equals t^(m_last) P + sigma P* with P the dominant polynomial of the
-    prefix and sigma the tuple sign; coincides coefficientwise with
-    char_poly(transition_matrix(m)).
+    prefix and sigma the tuple sign, closed on the coefficient list of P;
+    coincides coefficientwise with char_poly(transition_matrix(m)).
     """
     m = BraidTuple(m)
-    return _close(dominant_chain(m.prefix)[-1], m.values[-1], m.sign)
+    p, last, sign = deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign
+    q = [*[sign * c for c in reversed(p)], *[0] * last]  # sigma P*, padded
+    q[last:] = [a + b for a, b in zip(q[last:], p)]  # + t^last P
+    return IntPoly(q)
 
 
-def _close(dom, last, sign):
-    # t^last P + sign P*, the characteristic polynomial on top of the prefix
-    # whose dominant polynomial is P
-    mirrored = dom.reciprocal(dom.degree)
-    poly = dom.shift(last)
-    return poly + mirrored if sign > 0 else poly - mirrored
+def _expanded(prefix):
+    # the chain levels as ascending coefficient lists, from P = [1]: 2s t P* is
+    # P reversed, scaled and padded, and t^m (t-1) P is added in one pass
+    p = [1]
+    for m, s in _levels(prefix):
+        q = [0, *[2 * s * c for c in reversed(p)], *[0] * m]
+        q[m:] = [a + b - c for a, b, c in zip(q[m:], [0, *p], [*p, 0])]
+        yield q
+        p = q
 
 
 def _levels(prefix):
@@ -413,8 +418,7 @@ def dilatation(m, method="both", tol=1e-10):
     """
     if method not in ("formula", "matrix", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, not {tol!r}")
+    _tolerance(tol)
     m = BraidTuple(m)
     lam_formula = agreement = certificate = bracket = None
     if method == "matrix":

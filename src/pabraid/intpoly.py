@@ -17,6 +17,7 @@ because the tests use them as oracles, and the benchmark tracer
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 import numpy as np
@@ -210,6 +211,11 @@ def _integer(v, what="parameter"):
     return n
 
 
+def _tolerance(tol):
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
+
+
 def _as_poly(other):
     return other if isinstance(other, IntPoly) else IntPoly((other,))
 
@@ -343,8 +349,7 @@ def roots_outside_unit_disk(f, tol=1e-10):
         f = IntPoly(f)
     if f.is_zero():
         raise ValueError("the zero polynomial has no root set")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, not {tol!r}")
+    _tolerance(tol)
     out = [complex(z) for z in _eigenvalues(f.coeffs) if abs(z) > 1.0 + tol]
     out.sort(key=lambda w: (-abs(w), -w.real, -w.imag))
     return out

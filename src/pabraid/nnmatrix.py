@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.sparse import coo_matrix, csc_matrix
 
-from .intpoly import IntPoly, _integer
+from .intpoly import IntPoly, _integer, _tolerance
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 
@@ -196,8 +196,7 @@ class NNMatrix:
         is narrower than tol, when an iterate entry underflows, or when a
         Noda solve is not positive even from the fallback shift.
         """
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, not {tol!r}")
+        _tolerance(tol)
         if not self.is_primitive():
             raise ValueError(
                 "spectral_radius requires a primitive matrix "

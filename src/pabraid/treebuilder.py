@@ -24,6 +24,7 @@ one run of the Berkowitz recurrence in ``nnmatrix`` gives it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
 from .nnmatrix import NNMatrix, _berkowitz
@@ -119,12 +120,7 @@ class BraidTuple:
 
 
 def block_boundaries(values):
-    out = []
-    total = 0
-    for j, m in enumerate(values, start=1):
-        total += m
-        out.append(total + j)
-    return tuple(out)
+    return tuple(total + j for j, total in enumerate(accumulate(values), start=1))
 
 
 # the most nonzeros of a transition matrix; building its entries takes

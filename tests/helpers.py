@@ -53,6 +53,23 @@ def record_rungs(monkeypatch):
     return rungs
 
 
+def dominant_chain_oracle(prefix):
+    """The dominant chain by ``IntPoly`` arithmetic, one polynomial per level.
+
+    Level i is P' = t^m (t-1) P + 2s t P* from P = 1, with m = m_1 + 1 on
+    the first level and m = m_i after it, s = (-1)^i, and P* the reversal
+    of P at its own degree.
+    """
+    chain = []
+    poly = IntPoly((1,))
+    for i, m in enumerate(prefix, start=1):
+        m += i == 1
+        twist = poly.reciprocal(poly.degree).shift(1) * (2 * (-1) ** i)
+        poly = poly.shift(m + 1) - poly.shift(m) + twist
+        chain.append(poly)
+    return chain
+
+
 def climb_chain(chain):
     """Largest root of the last chain polynomial, by walking up the chain.
 

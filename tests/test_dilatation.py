@@ -21,7 +21,14 @@ from pabraid import (
     transition_matrix,
 )
 
-from helpers import HARD_TUPLES, bisect_root, climb_chain, grid_tuples, record_rungs
+from helpers import (
+    HARD_TUPLES,
+    bisect_root,
+    climb_chain,
+    dominant_chain_oracle,
+    grid_tuples,
+    record_rungs,
+)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -78,6 +85,34 @@ class TestBraidCharPoly:
             assert braid_char_poly(tv) == transition_matrix(tv).char_poly()
 
 
+# tuples beyond the grid, and tuples whose matrix has N <= 150
+_LONG_TUPLES = st.lists(st.integers(1, 80), min_size=2, max_size=30).map(tuple)
+_SMALL_TUPLES = st.integers(2, 30).flatmap(
+    lambda n: st.lists(st.integers(1, min(80, 150 // n - 1)), min_size=n, max_size=n)
+).map(tuple)
+
+
+class TestExpansionOracle:
+    """The coefficient-list fold against level-by-level ``IntPoly`` arithmetic."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(values=_LONG_TUPLES)
+    @example(values=(79,) * 42)
+    @example(values=(3,) * 301)
+    def test_chain_and_char_poly_match_the_oracle(self, values):
+        chain = dominant_chain_oracle(values[:-1])
+        assert dominant_chain(values[:-1]) == chain
+        dom, sign = chain[-1], (-1) ** len(values)
+        closed = dom.shift(values[-1]) + dom.reciprocal(dom.degree) * sign
+        assert braid_char_poly(values) == closed
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(values=_SMALL_TUPLES)
+    def test_char_poly_matches_the_matrix(self, values):
+        assert sum(values) + len(values) <= 150
+        assert braid_char_poly(values) == transition_matrix(values).char_poly()
+
+
 class TestDilatation:
     def test_worked_example_bracket(self):
         report = dilatation((4, 2), method="both")
@@ -119,6 +154,12 @@ class TestDilatation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             dilatation((4, 2), method="magic")
+
+    @pytest.mark.parametrize("method", ["formula", "matrix", "both"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", None])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, method, tol):
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite, not "):
+            dilatation((4, 2), method=method, tol=tol)
 
     @pytest.mark.parametrize("method", ["formula", "matrix", "both"])
     def test_polynomial_is_expanded_only_when_read(self, monkeypatch, method):

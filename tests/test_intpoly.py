@@ -376,7 +376,7 @@ class TestRootsOutsideUnitDisk:
         with pytest.raises(ValueError):
             roots_outside_unit_disk(IntPoly())
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", None])
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             roots_outside_unit_disk(IntPoly.parse("t^2 - t - 1"), tol=tol)

@@ -239,7 +239,7 @@ class TestSpectralRadius:
         assert Fraction(nnmatrix._round_down(Fraction(1, 10))) < Fraction(1, 10)
         assert Fraction(-nnmatrix._round_down(-Fraction(2, 3))) > Fraction(2, 3)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", None])
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             FIB.spectral_radius(tol=tol)
