@@ -187,43 +187,45 @@ def _run_verify(args):
     count = k if m == 1 else (m ** (k + 2) - m * m) // (m - 1)
     if count > _MAX_ITEMS:
         raise ValueError(f"verify asks for {count} tuples; the limit is {_MAX_ITEMS}")
-    tuples = [
+    prefixes = [
         values
-        for length in range(2, args.max_k + 2)
-        for values in itertools.product(range(1, args.max_m + 1), repeat=length)
+        for length in range(1, k + 1)
+        for values in itertools.product(range(1, m + 1), repeat=length)
     ]
 
-    failures = []
-    for values in tuples:
-        bt = BraidTuple(values)
-        matrix = transition_matrix(bt)
-        poly = braid_char_poly(bt)
-        if matrix.char_poly() != poly:
-            failures.append(f"{bt}: formula and matrix polynomials differ")
-        if poly != poly.reciprocal(bt.size) * bt.sign:
-            failures.append(f"{bt}: polynomial is not (anti)reciprocal")
-        if not matrix.is_primitive():
-            failures.append(f"{bt}: transition matrix is not primitive")
-        report = validate_structure(bt)
-        if not report.ok:
-            failures.append(f"{bt}: {len(report.failures)} structure checks failed")
-
-    prefixes = sorted({values[:-1] for values in tuples})
+    # prefix by prefix, so each tuple's recurrence resumes after the memoized
+    # dominant block; in this order the tuples still come in grid order
+    failures, prefix_failures = [], {}
     for prefix in prefixes:
         dom = IntPoly(deque(_expanded(prefix), maxlen=1)[0])
         sign = closing_sign(len(prefix) + 1)
         block = dominant_matrix(prefix)
+        failed = prefix_failures[prefix] = []
         if block.char_poly() != dom:
-            failures.append(f"prefix {prefix}: dominant block has the wrong polynomial")
+            failed.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         # the dual identity follows from this one and the block's: the dual
         # recessive polynomial is this one reversed at degree block.size
         if recessive_poly(prefix) != dom.reciprocal(dom.degree) * sign:
-            failures.append(f"prefix {prefix}: recessive polynomial mismatch")
+            failed.append(f"prefix {prefix}: recessive polynomial mismatch")
         if not block.is_primitive():
-            failures.append(f"prefix {prefix}: dominant block of size {block.size} not primitive")
+            failed.append(f"prefix {prefix}: dominant block of size {block.size} not primitive")
+        for last in range(1, m + 1):
+            bt = BraidTuple(prefix + (last,))
+            matrix = transition_matrix(bt)
+            poly = braid_char_poly(bt)
+            if matrix.char_poly(_block=block) != poly:
+                failures.append(f"{bt}: formula and matrix polynomials differ")
+            if poly != poly.reciprocal(bt.size) * bt.sign:
+                failures.append(f"{bt}: polynomial is not (anti)reciprocal")
+            if not matrix.is_primitive():
+                failures.append(f"{bt}: transition matrix is not primitive")
+            report = validate_structure(bt)
+            if not report.ok:
+                failures.append(f"{bt}: {len(report.failures)} structure checks failed")
+    failures += [line for prefix in sorted(prefixes) for line in prefix_failures[prefix]]
 
     lines = [
-        f"tuples checked: {len(tuples)}",
+        f"tuples checked: {len(prefixes) * m}",
         f"prefixes checked: {len(prefixes)}",
         f"failures: {len(failures)}",
     ]

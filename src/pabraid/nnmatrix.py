@@ -61,7 +61,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("size", "entries", "_char_poly")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -80,6 +80,7 @@ class NNMatrix:
                 clean[(i, j)] = v
         self.size = size
         self.entries = clean
+        self._char_poly = None
 
     @classmethod
     def from_rows(cls, rows):
@@ -286,13 +287,24 @@ class NNMatrix:
         residual = float(abs(w - lam * v).max())
         return PFCertificate(True, True, lam, lower, upper, tuple(v.tolist()), residual)
 
-    def char_poly(self):
+    def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
+
+        Memoized.  A leading principal block B passed as ``_block`` (in
+        ``verify``, a prefix's dominant matrix) resumes the recurrence after
+        B's rows from B's own ``char_poly``, only when B's entries equal M's
+        B.size corner: a wrong ``_block`` costs time, never a wrong result.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
-        return IntPoly(_berkowitz(self.size, self.entries)[-1])
+        if self._char_poly is None:
+            n = _block.size if _block is not None and _block.size <= self.size else 0
+            start = None
+            if n and _block.entries == {ij: v for ij, v in self.entries.items() if max(ij) <= n}:
+                start = (n, list(_block.char_poly().coeffs))
+            self._char_poly = IntPoly(_berkowitz(self.size, self.entries, start)[-1])
+        return self._char_poly
 
 
 def _bfs_depths(adj):
@@ -314,7 +326,7 @@ def _round_down(q):
     return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
 
 
-def _berkowitz(size, entries):
+def _berkowitz(size, entries, start=None):
     """Ascending coefficients of det(tI - A_r) for the last two leading blocks A_r.
 
     ``entries`` maps 1-based ``(row, col)`` pairs to the nonzero entries of
@@ -323,6 +335,9 @@ def _berkowitz(size, entries):
     det(tI - A_r) = (t - a) q - sum_k (R A_{r-1}^k S) [q / t^(k+1)] for
     A_r = [[A_{r-1}, S], [R, a]] and q = det(tI - A_{r-1}), [.] dropping
     negative powers; A_{r-1}^k S touches only nonzeros, none if R or S is 0.
+
+    ``start = (r0, q)``, q = det(tI - A_r0) unchecked, resumes after row r0:
+    earlier rows only record their entries (q alone is returned if r0 = size).
     """
     left = [[] for _ in range(size + 1)]  # row r: (j, v) with j < r
     cols = [[] for _ in range(size + 1)]  # column r: (i, v) with i < r, then the block's
@@ -331,29 +346,31 @@ def _berkowitz(size, entries):
             left[i].append((j, v))
         elif i < j:
             cols[j].append((i, v))
-    last = [[1]]
+    r0, *last = start or (0, [1])  # last = [q]
     for r in range(1, size + 1):
-        q, a = last[-1], entries.get((r, r), 0)
-        new = [c - a * d for c, d in zip([0] + q, q + [0])]
-        if left[r] and cols[r]:
-            v = [0] * r
-            for i, x in cols[r]:
-                v[i] = x
-            for k in range(r - 1):
-                g = sum(x * v[j] for j, x in left[r])
-                if g:
-                    for j in range(r - 1 - k):
-                        new[j] -= g * q[j + k + 1]
-                w = [0] * r  # A_{r-1} v
-                for j, y in enumerate(v):
-                    if y:
-                        for i, x in cols[j]:
-                            w[i] += x * y
-                v = w
+        a = entries.get((r, r), 0)
+        if r > r0:
+            q = last[-1]
+            new = [c - a * d for c, d in zip([0] + q, q + [0])]
+            if left[r] and cols[r]:
+                v = [0] * r
+                for i, x in cols[r]:
+                    v[i] = x
+                for k in range(r - 1):
+                    g = sum(x * v[j] for j, x in left[r])
+                    if g:
+                        for j in range(r - 1 - k):
+                            new[j] -= g * q[j + k + 1]
+                    w = [0] * r  # A_{r-1} v
+                    for j, y in enumerate(v):
+                        if y:
+                            for i, x in cols[j]:
+                                w[i] += x * y
+                    v = w
+            last = [q, new]
         cols[r].append((r, a))
         for j, x in left[r]:
             cols[j].append((r, x))
-        last = [q, new]
     return last
 
 

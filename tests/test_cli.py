@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pabraid
+import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
 
@@ -42,6 +43,28 @@ class TestDilatationCommand:
         rc, out, _ = run(capsys, "dilatation", "--tuple", "1,1", "--method", "formula")
         assert rc == 0
         assert "lambda (formula):" in out and "lambda (matrix):" not in out
+
+    # The shortest tuple known to reach the matrix route's underflow (ROADMAP
+    # item 2): N = 1122 with 1374 nonzeros, far inside the size limit, but
+    # lambda is about 2 + 2e-15, so the Perron vector spans about 2^-N and a
+    # float eigenvector cannot hold it.  Thirteen 79s then 1 (N = 1042) still
+    # certifies.  Per-entry exponents must flip this test on purpose.
+    UNDERFLOWING = ",".join(["79"] * 14 + ["1"])
+
+    @pytest.mark.parametrize("method", ["both", "matrix"])
+    def test_matrix_route_underflow_is_one_clear_error_line(self, capsys, method):
+        rc, out, err = run(capsys, "dilatation", "--tuple", self.UNDERFLOWING, "--method", method)
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: an iterate entry fell below the smallest normal double (2.2e-308); "
+            "the float eigenvector cannot represent it\n"
+        )
+
+    def test_formula_route_certifies_the_underflowing_tuple(self, capsys):
+        argv = ("dilatation", "--tuple", self.UNDERFLOWING, "--method", "formula")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert out.endswith("\nlambda (formula): 2.0000000000000018\n")
 
 
 class TestPolynomialCommand:
@@ -196,6 +219,38 @@ class TestVerifyCommand:
         assert rc == 0
         assert "tuples checked: 4" in out
         assert "failures: 0" in out
+
+    def test_corrupted_entries_fail_loudly(self, capsys, monkeypatch):
+        # Three corruptions: one entry inside the leading 8-square block of
+        # (2,3,4) alone, so that block is no longer the dominant matrix of
+        # (2,3) and the seed must be refused; the last row of (3,1,4); and
+        # the extension by 1 of the prefix (1,2), from which its dominant
+        # block is cut.  Were a wrong block accepted as a seed, the sound
+        # tuples (1,2,2)..(1,2,4) would report differing polynomials too.
+        entries = treebuilder._entries
+
+        def corrupted(values):
+            e = entries(values)
+            if values in ((2, 3, 4), (1, 2, 1)):
+                e[(1, 2)] += 1
+            elif values == (3, 1, 4):
+                e[(treebuilder.block_boundaries(values)[-1], 1)] += 1
+            return e
+
+        monkeypatch.setattr(treebuilder, "_entries", corrupted)
+        rc, out, err = run(capsys, "verify", "--max-k", "2", "--max-m", "4")
+        assert (rc, err) == (1, "")
+        assert out == (
+            "tuples checked: 80\n"
+            "prefixes checked: 20\n"
+            "failures: 6\n"
+            "1,2,1: formula and matrix polynomials differ\n"
+            "2,3,4: formula and matrix polynomials differ\n"
+            "3,1,4: formula and matrix polynomials differ\n"
+            "3,1,4: 1 structure checks failed\n"
+            "prefix (1, 2): dominant block has the wrong polynomial\n"
+            "prefix (1, 2): recessive polynomial mismatch\n"
+        )
 
 
 class TestRepeatedCalls:

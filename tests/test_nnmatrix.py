@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import math
 import random
@@ -12,6 +13,7 @@ from pabraid import (
     NNMatrix,
     braid_char_poly,
     dilatation,
+    dominant_matrix,
     find_parameters,
     largest_real_root,
     limit_dilatation,
@@ -387,6 +389,77 @@ class TestCharPoly:
         mats.append(NNMatrix.from_rows(GOLDEN_8x8))
         for m in mats:
             assert m.char_poly().reciprocal(m.size) == det_identity_minus_tm(m)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 14))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    return NNMatrix(n, draw(st.dictionaries(cell, st.integers(1, 9), max_size=n * n)))
+
+
+@contextlib.contextmanager
+def berkowitz_starts():
+    """Records the r0 of every _berkowitz run, None for an unseeded one."""
+    starts, inner = [], nnmatrix._berkowitz
+
+    def spy(size, entries, start=None):
+        starts.append(start and start[0])
+        return inner(size, entries, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nnmatrix, "_berkowitz", spy)
+        yield starts
+
+
+_SEED_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestSeededCharPoly:
+    # char_poly(_block=B) resumes Berkowitz's recurrence after B's rows; the
+    # seed is taken only when B is M's leading corner, so it never changes
+    # the polynomial.  Each seeded call is on a fresh copy of M, because
+    # char_poly is memoized.
+
+    @_SEED_SETTINGS
+    @given(m=square_matrices())
+    def test_every_leading_block_gives_the_same_polynomial(self, m):
+        expected = m.char_poly()
+        for n in range(1, m.size + 1):
+            fresh, block = NNMatrix(m.size, m.entries), m.submatrix(n)
+            block.char_poly()
+            with berkowitz_starts() as starts:
+                assert fresh.char_poly(_block=block) == expected
+            assert starts == [n]
+
+    @_SEED_SETTINGS
+    @given(m=square_matrices(), data=st.data())
+    def test_a_block_that_is_not_the_corner_is_ignored(self, m, data):
+        expected = m.char_poly()
+        n = data.draw(st.integers(1, m.size))
+        corner = m.submatrix(n).entries
+        cell = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+        wrong = NNMatrix(n, {**corner, cell: corner.get(cell, 0) + 1})
+        larger = NNMatrix(m.size + 1, m.entries)
+        for block in (wrong, larger):
+            with berkowitz_starts() as starts:
+                assert NNMatrix(m.size, m.entries).char_poly(_block=block) == expected
+            assert starts == [None]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=10).map(tuple))
+    def test_tuple_matrix_seeded_by_its_dominant_block(self, t):
+        block = dominant_matrix(t[:-1])
+        block.char_poly()
+        with berkowitz_starts() as starts:
+            assert transition_matrix(t).char_poly(_block=block) == braid_char_poly(t)
+        assert starts == [block.size]
+
+    def test_the_polynomial_is_memoized(self):
+        m = NNMatrix.from_rows(GOLDEN_8x8)
+        with berkowitz_starts() as starts:
+            assert m.char_poly() is m.char_poly(_block=m.submatrix(6))
+        assert starts == [None]
 
 
 class TestSubinvariance:
