@@ -35,10 +35,11 @@ from .treebuilder import (
 )
 from .volume import find_parameters, volume_lower_bound
 
-# The import-time heap (numpy and scipy.sparse, about 42k objects) lives as
-# long as the process.  Frozen, no collection scans it again; otherwise the
-# first full collection, 26-32 ms on 2 vCPUs, falls inside the first command,
-# which in a `bound --lambda 1.1 --volume 20` run nearly doubles its time.
+# The import-time heap (mostly numpy, about 22k objects) lives as long as the
+# process.  Frozen, no collection scans it again; otherwise the first full
+# collection, 10-15 ms on 2 vCPUs, falls inside the first command: a fresh
+# `bound --lambda 1.1 --volume 20` took 36 ms with the freeze and 45 ms
+# without it (medians of 9).
 gc.freeze()
 
 # the most rows of a scan or tuples of a verify grid, each built whole

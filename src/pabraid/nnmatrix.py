@@ -11,7 +11,11 @@ commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
 comes from Noda inverse iteration from the all-ones vector with an exact
 Collatz-Wielandt enclosure.  A caller's float just above the eigenvalue,
 when there is one, is the first step's shift; the enclosure is still
-evaluated on the matrix alone.
+evaluated on the matrix alone.  Each Noda step solves by elimination over
+the same breadth-first depths: the heads of the edges that do not increase
+depth (the hubs) meet every cycle, the other vertices are eliminated in
+order of depth without subtraction, and only the dense hub system, at most
+``_MAX_HUBS`` vertices, is solved by LU.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.sparse import coo_matrix, csc_matrix
 
 from .intpoly import IntPoly, _integer, _tolerance
 
@@ -33,6 +35,12 @@ _SMALLEST_NORMAL = 2.0**-1022
 # relative gap between a caller's float just above lambda and the first Noda
 # shift: it covers that float's rounding
 _SEED_MARGIN = 1e-13
+# the most hubs of a spectral_radius elimination, whose dense hub system
+# takes 8 bytes per hub squared.  A tuple of k + 1 parameters gives 2(k + 1)
+# hubs, in its transition matrix and in its dominant block; under
+# treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with N >= 2(k + 1),
+# k + 1 is at most 998
+_MAX_HUBS = 2000
 
 
 @dataclass(frozen=True)
@@ -158,13 +166,17 @@ class NNMatrix:
 
     def is_primitive(self):
         """True iff irreducible with cycle-length gcd (the period) 1."""
+        return self._primitive_depths() is not None
+
+    def _primitive_depths(self):
+        """The depths of ``_depths`` if the matrix is primitive, else None."""
         depth = self._depths()
         if depth is None:
-            return False
+            return None
         g = 0
         for i, j in self.entries:
             g = math.gcd(g, depth[j - 1] + 1 - depth[i - 1])
-        return g == 1
+        return depth if g == 1 else None
 
     # -- numerics ----------------------------------------------------------
 
@@ -177,49 +189,49 @@ class NNMatrix:
         positive and converges quadratically once sigma is near lambda.  The
         rescaling keeps tiny eigenvector entries relatively accurate.
 
+        Each solve is an elimination over the breadth-first depths that
+        primitivity is decided from (see ``_hub_solve``): the heads of the
+        edges that do not increase depth, the hubs, meet every cycle, so the
+        rest is acyclic and is eliminated in order of depth without
+        subtraction.  Only the dense hub system, at most ``_MAX_HUBS``
+        vertices (2(k + 1) for a tuple of k + 1 parameters), is solved by
+        LU; a matrix with more hubs raises ValueError before any step.
+
         The iteration starts from the all-ones vector.  A caller that holds a
         float just above lambda (the formula route's cell, or its float hint)
         passes it as the private ``_above``, and the first step tries the
         shift x = _above*(1 + 1e-13) before sigma: for x > lambda, xI - M is
         a nonsingular M-matrix and (xI - M)y = 1 has a positive solution.
-        When the float y is not positive or cannot be factorized, that costs
-        one factorization and the step goes on with sigma, exactly as
-        without ``_above``.
+        When the float y is not positive or the hub system is singular, that
+        costs one solve and the step goes on with sigma, exactly as without
+        ``_above``.
 
         The enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is
         evaluated exactly on the float vector and the matrix alone, then
         rounded outward to ``lower`` and ``upper``, with
         ``upper - lower <= tol``; ``eigenvalue`` is their midpoint.  A wrong
-        ``_above`` thus costs steps, never a false enclosure.  The
-        eigenvector is normalized to max entry 1.
+        ``_above`` or a bad solve thus costs steps, never a false enclosure.
+        The eigenvector is normalized to max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
         Noda solve is not positive even from the fallback shift.
         """
         _tolerance(tol)
-        if not self.is_primitive():
+        depth = self._primitive_depths()
+        if depth is None:
             raise ValueError(
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        splu = scipy.sparse.linalg.splu  # looked up per call, so it can be wrapped
         n = self.size
-        # M on a column-major pattern that holds the whole diagonal, so each
-        # sigma*I - D^-1 M D is a new data array on a fixed structure
         ij = np.array(list(self.entries)) - 1
+        rows, cols = ij[:, 0], ij[:, 1]
         vals = np.array(list(self.entries.values()), dtype=float)
-        diag = np.arange(n)
-        a = coo_matrix(
-            (np.r_[vals, np.zeros(n)], (np.r_[ij[:, 0], diag], np.r_[ij[:, 1], diag])),
-            shape=(n, n),
-        ).tocsc()
-        rows, indptr, vals = a.indices, a.indptr, a.data
-        cols = np.repeat(diag, np.diff(indptr))
-        diagonal = rows == cols
+        program = _HubProgram(n, rows, cols, depth)
 
         v = np.ones(n)
-        w = a @ v
+        w = np.bincount(rows, vals, minlength=n)
         for step in range(_NODA_STEPS):
             ratios = w / v
             lo, sigma = float(ratios.min()), float(ratios.max())
@@ -228,22 +240,17 @@ class NNMatrix:
                 if cert is not None:
                     return cert
             scaled = vals * v[cols] / v[rows]
-            # Noda's shift sigma first.  The solve fails (singular factor) or
-            # loses positivity when sigma is far closer to lambda than v is to
-            # the eigenvector; the step is then retried from above sigma by the
-            # current enclosure width.
+            # Noda's shift sigma first.  The solve fails (singular hub system)
+            # or loses positivity when sigma is far closer to lambda than v is
+            # to the eigenvector; the step is then retried from above sigma by
+            # the current enclosure width.
             shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
-            if step == 0 and _above is not None and math.isfinite(_above):
+            if step == 0 and _above is not None and 0 < _above < math.inf:
                 shifts = (_above * (1 + _SEED_MARGIN), *shifts)
             for shift in shifts:
-                # y with (shift*I - D^-1 M D) y = 1.  The factor is freed
-                # before the next is built: two alive at once fragment the
-                # heap, +8 MB peak RSS at N=3360.
-                data = -scaled
-                data[diagonal] += shift
                 try:
-                    y = splu(csc_matrix((data, rows, indptr), shape=(n, n))).solve(np.ones(n))
-                except RuntimeError:  # shift equals lambda to double precision
+                    y = _hub_solve(program, scaled, shift)
+                except np.linalg.LinAlgError:  # shift equals lambda to double precision
                     continue
                 if np.all(y > 0):
                     break
@@ -256,7 +263,7 @@ class NNMatrix:
                     "an iterate entry fell below the smallest normal double "
                     f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
                 )
-            w = a @ v
+            w = np.bincount(rows, vals * v[cols], minlength=n)
         raise RuntimeError(
             f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
         )
@@ -305,6 +312,135 @@ class NNMatrix:
                 start = (n, list(_block.char_poly().coeffs))
             self._char_poly = IntPoly(_berkowitz(self.size, self.entries, start)[-1])
         return self._char_poly
+
+
+class _HubProgram:
+    """The fixed structure of the solves (xI - S)y = 1 on one sparsity pattern.
+
+    S has the pattern of the entries ``(rows, cols)`` (0-based), and
+    ``depth`` holds breadth-first depths from vertex 0 along the edges
+    j -> i of the entries (i, j).  Along a cycle the depth fails to increase
+    somewhere, so the heads of the edges that do not increase it, the hubs,
+    meet every cycle.  Every other vertex r, the rest, has all its in-edges
+    from depth depth(r) - 1 and no self-loop, so in order of depth
+    y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative multiples of 1 and
+    of hub values: its form c_r + mu_r * sum_h b_h y_h.  A vertex whose one
+    entry is another vertex of the rest (a link of a chain) takes the b of
+    that vertex's owner and only scales them by its multiplier mu_r; every
+    other vertex owns its b, with mu_r = 1.
+
+    A solve fills one flat list f: f[0] = 1, then S_e/x for the rest's
+    entries e, then each c_r (from 1/x), then multipliers and b (from 0).
+    ``ops`` holds triples (d, a, b) for f[d] += f[a] * f[b], one per term of
+    a form, in order of depth; the hub rows' entries, direct and through the
+    forms, then scatter into the |H| x (|H| + 1) system [C | c] with
+    (xI - C) y_H = 1 + c.
+    """
+
+    def __init__(self, n, rows, cols, depth):
+        dep = np.array(depth)
+        hub = np.zeros(n, dtype=bool)
+        hub[rows[dep[rows] <= dep[cols]]] = True
+        self.size, self.hubs = n, np.flatnonzero(hub)
+        nh = len(self.hubs)
+        if nh > _MAX_HUBS:
+            raise ValueError(
+                f"the Perron-Frobenius solve would eliminate to {nh} hub "
+                f"vertices; the limit is {_MAX_HUBS}"
+            )
+        rest = np.flatnonzero(~hub)
+        self.rest = rest = rest[np.argsort(dep[rest], kind="stable")]
+        # a vertex's place among the hubs, or in the order of the rest
+        place = np.zeros(n, dtype=np.intp)
+        place[self.hubs] = np.arange(nh)
+        place[rest] = np.arange(len(rest))
+        # the rest's entries, row by row in that order
+        tail = np.flatnonzero(~hub[rows])
+        self.tail = tail = tail[np.argsort(place[rows[tail]], kind="stable")]
+        ends = np.cumsum(np.bincount(place[rows[tail]], minlength=len(rest))).tolist()
+        kinds, heads = hub[cols[tail]].tolist(), place[cols[tail]].tolist()
+        self.first = first = 1 + len(tail)  # the slot of c_r for the first r
+        slots = first + len(rest)
+        mus, owner_of, owners, ops = [], [], [], []
+        start = 0
+        for k, end in enumerate(ends):
+            c, coeffs = first + k, {}
+            link = end - start == 1 and not kinds[start]
+            for t in range(start, end):
+                j = heads[t]
+                if kinds[t]:  # b_j += S_e/x
+                    adds = [(j, t + 1, 0)]
+                else:  # c_r += (S_e/x) c_j, and (S_e/x) mu_j times the b of j's owner
+                    ops += ((c, t + 1, first + j), (slots, t + 1, mus[j]))
+                    mu, slots = slots, slots + 1
+                    if link:
+                        break
+                    adds = [(h, mu, b) for h, b in owners[owner_of[j]].items()]
+                for h, a, b in adds:
+                    if h not in coeffs:
+                        coeffs[h], slots = slots, slots + 1
+                    ops.append((coeffs[h], a, b))
+            if link:
+                mus.append(mu)
+                owner_of.append(owner_of[j])
+            else:
+                mus.append(0)  # f[0] = 1
+                owner_of.append(len(owners))
+                owners.append(coeffs)
+            start = end
+        self.ops, self.slots = ops, slots
+        self.mus, self.owner_of = np.array(mus, dtype=np.intp), np.array(owner_of, dtype=np.intp)
+        owned = [x for o, coeffs in enumerate(owners) for h, b in coeffs.items() for x in (o, b, h)]
+        self.owned = np.array(owned, dtype=np.intp).reshape(-1, 3).T
+        self.owners = len(owners)
+        # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
+        # among hubs, S_e * f[a] * f[b] for a term through a form
+        width = nh + 1
+        self.direct = np.flatnonzero(hub[rows] & hub[cols])
+        cells = (place[rows[self.direct]] * width + place[cols[self.direct]]).tolist()
+        terms, factors = [], []
+        for e in np.flatnonzero(hub[rows] & ~hub[cols]).tolist():
+            k, base = int(place[cols[e]]), int(place[rows[e]]) * width
+            cells.append(base + nh)
+            terms.append(e)
+            factors += (first + k, 0)
+            for h, b in owners[owner_of[k]].items():
+                cells.append(base + h)
+                terms.append(e)
+                factors += (mus[k], b)
+        self.cells, self.terms = np.array(cells, dtype=np.intp), np.array(terms, dtype=np.intp)
+        self.factors = np.array(factors, dtype=np.intp).reshape(-1, 2).T
+
+
+def _hub_solve(program, scaled, x):
+    """y with (xI - S)y = 1, for S with the entries ``scaled`` on ``program``'s pattern.
+
+    Every form of the rest is a sum of non-negative terms for x > 0; only
+    the dense hub system (xI - C) y_H = 1 + c, by LU with partial pivoting,
+    subtracts.  Raises numpy.linalg.LinAlgError when that system is
+    singular.  The rest then follows from y_H by its forms, so y is
+    positive wherever y_H is.
+    """
+    f = [1.0]
+    f += (scaled[program.tail] / x).tolist()
+    f += [1 / x] * len(program.rest)
+    f += [0.0] * (program.slots - len(f))
+    for d, a, b in program.ops:
+        f[d] += f[a] * f[b]
+    f = np.array(f)
+    nh = len(program.hubs)
+    a, b = program.factors
+    weights = np.concatenate((scaled[program.direct], scaled[program.terms] * f[a] * f[b]))
+    system = np.bincount(program.cells, weights, minlength=nh * (nh + 1)).reshape(nh, nh + 1)
+    lhs = -system[:, :nh]
+    lhs.flat[:: nh + 1] += x
+    y = np.empty(program.size)
+    y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 + system[:, nh])
+    owner, b, h = program.owned
+    sums = np.bincount(owner, f[b] * y_hub[h], minlength=program.owners)
+    rest = slice(program.first, program.first + len(program.rest))
+    y[program.rest] = f[rest] + f[program.mus] * sums[program.owner_of]
+    return y
 
 
 def _bfs_depths(adj):

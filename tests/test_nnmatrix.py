@@ -1,9 +1,14 @@
 import contextlib
 import importlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,23 +91,21 @@ def assert_certified(cert, poly, tol):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    # a spy on splu where spectral_radius imports it: one entry per
-    # factorization, False where the factor was singular
-    import scipy.sparse.linalg
-
+    # a spy on the solve that spectral_radius looks up in its module: one
+    # entry per LU of a hub system, False where that system was singular
     calls = []
-    splu = scipy.sparse.linalg.splu
+    solve = nnmatrix._hub_solve
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         try:
-            lu = splu(*args, **kwargs)
-        except RuntimeError:
+            y = solve(*args)
+        except np.linalg.LinAlgError:
             calls.append(False)
             raise
         calls.append(True)
-        return lu
+        return y
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    monkeypatch.setattr(nnmatrix, "_hub_solve", spy)
     return calls
 
 
@@ -222,15 +225,14 @@ class TestSpectralRadius:
 
     def test_retries_a_shift_that_loses_positivity(self):
         # from the all-ones vector, the seventh shift sigma is within 1e-10 of
-        # lambda while other quotients lag, and its solve returns negative
-        # entries
+        # lambda while other quotients lag
         values = (14, 1, 17)
         cert = transition_matrix(values).spectral_radius()
         assert_certified(cert, braid_char_poly(values), 1e-10)
 
     def test_retries_an_exactly_singular_shift(self, factorizations):
         # from the all-ones vector, the seventh shift sigma equals lambda in
-        # double precision and its factor is singular
+        # double precision and its hub system is singular
         values = (35, 1)
         cert = transition_matrix(values).spectral_radius()
         assert_certified(cert, braid_char_poly(values), 1e-10)
@@ -305,7 +307,7 @@ class TestSeededStart:
         assert 1 <= len(factorizations) <= 3
 
     @pytest.mark.parametrize(
-        "source", [FIB, (19, 40, 2, 27, 2, 28, 34, 7, 23)], ids=["FIB", "(19,40,...,23)"]
+        "source", [FIB, (12, 17, 36, 14, 9, 3, 26, 36, 1)], ids=["FIB", "(12,17,...,1)"]
     )
     def test_a_failed_seed_costs_one_factorization(self, factorizations, source):
         # FIB is seeded at 1.0, below lambda, where the solve cannot be
@@ -346,6 +348,101 @@ class TestCertificateProperties:
             dilatation(values, tol=tol).certificate,
         ):
             assert_certified(cert, braid_char_poly(values), tol)
+
+
+def hub_program(m):
+    """The elimination's structure for m, built as spectral_radius builds it."""
+    ij = np.array(list(m.entries)) - 1
+    return nnmatrix._HubProgram(m.size, ij[:, 0], ij[:, 1], m._primitive_depths())
+
+
+def corpus_matrices():
+    """The matrices the benchmark's corpora solve, drawn as bench/workloads.py draws them."""
+    rng = random.Random(1)
+    tuples = [(79,) * 42]
+    for _ in range(200):  # tuple-sweep
+        tuples.append(tuple(rng.randint(1, 40) for _ in range(rng.randint(2, 12))))
+    rng = random.Random(1)
+    prefixes = []
+    for _ in range(12):  # limit-scan: each prefix's block, and its scan's last tuple
+        prefixes.append(tuple(rng.randint(1, 10) for _ in range(rng.randint(1, 6))))
+    tuples += [prefix + (40,) for prefix in prefixes]
+    return [transition_matrix(t) for t in tuples] + [dominant_matrix(p) for p in prefixes]
+
+
+def assert_solve_matches_splu(m):
+    """At x = 1.5 lambda and lambda (1 + 1e-6) the elimination is positive and equals splu.
+
+    S = D^-1 M D at D = diag of the Perron vector, the matrix Noda's last
+    steps solve with, and at D = I, the first step's, where the system is
+    well conditioned only far above lambda.
+    """
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
+    cert = m.spectral_radius()
+    lam = cert.eigenvalue
+    program = hub_program(m)
+    ij = np.array(list(m.entries)) - 1
+    rows, cols = ij[:, 0], ij[:, 1]
+    vals = np.array(list(m.entries.values()), dtype=float)
+    perron = np.array(cert.right_eigenvector)
+    cases = [(perron, 1.5 * lam), (perron, lam * (1 + 1e-6)), (np.ones(m.size), 1.5 * lam)]
+    for v, x in cases:
+        scaled = vals * v[cols] / v[rows]
+        y = nnmatrix._hub_solve(program, scaled, x)
+        a = x * identity(m.size, format="csc") - csc_matrix((scaled, (rows, cols)), shape=(m.size,) * 2)
+        oracle = splu(a.tocsc()).solve(np.ones(m.size))
+        assert np.all(y > 0)
+        assert np.max(np.abs(y - oracle) / oracle) <= 1e-8
+
+
+class TestHubSolve:
+    # the elimination against scipy's sparse LU, which the tests keep as the
+    # oracle only
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rng=st.randoms(use_true_random=False), size=st.integers(1, 30))
+    def test_random_primitive_matrix_matches_splu(self, rng, size):
+        assert_solve_matches_splu(random_primitive_matrix(rng, max_size=size, max_entry=5))
+
+    def test_corpus_matrices_match_splu(self):
+        for m in corpus_matrices():
+            assert_solve_matches_splu(m)
+
+    def test_a_tuple_of_k_plus_1_parameters_has_2k_plus_2_hubs(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            prefix = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 12)))
+            assert len(hub_program(dominant_matrix(prefix)).hubs) == 2 * len(prefix) + 1
+            values = prefix + (rng.randint(1, 6),)
+            assert len(hub_program(transition_matrix(values)).hubs) == 2 * len(values)
+
+    def test_the_hub_cap_admits_every_matrix_the_tuples_build(self):
+        # the most parameters k + 1 under the nonzero limit, at N = 2(k + 1)
+        # (every parameter 1), is also the most hubs, 2(k + 1)
+        limit = importlib.import_module("pabraid.treebuilder")._MAX_NONZEROS
+        k = max(k for k in range(2000) if 2 * (k + 1) + k * k + 4 * k <= limit)
+        assert 2 * (k + 1) <= nnmatrix._MAX_HUBS
+        values = (1,) * 40
+        assert len(hub_program(transition_matrix(values)).hubs) == transition_matrix(values).size
+
+    def test_more_hubs_than_the_cap_is_one_error_line(self):
+        # a self-loop makes every vertex a hub
+        n = nnmatrix._MAX_HUBS + 1
+        m = NNMatrix(n, {**{(i, i): 1 for i in range(1, n + 1)}, **{(i % n + 1, i): 1 for i in range(1, n + 1)}})
+        with pytest.raises(ValueError, match=rf"^the Perron-Frobenius solve would eliminate to {n} hub vertices; the limit is {n - 1}$"):
+            m.spectral_radius()
+
+    def test_no_scipy_at_run_time(self):
+        src = Path(nnmatrix.__file__).parent
+        assert [p.name for p in src.glob("*.py") if "scipy" in p.read_text()] == []
+        code = "import sys, pabraid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = dict(os.environ, PYTHONPATH=str(src.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 class TestCharPoly:
