@@ -20,6 +20,7 @@ order of depth without subtraction, and only the dense hub system, at most
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,9 +226,10 @@ class NNMatrix:
                 "(the Perron-Frobenius certificate is only defined there)"
             )
         n = self.size
-        ij = np.array(list(self.entries)) - 1
-        rows, cols = ij[:, 0], ij[:, 1]
-        vals = np.array(list(self.entries.values()), dtype=float)
+        nnz = len(self.entries)
+        ij = np.fromiter(itertools.chain.from_iterable(self.entries), np.intp, 2 * nnz)
+        rows, cols = ij[0::2] - 1, ij[1::2] - 1
+        vals = np.fromiter(self.entries.values(), float, nnz)
         program = _HubProgram(n, rows, cols, depth)
 
         v = np.ones(n)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_matrix, identity
+from scipy.sparse.linalg import splu
 
 import pabraid.nnmatrix as nnmatrix
 from pabraid import (
@@ -377,9 +379,6 @@ def assert_solve_matches_splu(m):
     steps solve with, and at D = I, the first step's, where the system is
     well conditioned only far above lambda.
     """
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.linalg import splu
-
     cert = m.spectral_radius()
     lam = cert.eigenvalue
     program = hub_program(m)
@@ -391,7 +390,7 @@ def assert_solve_matches_splu(m):
     for v, x in cases:
         scaled = vals * v[cols] / v[rows]
         y = nnmatrix._hub_solve(program, scaled, x)
-        a = x * identity(m.size, format="csc") - csc_matrix((scaled, (rows, cols)), shape=(m.size,) * 2)
+        a = x * identity(m.size, format="csc") - csc_matrix((scaled, (rows, cols)), (m.size,) * 2)
         oracle = splu(a.tocsc()).solve(np.ones(m.size))
         assert np.all(y > 0)
         assert np.max(np.abs(y - oracle) / oracle) <= 1e-8
@@ -424,20 +423,27 @@ class TestHubSolve:
         limit = importlib.import_module("pabraid.treebuilder")._MAX_NONZEROS
         k = max(k for k in range(2000) if 2 * (k + 1) + k * k + 4 * k <= limit)
         assert 2 * (k + 1) <= nnmatrix._MAX_HUBS
-        values = (1,) * 40
-        assert len(hub_program(transition_matrix(values)).hubs) == transition_matrix(values).size
+        m = transition_matrix((1,) * 40)
+        assert len(hub_program(m).hubs) == m.size
 
     def test_more_hubs_than_the_cap_is_one_error_line(self):
-        # a self-loop makes every vertex a hub
-        n = nnmatrix._MAX_HUBS + 1
-        m = NNMatrix(n, {**{(i, i): 1 for i in range(1, n + 1)}, **{(i % n + 1, i): 1 for i in range(1, n + 1)}})
-        with pytest.raises(ValueError, match=rf"^the Perron-Frobenius solve would eliminate to {n} hub vertices; the limit is {n - 1}$"):
-            m.spectral_radius()
+        # a cycle with a self-loop at every vertex: every vertex is a hub, and
+        # the all-ones vector is the Perron vector, so no step solves
+        def cycle(n):
+            entries = {(i, i): 1 for i in range(1, n + 1)}
+            entries.update({(i % n + 1, i): 1 for i in range(1, n + 1)})
+            return NNMatrix(n, entries)
+
+        cap = nnmatrix._MAX_HUBS
+        assert cycle(cap).spectral_radius().eigenvalue == 2.0
+        message = f"^the Perron-Frobenius solve would eliminate to {cap + 1} hub vertices; "
+        with pytest.raises(ValueError, match=message + f"the limit is {cap}$"):
+            cycle(cap + 1).spectral_radius()
 
     def test_no_scipy_at_run_time(self):
         src = Path(nnmatrix.__file__).parent
         assert [p.name for p in src.glob("*.py") if "scipy" in p.read_text()] == []
-        code = "import sys, pabraid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        code = "import sys, pabraid.cli; print([m for m in sys.modules if m.startswith('scipy')])"
         env = dict(os.environ, PYTHONPATH=str(src.parent))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
