@@ -359,42 +359,60 @@ class _HubProgram:
         # the rest's entries, row by row in that order
         tail = np.flatnonzero(~hub[rows])
         self.tail = tail = tail[np.argsort(place[rows[tail]], kind="stable")]
-        ends = np.cumsum(np.bincount(place[rows[tail]], minlength=len(rest))).tolist()
-        kinds, heads = hub[cols[tail]].tolist(), place[cols[tail]].tolist()
+        nr = len(rest)
+        counts = np.bincount(place[rows[tail]], minlength=nr)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        kinds, heads = hub[cols[tail]], place[cols[tail]]
         self.first = first = 1 + len(tail)  # the slot of c_r for the first r
-        slots = first + len(rest)
-        mus, owner_of, owners, ops = [], [], [], []
-        start = 0
-        for k, end in enumerate(ends):
+        # links, each with a multiplier slot of its own; the others own their
+        # b, with mu_r = f[0] = 1
+        link = (counts == 1) & ~kinds[starts]
+        links = np.flatnonzero(link)
+        pred = np.where(link, heads[starts], np.arange(nr))
+        mus = np.zeros(nr, dtype=np.intp)
+        mus[links] = first + nr + np.arange(len(links))
+        slots = first + nr + len(links)
+        root = pred  # each vertex's owner, by following links back
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        # a link's terms: c_r += (S_e/x) c_j and mu_r += (S_e/x) mu_j
+        at = starts[links] + 1
+        ops = [
+            (links, first + links, at, first + pred[links]),
+            (links, mus[links], at, mus[pred[links]]),
+        ]
+        # an owner's terms, in order: b_h += S_e/x for an entry of a hub;
+        # c_r += (S_e/x) c_j, then (S_e/x) mu_j times the b of j's owner, for
+        # an entry of the rest
+        starts, ends, kinds, heads = starts.tolist(), ends.tolist(), kinds.tolist(), heads.tolist()
+        mu_of, root_of = mus.tolist(), root.tolist()
+        owners, terms = {}, []
+        for k in np.flatnonzero(~link).tolist():
             c, coeffs = first + k, {}
-            link = end - start == 1 and not kinds[start]
-            for t in range(start, end):
+            for t in range(starts[k], ends[k]):
                 j = heads[t]
-                if kinds[t]:  # b_j += S_e/x
+                if kinds[t]:
                     adds = [(j, t + 1, 0)]
-                else:  # c_r += (S_e/x) c_j, and (S_e/x) mu_j times the b of j's owner
-                    ops += ((c, t + 1, first + j), (slots, t + 1, mus[j]))
-                    mu, slots = slots, slots + 1
-                    if link:
-                        break
-                    adds = [(h, mu, b) for h, b in owners[owner_of[j]].items()]
+                else:
+                    terms += ((k, c, t + 1, first + j), (k, slots, t + 1, mu_of[j]))
+                    adds = [(h, slots, b) for h, b in owners[root_of[j]].items()]
+                    slots += 1
                 for h, a, b in adds:
                     if h not in coeffs:
                         coeffs[h], slots = slots, slots + 1
-                    ops.append((coeffs[h], a, b))
-            if link:
-                mus.append(mu)
-                owner_of.append(owner_of[j])
-            else:
-                mus.append(0)  # f[0] = 1
-                owner_of.append(len(owners))
-                owners.append(coeffs)
-            start = end
-        self.ops, self.slots = ops, slots
-        self.mus, self.owner_of = np.array(mus, dtype=np.intp), np.array(owner_of, dtype=np.intp)
-        owned = [x for o, coeffs in enumerate(owners) for h, b in coeffs.items() for x in (o, b, h)]
+                    terms.append((k, coeffs[h], a, b))
+            owners[k] = coeffs
+        ops.append(np.array(terms, dtype=np.intp).reshape(-1, 4).T)
+        rank, d, a, b = (np.concatenate(part) for part in zip(*ops))
+        order = np.argsort(rank, kind="stable")
+        self.ops = (d[order].tolist(), a[order].tolist(), b[order].tolist())
+        self.slots, self.mus = slots, mus
+        index = np.zeros(nr, dtype=np.intp)
+        index[list(owners)] = np.arange(len(owners))
+        self.owner_of, self.owners = index[root], len(owners)
+        owned = [x for o, coeffs in enumerate(owners.values()) for h, b in coeffs.items() for x in (o, b, h)]
         self.owned = np.array(owned, dtype=np.intp).reshape(-1, 3).T
-        self.owners = len(owners)
         # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
         # among hubs, S_e * f[a] * f[b] for a term through a form
         width = nh + 1
@@ -406,10 +424,10 @@ class _HubProgram:
             cells.append(base + nh)
             terms.append(e)
             factors += (first + k, 0)
-            for h, b in owners[owner_of[k]].items():
+            for h, b in owners[root_of[k]].items():
                 cells.append(base + h)
                 terms.append(e)
-                factors += (mus[k], b)
+                factors += (mu_of[k], b)
         self.cells, self.terms = np.array(cells, dtype=np.intp), np.array(terms, dtype=np.intp)
         self.factors = np.array(factors, dtype=np.intp).reshape(-1, 2).T
 
@@ -427,7 +445,7 @@ def _hub_solve(program, scaled, x):
     f += (scaled[program.tail] / x).tolist()
     f += [1 / x] * len(program.rest)
     f += [0.0] * (program.slots - len(f))
-    for d, a, b in program.ops:
+    for d, a, b in zip(*program.ops):
         f[d] += f[a] * f[b]
     f = np.array(f)
     nh = len(program.hubs)
