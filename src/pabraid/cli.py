@@ -11,6 +11,9 @@ import functools
 import gc
 import itertools
 import json
+# argparse's messages go through gettext, whose first lookup imports locale:
+# imported here, that is start-up work, not part of the first command
+import locale  # noqa: F401
 import sys
 from collections import deque
 

@@ -333,9 +333,9 @@ class _HubProgram:
 
     A solve fills one flat list f: f[0] = 1, then S_e/x for the rest's
     entries e, then each c_r (from 1/x), then multipliers and b (from 0).
-    ``ops`` holds triples (d, a, b) for f[d] += f[a] * f[b], one per term of
-    a form, in order of depth; the hub rows' entries, direct and through the
-    forms, then scatter into the |H| x (|H| + 1) system [C | c] with
+    ``ops`` lists (d, a, b) for f[d] += f[a] * f[b], one per term of a form,
+    in order of depth; the hub rows' entries, direct and through the forms,
+    then scatter into the |H| x (|H| + 1) system [C | c] with
     (xI - C) y_H = 1 + c.
     """
 
@@ -411,7 +411,7 @@ class _HubProgram:
         index = np.zeros(nr, dtype=np.intp)
         index[list(owners)] = np.arange(len(owners))
         self.owner_of, self.owners = index[root], len(owners)
-        owned = [x for o, coeffs in enumerate(owners.values()) for h, b in coeffs.items() for x in (o, b, h)]
+        owned = [(o, b, h) for o, coeffs in enumerate(owners.values()) for h, b in coeffs.items()]
         self.owned = np.array(owned, dtype=np.intp).reshape(-1, 3).T
         # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
         # among hubs, S_e * f[a] * f[b] for a term through a form
@@ -451,11 +451,11 @@ def _hub_solve(program, scaled, x):
     nh = len(program.hubs)
     a, b = program.factors
     weights = np.concatenate((scaled[program.direct], scaled[program.terms] * f[a] * f[b]))
-    system = np.bincount(program.cells, weights, minlength=nh * (nh + 1)).reshape(nh, nh + 1)
-    lhs = -system[:, :nh]
+    system = np.bincount(program.cells, -weights, minlength=nh * (nh + 1)).reshape(nh, nh + 1)
+    lhs = system[:, :nh]  # -C, then xI - C
     lhs.flat[:: nh + 1] += x
     y = np.empty(program.size)
-    y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 + system[:, nh])
+    y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 - system[:, nh])
     owner, b, h = program.owned
     sums = np.bincount(owner, f[b] * y_hub[h], minlength=program.owners)
     rest = slice(program.first, program.first + len(program.rest))
