@@ -190,13 +190,11 @@ class NNMatrix:
         positive and converges quadratically once sigma is near lambda.  The
         rescaling keeps tiny eigenvector entries relatively accurate.
 
-        Each solve is an elimination over the breadth-first depths that
-        primitivity is decided from (see ``_hub_solve``): the heads of the
-        edges that do not increase depth, the hubs, meet every cycle, so the
-        rest is acyclic and is eliminated in order of depth without
-        subtraction.  Only the dense hub system, at most ``_MAX_HUBS``
-        vertices (2(k + 1) for a tuple of k + 1 parameters), is solved by
-        LU; a matrix with more hubs raises ValueError before any step.
+        Each solve eliminates, without subtraction, every vertex off the hubs
+        that the breadth-first depths of the primitivity test give
+        (``_HubProgram``); only the dense hub system, 2(k + 1) vertices for
+        a tuple of k + 1 parameters, is solved by LU.  A matrix with more
+        than ``_MAX_HUBS`` hubs raises ValueError before any step.
 
         The iteration starts from the all-ones vector.  A caller that holds a
         float just above lambda (the formula route's cell, or its float hint)
