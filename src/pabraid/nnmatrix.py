@@ -38,7 +38,7 @@ _SMALLEST_NORMAL = 2.0**-1022
 _SEED_MARGIN = 1e-13
 # the most hubs of a spectral_radius elimination, whose dense hub system
 # takes 8 bytes per hub squared.  A tuple of k + 1 parameters gives 2(k + 1)
-# hubs, in its transition matrix and in its dominant block; under
+# hubs in its transition matrix and 2k + 1 in its dominant block; under
 # treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with N >= 2(k + 1),
 # k + 1 is at most 998
 _MAX_HUBS = 2000
