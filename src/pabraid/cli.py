@@ -19,6 +19,7 @@ from collections import deque
 
 from .dilatation import (
     ScanRow,
+    _closed,
     _expanded,
     braid_char_poly,
     convergence_table,
@@ -29,12 +30,12 @@ from .dilatation import (
 from .intpoly import IntPoly
 from .treebuilder import (
     BraidTuple,
+    _extension,
+    _recessive,
+    _structure_report,
     closing_sign,
-    dominant_matrix,
     parse_params,
-    recessive_poly,
     transition_matrix,
-    validate_structure,
 )
 from .volume import find_parameters, volume_lower_bound
 
@@ -198,32 +199,35 @@ def _run_verify(args):
     ]
 
     # prefix by prefix, so each tuple's recurrence resumes after the memoized
-    # dominant block; in this order the tuples still come in grid order
+    # dominant block, whose run also gives the recessive polynomial, and each
+    # tuple's polynomial is closed from the prefix's chain; in this order the
+    # tuples still come in grid order
     failures, prefix_failures = [], {}
     for prefix in prefixes:
-        dom = IntPoly(deque(_expanded(prefix), maxlen=1)[0])
+        chain = deque(_expanded(prefix), maxlen=1)[0]
+        dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
-        block = dominant_matrix(prefix)
+        block, last_row = _extension(prefix)
         failed = prefix_failures[prefix] = []
         if block.char_poly() != dom:
             failed.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         # the dual identity follows from this one and the block's: the dual
         # recessive polynomial is this one reversed at degree block.size
-        if recessive_poly(prefix) != dom.reciprocal(dom.degree) * sign:
+        if _recessive(block, last_row) != dom.reciprocal(dom.degree) * sign:
             failed.append(f"prefix {prefix}: recessive polynomial mismatch")
         if not block.is_primitive():
             failed.append(f"prefix {prefix}: dominant block of size {block.size} not primitive")
         for last in range(1, m + 1):
             bt = BraidTuple(prefix + (last,))
             matrix = transition_matrix(bt)
-            poly = braid_char_poly(bt)
+            poly = _closed(chain, last, sign)
             if matrix.char_poly(_block=block) != poly:
                 failures.append(f"{bt}: formula and matrix polynomials differ")
-            if poly != poly.reciprocal(bt.size) * bt.sign:
+            if poly != poly.reciprocal(bt.size) * sign:
                 failures.append(f"{bt}: polynomial is not (anti)reciprocal")
             if not matrix.is_primitive():
                 failures.append(f"{bt}: transition matrix is not primitive")
-            report = validate_structure(bt)
+            report = _structure_report(bt, matrix)
             if not report.ok:
                 failures.append(f"{bt}: {len(report.failures)} structure checks failed")
     failures += [line for prefix in sorted(prefixes) for line in prefix_failures[prefix]]

@@ -81,8 +81,12 @@ def braid_char_poly(m):
     coincides coefficientwise with char_poly(transition_matrix(m)).
     """
     m = BraidTuple(m)
-    p, last, sign = deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign
-    q = [*[sign * c for c in reversed(p)], *[0] * last]  # sigma P*, padded
+    return _closed(deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign)
+
+
+def _closed(p, last, sign):
+    # t^last P + sign P* for the ascending coefficients p of a chain level P
+    q = [*[sign * c for c in reversed(p)], *[0] * last]  # sign P*, padded
     q[last:] = [a + b for a, b in zip(q[last:], p)]  # + t^last P
     return IntPoly(q)
 

@@ -70,7 +70,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries", "_char_poly")
+    __slots__ = ("size", "entries", "_char_poly", "_pair")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -89,7 +89,7 @@ class NNMatrix:
                 clean[(i, j)] = v
         self.size = size
         self.entries = clean
-        self._char_poly = None
+        self._char_poly = self._pair = None
 
     @classmethod
     def from_rows(cls, rows):
@@ -297,10 +297,11 @@ class NNMatrix:
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
 
-        Memoized.  A leading principal block B passed as ``_block`` (in
-        ``verify``, a prefix's dominant matrix) resumes the recurrence after
-        B's rows from B's own ``char_poly``, only when B's entries equal M's
-        B.size corner: a wrong ``_block`` costs time, never a wrong result.
+        Memoized, with the run's last two rows (``_leading_pair``).  A
+        leading principal block B passed as ``_block`` (in ``verify``, a
+        prefix's dominant matrix) resumes the recurrence after B's rows from
+        B's own run, only when B's entries equal M's B.size corner: a wrong
+        ``_block`` costs time, never a wrong result.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
@@ -309,9 +310,19 @@ class NNMatrix:
             n = _block.size if _block is not None and _block.size <= self.size else 0
             start = None
             if n and _block.entries == {ij: v for ij, v in self.entries.items() if max(ij) <= n}:
-                start = (n, list(_block.char_poly().coeffs))
-            self._char_poly = IntPoly(_berkowitz(self.size, self.entries, start)[-1])
+                start = (n, *_block._leading_pair())
+            self._pair = _berkowitz(self.size, self.entries, start)
+            self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
+
+    def _leading_pair(self):
+        """The memoized ``_berkowitz`` pair of ``char_poly``, not to be changed.
+
+        Ascending coefficients of det(tI - M_{n-1}), M_{n-1} the leading
+        (n-1)-square block, then of det(tI - M).
+        """
+        self.char_poly()
+        return self._pair
 
 
 class _HubProgram:
@@ -490,8 +501,10 @@ def _berkowitz(size, entries, start=None):
     A_r = [[A_{r-1}, S], [R, a]] and q = det(tI - A_{r-1}), [.] dropping
     negative powers; A_{r-1}^k S touches only nonzeros, none if R or S is 0.
 
-    ``start = (r0, q)``, q = det(tI - A_r0) unchecked, resumes after row r0:
-    earlier rows only record their entries (q alone is returned if r0 = size).
+    ``start = (r0, ..., q)``, ending in q = det(tI - A_r0) unchecked, resumes
+    after row r0: earlier rows only record their entries.  With r0 = size
+    the polynomials after r0 are returned as given, so a start
+    ``(r0, det(tI - A_{r0-1}), q)`` keeps the pair.
     """
     left = [[] for _ in range(size + 1)]  # row r: (j, v) with j < r
     cols = [[] for _ in range(size + 1)]  # column r: (i, v) with i < r, then the block's
@@ -500,7 +513,7 @@ def _berkowitz(size, entries, start=None):
             left[i].append((j, v))
         elif i < j:
             cols[j].append((i, v))
-    r0, *last = start or (0, [1])  # last = [q]
+    r0, *last = start or (0, [1])  # last ends with q
     for r in range(1, size + 1):
         a = entries.get((r, r), 0)
         if r > r0:

@@ -17,8 +17,9 @@ The upper-left (n_i + 1)-square block is the transition matrix of the
 dominant (restricted) map, and a bordered determinant extracts the
 recessive polynomial of the family, whose reversal is the dual one; both
 are independent of any further parameters (the tests check this).  The
-bordered determinant is linear in its last row, the only one without t, so
-one run of the Berkowitz recurrence in ``nnmatrix`` gives it.
+bordered determinant is linear in its last row, the only one without t, and
+shares its other rows with the dominant block, so it is one more row of the
+block's own run of the Berkowitz recurrence in ``nnmatrix``.
 """
 
 from __future__ import annotations
@@ -57,9 +58,12 @@ def params(values, minimum):
     """Validated parameter tuple: at least ``minimum`` integers, each >= 1.
 
     Minimum 2 gives a braid tuple, minimum 1 a prefix.  ``values`` is any
-    iterable, a :class:`BraidTuple` included; an integral value such as 3.0
-    counts as an integer.  Raises ValueError otherwise.
+    iterable; an integral value such as 3.0 counts as an integer.  Raises
+    ValueError otherwise.  A :class:`BraidTuple`, checked when it was made,
+    gives its values back unchecked.
     """
+    if isinstance(values, BraidTuple):
+        return values.values
     vals = tuple(_integer(v) for v in values)
     if len(vals) < minimum:
         raise ValueError(_KINDS[minimum][1])
@@ -136,14 +140,20 @@ def transition_matrix(m):
     building anything.
     """
     m = BraidTuple(m)
-    k = len(m) - 1
-    nonzeros = m.size + k * k + 4 * k
+    return NNMatrix(m.size, _limited_entries(m.values))
+
+
+def _limited_entries(values):
+    # the entries of a checked tuple, refused above the limit before building
+    size = block_boundaries(values)[-1]
+    k = len(values) - 1
+    nonzeros = size + k * k + 4 * k
     if nonzeros > _MAX_NONZEROS:
         raise ValueError(
-            f"the transition matrix of size {m.size} would have {nonzeros} "
+            f"the transition matrix of size {size} would have {nonzeros} "
             f"nonzeros; the limit is {_MAX_NONZEROS}"
         )
-    return NNMatrix(m.size, _entries(m.values))
+    return _entries(values)
 
 
 def _entries(values):
@@ -179,9 +189,24 @@ def dominant_matrix(prefix):
     This is the upper-left (n_i + 1)-square block of any extension of the
     prefix, here of the prefix extended by 1.
     """
-    vals = params(prefix, 1)
+    return _extension(params(prefix, 1))[0]
+
+
+def _extension(vals):
+    """The dominant block of the checked prefix ``vals`` and one more row.
+
+    One build of the prefix extended by 1: its upper-left (n_i + 1)-square
+    corner, the block, and its last row n_i + 2 as {column: entry}, all of
+    whose columns lie in the block.  The corner is the build less that row
+    and the entry (n_i + 1, n_i + 2), taken out in place.
+    """
     cut = block_boundaries(vals)[-1] + 1
-    return transition_matrix(vals + (1,)).submatrix(cut)
+    block = _limited_entries(vals + (1,))
+    last = {j: v for (i, j), v in block.items() if i > cut}
+    for j in last:
+        del block[(cut + 1, j)]
+    del block[(cut, cut + 1)]
+    return NNMatrix(cut, block), last
 
 
 def recessive_poly(prefix):
@@ -192,12 +217,21 @@ def recessive_poly(prefix):
     (n_i + 1)-square corner.  Independent of the appended parameter.  The
     block is tI - B' without t in its last row, for the corner B' of B with
     that row replaced; by linearity in the last row its determinant is
-    det(tI - B') - t det(tI - B'_{n_i}), from one Berkowitz run on B'.
+    det(tI - B') - t det(tI - B'_{n_i}).  B' shares its first n_i rows with
+    the dominant block, so both terms come from the block's Berkowitz run
+    (``NNMatrix.char_poly``) and one more row of the recurrence.
     """
-    b = transition_matrix(params(prefix, 1) + (1,))
-    cut = b.size - 1  # n_i + 1; the last row is n_i + 2
-    bordered = {(min(i, cut), j): v for (i, j), v in b.entries.items() if i != cut and j <= cut}
-    corner, full = _berkowitz(cut, bordered)
+    return _recessive(*_extension(params(prefix, 1)))
+
+
+def _recessive(block, last):
+    # recessive_poly from the block and the last row of ``_extension``: the
+    # block's run through row n_i gives det(tI - B'_{n_i}), and the run
+    # resumes there for row n_i + 1, the last row
+    cut = block.size
+    bordered = {ij: v for ij, v in block.entries.items() if ij[0] < cut}
+    bordered.update({(cut, j): v for j, v in last.items()})
+    corner, full = _berkowitz(cut, bordered, (cut - 1, block._leading_pair()[0]))
     return IntPoly(full) - IntPoly(corner).shift(1)
 
 
@@ -238,7 +272,11 @@ def validate_structure(m):
     strictly between them form a unit superdiagonal with nothing else.
     """
     m = BraidTuple(m)
-    matrix = transition_matrix(m)
+    return _structure_report(m, transition_matrix(m))
+
+
+def _structure_report(m, matrix):
+    # validate_structure on the BraidTuple m's transition matrix, built once
     ns = m.boundaries
     l = ns[-2]
     last = ns[-1]

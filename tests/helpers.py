@@ -376,3 +376,25 @@ GOLDEN_8x8 = [
     [0, 0, 0, 0, 0, 0, 0, 1],
     [1, 0, 0, 0, 0, 2, 0, 0],
 ]
+
+
+def bordered_rows_oracle(prefix, appended):
+    """``bordered_det_oracle(prefix, appended, False)`` from integer rows.
+
+    The bordered block is tI - B' without t in its last row, for the corner
+    B' of the transition matrix B of ``prefix + (appended,)`` with row
+    n_i + 1 replaced by the last row, copied here entry by entry.  Being
+    linear in that row, its determinant is det(tI - B') - t det(tI - B'_{n_i});
+    each term is a fresh, unseeded ``char_poly``.  The polynomial rows of
+    ``bordered_det_oracle`` cost seconds per prefix once the block passes
+    about 50 rows; these two integer runs cost milliseconds.
+    """
+    mat = transition_matrix(tuple(prefix) + (appended,))
+    cut = block_boundaries(prefix)[-1] + 1
+    rows = [
+        [mat.entry(mat.size if i == cut else i, j) for j in range(1, cut + 1)]
+        for i in range(1, cut + 1)
+    ]
+    whole = NNMatrix.from_rows(rows).char_poly()
+    corner = NNMatrix.from_rows([row[:-1] for row in rows[:-1]]).char_poly()
+    return whole - corner.shift(1)

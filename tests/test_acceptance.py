@@ -136,12 +136,21 @@ def test_criterion_06_monotonicity():
         return lam_cache[tv]
 
     smallest_gap = math.inf
+    pairs = strict = 0
     for tv in rows:
         for i in range(len(tv)):
             bumped = tv[:i] + (tv[i] + 1,) + tv[i + 1 :]
             smallest_gap = min(smallest_gap, lam(tv) - lam(bumped))
-    ok = smallest_gap > 1e-6
-    assert _report(6, ok, f"smallest single-step drop = {smallest_gap:.3e}")
+            # exact: the two certified cells refined until disjoint
+            pairs += 1
+            strict += pb.monotonicity_check(tv, i + 1).strictly_decreasing
+    ok = smallest_gap > 1e-6 and strict == pairs == 2925
+    assert _report(
+        6,
+        ok,
+        f"smallest single-step drop = {smallest_gap:.3e}; "
+        f"{strict} of {pairs} pairs strictly decreasing (exact)",
+    )
 
 
 def test_criterion_07_convergence_to_limit():

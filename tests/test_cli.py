@@ -1,6 +1,8 @@
 import argparse
+import collections
 import doctest
 import importlib.util
+import itertools
 import json
 import pkgutil
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pabraid
+import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
@@ -219,6 +222,39 @@ class TestVerifyCommand:
         assert rc == 0
         assert "tuples checked: 4" in out
         assert "failures: 0" in out
+
+    def test_each_matrix_is_built_once(self, capsys, monkeypatch):
+        # one build per tuple and one per prefix, its extension by 1, from
+        # which both the dominant block and the recessive row are cut
+        built, entries = [], treebuilder._entries
+        monkeypatch.setattr(treebuilder, "_entries", lambda v: built.append(v) or entries(v))
+        rc, out, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
+        assert rc == 0 and out.startswith("tuples checked: 775\nprefixes checked: 155\n")
+        prefixes = [p for n in (1, 2, 3) for p in itertools.product(range(1, 6), repeat=n)]
+        tuples = [p + (last,) for p in prefixes for last in range(1, 6)]
+        assert len(built) == 930
+        assert collections.Counter(built) == collections.Counter(
+            tuples + [p + (1,) for p in prefixes]
+        )
+
+    def test_each_prefix_runs_its_block_once(self, capsys, monkeypatch):
+        # per prefix: the block's own run, the recessive row resumed at its
+        # last row, then every tuple resumed after the block
+        starts, inner = [], nnmatrix._berkowitz
+
+        def spy(size, entries, start=None):
+            starts.append(start and start[0])
+            return inner(size, entries, start)
+
+        for module in (nnmatrix, treebuilder):
+            monkeypatch.setattr(module, "_berkowitz", spy)
+        rc, _, _ = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
+        assert rc == 0
+        expected = []
+        for p in [p for n in (1, 2) for p in itertools.product(range(1, 4), repeat=n)]:
+            cut = treebuilder.block_boundaries(p)[-1] + 1
+            expected += [None, cut - 1] + [cut] * 3
+        assert starts == expected
 
     def test_corrupted_entries_fail_loudly(self, capsys, monkeypatch):
         # Three corruptions: one entry inside the leading 8-square block of

@@ -232,6 +232,29 @@ class TestSpectralRadius:
         cert = transition_matrix(values).spectral_radius()
         assert_certified(cert, braid_char_poly(values), 1e-10)
 
+    def test_a_non_positive_solve_retries_at_the_fallback_shift(self, monkeypatch):
+        # the first unseeded solve, at Noda's own shift sigma, comes back with
+        # one entry negated: the step retries at 2 sigma - lo + 4 ulp(sigma),
+        # from the all-ones vector's row sums, and the enclosure stays exact
+        values = (4, 2)
+        matrix = transition_matrix(values)
+        shifts, solve = [], nnmatrix._hub_solve
+
+        def first_negated(program, scaled, x):
+            y = solve(program, scaled, x)
+            shifts.append(x)
+            if len(shifts) == 1:
+                y[0] = -y[0]
+            return y
+
+        monkeypatch.setattr(nnmatrix, "_hub_solve", first_negated)
+        cert = matrix.spectral_radius()
+        sums = [sum(row) for row in matrix.to_rows()]
+        sigma, lo = max(sums), min(sums)
+        assert sigma > lo
+        assert shifts[:2] == [sigma, 2 * sigma - lo + 4 * math.ulp(sigma)]
+        assert_certified(cert, braid_char_poly(values), 1e-10)
+
     def test_retries_an_exactly_singular_shift(self, factorizations):
         # from the all-ones vector, the seventh shift sigma equals lambda in
         # double precision and its hub system is singular

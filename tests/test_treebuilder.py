@@ -23,10 +23,12 @@ from pabraid import (
     transition_matrix,
     validate_structure,
 )
+import pabraid.nnmatrix as nnmatrix
+import pabraid.treebuilder as treebuilder
 from pabraid.cli import main
-from pabraid.treebuilder import StructureCheck, StructureReport, parse_params
+from pabraid.treebuilder import StructureCheck, StructureReport, params, parse_params
 
-from helpers import GOLDEN_8x8, TreeMapSpec, bordered_det_oracle
+from helpers import GOLDEN_8x8, TreeMapSpec, bordered_det_oracle, bordered_rows_oracle
 
 
 class TestBraidTuple:
@@ -116,6 +118,53 @@ class TestParameterPath:
         bad = next(v for v in values if not isinstance(v, int))
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             BraidTuple(values)
+
+    # every message for bad input, in full, for both minimums
+    @pytest.mark.parametrize(
+        "values, minimum, message",
+        [
+            ((4,), 2, "a braid tuple needs at least two parameters; "
+             "a single star does not define a member of the family"),
+            ((), 1, "a prefix needs at least one parameter"),
+            ((1, 0), 2, "every parameter must be >= 1"),
+            ((-2,), 1, "every parameter must be >= 1"),
+            ((2.7, 3), 2, "parameter 2.7 is not an integer"),
+            ((2, "3"), 1, "parameter '3' is not an integer"),
+            ((None,), 1, "parameter None is not an integer"),
+        ],
+    )
+    def test_error_messages(self, values, minimum, message):
+        calls = [lambda: params(values, minimum), lambda: params(list(values), minimum)]
+        if minimum == 2:
+            calls.append(lambda: BraidTuple(values))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, minimum, message",
+        [("1,x", 2, "cannot parse braid tuple '1,x'"), ("", 1, "cannot parse prefix ''"),
+         ("4", 2, "a braid tuple needs at least two parameters; "
+          "a single star does not define a member of the family")],
+    )
+    def test_parse_error_messages(self, text, minimum, message):
+        with pytest.raises(ValueError) as exc:
+            parse_params(text, minimum)
+        assert str(exc.value) == message
+
+    def test_a_braid_tuple_is_not_checked_again(self, monkeypatch):
+        bt = BraidTuple([4, 2.0, 3])
+        checked = []
+        integer = treebuilder._integer
+        monkeypatch.setattr(
+            treebuilder, "_integer", lambda v, *a: checked.append(v) or integer(v, *a)
+        )
+        assert params(bt, 1) is params(bt, 2) is bt.values == (4, 2, 3)
+        assert BraidTuple(bt) == bt
+        assert transition_matrix(bt) == transition_matrix((4, 2, 3))
+        assert braid_char_poly(bt) == braid_char_poly((4, 2, 3))
+        assert checked == [4, 2, 3, 4, 2, 3]  # the two plain tuples only
 
 
 class TestTransitionMatrix:
@@ -246,12 +295,54 @@ class TestRecessivePolynomials:
         poly = dual_recessive_poly if reciprocal else recessive_poly
         assert poly(prefix) == bordered_det_oracle(prefix, appended, reciprocal)
 
+    # the one-row step on blocks of up to 249 rows, against two fresh runs
+    # on the bordered rows copied from the whole transition matrix
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=st.lists(st.integers(1, 30), min_size=1, max_size=8).map(tuple),
+        appended=st.integers(1, 4),
+    )
+    def test_one_row_step_on_long_prefixes(self, prefix, appended):
+        expected = bordered_rows_oracle(prefix, appended)
+        assert recessive_poly(prefix) == expected
+        degree = block_boundaries(prefix)[-1] + 1
+        assert dual_recessive_poly(prefix) == expected.reciprocal(degree)
+
+    @pytest.mark.parametrize("prefix", [(1,), (4,), (2, 3), (2, 2, 1), (1,) * 8])
+    def test_the_integer_rows_are_the_bordered_determinant(self, prefix):
+        for appended in (1, 3):
+            assert bordered_rows_oracle(prefix, appended) == bordered_det_oracle(
+                prefix, appended, False
+            )
+
+    @pytest.mark.parametrize("prefix", [(1,), (4,), (2, 3), (3, 1, 4, 1)])
+    def test_recessive_run_resumes_at_the_last_block_row(self, prefix):
+        cut = block_boundaries(prefix)[-1] + 1
+        with berkowitz_starts() as starts:
+            recessive_poly(prefix)
+        assert starts == [None, cut - 1]  # the block's run, then one row
+
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (3, 2), (1, 2, 1)])
     def test_mirror_identities(self, prefix):
         sign = 1 if len(prefix) % 2 == 1 else -1
         dom = dominant_chain(prefix)[-1]
         assert recessive_poly(prefix) == dom.reciprocal(dom.degree) * sign
         assert dual_recessive_poly(prefix) == dom * sign
+
+
+@contextlib.contextmanager
+def berkowitz_starts():
+    """Records the r0 of every _berkowitz run, None for an unseeded one."""
+    starts, inner = [], nnmatrix._berkowitz
+
+    def spy(size, entries, start=None):
+        starts.append(start and start[0])
+        return inner(size, entries, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (nnmatrix, treebuilder):
+            mp.setattr(module, "_berkowitz", spy)
+        yield starts
 
 
 class TestValidateStructure:
