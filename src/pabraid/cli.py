@@ -223,7 +223,7 @@ def _run_verify(args):
             poly = _closed(chain, last, sign)
             if matrix.char_poly(_block=block) != poly:
                 failures.append(f"{bt}: formula and matrix polynomials differ")
-            if poly != poly.reciprocal(bt.size) * sign:
+            if poly != poly.reciprocal(bt.size) * bt.sign:
                 failures.append(f"{bt}: polynomial is not (anti)reciprocal")
             if not matrix.is_primitive():
                 failures.append(f"{bt}: transition matrix is not primitive")

@@ -5,6 +5,7 @@ bisection, boolean matrix powers) so the library's fast paths are checked
 against arithmetic that shares nothing with them.
 """
 
+import contextlib
 import importlib
 import itertools
 import math
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from pabraid import (
@@ -51,6 +53,26 @@ def record_rungs(monkeypatch):
 
     monkeypatch.setattr(module, "_decision", recorded)
     return rungs
+
+
+@contextlib.contextmanager
+def berkowitz_starts():
+    """Record the r0 of every ``_berkowitz`` run, None for an unseeded one.
+
+    Not an oracle: a spy on the name in ``pabraid.nnmatrix`` and in
+    ``pabraid.treebuilder``, which imports it.
+    """
+    modules = [importlib.import_module(f"pabraid.{name}") for name in ("nnmatrix", "treebuilder")]
+    starts, inner = [], modules[0]._berkowitz
+
+    def spy(size, entries, start=None):
+        starts.append(start and start[0])
+        return inner(size, entries, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            mp.setattr(module, "_berkowitz", spy)
+        yield starts
 
 
 def dominant_chain_oracle(prefix):

@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 import pabraid
-import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
 
-from helpers import GOLDEN_8x8
+from helpers import GOLDEN_8x8, berkowitz_starts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -237,18 +236,11 @@ class TestVerifyCommand:
             tuples + [p + (1,) for p in prefixes]
         )
 
-    def test_each_prefix_runs_its_block_once(self, capsys, monkeypatch):
+    def test_each_prefix_runs_its_block_once(self, capsys):
         # per prefix: the block's own run, the recessive row resumed at its
         # last row, then every tuple resumed after the block
-        starts, inner = [], nnmatrix._berkowitz
-
-        def spy(size, entries, start=None):
-            starts.append(start and start[0])
-            return inner(size, entries, start)
-
-        for module in (nnmatrix, treebuilder):
-            monkeypatch.setattr(module, "_berkowitz", spy)
-        rc, _, _ = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
+        with berkowitz_starts() as starts:
+            rc, _, _ = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
         assert rc == 0
         expected = []
         for p in [p for n in (1, 2) for p in itertools.product(range(1, 4), repeat=n)]:

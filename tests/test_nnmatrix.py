@@ -1,4 +1,3 @@
-import contextlib
 import importlib
 import math
 import os
@@ -31,6 +30,7 @@ from pabraid import (
 from helpers import (
     GOLDEN_8x8,
     HARD_TUPLES,
+    berkowitz_starts,
     char_poly_oracle,
     cofactor_det,
     det_identity_minus_tm,
@@ -522,20 +522,6 @@ def square_matrices(draw):
     n = draw(st.integers(1, 14))
     cell = st.tuples(st.integers(1, n), st.integers(1, n))
     return NNMatrix(n, draw(st.dictionaries(cell, st.integers(1, 9), max_size=n * n)))
-
-
-@contextlib.contextmanager
-def berkowitz_starts():
-    """Records the r0 of every _berkowitz run, None for an unseeded one."""
-    starts, inner = [], nnmatrix._berkowitz
-
-    def spy(size, entries, start=None):
-        starts.append(start and start[0])
-        return inner(size, entries, start)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nnmatrix, "_berkowitz", spy)
-        yield starts
 
 
 _SEED_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -23,12 +23,17 @@ from pabraid import (
     transition_matrix,
     validate_structure,
 )
-import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid.cli import main
 from pabraid.treebuilder import StructureCheck, StructureReport, params, parse_params
 
-from helpers import GOLDEN_8x8, TreeMapSpec, bordered_det_oracle, bordered_rows_oracle
+from helpers import (
+    GOLDEN_8x8,
+    TreeMapSpec,
+    berkowitz_starts,
+    bordered_det_oracle,
+    bordered_rows_oracle,
+)
 
 
 class TestBraidTuple:
@@ -328,21 +333,6 @@ class TestRecessivePolynomials:
         dom = dominant_chain(prefix)[-1]
         assert recessive_poly(prefix) == dom.reciprocal(dom.degree) * sign
         assert dual_recessive_poly(prefix) == dom * sign
-
-
-@contextlib.contextmanager
-def berkowitz_starts():
-    """Records the r0 of every _berkowitz run, None for an unseeded one."""
-    starts, inner = [], nnmatrix._berkowitz
-
-    def spy(size, entries, start=None):
-        starts.append(start and start[0])
-        return inner(size, entries, start)
-
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (nnmatrix, treebuilder):
-            mp.setattr(module, "_berkowitz", spy)
-        yield starts
 
 
 class TestValidateStructure:
