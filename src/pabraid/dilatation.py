@@ -48,9 +48,9 @@ __all__ = [
 # the finest grid, 2^-1024, that scan rows and monotonicity checks refine
 # to when two roots share a 2^-48 cell
 _FINEST_GRID = 1024
-# half-width, in grid units, of the first bracket around the float hint; the
-# hint fell within one unit on every grid and random-sweep tuple measured
-_HINT_UNITS = 4
+# the widest warm bracket, in 2^-48 units, that a scan row bisects exactly
+# instead of placing a float hint in it
+_WARM_UNITS = 8
 # the ladder of ``_decide``: guard bits of the first rung above the grid's,
 # the growth from rung to rung, and how many times wider than a rung the
 # exact integers must be before the rung is tried
@@ -239,18 +239,20 @@ def _float_hint(prefix, last=None, lo=1.0, hi=None):
     # double-precision pass of the recurrence inside [lo, hi], doubling from
     # lo when hi is None: each level is divided by x^m and the pair
     # normalised, which keeps every sign; a guide for the exact bracket,
-    # never a result
+    # never a result.  The matrix route starts Noda's iteration at it, so its
+    # float operations and their order are kept bit for bit
     sigma = closing_sign(len(prefix) + 1)
-    levels = _levels(prefix)
+    levels = [(-m, 2.0 * s) for m, s in _levels(prefix)]
 
     def below(x):
+        up, down = x - 1.0, 1.0 - x
         p = q = 1.0
-        for m, s in levels:
-            r = x**-m
-            p, q = (x - 1.0) * p + 2.0 * s * x * r * q, (1.0 - x) * r * q + 2.0 * s * p
+        for neg, two_s in levels:
+            r = x**neg
+            p, q = up * p + two_s * x * r * q, down * r * q + two_s * p
             if not p > 0.0:
                 return False
-            scale = max(p, abs(q))
+            scale = -q if -q > p else q if q > p else p  # max(p, abs(q))
             p, q = p / scale, q / scale
         return last is None or p + sigma * q * x**-last > 0.0
 
@@ -321,23 +323,23 @@ def _formula_cell(below, hint):
     ``below(num, shift)`` answers "r < num / 2^shift"; the cell holds
     lo <= r < lo + 1 in units of 2^-48.  A tuple's λ is never a grid point:
     its polynomial is monic with constant term ±1, so its only rational
-    roots could be ±1.  A limit μ can be one: (1,) has μ = 2.  The float
-    ``hint`` places the first bracket; exact decisions confirm it, widen it
-    when it misses, and bisect it to one unit.  A hint that is not finite
-    is replaced by doubling from 1.
+    roots could be ±1.  A limit μ can be one: (1,) has μ = 2.  Two exact
+    decisions at the float ``hint``'s own cell, not below(lo) and then
+    below(lo + 1), certify it.  When the hint misses, the search tries the
+    adjacent cell, then doubles its step away from the hint, and bisects
+    the bracket it finds to one unit.  The hint is the upper end of a float
+    bracket, so it misses mostly from above, which costs two decisions; one
+    cell below costs three.  A hint that is not finite starts at 1.
     """
-    if math.isfinite(hint):
-        centre = math.floor(hint * 2.0**_GRID)
-        lo, hi = centre - _HINT_UNITS, centre + _HINT_UNITS
-    else:
-        lo, hi = 1 << _GRID, 2 << _GRID  # doubling from 1
-    if below(hi, _GRID):
+    lo = math.floor(hint * 2.0**_GRID) if math.isfinite(hint) else 1 << _GRID
+    if below(lo, _GRID):
+        lo, hi, step = lo - 1, lo, 2
         while below(lo, _GRID):
-            lo, hi = lo - 2 * (hi - lo), lo
+            lo, hi, step = lo - step, lo, 2 * step
     else:
-        lo, hi = hi, hi + 2 * (hi - lo)
+        hi, step = lo + 1, 1
         while not below(hi, _GRID):
-            lo, hi = hi, hi + 2 * (hi - lo)
+            lo, hi, step = hi, hi + step, 2 * step
     return _Cell(below, _bisect(below, lo, hi, _GRID))
 
 
@@ -409,13 +411,14 @@ class DilatationReport:
 def dilatation(m, method="both", tol=1e-10):
     """Dilatation of the braid tuple ``m``.
 
-    ``method`` selects the route: "formula" bisects the exact decision
-    "is λ < x?" on the chain's transfer recurrence down to a 2^-48 cell,
-    kept as ``formula_bracket``; "matrix" takes the Perron-Frobenius
-    eigenvalue of the transition matrix; "both" runs the two, certifies
-    that the cell meets the matrix enclosure (``_cross_check``) and records
-    their difference.  ``tol``, positive and finite, is the matrix route's
-    enclosure width; the formula route reaches a fixed accuracy and ignores it.
+    ``method`` selects the route: "formula" certifies a 2^-48 cell of λ,
+    kept as ``formula_bracket``, by the exact decision "is λ < x?" on the
+    chain's transfer recurrence, asked at the float hint's cell; "matrix"
+    takes the Perron-Frobenius eigenvalue of the transition matrix; "both"
+    runs the two, certifies that the cell meets the matrix enclosure
+    (``_cross_check``) and records their difference.  ``tol``, positive and
+    finite, is the matrix route's enclosure width; the formula route
+    reaches a fixed accuracy and ignores it.
     Without a cell, method "matrix" starts Noda's iteration just above the
     float hint; the enclosure is exact on the matrix alone either way, so
     ``lambda_matrix`` lies within ``tol`` of λ.
@@ -444,7 +447,7 @@ def limit_dilatation(prefix):
     """Limit of the dilatations as the parameters after ``prefix`` grow.
 
     This is μ, the largest root of the dominant polynomial P of the prefix:
-    the midpoint of its cell lo <= μ < lo + 2^-48, bisected from the exact
+    the midpoint of its cell lo <= μ < lo + 2^-48, certified by the exact
     decision "μ < x" (every chain level positive at x).  The cell is
     certified against the dominant block B of the transition matrix:
     ``spectral_radius`` accepts only a primitive B, and det(tI - B) = P
@@ -566,13 +569,13 @@ def convergence_table(prefix, last_values):
 def _row_cell(full, mu, prev):
     # λ(full) inside the warm bracket from μ's cell up to the previous row's:
     # bisected exactly when the float hint cannot help, that is below the
-    # 2^-48 grid or within a few of its units
+    # 2^-48 grid or at most _WARM_UNITS of its units wide
     below = partial(_below, full)
     if prev is None:
         return _formula_cell(below, _float_hint(full[:-1], full[-1], mu.value()))
     shift = max(mu.shift, prev.shift)
     lo, hi = mu.ends(shift)[0], prev.ends(shift)[1]
-    if shift == _GRID and hi - lo > 2 * _HINT_UNITS:
+    if shift == _GRID and hi - lo > _WARM_UNITS:
         hint = _float_hint(full[:-1], full[-1], lo * 2.0**-shift, hi * 2.0**-shift)
         return _formula_cell(below, hint)
     if not below(hi, shift):

@@ -276,27 +276,29 @@ def validate_structure(m):
 
 
 def _structure_report(m, matrix):
-    # validate_structure on the BraidTuple m's transition matrix, built once
+    # validate_structure on the BraidTuple m's transition matrix, built once;
+    # rows l..N, all it reads, are collected in one pass over the nonzeros
     ns = m.boundaries
     l = ns[-2]
     last = ns[-1]
+    rows = {r: {} for r in range(l, last + 1)}
+    for (i, j), v in matrix.entries.items():
+        if i in rows:
+            rows[i][j] = v
+    hub, final = rows[l + 1], rows[last]
     checks = []
 
     def record(name, ok, detail):
         checks.append(StructureCheck(name, ok, detail))
 
-    v = matrix.entry(l, l + 1)
+    v = rows[l].get(l + 1, 0)
     record("feed_from_previous_block", v > 0, f"entry ({l},{l + 1}) = {v}")
-    v = matrix.entry(l + 1, l + 1)
+    v = hub.get(l + 1, 0)
     record("hub_self_transition", v > 0, f"entry ({l + 1},{l + 1}) = {v}")
-    v = matrix.entry(last, l + 1)
+    v = final.get(l + 1, 0)
     record("last_row_hub_weight", v > 1, f"entry ({last},{l + 1}) = {v}")
 
-    mismatch = [
-        j
-        for j in range(1, l + 1)
-        if matrix.entry(l + 1, j) != matrix.entry(last, j)
-    ]
+    mismatch = [j for j in range(1, l + 1) if hub.get(j, 0) != final.get(j, 0)]
     record(
         "hub_and_last_rows_agree",
         not mismatch,
@@ -305,11 +307,7 @@ def _structure_report(m, matrix):
         else "mismatch at columns %s" % mismatch,
     )
 
-    bad = []
-    for r in range(l + 2, last):
-        row_entries = {j: matrix.entry(r, j) for j in range(1, last + 1) if matrix.entry(r, j)}
-        if row_entries != {r + 1: 1}:
-            bad.append((r, row_entries))
+    bad = [(r, dict(sorted(rows[r].items()))) for r in range(l + 2, last) if rows[r] != {r + 1: 1}]
     record(
         "middle_rows_unit_superdiagonal",
         not bad,

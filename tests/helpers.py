@@ -108,6 +108,63 @@ def climb_chain(chain):
     return mu
 
 
+def float_hint_oracle(prefix, last=None, lo=1.0, hi=None):
+    """``pabraid.dilatation._float_hint`` as it was first written.
+
+    The same double-precision bisection of the transfer recurrence, each
+    level divided by x^m and the pair normalised by max(p, |q|), with every
+    float operation in the library's order; the library's version must
+    return this value bit for bit, since the matrix route starts Noda's
+    iteration at it.
+    """
+    sigma = 1 if (len(prefix) + 1) % 2 == 0 else -1
+    levels = [(m + (i == 1), (-1) ** i) for i, m in enumerate(prefix, start=1)]
+
+    def below(x):
+        p = q = 1.0
+        for m, s in levels:
+            r = x**-m
+            p, q = (x - 1.0) * p + 2.0 * s * x * r * q, (1.0 - x) * r * q + 2.0 * s * p
+            if not p > 0.0:
+                return False
+            scale = max(p, abs(q))
+            p, q = p / scale, q / scale
+        return last is None or p + sigma * q * x**-last > 0.0
+
+    if hi is None:
+        hi = 2.0 * lo
+        while not below(hi):
+            lo, hi = hi, 2.0 * hi
+            if math.isinf(hi):
+                return hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def record_decisions(monkeypatch):
+    """Record the arguments of every exact decision, one per ``_decide`` call.
+
+    Not an oracle: a spy on ``pabraid.dilatation._decide``, which ``_below``
+    and ``_limit_below`` look up on every call.
+    """
+    module = importlib.import_module("pabraid.dilatation")
+    decide = module._decide
+    calls = []
+
+    def recorded(prefix, last, num, shift):
+        calls.append((prefix, last, num, shift))
+        return decide(prefix, last, num, shift)
+
+    monkeypatch.setattr(module, "_decide", recorded)
+    return calls
+
+
 def bisect_root(poly, lo, hi, steps=60):
     """Exact-rational bisection; requires poly(lo) < 0 < poly(hi)."""
     lo, hi = Fraction(lo), Fraction(hi)

@@ -104,6 +104,9 @@ class TestLimitCommand:
 GOLDEN_COMMANDS = [
     (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
     (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
+    # μ(1) = 2 is a grid point, and rows from m = 49 on share its 2^-48
+    # cell, so they are bisected on finer grids and separated from it
+    (("scan", "--prefix", "1", "--m-max", "60"), "scan-1.csv"),
     (("limit", "--prefix", "4"), "limit-4.txt"),
     (("bound", "--lambda", "1.1", "--volume", "20"), "bound-1.1-20.json"),
     (("bound", "--lambda", "1.02", "--volume", "20"), "bound-1.02-20.json"),

@@ -343,6 +343,34 @@ class TestValidateStructure:
         assert len(report.checks) == 5
         assert report.failures == ()
 
+    # (2,2,3): l = 6, the hub row 7, middle rows 8..9 and the last row 10;
+    # each corruption is written over the sound entries, in this order
+    @pytest.mark.parametrize(
+        "corruption, failures",
+        [
+            # row 8 gains a column-1 entry after its superdiagonal one
+            (
+                {(8, 9): 2, (8, 1): 1},
+                [("middle_rows_unit_superdiagonal", "offending rows [(8, {1: 1, 9: 2})]")],
+            ),
+            ({(6, 7): 0}, [("feed_from_previous_block", "entry (6,7) = 0")]),
+            ({(10, 7): 1}, [("last_row_hub_weight", "entry (10,7) = 1")]),
+            ({(10, 2): 5, (7, 1): 0}, [("hub_and_last_rows_agree", "mismatch at columns [1, 2]")]),
+            (
+                {(7, 7): 0, (9, 10): 0},
+                [
+                    ("hub_self_transition", "entry (7,7) = 0"),
+                    ("middle_rows_unit_superdiagonal", "offending rows [(9, {})]"),
+                ],
+            ),
+        ],
+    )
+    def test_corrupted_rows_are_reported_in_full(self, corruption, failures):
+        m = BraidTuple((2, 2, 3))
+        entries = {**transition_matrix(m).entries, **corruption}
+        report = treebuilder._structure_report(m, NNMatrix(m.size, entries))
+        assert report.failures == tuple(StructureCheck(name, False, d) for name, d in failures)
+
     def test_failure_reporting(self):
         bad = StructureCheck("example", False, "entry (2,3) = 0")
         report = StructureReport((1, 1), (bad,))

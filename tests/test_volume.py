@@ -246,7 +246,7 @@ class TestFindParameters:
         ]
         assert fell_through == []
         assert [rung for rung in rungs if rung[0] is None] == [(None, False)] * 2
-        assert sum(prec is not None and answer is not None for prec, answer in rungs) == 18
+        assert sum(prec is not None and answer is not None for prec, answer in rungs) == 15
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
