@@ -32,10 +32,6 @@ from .nnmatrix import NNMatrix, _berkowitz
 
 __all__ = [
     "BraidTuple",
-    "params",
-    "parse_params",
-    "closing_sign",
-    "StructureCheck",
     "StructureReport",
     "block_boundaries",
     "transition_matrix",

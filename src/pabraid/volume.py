@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dilatation import _below, dilatation
+from .dilatation import _below, _bisect, dilatation
 from .intpoly import _integer
 
 __all__ = [
@@ -207,13 +207,7 @@ def _least_below(below):
         hi *= 2
         if hi > _SEARCH_CAP:
             raise RuntimeError(f"parameter search exceeded the cap {_SEARCH_CAP}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda n, _: below(n), lo, hi, None) + 1
 
 
 def find_parameters(target_lambda, target_volume):
@@ -227,11 +221,11 @@ def find_parameters(target_lambda, target_volume):
     is the exact value of the float passed, and each comparison of a
     dilatation with it is an exact decision on the chain's transfer
     recurrence, so λ(m) < target and λ(m-1) >= target are proved, not
-    inferred from rounded roots.  By monotonicity any tuple
-    with every entry >= m satisfies the dilatation bound as well; an exact
-    off-diagonal spot check per report asserts that.  The witness comes from
-    ``dilatation(..., method="both")``, which cross-checks its 2^-48 cell
-    exactly against the Perron-Frobenius enclosure of its transition matrix.
+    inferred from rounded roots.  By monotonicity any tuple with every
+    entry >= m satisfies the dilatation bound as well.  The witness comes
+    from ``dilatation(..., method="both")``, which cross-checks its 2^-48
+    cell exactly against the Perron-Frobenius enclosure of its transition
+    matrix.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -247,11 +241,6 @@ def find_parameters(target_lambda, target_volume):
     num, shift = target.numerator, target.denominator.bit_length() - 1
     m = _least_below(lambda mm: _below((mm,) * width, num, shift))
     witness = dilatation((m,) * width, method="both")
-
-    off_diagonal = (m + 1,) + (m,) * k
-    if not _below(off_diagonal, num, shift):
-        raise AssertionError("monotonicity spot check failed")
-
     return BoundReport(
         k=k,
         m=m,

@@ -4,6 +4,7 @@ import doctest
 import importlib.util
 import itertools
 import json
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -361,6 +362,64 @@ class TestPublicNames:
     def test_every_exported_name_resolves(self):
         missing = [n for n in pabraid.__all__ if not hasattr(pabraid, n)]
         assert missing == []
+
+
+EXPORTED = [
+    "BoundReport", "BraidTuple", "DilatationReport", "IntPoly", "MonotonicityCheck", "NNMatrix",
+    "PFCertificate", "ScanRow", "StructureReport", "__version__", "block_boundaries",
+    "braid_char_poly", "convergence_table", "dilatation", "dominant_chain", "dominant_matrix",
+    "dual_recessive_poly", "find_parameters", "first_real_root_above", "ideal_tetrahedron_volume",
+    "largest_real_root", "limit_dilatation", "lobachevsky", "monotonicity_check", "poly_matrix_det",
+    "recessive_poly", "roots_outside_unit_disk", "transition_matrix", "validate_structure",
+    "volume_lower_bound",
+]
+
+
+class TestExportedNames:
+    # the package republishes each module's __all__, its only list of names
+    def test_the_exported_names(self):
+        assert sorted(pabraid.__all__) == EXPORTED
+
+    @pytest.mark.parametrize("name", [n for n in EXPORTED if n != "__version__"])
+    def test_each_name_is_its_module_s_object(self, name):
+        value = getattr(pabraid, name)
+        assert value.__module__.startswith("pabraid.")
+        assert value is getattr(sys.modules[value.__module__], name)
+
+    @pytest.mark.parametrize("name", ["params", "parse_params", "closing_sign", "StructureCheck"])
+    def test_treebuilder_helpers_stay_unexported(self, name):
+        assert hasattr(treebuilder, name) and not hasattr(pabraid, name)
+
+
+class TestReadme:
+    def test_library_block_shows_what_it_computes(self):
+        # each commented line of the README's Library block evaluates to
+        # what its comment shows: the repr, its leading fields before
+        # "...", or after "~" a float of the same decimal order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace, shown = {}, []
+        for line in block.splitlines():
+            code, _, comment = (part.strip() for part in line.partition("#"))
+            if not comment:
+                exec(code, namespace)
+                continue
+            value = eval(code, namespace)
+            if comment.startswith("~"):
+                order = math.floor(math.log10(float(comment[1:])))
+                assert 10.0**order <= value < 10.0 ** (order + 1), line
+            elif comment.endswith("...)"):
+                assert repr(value).startswith(comment[:-4]), line
+            else:
+                assert repr(value) == comment, line
+            shown.append(comment)
+        assert shown == [
+            "IntPoly('t^8 - t^7 - 2*t^5 - 2*t^3 - t + 1')",
+            "1.809789333465952",
+            "~2.54e-13",
+            "1.4510850920547202",
+            "BoundReport(k=41, m=79, ...)",
+        ]
 
 
 class TestDocstringExamples:
