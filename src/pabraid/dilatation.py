@@ -7,11 +7,11 @@ dilatation is its largest real root and can be cross-checked against the
 Perron-Frobenius eigenvalue of the transition matrix.  The formula route
 evaluates the chain as a 2x2 transfer recurrence and decides "is the
 dilatation below x?" and "is the limit below x?" exactly at dyadic x
-(``_below``, ``_limit_below``); every root is a cell of such decisions.
-Each decision climbs a ladder of precisions (``_decide``): the recurrence
-runs on balls, a midpoint and a radius that always enclose the exact value,
-and a sign counts only when its ball excludes 0.  The last rung is the same
-recurrence on exact integers, so every answer is the exact one.
+(``_decide``); every root is a cell of such decisions.  Each decision
+climbs a ladder of precisions: the recurrence runs on balls, a midpoint and
+a radius that always enclose the exact value, and a sign counts only when
+its ball excludes 0.  The last rung is the same recurrence on exact
+integers, so every answer is the exact one.
 """
 
 from __future__ import annotations
@@ -177,11 +177,18 @@ def _decision(prefix, last, num, shift, prec):
 
 
 def _decide(prefix, last, num, shift):
-    """The exact answer of ``_decision``, climbing a ladder of precisions.
+    """Exactly whether λ(prefix + (last,)) < x for the dyadic x = num / 2^shift.
 
-    The first rung carries ``shift`` + 64 bits, each next rung 4 times as
-    many, and the last rung is exact.  A rung answers only when every ball
-    it signs excludes 0, so each answer is the exact one.  A decision whose
+    With ``last`` None, exactly whether μ(prefix) < x.  The tuple's
+    polynomial t^last P + σ P*, with P the prefix's dominant polynomial and
+    σ the closing sign, has exactly one root above μ(prefix) and is
+    negative between the two (the lemma of ``_pair``).  So λ < x exactly
+    when μ < x and the closing polynomial is positive at x.
+
+    The answer is ``_decision``'s, climbing a ladder of precisions.  The
+    first rung carries ``shift`` + 64 bits, each next rung 4 times as many,
+    and the last rung is exact.  A rung answers only when every ball it
+    signs excludes 0, so each answer is the exact one.  A decision whose
     exact integers (about degree·shift bits) are at most 64 times wider than
     a rung goes to the exact rung at once: there the balls cost more than
     the exact integers they replace.
@@ -194,22 +201,6 @@ def _decide(prefix, last, num, shift):
             return answer
         prec *= _RUNG_GROWTH
     return _decision(prefix, last, num, shift, None)
-
-
-def _limit_below(prefix, num, shift):
-    """Exactly whether μ(prefix) < x for the dyadic x = num / 2^shift."""
-    return _decide(prefix, None, num, shift)
-
-
-def _below(vals, num, shift):
-    """Exactly whether λ(vals) < x for the dyadic x = num / 2^shift.
-
-    The tuple's polynomial t^last P + σ P*, with P the prefix's dominant
-    polynomial and σ the closing sign, has exactly one root above μ(prefix)
-    and is negative between the two (the lemma of ``_pair``).  So λ < x
-    exactly when μ < x and the closing polynomial is positive at x.
-    """
-    return _decide(vals[:-1], vals[-1], num, shift)
 
 
 def _round(mid, rad, d):
@@ -343,14 +334,10 @@ def _formula_cell(below, hint):
     return _Cell(below, _bisect(below, lo, hi, _GRID))
 
 
-def _tuple_cell(vals):
-    # λ(vals) on the 2^-48 grid
-    return _formula_cell(partial(_below, vals), _float_hint(vals[:-1], vals[-1]))
-
-
-def _limit_cell(prefix):
-    # μ(prefix) on the 2^-48 grid
-    return _formula_cell(partial(_limit_below, prefix), _float_hint(prefix))
+def _cell(prefix, last=None, lo=1.0, hi=None):
+    # λ(prefix + (last,)), or μ(prefix) when last is None, on the 2^-48 grid,
+    # from the float hint inside [lo, hi]
+    return _formula_cell(partial(_decide, prefix, last), _float_hint(prefix, last, lo, hi))
 
 
 def _separate(upper, lower):
@@ -432,7 +419,7 @@ def dilatation(m, method="both", tol=1e-10):
         above = _float_hint(m.values[:-1], m.values[-1])
         certificate = transition_matrix(m).spectral_radius(tol=tol, _above=above)
     else:
-        cell = _tuple_cell(m.values)
+        cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
             certificate = _cross_check(cell, transition_matrix(m), tol)
@@ -461,7 +448,7 @@ def limit_dilatation(prefix):
 
 
 def _certified_limit(vals):
-    cell = _limit_cell(vals)
+    cell = _cell(vals)
     _cross_check(cell, dominant_matrix(vals))
     return cell
 
@@ -508,8 +495,8 @@ def monotonicity_check(m, i):
         raise ValueError(f"coordinate index {i} outside 1..{len(m)}")
     bumped = list(m.values)
     bumped[i - 1] += 1
-    before = _tuple_cell(m.values)
-    after = _tuple_cell(tuple(bumped))
+    before = _cell(m.values[:-1], m.values[-1])
+    after = _cell(tuple(bumped[:-1]), bumped[-1])
     return MonotonicityCheck(before.value(), after.value(), _separate(before, after))
 
 
@@ -555,7 +542,7 @@ def convergence_table(prefix, last_values):
     cells = []
     for last in steps:
         prev = cells[-1] if cells else None
-        cell = _row_cell(vals + (last,), mu, prev)
+        cell = _row_cell(vals, last, mu, prev)
         if not _separate(cell, mu) or (prev is not None and not _separate(prev, cell)):
             raise RuntimeError(f"the dilatations do not fall strictly toward μ at {vals + (last,)}")
         cells.append(cell)
@@ -566,18 +553,17 @@ def convergence_table(prefix, last_values):
     ]
 
 
-def _row_cell(full, mu, prev):
-    # λ(full) inside the warm bracket from μ's cell up to the previous row's:
-    # bisected exactly when the float hint cannot help, that is below the
-    # 2^-48 grid or at most _WARM_UNITS of its units wide
-    below = partial(_below, full)
+def _row_cell(prefix, last, mu, prev):
+    # λ(prefix + (last,)) inside the warm bracket from μ's cell up to the
+    # previous row's: bisected exactly when the float hint cannot help, that
+    # is below the 2^-48 grid or at most _WARM_UNITS of its units wide
     if prev is None:
-        return _formula_cell(below, _float_hint(full[:-1], full[-1], mu.value()))
+        return _cell(prefix, last, mu.value())
     shift = max(mu.shift, prev.shift)
     lo, hi = mu.ends(shift)[0], prev.ends(shift)[1]
     if shift == _GRID and hi - lo > _WARM_UNITS:
-        hint = _float_hint(full[:-1], full[-1], lo * 2.0**-shift, hi * 2.0**-shift)
-        return _formula_cell(below, hint)
+        return _cell(prefix, last, lo * 2.0**-shift, hi * 2.0**-shift)
+    below = partial(_decide, prefix, last)
     if not below(hi, shift):
-        raise RuntimeError(f"the dilatations do not fall strictly toward μ at {full}")
+        raise RuntimeError(f"the dilatations do not fall strictly toward μ at {prefix + (last,)}")
     return _Cell(below, _bisect(below, lo, hi, shift), shift)

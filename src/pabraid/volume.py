@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dilatation import _below, _bisect, dilatation
+from .dilatation import _bisect, _decide, dilatation
 from .intpoly import _integer
 
 __all__ = [
@@ -236,11 +236,10 @@ def find_parameters(target_lambda, target_volume):
 
     volume = Fraction(target_volume)
     k = _least_below(lambda kk: _bound_exceeds(kk, volume))
-    width = k + 1
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
-    m = _least_below(lambda mm: _below((mm,) * width, num, shift))
-    witness = dilatation((m,) * width, method="both")
+    m = _least_below(lambda mm: _decide((mm,) * k, mm, num, shift))
+    witness = dilatation((m,) * (k + 1), method="both")
     return BoundReport(
         k=k,
         m=m,

@@ -150,8 +150,9 @@ def float_hint_oracle(prefix, last=None, lo=1.0, hi=None):
 def record_decisions(monkeypatch):
     """Record the arguments of every exact decision, one per ``_decide`` call.
 
-    Not an oracle: a spy on ``pabraid.dilatation._decide``, which ``_below``
-    and ``_limit_below`` look up on every call.
+    Not an oracle: a spy on ``pabraid.dilatation._decide`` and on the name
+    ``pabraid.volume`` imports.  A ``partial(_decide, ...)`` binds the
+    function when it is built, so build any after this call.
     """
     module = importlib.import_module("pabraid.dilatation")
     decide = module._decide
@@ -162,6 +163,7 @@ def record_decisions(monkeypatch):
         return decide(prefix, last, num, shift)
 
     monkeypatch.setattr(module, "_decide", recorded)
+    monkeypatch.setattr(importlib.import_module("pabraid.volume"), "_decide", recorded)
     return calls
 
 

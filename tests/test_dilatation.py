@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pabraid import (
+    BraidTuple,
     IntPoly,
     ScanRow,
     braid_char_poly,
@@ -87,6 +88,8 @@ class TestBraidCharPoly:
             assert braid_char_poly(tv) == transition_matrix(tv).char_poly()
 
 
+# tuples as the benchmark's sweep draws them
+_SWEEP_TUPLES = st.lists(st.integers(1, 40), min_size=2, max_size=12).map(tuple)
 # tuples beyond the grid, and tuples whose matrix has N <= 150
 _LONG_TUPLES = st.lists(st.integers(1, 80), min_size=2, max_size=30).map(tuple)
 _SMALL_TUPLES = st.integers(2, 30).flatmap(
@@ -107,6 +110,15 @@ class TestExpansionOracle:
         dom, sign = chain[-1], (-1) ** len(values)
         closed = dom.shift(values[-1]) + dom.reciprocal(dom.degree) * sign
         assert braid_char_poly(values) == closed
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=_SWEEP_TUPLES)
+    def test_char_poly_is_sign_reciprocal(self, values):
+        # t^last P + σ P* is σ-reciprocal at degree N for any P, so this holds
+        # by construction; it is checked here, not at run time
+        bt = BraidTuple(values)
+        poly = braid_char_poly(bt)
+        assert poly == poly.reciprocal(bt.size) * bt.sign
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(values=_SMALL_TUPLES)
@@ -187,11 +199,11 @@ def _dyadic(x):
 
 
 def _below(values, x):
-    return dilatation_module._below(values, *_dyadic(x))
+    return dilatation_module._decide(values[:-1], values[-1], *_dyadic(x))
 
 
 def _limit_below(prefix, x):
-    return dilatation_module._limit_below(prefix, *_dyadic(x))
+    return dilatation_module._decide(prefix, None, *_dyadic(x))
 
 
 def _overlaps(bracket, cert):
@@ -235,8 +247,8 @@ class TestTransferRecurrence:
         # grid point, the cell's own lower end (k = 0) or the next cell's
         # (k = 1), is a hint like any other; one that is not finite is
         # replaced by 1
-        below = partial(dilatation_module._below, (4, 2))
-        assert dilatation_module._tuple_cell((4, 2)).lo == _CELL_4_2
+        below = partial(dilatation_module._decide, (4,), 2)
+        assert dilatation_module._cell((4,), 2).lo == _CELL_4_2
         assert dilatation_module._formula_cell(below, hint).lo == _CELL_4_2
 
     @pytest.mark.parametrize(
@@ -244,16 +256,16 @@ class TestTransferRecurrence:
     )
     def test_limit_on_a_grid_point(self, hint):
         # μ(1) = 2 is a grid point: its cell is [2, 2 + 2^-48) from any hint
-        below = partial(dilatation_module._limit_below, (1,))
-        assert dilatation_module._limit_cell((1,)).lo == 2 << 48
+        below = partial(dilatation_module._decide, (1,), None)
+        assert dilatation_module._cell((1,)).lo == 2 << 48
         assert dilatation_module._formula_cell(below, hint).lo == 2 << 48
 
     @pytest.mark.parametrize("k, decisions", [(0.5, 2), (1.5, 2), (-0.5, 3), (2.5, 4)])
     def test_decisions_at_the_hint_cell(self, monkeypatch, k, decisions):
         # the hint's own cell costs two decisions, as does the cell above
         # it (the float hint errs upwards); the cell below costs three
-        below = partial(dilatation_module._below, (4, 2))
         calls = record_decisions(monkeypatch)
+        below = partial(dilatation_module._decide, (4,), 2)
         cell = dilatation_module._formula_cell(below, (_CELL_4_2 + k) * 2.0**-48)
         assert (cell.lo, len(calls)) == (_CELL_4_2, decisions)
 
@@ -263,7 +275,7 @@ class TestTransferRecurrence:
         for values in grid_tuples():
             chain = dominant_chain(values[:-1])
             old = first_real_root_above(braid_char_poly(values), climb_chain(chain))
-            assert dilatation_module._tuple_cell(values).value() == old, values
+            assert dilatation_module._cell(values[:-1], values[-1]).value() == old, values
 
     @pytest.mark.parametrize("values", [(1, 1, 28), (4, 200), (2, 2, 40), *HARD_TUPLES])
     def test_former_sign_change_failures(self, values):
@@ -306,7 +318,7 @@ class TestFloatHint:
         # cell or the one below it, two decisions each
         calls = record_decisions(monkeypatch)
         for values in grid_tuples():
-            dilatation_module._tuple_cell(values)
+            dilatation_module._cell(values[:-1], values[-1])
         assert len(calls) == 2 * 775
         calls.clear()
         convergence_table((2, 8, 8), range(1, 41))  # scan --prefix 2,8,8 --m-max 40
@@ -351,12 +363,8 @@ class TestBallLadder:
         # points 2^-4 ... 2^-200 from either end of the root's 2^-48 cell,
         # on grids up to 2^-256: the ladder answers as the exact rung, and
         # no rung of any precision, down to 8 bits, answers otherwise
-        if last is None:
-            cell = dilatation_module._limit_cell(prefix)
-            decide = partial(dilatation_module._limit_below, prefix)
-        else:
-            cell = dilatation_module._tuple_cell(prefix + (last,))
-            decide = partial(dilatation_module._below, prefix + (last,))
+        cell = dilatation_module._cell(prefix, last)
+        decide = partial(dilatation_module._decide, prefix, last)
         end = Fraction(cell.lo + data.draw(st.integers(0, 1), label="end"), 2**48)
         j = data.draw(st.integers(4, 200), label="j")
         x = end + data.draw(st.sampled_from((-1, 1)), label="side") * Fraction(1, 2**j)
@@ -384,20 +392,17 @@ class TestBallLadder:
         # μ(1) = 2 is a root of the first level t (t - 2) (t + 1): at x = 2
         # the level is 0, which no ball holding 0 can tell from positive
         rungs = record_rungs(monkeypatch)
-        assert not dilatation_module._limit_below((1,), 2 << shift, shift)
-        assert not dilatation_module._below((1, 5), 2 << shift, shift)
+        assert not dilatation_module._decide((1,), None, 2 << shift, shift)
+        assert not dilatation_module._decide((1,), 5, 2 << shift, shift)
         assert rungs == [(None, False)] * 2
 
     def test_a_root_on_the_grid_below_a_long_prefix(self, monkeypatch):
         # the same zero under eleven more levels climbs the ladder: rounded
         # balls hold 0, and only a rung that rounds nothing may answer
         rungs = record_rungs(monkeypatch)
-        assert not dilatation_module._limit_below((1,) + (40,) * 11, 2 << 256, 256)
+        assert not dilatation_module._decide((1,) + (40,) * 11, None, 2 << 256, 256)
         assert rungs[0] == (256 + dilatation_module._GUARD_BITS, None)
         assert rungs[-1][1] is False
-
-
-_SWEEP_TUPLES = st.lists(st.integers(1, 40), min_size=2, max_size=12).map(tuple)
 
 
 class TestFormulaCellProperties:
@@ -456,7 +461,7 @@ class TestLimitDilatation:
     @pytest.mark.parametrize("wrong", [-1.0, 2.0 + 1e-8])
     def test_wrong_climbed_root_is_rejected(self, monkeypatch, wrong):
         # (1,) has the dominant polynomial t (t - 2) (t + 1)
-        monkeypatch.setattr(dilatation_module, "_limit_cell", lambda prefix: _cell_at(wrong))
+        monkeypatch.setattr(dilatation_module, "_cell", lambda prefix: _cell_at(wrong))
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
             limit_dilatation((1,))
         with pytest.raises(AssertionError, match="Perron-Frobenius enclosure"):
@@ -468,7 +473,7 @@ class TestLimitDilatation:
         cert = dominant_matrix((1,)).spectral_radius()
         assert cert.lower == cert.upper == 2.0
         below_two = 2.0 - 2.0**-49
-        monkeypatch.setattr(dilatation_module, "_limit_cell", lambda prefix: _cell_at(below_two))
+        monkeypatch.setattr(dilatation_module, "_cell", lambda prefix: _cell_at(below_two))
         assert limit_dilatation((1,)) == below_two
 
 
@@ -523,7 +528,7 @@ class TestMonotonicity:
         result = monotonicity_check((4, 90), 2)
         assert result.strictly_decreasing
         assert result.lambda_before == result.lambda_after
-        before, after = (dilatation_module._tuple_cell(v) for v in ((4, 90), (4, 91)))
+        before, after = (dilatation_module._cell((4,), v) for v in (90, 91))
         assert not dilatation_module._separate(after, before)
 
     def test_no_tolerance_option(self):

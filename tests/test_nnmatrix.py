@@ -342,7 +342,7 @@ class TestSeededStart:
             matrix, above = source, 1.0
         else:
             matrix = transition_matrix(source)
-            above = float(dilatation_module._tuple_cell(source).bracket()[1])
+            above = float(dilatation_module._cell(source[:-1], source[-1]).bracket()[1])
         unseeded = matrix.spectral_radius()
         count = len(factorizations)
         assert count > 0  # Noda steps from the start, with no power steps

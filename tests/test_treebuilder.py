@@ -33,6 +33,7 @@ from helpers import (
     berkowitz_starts,
     bordered_det_oracle,
     bordered_rows_oracle,
+    grid_tuples,
 )
 
 
@@ -342,6 +343,10 @@ class TestValidateStructure:
         assert report.ok
         assert len(report.checks) == 5
         assert report.failures == ()
+
+    def test_grid_matrices_pass(self):
+        # every gluing check on every tuple of the 775-tuple grid
+        assert [tv for tv in grid_tuples() if not validate_structure(tv).ok] == []
 
     # (2,2,3): l = 6, the hub row 7, middle rows 8..9 and the last row 10;
     # each corruption is written over the sound entries, in this order

@@ -218,14 +218,14 @@ class TestFindParameters:
     def test_witness_cell_missing_the_enclosure_is_refused(self, monkeypatch):
         # bound and dilatation(method="both") run the same cross-check
         module = importlib.import_module("pabraid.dilatation")
-        exact_cell = module._tuple_cell
+        exact_cell = module._cell
 
-        def shifted_cell(vals):
-            cell = exact_cell(vals)
+        def shifted_cell(*args):
+            cell = exact_cell(*args)
             cell.lo += 1 << 20  # about 3.7e-9 above the dilatation
             return cell
 
-        monkeypatch.setattr(module, "_tuple_cell", shifted_cell)
+        monkeypatch.setattr(module, "_cell", shifted_cell)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
             find_parameters(1.5, 3)
         with pytest.raises(AssertionError, match="misses the Perron-Frobenius enclosure"):
