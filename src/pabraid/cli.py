@@ -95,7 +95,7 @@ def build_parser():
     p.add_argument("--sparse", action="store_true", help="sparse 'row col value' format")
     common(p)
 
-    p = sub.add_parser("verify", help="run the structural identity suite over a grid")
+    p = sub.add_parser("verify", help="check the formula/matrix identities over a grid")
     p.add_argument("--max-k", type=int, default=3, help="largest k (tuple length - 1)")
     p.add_argument("--max-m", type=int, default=5, help="largest parameter value")
     common(p)

@@ -45,8 +45,8 @@ __all__ = [
     "convergence_table",
 ]
 
-# the finest grid, 2^-1024, that scan rows and monotonicity checks refine
-# to when two roots share a 2^-48 cell
+# the finest grid, 2^-1024, that a monotonicity check refines to when the
+# two dilatations share a 2^-48 cell
 _FINEST_GRID = 1024
 # the widest warm bracket, in 2^-48 units, that a scan row bisects exactly
 # instead of placing a float hint in it
@@ -281,11 +281,6 @@ class _Cell:
         return self.lo << d, (self.lo + 1) << d
 
     def refine(self):
-        if self.shift >= _FINEST_GRID:
-            raise RuntimeError(
-                "separating two roots needs a grid finer than the finest "
-                f"grid 2^-{_FINEST_GRID}"
-            )
         self.lo = _bisect(self.below, 2 * self.lo, 2 * self.lo + 2, self.shift + 1)
         self.shift += 1
 
@@ -340,11 +335,12 @@ def _cell(prefix, last=None, lo=1.0, hi=None):
     return _formula_cell(partial(_decide, prefix, last), _float_hint(prefix, last, lo, hi))
 
 
-def _separate(upper, lower):
+def _separate(upper, lower, finest=math.inf):
     """Refine two cells of distinct roots until they are disjoint.
 
     Returns whether ``upper`` then lies above ``lower``.  The coarser cell
-    is refined first, both when their grids agree.
+    is refined first, both when their grids agree.  Refining past the grid
+    2^-``finest`` raises RuntimeError.
     """
     while True:
         shift = max(upper.shift, lower.shift)
@@ -353,6 +349,10 @@ def _separate(upper, lower):
         if up_lo >= low_hi or low_lo >= up_hi:
             return up_lo >= low_hi
         coarse = min(upper.shift, lower.shift)
+        if coarse >= finest:
+            raise RuntimeError(
+                f"separating two roots needs a grid finer than the finest grid 2^-{finest}"
+            )
         for cell in (upper, lower):
             if cell.shift == coarse:
                 cell.refine()
@@ -487,7 +487,9 @@ def monotonicity_check(m, i):
     ``i`` is 1-based.  The boolean is exact: the two certified 2^-48 cells
     are refined on finer grids until they are disjoint, and it tells
     whether λ(m) lies above λ(incremented).  Dilatations closer than
-    2^-1024 raise RuntimeError.
+    2^-1024 raise RuntimeError.  Unlike ``convergence_table``, this keeps a
+    cap: at an inner coordinate the strict drop is the paper's theorem, not
+    a lemma stated here.
     """
     m = BraidTuple(m)
     i = _integer(i, "coordinate index")
@@ -497,7 +499,7 @@ def monotonicity_check(m, i):
     bumped[i - 1] += 1
     before = _cell(m.values[:-1], m.values[-1])
     after = _cell(tuple(bumped[:-1]), bumped[-1])
-    return MonotonicityCheck(before.value(), after.value(), _separate(before, after))
+    return MonotonicityCheck(before.value(), after.value(), _separate(before, after, _FINEST_GRID))
 
 
 @dataclass(frozen=True)
@@ -527,8 +529,16 @@ def convergence_table(prefix, last_values):
     difference of that float and the limit's, so deep rows may show a gap
     of 0.0.  The statement being reproduced, λ falling strictly toward μ,
     is certified on exact brackets instead: each row's ``bracket`` lies
-    above μ's cell and below the previous row's bracket, refining the cells
-    on grids down to 2^-1024 as far as a row needs (RuntimeError beyond).
+    above μ's cell and below the previous row's bracket.
+
+    The order holds for every prefix by the last-coordinate lemma.  Write
+    λ_m for λ(prefix + (m,)) and Q_m = t^m P + σ P* for its polynomial,
+    with P the prefix's dominant polynomial and σ the closing sign.  Then
+    Q_(m+1)(x) - Q_m(x) = x^m (x - 1) P(x), which is positive for every
+    x > μ > 1 (the lemma of ``_pair``).  So Q_(m+1)(λ_m) > 0, and by the
+    closing-polynomial lemma of ``_decide``, μ < λ_(m+1) < λ_m.  Hence the
+    cells are refined on finer grids until the brackets are disjoint, which
+    always ends, with no fixed depth.
     """
     vals = params(prefix, 1)
     steps = tuple(last_values)
@@ -543,8 +553,9 @@ def convergence_table(prefix, last_values):
     for last in steps:
         prev = cells[-1] if cells else None
         cell = _row_cell(vals, last, mu, prev)
-        if not _separate(cell, mu) or (prev is not None and not _separate(prev, cell)):
-            raise RuntimeError(f"the dilatations do not fall strictly toward μ at {vals + (last,)}")
+        _separate(cell, mu)
+        if prev is not None:
+            _separate(prev, cell)
         cells.append(cell)
     degree = block_boundaries(vals)[-1] + 1  # of the prefix's dominant polynomial
     return [
@@ -555,8 +566,9 @@ def convergence_table(prefix, last_values):
 
 def _row_cell(prefix, last, mu, prev):
     # λ(prefix + (last,)) inside the warm bracket from μ's cell up to the
-    # previous row's: bisected exactly when the float hint cannot help, that
-    # is below the 2^-48 grid or at most _WARM_UNITS of its units wide
+    # previous row's, where the lemma of convergence_table puts it: bisected
+    # exactly when the float hint cannot help, that is below the 2^-48 grid
+    # or at most _WARM_UNITS of its units wide
     if prev is None:
         return _cell(prefix, last, mu.value())
     shift = max(mu.shift, prev.shift)
@@ -564,6 +576,4 @@ def _row_cell(prefix, last, mu, prev):
     if shift == _GRID and hi - lo > _WARM_UNITS:
         return _cell(prefix, last, lo * 2.0**-shift, hi * 2.0**-shift)
     below = partial(_decide, prefix, last)
-    if not below(hi, shift):
-        raise RuntimeError(f"the dilatations do not fall strictly toward μ at {prefix + (last,)}")
     return _Cell(below, _bisect(below, lo, hi, shift), shift)

@@ -18,7 +18,7 @@ import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
 
-from helpers import GOLDEN_8x8, berkowitz_starts
+from helpers import GOLDEN_8x8, berkowitz_starts, record_decisions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +143,19 @@ class TestScanCommand:
         rows = [line.split(";") for line in out.splitlines()[1:]]
         assert len(rows) == 40 and rows[-1][2] == "0.0"
         assert rows[-1][1] == "2.4141496116083605"
+
+    def test_rows_past_the_old_cap(self, capsys):
+        # λ(2,3,m) - μ passes 2^-1024 near m = 910; no grid depth stops a scan
+        rc, out, err = run(capsys, "scan", "--prefix", "2,3", "--m-max", "1200")
+        assert (rc, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 1200
+
+    def test_the_order_is_not_decided_again(self, capsys, monkeypatch):
+        # the last-coordinate lemma puts each exact-bracket row below the
+        # previous row's bracket, so no decision checks that end first
+        calls = record_decisions(monkeypatch)
+        rc, _, _ = run(capsys, "scan", "--prefix", "10,1,8,5", "--m-max", "40")
+        assert (rc, len(calls)) == (0, 144)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "scan", "--prefix", "2", "--m-max", "4")

@@ -531,6 +531,14 @@ class TestMonotonicity:
         before, after = (dilatation_module._cell((4,), v) for v in (90, 91))
         assert not dilatation_module._separate(after, before)
 
+    def test_finest_grid_is_a_named_cap(self, monkeypatch):
+        # λ(4,150) - λ(4,151) is about 2^-81; monotonicity_check keeps the
+        # cap at every slot, since at an inner one the strict drop is the
+        # paper's theorem, not a lemma the code states
+        monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 60)
+        with pytest.raises(RuntimeError, match=r"finest grid 2\^-60"):
+            monotonicity_check((4, 150), 2)
+
     def test_no_tolerance_option(self):
         with pytest.raises(TypeError):
             monotonicity_check((1, 1), 1, tol=1e-10)
@@ -578,11 +586,26 @@ class TestConvergence:
         final = roots_outside_unit_disk(base.shift(60) + mirrored)[0]
         assert abs(final - GOLDEN_RATIO) < 1e-6
 
-    def test_finest_grid_is_a_named_cap(self, monkeypatch):
-        # λ(4,150) - μ(4) is about 2^-80
+    def test_scan_rows_have_no_finest_grid(self, monkeypatch):
+        # λ(4,150) - μ(4) is about 2^-75; the lemma of convergence_table,
+        # not a cap, bounds the refinement of scan rows
         monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 60)
-        with pytest.raises(RuntimeError, match=r"finest grid 2\^-60"):
-            convergence_table((4,), [150])
+        (row,) = convergence_table((4,), [150])
+        assert row.bracket[1] - row.bracket[0] < Fraction(1, 2**60)
+
+    def test_rows_past_the_old_cap(self):
+        # λ(1,1,m) - μ passes 2^-1024 near m = 580; every row is certified
+        # by its own decisions, asked here independently of the scan's cells
+        rows = convergence_table((1, 1), range(1, 700))
+        assert len(rows) == 699
+        upper = None
+        for row in rows:
+            lo, hi = row.bracket
+            assert not _below(row.tuple_values, lo) and _below(row.tuple_values, hi)
+            assert _limit_below((1, 1), lo)  # μ < lo
+            assert upper is None or hi <= upper
+            upper = lo
+        assert hi - lo < Fraction(1, 2**1024)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
