@@ -13,7 +13,9 @@ Collatz-Wielandt enclosure.  A caller's float just above the eigenvalue,
 when there is one, is the first step's shift; the enclosure is still
 evaluated on the matrix alone.  Each Noda step solves by elimination over
 the same breadth-first depths: the heads of the edges that do not increase
-depth (the hubs) meet every cycle, the other vertices are eliminated in
+depth meet every cycle.  They are the hubs, with each vertex whose row
+holds an entry from a vertex that is not such a head beside another entry
+(no braid matrix has such a row).  The other vertices are eliminated in
 order of depth without subtraction, and only the dense hub system, at most
 ``_MAX_HUBS`` vertices, is solved by LU.
 """
@@ -192,9 +194,12 @@ class NNMatrix:
 
         Each solve eliminates, without subtraction, every vertex off the hubs
         that the breadth-first depths of the primitivity test give
-        (``_HubProgram``); only the dense hub system, 2(k + 1) vertices for
-        a tuple of k + 1 parameters, is solved by LU.  A matrix with more
-        than ``_MAX_HUBS`` hubs raises ValueError before any step.
+        (``_HubProgram``): the heads of the edges that do not increase depth,
+        and each vertex whose row holds an entry from a vertex that is not
+        such a head beside another entry.  Only the dense hub system,
+        2(k + 1) vertices for a tuple of k + 1 parameters (no braid matrix
+        has such a row), is solved by LU.  A matrix with more than
+        ``_MAX_HUBS`` hubs raises ValueError before any step.
 
         The iteration starts from the all-ones vector.  A caller that holds a
         float just above lambda (the formula route's cell, or its float hint)
@@ -331,20 +336,23 @@ class _HubProgram:
     S has the pattern of the entries ``(rows, cols)`` (0-based), and
     ``depth`` holds breadth-first depths from vertex 0 along the edges
     j -> i of the entries (i, j).  Along a cycle the depth fails to increase
-    somewhere, so the heads of the edges that do not increase it, the hubs,
-    meet every cycle.  Every other vertex r, the rest, has all its in-edges
-    from depth depth(r) - 1 and no self-loop, so in order of depth
-    y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative multiples of 1 and
-    of hub values: its form c_r + mu_r * sum_h b_h y_h.  A vertex whose one
-    entry is another vertex of the rest (a link of a chain) takes the b of
-    that vertex's owner and only scales them by its multiplier mu_r; every
-    other vertex owns its b, with mu_r = 1.
+    somewhere, so the heads of the edges that do not increase it meet every
+    cycle.  They are hubs, and so is each vertex whose row holds an entry
+    from a vertex that is not such a head beside another entry (no braid
+    matrix has such a row).  Every other vertex r, the rest, has all its
+    in-edges from depth depth(r) - 1 and no self-loop, so in order of depth
+    y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative multiples of 1
+    and of hub values: its form c_r + mu_r * sum_h b_h y_h.  A vertex whose
+    one entry is another vertex of the rest (a link of a chain) takes the b
+    of that vertex's owner and only scales them by its multiplier mu_r.
+    Every other vertex of the rest has entries from hubs alone and owns its
+    b, with b_h = S_e/x for its entry e from h and mu_r = 1.
 
     A solve fills one flat list f: f[0] = 1, then S_e/x for the rest's
-    entries e, then each c_r (from 1/x), then multipliers and b (from 0).
-    ``ops`` lists (d, a, b) for f[d] += f[a] * f[b], one per term of a form,
-    in order of depth; the hub rows' entries, direct and through the forms,
-    then scatter into the |H| x (|H| + 1) system [C | c] with
+    entries e, then each c_r (from 1/x), then the links' multipliers (from
+    0).  ``ops`` lists (d, a, b) for f[d] += f[a] * f[b], a link's two
+    terms, in order of depth; the hub rows' entries, direct and through the
+    forms, then scatter into the |H| x (|H| + 1) system [C | c] with
     (xI - C) y_H = 1 + c.
     """
 
@@ -352,6 +360,8 @@ class _HubProgram:
         dep = np.array(depth)
         hub = np.zeros(n, dtype=bool)
         hub[rows[dep[rows] <= dep[cols]]] = True
+        # a row that mixes an entry from the rest with another entry
+        hub[rows[~hub[cols] & (np.bincount(rows, minlength=n)[rows] > 1)]] = True
         self.size, self.hubs = n, np.flatnonzero(hub)
         nh = len(self.hubs)
         if nh > _MAX_HUBS:
@@ -368,77 +378,57 @@ class _HubProgram:
         # the rest's entries, row by row in that order
         tail = np.flatnonzero(~hub[rows])
         self.tail = tail = tail[np.argsort(place[rows[tail]], kind="stable")]
-        nr = len(rest)
-        counts = np.bincount(place[rows[tail]], minlength=nr)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        kinds, heads = hub[cols[tail]], place[cols[tail]]
+        nr, row, heads = len(rest), place[rows[tail]], place[cols[tail]]
+        counts = np.bincount(row, minlength=nr)
+        starts = np.cumsum(counts) - counts
         self.first = first = 1 + len(tail)  # the slot of c_r for the first r
-        # links, each with a multiplier slot of its own; the others own their
-        # b, with mu_r = f[0] = 1
-        link = (counts == 1) & ~kinds[starts]
+        # links (a row whose first entry is from the rest has no other), each
+        # with a multiplier slot of its own; the others own their b, with
+        # mu_r = f[0] = 1
+        link = ~hub[cols[tail[starts]]]
         links = np.flatnonzero(link)
-        pred = np.where(link, heads[starts], np.arange(nr))
+        pred = heads[starts[links]]
         mus = np.zeros(nr, dtype=np.intp)
         mus[links] = first + nr + np.arange(len(links))
-        slots = first + nr + len(links)
-        root = pred  # each vertex's owner, by following links back
-        while not np.array_equal(root[root], root):
-            root = root[root]
+        self.slots, self.mus = first + nr + len(links), mus
         # a link's terms: c_r += (S_e/x) c_j and mu_r += (S_e/x) mu_j
         at = starts[links] + 1
-        ops = [
-            (links, first + links, at, first + pred[links]),
-            (links, mus[links], at, mus[pred[links]]),
-        ]
-        # an owner's terms, in order: b_h += S_e/x for an entry of a hub;
-        # c_r += (S_e/x) c_j, then (S_e/x) mu_j times the b of j's owner, for
-        # an entry of the rest
-        starts, ends, kinds, heads = starts.tolist(), ends.tolist(), kinds.tolist(), heads.tolist()
-        mu_of, root_of = mus.tolist(), root.tolist()
-        owners, terms = {}, []
-        for k in np.flatnonzero(~link).tolist():
-            c, coeffs = first + k, {}
-            for t in range(starts[k], ends[k]):
-                j = heads[t]
-                if kinds[t]:
-                    adds = [(j, t + 1, 0)]
-                else:
-                    terms += ((k, c, t + 1, first + j), (k, slots, t + 1, mu_of[j]))
-                    adds = [(h, slots, b) for h, b in owners[root_of[j]].items()]
-                    slots += 1
-                for h, a, b in adds:
-                    if h not in coeffs:
-                        coeffs[h], slots = slots, slots + 1
-                    terms.append((k, coeffs[h], a, b))
-            owners[k] = coeffs
-        ops.append(np.array(terms, dtype=np.intp).reshape(-1, 4).T)
-        rank, d, a, b = (np.concatenate(part) for part in zip(*ops))
-        order = np.argsort(rank, kind="stable")
-        self.ops = (d[order].tolist(), a[order].tolist(), b[order].tolist())
-        self.slots, self.mus = slots, mus
+        self.ops = (
+            np.concatenate((first + links, mus[links])).tolist(),
+            np.concatenate((at, at)).tolist(),
+            np.concatenate((first + pred, mus[pred])).tolist(),
+        )
+        root = np.where(link, heads[starts], np.arange(nr))  # each vertex's owner
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        owners = np.flatnonzero(~link)
         index = np.zeros(nr, dtype=np.intp)
-        index[list(owners)] = np.arange(len(owners))
+        index[owners] = np.arange(len(owners))
         self.owner_of, self.owners = index[root], len(owners)
-        owned = [(o, b, h) for o, coeffs in enumerate(owners.values()) for h, b in coeffs.items()]
-        self.owned = np.array(owned, dtype=np.intp).reshape(-1, 3).T
+        # an owner's b are the slots of its entries
+        own = np.flatnonzero(~link[row])
+        self.owned = np.array((index[row[own]], own + 1, heads[own]))
         # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
-        # among hubs, S_e * f[a] * f[b] for a term through a form
+        # among hubs; for an entry e from k in the rest, the terms through
+        # k's form, S_e c_k and then S_e mu_k b_h for each entry t of k's
+        # owner (the owner's run of the tail), each S_e * f[a] * f[b]
         width = nh + 1
         self.direct = np.flatnonzero(hub[rows] & hub[cols])
-        cells = (place[rows[self.direct]] * width + place[cols[self.direct]]).tolist()
-        terms, factors = [], []
-        for e in np.flatnonzero(hub[rows] & ~hub[cols]).tolist():
-            k, base = int(place[cols[e]]), int(place[rows[e]]) * width
-            cells.append(base + nh)
-            terms.append(e)
-            factors += (first + k, 0)
-            for h, b in owners[root_of[k]].items():
-                cells.append(base + h)
-                terms.append(e)
-                factors += (mu_of[k], b)
-        self.cells, self.terms = np.array(cells, dtype=np.intp), np.array(terms, dtype=np.intp)
-        self.factors = np.array(factors, dtype=np.intp).reshape(-1, 2).T
+        into = np.flatnonzero(hub[rows] & ~hub[cols])
+        k = place[cols[into]]
+        reach = counts[root[k]]  # the number of entries of k's owner
+        e = np.repeat(into, reach)
+        t = np.arange(len(e)) + np.repeat(starts[root[k]] + reach - np.cumsum(reach), reach)
+        self.cells = np.concatenate((
+            place[rows[self.direct]] * width + place[cols[self.direct]],
+            place[rows[into]] * width + nh,
+            place[rows[e]] * width + heads[t],
+        ))
+        self.terms = np.concatenate((into, e))
+        self.factors = np.array((
+            np.concatenate((first + k, mus[np.repeat(k, reach)])),
+            np.concatenate((np.zeros_like(k), t + 1)),
+        ))
 
 
 def _hub_solve(program, scaled, x):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import splu
 
@@ -71,6 +71,19 @@ def block_cyclic_matrices(draw):
         edges.append(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     label = draw(st.permutations(range(1, n + 1)))
     return NNMatrix(n, {(label[w], label[u]): draw(st.integers(1, 3)) for u, w in edges})
+
+
+@st.composite
+def cycles_with_chords(draw):
+    # a cycle through every vertex makes the graph strongly connected, and
+    # its chords give rows that mix an entry from a vertex off the hubs
+    # with another entry
+    n = draw(st.integers(2, 30))
+    label = draw(st.permutations(range(1, n + 1)))
+    entries = {(label[(i + 1) % n], label[i]): draw(st.integers(1, 4)) for i in range(n)}
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    entries.update(draw(st.dictionaries(cell, st.integers(1, 4), min_size=1, max_size=n)))
+    return NNMatrix(n, entries)
 
 
 def scaled_value(poly, x):
@@ -381,8 +394,11 @@ def hub_program(m):
     return nnmatrix._HubProgram(m.size, ij[:, 0], ij[:, 1], m._primitive_depths())
 
 
-def corpus_matrices():
-    """The matrices the benchmark's corpora solve, drawn as bench/workloads.py draws them."""
+def corpus_parameters():
+    """The tuples and prefixes whose matrices the benchmark's corpora solve.
+
+    Drawn as bench/workloads.py draws them: 213 tuples, then 12 prefixes.
+    """
     rng = random.Random(1)
     tuples = [(79,) * 42]
     for _ in range(200):  # tuple-sweep
@@ -391,7 +407,12 @@ def corpus_matrices():
     prefixes = []
     for _ in range(12):  # limit-scan: each prefix's block, and its scan's last tuple
         prefixes.append(tuple(rng.randint(1, 10) for _ in range(rng.randint(1, 6))))
-    tuples += [prefix + (40,) for prefix in prefixes]
+    return tuples + [prefix + (40,) for prefix in prefixes], prefixes
+
+
+def corpus_matrices():
+    """The matrices the benchmark's corpora solve: each tuple's, then each prefix's block."""
+    tuples, prefixes = corpus_parameters()
     return [transition_matrix(t) for t in tuples] + [dominant_matrix(p) for p in prefixes]
 
 
@@ -428,17 +449,42 @@ class TestHubSolve:
     def test_random_primitive_matrix_matches_splu(self, rng, size):
         assert_solve_matches_splu(random_primitive_matrix(rng, max_size=size, max_entry=5))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(m=cycles_with_chords())
+    def test_sparse_primitive_matrix_matches_splu(self, m):
+        assume(m.is_primitive())
+        assert_solve_matches_splu(m)
+
     def test_corpus_matrices_match_splu(self):
         for m in corpus_matrices():
             assert_solve_matches_splu(m)
 
     def test_a_tuple_of_k_plus_1_parameters_has_2k_plus_2_hubs(self):
+        # the heads of the edges that do not increase depth alone: no braid
+        # matrix has a row that mixes an entry from the rest with another
+        # entry, the matrices the benchmark solves included
         rng = random.Random(21)
         for _ in range(60):
             prefix = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 12)))
             assert len(hub_program(dominant_matrix(prefix)).hubs) == 2 * len(prefix) + 1
             values = prefix + (rng.randint(1, 6),)
             assert len(hub_program(transition_matrix(values)).hubs) == 2 * len(values)
+        tuples, prefixes = corpus_parameters()
+        assert (len(tuples), len(prefixes)) == (213, 12)
+        for values in tuples:
+            assert len(hub_program(transition_matrix(values)).hubs) == 2 * len(values)
+        for prefix in prefixes:
+            assert len(hub_program(dominant_matrix(prefix)).hubs) == 2 * len(prefix) + 1
+
+    def test_a_row_mixing_the_rest_with_another_entry_is_a_hub(self):
+        # 0-based vertex 3 has entries from 1 and 2, neither a head of an
+        # edge that does not increase depth
+        m = NNMatrix(4, {(2, 1): 1, (3, 1): 2, (4, 2): 1, (4, 3): 3, (1, 4): 1, (1, 1): 1})
+        assert 3 in hub_program(m).hubs
+        assert_solve_matches_splu(m)
+        cert = m.spectral_radius()
+        assert_certified(cert, m.char_poly(), 1e-10)
+        assert cert.eigenvalue == pytest.approx(2.3108521634588, abs=1e-12)
 
     def test_the_hub_cap_admits_every_matrix_the_tuples_build(self):
         # the most parameters k + 1 under the nonzero limit, at N = 2(k + 1)
