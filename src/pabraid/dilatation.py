@@ -48,9 +48,6 @@ __all__ = [
 # the finest grid, 2^-1024, that a monotonicity check refines to when the
 # two dilatations share a 2^-48 cell
 _FINEST_GRID = 1024
-# the widest warm bracket, in 2^-48 units, that a scan row bisects exactly
-# instead of placing a float hint in it
-_WARM_UNITS = 8
 # the ladder of ``_decide``: guard bits of the first rung above the grid's,
 # the growth from rung to rung, and how many times wider than a rung the
 # exact integers must be before the rung is tried
@@ -566,14 +563,12 @@ def convergence_table(prefix, last_values):
 
 def _row_cell(prefix, last, mu, prev):
     # λ(prefix + (last,)) inside the warm bracket from μ's cell up to the
-    # previous row's, where the lemma of convergence_table puts it: bisected
-    # exactly when the float hint cannot help, that is below the 2^-48 grid
-    # or at most _WARM_UNITS of its units wide
-    if prev is None:
-        return _cell(prefix, last, mu.value())
-    shift = max(mu.shift, prev.shift)
-    lo, hi = mu.ends(shift)[0], prev.ends(shift)[1]
-    if shift == _GRID and hi - lo > _WARM_UNITS:
-        return _cell(prefix, last, lo * 2.0**-shift, hi * 2.0**-shift)
+    # previous row's (the first row's has no upper end), where the lemma of
+    # convergence_table puts it: from the float hint on the 2^-48 grid, and
+    # by exact bisection below it, where the hint cannot help
+    shift = mu.shift if prev is None else max(mu.shift, prev.shift)
+    lo, hi = mu.ends(shift)[0], None if prev is None else prev.ends(shift)[1]
+    if shift == _GRID:
+        return _cell(prefix, last, lo * 2.0**-shift, None if hi is None else hi * 2.0**-shift)
     below = partial(_decide, prefix, last)
     return _Cell(below, _bisect(below, lo, hi, shift), shift)

@@ -344,9 +344,10 @@ class _HubProgram:
     y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative multiples of 1
     and of hub values: its form c_r + mu_r * sum_h b_h y_h.  A vertex whose
     one entry is another vertex of the rest (a link of a chain) takes the b
-    of that vertex's owner and only scales them by its multiplier mu_r.
-    Every other vertex of the rest has entries from hubs alone and owns its
-    b, with b_h = S_e/x for its entry e from h and mu_r = 1.
+    of its owner, the root of its chain, and only scales them by its
+    multiplier mu_r.  Every other vertex of the rest is a root: it has
+    entries from hubs alone and owns its b, b_h = S_e/x for its entry e
+    from h, with mu_r = 1.  ``root`` keys owners by their place in the rest.
 
     A solve fills one flat list f: f[0] = 1, then S_e/x for the rest's
     entries e, then each c_r (from 1/x), then the links' multipliers (from
@@ -401,13 +402,10 @@ class _HubProgram:
         root = np.where(link, heads[starts], np.arange(nr))  # each vertex's owner
         while not np.array_equal(root[root], root):
             root = root[root]
-        owners = np.flatnonzero(~link)
-        index = np.zeros(nr, dtype=np.intp)
-        index[owners] = np.arange(len(owners))
-        self.owner_of, self.owners = index[root], len(owners)
+        self.root = root
         # an owner's b are the slots of its entries
         own = np.flatnonzero(~link[row])
-        self.owned = np.array((index[row[own]], own + 1, heads[own]))
+        self.owned = np.array((row[own], own + 1, heads[own]))
         # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
         # among hubs; for an entry e from k in the rest, the terms through
         # k's form, S_e c_k and then S_e mu_k b_h for each entry t of k's
@@ -456,9 +454,9 @@ def _hub_solve(program, scaled, x):
     y = np.empty(program.size)
     y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 - system[:, nh])
     owner, b, h = program.owned
-    sums = np.bincount(owner, f[b] * y_hub[h], minlength=program.owners)
+    sums = np.bincount(owner, f[b] * y_hub[h], minlength=len(program.rest))
     rest = slice(program.first, program.first + len(program.rest))
-    y[program.rest] = f[rest] + f[program.mus] * sums[program.owner_of]
+    y[program.rest] = f[rest] + f[program.mus] * sums[program.root]
     return y
 
 

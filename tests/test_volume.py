@@ -30,6 +30,10 @@ V3_DIGITS = Fraction("1.01494160640965362502120255427452028594168930753029")
 PI_DIGITS = Fraction("3.14159265358979323846264338327950288419716939937510")
 LOG_DIGITS = Fraction("0.73926477774123579216541423588870957507530438945281")
 SRC = Path(importlib.import_module("pabraid").__file__).parent
+# every precision _bound_exceeds asks of the enclosure of v3: 16 bits,
+# doubled up to the cap
+V3_BITS_CAP = importlib.import_module("pabraid.volume")._V3_BITS_CAP
+V3_BITS = [16 << i for i in range((V3_BITS_CAP // 16).bit_length())]
 
 # (0, π/2], (π/2, π), beyond π and below 0
 THETAS = [
@@ -115,8 +119,10 @@ class TestTetrahedronVolume:
         assert lo < V3_DIGITS < hi
         assert Fraction("1.01494160640965362502") < lo < hi < Fraction("1.01494160640965362503")
         assert hi - lo <= Fraction(1, 2**60)
+        # both ends round to the one float ideal_tetrahedron_volume returns
+        assert float(lo) == float(hi)
 
-    @pytest.mark.parametrize("bits", [16, 32, 128, 256])
+    @pytest.mark.parametrize("bits", V3_BITS)
     def test_enclosure_narrows_with_its_precision(self, bits):
         # it meets the bracket [V3_DIGITS, V3_DIGITS + 1e-50] of v3
         lo, hi = importlib.import_module("pabraid.volume")._v3_enclosure(bits)
