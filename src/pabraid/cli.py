@@ -38,11 +38,12 @@ from .treebuilder import (
 )
 from .volume import find_parameters, volume_lower_bound
 
-# The import-time heap (mostly numpy, about 22k objects) lives as long as the
-# process.  Frozen, no collection scans it again; otherwise the first full
-# collection, 10-15 ms on 2 vCPUs, falls inside the first command: a fresh
-# `bound --lambda 1.1 --volume 20` took 36 ms with the freeze and 45 ms
-# without it (medians of 9).
+# The import-time heap (about 14k objects) lives as long as the process.
+# Frozen, no full collection scans it again.  `bound`, `verify` and `scan`
+# run none before exit, but the interpreter's collections at exit do: a
+# fresh `bound --lambda 1.1 --volume 20` took 261-307 ms with the freeze and
+# 281-332 ms without it (two batches, medians of 21, 2 vCPUs), and the same
+# time both ways when it ended by os._exit.
 gc.freeze()
 
 # the most rows of a scan or tuples of a verify grid, each built whole

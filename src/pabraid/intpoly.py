@@ -20,8 +20,6 @@ import math
 import numbers
 import re
 
-import numpy as np
-
 __all__ = [
     "IntPoly",
     "largest_real_root",
@@ -235,6 +233,8 @@ _WINDOW_CAP = 1 << 32  # widest confirmation half-window, in grid units (~1.5e-5
 
 def _eigenvalues(coeffs):
     # companion-matrix eigenvalues; int / int rounds correctly at any size
+    import numpy as np
+
     top = max(abs(c) for c in coeffs)
     return np.roots([c / top for c in reversed(coeffs)])
 

@@ -17,7 +17,10 @@ depth meet every cycle.  They are the hubs, with each vertex whose row
 holds an entry from a vertex that is not such a head beside another entry
 (no braid matrix has such a row).  The other vertices are eliminated in
 order of depth without subtraction, and only the dense hub system, at most
-``_MAX_HUBS`` vertices, is solved by LU.
+``_MAX_HUBS`` vertices, is solved by LU.  Only the spectral radius uses
+numpy, imported on its first call, so the commands without a matrix route
+(``polynomial``, ``matrix``, ``verify`` and ``dilatation --method
+formula``) never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .intpoly import IntPoly, _integer, _tolerance
 
@@ -221,6 +222,8 @@ class NNMatrix:
         is narrower than tol, when an iterate entry underflows, or when a
         Noda solve is not positive even from the fallback shift.
         """
+        import numpy as np
+
         _tolerance(tol)
         depth = self._primitive_depths()
         if depth is None:
@@ -358,6 +361,8 @@ class _HubProgram:
     """
 
     def __init__(self, n, rows, cols, depth):
+        import numpy as np
+
         dep = np.array(depth)
         hub = np.zeros(n, dtype=bool)
         hub[rows[dep[rows] <= dep[cols]]] = True
@@ -438,6 +443,8 @@ def _hub_solve(program, scaled, x):
     singular.  The rest then follows from y_H by its forms, so y is
     positive wherever y_H is.
     """
+    import numpy as np
+
     f = [1.0]
     f += (scaled[program.tail] / x).tolist()
     f += [1 / x] * len(program.rest)

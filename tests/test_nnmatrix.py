@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -518,6 +519,31 @@ class TestHubSolve:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_numpy_only_on_the_matrix_route(self):
+        src = Path(nnmatrix.__file__).parent
+        top_level = re.compile(r"^(import numpy|from numpy)", re.MULTILINE)
+        assert [p.name for p in src.glob("*.py") if top_level.search(p.read_text())] == []
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import pabraid.cli as cli",
+            "def run(*argv):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(list(argv)) == 0, argv",
+            "    return 'numpy' in sys.modules",
+            "print(run('polynomial', '--tuple', '4,2', '--chain'),",
+            "      run('matrix', '--tuple', '4,2'),",
+            "      run('dilatation', '--tuple', '4,2', '--method', 'formula'),",
+            "      run('verify', '--max-k', '2', '--max-m', '3'),",
+            "      run('dilatation', '--tuple', '4,2'))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(src.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "False False False False True\n", ""
+        )
 
 
 class TestCharPoly:
