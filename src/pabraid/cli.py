@@ -29,7 +29,9 @@ from .dilatation import (
 )
 from .intpoly import IntPoly
 from .treebuilder import (
+    _MAX_NONZEROS,
     BraidTuple,
+    _check_nonzeros,
     _extension,
     _recessive,
     closing_sign,
@@ -126,7 +128,20 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _check_dense(braid):
+    # a dense print holds all N^2 cells of the matrix: past as many cells as
+    # the nonzero limit allows, it is refused before any work
+    cells = braid.size**2
+    if cells > _MAX_NONZEROS:
+        raise ValueError(
+            f"a dense print of the transition matrix has {cells} cells; the limit "
+            f"is {_MAX_NONZEROS}; pabraid matrix --sparse prints its nonzeros"
+        )
+
+
 def _run_dilatation(args):
+    if args.dump_matrix:
+        _check_dense(args.braid)
     report = dilatation(args.braid, method=args.method, tol=args.tol)
     if args.json:
         payload = report.to_json_dict()
@@ -156,6 +171,8 @@ def _run_polynomial(args):
 
 
 def _run_matrix(args):
+    if not args.sparse:
+        _check_dense(args.braid)
     matrix = transition_matrix(args.braid)
     return matrix.text() if args.sparse else matrix.pretty() + "\n"
 
@@ -192,6 +209,8 @@ def _run_verify(args):
     count = k if m == 1 else (m ** (k + 2) - m * m) // (m - 1)
     if count > _MAX_ITEMS:
         raise ValueError(f"verify asks for {count} tuples; the limit is {_MAX_ITEMS}")
+    # and the grid's largest matrix, of (m, ..., m), within the nonzero limit
+    _check_nonzeros((m,) * (k + 1))
     prefixes = [
         values
         for length in range(1, k + 1)

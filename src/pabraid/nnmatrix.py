@@ -352,12 +352,13 @@ class _HubProgram:
     entries from hubs alone and owns its b, b_h = S_e/x for its entry e
     from h, with mu_r = 1.  ``root`` keys owners by their place in the rest.
 
-    A solve fills one flat list f: f[0] = 1, then S_e/x for the rest's
-    entries e, then each c_r (from 1/x), then the links' multipliers (from
-    0).  ``ops`` lists (d, a, b) for f[d] += f[a] * f[b], a link's two
-    terms, in order of depth; the hub rows' entries, direct and through the
-    forms, then scatter into the |H| x (|H| + 1) system [C | c] with
-    (xI - C) y_H = 1 + c.
+    With s_e = S_e/x, a solve starts every c_r at 1/x and every mu_r at 1,
+    then takes the links in order of depth: c_r = 1/x + s_e c_j and
+    mu_r = s_e mu_j for the link r, its one entry e and the vertex j that
+    entry comes from.  The hub rows' entries then scatter into the
+    |H| x (|H| + 1) system [C | c] with (xI - C) y_H = 1 + c: S_e for an
+    entry among hubs, and for an entry e from k in the rest, S_e c_k into c
+    and S_e mu_k s_t into C for each entry t, from h, of k's owner.
     """
 
     def __init__(self, n, rows, cols, depth):
@@ -387,50 +388,32 @@ class _HubProgram:
         nr, row, heads = len(rest), place[rows[tail]], place[cols[tail]]
         counts = np.bincount(row, minlength=nr)
         starts = np.cumsum(counts) - counts
-        self.first = first = 1 + len(tail)  # the slot of c_r for the first r
         # links (a row whose first entry is from the rest has no other), each
-        # with a multiplier slot of its own; the others own their b, with
-        # mu_r = f[0] = 1
+        # with its one entry and the vertex that entry comes from
         link = ~hub[cols[tail[starts]]]
         links = np.flatnonzero(link)
-        pred = heads[starts[links]]
-        mus = np.zeros(nr, dtype=np.intp)
-        mus[links] = first + nr + np.arange(len(links))
-        self.slots, self.mus = first + nr + len(links), mus
-        # a link's terms: c_r += (S_e/x) c_j and mu_r += (S_e/x) mu_j
-        at = starts[links] + 1
-        self.ops = (
-            np.concatenate((first + links, mus[links])).tolist(),
-            np.concatenate((at, at)).tolist(),
-            np.concatenate((first + pred, mus[pred])).tolist(),
-        )
+        self.links = np.column_stack((links, starts[links], heads[starts[links]])).tolist()
         root = np.where(link, heads[starts], np.arange(nr))  # each vertex's owner
         while not np.array_equal(root[root], root):
             root = root[root]
         self.root = root
-        # an owner's b are the slots of its entries
+        # an owner's b are the s_e of its entries
         own = np.flatnonzero(~link[row])
-        self.owned = np.array((row[own], own + 1, heads[own]))
-        # the hub rows into the cells (h, h') and (h, |H|): S_e for an entry
-        # among hubs; for an entry e from k in the rest, the terms through
-        # k's form, S_e c_k and then S_e mu_k b_h for each entry t of k's
-        # owner (the owner's run of the tail), each S_e * f[a] * f[b]
+        self.owned = np.array((row[own], own, heads[own]))
+        # the hub rows' entries: among hubs, from k in the rest, and from k
+        # through each entry t of k's owner (the owner's run of the tail)
         width = nh + 1
         self.direct = np.flatnonzero(hub[rows] & hub[cols])
-        into = np.flatnonzero(hub[rows] & ~hub[cols])
-        k = place[cols[into]]
+        self.into = into = np.flatnonzero(hub[rows] & ~hub[cols])
+        self.k = k = place[cols[into]]
         reach = counts[root[k]]  # the number of entries of k's owner
         e = np.repeat(into, reach)
         t = np.arange(len(e)) + np.repeat(starts[root[k]] + reach - np.cumsum(reach), reach)
+        self.through = np.array((e, np.repeat(k, reach), t))
         self.cells = np.concatenate((
             place[rows[self.direct]] * width + place[cols[self.direct]],
             place[rows[into]] * width + nh,
             place[rows[e]] * width + heads[t],
-        ))
-        self.terms = np.concatenate((into, e))
-        self.factors = np.array((
-            np.concatenate((first + k, mus[np.repeat(k, reach)])),
-            np.concatenate((np.zeros_like(k), t + 1)),
         ))
 
 
@@ -445,25 +428,26 @@ def _hub_solve(program, scaled, x):
     """
     import numpy as np
 
-    f = [1.0]
-    f += (scaled[program.tail] / x).tolist()
-    f += [1 / x] * len(program.rest)
-    f += [0.0] * (program.slots - len(f))
-    for d, a, b in zip(*program.ops):
-        f[d] += f[a] * f[b]
-    f = np.array(f)
+    s = (scaled[program.tail] / x).tolist()
+    c = [1 / x] * len(program.rest)
+    mu = [1.0] * len(program.rest)
+    for r, e, j in program.links:
+        c[r] += s[e] * c[j]
+        mu[r] = s[e] * mu[j]
+    s, c, mu = np.array(s), np.array(c), np.array(mu)
     nh = len(program.hubs)
-    a, b = program.factors
-    weights = np.concatenate((scaled[program.direct], scaled[program.terms] * f[a] * f[b]))
+    e, k, t = program.through
+    weights = np.concatenate((
+        scaled[program.direct], scaled[program.into] * c[program.k], scaled[e] * mu[k] * s[t]
+    ))
     system = np.bincount(program.cells, -weights, minlength=nh * (nh + 1)).reshape(nh, nh + 1)
     lhs = system[:, :nh]  # -C, then xI - C
     lhs.flat[:: nh + 1] += x
     y = np.empty(program.size)
     y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 - system[:, nh])
-    owner, b, h = program.owned
-    sums = np.bincount(owner, f[b] * y_hub[h], minlength=len(program.rest))
-    rest = slice(program.first, program.first + len(program.rest))
-    y[program.rest] = f[rest] + f[program.mus] * sums[program.root]
+    owner, own, h = program.owned
+    sums = np.bincount(owner, s[own] * y_hub[h], minlength=len(program.rest))
+    y[program.rest] = c + mu * sums[program.root]
     return y
 
 

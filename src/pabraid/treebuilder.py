@@ -141,6 +141,12 @@ def transition_matrix(m):
 
 def _limited_entries(values):
     # the entries of a checked tuple, refused above the limit before building
+    _check_nonzeros(values)
+    return _entries(values)
+
+
+def _check_nonzeros(values):
+    # ValueError when the checked tuple's matrix would pass the nonzero limit
     size = block_boundaries(values)[-1]
     k = len(values) - 1
     nonzeros = size + k * k + 4 * k
@@ -149,7 +155,6 @@ def _limited_entries(values):
             f"the transition matrix of size {size} would have {nonzeros} "
             f"nonzeros; the limit is {_MAX_NONZEROS}"
         )
-    return _entries(values)
 
 
 def _entries(values):

@@ -8,6 +8,7 @@ import json
 import math
 import pkgutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,44 @@ class TestMatrixCommand:
         rc, out, _ = run(capsys, "matrix", "--tuple", "4,2", "--sparse")
         assert rc == 0
         assert out == NNMatrix.from_rows(GOLDEN_8x8).text()
+
+    # 12000,1 and 3160,1 give N = 12003 and 3163: far inside the nonzero
+    # limit, but 144 and 10 million cells
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (("matrix", "--tuple", "12000,1"), 144072009),
+            (
+                ("dilatation", "--tuple", "3160,1", "--method", "formula", "--dump-matrix", "--json"),
+                10004569,
+            ),
+            (("dilatation", "--tuple", "3160,1", "--dump-matrix"), 10004569),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_a_dense_print_past_the_limit_is_refused_before_any_work(
+        self, capsys, monkeypatch, argv, cells
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done")
+
+        monkeypatch.setattr(NNMatrix, "to_rows", refuse)
+        monkeypatch.setattr(treebuilder, "_entries", refuse)
+        monkeypatch.setattr(pabraid.cli, "dilatation", refuse)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: a dense print of the transition matrix has {cells} cells; the limit "
+            "is 1000000; pabraid matrix --sparse prints its nonzeros\n"
+        )
+
+    def test_the_dense_limit_admits_10_to_the_6_cells(self, capsys, monkeypatch):
+        # 997,1 gives N = 1000, and 998,1 one row and column more
+        shown = []
+        monkeypatch.setattr(NNMatrix, "to_rows", lambda m: shown.append(m.size) or [[0]])
+        assert run(capsys, "matrix", "--tuple", "997,1")[:2] == (0, "0\n")
+        assert run(capsys, "matrix", "--tuple", "998,1")[0] == 1
+        assert shown == [1000]
 
 
 class TestLimitCommand:
@@ -268,6 +307,24 @@ class TestVerifyCommand:
             expected += [None, cut - 1] + [cut] * 3
         assert starts == expected
 
+    def test_a_grid_whose_largest_matrix_passes_the_limit_is_refused_before_it_is_built(
+        self, capsys, monkeypatch
+    ):
+        # 100 000 tuples pass the grid's limit, but (1,)*100001 has 10^10
+        # nonzeros, and the grid's prefixes alone would fill gigabytes
+        def refuse(values):
+            raise AssertionError("entries built")
+
+        monkeypatch.setattr(treebuilder, "_entries", refuse)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", "--max-k", "100000", "--max-m", "1")
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: the transition matrix of size 200002 would have 10000600002 "
+            "nonzeros; the limit is 1000000\n"
+        )
+
     def test_corrupted_entries_fail_loudly(self, capsys, monkeypatch):
         # Three corruptions: one entry inside the leading 8-square block of
         # (2,3,4) alone, so that block is no longer the dominant matrix of
@@ -436,6 +493,33 @@ class TestReadme:
             "BoundReport(k=41, m=79, ...)",
         ]
 
+    def test_limits_table_prints_each_limit_as_its_error_does(self, capsys):
+        # a changed limit fails here until the README's table says so
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Limits", 1)[1].split("\n\n", 3)[2]
+        rows = [line.split(" | ")[1:3] for line in section.splitlines()[2:]]
+        names = ("nnmatrix", "volume", "dilatation")
+        nnmatrix, volume, formula = (importlib.import_module(f"pabraid.{n}") for n in names)
+        printed = {
+            "`_MAX_NONZEROS`": str(treebuilder._MAX_NONZEROS),
+            "`_MAX_HUBS`": str(nnmatrix._MAX_HUBS),
+            "`_NODA_STEPS`": str(nnmatrix._NODA_STEPS),
+            "`_SMALLEST_NORMAL`": f"{nnmatrix._SMALLEST_NORMAL:.1e}",
+            "`_MAX_ITEMS`": str(pabraid.cli._MAX_ITEMS),
+            "`_SEARCH_CAP`": str(volume._SEARCH_CAP),
+            "`_V3_BITS_CAP`": f"2^-{volume._V3_BITS_CAP}",
+            "`_FINEST_GRID`": f"2^-{formula._FINEST_GRID}",
+        }
+        assert len(rows) == 11
+        assert {constant for _, constant in rows} == set(printed) | {"–"}
+        for value, constant in rows:
+            if constant != "–":
+                assert value == f"`{printed[constant]}`", constant
+        # the one limit without a constant, as verify's error prints it
+        (value,) = [value for value, constant in rows if constant == "–"]
+        rc, _, err = run(capsys, "verify", "--max-k", "4096", "--max-m", "2")
+        assert rc == 1 and f"more than {value.strip('`')} tuples" in err
+
 
 class TestDocstringExamples:
     @pytest.mark.parametrize(
@@ -556,4 +640,6 @@ def test_private_imports():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert names == {"_closed", "_expanded", "_extension", "_recessive"}
+    assert names == {
+        "_MAX_NONZEROS", "_check_nonzeros", "_closed", "_expanded", "_extension", "_recessive"
+    }
