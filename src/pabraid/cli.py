@@ -40,7 +40,7 @@ from .treebuilder import (
 )
 from .volume import find_parameters, volume_lower_bound
 
-# The import-time heap (about 14k objects) lives as long as the process.
+# The import-time heap (about 13k objects) lives as long as the process.
 # Frozen, no full collection scans it again.  `bound`, `verify` and `scan`
 # run none before exit, but the interpreter's collections at exit do: a
 # fresh `bound --lambda 1.1 --volume 20` took 261-307 ms with the freeze and
@@ -220,15 +220,22 @@ def _run_verify(args):
     # prefix by prefix, so each tuple's recurrence resumes after the memoized
     # dominant block, whose run also gives the recessive polynomial, and each
     # tuple's polynomial is closed from the prefix's chain; in this order the
-    # tuples still come in grid order
+    # tuples still come in grid order.  A block's run resumes after its
+    # parent's block, its leading corner, so the blocks of one length are
+    # kept until the next length is done
     failures, prefix_failures = [], {}
+    parents, blocks = {}, {}
     for prefix in prefixes:
+        if prefix[:-1] in blocks:  # the first prefix of a new length
+            parents, blocks = blocks, {}
         chain = deque(_expanded(prefix), maxlen=1)[0]
         dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
         block, last_row = _extension(prefix)
+        if len(prefix) < k:  # a parent of longer prefixes
+            blocks[prefix] = block
         failed = prefix_failures[prefix] = []
-        if block.char_poly() != dom:
+        if block.char_poly(_block=parents.get(prefix[:-1])) != dom:
             failed.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         # the dual identity follows from this one and the block's: the dual
         # recessive polynomial is this one reversed at degree block.size

@@ -17,13 +17,11 @@ integers, so every answer is the exact one.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 
 from .intpoly import _GRID, IntPoly, _integer, _tolerance
-from .nnmatrix import PFCertificate
 from .treebuilder import (
     BraidTuple,
     block_boundaries,
@@ -355,18 +353,18 @@ def _separate(upper, lower, finest=math.inf):
                 cell.refine()
 
 
-@dataclass(frozen=True)
-class DilatationReport:
-    """Dilatation of one braid tuple with the evidence that produced it."""
+class DilatationReport(namedtuple(
+    "DilatationReport",
+    "tuple_values lambda_formula lambda_matrix agreement certificate formula_bracket",
+    defaults=(None,),
+)):
+    """Dilatation of one braid tuple with the evidence that produced it.
 
-    tuple_values: tuple[int, ...]
-    lambda_formula: float | None
-    lambda_matrix: float | None
-    agreement: float | None
-    certificate: PFCertificate | None
-    # the formula route's certified cell lo < λ < hi, exact dyadic rationals;
-    # not part of the JSON report
-    formula_bracket: tuple[Fraction, Fraction] | None = None
+    The floats and the ``PFCertificate`` are None for a route not run.
+    ``formula_bracket`` is the formula route's certified cell lo < λ < hi,
+    a pair of exact dyadic rationals, or None; it is not part of the JSON
+    report.  No ``__slots__``: ``polynomial`` is cached in the instance.
+    """
 
     @cached_property
     def polynomial(self):
@@ -471,11 +469,7 @@ def _cross_check(cell, matrix, tol=1e-10):
     return cert
 
 
-@dataclass(frozen=True)
-class MonotonicityCheck:
-    lambda_before: float
-    lambda_after: float
-    strictly_decreasing: bool
+MonotonicityCheck = namedtuple("MonotonicityCheck", "lambda_before lambda_after strictly_decreasing")
 
 
 def monotonicity_check(m, i):
@@ -499,18 +493,16 @@ def monotonicity_check(m, i):
     return MonotonicityCheck(before.value(), after.value(), _separate(before, after, _FINEST_GRID))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One row of a parameter sweep over the last tuple entry."""
+class ScanRow(namedtuple(
+    "ScanRow", "tuple_values lam gap_to_limit poly_degree bracket", defaults=(None,)
+)):
+    """One row of a parameter sweep over the last tuple entry.
 
-    tuple_values: tuple[int, ...]
-    lam: float
-    gap_to_limit: float
-    poly_degree: int
-    # the certified bracket lo < λ < hi, exact dyadic rationals; not part of
-    # the CSV line
-    bracket: tuple[Fraction, Fraction] | None = None
+    ``bracket`` is the certified bracket lo < λ < hi, a pair of exact dyadic
+    rationals; it is not part of the CSV line.
+    """
 
+    __slots__ = ()
     CSV_HEADER = "tuple;lambda;gap_to_limit;poly_degree"
 
     def csv_line(self):

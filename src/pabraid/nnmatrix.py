@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .intpoly import IntPoly, _integer, _tolerance
@@ -47,23 +47,20 @@ _SEED_MARGIN = 1e-13
 _MAX_HUBS = 2000
 
 
-@dataclass(frozen=True)
-class PFCertificate:
+class PFCertificate(namedtuple(
+    "PFCertificate",
+    "irreducible primitive eigenvalue lower upper right_eigenvector residual",
+)):
     """Outcome of a spectral-radius computation on a primitive matrix.
 
     ``lower <= lambda <= upper`` holds exactly for the Perron-Frobenius
     eigenvalue lambda, with ``upper - lower <= tol``; ``eigenvalue`` is the
-    midpoint.  ``residual`` is max_i |(Mv)_i - eigenvalue*v_i| in floating
-    point for the returned eigenvector v.
+    midpoint.  ``right_eigenvector`` is a tuple of floats, and ``residual``
+    is max_i |(Mv)_i - eigenvalue*v_i| in floating point for that
+    eigenvector v.
     """
 
-    irreducible: bool
-    primitive: bool
-    eigenvalue: float
-    lower: float
-    upper: float
-    right_eigenvector: tuple[float, ...]
-    residual: float
+    __slots__ = ()
 
 
 class NNMatrix:
@@ -180,7 +177,9 @@ class NNMatrix:
         g = 0
         for i, j in self.entries:
             g = math.gcd(g, depth[j - 1] + 1 - depth[i - 1])
-        return depth if g == 1 else None
+            if g == 1:  # a gcd of 1 cannot grow again
+                return depth
+        return None
 
     # -- numerics ----------------------------------------------------------
 
@@ -503,18 +502,20 @@ def _berkowitz(size, entries, start=None):
                 for i, x in cols[r]:
                     v[i] = x
                 for k in range(r - 1):
+                    if k:  # v = A_{r-1}^k S
+                        w = [0] * r
+                        for j, y in enumerate(v):
+                            if y:
+                                for i, x in cols[j]:
+                                    w[i] += x * y
+                        v = w
                     g = sum(x * v[j] for j, x in left[r])
                     if g:
                         for j in range(r - 1 - k):
                             new[j] -= g * q[j + k + 1]
-                    w = [0] * r  # A_{r-1} v
-                    for j, y in enumerate(v):
-                        if y:
-                            for i, x in cols[j]:
-                                w[i] += x * y
-                    v = w
             last = [q, new]
-        cols[r].append((r, a))
+        if a:
+            cols[r].append((r, a))
         for j, x in left[r]:
             cols[j].append((r, x))
     return last

@@ -24,7 +24,7 @@ block's own run of the Berkowitz recurrence in ``nnmatrix``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
@@ -82,14 +82,32 @@ def closing_sign(length):
     return 1 if length % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
 class BraidTuple:
-    """Parameter tuple (m_1, ..., m_{k+1}) selecting one braid of the family."""
+    """Parameter tuple (m_1, ..., m_{k+1}) selecting one braid of the family.
 
-    values: tuple[int, ...]
+    Immutable: ``values`` is the checked tuple of ints, and equality and
+    hashing go by it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", params(self.values, 2))
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "values", params(values, 2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.values == other.values if type(other) is BraidTuple else NotImplemented
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"BraidTuple(values={self.values!r})"
 
     def __len__(self):
         return len(self.values)
@@ -244,17 +262,11 @@ def dual_recessive_poly(prefix):
     return recessive_poly(prefix).reciprocal(block_boundaries(params(prefix, 1))[-1] + 1)
 
 
-@dataclass(frozen=True)
-class StructureCheck:
-    name: str
-    ok: bool
-    detail: str
+StructureCheck = namedtuple("StructureCheck", "name ok detail")
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    tuple_values: tuple[int, ...]
-    checks: tuple[StructureCheck, ...]
+class StructureReport(namedtuple("StructureReport", "tuple_values checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -12,7 +12,7 @@ series against two independent quadratures.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -175,19 +175,15 @@ def _bound_exceeds(k, target):
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple(
+    "BoundReport", "k m lambda_achieved volume_bound target_lambda target_volume"
+)):
     """Witness parameters: dilatation below target, volume bound above target."""
 
-    k: int
-    m: int
-    lambda_achieved: float
-    volume_bound: float
-    target_lambda: float
-    target_volume: float
+    __slots__ = ()
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 _SEARCH_CAP = 10**6

@@ -296,15 +296,17 @@ class TestVerifyCommand:
         )
 
     def test_each_prefix_runs_its_block_once(self, capsys):
-        # per prefix: the block's own run, the recessive row resumed at its
+        # per prefix: the block's run, resumed after its parent's block (a
+        # prefix of length 1 has none), the recessive row resumed at its
         # last row, then every tuple resumed after the block
         with berkowitz_starts() as starts:
-            rc, _, _ = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
+            rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "3")
         assert rc == 0
         expected = []
-        for p in [p for n in (1, 2) for p in itertools.product(range(1, 4), repeat=n)]:
+        for p in [p for n in (1, 2, 3) for p in itertools.product(range(1, 4), repeat=n)]:
             cut = treebuilder.block_boundaries(p)[-1] + 1
-            expected += [None, cut - 1] + [cut] * 3
+            parent = treebuilder.block_boundaries(p[:-1])[-1] + 1 if len(p) > 1 else None
+            expected += [parent, cut - 1] + [cut] * 3
         assert starts == expected
 
     def test_a_grid_whose_largest_matrix_passes_the_limit_is_refused_before_it_is_built(
@@ -461,6 +463,73 @@ class TestExportedNames:
     @pytest.mark.parametrize("name", ["params", "parse_params", "closing_sign", "StructureCheck"])
     def test_treebuilder_helpers_stay_unexported(self, name):
         assert hasattr(treebuilder, name) and not hasattr(pabraid, name)
+
+
+# each record's fields, its repr from them, and a field changed; the fields
+# leave out the defaults of formula_bracket and bracket, which the reprs show
+RECORDS = [
+    ("BraidTuple", ((4, 2),), "BraidTuple(values=(4, 2))", ((4, 3),)),
+    (
+        "PFCertificate",
+        (True, True, 1.5, 1.25, 1.75, (1.0, 0.5), 0.0),
+        "PFCertificate(irreducible=True, primitive=True, eigenvalue=1.5, lower=1.25, "
+        "upper=1.75, right_eigenvector=(1.0, 0.5), residual=0.0)",
+        (True, True, 1.5, 1.25, 1.75, (1.0, 0.25), 0.0),
+    ),
+    (
+        "StructureCheck",
+        ("hub_self_transition", True, "entry (7,7) = 1"),
+        "StructureCheck(name='hub_self_transition', ok=True, detail='entry (7,7) = 1')",
+        ("hub_self_transition", False, "entry (7,7) = 1"),
+    ),
+    (
+        "StructureReport",
+        ((4, 2), ()),
+        "StructureReport(tuple_values=(4, 2), checks=())",
+        ((4, 3), ()),
+    ),
+    (
+        "DilatationReport",
+        ((4, 2), 1.5, None, None, None),
+        "DilatationReport(tuple_values=(4, 2), lambda_formula=1.5, lambda_matrix=None, "
+        "agreement=None, certificate=None, formula_bracket=None)",
+        ((4, 2), 1.5, None, None, None, (1, 2)),
+    ),
+    (
+        "MonotonicityCheck",
+        (1.5, 1.25, True),
+        "MonotonicityCheck(lambda_before=1.5, lambda_after=1.25, strictly_decreasing=True)",
+        (1.5, 1.25, False),
+    ),
+    (
+        "ScanRow",
+        ((4, 2), 1.5, 0.25, 8),
+        "ScanRow(tuple_values=(4, 2), lam=1.5, gap_to_limit=0.25, poly_degree=8, bracket=None)",
+        ((4, 2), 1.5, 0.25, 8, (1, 2)),
+    ),
+    (
+        "BoundReport",
+        (2, 1, 3.7, 0.5, 10.0, 0.1),
+        "BoundReport(k=2, m=1, lambda_achieved=3.7, volume_bound=0.5, target_lambda=10.0, "
+        "target_volume=0.1)",
+        (2, 1, 3.7, 0.5, 10.0, 0.2),
+    ),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name, fields, shown, changed", RECORDS, ids=[r[0] for r in RECORDS])
+    def test_immutable_values(self, name, fields, shown, changed):
+        # repr, equality and hashing by fields, and no assignment to a field
+        cls = getattr(treebuilder, name, None) or getattr(pabraid, name)
+        record = cls(*fields)
+        assert repr(record) == shown
+        assert record == cls(*fields) and hash(record) == hash(cls(*fields))
+        assert record != cls(*changed)
+        field = shown.split("(", 1)[1].split("=", 1)[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(cls(*changed), field))
+        assert record == cls(*fields)
 
 
 class TestReadme:

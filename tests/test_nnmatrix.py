@@ -545,6 +545,19 @@ class TestHubSolve:
             0, "False False False False True\n", ""
         )
 
+    def test_no_dataclasses_at_start_up(self):
+        # the records are named tuples and one slots class: no import-time
+        # code generation, so neither dataclasses nor its inspect is loaded
+        src = Path(nnmatrix.__file__).parent
+        imports = re.compile(r"^\s*(import dataclasses|from dataclasses)", re.MULTILINE)
+        assert [p.name for p in src.glob("*.py") if imports.search(p.read_text())] == []
+        code = "import sys, pabraid.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+
 
 class TestCharPoly:
     def test_swap(self):

@@ -211,14 +211,15 @@ class TestFindParameters:
     def test_json_round_trip(self):
         report = find_parameters(10, 0.1)
         payload = json.loads(json.dumps(report.to_json_dict()))
-        assert set(payload) == {
+        # the keys in field order, the order `bound` prints them in
+        assert list(payload) == [
             "k",
             "m",
             "lambda_achieved",
             "volume_bound",
             "target_lambda",
             "target_volume",
-        }
+        ]
         assert payload["k"] == 2 and payload["m"] == 1
 
     def test_witness_cell_missing_the_enclosure_is_refused(self, monkeypatch):
