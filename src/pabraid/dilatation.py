@@ -261,14 +261,15 @@ def _float_hint(prefix, last=None, lo=1.0, hi=None):
 class _Cell:
     """A root r held on the 2^-shift grid as lo <= r·2^shift < lo + 1.
 
-    ``below(num, shift)`` is the exact decision "r < num / 2^shift" that
-    produced the cell and refines it.
+    Every cell is born on the 2^-48 grid; only ``_separate`` refines it to
+    finer ones.  ``below(num, shift)`` is the exact decision
+    "r < num / 2^shift" that produced the cell and refines it.
     """
 
     __slots__ = ("below", "lo", "shift")
 
-    def __init__(self, below, lo, shift=_GRID):
-        self.below, self.lo, self.shift = below, lo, shift
+    def __init__(self, below, lo):
+        self.below, self.lo, self.shift = below, lo, _GRID
 
     def ends(self, shift):
         # (lo, hi) in units of 2^-shift, for shift >= self.shift
@@ -330,12 +331,12 @@ def _cell(prefix, last=None, lo=1.0, hi=None):
     return _formula_cell(partial(_decide, prefix, last), _float_hint(prefix, last, lo, hi))
 
 
-def _separate(upper, lower, finest=math.inf):
+def _separate(upper, lower):
     """Refine two cells of distinct roots until they are disjoint.
 
     Returns whether ``upper`` then lies above ``lower``.  The coarser cell
-    is refined first, both when their grids agree.  Refining past the grid
-    2^-``finest`` raises RuntimeError.
+    is refined first, both when their grids agree.  Refining past the
+    finest grid, 2^-``_FINEST_GRID``, raises RuntimeError.
     """
     while True:
         shift = max(upper.shift, lower.shift)
@@ -344,9 +345,9 @@ def _separate(upper, lower, finest=math.inf):
         if up_lo >= low_hi or low_lo >= up_hi:
             return up_lo >= low_hi
         coarse = min(upper.shift, lower.shift)
-        if coarse >= finest:
+        if coarse >= _FINEST_GRID:
             raise RuntimeError(
-                f"separating two roots needs a grid finer than the finest grid 2^-{finest}"
+                f"separating two roots needs a grid finer than the finest grid 2^-{_FINEST_GRID}"
             )
         for cell in (upper, lower):
             if cell.shift == coarse:
@@ -478,9 +479,11 @@ def monotonicity_check(m, i):
     ``i`` is 1-based.  The boolean is exact: the two certified 2^-48 cells
     are refined on finer grids until they are disjoint, and it tells
     whether λ(m) lies above λ(incremented).  Dilatations closer than
-    2^-1024 raise RuntimeError.  Unlike ``convergence_table``, this keeps a
-    cap: at an inner coordinate the strict drop is the paper's theorem, not
-    a lemma stated here.
+    2^-1024 raise RuntimeError.  The cells are refined because the boolean
+    is the output; ``convergence_table`` refines none, since its order is
+    the last-coordinate lemma stated there.  The cap stays because at an
+    inner coordinate the strict drop is the paper's theorem, not a lemma
+    stated here.
     """
     m = BraidTuple(m)
     i = _integer(i, "coordinate index")
@@ -490,7 +493,7 @@ def monotonicity_check(m, i):
     bumped[i - 1] += 1
     before = _cell(m.values[:-1], m.values[-1])
     after = _cell(tuple(bumped[:-1]), bumped[-1])
-    return MonotonicityCheck(before.value(), after.value(), _separate(before, after, _FINEST_GRID))
+    return MonotonicityCheck(before.value(), after.value(), _separate(before, after))
 
 
 class ScanRow(namedtuple(
@@ -498,8 +501,9 @@ class ScanRow(namedtuple(
 )):
     """One row of a parameter sweep over the last tuple entry.
 
-    ``bracket`` is the certified bracket lo < λ < hi, a pair of exact dyadic
-    rationals; it is not part of the CSV line.
+    ``bracket`` is λ's certified 2^-48 cell lo < λ < hi, a pair of exact
+    dyadic rationals, as ``DilatationReport.formula_bracket``; it is not
+    part of the CSV line.
     """
 
     __slots__ = ()
@@ -516,18 +520,17 @@ def convergence_table(prefix, last_values):
     ``last_values`` must be strictly increasing integers >= 1.  Each row's
     ``lam`` is the midpoint of λ's 2^-48 cell and ``gap_to_limit`` the
     difference of that float and the limit's, so deep rows may show a gap
-    of 0.0.  The statement being reproduced, λ falling strictly toward μ,
-    is certified on exact brackets instead: each row's ``bracket`` lies
-    above μ's cell and below the previous row's bracket.
+    of 0.0.  Each row's ``bracket`` is that cell, certified by two exact
+    decisions at the float hint, which is sought between the lower end of
+    μ's cell and the upper end of the previous row's.
 
-    The order holds for every prefix by the last-coordinate lemma.  Write
-    λ_m for λ(prefix + (m,)) and Q_m = t^m P + σ P* for its polynomial,
-    with P the prefix's dominant polynomial and σ the closing sign.  Then
-    Q_(m+1)(x) - Q_m(x) = x^m (x - 1) P(x), which is positive for every
-    x > μ > 1 (the lemma of ``_pair``).  So Q_(m+1)(λ_m) > 0, and by the
-    closing-polynomial lemma of ``_decide``, μ < λ_(m+1) < λ_m.  Hence the
-    cells are refined on finer grids until the brackets are disjoint, which
-    always ends, with no fixed depth.
+    The statement being reproduced, λ falling strictly toward μ, holds for
+    every prefix by the last-coordinate lemma, so no decision checks it.
+    Write λ_m for λ(prefix + (m,)) and Q_m = t^m P + σ P* for its
+    polynomial, with P the prefix's dominant polynomial and σ the closing
+    sign.  Then Q_(m+1)(x) - Q_m(x) = x^m (x - 1) P(x), which is positive
+    for every x > μ > 1 (the lemma of ``_pair``).  So Q_(m+1)(λ_m) > 0, and
+    by the closing-polynomial lemma of ``_decide``, μ < λ_(m+1) < λ_m.
     """
     vals = params(prefix, 1)
     steps = tuple(last_values)
@@ -537,30 +540,13 @@ def convergence_table(prefix, last_values):
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
     mu = _certified_limit(vals)
-    limit = mu.value()
+    limit, lo = mu.value(), mu.lo * 2.0**-_GRID
     cells = []
     for last in steps:
-        prev = cells[-1] if cells else None
-        cell = _row_cell(vals, last, mu, prev)
-        _separate(cell, mu)
-        if prev is not None:
-            _separate(prev, cell)
-        cells.append(cell)
+        hi = None if not cells else (cells[-1].lo + 1) * 2.0**-_GRID
+        cells.append(_cell(vals, last, lo, hi))
     degree = block_boundaries(vals)[-1] + 1  # of the prefix's dominant polynomial
     return [
         ScanRow(vals + (last,), cell.value(), cell.value() - limit, degree + last, cell.bracket())
         for last, cell in zip(steps, cells)
     ]
-
-
-def _row_cell(prefix, last, mu, prev):
-    # λ(prefix + (last,)) inside the warm bracket from μ's cell up to the
-    # previous row's (the first row's has no upper end), where the lemma of
-    # convergence_table puts it: from the float hint on the 2^-48 grid, and
-    # by exact bisection below it, where the hint cannot help
-    shift = mu.shift if prev is None else max(mu.shift, prev.shift)
-    lo, hi = mu.ends(shift)[0], None if prev is None else prev.ends(shift)[1]
-    if shift == _GRID:
-        return _cell(prefix, last, lo * 2.0**-shift, None if hi is None else hi * 2.0**-shift)
-    below = partial(_decide, prefix, last)
-    return _Cell(below, _bisect(below, lo, hi, shift), shift)

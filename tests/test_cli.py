@@ -147,7 +147,7 @@ GOLDEN_COMMANDS = [
     (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
     (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
     # μ(1) = 2 is a grid point, and rows from m = 49 on share its 2^-48
-    # cell, so they are bisected on finer grids and separated from it
+    # cell: each row is that cell, certified by its own two decisions
     (("scan", "--prefix", "1", "--m-max", "60"), "scan-1.csv"),
     (("limit", "--prefix", "4"), "limit-4.txt"),
     (("bound", "--lambda", "1.1", "--volume", "20"), "bound-1.1-20.json"),
@@ -176,7 +176,8 @@ class TestScanCommand:
 
     def test_rows_inside_the_limits_cell(self, capsys):
         # from m = 33 on λ shares the limit's 2^-48 cell, so the printed
-        # gap is 0.0; the order is certified on the exact brackets
+        # gap is 0.0; the order is the last-coordinate lemma's, which
+        # test_dilatation checks by refining the cells
         rc, out, err = run(capsys, "scan", "--prefix", "7,4,2,8", "--m-max", "40")
         assert (rc, err) == (0, "")
         rows = [line.split(";") for line in out.splitlines()[1:]]
@@ -190,12 +191,12 @@ class TestScanCommand:
         assert len(out.splitlines()) == 1 + 1200
 
     def test_the_order_is_not_decided_again(self, capsys, monkeypatch):
-        # the last-coordinate lemma puts each row below the previous row's
-        # bracket, so no decision checks that end first; rows below the
-        # 2^-48 grid bisect exactly between μ's cell and that end
+        # the last-coordinate lemma orders the rows, so no decision checks
+        # the order and no cell is refined below the 2^-48 grid: two
+        # decisions for μ's cell and two for each row's, at the float hint
         calls = record_decisions(monkeypatch)
         rc, _, _ = run(capsys, "scan", "--prefix", "10,1,8,5", "--m-max", "40")
-        assert (rc, len(calls)) == (0, 145)
+        assert (rc, len(calls)) == (0, 82)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "scan", "--prefix", "2", "--m-max", "4")

@@ -588,24 +588,41 @@ class TestConvergence:
 
     def test_scan_rows_have_no_finest_grid(self, monkeypatch):
         # λ(4,150) - μ(4) is about 2^-75; the lemma of convergence_table,
-        # not a cap, bounds the refinement of scan rows
+        # not a refinement, orders scan rows, so the cap never applies
         monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 60)
         (row,) = convergence_table((4,), [150])
-        assert row.bracket[1] - row.bracket[0] < Fraction(1, 2**60)
+        assert row.bracket == dilatation((4, 150), method="formula").formula_bracket
+        assert row.bracket[1] - row.bracket[0] == Fraction(1, 2**48)
 
-    def test_rows_past_the_old_cap(self):
+    def test_rows_past_the_old_cap(self, monkeypatch):
         # λ(1,1,m) - μ passes 2^-1024 near m = 580; every row is certified
-        # by its own decisions, asked here independently of the scan's cells
+        # by its own decisions, and the order by refining cells built here
+        # independently of the scan's, on grids down to 2^-2048
         rows = convergence_table((1, 1), range(1, 700))
         assert len(rows) == 699
-        upper = None
         for row in rows:
             lo, hi = row.bracket
             assert not _below(row.tuple_values, lo) and _below(row.tuple_values, hi)
-            assert _limit_below((1, 1), lo)  # μ < lo
-            assert upper is None or hi <= upper
-            upper = lo
+        monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 2048)
+        lo, hi = assert_rows_fall_toward_the_limit(rows).bracket()
         assert hi - lo < Fraction(1, 2**1024)
+
+    @pytest.mark.parametrize("last_values, decisions", [([4000], 4), ([99999, 100000], 6)])
+    def test_deep_rows_cost_two_decisions(self, monkeypatch, last_values, decisions):
+        # two decisions for μ's cell and two for each row's; refining a row
+        # below the 2^-48 grid would cost one per bit, about m·log2 μ, so
+        # the spy stops a scan that refines at its twenty-first decision
+        calls = record_decisions(monkeypatch)
+        recorded = dilatation_module._decide
+
+        def capped(*args):
+            if len(calls) >= 20:
+                raise RuntimeError("more than 20 exact decisions")
+            return recorded(*args)
+
+        monkeypatch.setattr(dilatation_module, "_decide", capped)
+        rows = convergence_table((1, 1), last_values)
+        assert (len(rows), len(calls)) == (len(last_values), decisions)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -628,19 +645,32 @@ class TestConvergenceProperties:
     def test_rows_fall_strictly_toward_the_limit(self, prefix):
         rows = convergence_table(prefix, range(1, 41))
         limit = limit_dilatation(prefix)
-        upper = None
         for row in rows:
             lo, hi = row.bracket
             assert not _below(row.tuple_values, lo) and _below(row.tuple_values, hi)
-            assert _limit_below(prefix, lo)  # μ < lo
-            assert upper is None or hi <= upper
-            upper = lo
+            assert row.bracket == dilatation(row.tuple_values, method="formula").formula_bracket
             # the printed float is the midpoint of the 2^-48 cell holding it
             half = Fraction(1, 2**49)
             assert Fraction(row.lam) - half <= lo < hi <= Fraction(row.lam) + half
             assert row.gap_to_limit == row.lam - limit
+        assert_rows_fall_toward_the_limit(rows)
         last = transition_matrix(rows[-1].tuple_values).spectral_radius()
         assert _overlaps(rows[-1].bracket, last)
+
+
+def assert_rows_fall_toward_the_limit(rows):
+    # the order the lemma of convergence_table states, decided exactly: μ's
+    # cell and each row's, built afresh, are refined until μ lies below
+    # each row and each row below the one before; returns the last cell
+    prefix = rows[0].tuple_values[:-1]
+    mu, above = dilatation_module._cell(prefix), None
+    for row in rows:
+        cell = dilatation_module._cell(prefix, row.tuple_values[-1])
+        assert cell.bracket() == row.bracket
+        assert dilatation_module._separate(cell, mu)
+        assert above is None or dilatation_module._separate(above, cell)
+        above = cell
+    return above
 
 
 class TestScanRow:
