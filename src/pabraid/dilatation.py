@@ -22,13 +22,14 @@ from fractions import Fraction
 from functools import cached_property, partial
 
 from .intpoly import _GRID, IntPoly, _integer, _tolerance
+from .nnmatrix import _perron
 from .treebuilder import (
     BraidTuple,
+    _level_depths,
+    _limited_entries,
     block_boundaries,
     closing_sign,
-    dominant_matrix,
     params,
-    transition_matrix,
 )
 
 __all__ = [
@@ -413,12 +414,12 @@ def dilatation(m, method="both", tol=1e-10):
     lam_formula = agreement = certificate = bracket = None
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = transition_matrix(m).spectral_radius(tol=tol, _above=above)
+        certificate = _level_certificate(m.values, m.size, tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
-            certificate = _cross_check(cell, transition_matrix(m), tol)
+            certificate = _cross_check(cell, m.values, m.size, tol)
             agreement = abs(lam_formula - certificate.eigenvalue)
     lam_matrix = None if certificate is None else certificate.eigenvalue
     return DilatationReport(
@@ -432,8 +433,8 @@ def limit_dilatation(prefix):
     This is μ, the largest root of the dominant polynomial P of the prefix:
     the midpoint of its cell lo <= μ < lo + 2^-48, certified by the exact
     decision "μ < x" (every chain level positive at x).  The cell is
-    certified against the dominant block B of the transition matrix:
-    ``spectral_radius`` accepts only a primitive B, and det(tI - B) = P
+    certified against the dominant block B of the transition matrix: B is
+    primitive (the lemma of ``treebuilder``), and det(tI - B) = P
     exactly (``pabraid verify`` and the tests check this identity), so by
     the Perron-Frobenius theorem the eigenvalue of B is a simple root of P
     strictly larger in modulus than every other root.  ``_cross_check``
@@ -445,12 +446,12 @@ def limit_dilatation(prefix):
 
 def _certified_limit(vals):
     cell = _cell(vals)
-    _cross_check(cell, dominant_matrix(vals))
+    _cross_check(cell, vals + (1,), block_boundaries(vals)[-1] + 1)
     return cell
 
 
-def _cross_check(cell, matrix, tol=1e-10):
-    """The Perron-Frobenius certificate of ``matrix``, checked against ``cell``.
+def _cross_check(cell, values, size, tol=1e-10):
+    """The certificate of ``_level_certificate``, checked against ``cell``.
 
     The formula route's cell and the matrix route's Collatz-Wielandt
     enclosure (width ``tol``) are compared exactly and must share a point,
@@ -460,14 +461,23 @@ def _cross_check(cell, matrix, tol=1e-10):
     overlap.
     """
     lo, hi = cell.bracket()
-    cert = matrix.spectral_radius(tol=tol, _above=float(hi))
+    cert = _level_certificate(values, size, tol, float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
             f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
             f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of "
-            f"its {matrix.size}x{matrix.size} matrix"
+            f"its {size}x{size} matrix"
         )
     return cert
+
+
+def _level_certificate(values, size, tol, above):
+    # spectral_radius of the size-square corner of the tuple's matrix (all of
+    # it, or a prefix's block), primitive by treebuilder's lemma: no search
+    entries = _limited_entries(values)
+    if size < block_boundaries(values)[-1]:
+        entries = {ij: v for ij, v in entries.items() if max(ij) <= size}
+    return _perron(size, entries, _level_depths(values)[:size], tol, above)
 
 
 MonotonicityCheck = namedtuple("MonotonicityCheck", "lambda_before lambda_after strictly_decreasing")

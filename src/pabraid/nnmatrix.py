@@ -9,16 +9,19 @@ Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
 commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
 comes from Noda inverse iteration from the all-ones vector with an exact
-Collatz-Wielandt enclosure.  A caller's float just above the eigenvalue,
-when there is one, is the first step's shift; the enclosure is still
-evaluated on the matrix alone.  Each Noda step solves by elimination over
-the same breadth-first depths: the heads of the edges that do not increase
-depth meet every cycle.  They are the hubs, with each vertex whose row
-holds an entry from a vertex that is not such a head beside another entry
-(no braid matrix has such a row).  The other vertices are eliminated in
-order of depth without subtraction, and only the dense hub system, at most
-``_MAX_HUBS`` vertices, is solved by LU.  Only the spectral radius uses
-numpy, imported on its first call, so the commands without a matrix route
+Collatz-Wielandt enclosure (``_perron``).  A caller's float just above the
+eigenvalue, when there is one, is the first step's shift; the enclosure is
+still evaluated on the matrix alone.  Each Noda step solves by elimination
+over breadth-first depths (``_HubProgram``), and only the dense system on
+the hubs, at most ``_MAX_HUBS`` vertices, is solved by LU.
+``NNMatrix.spectral_radius`` takes the depths from the two searches; the
+braid routes of ``dilatation`` read them from the levels and search
+nothing.  The enclosure screens its rows: a row whose only entry is 1, from
+j, has (Mv)_i = v_j, so its float quotient is v_j / v_i correctly rounded.
+Rounding is monotone, so the least (greatest) exact quotient of such rows
+is among those tied at their float minimum (maximum); only those and the
+other rows are evaluated exactly.  Only the spectral radius uses numpy,
+imported on its first call, so the commands without a matrix route
 (``polynomial``, ``matrix``, ``verify`` and ``dilatation --method
 formula``) never load it.
 """
@@ -193,13 +196,9 @@ class NNMatrix:
         rescaling keeps tiny eigenvector entries relatively accurate.
 
         Each solve eliminates, without subtraction, every vertex off the hubs
-        that the breadth-first depths of the primitivity test give
-        (``_HubProgram``): the heads of the edges that do not increase depth,
-        and each vertex whose row holds an entry from a vertex that is not
-        such a head beside another entry.  Only the dense hub system,
-        2(k + 1) vertices for a tuple of k + 1 parameters (no braid matrix
-        has such a row), is solved by LU.  A matrix with more than
-        ``_MAX_HUBS`` hubs raises ValueError before any step.
+        that the breadth-first depths of the primitivity test give, and
+        solves only the dense hub system by LU (``_HubProgram``).  A matrix
+        with more than ``_MAX_HUBS`` hubs raises ValueError before any step.
 
         The iteration starts from the all-ones vector.  A caller that holds a
         float just above lambda (the formula route's cell, or its float hint)
@@ -211,18 +210,17 @@ class NNMatrix:
         ``_above``.
 
         The enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is
-        evaluated exactly on the float vector and the matrix alone, then
-        rounded outward to ``lower`` and ``upper``, with
-        ``upper - lower <= tol``; ``eigenvalue`` is their midpoint.  A wrong
-        ``_above`` or a bad solve thus costs steps, never a false enclosure.
-        The eigenvector is normalized to max entry 1.
+        evaluated exactly on the float vector and the matrix alone (on the
+        rows of the float screen, module docstring), then rounded outward to
+        ``lower`` and ``upper``, with ``upper - lower <= tol``; ``eigenvalue``
+        is their midpoint.  A wrong ``_above`` or a bad solve thus costs
+        steps, never a false enclosure.  The eigenvector has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
-        Noda solve is not positive even from the fallback shift.
+        Noda solve is not positive even from the fallback shift.  The solve
+        is ``_perron``, which ``dilatation`` runs on braid matrices directly.
         """
-        import numpy as np
-
         _tolerance(tol)
         depth = self._primitive_depths()
         if depth is None:
@@ -230,76 +228,7 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        n = self.size
-        nnz = len(self.entries)
-        ij = np.fromiter(itertools.chain.from_iterable(self.entries), np.intp, 2 * nnz)
-        rows, cols = ij[0::2] - 1, ij[1::2] - 1
-        vals = np.fromiter(self.entries.values(), float, nnz)
-        program = _HubProgram(n, rows, cols, depth)
-
-        v = np.ones(n)
-        w = np.bincount(rows, vals, minlength=n)
-        for step in range(_NODA_STEPS):
-            ratios = w / v
-            lo, sigma = float(ratios.min()), float(ratios.max())
-            if sigma - lo <= tol:
-                cert = self._certificate(v, w, tol)
-                if cert is not None:
-                    return cert
-            scaled = vals * v[cols] / v[rows]
-            # Noda's shift sigma first.  The solve fails (singular hub system)
-            # or loses positivity when sigma is far closer to lambda than v is
-            # to the eigenvector; the step is then retried from above sigma by
-            # the current enclosure width.
-            shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
-            if step == 0 and _above is not None and 0 < _above < math.inf:
-                shifts = (_above * (1 + _SEED_MARGIN), *shifts)
-            for shift in shifts:
-                try:
-                    y = _hub_solve(program, scaled, shift)
-                except np.linalg.LinAlgError:  # shift equals lambda to double precision
-                    continue
-                if np.all(y > 0):
-                    break
-            else:
-                raise RuntimeError("Noda iteration produced a non-positive entry")
-            v = v * y
-            v = v / v.max()
-            if not v.min() >= _SMALLEST_NORMAL:
-                raise RuntimeError(
-                    "an iterate entry fell below the smallest normal double "
-                    f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
-                )
-            w = np.bincount(rows, vals * v[cols], minlength=n)
-        raise RuntimeError(
-            f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
-        )
-
-    def _certificate(self, v, w, tol):
-        """PFCertificate for the positive vector v, or None if wider than tol.
-
-        The Collatz-Wielandt quotients are compared exactly: v is scaled to
-        integers (its entries are dyadic) and Mv is formed in integers.
-        """
-        pairs = [x.as_integer_ratio() for x in v.tolist()]
-        scale = max(d for _, d in pairs)
-        ints = [p * (scale // d) for p, d in pairs]
-        mv = [0] * self.size
-        for (i, j), val in self.entries.items():
-            mv[i - 1] += val * ints[j - 1]
-        lo = hi = None
-        for num, den in zip(mv, ints):
-            if lo is None or num * lo[1] < lo[0] * den:
-                lo = (num, den)
-            if hi is None or num * hi[1] > hi[0] * den:
-                hi = (num, den)
-        lower = _round_down(Fraction(*lo))
-        upper = -_round_down(-Fraction(*hi))
-        if Fraction(upper) - Fraction(lower) > Fraction(tol):
-            return None
-        lam = 0.5 * (lower + upper)
-        residual = float(abs(w - lam * v).max())
-        return PFCertificate(True, True, lam, lower, upper, tuple(v.tolist()), residual)
+        return _perron(self.size, self.entries, depth, tol, _above)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -330,6 +259,92 @@ class NNMatrix:
         """
         self.char_poly()
         return self._pair
+
+
+def _perron(n, entries, depth, tol, above):
+    # NNMatrix.spectral_radius of the primitive n-square matrix of entries and depths
+    import numpy as np
+
+    nnz = len(entries)
+    ij = np.fromiter(itertools.chain.from_iterable(entries), np.intp, 2 * nnz)
+    rows, cols = ij[0::2] - 1, ij[1::2] - 1
+    vals = np.fromiter(entries.values(), float, nnz)
+    program = _HubProgram(n, rows, cols, depth)
+
+    v = np.ones(n)
+    w = np.bincount(rows, vals, minlength=n)
+    for step in range(_NODA_STEPS):
+        ratios = w / v
+        lo, sigma = float(ratios.min()), float(ratios.max())
+        if sigma - lo <= tol:
+            cert = _certificate(rows, cols, vals, entries, v, w, tol)
+            if cert is not None:
+                return cert
+        scaled = vals * v[cols] / v[rows]
+        # Noda's shift sigma first.  The solve fails (singular hub system)
+        # or loses positivity when sigma is far closer to lambda than v is
+        # to the eigenvector; the step is then retried from above sigma by
+        # the current enclosure width.
+        shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
+        if step == 0 and above is not None and 0 < above < math.inf:
+            shifts = (above * (1 + _SEED_MARGIN), *shifts)
+        for shift in shifts:
+            try:
+                y = _hub_solve(program, scaled, shift)
+            except np.linalg.LinAlgError:  # shift equals lambda to double precision
+                continue
+            if np.all(y > 0):
+                break
+        else:
+            raise RuntimeError("Noda iteration produced a non-positive entry")
+        v = v * y
+        v = v / v.max()
+        if not v.min() >= _SMALLEST_NORMAL:
+            raise RuntimeError(
+                "an iterate entry fell below the smallest normal double "
+                f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
+            )
+        w = np.bincount(rows, vals * v[cols], minlength=n)
+    raise RuntimeError(
+        f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
+    )
+
+
+def _certificate(rows, cols, vals, entries, v, w, tol):
+    """PFCertificate for the positive vector v, or None if wider than tol.
+
+    ``vals`` are the entries' floats and w = Mv.  The rows the float screen
+    keeps (module docstring) are compared exactly, on v scaled to integers.
+    """
+    import numpy as np
+
+    n = len(v)
+    ratios = w / v
+    screened = (np.bincount(rows, minlength=n) == 1) & (np.bincount(rows, vals, minlength=n) == 1)
+    kept = ~screened | (ratios == np.where(screened, ratios, math.inf).min())
+    kept |= ratios == np.where(screened, ratios, -math.inf).max()
+    picked = kept[rows]  # the kept rows' entries
+    r, c, vl = rows[picked].tolist(), cols[picked].tolist(), v.tolist()
+    pairs = {j: vl[j].as_integer_ratio() for j in {*r, *c}}
+    scale = max(d for _, d in pairs.values())
+    ints = {j: p * (scale // d) for j, (p, d) in pairs.items()}
+    mv = dict.fromkeys(r, 0)
+    for i, j in zip(r, c):
+        mv[i] += entries[i + 1, j + 1] * ints[j]
+    lo = hi = None
+    for i, num in mv.items():
+        den = ints[i]
+        if lo is None or num * lo[1] < lo[0] * den:
+            lo = (num, den)
+        if hi is None or num * hi[1] > hi[0] * den:
+            hi = (num, den)
+    lower = _round_down(Fraction(*lo))
+    upper = -_round_down(-Fraction(*hi))
+    if Fraction(upper) - Fraction(lower) > Fraction(tol):
+        return None
+    lam = 0.5 * (lower + upper)
+    residual = float(abs(w - lam * v).max())
+    return PFCertificate(True, True, lam, lower, upper, tuple(vl), residual)
 
 
 class _HubProgram:

@@ -20,6 +20,17 @@ are independent of any further parameters (the tests check this).  The
 bordered determinant is linear in its last row, the only one without t, and
 shares its other rows with the dominant block, so it is one more row of the
 block's own run of the Berkowitz recurrence in ``nnmatrix``.
+
+The Perron-Frobenius solve reads its breadth-first depths from the levels
+(``_level_depths``).  Along the edges j -> i of the entries (i, j), every
+vertex gets a depth: 0 at vertex 1, 1 at each last vertex n_j and hub
+n_i + 1 (their rows read column 1), and n_j - r + 1 at a vertex r strictly
+inside a level's chain, down its superdiagonal.  Along the edges, every
+vertex also reaches vertex 1: down its chain to its hub, then to rows
+n_i - 1 and n_i of the level before, and so on.  Each hub has a self-loop,
+so every transition matrix is primitive, and so is a dominant block: its
+depths are the first n_i + 1 of its extension by 1, whose last vertex feeds
+only the hub.
 """
 
 from __future__ import annotations
@@ -200,6 +211,15 @@ def _entries(values):
             e[(hi, ns[j] + 1)] = 2
         e[(hi, lo + 1)] = 2
     return e
+
+
+def _level_depths(values):
+    # the module docstring's depths: vertex 1, chain 2..n_1, then hub and chain
+    ns = block_boundaries(values)
+    depth = [0, *range(ns[0] - 1, 0, -1)]
+    for lo, hi in zip(ns, ns[1:]):
+        depth += [1, *range(hi - lo - 1, 0, -1)]
+    return depth
 
 
 def dominant_matrix(prefix):

@@ -9,6 +9,7 @@ import contextlib
 import importlib
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -272,6 +273,52 @@ def subinvariance_bound(matrix, y):
     return min(
         sum(a * b for a, b in zip(row, y)) / yi for row, yi in zip(matrix.to_rows(), y)
     )
+
+
+def all_rows_certificate(rows, cols, vals, v, tol):
+    """(lower, upper, eigenvalue) of the exact Collatz-Wielandt pass over every row.
+
+    The library's certificate before its float screen: the float vector v
+    is scaled to integers (its entries are dyadic), Mv is formed in
+    integers from the exact entries ``vals`` at the 0-based ``(rows,
+    cols)``, and every row's quotient is compared exactly.  The extremes
+    are rounded outward to floats; None when they are wider than tol.
+    """
+    pairs = [x.as_integer_ratio() for x in v]
+    scale = max(d for _, d in pairs)
+    ints = [p * (scale // d) for p, d in pairs]
+    mv = [0] * len(v)
+    for i, j, val in zip(rows, cols, vals):
+        mv[i] += val * ints[j]
+    quotients = [Fraction(num, den) for num, den in zip(mv, ints)]
+    lower, upper = _float_below(min(quotients)), -_float_below(-max(quotients))
+    if Fraction(upper) - Fraction(lower) > Fraction(tol):
+        return None
+    return lower, upper, 0.5 * (lower + upper)
+
+
+def _float_below(q):
+    """Largest float <= the rational q."""
+    x = float(q)  # correctly rounded
+    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+
+
+def corpus_parameters():
+    """The tuples and prefixes whose matrices the benchmark's corpora solve.
+
+    Drawn as bench/workloads.py draws them: 213 tuples, then 12 prefixes.
+    The tuples are ``bound``'s witness, the 200 of ``tuple-sweep``, and the
+    last row of each ``limit-scan`` prefix's scan.
+    """
+    rng = random.Random(1)
+    tuples = [(79,) * 42]
+    for _ in range(200):  # tuple-sweep
+        tuples.append(tuple(rng.randint(1, 40) for _ in range(rng.randint(2, 12))))
+    rng = random.Random(1)
+    prefixes = []
+    for _ in range(12):  # limit-scan: each prefix's block, and its scan's last tuple
+        prefixes.append(tuple(rng.randint(1, 10) for _ in range(rng.randint(1, 6))))
+    return tuples + [prefix + (40,) for prefix in prefixes], prefixes
 
 
 def wielandt_positive(matrix):

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from pabraid import (
     BraidTuple,
     IntPoly,
+    NNMatrix,
     ScanRow,
     braid_char_poly,
     convergence_table,
     dilatation,
     dominant_chain,
     dominant_matrix,
+    find_parameters,
     first_real_root_above,
     limit_dilatation,
     monotonicity_check,
@@ -26,6 +28,7 @@ from helpers import (
     HARD_TUPLES,
     bisect_root,
     climb_chain,
+    corpus_parameters,
     dominant_chain_oracle,
     float_hint_oracle,
     grid_tuples,
@@ -506,6 +509,51 @@ class TestLimitCertificateProperties:
         assert block.char_poly() == dominant_chain(prefix)[-1]
         assert block.is_primitive()
         assert_in_enclosure(limit_dilatation(prefix), prefix)
+
+
+class TestLevelRoute:
+    # the braid routes solve on the levels' structure (``_level_certificate``)
+    # and certify exactly what spectral_radius certifies on the NNMatrix
+
+    def test_tuple_certificates_are_spectral_radius(self):
+        for values in corpus_parameters()[0][1:201]:
+            matrix = transition_matrix(values)
+            above = dilatation_module._float_hint(values[:-1], values[-1])
+            assert dilatation(values, "matrix").certificate == matrix.spectral_radius(_above=above)
+            report = dilatation(values, "both")
+            above = float(report.formula_bracket[1])
+            assert report.certificate == matrix.spectral_radius(_above=above)
+
+    def test_limit_certificates_are_spectral_radius(self, monkeypatch):
+        checked, cross_check = [], dilatation_module._cross_check
+
+        def spy(cell, *args):
+            checked.append((cell, cross_check(cell, *args)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(dilatation_module, "_cross_check", spy)
+        for prefix in [*corpus_parameters()[1], (1,), (4,), (5,) * 25]:
+            limit_dilatation(prefix)
+            (cell, cert), = checked
+            above = float(cell.bracket()[1])
+            assert cert == dominant_matrix(prefix).spectral_radius(_above=above)
+            checked.clear()
+
+    def test_no_matrix_is_built_and_no_search_is_run(self, monkeypatch):
+        runs = [
+            lambda: dilatation((79,) * 42, "both"),
+            lambda: dilatation((79,) * 42, "matrix"),
+            lambda: find_parameters(1.1, 20),
+            lambda: limit_dilatation((4,)),
+        ]
+        expected = [run() for run in runs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the braid route built an NNMatrix or ran a search")
+
+        monkeypatch.setattr(NNMatrix, "_depths", refuse)
+        monkeypatch.setattr(NNMatrix, "__init__", refuse)
+        assert [run() for run in runs] == expected
 
 
 class TestMonotonicity:

@@ -31,8 +31,10 @@ from pabraid import (
 from helpers import (
     GOLDEN_8x8,
     HARD_TUPLES,
+    all_rows_certificate,
     berkowitz_starts,
     char_poly_oracle,
+    corpus_parameters,
     cofactor_det,
     det_identity_minus_tm,
     random_nn_matrix,
@@ -389,26 +391,106 @@ class TestCertificateProperties:
             assert_certified(cert, braid_char_poly(values), tol)
 
 
+@st.composite
+def screened_matrices(draw):
+    # 0-based (rows, cols, vals) with every row nonempty: mostly one entry of
+    # 1, 2 or 3, anywhere (the diagonal included), else two or three entries
+    n = draw(st.integers(1, 12))
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        heads = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        if draw(st.integers(0, 2)):
+            heads = heads[:1]
+        for j in heads:
+            rows.append(i)
+            cols.append(j)
+            vals.append(draw(st.sampled_from([1, 1, 1, 2, 3])))
+    return n, rows, cols, vals
+
+
+# a vector entry: a few shared values, so quotients tie, or one spanning
+# 2^-996 (about 1.5e-300) to 1
+_VECTOR_ENTRY = st.one_of(
+    st.sampled_from([1.0, 0.75, 0.5, 0.25]),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-995, 0)),
+)
+
+
+def screened_and_oracle(rows, cols, vals, v, tol):
+    """``_certificate``'s (lower, upper, eigenvalue), or None, and the all-rows oracle's."""
+    entries = {(i + 1, j + 1): x for i, j, x in zip(rows, cols, vals)}
+    v, fvals = np.array(v), np.array(vals, dtype=float)
+    rows, cols = np.array(rows), np.array(cols)
+    w = np.bincount(rows, fvals * v[cols], minlength=len(v))  # as Noda's loop forms Mv
+    cert = nnmatrix._certificate(rows, cols, fvals, entries, v, w, tol)
+    screened = None if cert is None else (cert.lower, cert.upper, cert.eigenvalue)
+    return screened, all_rows_certificate(rows.tolist(), cols.tolist(), vals, v.tolist(), tol)
+
+
+class TestScreenedCertificate:
+    # the float screen skips the exact quotient of a row whose only entry
+    # is 1 unless it ties a float extreme; the extremes stay those of the
+    # exact pass over every row, kept in the tests as the oracle
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=st.sampled_from([1e-10, 1.0, 1e300]))
+    def test_random_rows_and_vectors_match_the_all_rows_pass(self, data, tol):
+        n, rows, cols, vals = data.draw(screened_matrices())
+        v = data.draw(st.lists(_VECTOR_ENTRY, min_size=n, max_size=n))
+        screened, oracle = screened_and_oracle(rows, cols, vals, v, tol)
+        assert screened == oracle
+
+    @pytest.mark.parametrize("n, shift", [(2, 0), (5, 1), (40, 3), (200, 5)])
+    def test_every_screened_quotient_ties(self, n, shift):
+        # a chain of 1s, row i reading column i + 1, closed by the last row
+        # reading 1 in column 0 and 2 in its own; v_i = 2^(-shift i), so every
+        # chain row has the same quotient 2^-shift in floats and exactly
+        rows = [*range(n - 1), n - 1, n - 1]
+        cols = [*range(1, n), 0, n - 1]
+        v = [2.0 ** (-shift * i) for i in range(n)]
+        screened, oracle = screened_and_oracle(rows, cols, [1] * n + [2], v, 1e300)
+        assert screened == oracle
+        assert oracle[0] == 2.0**-shift  # the closing row's quotient exceeds 2
+
+    def test_the_least_of_rows_tied_in_floats_is_exact(self):
+        # rows 0 and 1 read 1 in columns 3 and 2; their float quotients tie
+        # at v_3 = fl(0.701 / 0.75), above the exact quotient of row 1
+        v2 = 0.701
+        v = [1.0, 0.75, v2, v2 / 0.75]
+        assert Fraction(v2) / Fraction(0.75) < Fraction(v[3])
+        rows, cols, vals = [0, 1, 2, 2, 3, 3], [3, 2, 2, 0, 3, 1], [1, 1, 4, 1, 4, 1]
+        screened, oracle = screened_and_oracle(rows, cols, vals, v, 1e300)
+        assert screened == oracle
+        assert oracle[0] < v[3]
+
+    def test_a_single_entry_of_3_is_not_screened(self):
+        # row 0 reads 3 in column 2, whose float quotient rounds twice: it
+        # lies above row 1's quotient x = v_3 / v_1, while the exact one lies
+        # below it and is the least
+        va, vj = float.fromhex("0x1.3f1f65ac2f2b4p-1"), float.fromhex("0x1.7814e8bbca4e2p-1")
+        x = float.fromhex("0x1.c489ebac06194p+1")
+        assert Fraction(3) * Fraction(vj) / Fraction(va) < Fraction(x) < 3.0 * vj / va
+        rows, cols, vals = [0, 1, 2, 3, 3], [2, 3, 3, 3, 0], [3, 1, 1, 4, 1]
+        screened, oracle = screened_and_oracle(rows, cols, vals, [va, 1.0, vj, x], 1e300)
+        assert screened == oracle
+        assert oracle[0] < x
+
+    def test_braid_certificates_match_the_all_rows_pass(self):
+        # the last vector of each corpus solve, re-certified row by row
+        for t in corpus_parameters()[0][:40]:
+            m = transition_matrix(t)
+            cert = m.spectral_radius()
+            (rows, cols), vals = zip(*m.entries), list(m.entries.values())
+            rows, cols = [i - 1 for i in rows], [j - 1 for j in cols]
+            assert all_rows_certificate(
+                rows, cols, vals, cert.right_eigenvector, 1e-10
+            ) == (cert.lower, cert.upper, cert.eigenvalue)
+
+
 def hub_program(m):
     """The elimination's structure for m, built as spectral_radius builds it."""
     ij = np.array(list(m.entries)) - 1
     return nnmatrix._HubProgram(m.size, ij[:, 0], ij[:, 1], m._primitive_depths())
-
-
-def corpus_parameters():
-    """The tuples and prefixes whose matrices the benchmark's corpora solve.
-
-    Drawn as bench/workloads.py draws them: 213 tuples, then 12 prefixes.
-    """
-    rng = random.Random(1)
-    tuples = [(79,) * 42]
-    for _ in range(200):  # tuple-sweep
-        tuples.append(tuple(rng.randint(1, 40) for _ in range(rng.randint(2, 12))))
-    rng = random.Random(1)
-    prefixes = []
-    for _ in range(12):  # limit-scan: each prefix's block, and its scan's last tuple
-        prefixes.append(tuple(rng.randint(1, 10) for _ in range(rng.randint(1, 6))))
-    return tuples + [prefix + (40,) for prefix in prefixes], prefixes
 
 
 def corpus_matrices():

@@ -33,6 +33,7 @@ from helpers import (
     berkowitz_starts,
     bordered_det_oracle,
     bordered_rows_oracle,
+    corpus_parameters,
     grid_tuples,
 )
 
@@ -242,6 +243,51 @@ class TestMatrixSizeLimit:
             "error: the transition matrix of size 20000002 would have 20000007 "
             "nonzeros; the limit is 1000000\n"
         )
+
+
+def assert_level_depths(values):
+    # the formula is the breadth-first search of the primitivity test
+    matrix = transition_matrix(values)
+    assert treebuilder._level_depths(values) == matrix._primitive_depths()
+    assert matrix.is_primitive()
+
+
+def assert_block_depths(prefix):
+    # a dominant block's depths are the first n_i + 1 of its extension by 1
+    block = dominant_matrix(prefix)
+    assert treebuilder._level_depths(prefix + (1,))[: block.size] == block._primitive_depths()
+
+
+class TestLevelDepths:
+    # the depths and the primitivity lemma of the module docstring
+
+    @pytest.mark.parametrize(
+        "values", [(1, 1), (1, 2), (2, 1), (79,) * 42], ids=["1,1", "1,2", "2,1", "(79,)*42"]
+    )
+    def test_small_tuples_and_the_witness(self, values):
+        assert_level_depths(values)
+
+    def test_tuple_sweep_corpus(self):
+        for values in corpus_parameters()[0][1:201]:
+            assert_level_depths(values)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 60), min_size=2, max_size=12).map(tuple))
+    def test_random_tuples(self, values):
+        assert_level_depths(values)
+
+    @pytest.mark.parametrize("prefix", [(1,), (3,) * 300], ids=["(1,)", "(3,)*300"])
+    def test_blocks(self, prefix):
+        assert_block_depths(prefix)
+
+    def test_limit_scan_blocks(self):
+        for prefix in corpus_parameters()[1]:
+            assert_block_depths(prefix)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=11).map(tuple))
+    def test_random_blocks(self, prefix):
+        assert_block_depths(prefix)
 
 
 class TestDominantMatrix:
