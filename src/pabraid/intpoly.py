@@ -91,12 +91,6 @@ class IntPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -347,7 +341,7 @@ def roots_outside_unit_disk(f, tol=1e-10):
     """
     if not isinstance(f, IntPoly):
         f = IntPoly(f)
-    if f.is_zero():
+    if not f:
         raise ValueError("the zero polynomial has no root set")
     _tolerance(tol)
     out = [complex(z) for z in _eigenvalues(f.coeffs) if abs(z) > 1.0 + tol]

@@ -2,9 +2,11 @@
 
 The directed graph of a matrix T has an edge from vertex j to vertex i
 exactly when the entry (i, j) is nonzero.  One breadth-first search from
-vertex 0, along the edges and against them, decides irreducibility (every
-vertex gets a depth both ways) and primitivity: in addition, the gcd over
-all edges u -> v of depth(u) + 1 - depth(v), which is the period, is 1.
+vertex 0, along the edges and against them, decides primitivity: every
+vertex gets a depth both ways, and the gcd over all edges u -> v of
+depth(u) + 1 - depth(v), which is the period, is 1.  The search serves
+only ``is_primitive`` and ``NNMatrix.spectral_radius`` on arbitrary
+matrices: a braid matrix is primitive by ``treebuilder``'s lemma.
 Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
 commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
@@ -14,16 +16,15 @@ eigenvalue, when there is one, is the first step's shift; the enclosure is
 still evaluated on the matrix alone.  Each Noda step solves by elimination
 over breadth-first depths (``_HubProgram``), and only the dense system on
 the hubs, at most ``_MAX_HUBS`` vertices, is solved by LU.
-``NNMatrix.spectral_radius`` takes the depths from the two searches; the
-braid routes of ``dilatation`` read them from the levels and search
-nothing.  The enclosure screens its rows: a row whose only entry is 1, from
-j, has (Mv)_i = v_j, so its float quotient is v_j / v_i correctly rounded.
-Rounding is monotone, so the least (greatest) exact quotient of such rows
-is among those tied at their float minimum (maximum); only those and the
-other rows are evaluated exactly.  Only the spectral radius uses numpy,
-imported on its first call, so the commands without a matrix route
-(``polynomial``, ``matrix``, ``verify`` and ``dilatation --method
-formula``) never load it.
+``NNMatrix.spectral_radius`` takes the depths from the search; the braid
+routes of ``dilatation`` read them from the levels.  The enclosure screens
+its rows: a row whose only entry is 1, from j, has (Mv)_i = v_j, so its
+float quotient is v_j / v_i correctly rounded.  Rounding is monotone, so the
+least (greatest) exact quotient of such rows is among those tied at their
+float minimum (maximum); only those and the other rows are evaluated
+exactly.  Only the spectral radius uses numpy, imported on its first call,
+so the commands without a matrix route (``polynomial``, ``matrix``,
+``verify`` and ``dilatation --method formula``) never load it.
 """
 
 from __future__ import annotations
@@ -122,17 +123,6 @@ class NNMatrix:
         width = max(len(str(v)) for r in rows for v in r)
         return "\n".join(" ".join(str(v).rjust(width) for v in r) for r in rows)
 
-    def entry(self, i, j):
-        return self.entries.get((i, j), 0)
-
-    def submatrix(self, n):
-        """Upper-left n-by-n corner."""
-        if not (1 <= n <= self.size):
-            raise ValueError("submatrix size out of range")
-        return NNMatrix(
-            n, {(i, j): v for (i, j), v in self.entries.items() if i <= n and j <= n}
-        )
-
     def __eq__(self, other):
         if not isinstance(other, NNMatrix):
             return NotImplemented
@@ -157,16 +147,6 @@ class NNMatrix:
         if min(depth) < 0 or min(_bfs_depths(pred)) < 0:
             return None
         return depth
-
-    def is_irreducible(self):
-        """True iff the directed graph is strongly connected.
-
-        A 1x1 matrix is irreducible only with a self-loop (a positive-length
-        closed walk is required).
-        """
-        if self.size == 1:
-            return (1, 1) in self.entries
-        return self._depths() is not None
 
     def is_primitive(self):
         """True iff irreducible with cycle-length gcd (the period) 1."""

@@ -30,7 +30,7 @@ vertex also reaches vertex 1: down its chain to its hub, then to rows
 n_i - 1 and n_i of the level before, and so on.  Each hub has a self-loop,
 so every transition matrix is primitive, and so is a dominant block: its
 depths are the first n_i + 1 of its extension by 1, whose last vertex feeds
-only the hub.
+only the hub.  This lemma is why ``verify`` searches no graph.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def cofactor_det(rows):
             if not colmask & bit:
                 continue
             entry = rows[r][j]
-            if not entry.is_zero():
+            if entry:
                 sub = expand(r + 1, colmask & ~bit)
                 term = entry * sub
                 total = total + term if sign > 0 else total - term
@@ -254,7 +254,7 @@ def bordered_det_oracle(prefix, appended, reciprocal):
         src = mat.size if i == cut else i
         row = []
         for j in range(1, cut + 1):
-            a = mat.entry(src, j)
+            a = mat.entries.get((src, j), 0)
             if reciprocal:
                 row.append(IntPoly((1,)) - t * a if src == j else IntPoly((0, -a)))
             else:
@@ -336,9 +336,14 @@ def strongly_connected(matrix):
     """
     n = matrix.size
     if n == 1:
-        return matrix.entry(1, 1) > 0
+        return matrix.entries.get((1, 1), 0) > 0
     adj = np.array(matrix.to_rows(), dtype=np.int64) > 0
     return _positive_power(adj | np.eye(n, dtype=bool), n - 1)
+
+
+def corner(matrix, n):
+    """The upper-left n-by-n corner of an NNMatrix."""
+    return NNMatrix(n, {ij: v for ij, v in matrix.entries.items() if max(ij) <= n})
 
 
 def _positive_power(adj, power):
@@ -520,7 +525,7 @@ def bordered_rows_oracle(prefix, appended):
     mat = transition_matrix(tuple(prefix) + (appended,))
     cut = block_boundaries(prefix)[-1] + 1
     rows = [
-        [mat.entry(mat.size if i == cut else i, j) for j in range(1, cut + 1)]
+        [mat.entries.get((mat.size if i == cut else i, j), 0) for j in range(1, cut + 1)]
         for i in range(1, cut + 1)
     ]
     whole = NNMatrix.from_rows(rows).char_poly()

@@ -21,6 +21,7 @@ from helpers import (
     grid_tuples,
     lobachevsky_by_parts,
     random_primitive_matrix,
+    strongly_connected,
     subinvariance_bound,
     wielandt_positive,
 )
@@ -109,13 +110,13 @@ def test_criterion_04_reciprocity_suite():
 def test_criterion_05_perron_frobenius_suite():
     rows = grid_data()["rows"]
     ok = all(
-        d["matrix"].is_irreducible() and d["matrix"].is_primitive()
+        strongly_connected(d["matrix"]) and d["matrix"].is_primitive()
         for d in rows.values()
     )
     prefixes = sorted({tv[:-1] for tv in rows})
     for prefix in prefixes:
         block = pb.dominant_matrix(prefix)
-        if not (block.is_irreducible() and block.is_primitive()):
+        if not (strongly_connected(block) and block.is_primitive()):
             ok = False
     checked = 0
     for d in rows.values():

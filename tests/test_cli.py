@@ -328,6 +328,19 @@ class TestVerifyCommand:
             "nonzeros; the limit is 1000000\n"
         )
 
+    def test_runs_no_graph_search(self, capsys, monkeypatch):
+        # every transition matrix and dominant block is primitive by the
+        # lemma in treebuilder's docstring (criterion 5 checks it on this
+        # grid), so verify checks only the polynomial identities
+        def refuse(self):
+            raise AssertionError("graph searched")
+
+        monkeypatch.setattr(NNMatrix, "_depths", refuse)
+        rc, out, err = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
+        assert (rc, out, err) == (
+            0, "tuples checked: 775\nprefixes checked: 155\nfailures: 0\n", ""
+        )
+
     def test_corrupted_entries_fail_loudly(self, capsys, monkeypatch):
         # Three corruptions: one entry inside the leading 8-square block of
         # (2,3,4) alone, so that block is no longer the dominant matrix of
@@ -464,6 +477,23 @@ class TestExportedNames:
     @pytest.mark.parametrize("name", ["params", "parse_params", "closing_sign", "StructureCheck"])
     def test_treebuilder_helpers_stay_unexported(self, name):
         assert hasattr(treebuilder, name) and not hasattr(pabraid, name)
+
+
+# the public attributes of the two value classes: a method that only tests
+# call does not come back unnoticed
+PUBLIC_ATTRIBUTES = {
+    "NNMatrix": [
+        "char_poly", "entries", "from_rows", "is_primitive", "pretty", "size",
+        "spectral_radius", "text", "to_rows",
+    ],
+    "IntPoly": ["coeffs", "degree", "parse", "reciprocal", "shift"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_ATTRIBUTES))
+def test_the_public_attributes(name):
+    cls = getattr(pabraid, name)
+    assert sorted(a for a in dir(cls) if not a.startswith("_")) == PUBLIC_ATTRIBUTES[name]
 
 
 # each record's fields, its repr from them, and a field changed; the fields

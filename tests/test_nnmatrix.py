@@ -34,12 +34,12 @@ from helpers import (
     all_rows_certificate,
     berkowitz_starts,
     char_poly_oracle,
+    corner,
     corpus_parameters,
     cofactor_det,
     det_identity_minus_tm,
     random_nn_matrix,
     random_primitive_matrix,
-    strongly_connected,
     subinvariance_bound,
     wielandt_positive,
 )
@@ -131,7 +131,7 @@ class TestConstruction:
     def test_from_rows_round_trip(self):
         m = NNMatrix.from_rows(GOLDEN_8x8)
         assert m.to_rows() == GOLDEN_8x8
-        assert m.entry(8, 6) == 2 and m.entry(1, 1) == 0
+        assert m.entries.get((8, 6), 0) == 2 and m.entries.get((1, 1), 0) == 0
 
     def test_text_round_trip(self):
         m = NNMatrix.from_rows(GOLDEN_8x8)
@@ -154,26 +154,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NNMatrix.from_rows([[1, 2], [3]])
 
-    def test_submatrix(self):
-        m = NNMatrix.from_rows(GOLDEN_8x8)
-        assert m.submatrix(2).to_rows() == [[0, 1], [0, 0]]
-
-
-class TestIrreducible:
-    def test_three_cycle(self):
-        m = NNMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-        assert m.is_irreducible()
-
-    def test_identity_is_not(self):
-        assert not NNMatrix.from_rows([[1, 0], [0, 1]]).is_irreducible()
-
-    def test_golden_matrix(self):
-        assert NNMatrix.from_rows(GOLDEN_8x8).is_irreducible()
-
-    def test_one_by_one(self):
-        assert NNMatrix.from_rows([[2]]).is_irreducible()
-        assert not NNMatrix.from_rows([[0]]).is_irreducible()
-
 
 class TestPrimitive:
     def test_swap_is_periodic(self):
@@ -194,7 +174,6 @@ class TestPrimitive:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(m=st.one_of(sparse_matrices(), block_cyclic_matrices()))
     def test_graph_search_agrees_with_boolean_powers(self, m):
-        assert m.is_irreducible() == strongly_connected(m)
         assert m.is_primitive() == wielandt_positive(m)
 
 
@@ -648,7 +627,7 @@ class TestCharPoly:
         )
 
     def test_dominant_block_of_golden(self):
-        block = NNMatrix.from_rows(GOLDEN_8x8).submatrix(6)
+        block = corner(NNMatrix.from_rows(GOLDEN_8x8), 6)
         assert block.char_poly() == IntPoly.parse("t^6 - t^5 - 2*t")
 
     def test_golden_matrix(self):
@@ -705,7 +684,7 @@ class TestSeededCharPoly:
     def test_every_leading_block_gives_the_same_polynomial(self, m):
         expected = m.char_poly()
         for n in range(1, m.size + 1):
-            fresh, block = NNMatrix(m.size, m.entries), m.submatrix(n)
+            fresh, block = NNMatrix(m.size, m.entries), corner(m, n)
             block.char_poly()
             with berkowitz_starts() as starts:
                 assert fresh.char_poly(_block=block) == expected
@@ -716,9 +695,9 @@ class TestSeededCharPoly:
     def test_a_block_that_is_not_the_corner_is_ignored(self, m, data):
         expected = m.char_poly()
         n = data.draw(st.integers(1, m.size))
-        corner = m.submatrix(n).entries
+        leading = corner(m, n).entries
         cell = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
-        wrong = NNMatrix(n, {**corner, cell: corner.get(cell, 0) + 1})
+        wrong = NNMatrix(n, {**leading, cell: leading.get(cell, 0) + 1})
         larger = NNMatrix(m.size + 1, m.entries)
         for block in (wrong, larger):
             with berkowitz_starts() as starts:
@@ -737,7 +716,7 @@ class TestSeededCharPoly:
     def test_the_polynomial_is_memoized(self):
         m = NNMatrix.from_rows(GOLDEN_8x8)
         with berkowitz_starts() as starts:
-            assert m.char_poly() is m.char_poly(_block=m.submatrix(6))
+            assert m.char_poly() is m.char_poly(_block=corner(m, 6))
         assert starts == [None]
 
 

@@ -33,6 +33,7 @@ from helpers import (
     berkowitz_starts,
     bordered_det_oracle,
     bordered_rows_oracle,
+    corner,
     corpus_parameters,
     grid_tuples,
 )
@@ -190,7 +191,7 @@ class TestTransitionMatrix:
     def test_last_row_of_two_star_tuples(self, m1, m2):
         mat = transition_matrix((m1, m2))
         n1, n2 = block_boundaries((m1, m2))
-        last = {j: mat.entry(n2, j) for j in range(1, n2 + 1) if mat.entry(n2, j)}
+        last = {j: v for (i, j), v in mat.entries.items() if i == n2}
         assert last == {1: 1, n1 + 1: 2}
 
     def test_rejects_single_parameter(self):
@@ -311,7 +312,7 @@ class TestDominantMatrix:
         block = dominant_matrix(prefix)
         for appended in (2, 3, 7):
             full = transition_matrix(tuple(prefix) + (appended,))
-            assert full.submatrix(block.size) == block
+            assert corner(full, block.size) == block
 
 
 class TestRecessivePolynomials:
@@ -462,7 +463,7 @@ class TestTreeMapSpec:
         for j in range(1, 9):
             path = []
             for i in range(1, 9):
-                path.extend([i] * golden.entry(i, j))
+                path.extend([i] * golden.entries.get((i, j), 0))
             images[j] = tuple(path)
         spec = TreeMapSpec(8, images)
         assert spec.matches(golden)
