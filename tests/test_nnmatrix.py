@@ -40,6 +40,7 @@ from helpers import (
     det_identity_minus_tm,
     random_nn_matrix,
     random_primitive_matrix,
+    strongly_connected,
     subinvariance_bound,
     wielandt_positive,
 )
@@ -153,6 +154,28 @@ class TestConstruction:
             NNMatrix(2, {(1, 1): -1})
         with pytest.raises(ValueError):
             NNMatrix.from_rows([[1, 2], [3]])
+
+    def test_submatrix(self):
+        m = NNMatrix.from_rows(GOLDEN_8x8)
+        assert corner(m, 2).to_rows() == [[0, 1], [0, 0]]
+
+
+class TestIrreducible:
+    """The strong-connectivity oracle that criterion 5 checks braid matrices with."""
+
+    def test_three_cycle(self):
+        m = NNMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert strongly_connected(m)
+
+    def test_identity_is_not(self):
+        assert not strongly_connected(NNMatrix.from_rows([[1, 0], [0, 1]]))
+
+    def test_golden_matrix(self):
+        assert strongly_connected(NNMatrix.from_rows(GOLDEN_8x8))
+
+    def test_one_by_one(self):
+        assert strongly_connected(NNMatrix.from_rows([[2]]))
+        assert not strongly_connected(NNMatrix.from_rows([[0]]))
 
 
 class TestPrimitive:
