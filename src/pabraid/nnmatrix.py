@@ -74,7 +74,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries", "_char_poly", "_pair")
+    __slots__ = ("size", "entries", "_char_poly", "_pair", "_closings")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -94,6 +94,7 @@ class NNMatrix:
         self.size = size
         self.entries = clean
         self._char_poly = self._pair = None
+        self._closings = {}  # char_poly's H of a unit chain after this block, by (s, R)
 
     @classmethod
     def from_rows(cls, rows):
@@ -215,21 +216,92 @@ class NNMatrix:
 
         Memoized, with the run's last two rows (``_leading_pair``).  A
         leading principal block B passed as ``_block`` (in ``verify``, a
-        prefix's dominant matrix) resumes the recurrence after B's rows from
-        B's own run, only when B's entries equal M's B.size corner: a wrong
-        ``_block`` costs time, never a wrong result.
+        prefix's dominant matrix) seeds the recurrence from B's own run, only
+        when B's entries equal M's n-square corner, n = B.size: a wrong
+        ``_block`` costs time, never a wrong result.  The seed is B's pair at
+        row n, or the pair at row N when a unit chain closes there (below);
+        the recurrence runs only the rows after the seed.
+
+        The unit chain.  Let N > n be the first row whose entries in columns
+        1..N+1 are not exactly (N, N+1) = 1.  The chain closes at N when row
+        N reads, inside the leading N-square, only columns 1..n (the row R),
+        and B's rows reach columns n+1..N only through one entry s at
+        (n, n+1), else s = 0.  With L = N - n and q = det(tI - B), then
+
+            det(tI - M_{N-1}) = t^(L-1) q,   det(tI - M_N) = t^L q - H,
+            H = s sum_j (R B^j e_n) [q / t^(j+1)],  [.] dropping negative powers.
+
+        Proof: rows n+1..N-1 hold nothing on or left of the diagonal inside
+        the N-square, so M_{N-1} is block upper triangular with B and a
+        nilpotent block.  At row N, Berkowitz's step (``_berkowitz``) has
+        a = 0, S = column N above row N, and A = M_{N-1}, whose column r
+        is e_{r-1} for n+1 < r < N and s e_n for r = n+1; columns 1..n of A
+        are B's.  So A^k S walks up the chain to A^(L-1) S = s e_n, R meets
+        no chain vertex, and A^(L-1+j) S = s B^j e_n, with
+        [t^(L-1) q / t^(L+j)] = [q / t^(j+1)].  H does not depend on L, and
+        at L = 1 it is t q - det(tI - M'), M' = [[B, s e_n], [R, 0]]: one
+        row of B's run.  B memoizes H by (s, R), so every matrix that closes
+        on the same row after B (in ``verify``, a prefix's tuples and its
+        children's blocks) runs no row of its chain.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            n = _block.size if _block is not None and _block.size <= self.size else 0
-            start = None
-            if n and _block.entries == {ij: v for ij, v in self.entries.items() if max(ij) <= n}:
-                start = (n, *_block._leading_pair())
-            self._pair = _berkowitz(self.size, self.entries, start)
+            start = None if _block is None else _block._seed(self.size, self.entries)
+            if start and start[0] == self.size:
+                self._pair = list(start[1:])
+            else:
+                self._pair = _berkowitz(self.size, self.entries, start)
             self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
+
+    def _seed(self, size, entries):
+        """``_berkowitz``'s start for a matrix of ``entries`` with this leading block.
+
+        None unless this block is its corner; else the pair at row n, or at
+        the row N where a unit chain closes (``char_poly``).  One pass over
+        ``entries`` checks the corner and the chain.
+        """
+        n = self.size
+        if n > size:
+            return None
+        corner, rows, s, near = {}, {}, 0, math.inf
+        for (i, j), v in entries.items():
+            if i > n:
+                rows.setdefault(i, {})[j] = v
+            elif j <= n:
+                corner[i, j] = v
+            elif i == n and j == n + 1:
+                s = v
+            else:  # the least column past n that B reaches elsewhere
+                near = min(near, j)
+        if corner != self.entries:
+            return None
+        pair = self._leading_pair()
+        if n == size:
+            return (n, *pair)
+        end = n + 1  # past each row whose first entry is (end, end + 1) = 1
+        while end < size and rows.get(end, {}).get(end + 1) == 1 and min(rows[end]) == end + 1:
+            end += 1
+        last = {j: v for j, v in rows.get(end, {}).items() if j <= end}
+        if near <= end or max(last, default=0) > n or any(
+            r + 1 < j <= end for r in range(n + 1, end) for j in rows[r]
+        ):
+            return (n, *pair)
+        key = (s, tuple(sorted(last.items())))
+        if key not in self._closings:
+            border = dict(self.entries)
+            if s:
+                border[n, n + 1] = s
+            border.update(((n + 1, j), v) for j, v in last.items())
+            full = _berkowitz(n + 1, border, (n, *pair))[-1]
+            self._closings[key] = [a - b for a, b in zip([0, *pair[1]], full)]
+        chain = end - n
+        closed = [0] * chain + pair[1]
+        for j, h in enumerate(self._closings[key]):
+            closed[j] -= h
+        return (end, [0] * (chain - 1) + pair[1], closed)
 
     def _leading_pair(self):
         """The memoized ``_berkowitz`` pair of ``char_poly``, not to be changed.

@@ -18,8 +18,9 @@ dominant (restricted) map, and a bordered determinant extracts the
 recessive polynomial of the family, whose reversal is the dual one; both
 are independent of any further parameters (the tests check this).  The
 bordered determinant is linear in its last row, the only one without t, and
-shares its other rows with the dominant block, so it is one more row of the
-block's own run of the Berkowitz recurrence in ``nnmatrix``.
+shares its other rows with the dominant block.  That row differs from the
+block's row n_i + 1 only on the diagonal, so the determinant follows from
+the block's own Berkowitz pair in ``nnmatrix`` by linearity in that entry.
 
 The Perron-Frobenius solve reads its breadth-first depths from the levels
 (``_level_depths``).  Along the edges j -> i of the entries (i, j), every
@@ -256,22 +257,34 @@ def recessive_poly(prefix):
     (n_i + 1)-square corner.  Independent of the appended parameter.  The
     block is tI - B' without t in its last row, for the corner B' of B with
     that row replaced; by linearity in the last row its determinant is
-    det(tI - B') - t det(tI - B'_{n_i}).  B' shares its first n_i rows with
-    the dominant block, so both terms come from the block's Berkowitz run
-    (``NNMatrix.char_poly``) and one more row of the recurrence.
+    det(tI - B') - t det(tI - B'_{n_i}).  B' differs from the dominant block
+    only in its last row, so both terms come from the block's Berkowitz
+    pair (``_recessive``).
     """
     return _recessive(*_extension(params(prefix, 1)))
 
 
 def _recessive(block, last):
-    # recessive_poly from the block and the last row of ``_extension``: the
-    # block's run through row n_i gives det(tI - B'_{n_i}), and the run
-    # resumes there for row n_i + 1, the last row
+    """recessive_poly from the block and the last row of ``_extension``.
+
+    With the block's pair p = det(tI - B_{n_i}), P = det(tI - B): when the
+    last row equals the block's row n_i + 1 off the diagonal and exceeds its
+    diagonal by delta, det(tI - B') = P - delta p, since a determinant is
+    linear in each entry and the cofactor of that diagonal entry is p.  As
+    B'_{n_i} = B_{n_i}, the recessive polynomial is P - delta p - t p.  Any
+    other last row takes one more row of the block's run, resumed after
+    row n_i.
+    """
     cut = block.size
-    bordered = {ij: v for ij, v in block.entries.items() if ij[0] < cut}
-    bordered.update({(cut, j): v for j, v in last.items()})
-    corner, full = _berkowitz(cut, bordered, (cut - 1, block._leading_pair()[0]))
-    return IntPoly(full) - IntPoly(corner).shift(1)
+    corner, full = block._leading_pair()
+    hub = {j: v for (i, j), v in block.entries.items() if i == cut}
+    delta = last.get(cut, 0) - hub.pop(cut, 0)
+    if hub != {j: v for j, v in last.items() if j != cut}:
+        bordered = {ij: v for ij, v in block.entries.items() if ij[0] < cut}
+        bordered.update({(cut, j): v for j, v in last.items()})
+        full = _berkowitz(cut, bordered, (cut - 1, corner))[-1]
+        delta = 0
+    return IntPoly(full) - IntPoly(corner) * IntPoly((delta, 1))
 
 
 def dual_recessive_poly(prefix):

@@ -57,23 +57,51 @@ def record_rungs(monkeypatch):
 
 
 @contextlib.contextmanager
-def berkowitz_starts():
-    """Record the r0 of every ``_berkowitz`` run, None for an unseeded one.
+def berkowitz_runs(record):
+    """Call ``record(size, entries, start)`` before every ``_berkowitz`` run.
 
     Not an oracle: a spy on the name in ``pabraid.nnmatrix`` and in
     ``pabraid.treebuilder``, which imports it.
     """
     modules = [importlib.import_module(f"pabraid.{name}") for name in ("nnmatrix", "treebuilder")]
-    starts, inner = [], modules[0]._berkowitz
+    inner = modules[0]._berkowitz
 
     def spy(size, entries, start=None):
-        starts.append(start and start[0])
+        record(size, entries, start)
         return inner(size, entries, start)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in modules:
             mp.setattr(module, "_berkowitz", spy)
+        yield
+
+
+@contextlib.contextmanager
+def berkowitz_starts():
+    """Record the r0 of every ``_berkowitz`` run, None for an unseeded one."""
+    starts = []
+    with berkowitz_runs(lambda size, entries, start: starts.append(start and start[0])):
         yield starts
+
+
+@contextlib.contextmanager
+def krylov_rows():
+    """Count the row steps of ``_berkowitz`` runs that form Krylov products.
+
+    A run steps through the rows after its start's r0, and row r forms the
+    products A_{r-1}^k S exactly when it has an entry left of the diagonal
+    and column r has one above it.  Yields a list whose one item is the
+    count so far.
+    """
+    count = [0]
+
+    def record(size, entries, start):
+        left = {i for i, j in entries if j < i}
+        above = {j for i, j in entries if i < j}
+        count[0] += sum(r > (start[0] if start else 0) for r in left & above)
+
+    with berkowitz_runs(record):
+        yield count
 
 
 def dominant_chain_oracle(prefix):
@@ -511,12 +539,13 @@ GOLDEN_8x8 = [
 ]
 
 
-def bordered_rows_oracle(prefix, appended):
+def bordered_rows_oracle(prefix, appended, last=None):
     """``bordered_det_oracle(prefix, appended, False)`` from integer rows.
 
     The bordered block is tI - B' without t in its last row, for the corner
     B' of the transition matrix B of ``prefix + (appended,)`` with row
-    n_i + 1 replaced by the last row, copied here entry by entry.  Being
+    n_i + 1 replaced by the last row, copied here entry by entry, or by
+    ``last`` ({column: entry}) when given.  Being
     linear in that row, its determinant is det(tI - B') - t det(tI - B'_{n_i});
     each term is a fresh, unseeded ``char_poly``.  The polynomial rows of
     ``bordered_det_oracle`` cost seconds per prefix once the block passes
@@ -528,6 +557,30 @@ def bordered_rows_oracle(prefix, appended):
         [mat.entries.get((mat.size if i == cut else i, j), 0) for j in range(1, cut + 1)]
         for i in range(1, cut + 1)
     ]
+    if last is not None:
+        rows[-1] = [last.get(j, 0) for j in range(1, cut + 1)]
     whole = NNMatrix.from_rows(rows).char_poly()
     corner = NNMatrix.from_rows([row[:-1] for row in rows[:-1]]).char_poly()
     return whole - corner.shift(1)
+
+
+def unit_chain_end(matrix, n):
+    """The row N where a unit chain after the leading n-square closes, or None.
+
+    The conditions of ``NNMatrix.char_poly``, read off the dense rows: N > n
+    is the first row whose columns 1..N+1 are not exactly 0, ..., 0, 1; rows
+    n+1..N-1 hold nothing in columns r+2..N; row N holds nothing in columns
+    n+1..N; and rows 1..n hold nothing in columns n+1..N but (n, n+1).
+    """
+    rows, size = matrix.to_rows(), matrix.size
+    if n >= size:
+        return None
+    end = n + 1
+    while end < size and rows[end - 1][: end + 1] == [0] * end + [1]:
+        end += 1
+    chain = all(not any(rows[r - 1][r + 1 : end]) for r in range(n + 1, end))
+    last = not any(rows[end - 1][n:end])
+    block = not any(v for row in rows[: n - 1] for v in row[n:end]) and not any(
+        rows[n - 1][n + 1 : end]
+    )
+    return end if chain and last and block else None

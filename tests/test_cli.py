@@ -19,7 +19,7 @@ import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
 
-from helpers import GOLDEN_8x8, berkowitz_starts, record_decisions
+from helpers import GOLDEN_8x8, berkowitz_starts, krylov_rows, record_decisions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,18 +297,29 @@ class TestVerifyCommand:
         )
 
     def test_each_prefix_runs_its_block_once(self, capsys):
-        # per prefix: the block's run, resumed after its parent's block (a
-        # prefix of length 1 has none), the recessive row resumed at its
-        # last row, then every tuple resumed after the block
+        # per prefix: the block's run, which runs only its hub row after the
+        # level's chain closes from the parent block's memo (a prefix of
+        # length 1 has no parent and runs unseeded); the recessive
+        # polynomial from the block's pair, with no run; then the first
+        # tuple's one row after the block, which fills the block's memo, so
+        # that every tuple's chain closes with no run
         with berkowitz_starts() as starts:
             rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "3")
         assert rc == 0
         expected = []
         for p in [p for n in (1, 2, 3) for p in itertools.product(range(1, 4), repeat=n)]:
             cut = treebuilder.block_boundaries(p)[-1] + 1
-            parent = treebuilder.block_boundaries(p[:-1])[-1] + 1 if len(p) > 1 else None
-            expected += [parent, cut - 1] + [cut] * 3
+            expected += [cut - 1 if len(p) > 1 else None, cut]
         assert starts == expected
+
+    def test_the_grid_forms_315_krylov_rows(self, capsys):
+        # 1 240 before the chains closed from their block's memo.  Per
+        # prefix: its block's hub row and the one row that fills its memo
+        # (310 in all); and one more row in each of the five first-level
+        # blocks' unseeded runs
+        with krylov_rows() as rows:
+            rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
+        assert rc == 0 and rows == [315]
 
     def test_a_grid_whose_largest_matrix_passes_the_limit_is_refused_before_it_is_built(
         self, capsys, monkeypatch

@@ -42,6 +42,7 @@ from helpers import (
     random_primitive_matrix,
     strongly_connected,
     subinvariance_bound,
+    unit_chain_end,
     wielandt_positive,
 )
 
@@ -697,10 +698,12 @@ _SEED_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, dat
 
 
 class TestSeededCharPoly:
-    # char_poly(_block=B) resumes Berkowitz's recurrence after B's rows; the
+    # char_poly(_block=B) seeds Berkowitz's recurrence from B's run; the
     # seed is taken only when B is M's leading corner, so it never changes
     # the polynomial.  Each seeded call is on a fresh copy of M, because
-    # char_poly is memoized.
+    # char_poly is memoized.  A run is made only for the rows after the
+    # seed: B's row n, or the row where a unit chain after B closes
+    # (helpers.unit_chain_end), after the one-row run that fills B's memo.
 
     @_SEED_SETTINGS
     @given(m=square_matrices())
@@ -709,9 +712,71 @@ class TestSeededCharPoly:
         for n in range(1, m.size + 1):
             fresh, block = NNMatrix(m.size, m.entries), corner(m, n)
             block.char_poly()
+            end = unit_chain_end(m, n)
             with berkowitz_starts() as starts:
                 assert fresh.char_poly(_block=block) == expected
-            assert starts == [n]
+            if n == m.size:
+                assert starts == []
+            elif end is None:
+                assert starts == [n]
+            else:  # the fill, then the rows after the chain's last
+                assert starts == [n, end][: 1 + (end < m.size)]
+
+    @_SEED_SETTINGS
+    @given(block=square_matrices(), data=st.data())
+    def test_a_unit_chain_closes_from_the_block(self, block, data):
+        # chains of two or more lengths after one block B, closed on one last
+        # row R with one entry s at (n, n+1): the first fills B's memo and
+        # the others hit it.  Entries past the chain's last row N, in any
+        # row, lie outside the leading N-square
+        n = block.size
+        cells = st.dictionaries(st.integers(1, n), st.integers(1, 9), min_size=1)
+        last, s = data.draw(cells), data.draw(st.integers(0, 9))
+        block.char_poly()
+
+        def extended(chain):
+            end = n + chain
+            size = end + data.draw(st.integers(0, 2))
+            entries = {(r, r + 1): 1 for r in range(n, end)}
+            entries.update({**block.entries, (n, n + 1): s})
+            entries.update(((end, j), v) for j, v in last.items())
+            if size > end:
+                cell = st.tuples(st.integers(1, size), st.integers(end + 1, size))
+                entries.update(data.draw(st.dictionaries(cell, st.integers(1, 9), max_size=6)))
+                cell = st.tuples(st.integers(end + 1, size), st.integers(1, end))
+                entries.update(data.draw(st.dictionaries(cell, st.integers(1, 9), max_size=6)))
+            return end, size, entries
+
+        def seeded(size, entries):
+            expected = NNMatrix(size, entries).char_poly()
+            with berkowitz_starts() as starts:
+                assert NNMatrix(size, entries).char_poly(_block=block) == expected
+            return starts
+
+        for i, chain in enumerate(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))):
+            end, size, entries = extended(chain)
+            assert unit_chain_end(NNMatrix(size, entries), n) == end
+            assert seeded(size, entries) == [n][i > 0 :] + [end][: end < size]
+
+        end, size, entries = extended(data.draw(st.integers(2, 6)))
+        # a last row that differs from the memoized one fills the memo again
+        other = data.draw(cells.filter(lambda row: row != last))
+        moved = {**{(end, j): 0 for j in last}, **{(end, j): v for j, v in other.items()}}
+        assert seeded(size, {**entries, **moved}) == [n] + [end][: end < size]
+        value = st.integers(1, 9)
+        r = data.draw(st.integers(n + 1, end - 1))
+        perturbations = [
+            # a second entry in a chain row
+            {(r, data.draw(st.integers(1, end).filter(lambda j: j != r + 1))): data.draw(value)},
+            # a diagonal on the last row
+            {(end, end): data.draw(value)},
+            # a last-row entry in a chain column
+            {(end, data.draw(st.integers(n + 1, end - 1))): data.draw(value)},
+            # a second entry into column n + 1
+            {(data.draw(st.integers(1, end).filter(lambda i: i != n)), n + 1): data.draw(value)},
+        ]
+        for change in perturbations:
+            seeded(size, {**entries, **change})
 
     @_SEED_SETTINGS
     @given(m=square_matrices(), data=st.data())
@@ -730,10 +795,15 @@ class TestSeededCharPoly:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=10).map(tuple))
     def test_tuple_matrix_seeded_by_its_dominant_block(self, t):
+        # the tuple's chain closes from the block: its first tuple fills the
+        # block's memo by one row after the block, and a sibling runs no row
         block = dominant_matrix(t[:-1])
         block.char_poly()
+        sibling = t[:-1] + (t[-1] + 1,)
+        expected = [braid_char_poly(t), braid_char_poly(sibling)]
         with berkowitz_starts() as starts:
-            assert transition_matrix(t).char_poly(_block=block) == braid_char_poly(t)
+            got = [transition_matrix(u).char_poly(_block=block) for u in (t, sibling)]
+        assert got == expected
         assert starts == [block.size]
 
     def test_the_polynomial_is_memoized(self):
