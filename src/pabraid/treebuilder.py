@@ -40,7 +40,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix, _berkowitz
+from .nnmatrix import NNMatrix
 
 __all__ = [
     "BraidTuple",
@@ -267,23 +267,22 @@ def recessive_poly(prefix):
 def _recessive(block, last):
     """recessive_poly from the block and the last row of ``_extension``.
 
-    With the block's pair p = det(tI - B_{n_i}), P = det(tI - B): when the
-    last row equals the block's row n_i + 1 off the diagonal and exceeds its
-    diagonal by delta, det(tI - B') = P - delta p, since a determinant is
-    linear in each entry and the cofactor of that diagonal entry is p.  As
-    B'_{n_i} = B_{n_i}, the recessive polynomial is P - delta p - t p.  Any
-    other last row takes one more row of the block's run, resumed after
-    row n_i.
+    With the block's pair p = det(tI - B_{n_i}), P = det(tI - B): the last
+    row equals the block's row n_i + 1 off the diagonal and exceeds its
+    diagonal by delta (``_entries`` writes both rows so), hence
+    det(tI - B') = P - delta p, since a determinant is linear in each entry
+    and the cofactor of that diagonal entry is p.  As B'_{n_i} = B_{n_i},
+    the recessive polynomial is P - delta p - t p.  A last row that differs
+    off the diagonal raises AssertionError.
     """
     cut = block.size
     corner, full = block._leading_pair()
     hub = {j: v for (i, j), v in block.entries.items() if i == cut}
     delta = last.get(cut, 0) - hub.pop(cut, 0)
     if hub != {j: v for j, v in last.items() if j != cut}:
-        bordered = {ij: v for ij, v in block.entries.items() if ij[0] < cut}
-        bordered.update({(cut, j): v for j, v in last.items()})
-        full = _berkowitz(cut, bordered, (cut - 1, corner))[-1]
-        delta = 0
+        raise AssertionError(
+            f"the last row of the bordered block differs from row {cut} off the diagonal"
+        )
     return IntPoly(full) - IntPoly(corner) * IntPoly((delta, 1))
 
 

@@ -60,19 +60,17 @@ def record_rungs(monkeypatch):
 def berkowitz_runs(record):
     """Call ``record(size, entries, start)`` before every ``_berkowitz`` run.
 
-    Not an oracle: a spy on the name in ``pabraid.nnmatrix`` and in
-    ``pabraid.treebuilder``, which imports it.
+    Not an oracle: a spy on the name in ``pabraid.nnmatrix``.
     """
-    modules = [importlib.import_module(f"pabraid.{name}") for name in ("nnmatrix", "treebuilder")]
-    inner = modules[0]._berkowitz
+    nnmatrix = importlib.import_module("pabraid.nnmatrix")
+    inner = nnmatrix._berkowitz
 
     def spy(size, entries, start=None):
         record(size, entries, start)
         return inner(size, entries, start)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in modules:
-            mp.setattr(module, "_berkowitz", spy)
+        mp.setattr(nnmatrix, "_berkowitz", spy)
         yield
 
 
