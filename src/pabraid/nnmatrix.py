@@ -74,7 +74,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries", "_char_poly", "_pair", "_closings")
+    __slots__ = ("size", "entries", "_char_poly", "_pair", "_closings", "_lift")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -93,8 +93,21 @@ class NNMatrix:
                 clean[(i, j)] = v
         self.size = size
         self.entries = clean
-        self._char_poly = self._pair = None
-        self._closings = {}  # char_poly's H of a unit chain after this block, by (s, R)
+        self._char_poly = self._pair = self._lift = None
+        self._closings = {}  # char_poly's h of a unit chain after this block, by R
+
+    @classmethod
+    def _of(cls, size, entries):
+        """A matrix on ``entries`` as they are, neither checked nor copied.
+
+        For callers whose entries are positive ints at 1-based indices
+        within ``size`` by construction; ``NNMatrix(size, entries)`` checks.
+        """
+        matrix = cls.__new__(cls)
+        matrix.size, matrix.entries = size, entries
+        matrix._char_poly = matrix._pair = matrix._lift = None
+        matrix._closings = {}
+        return matrix
 
     @classmethod
     def from_rows(cls, rows):
@@ -219,8 +232,9 @@ class NNMatrix:
         prefix's dominant matrix) seeds the recurrence from B's own run, only
         when B's entries equal M's n-square corner, n = B.size: a wrong
         ``_block`` costs time, never a wrong result.  The seed is B's pair at
-        row n, or the pair at row N when a unit chain closes there (below);
-        the recurrence runs only the rows after the seed.
+        row n, the pair at row N when a unit chain closes there, or the pair
+        at row N+1 when a hub row follows (below); the recurrence runs only
+        the rows after the seed.
 
         The unit chain.  Let N > n be the first row whose entries in columns
         1..N+1 are not exactly (N, N+1) = 1.  The chain closes at N when row
@@ -228,8 +242,8 @@ class NNMatrix:
         and B's rows reach columns n+1..N only through one entry s at
         (n, n+1), else s = 0.  With L = N - n and q = det(tI - B), then
 
-            det(tI - M_{N-1}) = t^(L-1) q,   det(tI - M_N) = t^L q - H,
-            H = s sum_j (R B^j e_n) [q / t^(j+1)],  [.] dropping negative powers.
+            det(tI - M_{N-1}) = t^(L-1) q,   Q = det(tI - M_N) = t^L q - s h,
+            h = sum_j (R B^j e_n) [q / t^(j+1)],  [.] dropping negative powers.
 
         Proof: rows n+1..N-1 hold nothing on or left of the diagonal inside
         the N-square, so M_{N-1} is block upper triangular with B and a
@@ -238,17 +252,47 @@ class NNMatrix:
         is e_{r-1} for n+1 < r < N and s e_n for r = n+1; columns 1..n of A
         are B's.  So A^k S walks up the chain to A^(L-1) S = s e_n, R meets
         no chain vertex, and A^(L-1+j) S = s B^j e_n, with
-        [t^(L-1) q / t^(L+j)] = [q / t^(j+1)].  H does not depend on L, and
-        at L = 1 it is t q - det(tI - M'), M' = [[B, s e_n], [R, 0]]: one
-        row of B's run.  B memoizes H by (s, R), so every matrix that closes
-        on the same row after B (in ``verify``, a prefix's tuples and its
-        children's blocks) runs no row of its chain.
+        [t^(L-1) q / t^(L+j)] = [q / t^(j+1)].  h depends on neither L nor
+        s: it is R adj(tI - B) e_n = q R (tI - B)^-1 e_n, the sum over j of
+        (R B^j e_n) q / t^(j+1), whose negative powers cancel.  B memoizes h
+        by R, from the one Krylov sequence R B^j e_n, j < n.
+
+        The hub row.  Let row N+1 read exactly R left of its diagonal a, and
+        let column N+1 above the diagonal hold entries only in B's row n
+        (sigma, else 0) and in rows p = n+1..N (S_p).  Then
+
+            det(tI - M_{N+1}) = (t - a) Q - X h,
+            X = sigma t^L + s sum_p S_p t^(N-p).
+
+        Proof: with that row R' and column S', Berkowitz's step is
+        (t - a) Q - R' adj(tI - M_N) S', and adj(tI - M_N) = Q (tI - M_N)^-1.
+        Solve (tI - M_N)(u, w) = S', u on B's columns and w on the chain:
+        (tI - B) u = (sigma + s w_{n+1}) e_n, t w_p = w_{p+1} + S_p for
+        n < p < N, and t w_N = R u + S_N.  So R u = (sigma + s w_{n+1}) h / q
+        and w_{n+1} = T + t^-L R u, T = sum_p S_p t^(n-p).  Eliminating
+        w_{n+1}, (1 - s h / (t^L q)) R u = (sigma + s T) h / q, where
+        1 - s h / (t^L q) = Q / (t^L q); hence Q R' (tI - M_N)^-1 S' =
+        Q R u = t^L (sigma + s T) h = X h, the claim.
+
+        The lift.  When the hub row is M's last, M is a block C in turn, and
+        C's h for a row R' that reads R on B's columns, nothing on the chain
+        and c in column N+1 is X h + c Q.  Proof: solve
+        (tI - C)(u, w, z) = e_{N+1}.  Its first N rows give
+        (u, w) = z (tI - M_N)^-1 S', so R u = z X h / Q as above, and row
+        N+1 gives (t - a) z - R u = 1, so z = Q / det(tI - C).  Hence
+        det(tI - C) R' (u, w, z) = det(tI - C) (R u + c z) = X h + c Q.  C
+        keeps R, X h and Q (``_lift``), and its memo takes h from them.
+
+        In ``verify`` a prefix's tuples close on row R after the prefix's
+        block, and so does each child's block, whose hub row follows and
+        whose tuples close on R plus 2 in the hub's column: only a block
+        without a parent forms a Krylov sequence or runs the recurrence.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            start = None if _block is None else _block._seed(self.size, self.entries)
+            start = None if _block is None else _block._seed(self)
             if start and start[0] == self.size:
                 self._pair = list(start[1:])
             else:
@@ -256,52 +300,79 @@ class NNMatrix:
             self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
 
-    def _seed(self, size, entries):
-        """``_berkowitz``'s start for a matrix of ``entries`` with this leading block.
+    def _seed(self, matrix):
+        """``_berkowitz``'s start for ``matrix``, given this leading block.
 
-        None unless this block is its corner; else the pair at row n, or at
-        the row N where a unit chain closes (``char_poly``).  One pass over
-        ``entries`` checks the corner and the chain.
+        None unless this block is its corner; else the pair at row n, at the
+        row N where a unit chain closes, or at the hub row N+1 after it
+        (``char_poly``), which then takes its lift.  One pass over the
+        matrix's entries sets apart those outside the corner, which is this
+        block when it holds all of this block's entries and no others; the
+        chain is read from those apart.
         """
-        n = self.size
+        n, size, entries = self.size, matrix.size, matrix.entries
         if n > size:
             return None
-        corner, rows, s, near = {}, {}, 0, math.inf
-        for (i, j), v in entries.items():
-            if i > n:
-                rows.setdefault(i, {})[j] = v
-            elif j <= n:
-                corner[i, j] = v
-            elif i == n and j == n + 1:
-                s = v
-            else:  # the least column past n that B reaches elsewhere
-                near = min(near, j)
-        if corner != self.entries:
+        past = [(i, j, v) for (i, j), v in entries.items() if i > n or j > n]
+        if len(entries) - len(past) != len(self.entries) or not (
+            self.entries.items() <= entries.items()
+        ):
             return None
         pair = self._leading_pair()
         if n == size:
             return (n, *pair)
-        end = n + 1  # past each row whose first entry is (end, end + 1) = 1
-        while end < size and rows.get(end, {}).get(end + 1) == 1 and min(rows[end]) == end + 1:
+        left = min((i for i, j, _ in past if j <= i), default=size)
+        end = n + 1  # past each row that reads (end, end + 1) = 1 and nothing left of it
+        while end < left and entries.get((end, end + 1)) == 1:
             end += 1
-        last = {j: v for j, v in rows.get(end, {}).items() if j <= end}
-        if near <= end or max(last, default=0) > n or any(
-            r + 1 < j <= end for r in range(n + 1, end) for j in rows[r]
-        ):
-            return (n, *pair)
-        key = (s, tuple(sorted(last.items())))
+        s, row, hub, feed = 0, {}, {}, {}  # feed: column end + 1 above the diagonal
+        for i, j, v in past:
+            if j == end + 1 and i <= end:
+                feed[i] = v
+            elif i == end + 1 and j <= end:
+                hub[j] = v
+            elif i > end or j > end:
+                pass
+            elif i == end and j <= n:
+                row[j] = v
+            elif i == n and j == n + 1:
+                s = v
+            elif not n < i == j - 1:  # else a chain row's unit
+                return (n, *pair)
+        key = tuple(sorted(row.items()))
         if key not in self._closings:
-            border = dict(self.entries)
-            if s:
-                border[n, n + 1] = s
-            border.update(((n + 1, j), v) for j, v in last.items())
-            full = _berkowitz(n + 1, border, (n, *pair))[-1]
-            self._closings[key] = [a - b for a, b in zip([0, *pair[1]], full)]
-        chain = end - n
+            self._closings[key] = self._closing(key)
+        h, chain = self._closings[key], end - n
         closed = [0] * chain + pair[1]
-        for j, h in enumerate(self._closings[key]):
-            closed[j] -= h
-        return (end, [0] * (chain - 1) + pair[1], closed)
+        for j, c in enumerate(h):
+            closed[j] -= s * c
+        if end == size or hub != row or any(i < n for i in feed):
+            return (end, [0] * (chain - 1) + pair[1], closed)
+        xh = [0] * (end + 1)  # X h of the hub row
+        for i, v in feed.items():
+            weight = v if i == n else s * v
+            for j, c in enumerate(h, start=end - i):
+                xh[j] += weight * c
+        a = entries.get((end + 1, end + 1), 0)
+        after = [c - a * d - x for c, d, x in zip([0] + closed, closed + [0], xh + [0])]
+        if end + 1 == size:
+            matrix._lift = (key, xh, closed)
+        return (end + 1, closed, after)
+
+    def _closing(self, row):
+        """``char_poly``'s h for the row R, as sorted (column, entry) pairs.
+
+        From this block's lift when R is the lifted row plus c in column n,
+        else from one Krylov sequence R B^j e_n.
+        """
+        n = self.size
+        base, c = (row[:-1], row[-1][1]) if row and row[-1][0] == n else (row, 0)
+        if self._lift and self._lift[0] == base:
+            return [x + c * d for x, d in zip(*self._lift[1:])]
+        cols = [[] for _ in range(n + 1)]
+        for (i, j), v in self.entries.items():
+            cols[j].append((i, v))
+        return _fold(self._pair[1], _krylov(cols, n + 1, [(n, 1)], row, n))
 
     def _leading_pair(self):
         """The memoized ``_berkowitz`` pair of ``char_poly``, not to be changed.
@@ -544,7 +615,8 @@ def _berkowitz(size, entries, start=None):
     Berkowitz's division-free recurrence (Inform. Process. Lett. 18, 1984),
     det(tI - A_r) = (t - a) q - sum_k (R A_{r-1}^k S) [q / t^(k+1)] for
     A_r = [[A_{r-1}, S], [R, a]] and q = det(tI - A_{r-1}), [.] dropping
-    negative powers; A_{r-1}^k S touches only nonzeros, none if R or S is 0.
+    negative powers (``_fold``); the scalars R A_{r-1}^k S (``_krylov``)
+    touch only nonzeros, and none are formed if R or S is 0.
 
     ``start = (r0, ..., q)``, ending in q = det(tI - A_r0) unchecked, resumes
     after row r0: earlier rows only record their entries.  With r0 = size
@@ -565,27 +637,47 @@ def _berkowitz(size, entries, start=None):
             q = last[-1]
             new = [c - a * d for c, d in zip([0] + q, q + [0])]
             if left[r] and cols[r]:
-                v = [0] * r
-                for i, x in cols[r]:
-                    v[i] = x
-                for k in range(r - 1):
-                    if k:  # v = A_{r-1}^k S
-                        w = [0] * r
-                        for j, y in enumerate(v):
-                            if y:
-                                for i, x in cols[j]:
-                                    w[i] += x * y
-                        v = w
-                    g = sum(x * v[j] for j, x in left[r])
-                    if g:
-                        for j in range(r - 1 - k):
-                            new[j] -= g * q[j + k + 1]
+                for j, c in enumerate(_fold(q, _krylov(cols, r, cols[r], left[r], r - 1))):
+                    new[j] -= c
             last = [q, new]
         if a:
             cols[r].append((r, a))
         for j, x in left[r]:
             cols[j].append((r, x))
     return last
+
+
+def _krylov(cols, size, column, row, count):
+    """The scalars R A^k S for k < count, of ``_berkowitz`` and ``char_poly``'s memo.
+
+    A's columns are the (i, entry) lists ``cols``, with indices below
+    ``size``; S (``column``) and R (``row``) are (index, entry) lists.  Each
+    product A^k S touches only nonzeros.
+    """
+    v = [0] * size
+    for i, x in column:
+        v[i] = x
+    scalars = []
+    for k in range(count):
+        if k:  # v = A^k S
+            w = [0] * size
+            for j, y in enumerate(v):
+                if y:
+                    for i, x in cols[j]:
+                        w[i] += x * y
+            v = w
+        scalars.append(sum(x * v[j] for j, x in row))
+    return scalars
+
+
+def _fold(q, scalars):
+    """sum_k c_k [q / t^(k+1)] for the scalars c_k, ascending like q."""
+    out = [0] * (len(q) - 1)
+    for k, c in enumerate(scalars):
+        if c:
+            for j, x in enumerate(q[k + 1 :]):
+                out[j] += c * x
+    return out
 
 
 def poly_matrix_det(rows):

@@ -21,6 +21,8 @@ bordered determinant is linear in its last row, the only one without t, and
 shares its other rows with the dominant block.  That row differs from the
 block's row n_i + 1 only on the diagonal, so the determinant follows from
 the block's own Berkowitz pair in ``nnmatrix`` by linearity in that entry.
+Each build hands its entries to ``NNMatrix`` unchecked: they are positive
+ints at indices in 1..N by construction, and the tests check them.
 
 The Perron-Frobenius solve reads its breadth-first depths from the levels
 (``_level_depths``).  Along the edges j -> i of the entries (i, j), every
@@ -153,6 +155,11 @@ def block_boundaries(values):
     return tuple(total + j for j, total in enumerate(accumulate(values), start=1))
 
 
+def _size(values):
+    # the last boundary, m_1 + ... + m_{k+1} + k + 1
+    return sum(values) + len(values)
+
+
 # the most nonzeros of a transition matrix; building its entries takes
 # about 220 bytes per nonzero at its peak
 _MAX_NONZEROS = 1_000_000
@@ -165,8 +172,8 @@ def transition_matrix(m):
     the hub rows; above ``_MAX_NONZEROS`` it raises ValueError before
     building anything.
     """
-    m = BraidTuple(m)
-    return NNMatrix(m.size, _limited_entries(m.values))
+    values = params(m, 2)
+    return NNMatrix._of(_size(values), _limited_entries(values))
 
 
 def _limited_entries(values):
@@ -177,7 +184,7 @@ def _limited_entries(values):
 
 def _check_nonzeros(values):
     # ValueError when the checked tuple's matrix would pass the nonzero limit
-    size = block_boundaries(values)[-1]
+    size = _size(values)
     k = len(values) - 1
     nonzeros = size + k * k + 4 * k
     if nonzeros > _MAX_NONZEROS:
@@ -240,13 +247,13 @@ def _extension(vals):
     whose columns lie in the block.  The corner is the build less that row
     and the entry (n_i + 1, n_i + 2), taken out in place.
     """
-    cut = block_boundaries(vals)[-1] + 1
+    cut = _size(vals) + 1
     block = _limited_entries(vals + (1,))
     last = {j: v for (i, j), v in block.items() if i > cut}
     for j in last:
         del block[(cut + 1, j)]
     del block[(cut, cut + 1)]
-    return NNMatrix(cut, block), last
+    return NNMatrix._of(cut, block), last
 
 
 def recessive_poly(prefix):

@@ -57,20 +57,20 @@ def record_rungs(monkeypatch):
 
 
 @contextlib.contextmanager
-def berkowitz_runs(record):
-    """Call ``record(size, entries, start)`` before every ``_berkowitz`` run.
+def nnmatrix_calls(name, record):
+    """Call ``record(*args)`` before every call of ``name`` in ``pabraid.nnmatrix``.
 
-    Not an oracle: a spy on the name in ``pabraid.nnmatrix``.
+    Not an oracle: a spy on the module's name.
     """
     nnmatrix = importlib.import_module("pabraid.nnmatrix")
-    inner = nnmatrix._berkowitz
+    inner = getattr(nnmatrix, name)
 
-    def spy(size, entries, start=None):
-        record(size, entries, start)
-        return inner(size, entries, start)
+    def spy(*args):
+        record(*args)
+        return inner(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nnmatrix, "_berkowitz", spy)
+        mp.setattr(nnmatrix, name, spy)
         yield
 
 
@@ -78,27 +78,29 @@ def berkowitz_runs(record):
 def berkowitz_starts():
     """Record the r0 of every ``_berkowitz`` run, None for an unseeded one."""
     starts = []
-    with berkowitz_runs(lambda size, entries, start: starts.append(start and start[0])):
+
+    def record(size, entries, start=None):
+        starts.append(start and start[0])
+
+    with nnmatrix_calls("_berkowitz", record):
         yield starts
 
 
 @contextlib.contextmanager
 def krylov_rows():
-    """Count the row steps of ``_berkowitz`` runs that form Krylov products.
+    """Count the Krylov sequences formed, the calls of the one loop ``_krylov``.
 
-    A run steps through the rows after its start's r0, and row r forms the
-    products A_{r-1}^k S exactly when it has an entry left of the diagonal
-    and column r has one above it.  Yields a list whose one item is the
-    count so far.
+    A ``_berkowitz`` run forms one at each row after its start that has an
+    entry left of the diagonal while its column has one above, and a
+    block's memo is filled by one where the block's lift does not serve.
+    Yields a list whose one item is the count so far.
     """
     count = [0]
 
-    def record(size, entries, start):
-        left = {i for i, j in entries if j < i}
-        above = {j for i, j in entries if i < j}
-        count[0] += sum(r > (start[0] if start else 0) for r in left & above)
+    def record(*args):
+        count[0] += 1
 
-    with berkowitz_runs(record):
+    with nnmatrix_calls("_krylov", record):
         yield count
 
 
@@ -582,3 +584,17 @@ def unit_chain_end(matrix, n):
         rows[n - 1][n + 1 : end]
     )
     return end if chain and last and block else None
+
+
+def hub_row_follows(matrix, n, end):
+    """Whether the hub row of ``NNMatrix.char_poly`` follows a chain closing at end.
+
+    Read off the dense rows: row end + 1 exists and equals row end in
+    columns 1..end, and rows 1..n-1 hold nothing in column end + 1.
+    """
+    rows = matrix.to_rows()
+    return (
+        end < matrix.size
+        and rows[end][:end] == rows[end - 1][:end]
+        and not any(row[end] for row in rows[: n - 1])
+    )

@@ -297,29 +297,30 @@ class TestVerifyCommand:
         )
 
     def test_each_prefix_runs_its_block_once(self, capsys):
-        # per prefix: the block's run, which runs only its hub row after the
-        # level's chain closes from the parent block's memo (a prefix of
-        # length 1 has no parent and runs unseeded); the recessive
-        # polynomial from the block's pair, with no run; then the first
-        # tuple's one row after the block, which fills the block's memo, so
-        # that every tuple's chain closes with no run
-        with berkowitz_starts() as starts:
+        # per prefix: a block without a parent runs unseeded; every other
+        # block closes its level's chain and its hub row from its parent
+        # block's memo, with no run; the recessive polynomial comes from the
+        # block's pair, with no run; and every tuple's chain closes from the
+        # block's memo, with no run.  Only a block without a parent fills its
+        # memo by a Krylov sequence, and forms two more in its run; every
+        # other block's memo comes from its lift
+        with berkowitz_starts() as starts, krylov_rows() as sequences:
             rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "3")
         assert rc == 0
-        expected = []
-        for p in [p for n in (1, 2, 3) for p in itertools.product(range(1, 4), repeat=n)]:
-            cut = treebuilder.block_boundaries(p)[-1] + 1
-            expected += [cut - 1 if len(p) > 1 else None, cut]
-        assert starts == expected
+        assert starts == [None] * 3
+        assert sequences == [3 * (1 + 2)]
 
-    def test_the_grid_forms_315_krylov_rows(self, capsys):
-        # 1 240 before the chains closed from their block's memo.  Per
-        # prefix: its block's hub row and the one row that fills its memo
-        # (310 in all); and one more row in each of the five first-level
-        # blocks' unseeded runs
-        with krylov_rows() as rows:
+    def test_the_grid_forms_krylov_sequences_only_in_its_first_level(self, capsys):
+        # 1 240 Krylov rows before the chains closed from their block's
+        # memo, and 315 before the hub rows did.  Now each of the five
+        # first-level blocks forms two in its unseeded run, the only runs of
+        # the recurrence, and one that fills its memo; the 150 other blocks
+        # take their memos from their lifts
+        with berkowitz_starts() as starts, krylov_rows() as sequences:
             rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
-        assert rc == 0 and rows == [315]
+        assert rc == 0
+        assert starts == [None] * 5
+        assert sequences == [5 * (1 + 2)]
 
     def test_a_grid_whose_largest_matrix_passes_the_limit_is_refused_before_it_is_built(
         self, capsys, monkeypatch

@@ -38,6 +38,8 @@ from helpers import (
     corpus_parameters,
     cofactor_det,
     det_identity_minus_tm,
+    hub_row_follows,
+    krylov_rows,
     random_nn_matrix,
     random_primitive_matrix,
     strongly_connected,
@@ -702,8 +704,10 @@ class TestSeededCharPoly:
     # seed is taken only when B is M's leading corner, so it never changes
     # the polynomial.  Each seeded call is on a fresh copy of M, because
     # char_poly is memoized.  A run is made only for the rows after the
-    # seed: B's row n, or the row where a unit chain after B closes
-    # (helpers.unit_chain_end), after the one-row run that fills B's memo.
+    # seed: B's row n, the row where a unit chain after B closes
+    # (helpers.unit_chain_end), or the hub row after it
+    # (helpers.hub_row_follows); B's memo is filled by a Krylov sequence,
+    # not by a run.
 
     @_SEED_SETTINGS
     @given(m=square_matrices())
@@ -719,8 +723,9 @@ class TestSeededCharPoly:
                 assert starts == []
             elif end is None:
                 assert starts == [n]
-            else:  # the fill, then the rows after the chain's last
-                assert starts == [n, end][: 1 + (end < m.size)]
+            else:  # the rows after the chain's last, or after the hub row
+                seed = end + hub_row_follows(m, n, end)
+                assert starts == [seed][: seed < m.size]
 
     @_SEED_SETTINGS
     @given(block=square_matrices(), data=st.data())
@@ -749,20 +754,33 @@ class TestSeededCharPoly:
 
         def seeded(size, entries):
             expected = NNMatrix(size, entries).char_poly()
-            with berkowitz_starts() as starts:
+            with berkowitz_starts() as starts, krylov_rows() as sequences:
                 assert NNMatrix(size, entries).char_poly(_block=block) == expected
-            return starts
+            return starts, sequences[0]
+
+        def resumed(end, size, entries):
+            # the starts of the run after the chain or its hub row, and its
+            # Krylov sequences: one at each later row with an entry left of
+            # the diagonal while its column has one above
+            seed = end + hub_row_follows(NNMatrix(size, entries), n, end)
+            rows = {i for i, j in entries if j < i} & {j for i, j in entries if i < j}
+            return [seed][: seed < size], sum(r > seed for r in rows)
 
         for i, chain in enumerate(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))):
             end, size, entries = extended(chain)
             assert unit_chain_end(NNMatrix(size, entries), n) == end
-            assert seeded(size, entries) == [n][i > 0 :] + [end][: end < size]
+            starts, sequences = resumed(end, size, entries)
+            assert seeded(size, entries) == (starts, sequences + (i == 0))
+            assert len(block._closings) == 1
 
         end, size, entries = extended(data.draw(st.integers(2, 6)))
         # a last row that differs from the memoized one fills the memo again
         other = data.draw(cells.filter(lambda row: row != last))
         moved = {**{(end, j): 0 for j in last}, **{(end, j): v for j, v in other.items()}}
-        assert seeded(size, {**entries, **moved}) == [n] + [end][: end < size]
+        moved = {ij: v for ij, v in {**entries, **moved}.items() if v}
+        starts, sequences = resumed(end, size, moved)
+        assert seeded(size, moved) == (starts, sequences + 1)
+        assert len(block._closings) == 2
         value = st.integers(1, 9)
         r = data.draw(st.integers(n + 1, end - 1))
         perturbations = [
@@ -777,6 +795,86 @@ class TestSeededCharPoly:
         ]
         for change in perturbations:
             seeded(size, {**entries, **change})
+
+    @_SEED_SETTINGS
+    @given(block=square_matrices(), data=st.data())
+    def test_a_hub_row_closes_from_the_block(self, block, data):
+        # a chain of L >= 1 rows after B closed on R at row N, then the hub
+        # row N + 1: R left of its diagonal a, fed from B's row n by sigma
+        # and from rows n+1..N by S.  At L = 1 sigma sits at (n, n + 2), two
+        # columns after s at (n, n + 1).  The block C that ends at the hub
+        # row is lifted: its h for R plus c in column N + 1 is X h + c Q
+        n = block.size
+        value = st.integers(1, 9)
+        last = data.draw(st.dictionaries(st.integers(1, n), value, min_size=1))
+        s, sigma, a = (data.draw(st.integers(0, 9)) for _ in range(3))
+        block.char_poly()
+
+        def hub(chain):
+            end = n + chain
+            entries = {(r, r + 1): 1 for r in range(n, end)}
+            entries.update({**block.entries, (n, n + 1): s, (n, end + 1): sigma})
+            feed = data.draw(st.dictionaries(st.integers(n + 1, end), value))
+            entries.update(((p, end + 1), v) for p, v in feed.items())
+            entries.update(((r, j), v) for r in (end, end + 1) for j, v in last.items())
+            entries[end + 1, end + 1] = a
+            return end, {ij: v for ij, v in entries.items() if v}
+
+        def seeded(size, entries):
+            expected = NNMatrix(size, entries).char_poly()
+            with berkowitz_starts() as starts:
+                assert NNMatrix(size, entries).char_poly(_block=block) == expected
+            return starts
+
+        def after(hub_block, row):
+            # a unit chain after the hub block C, closed on ``row``: the
+            # starts and Krylov sequences of its seeded run
+            size = hub_block.size + data.draw(st.integers(1, 4))
+            chain = {(r, r + 1): 1 for r in range(hub_block.size, size)}
+            entries = {**hub_block.entries, **chain}
+            entries.update(((size, j), v) for j, v in row.items() if v)
+            expected = NNMatrix(size, entries).char_poly()
+            with berkowitz_starts() as starts, krylov_rows() as sequences:
+                assert NNMatrix(size, entries).char_poly(_block=hub_block) == expected
+            return starts, sequences[0]
+
+        for chain in [1, *data.draw(st.lists(st.integers(2, 6), max_size=2))]:
+            end, entries = hub(chain)
+            matrix = NNMatrix(end + 1, entries)
+            assert unit_chain_end(matrix, n) == end and hub_row_follows(matrix, n, end)
+            assert seeded(end + 1, entries) == []
+            # one more row after the hub row resumes there
+            row = data.draw(st.dictionaries(st.integers(1, end + 2), value, min_size=1))
+            longer = {**entries, **{(end + 2, j): v for j, v in row.items()}}
+            assert seeded(end + 2, longer) == [end + 1]
+            # the hub block's lift: a row that reads R and c in column N + 1
+            # takes its h from the lift, any other row from a Krylov sequence
+            hub_block = NNMatrix(end + 1, entries)
+            hub_block.char_poly(_block=block)
+            assert after(hub_block, {**last, end + 1: data.draw(st.integers(0, 9))}) == ([], 0)
+            column = data.draw(st.integers(n + 1, end))
+            assert after(hub_block, {**last, column: data.draw(value)}) == ([], 1)
+            # a block that goes on past the hub row has no lift
+            longer = NNMatrix(end + 2, longer)
+            longer.char_poly(_block=block)
+            assert after(longer, {**last, end + 2: data.draw(value)}) == ([], 1)
+
+        end, entries = hub(data.draw(st.integers(1, 6)))
+        column = data.draw(st.integers(1, n))
+        other = data.draw(st.integers(0, 9).filter(lambda v: v != last.get(column, 0)))
+        perturbations = [
+            # row N + 1 differs from R in one column
+            {(end + 1, column): other},
+            # a row N + 1 entry in a chain column or in column N
+            {(end + 1, data.draw(st.integers(n + 1, end))): data.draw(value)},
+        ]
+        if n > 1:  # a feed from a row of B other than n
+            i = data.draw(st.integers(1, n - 1))
+            perturbations.append({(i, end + 1): data.draw(value)})
+        for change in perturbations:
+            changed = {ij: v for ij, v in {**entries, **change}.items() if v}
+            assert not hub_row_follows(NNMatrix(end + 1, changed), n, end)
+            assert seeded(end + 1, changed) == [end]
 
     @_SEED_SETTINGS
     @given(m=square_matrices(), data=st.data())
@@ -796,15 +894,15 @@ class TestSeededCharPoly:
     @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=10).map(tuple))
     def test_tuple_matrix_seeded_by_its_dominant_block(self, t):
         # the tuple's chain closes from the block: its first tuple fills the
-        # block's memo by one row after the block, and a sibling runs no row
+        # block's memo by one Krylov sequence, and neither runs a row
         block = dominant_matrix(t[:-1])
         block.char_poly()
         sibling = t[:-1] + (t[-1] + 1,)
         expected = [braid_char_poly(t), braid_char_poly(sibling)]
-        with berkowitz_starts() as starts:
+        with berkowitz_starts() as starts, krylov_rows() as sequences:
             got = [transition_matrix(u).char_poly(_block=block) for u in (t, sibling)]
         assert got == expected
-        assert starts == [block.size]
+        assert starts == [] and sequences == [1]
 
     def test_the_polynomial_is_memoized(self):
         m = NNMatrix.from_rows(GOLDEN_8x8)

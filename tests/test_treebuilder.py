@@ -202,6 +202,24 @@ class TestTransitionMatrix:
         for tv in ((1, 1), (4, 2), (2, 2, 3), (1, 2, 3, 4)):
             assert transition_matrix(tv).size == block_boundaries(tv)[-1]
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=12).map(tuple))
+    def test_the_builds_take_entries_that_need_no_validation(self, t):
+        # transition_matrix and the dominant block take _entries' dict as it
+        # is, past NNMatrix's validation: positive ints at indices in 1..N,
+        # N + k^2 + 4k of them, so that the validated matrix is the same
+        size, k = block_boundaries(t)[-1], len(t) - 1
+        entries = treebuilder._entries(t)
+        assert len(entries) == size + k * k + 4 * k
+        for (i, j), v in entries.items():
+            assert type(i) is type(j) is type(v) is int
+            assert 1 <= i <= size and 1 <= j <= size and v > 0
+        assert transition_matrix(t) == NNMatrix(size, dict(entries))
+        cut = block_boundaries(t[:-1])[-1] + 1
+        block = corner(NNMatrix(size, dict(entries)), cut)
+        assert dominant_matrix(t[:-1]) == block
+        assert dominant_matrix(t[:-1]).char_poly() == block.char_poly()
+
 
 class TestMatrixSizeLimit:
     @settings(max_examples=60, deadline=None, derandomize=True)
