@@ -74,7 +74,7 @@ class NNMatrix:
     integers; absent pairs are zero.  Instances are immutable values.
     """
 
-    __slots__ = ("size", "entries", "_char_poly", "_pair", "_closings", "_lift")
+    __slots__ = ("size", "entries", "_char_poly", "_pair", "_closings")
 
     def __init__(self, size, entries):
         size = _integer(size, "matrix size")
@@ -93,7 +93,7 @@ class NNMatrix:
                 clean[(i, j)] = v
         self.size = size
         self.entries = clean
-        self._char_poly = self._pair = self._lift = None
+        self._char_poly = self._pair = None
         self._closings = {}  # char_poly's h of a unit chain after this block, by R
 
     @classmethod
@@ -105,7 +105,7 @@ class NNMatrix:
         """
         matrix = cls.__new__(cls)
         matrix.size, matrix.entries = size, entries
-        matrix._char_poly = matrix._pair = matrix._lift = None
+        matrix._char_poly = matrix._pair = None
         matrix._closings = {}
         return matrix
 
@@ -255,7 +255,9 @@ class NNMatrix:
         [t^(L-1) q / t^(L+j)] = [q / t^(j+1)].  h depends on neither L nor
         s: it is R adj(tI - B) e_n = q R (tI - B)^-1 e_n, the sum over j of
         (R B^j e_n) q / t^(j+1), whose negative powers cancel.  B memoizes h
-        by R, from the one Krylov sequence R B^j e_n, j < n.
+        by R.  The (n, n) cofactor of tI - B is p = det(tI - B_{n-1}), so
+        h of R plus c in column n is h of R plus c p; only a row without an
+        entry in column n forms the Krylov sequence R B^j e_n, j < n.
 
         The hub row.  Let row N+1 read exactly R left of its diagonal a, and
         let column N+1 above the diagonal hold entries only in B's row n
@@ -275,13 +277,11 @@ class NNMatrix:
         Q R u = t^L (sigma + s T) h = X h, the claim.
 
         The lift.  When the hub row is M's last, M is a block C in turn, and
-        C's h for a row R' that reads R on B's columns, nothing on the chain
-        and c in column N+1 is X h + c Q.  Proof: solve
-        (tI - C)(u, w, z) = e_{N+1}.  Its first N rows give
-        (u, w) = z (tI - M_N)^-1 S', so R u = z X h / Q as above, and row
-        N+1 gives (t - a) z - R u = 1, so z = Q / det(tI - C).  Hence
-        det(tI - C) R' (u, w, z) = det(tI - C) (R u + c z) = X h + c Q.  C
-        keeps R, X h and Q (``_lift``), and its memo takes h from them.
+        C's h for R is X h.  Proof: solve (tI - C)(u, w, z) = e_{N+1}.  Its
+        first N rows give (u, w) = z (tI - M_N)^-1 S', so R u = z X h / Q
+        as above, and row N+1 gives (t - a) z - R u = 1, so
+        z = Q / det(tI - C) and det(tI - C) R u = X h.  C's memo takes X h
+        under R, and C's p is Q.
 
         In ``verify`` a prefix's tuples close on row R after the prefix's
         block, and so does each child's block, whose hub row follows and
@@ -305,10 +305,10 @@ class NNMatrix:
 
         None unless this block is its corner; else the pair at row n, at the
         row N where a unit chain closes, or at the hub row N+1 after it
-        (``char_poly``), which then takes its lift.  One pass over the
-        matrix's entries sets apart those outside the corner, which is this
-        block when it holds all of this block's entries and no others; the
-        chain is read from those apart.
+        (``char_poly``), where a matrix that ends takes its lift.  One pass
+        over the matrix's entries sets apart those outside the corner, which
+        is this block when it holds all of this block's entries and no
+        others; the chain is read from those apart.
         """
         n, size, entries = self.size, matrix.size, matrix.entries
         if n > size:
@@ -340,9 +340,7 @@ class NNMatrix:
             elif not n < i == j - 1:  # else a chain row's unit
                 return (n, *pair)
         key = tuple(sorted(row.items()))
-        if key not in self._closings:
-            self._closings[key] = self._closing(key)
-        h, chain = self._closings[key], end - n
+        h, chain = self._closing(key), end - n
         closed = [0] * chain + pair[1]
         for j, c in enumerate(h):
             closed[j] -= s * c
@@ -356,23 +354,27 @@ class NNMatrix:
         a = entries.get((end + 1, end + 1), 0)
         after = [c - a * d - x for c, d, x in zip([0] + closed, closed + [0], xh + [0])]
         if end + 1 == size:
-            matrix._lift = (key, xh, closed)
+            matrix._closings[key] = xh
         return (end + 1, closed, after)
 
     def _closing(self, row):
-        """``char_poly``'s h for the row R, as sorted (column, entry) pairs.
+        """``char_poly``'s memoized h for the row R, as sorted (column, entry) pairs.
 
-        From this block's lift when R is the lifted row plus c in column n,
-        else from one Krylov sequence R B^j e_n.
+        R with c in column n takes the h of R without it plus c p, by the
+        cofactor identity; any other R forms one Krylov sequence R B^j e_n.
         """
-        n = self.size
-        base, c = (row[:-1], row[-1][1]) if row and row[-1][0] == n else (row, 0)
-        if self._lift and self._lift[0] == base:
-            return [x + c * d for x, d in zip(*self._lift[1:])]
-        cols = [[] for _ in range(n + 1)]
-        for (i, j), v in self.entries.items():
-            cols[j].append((i, v))
-        return _fold(self._pair[1], _krylov(cols, n + 1, [(n, 1)], row, n))
+        if row not in self._closings:
+            n, (p, q) = self.size, self._leading_pair()
+            if row and row[-1][0] == n:
+                c = row[-1][1]
+                h = [x + c * d for x, d in zip(self._closing(row[:-1]), p)]
+            else:
+                cols = [[] for _ in range(n + 1)]
+                for (i, j), v in self.entries.items():
+                    cols[j].append((i, v))
+                h = _fold(q, _krylov(cols, n + 1, [(n, 1)], row, n))
+            self._closings[row] = h
+        return self._closings[row]
 
     def _leading_pair(self):
         """The memoized ``_berkowitz`` pair of ``char_poly``, not to be changed.

@@ -17,10 +17,9 @@ The upper-left (n_i + 1)-square block is the transition matrix of the
 dominant (restricted) map, and a bordered determinant extracts the
 recessive polynomial of the family, whose reversal is the dual one; both
 are independent of any further parameters (the tests check this).  The
-bordered determinant is linear in its last row, the only one without t, and
-shares its other rows with the dominant block.  That row differs from the
-block's row n_i + 1 only on the diagonal, so the determinant follows from
-the block's own Berkowitz pair in ``nnmatrix`` by linearity in that entry.
+bordered determinant shares all rows but its last, -L, with tI - B for the
+dominant block B, so by cofactor expansion along that row it is
+-L adj(tI - B) e_{n_i+1}: minus the block's memoized h of L in ``nnmatrix``.
 Each build hands its entries to ``NNMatrix`` unchecked: they are positive
 ints at indices in 1..N by construction, and the tests check them.
 
@@ -261,36 +260,23 @@ def recessive_poly(prefix):
 
     Determinant of the bordered block: take tI - B for any extension B,
     replace row n_i + 1 by the last row, and keep the upper-left
-    (n_i + 1)-square corner.  Independent of the appended parameter.  The
-    block is tI - B' without t in its last row, for the corner B' of B with
-    that row replaced; by linearity in the last row its determinant is
-    det(tI - B') - t det(tI - B'_{n_i}).  B' differs from the dominant block
-    only in its last row, so both terms come from the block's Berkowitz
-    pair (``_recessive``).
+    (n_i + 1)-square corner.  Independent of the appended parameter.
+    Expanded along that last row, it is minus the dominant block's h for
+    the row (``_recessive``).
     """
     return _recessive(*_extension(params(prefix, 1)))
 
 
 def _recessive(block, last):
-    """recessive_poly from the block and the last row of ``_extension``.
+    """recessive_poly from the block and any last row ({column: entry}).
 
-    With the block's pair p = det(tI - B_{n_i}), P = det(tI - B): the last
-    row equals the block's row n_i + 1 off the diagonal and exceeds its
-    diagonal by delta (``_entries`` writes both rows so), hence
-    det(tI - B') = P - delta p, since a determinant is linear in each entry
-    and the cofactor of that diagonal entry is p.  As B'_{n_i} = B_{n_i},
-    the recessive polynomial is P - delta p - t p.  A last row that differs
-    off the diagonal raises AssertionError.
+    The bordered block is tI - B with its last row replaced by -L, L the
+    last row; expanding along that row, whose cofactors are those of
+    tI - B, gives -L adj(tI - B) e_{n_i+1}.  That is minus the block's h
+    for L (``NNMatrix.char_poly``), memoized by the block, whose tuples
+    close on the same row.
     """
-    cut = block.size
-    corner, full = block._leading_pair()
-    hub = {j: v for (i, j), v in block.entries.items() if i == cut}
-    delta = last.get(cut, 0) - hub.pop(cut, 0)
-    if hub != {j: v for j, v in last.items() if j != cut}:
-        raise AssertionError(
-            f"the last row of the bordered block differs from row {cut} off the diagonal"
-        )
-    return IntPoly(full) - IntPoly(corner) * IntPoly((delta, 1))
+    return -IntPoly(block._closing(tuple(sorted(last.items()))))
 
 
 def dual_recessive_poly(prefix):

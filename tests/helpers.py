@@ -92,7 +92,8 @@ def krylov_rows():
 
     A ``_berkowitz`` run forms one at each row after its start that has an
     entry left of the diagonal while its column has one above, and a
-    block's memo is filled by one where the block's lift does not serve.
+    block's memo by one for each row it does not hold yet, taken less its
+    entry in the block's last column, which the cofactor identity adds.
     Yields a list whose one item is the count so far.
     """
     count = [0]

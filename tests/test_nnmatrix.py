@@ -690,8 +690,8 @@ class TestCharPoly:
 
 
 @st.composite
-def square_matrices(draw):
-    n = draw(st.integers(1, 14))
+def square_matrices(draw, max_size=14):
+    n = draw(st.integers(1, max_size))
     cell = st.tuples(st.integers(1, n), st.integers(1, n))
     return NNMatrix(n, draw(st.dictionaries(cell, st.integers(1, 9), max_size=n * n)))
 
@@ -766,21 +766,33 @@ class TestSeededCharPoly:
             rows = {i for i, j in entries if j < i} & {j for i, j in entries if i < j}
             return [seed][: seed < size], sum(r > seed for r in rows)
 
-        for i, chain in enumerate(data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))):
+        memo = set()  # B's memo: each closing row, and that row less its column-n entry
+
+        def fills(row):
+            # the Krylov sequences of B's memo for closing on ``row``: one
+            # unless the row less its column-n entry is already memoized
+            key = tuple(sorted(row.items()))
+            base = key[:-1] if key[-1][0] == n else key
+            new = base not in memo
+            memo.update((key, base))
+            return new
+
+        for chain in data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)):
             end, size, entries = extended(chain)
             assert unit_chain_end(NNMatrix(size, entries), n) == end
             starts, sequences = resumed(end, size, entries)
-            assert seeded(size, entries) == (starts, sequences + (i == 0))
-            assert len(block._closings) == 1
+            assert seeded(size, entries) == (starts, sequences + fills(last))
+            assert len(block._closings) == len(memo)
 
         end, size, entries = extended(data.draw(st.integers(2, 6)))
-        # a last row that differs from the memoized one fills the memo again
+        # a last row that differs from the memoized one fills the memo
+        # again, unless it differs only in column n
         other = data.draw(cells.filter(lambda row: row != last))
         moved = {**{(end, j): 0 for j in last}, **{(end, j): v for j, v in other.items()}}
         moved = {ij: v for ij, v in {**entries, **moved}.items() if v}
         starts, sequences = resumed(end, size, moved)
-        assert seeded(size, moved) == (starts, sequences + 1)
-        assert len(block._closings) == 2
+        assert seeded(size, moved) == (starts, sequences + fills(other))
+        assert len(block._closings) == len(memo)
         value = st.integers(1, 9)
         r = data.draw(st.integers(n + 1, end - 1))
         perturbations = [
@@ -803,7 +815,8 @@ class TestSeededCharPoly:
         # row N + 1: R left of its diagonal a, fed from B's row n by sigma
         # and from rows n+1..N by S.  At L = 1 sigma sits at (n, n + 2), two
         # columns after s at (n, n + 1).  The block C that ends at the hub
-        # row is lifted: its h for R plus c in column N + 1 is X h + c Q
+        # row takes X h under R into its memo, its lift, so its h for R plus
+        # c in column N + 1 is X h + c Q by the cofactor identity
         n = block.size
         value = st.integers(1, 9)
         last = data.draw(st.dictionaries(st.integers(1, n), value, min_size=1))
@@ -848,13 +861,13 @@ class TestSeededCharPoly:
             longer = {**entries, **{(end + 2, j): v for j, v in row.items()}}
             assert seeded(end + 2, longer) == [end + 1]
             # the hub block's lift: a row that reads R and c in column N + 1
-            # takes its h from the lift, any other row from a Krylov sequence
+            # takes its h from the memo, any other row from a Krylov sequence
             hub_block = NNMatrix(end + 1, entries)
             hub_block.char_poly(_block=block)
             assert after(hub_block, {**last, end + 1: data.draw(st.integers(0, 9))}) == ([], 0)
             column = data.draw(st.integers(n + 1, end))
             assert after(hub_block, {**last, column: data.draw(value)}) == ([], 1)
-            # a block that goes on past the hub row has no lift
+            # a block that goes on past the hub row takes no lift
             longer = NNMatrix(end + 2, longer)
             longer.char_poly(_block=block)
             assert after(longer, {**last, end + 2: data.draw(value)}) == ([], 1)
@@ -875,6 +888,52 @@ class TestSeededCharPoly:
             changed = {ij: v for ij, v in {**entries, **change}.items() if v}
             assert not hub_row_follows(NNMatrix(end + 1, changed), n, end)
             assert seeded(end + 1, changed) == [end]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(block=square_matrices(7), data=st.data())
+    def test_the_cofactor_identity_closes_a_row_from_the_row_less_column_n(self, block, data):
+        # h(R + c e_n) = h(R) + c p, p = det(tI - B_{n-1}) the (n, n)
+        # cofactor of tI - B; both are q - det(tI - (B + e_n R)) by the
+        # matrix determinant lemma, for R empty, drawn, or with c alone
+        n = block.size
+        value = st.integers(1, 9)
+        p = IntPoly(block._leading_pair()[0])
+
+        def lemma(matrix, row):
+            # q - det(tI - (M + e_N R)) for the N-square M, by cofactor expansion
+            size, bumped = matrix.size, dict(matrix.entries)
+            for j, v in row:
+                bumped[size, j] = bumped.get((size, j), 0) + v
+            return char_poly_oracle(matrix) - char_poly_oracle(NNMatrix(size, bumped))
+
+        rows = st.dictionaries(st.integers(1, n - 1), value) if n > 1 else st.just({})
+        for row in ({}, data.draw(rows)):
+            key = tuple(sorted(row.items()))
+            c = data.draw(value)
+            full = key + ((n, c),)
+            fresh = NNMatrix(n, block.entries)
+            closed = IntPoly(fresh._closing(full))
+            assert closed == IntPoly(block._closing(key)) + p * c == lemma(block, full)
+            assert IntPoly(block._closing(key)) == lemma(block, key)
+            assert fresh._closings.keys() == {key, full}
+
+        # the hub block C after a chain of L rows closed on a row R (any
+        # columns of B): its hub row stores X h under R in C's memo, C's h
+        # for R by the lemma
+        last = data.draw(st.dictionaries(st.integers(1, n), value, min_size=1))
+        key, end = tuple(sorted(last.items())), n + data.draw(st.integers(1, 2))
+        s, sigma, a = (data.draw(st.integers(0, 9)) for _ in range(3))
+        entries = {(r, r + 1): 1 for r in range(n, end)}
+        entries.update({**block.entries, (n, n + 1): s, (n, end + 1): sigma})
+        feed = data.draw(st.dictionaries(st.integers(n + 1, end), value))
+        entries.update(((i, end + 1), v) for i, v in feed.items())
+        entries.update(((r, j), v) for r in (end, end + 1) for j, v in last.items())
+        entries[end + 1, end + 1] = a
+        hub = NNMatrix(end + 1, {ij: v for ij, v in entries.items() if v})
+        with berkowitz_starts() as starts:
+            hub.char_poly(_block=block)
+        assert starts == [] and hub._closings.keys() == {key}
+        assert IntPoly(hub._closings[key]) == lemma(hub, key)
 
     @_SEED_SETTINGS
     @given(m=square_matrices(), data=st.data())

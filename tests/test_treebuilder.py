@@ -36,6 +36,7 @@ from helpers import (
     corner,
     corpus_parameters,
     grid_tuples,
+    krylov_rows,
 )
 
 
@@ -388,23 +389,30 @@ class TestRecessivePolynomials:
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (2, 3), (3, 1, 4, 1)])
     def test_recessive_run_resumes_at_the_last_block_row(self, prefix):
-        # the family's last row differs from the block's hub row only on the
-        # diagonal, so the block's run alone gives the recessive polynomial,
-        # and a changed diagonal adds no run to a block already solved
+        # the recessive polynomial is minus the block's h of the last row:
+        # recessive_poly runs the block once and forms one Krylov sequence
+        # past the run's; after a tuple has closed on that row, _recessive
+        # runs nothing and forms none, and any other last row is still the
+        # bordered determinant
         cut = block_boundaries(prefix)[-1] + 1
-        with berkowitz_starts() as starts:
+        with krylov_rows() as run:
+            dominant_matrix(prefix).char_poly()
+        with berkowitz_starts() as starts, krylov_rows() as sequences:
             recessive_poly(prefix)
-        assert starts == [None]
+        assert starts == [None] and sequences == [run[0] + 1]
         block, last = treebuilder._extension(prefix)
-        block.char_poly()
-        with berkowitz_starts() as starts:
-            treebuilder._recessive(block, {**last, cut: 3})
-        assert starts == []
-        with pytest.raises(AssertionError, match="off the diagonal"):
-            treebuilder._recessive(block, {**last, 1: last[1] + 1})
+        transition_matrix(prefix + (2,)).char_poly(_block=block)
+        row = {**last, cut: 3}  # a changed diagonal closes from the same memo entry
+        with berkowitz_starts() as starts, krylov_rows() as sequences:
+            got = [treebuilder._recessive(block, last), treebuilder._recessive(block, row)]
+        assert starts == [] and sequences == [0]
+        assert got == [bordered_rows_oracle(prefix, 2), bordered_rows_oracle(prefix, 2, row)]
+        row = {**last, 1: last[1] + 1}
+        assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, 2, row)
 
-    # _recessive by the diagonal identity, on the family's last row and on
-    # that row with its diagonal changed, against the bordered oracles
+    # _recessive by cofactor expansion, on the family's last row, on that
+    # row with its diagonal changed and on any row, against the bordered
+    # oracles
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         prefix=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
@@ -417,6 +425,8 @@ class TestRecessivePolynomials:
         assert treebuilder._recessive(block, last) == bordered_det_oracle(prefix, appended, False)
         diagonal = data.draw(st.integers(0, 5))
         row = {j: v for j, v in {**last, cut: diagonal}.items() if v}
+        assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
+        row = data.draw(st.dictionaries(st.integers(1, cut), st.integers(1, 5)))
         assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (3, 2), (1, 2, 1)])
