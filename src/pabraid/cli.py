@@ -38,7 +38,7 @@ from .treebuilder import (
     parse_params,
     transition_matrix,
 )
-from .volume import find_parameters, volume_lower_bound
+from .volume import find_parameters
 
 # The import-time heap (about 13k objects) lives as long as the process.
 # Frozen, no full collection scans it again.  `bound`, `verify` and `scan`

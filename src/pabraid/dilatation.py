@@ -25,9 +25,10 @@ from .intpoly import _GRID, IntPoly, _integer, _tolerance
 from .nnmatrix import _perron
 from .treebuilder import (
     BraidTuple,
+    _extension,
     _level_depths,
     _limited_entries,
-    block_boundaries,
+    _size,
     closing_sign,
     params,
 )
@@ -414,12 +415,13 @@ def dilatation(m, method="both", tol=1e-10):
     lam_formula = agreement = certificate = bracket = None
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = _level_certificate(m.values, m.size, tol, above)
+        certificate = _perron(m.size, _limited_entries(m.values), _level_depths(m.values), tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
-            certificate = _cross_check(cell, m.values, m.size, tol)
+            entries = _limited_entries(m.values)
+            certificate = _cross_check(cell, m.size, entries, _level_depths(m.values), tol)
             agreement = abs(lam_formula - certificate.eigenvalue)
     lam_matrix = None if certificate is None else certificate.eigenvalue
     return DilatationReport(
@@ -446,22 +448,25 @@ def limit_dilatation(prefix):
 
 def _certified_limit(vals):
     cell = _cell(vals)
-    _cross_check(cell, vals + (1,), block_boundaries(vals)[-1] + 1)
+    block, _ = _extension(vals)  # primitive: its depths are its extension's first
+    _cross_check(cell, block.size, block.entries, _level_depths(vals + (1,))[: block.size])
     return cell
 
 
-def _cross_check(cell, values, size, tol=1e-10):
-    """The certificate of ``_level_certificate``, checked against ``cell``.
+def _cross_check(cell, size, entries, depth, tol=1e-10):
+    """``_perron``'s certificate of a braid matrix, checked against ``cell``.
 
-    The formula route's cell and the matrix route's Collatz-Wielandt
-    enclosure (width ``tol``) are compared exactly and must share a point,
-    else AssertionError; the test is exact at any ``tol``.  Noda's
-    iteration starts just above the cell's upper end, but the enclosure is
-    evaluated on the matrix alone: a wrong cell costs steps, never a false
-    overlap.
+    The matrix is the size-square one of ``entries``, primitive by
+    ``treebuilder``'s lemma, with the breadth-first ``depth`` of its levels,
+    so no graph is searched.  The formula route's cell and the
+    Collatz-Wielandt enclosure (width ``tol``) are compared exactly and must
+    share a point, else AssertionError; the test is exact at any ``tol``.
+    Noda's iteration starts just above the cell's upper end, but the
+    enclosure is evaluated on the matrix alone: a wrong cell costs steps,
+    never a false overlap.
     """
     lo, hi = cell.bracket()
-    cert = _level_certificate(values, size, tol, float(hi))
+    cert = _perron(size, entries, depth, tol, float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
             f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
@@ -471,29 +476,19 @@ def _cross_check(cell, values, size, tol=1e-10):
     return cert
 
 
-def _level_certificate(values, size, tol, above):
-    # spectral_radius of the size-square corner of the tuple's matrix (all of
-    # it, or a prefix's block), primitive by treebuilder's lemma: no search
-    entries = _limited_entries(values)
-    if size < block_boundaries(values)[-1]:
-        entries = {ij: v for ij, v in entries.items() if max(ij) <= size}
-    return _perron(size, entries, _level_depths(values)[:size], tol, above)
-
-
 MonotonicityCheck = namedtuple("MonotonicityCheck", "lambda_before lambda_after strictly_decreasing")
 
 
 def monotonicity_check(m, i):
     """Compare the dilatation of ``m`` with the tuple incremented at slot i.
 
-    ``i`` is 1-based.  The boolean is exact: the two certified 2^-48 cells
-    are refined on finer grids until they are disjoint, and it tells
-    whether λ(m) lies above λ(incremented).  Dilatations closer than
-    2^-1024 raise RuntimeError.  The cells are refined because the boolean
-    is the output; ``convergence_table`` refines none, since its order is
-    the last-coordinate lemma stated there.  The cap stays because at an
-    inner coordinate the strict drop is the paper's theorem, not a lemma
-    stated here.
+    ``i`` is 1-based, and the floats are the midpoints of the two certified
+    2^-48 cells.  The boolean is exact and tells whether λ(m) lies above
+    λ(incremented).  At the last slot it is True by the last-coordinate
+    lemma stated in ``convergence_table``, and no cell is refined.  At an
+    inner slot the strict drop is the paper's theorem, not a lemma stated
+    here, so the two cells are refined on finer grids until they are
+    disjoint; dilatations closer than 2^-1024 raise RuntimeError.
     """
     m = BraidTuple(m)
     i = _integer(i, "coordinate index")
@@ -503,7 +498,8 @@ def monotonicity_check(m, i):
     bumped[i - 1] += 1
     before = _cell(m.values[:-1], m.values[-1])
     after = _cell(tuple(bumped[:-1]), bumped[-1])
-    return MonotonicityCheck(before.value(), after.value(), _separate(before, after))
+    decreasing = i == len(m) or _separate(before, after)
+    return MonotonicityCheck(before.value(), after.value(), decreasing)
 
 
 class ScanRow(namedtuple(
@@ -555,7 +551,7 @@ def convergence_table(prefix, last_values):
     for last in steps:
         hi = None if not cells else (cells[-1].lo + 1) * 2.0**-_GRID
         cells.append(_cell(vals, last, lo, hi))
-    degree = block_boundaries(vals)[-1] + 1  # of the prefix's dominant polynomial
+    degree = _size(vals) + 1  # of the prefix's dominant polynomial
     return [
         ScanRow(vals + (last,), cell.value(), cell.value() - limit, degree + last, cell.bracket())
         for last, cell in zip(steps, cells)

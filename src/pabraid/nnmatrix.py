@@ -150,8 +150,12 @@ class NNMatrix:
 
     # -- digraph machinery -------------------------------------------------
 
-    def _depths(self):
-        """Breadth-first depths from vertex 0; None unless strongly connected."""
+    def is_primitive(self):
+        """True iff irreducible with cycle-length gcd (the period) 1."""
+        return self._primitive_depths() is not None
+
+    def _primitive_depths(self):
+        """Breadth-first depths from vertex 0 if the matrix is primitive, else None."""
         succ = [[] for _ in range(self.size)]
         pred = [[] for _ in range(self.size)]
         for i, j in self.entries:
@@ -159,17 +163,6 @@ class NNMatrix:
             pred[i - 1].append(j - 1)
         depth = _bfs_depths(succ)
         if min(depth) < 0 or min(_bfs_depths(pred)) < 0:
-            return None
-        return depth
-
-    def is_primitive(self):
-        """True iff irreducible with cycle-length gcd (the period) 1."""
-        return self._primitive_depths() is not None
-
-    def _primitive_depths(self):
-        """The depths of ``_depths`` if the matrix is primitive, else None."""
-        depth = self._depths()
-        if depth is None:
             return None
         g = 0
         for i, j in self.entries:
@@ -180,7 +173,7 @@ class NNMatrix:
 
     # -- numerics ----------------------------------------------------------
 
-    def spectral_radius(self, tol=1e-10, *, _above=None):
+    def spectral_radius(self, tol=1e-10):
         """Certified Perron-Frobenius eigenvalue and eigenvector of a primitive matrix.
 
         Noda's inverse iteration (Numer. Math. 17, 1971): each step shifts by
@@ -194,21 +187,13 @@ class NNMatrix:
         solves only the dense hub system by LU (``_HubProgram``).  A matrix
         with more than ``_MAX_HUBS`` hubs raises ValueError before any step.
 
-        The iteration starts from the all-ones vector.  A caller that holds a
-        float just above lambda (the formula route's cell, or its float hint)
-        passes it as the private ``_above``, and the first step tries the
-        shift x = _above*(1 + 1e-13) before sigma: for x > lambda, xI - M is
-        a nonsingular M-matrix and (xI - M)y = 1 has a positive solution.
-        When the float y is not positive or the hub system is singular, that
-        costs one solve and the step goes on with sigma, exactly as without
-        ``_above``.
-
-        The enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is
-        evaluated exactly on the float vector and the matrix alone (on the
-        rows of the float screen, module docstring), then rounded outward to
-        ``lower`` and ``upper``, with ``upper - lower <= tol``; ``eigenvalue``
-        is their midpoint.  A wrong ``_above`` or a bad solve thus costs
-        steps, never a false enclosure.  The eigenvector has max entry 1.
+        The iteration starts from the all-ones vector.  The enclosure
+        min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is evaluated exactly
+        on the float vector and the matrix alone (on the rows of the float
+        screen, module docstring), then rounded outward to ``lower`` and
+        ``upper``, with ``upper - lower <= tol``; ``eigenvalue`` is their
+        midpoint.  A bad solve thus costs steps, never a false enclosure.
+        The eigenvector has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
@@ -222,7 +207,7 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        return _perron(self.size, self.entries, depth, tol, _above)
+        return _perron(self.size, self.entries, depth, tol, None)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -387,7 +372,11 @@ class NNMatrix:
 
 
 def _perron(n, entries, depth, tol, above):
-    # NNMatrix.spectral_radius of the primitive n-square matrix of entries and depths
+    # NNMatrix.spectral_radius of the primitive n-square matrix of entries and
+    # depths.  A float ``above`` lambda (a braid route's cell or hint) makes
+    # x = above*(1 + 1e-13) the first shift: for x > lambda, xI - M is a
+    # nonsingular M-matrix and (xI - M)y = 1 has a positive solution; else
+    # the step goes on with sigma, at the cost of one solve
     import numpy as np
 
     nnz = len(entries)

@@ -138,7 +138,7 @@ class BraidTuple:
 
     @property
     def size(self):
-        return self.boundaries[-1]
+        return _size(self.values)
 
     @property
     def sign(self):
@@ -284,7 +284,7 @@ def dual_recessive_poly(prefix):
 
     Each row of I - tB is t times the row of tI - B at 1/t.
     """
-    return recessive_poly(prefix).reciprocal(block_boundaries(params(prefix, 1))[-1] + 1)
+    return recessive_poly(prefix).reciprocal(_size(params(prefix, 1)) + 1)
 
 
 StructureCheck = namedtuple("StructureCheck", "name ok detail")

@@ -26,6 +26,7 @@ from pabraid import (
     poly_matrix_det,
     transition_matrix,
 )
+from pabraid.nnmatrix import _perron
 
 
 def grid_tuples():
@@ -302,6 +303,15 @@ def subinvariance_bound(matrix, y):
     return min(
         sum(a * b for a, b in zip(row, y)) / yi for row, yi in zip(matrix.to_rows(), y)
     )
+
+
+def seeded_radius(matrix, above, tol=1e-10):
+    """``matrix.spectral_radius(tol)`` with Noda's first shift just above ``above``.
+
+    The braid routes' one entry into the solve, ``_perron``, on the depths
+    of the primitivity search; ``above`` None gives the unseeded solve.
+    """
+    return _perron(matrix.size, matrix.entries, matrix._primitive_depths(), tol, above)
 
 
 def all_rows_certificate(rows, cols, vals, v, tol):

@@ -347,7 +347,7 @@ class TestVerifyCommand:
         def refuse(self):
             raise AssertionError("graph searched")
 
-        monkeypatch.setattr(NNMatrix, "_depths", refuse)
+        monkeypatch.setattr(NNMatrix, "_primitive_depths", refuse)
         rc, out, err = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
         assert (rc, out, err) == (
             0, "tuples checked: 775\nprefixes checked: 155\nfailures: 0\n", ""
@@ -755,3 +755,25 @@ def test_private_imports():
     assert names == {
         "_MAX_NONZEROS", "_check_nonzeros", "_closed", "_expanded", "_extension", "_recessive"
     }
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pabraid.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_module_level_import_is_read(path):
+    # a name imported at module level and never read is dead code; star
+    # imports and lines marked "# noqa: F401" (imported for effect) are kept
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    assert [name for name in unread if name not in read] == []

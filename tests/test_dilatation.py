@@ -34,6 +34,7 @@ from helpers import (
     grid_tuples,
     record_decisions,
     record_rungs,
+    seeded_radius,
 )
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -512,17 +513,18 @@ class TestLimitCertificateProperties:
 
 
 class TestLevelRoute:
-    # the braid routes solve on the levels' structure (``_level_certificate``)
-    # and certify exactly what spectral_radius certifies on the NNMatrix
+    # the braid routes solve on the levels' structure (``_perron`` on
+    # ``_limited_entries`` and ``_level_depths``) and certify exactly what
+    # the seeded solve certifies on the NNMatrix
 
     def test_tuple_certificates_are_spectral_radius(self):
         for values in corpus_parameters()[0][1:201]:
             matrix = transition_matrix(values)
             above = dilatation_module._float_hint(values[:-1], values[-1])
-            assert dilatation(values, "matrix").certificate == matrix.spectral_radius(_above=above)
+            assert dilatation(values, "matrix").certificate == seeded_radius(matrix, above)
             report = dilatation(values, "both")
             above = float(report.formula_bracket[1])
-            assert report.certificate == matrix.spectral_radius(_above=above)
+            assert report.certificate == seeded_radius(matrix, above)
 
     def test_limit_certificates_are_spectral_radius(self, monkeypatch):
         checked, cross_check = [], dilatation_module._cross_check
@@ -536,10 +538,11 @@ class TestLevelRoute:
             limit_dilatation(prefix)
             (cell, cert), = checked
             above = float(cell.bracket()[1])
-            assert cert == dominant_matrix(prefix).spectral_radius(_above=above)
+            assert cert == seeded_radius(dominant_matrix(prefix), above)
             checked.clear()
 
-    def test_no_matrix_is_built_and_no_search_is_run(self, monkeypatch):
+    def test_no_matrix_is_validated_and_no_search_is_run(self, monkeypatch):
+        # the limit's dominant block is _extension's, built unchecked
         runs = [
             lambda: dilatation((79,) * 42, "both"),
             lambda: dilatation((79,) * 42, "matrix"),
@@ -549,9 +552,9 @@ class TestLevelRoute:
         expected = [run() for run in runs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the braid route built an NNMatrix or ran a search")
+            raise AssertionError("the braid route validated an NNMatrix or ran a search")
 
-        monkeypatch.setattr(NNMatrix, "_depths", refuse)
+        monkeypatch.setattr(NNMatrix, "_primitive_depths", refuse)
         monkeypatch.setattr(NNMatrix, "__init__", refuse)
         assert [run() for run in runs] == expected
 
@@ -580,12 +583,23 @@ class TestMonotonicity:
         assert not dilatation_module._separate(after, before)
 
     def test_finest_grid_is_a_named_cap(self, monkeypatch):
-        # λ(4,150) - λ(4,151) is about 2^-81; monotonicity_check keeps the
-        # cap at every slot, since at an inner one the strict drop is the
-        # paper's theorem, not a lemma the code states
+        # the two dilatations share a 2^-60 cell; monotonicity_check keeps
+        # the cap at an inner slot, where the strict drop is the paper's
+        # theorem, not a lemma the code states
         monkeypatch.setattr(dilatation_module, "_FINEST_GRID", 60)
         with pytest.raises(RuntimeError, match=r"finest grid 2\^-60"):
-            monotonicity_check((4, 150), 2)
+            monotonicity_check((4, 150, 1), 2)
+
+    def test_last_slot_is_the_lemma(self, monkeypatch):
+        # λ(1,1,600) - λ(1,1,601) lies below 2^-1024; the last-coordinate
+        # lemma of convergence_table proves the drop, so no cell is refined
+        def refuse(upper, lower):
+            raise AssertionError("cells refined")
+
+        monkeypatch.setattr(dilatation_module, "_separate", refuse)
+        result = monotonicity_check((1, 1, 600), 3)
+        assert result.strictly_decreasing is True
+        assert result.lambda_before >= result.lambda_after
 
     def test_no_tolerance_option(self):
         with pytest.raises(TypeError):

@@ -42,6 +42,7 @@ from helpers import (
     krylov_rows,
     random_nn_matrix,
     random_primitive_matrix,
+    seeded_radius,
     strongly_connected,
     subinvariance_bound,
     unit_chain_end,
@@ -298,7 +299,12 @@ class TestSpectralRadius:
         # seeded or not, the same cap
         for above in (None, GOLDEN_RATIO):
             with pytest.raises(RuntimeError, match=r"to tol=1e-16 within 500 Noda steps$"):
-                FIB.spectral_radius(tol=1e-16, _above=above)
+                seeded_radius(FIB, above, tol=1e-16)
+
+    def test_takes_no_seed(self):
+        # only the braid routes seed the solve, through _perron
+        with pytest.raises(TypeError):
+            FIB.spectral_radius(_above=GOLDEN_RATIO)
 
 
 def adjacent_floats(poly, lo, hi):
@@ -313,8 +319,8 @@ def adjacent_floats(poly, lo, hi):
 
 
 class TestSeededStart:
-    # the private ``_above`` shift starts Noda's iteration; the callers pass
-    # the upper end of the formula route's cell
+    # ``_perron``'s ``above`` shift starts Noda's iteration; the braid
+    # routes pass the upper end of the formula route's cell
 
     @pytest.mark.parametrize(
         "source",
@@ -330,7 +336,7 @@ class TestSeededStart:
         cert = m.spectral_radius()
         below, above = adjacent_floats(poly, cert.lower, cert.upper)
         for shift in (1.0, below - 1e-6, below, above, 2 * above, 10 * above):
-            assert_certified(m.spectral_radius(_above=shift), poly, 1e-10)
+            assert_certified(seeded_radius(m, shift), poly, 1e-10)
 
     @pytest.mark.parametrize(
         "run",
@@ -367,7 +373,7 @@ class TestSeededStart:
         unseeded = matrix.spectral_radius()
         count = len(factorizations)
         assert count > 0  # Noda steps from the start, with no power steps
-        assert matrix.spectral_radius(_above=above) == unseeded
+        assert seeded_radius(matrix, above) == unseeded
         assert len(factorizations) == 2 * count + 1
 
 
