@@ -9,18 +9,16 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 # argparse's messages go through gettext, whose first lookup imports locale:
 # imported here, that is start-up work, not part of the first command
 import locale  # noqa: F401
 import sys
-from collections import deque
 
 from .dilatation import (
     ScanRow,
     _closed,
-    _expanded,
+    _next_level,
     braid_char_poly,
     convergence_table,
     dilatation,
@@ -211,46 +209,38 @@ def _run_verify(args):
         raise ValueError(f"verify asks for {count} tuples; the limit is {_MAX_ITEMS}")
     # and the grid's largest matrix, of (m, ..., m), within the nonzero limit
     _check_nonzeros((m,) * (k + 1))
-    prefixes = [
-        values
-        for length in range(1, k + 1)
-        for values in itertools.product(range(1, m + 1), repeat=length)
-    ]
-
-    # prefix by prefix, so each tuple's recurrence resumes after the memoized
-    # dominant block, whose run also gives the recessive polynomial, and each
-    # tuple's polynomial is closed from the prefix's chain; in this order the
-    # tuples still come in grid order.  A block's run resumes after its
-    # parent's block, its leading corner, so the blocks of one length are
-    # kept until the next length is done
-    failures, prefix_failures = [], {}
-    parents, blocks = {}, {}
-    for prefix in prefixes:
-        if prefix[:-1] in blocks:  # the first prefix of a new length
-            parents, blocks = blocks, {}
-        chain = deque(_expanded(prefix), maxlen=1)[0]
+    # depth first over the prefix tree, on a stack of (prefix, parent block,
+    # parent chain level): each prefix folds its chain level onto its
+    # parent's, its block closes from its parent's block, its leading
+    # corner, and its tuples close from its block, whose memo also gives the
+    # recessive polynomial.  Only the blocks of the current prefix's
+    # ancestors are kept.  The walk meets the prefixes in sorted order, and
+    # a stable sort by length puts the tuples back in grid order
+    tuple_failures, prefix_failures = [], []
+    stack = [((first,), None, [1]) for first in range(m, 0, -1)]
+    while stack:
+        prefix, parent, parent_chain = stack.pop()
+        chain = _next_level(parent_chain, prefix[-1], len(prefix))
         dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
         block, last_row = _extension(prefix)
         if len(prefix) < k:  # a parent of longer prefixes
-            blocks[prefix] = block
-        failed = prefix_failures[prefix] = []
-        if block.char_poly(_block=parents.get(prefix[:-1])) != dom:
-            failed.append(f"prefix {prefix}: dominant block has the wrong polynomial")
+            stack += [(prefix + (last,), block, chain) for last in range(m, 0, -1)]
+        if block.char_poly(_block=parent) != dom:
+            prefix_failures.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         # the dual identity follows from this one and the block's: the dual
         # recessive polynomial is this one reversed at degree block.size
         if _recessive(block, last_row) != dom.reciprocal(dom.degree) * sign:
-            failed.append(f"prefix {prefix}: recessive polynomial mismatch")
+            prefix_failures.append(f"prefix {prefix}: recessive polynomial mismatch")
         for last in range(1, m + 1):
             bt = BraidTuple(prefix + (last,))
-            matrix = transition_matrix(bt)
-            if matrix.char_poly(_block=block) != _closed(chain, last, sign):
-                failures.append(f"{bt}: formula and matrix polynomials differ")
-    failures += [line for prefix in sorted(prefixes) for line in prefix_failures[prefix]]
+            if transition_matrix(bt).char_poly(_block=block) != _closed(chain, last, sign):
+                tuple_failures.append((len(bt), f"{bt}: formula and matrix polynomials differ"))
+    failures = [line for _, line in sorted(tuple_failures, key=lambda f: f[0])] + prefix_failures
 
     lines = [
-        f"tuples checked: {len(prefixes) * m}",
-        f"prefixes checked: {len(prefixes)}",
+        f"tuples checked: {count}",
+        f"prefixes checked: {count // m}",
         f"failures: {len(failures)}",
     ]
     lines.extend(failures)

@@ -89,14 +89,21 @@ def _closed(p, last, sign):
 
 
 def _expanded(prefix):
-    # the chain levels as ascending coefficient lists, from P = [1]: 2s t P* is
-    # P reversed, scaled and padded, and t^m (t-1) P is added in one pass
+    # the chain levels as ascending coefficient lists, from P = [1]
     p = [1]
-    for m, s in _levels(prefix):
-        q = [0, *[2 * s * c for c in reversed(p)], *[0] * m]
-        q[m:] = [a + b - c for a, b, c in zip(q[m:], [0, *p], [*p, 0])]
-        yield q
-        p = q
+    for i, m in enumerate(prefix, start=1):
+        p = _next_level(p, m, i)
+        yield p
+
+
+def _next_level(p, m, i):
+    # chain level i for the prefix entry m, with m and s as in ``_levels``,
+    # from the ascending coefficients p of level i - 1: 2s t P* is P
+    # reversed, scaled and padded, and t^m (t-1) P is added in one pass
+    m, s = m + (i == 1), closing_sign(i)
+    q = [0, *[2 * s * c for c in reversed(p)], *[0] * m]
+    q[m:] = [a + b - c for a, b, c in zip(q[m:], [0, *p], [*p, 0])]
+    return q
 
 
 def _levels(prefix):
@@ -413,14 +420,15 @@ def dilatation(m, method="both", tol=1e-10):
     _tolerance(tol)
     m = BraidTuple(m)
     lam_formula = agreement = certificate = bracket = None
+    # the nonzero limit refuses a matrix route before any formula work
+    entries = None if method == "formula" else _limited_entries(m.values)
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = _perron(m.size, _limited_entries(m.values), _level_depths(m.values), tol, above)
+        certificate = _perron(m.size, entries, _level_depths(m.values), tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
-            entries = _limited_entries(m.values)
             certificate = _cross_check(cell, m.size, entries, _level_depths(m.values), tol)
             agreement = abs(lam_formula - certificate.eigenvalue)
     lam_matrix = None if certificate is None else certificate.eigenvalue
@@ -447,8 +455,8 @@ def limit_dilatation(prefix):
 
 
 def _certified_limit(vals):
-    cell = _cell(vals)
     block, _ = _extension(vals)  # primitive: its depths are its extension's first
+    cell = _cell(vals)  # after the nonzero limit, which _extension checks
     _cross_check(cell, block.size, block.entries, _level_depths(vals + (1,))[: block.size])
     return cell
 

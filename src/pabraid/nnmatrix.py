@@ -214,12 +214,11 @@ class NNMatrix:
 
         Memoized, with the run's last two rows (``_leading_pair``).  A
         leading principal block B passed as ``_block`` (in ``verify``, a
-        prefix's dominant matrix) seeds the recurrence from B's own run, only
-        when B's entries equal M's n-square corner, n = B.size: a wrong
-        ``_block`` costs time, never a wrong result.  The seed is B's pair at
-        row n, the pair at row N when a unit chain closes there, or the pair
-        at row N+1 when a hub row follows (below); the recurrence runs only
-        the rows after the seed.
+        prefix's dominant matrix) finishes the pair from B's own run, with no
+        row run, when B's entries equal M's n-square corner, n = B.size, and
+        M ends at row n, at the row N where a unit chain closes, or at the
+        hub row N+1 after it (below); otherwise the recurrence runs in full,
+        so a wrong ``_block`` costs time, never a wrong result.
 
         The unit chain.  Let N > n be the first row whose entries in columns
         1..N+1 are not exactly (N, N+1) = 1.  The chain closes at N when row
@@ -277,20 +276,18 @@ class NNMatrix:
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            start = None if _block is None else _block._seed(self)
-            if start and start[0] == self.size:
-                self._pair = list(start[1:])
-            else:
-                self._pair = _berkowitz(self.size, self.entries, start)
+            self._pair = _block and _block._seed(self) or _berkowitz(self.size, self.entries)
             self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
 
     def _seed(self, matrix):
-        """``_berkowitz``'s start for ``matrix``, given this leading block.
+        """``char_poly``'s finished pair for ``matrix``, given this leading block, or None.
 
-        None unless this block is its corner; else the pair at row n, at the
-        row N where a unit chain closes, or at the hub row N+1 after it
-        (``char_poly``), where a matrix that ends takes its lift.  One pass
+        The pair is finished only when this block is the matrix's corner and
+        the matrix ends where ``char_poly``'s pair closes: at this block, at
+        the row N where a unit chain closes, or at the hub row N+1 after it,
+        whose matrix takes the lift.  Any other shape is None before this
+        block's memo is asked, so it forms no Krylov sequence.  One pass
         over the matrix's entries sets apart those outside the corner, which
         is this block when it holds all of this block's entries and no
         others; the chain is read from those apart.
@@ -305,11 +302,13 @@ class NNMatrix:
             return None
         pair = self._leading_pair()
         if n == size:
-            return (n, *pair)
+            return list(pair)
         left = min((i for i, j, _ in past if j <= i), default=size)
         end = n + 1  # past each row that reads (end, end + 1) = 1 and nothing left of it
         while end < left and entries.get((end, end + 1)) == 1:
             end += 1
+        if end + 1 < size:  # the matrix goes on past the hub row
+            return None
         s, row, hub, feed = 0, {}, {}, {}  # feed: column end + 1 above the diagonal
         for i, j, v in past:
             if j == end + 1 and i <= end:
@@ -323,24 +322,24 @@ class NNMatrix:
             elif i == n and j == n + 1:
                 s = v
             elif not n < i == j - 1:  # else a chain row's unit
-                return (n, *pair)
+                return None
+        if end < size and (hub != row or any(i < n for i in feed)):
+            return None
         key = tuple(sorted(row.items()))
         h, chain = self._closing(key), end - n
         closed = [0] * chain + pair[1]
         for j, c in enumerate(h):
             closed[j] -= s * c
-        if end == size or hub != row or any(i < n for i in feed):
-            return (end, [0] * (chain - 1) + pair[1], closed)
-        xh = [0] * (end + 1)  # X h of the hub row
+        if end == size:
+            return [[0] * (chain - 1) + pair[1], closed]
+        xh = [0] * (end + 1)  # X h of the hub row, the lift
         for i, v in feed.items():
             weight = v if i == n else s * v
             for j, c in enumerate(h, start=end - i):
                 xh[j] += weight * c
         a = entries.get((end + 1, end + 1), 0)
-        after = [c - a * d - x for c, d, x in zip([0] + closed, closed + [0], xh + [0])]
-        if end + 1 == size:
-            matrix._closings[key] = xh
-        return (end + 1, closed, after)
+        matrix._closings[key] = xh
+        return [closed, [c - a * d - x for c, d, x in zip([0] + closed, closed + [0], xh + [0])]]
 
     def _closing(self, row):
         """``char_poly``'s memoized h for the row R, as sorted (column, entry) pairs.
@@ -598,7 +597,7 @@ def _round_down(q):
     return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
 
 
-def _berkowitz(size, entries, start=None):
+def _berkowitz(size, entries):
     """Ascending coefficients of det(tI - A_r) for the last two leading blocks A_r.
 
     ``entries`` maps 1-based ``(row, col)`` pairs to the nonzero entries of
@@ -608,11 +607,6 @@ def _berkowitz(size, entries, start=None):
     A_r = [[A_{r-1}, S], [R, a]] and q = det(tI - A_{r-1}), [.] dropping
     negative powers (``_fold``); the scalars R A_{r-1}^k S (``_krylov``)
     touch only nonzeros, and none are formed if R or S is 0.
-
-    ``start = (r0, ..., q)``, ending in q = det(tI - A_r0) unchecked, resumes
-    after row r0: earlier rows only record their entries.  With r0 = size
-    the polynomials after r0 are returned as given, so a start
-    ``(r0, det(tI - A_{r0-1}), q)`` keeps the pair.
     """
     left = [[] for _ in range(size + 1)]  # row r: (j, v) with j < r
     cols = [[] for _ in range(size + 1)]  # column r: (i, v) with i < r, then the block's
@@ -621,16 +615,15 @@ def _berkowitz(size, entries, start=None):
             left[i].append((j, v))
         elif i < j:
             cols[j].append((i, v))
-    r0, *last = start or (0, [1])  # last ends with q
+    last = [[1]]  # ends with q
     for r in range(1, size + 1):
         a = entries.get((r, r), 0)
-        if r > r0:
-            q = last[-1]
-            new = [c - a * d for c, d in zip([0] + q, q + [0])]
-            if left[r] and cols[r]:
-                for j, c in enumerate(_fold(q, _krylov(cols, r, cols[r], left[r], r - 1))):
-                    new[j] -= c
-            last = [q, new]
+        q = last[-1]
+        new = [c - a * d for c, d in zip([0] + q, q + [0])]
+        if left[r] and cols[r]:
+            for j, c in enumerate(_fold(q, _krylov(cols, r, cols[r], left[r], r - 1))):
+                new[j] -= c
+        last = [q, new]
         if a:
             cols[r].append((r, a))
         for j, x in left[r]:

@@ -77,11 +77,11 @@ def nnmatrix_calls(name, record):
 
 @contextlib.contextmanager
 def berkowitz_starts():
-    """Record the r0 of every ``_berkowitz`` run, None for an unseeded one."""
+    """Record every ``_berkowitz`` run as None: each runs every row, from the first."""
     starts = []
 
-    def record(size, entries, start=None):
-        starts.append(start and start[0])
+    def record(size, entries):
+        starts.append(None)
 
     with nnmatrix_calls("_berkowitz", record):
         yield starts
@@ -91,10 +91,10 @@ def berkowitz_starts():
 def krylov_rows():
     """Count the Krylov sequences formed, the calls of the one loop ``_krylov``.
 
-    A ``_berkowitz`` run forms one at each row after its start that has an
-    entry left of the diagonal while its column has one above, and a
-    block's memo by one for each row it does not hold yet, taken less its
-    entry in the block's last column, which the cofactor identity adds.
+    A ``_berkowitz`` run forms one at each row that has an entry left of
+    the diagonal while its column has one above, and a block's memo one
+    for each row it does not hold yet, taken less its entry in the block's
+    last column, which the cofactor identity adds.
     Yields a list whose one item is the count so far.
     """
     count = [0]

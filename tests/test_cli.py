@@ -384,6 +384,63 @@ class TestVerifyCommand:
             "prefix (1, 2): recessive polynomial mismatch\n"
         )
 
+    def test_failures_come_in_grid_order(self, capsys, monkeypatch):
+        # the tuples (2,3) and (3,1) and the extension by 1 of the prefix
+        # (3,), which is also the tuple (3,1), are corrupted.  The walk meets
+        # (1,1,2) before them, but the grid lists tuples by length: length 2,
+        # then length 3, then the prefix failures in sorted order
+        entries = treebuilder._entries
+
+        def corrupted(values):
+            e = entries(values)
+            if values in ((1, 1, 2), (2, 3), (3, 1)):
+                e[(1, 2)] += 1
+            return e
+
+        monkeypatch.setattr(treebuilder, "_entries", corrupted)
+        rc, out, err = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
+        assert (rc, err) == (1, "")
+        assert out == (
+            "tuples checked: 36\n"
+            "prefixes checked: 12\n"
+            "failures: 5\n"
+            "2,3: formula and matrix polynomials differ\n"
+            "3,1: formula and matrix polynomials differ\n"
+            "1,1,2: formula and matrix polynomials differ\n"
+            "prefix (3,): dominant block has the wrong polynomial\n"
+            "prefix (3,): recessive polynomial mismatch\n"
+        )
+
+    @pytest.mark.parametrize("k, m", [(6, 3), (3, 5)])
+    def test_only_the_ancestors_blocks_are_kept(self, capsys, monkeypatch, k, m):
+        # the blocks alive at once: the current prefix's and its ancestors',
+        # at most k, and the next one while it is built.  A walk length by
+        # length that kept one length's blocks until the next was done kept
+        # 324 at once at --max-k 6 --max-m 3.  Each block is counted by a
+        # subclass whose __del__ counts it down
+        alive, peak = [0], [0]
+
+        class Counted(NNMatrix):
+            __slots__ = ()
+
+            def __del__(self):
+                alive[0] -= 1
+
+        extension = pabraid.cli._extension
+
+        def counted(vals):
+            block, last = extension(vals)
+            block.__class__ = Counted
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            return block, last
+
+        monkeypatch.setattr(pabraid.cli, "_extension", counted)
+        rc, out, _ = run(capsys, "verify", "--max-k", str(k), "--max-m", str(m))
+        assert rc == 0 and out.endswith("failures: 0\n")
+        assert 1 < peak[0] <= k + 1
+        assert alive == [0]
+
 
 class TestRepeatedCalls:
     # main reuses one parser; each call must still start from the defaults
@@ -753,7 +810,7 @@ def test_private_imports():
         if alias.name.startswith("_")
     }
     assert names == {
-        "_MAX_NONZEROS", "_check_nonzeros", "_closed", "_expanded", "_extension", "_recessive"
+        "_MAX_NONZEROS", "_check_nonzeros", "_closed", "_extension", "_next_level", "_recessive"
     }
 
 

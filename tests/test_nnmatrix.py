@@ -706,14 +706,15 @@ _SEED_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, dat
 
 
 class TestSeededCharPoly:
-    # char_poly(_block=B) seeds Berkowitz's recurrence from B's run; the
-    # seed is taken only when B is M's leading corner, so it never changes
-    # the polynomial.  Each seeded call is on a fresh copy of M, because
-    # char_poly is memoized.  A run is made only for the rows after the
-    # seed: B's row n, the row where a unit chain after B closes
-    # (helpers.unit_chain_end), or the hub row after it
+    # char_poly(_block=B) finishes M's pair from B's run, with no run of
+    # Berkowitz's recurrence, when B is M's leading corner and M ends at
+    # B's row n, at the row where a unit chain after B closes
+    # (helpers.unit_chain_end), or at the hub row after it
     # (helpers.hub_row_follows); B's memo is filled by a Krylov sequence,
-    # not by a run.
+    # not by a run.  Any other M runs the recurrence in full ([None]) and
+    # asks B's memo nothing, so the seed never changes the polynomial.
+    # Each seeded call is on a fresh copy of M, because char_poly is
+    # memoized.
 
     @_SEED_SETTINGS
     @given(m=square_matrices())
@@ -728,10 +729,10 @@ class TestSeededCharPoly:
             if n == m.size:
                 assert starts == []
             elif end is None:
-                assert starts == [n]
-            else:  # the rows after the chain's last, or after the hub row
+                assert starts == [None]
+            else:  # finished when M ends at the chain's last row or the hub row
                 seed = end + hub_row_follows(m, n, end)
-                assert starts == [seed][: seed < m.size]
+                assert starts == [None][: seed < m.size]
 
     @_SEED_SETTINGS
     @given(block=square_matrices(), data=st.data())
@@ -764,30 +765,29 @@ class TestSeededCharPoly:
                 assert NNMatrix(size, entries).char_poly(_block=block) == expected
             return starts, sequences[0]
 
-        def resumed(end, size, entries):
-            # the starts of the run after the chain or its hub row, and its
-            # Krylov sequences: one at each later row with an entry left of
-            # the diagonal while its column has one above
-            seed = end + hub_row_follows(NNMatrix(size, entries), n, end)
-            rows = {i for i, j in entries if j < i} & {j for i, j in entries if i < j}
-            return [seed][: seed < size], sum(r > seed for r in rows)
-
         memo = set()  # B's memo: each closing row, and that row less its column-n entry
 
-        def fills(row):
-            # the Krylov sequences of B's memo for closing on ``row``: one
-            # unless the row less its column-n entry is already memoized
+        def expected(end, size, entries, row):
+            # a matrix that ends at the chain's last row or its hub row runs
+            # nothing, and B's memo forms one Krylov sequence for closing on
+            # ``row`` unless the row less its column-n entry is memoized; any
+            # other runs in full, one sequence at each row with an entry left
+            # of the diagonal while its column has one above
+            matrix = NNMatrix(size, entries)
+            if end + hub_row_follows(matrix, n, end) < size:
+                cells = matrix.entries
+                rows = {i for i, j in cells if j < i} & {j for i, j in cells if i < j}
+                return [None], len(rows)
             key = tuple(sorted(row.items()))
             base = key[:-1] if key[-1][0] == n else key
             new = base not in memo
             memo.update((key, base))
-            return new
+            return [], int(new)
 
         for chain in data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)):
             end, size, entries = extended(chain)
             assert unit_chain_end(NNMatrix(size, entries), n) == end
-            starts, sequences = resumed(end, size, entries)
-            assert seeded(size, entries) == (starts, sequences + fills(last))
+            assert seeded(size, entries) == expected(end, size, entries, last)
             assert len(block._closings) == len(memo)
 
         end, size, entries = extended(data.draw(st.integers(2, 6)))
@@ -796,8 +796,7 @@ class TestSeededCharPoly:
         other = data.draw(cells.filter(lambda row: row != last))
         moved = {**{(end, j): 0 for j in last}, **{(end, j): v for j, v in other.items()}}
         moved = {ij: v for ij, v in {**entries, **moved}.items() if v}
-        starts, sequences = resumed(end, size, moved)
-        assert seeded(size, moved) == (starts, sequences + fills(other))
+        assert seeded(size, moved) == expected(end, size, moved, other)
         assert len(block._closings) == len(memo)
         value = st.integers(1, 9)
         r = data.draw(st.integers(n + 1, end - 1))
@@ -862,10 +861,10 @@ class TestSeededCharPoly:
             matrix = NNMatrix(end + 1, entries)
             assert unit_chain_end(matrix, n) == end and hub_row_follows(matrix, n, end)
             assert seeded(end + 1, entries) == []
-            # one more row after the hub row resumes there
+            # one more row after the hub row runs in full
             row = data.draw(st.dictionaries(st.integers(1, end + 2), value, min_size=1))
             longer = {**entries, **{(end + 2, j): v for j, v in row.items()}}
-            assert seeded(end + 2, longer) == [end + 1]
+            assert seeded(end + 2, longer) == [None]
             # the hub block's lift: a row that reads R and c in column N + 1
             # takes its h from the memo, any other row from a Krylov sequence
             hub_block = NNMatrix(end + 1, entries)
@@ -893,7 +892,7 @@ class TestSeededCharPoly:
         for change in perturbations:
             changed = {ij: v for ij, v in {**entries, **change}.items() if v}
             assert not hub_row_follows(NNMatrix(end + 1, changed), n, end)
-            assert seeded(end + 1, changed) == [end]
+            assert seeded(end + 1, changed) == [None]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(block=square_matrices(7), data=st.data())

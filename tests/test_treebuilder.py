@@ -255,6 +255,38 @@ class TestMatrixSizeLimit:
         assert time.perf_counter() - start < 0.1
         assert dilatation((10**7,) * 2, method="formula").lambda_formula > 1.0
 
+    @pytest.mark.parametrize(
+        "run, size, nonzeros",
+        [
+            (lambda: dilatation((1,) * 3000, method="both"), 6000, 9011997),
+            (lambda: dilatation((1, 10**12), method="both"), 10**12 + 3, 10**12 + 8),
+            (lambda: limit_dilatation((1,) * 3000), 6002, 9018002),
+        ],
+        ids=["both (1,)*3000", "both (1,10^12)", "limit (1,)*3000"],
+    )
+    def test_refused_before_the_formula_cell(self, no_entries, run, size, nonzeros):
+        # the cell of (1,)*3000 took about 0.4 s before its refusal, and
+        # (1, 10^12)'s was still running after 8 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            run()
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == (
+            f"the transition matrix of size {size} would have {nonzeros} "
+            "nonzeros; the limit is 1000000"
+        )
+
+    def test_cli_refuses_a_large_entry_at_once(self, no_entries):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            assert main(["dilatation", "--tuple", "1,1000000000000"]) == 1
+        assert time.perf_counter() - start < 0.05
+        assert err.getvalue() == (
+            "error: the transition matrix of size 1000000000003 would have "
+            "1000000000008 nonzeros; the limit is 1000000\n"
+        )
+
     def test_cli_prints_one_error_line(self, no_entries):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -388,7 +420,7 @@ class TestRecessivePolynomials:
             )
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (2, 3), (3, 1, 4, 1)])
-    def test_recessive_run_resumes_at_the_last_block_row(self, prefix):
+    def test_recessive_poly_runs_the_block_once_then_closes_from_its_memo(self, prefix):
         # the recessive polynomial is minus the block's h of the last row:
         # recessive_poly runs the block once and forms one Krylov sequence
         # past the run's; after a tuple has closed on that row, _recessive
