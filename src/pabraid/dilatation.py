@@ -121,9 +121,13 @@ def _pair(prefix, num, shift, prec=None):
     P'* = (1-t) P* + 2s t^m P, so the pair (P(x), P*(x)) moves by one 2×2
     matrix per level and no degree-N polynomial is expanded.  Each value is
     a ball (mid, rad, exp) of integers: the true value lies in
-    [mid - rad, mid + rad]·2^exp.  With ``prec`` bits the pair is rounded
-    outward to that precision after each level, and x^m is squared up at
-    it.  With ``prec`` None nothing is rounded and the radii stay 0: the
+    [mid - rad, mid + rad]·2^exp.  With ``prec`` bits, x^m is squared up
+    at prec bits to a ball (xm ± xr)·2^-lift, and ``_scaled`` aligns the
+    q-terms to it and rounds the pair to prec bits after each level.  Past
+    2^prec, lift < 0: a q-term shifted right by -lift is rounded exactly as
+    the precision step rounds, its midpoint floored and its radius rounded
+    up plus 1, the floor's error.  So every ball still holds its exact
+    value.  With ``prec`` None nothing is rounded and the radii stay 0: the
     pair is exact, P(x) and P*(x) as integers scaled by 2^(shift·deg).
 
     Ascending roots: each level has exactly one root above the previous
@@ -143,21 +147,19 @@ def _pair(prefix, num, shift, prec=None):
         if m not in powers:
             powers[m] = _power(num, shift, m, prec)
         xm, xr, lift = powers[m]  # x^m = (xm ± xr)·2^-lift
-        if prec is not None:
+        if prec is None:  # exact: lift >= 0 and no radius
+            u, v = (2 * s * num * q) << lift, ((one - num) * q) << lift
+        else:
             err = xm * rp + xr * (abs(p) + rp)  # the radius of x^m P
-            rp, rq = (
-                err * (num - one) + ((2 * num * rq) << lift),
-                (((num - one) * rq) << lift) + ((2 * err) << shift),
-            )
-        p, q = (
-            xm * (num - one) * p + ((2 * s * num * q) << lift),
-            (((one - num) * q) << lift) + ((2 * s * xm * p) << shift),
-        )
+            u, ru = _scaled(2 * s * num * q, 2 * num * rq, lift)
+            v, rv = _scaled((one - num) * q, (num - one) * rq, lift)
+            rp, rq = err * (num - one) + ru, rv + ((2 * err) << shift)
+        p, q = xm * (num - one) * p + u, v + ((2 * s * xm * p) << shift)
         exp -= shift + lift
         if prec is not None:
             d = max(abs(p).bit_length(), abs(q).bit_length(), rp.bit_length(), rq.bit_length()) - prec
             if d > 0:
-                (p, rp), (q, rq), exp = _round(p, rp, d), _round(q, rq, d), exp + d
+                (p, rp), (q, rq), exp = _scaled(p, rp, -d), _scaled(q, rq, -d), exp + d
         if p <= rp:  # the ball does not lie above 0
             return None if p > -rp else False
     return (p, rp, exp), (q, rq, exp)
@@ -173,8 +175,8 @@ def _decision(prefix, last, num, shift, prec):
         return True
     (p, rp, _), (q, rq, _) = pair
     xl, xr, lift = _power(num, shift, last, prec)
-    closing = xl * p + ((closing_sign(len(prefix) + 1) * q) << lift)
-    rad = 0 if prec is None else xl * rp + xr * (abs(p) + rp) + (rq << lift)
+    v, rv = _scaled(closing_sign(len(prefix) + 1) * q, rq, lift)
+    closing, rad = xl * p + v, xl * rp + xr * (abs(p) + rp) + rv
     if closing <= rad:
         return None if closing > -rad else False
     return True
@@ -207,15 +209,16 @@ def _decide(prefix, last, num, shift):
     return _decision(prefix, last, num, shift, None)
 
 
-def _round(mid, rad, d):
-    # the ball mid ± rad divided by 2^d, rounded outward to integers
-    return mid >> d, -(-rad >> d) + 1
+def _scaled(mid, rad, n):
+    # the ball mid ± rad times 2^n: a left shift for n >= 0, else rounded
+    # outward to integers, the midpoint floored and the radius rounded up plus 1
+    return (mid << n, rad << n) if n >= 0 else (mid >> -n, -(-rad >> -n) + 1)
 
 
 def _power(num, shift, n, prec):
     # x^n for x = num / 2^shift as (mid, rad, lift), the ball mid ± rad
     # times 2^-lift: squared up with each product rounded outward to prec
-    # bits, but never past the units (lift >= 0); exact when prec is None
+    # bits, so lift < 0 once x^n passes 2^prec; exact when prec is None
     if prec is None:
         return num**n, 0, shift * n
     mid, rad, lift = num, 0, shift
@@ -223,9 +226,9 @@ def _power(num, shift, n, prec):
         mid, rad, lift = mid * mid, 2 * mid * rad + rad * rad, 2 * lift
         if bit == "1":
             mid, rad, lift = mid * num, rad * num, lift + shift
-        d = min(max(mid.bit_length(), rad.bit_length()) - prec, lift)
+        d = max(mid.bit_length(), rad.bit_length()) - prec
         if d > 0:
-            (mid, rad), lift = _round(mid, rad, d), lift - d
+            (mid, rad), lift = _scaled(mid, rad, -d), lift - d
     return mid, rad, lift
 
 
@@ -382,14 +385,11 @@ class DilatationReport(namedtuple(
         return braid_char_poly(self.tuple_values)
 
     def to_json_dict(self):
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "irreducible": self.certificate.irreducible,
-                "primitive": self.certificate.primitive,
-                "eigenvalue": self.certificate.eigenvalue,
-                "residual": self.certificate.residual,
-            }
+        c = self.certificate  # of a primitive matrix, so both flags are true
+        cert = None if c is None else {
+            "irreducible": True, "primitive": True,
+            "eigenvalue": c.eigenvalue, "residual": c.residual,
+        }
         return {
             "tuple": list(self.tuple_values),
             "polynomial": str(self.polynomial),

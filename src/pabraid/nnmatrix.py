@@ -52,8 +52,7 @@ _MAX_HUBS = 2000
 
 
 class PFCertificate(namedtuple(
-    "PFCertificate",
-    "irreducible primitive eigenvalue lower upper right_eigenvector residual",
+    "PFCertificate", "eigenvalue lower upper right_eigenvector residual"
 )):
     """Outcome of a spectral-radius computation on a primitive matrix.
 
@@ -457,7 +456,7 @@ def _certificate(rows, cols, vals, entries, v, w, tol):
         return None
     lam = 0.5 * (lower + upper)
     residual = float(abs(w - lam * v).max())
-    return PFCertificate(True, True, lam, lower, upper, tuple(vl), residual)
+    return PFCertificate(lam, lower, upper, tuple(vl), residual)
 
 
 class _HubProgram:

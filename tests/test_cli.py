@@ -190,6 +190,19 @@ class TestScanCommand:
         assert (rc, err) == (0, "")
         assert len(out.splitlines()) == 1 + 1200
 
+    def test_rows_at_a_huge_last_entry(self, capsys):
+        # x^m costs the rung's precision at any m, and λ(7, 10^12) lies far
+        # closer than 2^-48 to μ(7): each row prints μ's cell
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, "scan", "--prefix", "7", "--m-min", "1000000000000", "--m-max", "1000000000002"
+        )
+        assert time.perf_counter() - start < 1
+        assert (rc, err) == (0, "")
+        mu = repr(pabraid.limit_dilatation((7,)))
+        rows = [line.split(";")[:3] for line in out.splitlines()[1:]]
+        assert rows == [[f"7,{10**12 + k}", mu, "0.0"] for k in range(3)]
+
     def test_the_order_is_not_decided_again(self, capsys, monkeypatch):
         # the last-coordinate lemma orders the rows, so no decision checks
         # the order and no cell is refined below the 2^-48 grid: two
@@ -571,10 +584,10 @@ RECORDS = [
     ("BraidTuple", ((4, 2),), "BraidTuple(values=(4, 2))", ((4, 3),)),
     (
         "PFCertificate",
-        (True, True, 1.5, 1.25, 1.75, (1.0, 0.5), 0.0),
-        "PFCertificate(irreducible=True, primitive=True, eigenvalue=1.5, lower=1.25, "
-        "upper=1.75, right_eigenvector=(1.0, 0.5), residual=0.0)",
-        (True, True, 1.5, 1.25, 1.75, (1.0, 0.25), 0.0),
+        (1.5, 1.25, 1.75, (1.0, 0.5), 0.0),
+        "PFCertificate(eigenvalue=1.5, lower=1.25, upper=1.75, right_eigenvector=(1.0, 0.5), "
+        "residual=0.0)",
+        (1.5, 1.25, 1.75, (1.0, 0.25), 0.0),
     ),
     (
         "StructureCheck",
@@ -834,3 +847,25 @@ def test_every_module_level_import_is_read(path):
         if alias.name != "*"
     ]
     assert [name for name in unread if name not in read] == []
+
+
+def test_every_private_module_name_is_read():
+    # a module-level private function, class or constant that no module of
+    # the library reads is dead code, even when a test still calls it; the
+    # modules import the names they share, so a read is a load of the name
+    trees = [ast.parse(path.read_text()) for path in Path(pabraid.__file__).parent.glob("*.py")]
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = {
+        node.id
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(private) > 50 and sorted(private - read) == []

@@ -1,5 +1,6 @@
 import importlib
 import math
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -136,7 +137,7 @@ class TestDilatation:
         report = dilatation((4, 2), method="both")
         assert 1.80 < report.lambda_formula < 1.85
         assert report.agreement <= 1e-9
-        assert report.certificate.primitive
+        assert report.certificate.lower <= report.lambda_matrix <= report.certificate.upper
 
     def test_smallest_tuple_closed_form(self):
         report = dilatation((1, 1), method="formula")
@@ -162,12 +163,9 @@ class TestDilatation:
         assert payload["tuple"] == [4, 2]
         assert "formula_bracket" not in payload
         assert payload["polynomial"] == "t^8 - t^7 - 2*t^5 - 2*t^3 - t + 1"
-        assert set(payload["certificate"]) == {
-            "irreducible",
-            "primitive",
-            "eigenvalue",
-            "residual",
-        }
+        # the flags are constant: every braid matrix is primitive
+        assert list(payload["certificate"]) == ["irreducible", "primitive", "eigenvalue", "residual"]
+        assert payload["certificate"]["irreducible"] is payload["certificate"]["primitive"] is True
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -329,6 +327,30 @@ class TestFloatHint:
         assert len(calls) == 82
 
 
+# prefixes with an entry of 1000 or more, beside small ones
+_PAST_THE_UNITS = st.lists(
+    st.one_of(st.integers(1, 40), st.integers(1000, 3000)), min_size=1, max_size=4
+).filter(lambda prefix: max(prefix) >= 1000).map(tuple)
+
+
+def _lift(prefix, last, num, shift, prec):
+    # the least lift of x^m over the levels of prefix + (last,) at prec
+    ms = [m for m, _ in dilatation_module._levels(prefix)] + [last or 1]
+    return min(dilatation_module._power(num, shift, m, prec)[2] for m in ms)
+
+
+def assert_balls_hold(prefix, num, shift, prec, exact):
+    # the rung at prec answers as the exact pair does, and every ball it
+    # returns holds the exact pair's value
+    pair = dilatation_module._pair(prefix, num, shift, prec)
+    if pair is None:
+        return
+    assert bool(pair) == bool(exact)
+    for (mid, rad, exp), (value, _, exact_exp) in zip(pair or (), exact or ()):
+        d = exp - exact_exp  # the exact pair is the finer
+        assert d >= 0 and abs((mid << d) - value) <= rad << d
+
+
 class TestPairProperties:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -355,6 +377,25 @@ class TestPairProperties:
                 assert prec is not None or (rad, exp) == (0, -shift * dom.degree)
                 assert abs(mid - value / Fraction(2) ** exp) <= rad
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(prefix=_PAST_THE_UNITS, shift=st.integers(0, 12), data=st.data())
+    def test_balls_past_the_units_hold_the_exact_pair(self, prefix, shift, data):
+        # an entry of 1000 or more puts x^m, for x >= 3/2, past 2^prec on
+        # every rung here: its lift is below 0, the q-terms are shifted
+        # right, and every ball still holds the exact rung's value
+        num = data.draw(st.integers((3 << shift) // 2 + 1, 4 << shift), label="num")
+        exact = dilatation_module._pair(prefix, num, shift)
+        for prec in (2, 8, shift + 8, shift + 64):
+            assert _lift(prefix, None, num, shift, prec) < 0
+            assert_balls_hold(prefix, num, shift, prec, exact)
+
+    def test_the_aligned_radius_of_a_q_term_counts(self):
+        # found by search: without the radius of (1 - x) P* shifted right
+        # by -lift, the last level's P* ball misses its exact value
+        prefix, num, shift, prec = (2432, 27, 1), 3487, 10, 26
+        assert _lift(prefix, None, num, shift, prec) < 0
+        assert_balls_hold(prefix, num, shift, prec, dilatation_module._pair(prefix, num, shift))
+
 
 class TestBallLadder:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -379,6 +420,34 @@ class TestBallLadder:
         assert decide(num, shift) == exact
         for prec in (8, 32, 128, shift + dilatation_module._GUARD_BITS, 4 * shift + 256):
             assert dilatation_module._decision(prefix, last, num, shift, prec) in (None, exact)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        first=st.integers(1, 6),
+        rest=_PAST_THE_UNITS,
+        last=st.one_of(st.none(), st.integers(1, 3000)),
+        data=st.data(),
+    )
+    def test_ladder_past_the_units_answers_as_the_exact_rung(self, first, rest, last, data):
+        # μ(prefix) >= μ(6) > 1.34, so near the root x^m of an entry of 1000
+        # or more passes 2^prec on every rung here, down to shift + 8 bits:
+        # its lift is below 0, yet each rung's balls hold the exact rung's
+        # values and its answers are the exact rung's
+        prefix = (first, *rest)
+        cell = dilatation_module._cell(prefix, last)
+        end = Fraction(cell.lo + data.draw(st.integers(0, 1), label="end"), 2**48)
+        j = data.draw(st.integers(4, 60), label="j")
+        x = end + data.draw(st.sampled_from((-1, 1)), label="side") * Fraction(1, 2**j)
+        num, shift = _dyadic(x)
+        pad = data.draw(st.integers(0, 16), label="pad")
+        num, shift = num << pad, shift + pad
+        exact = dilatation_module._decision(prefix, last, num, shift, None)
+        assert dilatation_module._decide(prefix, last, num, shift) == exact
+        exact_pair = dilatation_module._pair(prefix, num, shift)
+        for prec in (shift + 8, shift + 32, shift + dilatation_module._GUARD_BITS):
+            assert _lift(prefix, last, num, shift, prec) < 0
+            assert dilatation_module._decision(prefix, last, num, shift, prec) in (None, exact)
+            assert_balls_hold(prefix, num, shift, prec, exact_pair)
 
     @pytest.mark.parametrize(
         "prefix, last, num, prec",
@@ -407,6 +476,30 @@ class TestBallLadder:
         assert not dilatation_module._decide((1,) + (40,) * 11, None, 2 << 256, 256)
         assert rungs[0] == (256 + dilatation_module._GUARD_BITS, None)
         assert rungs[-1][1] is False
+
+
+class TestHugeEntries:
+    # x^m is squared up at the rung's precision, its lift below 0 past
+    # 2^prec, so a huge entry costs what a small one does; held exactly,
+    # x^m of an entry of 10^12 would have about 10^12 bits
+    @pytest.mark.parametrize("values", [(1, 10**12), (7, 10**12), (3, 10**12, 5), (2, 3, 10**15)])
+    def test_a_huge_entry_decides_at_the_rung_s_cost(self, values):
+        start = time.perf_counter()
+        report = dilatation(values, method="formula")
+        assert time.perf_counter() - start < 0.05
+        lo, hi = report.formula_bracket
+        assert not _below(values, lo) and _below(values, hi)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @example(prefix=(1,))
+    @example(prefix=(7,))
+    @given(prefix=st.lists(st.integers(1, 40), min_size=1, max_size=6).map(tuple))
+    def test_a_huge_last_entry_shares_the_limit_s_cell(self, prefix):
+        # λ(prefix + (m,)) lies above μ(prefix) (the last-coordinate lemma of
+        # convergence_table) and, at m = 10^12, far closer to it than 2^-48:
+        # its cell is μ's or the next one
+        mu = dilatation_module._cell(prefix)
+        assert dilatation_module._cell(prefix, 10**12).lo - mu.lo in (0, 1)
 
 
 class TestFormulaCellProperties:
