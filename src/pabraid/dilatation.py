@@ -23,15 +23,7 @@ from functools import cached_property, partial
 
 from .intpoly import _GRID, IntPoly, _integer, _tolerance
 from .nnmatrix import _perron
-from .treebuilder import (
-    BraidTuple,
-    _extension,
-    _level_depths,
-    _limited_entries,
-    _size,
-    closing_sign,
-    params,
-)
+from .treebuilder import BraidTuple, _level_program, _size, closing_sign, params
 
 __all__ = [
     "DilatationReport",
@@ -54,6 +46,10 @@ _FINEST_GRID = 1024
 _GUARD_BITS = 64
 _RUNG_GROWTH = 4
 _EXACT_RATIO = 64
+# the highest degree of a polynomial expanded on a coefficient list, 8
+# bytes and more per coefficient: printing one of degree 10^7 takes about
+# 0.7 s and 250 MB
+_MAX_DEGREE = 10_000_000
 
 
 def dominant_chain(prefix):
@@ -62,12 +58,15 @@ def dominant_chain(prefix):
     The first element is t^(m_1+1) (t-1) - 2t; each later element i is
     t^(m_i) (t-1) P + (-1)^i 2t P* where P is the previous element and P*
     its reciprocal at its own degree.  Element i is monic of degree n_i + 1.
-    The levels are folded on coefficient lists (``_expanded``).
+    The levels are folded on coefficient lists (``_expanded``); past degree
+    ``_MAX_DEGREE`` it raises ValueError before folding.
 
     >>> [str(p) for p in dominant_chain((1, 1))]
     ['t^3 - t^2 - 2*t', 't^5 - 2*t^4 - 5*t^3 + 2*t']
     """
-    return [IntPoly(p) for p in _expanded(params(prefix, 1))]
+    vals = params(prefix, 1)
+    _check_degree(_size(vals) + 1)
+    return [IntPoly(p) for p in _expanded(vals)]
 
 
 def braid_char_poly(m):
@@ -76,9 +75,17 @@ def braid_char_poly(m):
     Equals t^(m_last) P + sigma P* with P the dominant polynomial of the
     prefix and sigma the tuple sign, closed on the coefficient list of P;
     coincides coefficientwise with char_poly(transition_matrix(m)).
+    Past degree ``_MAX_DEGREE`` it raises ValueError before expanding.
     """
     m = BraidTuple(m)
+    _check_degree(m.size)
     return _closed(deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign)
+
+
+def _check_degree(degree):
+    # ValueError when a polynomial to expand would pass the degree limit
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"the polynomial would have degree {degree}; the limit is {_MAX_DEGREE}")
 
 
 def _closed(p, last, sign):
@@ -421,15 +428,15 @@ def dilatation(m, method="both", tol=1e-10):
     m = BraidTuple(m)
     lam_formula = agreement = certificate = bracket = None
     # the nonzero limit refuses a matrix route before any formula work
-    entries = None if method == "formula" else _limited_entries(m.values)
+    program = None if method == "formula" else _level_program(m.values, m.size)
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = _perron(m.size, entries, _level_depths(m.values), tol, above)
+        certificate = _perron(program, tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
-            certificate = _cross_check(cell, m.size, entries, _level_depths(m.values), tol)
+            certificate = _cross_check(cell, program, tol)
             agreement = abs(lam_formula - certificate.eigenvalue)
     lam_matrix = None if certificate is None else certificate.eigenvalue
     return DilatationReport(
@@ -455,18 +462,18 @@ def limit_dilatation(prefix):
 
 
 def _certified_limit(vals):
-    block, _ = _extension(vals)  # primitive: its depths are its extension's first
-    cell = _cell(vals)  # after the nonzero limit, which _extension checks
-    _cross_check(cell, block.size, block.entries, _level_depths(vals + (1,))[: block.size])
+    block = _level_program(vals + (1,), _size(vals) + 1)  # the dominant block
+    cell = _cell(vals)  # after the nonzero limit, which _level_program checks
+    _cross_check(cell, block)
     return cell
 
 
-def _cross_check(cell, size, entries, depth, tol=1e-10):
+def _cross_check(cell, program, tol=1e-10):
     """``_perron``'s certificate of a braid matrix, checked against ``cell``.
 
-    The matrix is the size-square one of ``entries``, primitive by
-    ``treebuilder``'s lemma, with the breadth-first ``depth`` of its levels,
-    so no graph is searched.  The formula route's cell and the
+    The matrix and its solve's structure are ``program``, built from the
+    levels: primitive by ``treebuilder``'s lemma, so no graph is searched
+    and no matrix validated.  The formula route's cell and the
     Collatz-Wielandt enclosure (width ``tol``) are compared exactly and must
     share a point, else AssertionError; the test is exact at any ``tol``.
     Noda's iteration starts just above the cell's upper end, but the
@@ -474,12 +481,12 @@ def _cross_check(cell, size, entries, depth, tol=1e-10):
     never a false overlap.
     """
     lo, hi = cell.bracket()
-    cert = _perron(size, entries, depth, tol, float(hi))
+    cert = _perron(program, tol, float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
             f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
             f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of "
-            f"its {size}x{size} matrix"
+            f"its {program.size}x{program.size} matrix"
         )
     return cert
 

@@ -13,26 +13,31 @@ commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
 comes from Noda inverse iteration from the all-ones vector with an exact
 Collatz-Wielandt enclosure (``_perron``).  A caller's float just above the
 eigenvalue, when there is one, is the first step's shift; the enclosure is
-still evaluated on the matrix alone.  Each Noda step solves by elimination
-over breadth-first depths (``_HubProgram``), and only the dense system on
-the hubs, at most ``_MAX_HUBS`` vertices, is solved by LU.
-``NNMatrix.spectral_radius`` takes the depths from the search; the braid
-routes of ``dilatation`` read them from the levels.  The enclosure screens
-its rows: a row whose only entry is 1, from j, has (Mv)_i = v_j, so its
-float quotient is v_j / v_i correctly rounded.  Rounding is monotone, so the
-least (greatest) exact quotient of such rows is among those tied at their
-float minimum (maximum); only those and the other rows are evaluated
-exactly.  Only the spectral radius uses numpy, imported on its first call,
+still evaluated on the matrix alone.  Each Noda step eliminates every
+vertex off a set of hubs that meets every cycle, run by run, a run being a
+path on which each vertex reads only the one before it (``_HubProgram``);
+only the dense system on the hubs, at most ``_MAX_HUBS`` vertices, is
+solved by LU.  ``NNMatrix.spectral_radius`` finds the hubs and the runs
+from the breadth-first depths of its search; the braid routes of
+``dilatation`` build the whole program from the levels
+(``treebuilder._level_program``).  The enclosure screens its rows: a row
+whose only entry is 1, from j, has (Mv)_i = v_j, so its float quotient is
+v_j / v_i correctly rounded.  Rounding is monotone, so the least (greatest)
+exact quotient of such rows is among those tied at their float minimum
+(maximum); only those and the other rows are evaluated exactly.  A braid
+matrix's hub rows read 2 at every earlier hub, and those k^2 entries are
+added from one running sum (``_certificate``'s ladder).  Only the spectral
+radius uses numpy, imported on its first call,
 so the commands without a matrix route (``polynomial``, ``matrix``,
 ``verify`` and ``dilatation --method formula``) never load it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .intpoly import IntPoly, _integer, _tolerance
 
@@ -182,9 +187,10 @@ class NNMatrix:
         rescaling keeps tiny eigenvector entries relatively accurate.
 
         Each solve eliminates, without subtraction, every vertex off the hubs
-        that the breadth-first depths of the primitivity test give, and
-        solves only the dense hub system by LU (``_HubProgram``).  A matrix
-        with more than ``_MAX_HUBS`` hubs raises ValueError before any step.
+        that the breadth-first depths of the primitivity test give, along
+        the runs of the rest, and solves only the dense hub system by LU
+        (``_HubProgram.from_depths``).  A matrix with more than
+        ``_MAX_HUBS`` hubs raises ValueError before any step.
 
         The iteration starts from the all-ones vector.  The enclosure
         min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is evaluated exactly
@@ -206,7 +212,7 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        return _perron(self.size, self.entries, depth, tol, None)
+        return _perron(_HubProgram.from_depths(self.size, self.entries, depth), tol, None)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -369,27 +375,23 @@ class NNMatrix:
         return self._pair
 
 
-def _perron(n, entries, depth, tol, above):
-    # NNMatrix.spectral_radius of the primitive n-square matrix of entries and
-    # depths.  A float ``above`` lambda (a braid route's cell or hint) makes
-    # x = above*(1 + 1e-13) the first shift: for x > lambda, xI - M is a
-    # nonsingular M-matrix and (xI - M)y = 1 has a positive solution; else
-    # the step goes on with sigma, at the cost of one solve
+def _perron(program, tol, above):
+    # NNMatrix.spectral_radius on a _HubProgram, the primitive matrix with
+    # the structure of its solves.  A float ``above`` lambda (a braid
+    # route's cell or hint) makes x = above*(1 + 1e-13) the first shift: for
+    # x > lambda, xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a
+    # positive solution; else the step goes on with sigma, at the cost of
+    # one solve
     import numpy as np
 
-    nnz = len(entries)
-    ij = np.fromiter(itertools.chain.from_iterable(entries), np.intp, 2 * nnz)
-    rows, cols = ij[0::2] - 1, ij[1::2] - 1
-    vals = np.fromiter(entries.values(), float, nnz)
-    program = _HubProgram(n, rows, cols, depth)
-
+    n, rows, cols, vals = program.size, program.rows, program.cols, program.vals
     v = np.ones(n)
     w = np.bincount(rows, vals, minlength=n)
     for step in range(_NODA_STEPS):
         ratios = w / v
         lo, sigma = float(ratios.min()), float(ratios.max())
         if sigma - lo <= tol:
-            cert = _certificate(rows, cols, vals, entries, v, w, tol)
+            cert = _certificate(rows, vals, program.exact, program.ladder, v, w, tol)
             if cert is not None:
                 return cert
         scaled = vals * v[cols] / v[rows]
@@ -422,11 +424,18 @@ def _perron(n, entries, depth, tol, above):
     )
 
 
-def _certificate(rows, cols, vals, entries, v, w, tol):
+def _certificate(rows, vals, exact, ladder, v, w, tol):
     """PFCertificate for the positive vector v, or None if wider than tol.
 
-    ``vals`` are the entries' floats and w = Mv.  The rows the float screen
-    keeps (module docstring) are compared exactly, on v scaled to integers.
+    ``rows`` and ``vals`` are the entries' 0-based rows and floats, and
+    w = Mv.  The rows the float screen keeps (module docstring) are compared
+    exactly, on v scaled to integers.  A kept row's (Mv)_i sums its entries
+    in ``exact``, 0-based (rows, cols, ints) arrays, one by one, then the
+    ``ladder`` (heads, rows, counts): each of those rows also reads 2 at
+    the first ``count`` heads, added from a running sum over the heads.  A
+    braid matrix's hub rows read 2 at every earlier hub, so its k^2 such
+    entries cost k additions; another matrix's ladder is empty.  Ladder
+    rows have more than one entry, so the screen keeps them.
     """
     import numpy as np
 
@@ -435,14 +444,20 @@ def _certificate(rows, cols, vals, entries, v, w, tol):
     screened = (np.bincount(rows, minlength=n) == 1) & (np.bincount(rows, vals, minlength=n) == 1)
     kept = ~screened | (ratios == np.where(screened, ratios, math.inf).min())
     kept |= ratios == np.where(screened, ratios, -math.inf).max()
-    picked = kept[rows]  # the kept rows' entries
-    r, c, vl = rows[picked].tolist(), cols[picked].tolist(), v.tolist()
-    pairs = {j: vl[j].as_integer_ratio() for j in {*r, *c}}
-    scale = max(d for _, d in pairs.values())
-    ints = {j: p * (scale // d) for j, (p, d) in pairs.items()}
+    xrows, xcols, xints = exact
+    picked = kept[xrows]  # the kept rows' entries
+    r, c, a = xrows[picked].tolist(), xcols[picked].tolist(), xints[picked].tolist()
+    heads, steps, counts = ladder
+    vl = v.tolist()
+    pairs = {j: vl[j].as_integer_ratio() for j in {*r, *c, *heads}}
+    top = max(d for _, d in pairs.values()).bit_length()  # each d is a power of 2
+    ints = {j: p << (top - d.bit_length()) for j, (p, d) in pairs.items()}
     mv = dict.fromkeys(r, 0)
-    for i, j in zip(r, c):
-        mv[i] += entries[i + 1, j + 1] * ints[j]
+    for i, j, x in zip(r, c, a):
+        mv[i] += x * ints[j]
+    below = [0, *accumulate(ints[h] for h in heads)]  # the sums over the first heads
+    for i, count in zip(steps, counts):
+        mv[i] += 2 * below[count]
     lo = hi = None
     for i, num in mv.items():
         den = ints[i]
@@ -460,107 +475,155 @@ def _certificate(rows, cols, vals, entries, v, w, tol):
 
 
 class _HubProgram:
-    """The fixed structure of the solves (xI - S)y = 1 on one sparsity pattern.
+    """A primitive matrix as ``_perron`` reads it, with the structure of its solves.
 
-    S has the pattern of the entries ``(rows, cols)`` (0-based), and
-    ``depth`` holds breadth-first depths from vertex 0 along the edges
-    j -> i of the entries (i, j).  Along a cycle the depth fails to increase
-    somewhere, so the heads of the edges that do not increase it meet every
-    cycle.  They are hubs, and so is each vertex whose row holds an entry
-    from a vertex that is not such a head beside another entry (no braid
-    matrix has such a row).  Every other vertex r, the rest, has all its
-    in-edges from depth depth(r) - 1 and no self-loop, so in order of depth
-    y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative multiples of 1
-    and of hub values: its form c_r + mu_r * sum_h b_h y_h.  A vertex whose
-    one entry is another vertex of the rest (a link of a chain) takes the b
-    of its owner, the root of its chain, and only scales them by its
-    multiplier mu_r.  Every other vertex of the rest is a root: it has
-    entries from hubs alone and owns its b, b_h = S_e/x for its entry e
-    from h, with mu_r = 1.  ``root`` keys owners by their place in the rest.
+    The n-square matrix M has its entries as 0-based ``rows`` and ``cols``
+    and floats ``vals``, each row's in ascending column order, so that each
+    row sum of Mv adds in one order.  ``exact`` and ``ladder`` give the same
+    entries to ``_certificate``.  The solves are (xI - S)y = 1 for S with
+    M's pattern.
 
-    With s_e = S_e/x, a solve starts every c_r at 1/x and every mu_r at 1,
-    then takes the links in order of depth: c_r = 1/x + s_e c_j and
-    mu_r = s_e mu_j for the link r, its one entry e and the vertex j that
-    entry comes from.  The hub rows' entries then scatter into the
-    |H| x (|H| + 1) system [C | c] with (xI - C) y_H = 1 + c: S_e for an
-    entry among hubs, and for an entry e from k in the rest, S_e c_k into c
-    and S_e mu_k s_t into C for each entry t, from h, of k's owner.
+    Every cycle of the graph meets a hub (the mask ``hub``).  Every other
+    vertex, the rest, reads either hubs alone (a root) or exactly one entry,
+    from another vertex of the rest (a link), and no cycle runs through the
+    rest.  So y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative
+    multiples of 1 and of hub values, c_r + mu_r * sum_h b_h y_h, with the
+    b of r's root: b_h = s_e for the root's entry e from h, s_e = S_e/x.  A
+    root has c_r = 1/x and mu_r = 1; a link r whose entry e comes from j
+    has c_r = 1/x + s_e c_j and mu_r = s_e mu_j.
+
+    ``rest`` orders the rest so that the links form runs: each run (a, b, p)
+    is the slice a:b of ``rest``, whose first vertex reads the vertex at
+    place p < a and each next vertex the one before it.  ``lead`` is each
+    vertex's one entry (a root's is never read) and ``root`` the place of
+    its root.  A braid matrix's rest is one run per level, down its chain;
+    another matrix's may be a tree, which splits into paths.  The hub rows'
+    entries scatter into the |H| x (|H| + 1) system [C | c] with
+    (xI - C) y_H = 1 + c: S_e for an entry among hubs, and for an entry e
+    from k in the rest, S_e c_k into c and S_e mu_k s_t into C for each
+    entry t, from h, of k's root.
     """
 
-    def __init__(self, n, rows, cols, depth):
+    def __init__(self, n, rows, cols, vals, exact, ladder, hub, rest, lead, runs, root):
         import numpy as np
 
-        dep = np.array(depth)
-        hub = np.zeros(n, dtype=bool)
-        hub[rows[dep[rows] <= dep[cols]]] = True
-        # a row that mixes an entry from the rest with another entry
-        hub[rows[~hub[cols] & (np.bincount(rows, minlength=n)[rows] > 1)]] = True
-        self.size, self.hubs = n, np.flatnonzero(hub)
+        self.size, self.rows, self.cols, self.vals = n, rows, cols, vals
+        self.exact, self.ladder = exact, ladder
+        self.hubs = hub.nonzero()[0]
         nh = len(self.hubs)
         if nh > _MAX_HUBS:
             raise ValueError(
                 f"the Perron-Frobenius solve would eliminate to {nh} hub "
                 f"vertices; the limit is {_MAX_HUBS}"
             )
-        rest = np.flatnonzero(~hub)
-        self.rest = rest = rest[np.argsort(dep[rest], kind="stable")]
-        # a vertex's place among the hubs, or in the order of the rest
+        self.rest, self.lead, self.runs, self.root = rest, lead, runs, root
+        # a vertex's place among the hubs, or in the rest
         place = np.zeros(n, dtype=np.intp)
         place[self.hubs] = np.arange(nh)
         place[rest] = np.arange(len(rest))
-        # the rest's entries, row by row in that order
-        tail = np.flatnonzero(~hub[rows])
-        self.tail = tail = tail[np.argsort(place[rows[tail]], kind="stable")]
-        nr, row, heads = len(rest), place[rows[tail]], place[cols[tail]]
-        counts = np.bincount(row, minlength=nr)
-        starts = np.cumsum(counts) - counts
-        # links (a row whose first entry is from the rest has no other), each
-        # with its one entry and the vertex that entry comes from
-        link = ~hub[cols[tail[starts]]]
-        links = np.flatnonzero(link)
-        self.links = np.column_stack((links, starts[links], heads[starts[links]])).tolist()
-        root = np.where(link, heads[starts], np.arange(nr))  # each vertex's owner
-        while not np.array_equal(root[root], root):
-            root = root[root]
-        self.root = root
-        # an owner's b are the s_e of its entries
-        own = np.flatnonzero(~link[row])
-        self.owned = np.array((row[own], own, heads[own]))
+        from_hub, at_hub = hub[cols], hub[rows]
+        # the roots' entries, all from hubs, root by root in array order
+        own = (from_hub & ~at_hub).nonzero()[0]
+        own = own[np.argsort(place[rows[own]], kind="stable")]
+        self.owned = np.array((place[rows[own]], own, place[cols[own]]))
+        counts = np.bincount(self.owned[0], minlength=len(rest))
         # the hub rows' entries: among hubs, from k in the rest, and from k
-        # through each entry t of k's owner (the owner's run of the tail)
+        # through each entry t of k's root (the root's run of ``own``)
         width = nh + 1
-        self.direct = np.flatnonzero(hub[rows] & hub[cols])
-        self.into = into = np.flatnonzero(hub[rows] & ~hub[cols])
+        self.direct = (at_hub & from_hub).nonzero()[0]
+        self.into = into = (at_hub & ~from_hub).nonzero()[0]
         self.k = k = place[cols[into]]
-        reach = counts[root[k]]  # the number of entries of k's owner
-        e = np.repeat(into, reach)
-        t = np.arange(len(e)) + np.repeat(starts[root[k]] + reach - np.cumsum(reach), reach)
-        self.through = np.array((e, np.repeat(k, reach), t))
+        reach = counts[root[k]]  # the number of entries of k's root
+        e = into.repeat(reach)
+        t = own[np.arange(len(e)) + (np.cumsum(counts)[root[k]] - np.cumsum(reach)).repeat(reach)]
+        self.through = np.array((e, k.repeat(reach), t))
         self.cells = np.concatenate((
             place[rows[self.direct]] * width + place[cols[self.direct]],
             place[rows[into]] * width + nh,
-            place[rows[e]] * width + heads[t],
+            place[rows[e]] * width + place[cols[t]],
         ))
+
+    @classmethod
+    def from_depths(cls, n, entries, depth):
+        """The program of the n-square matrix of ``entries``, by its breadth-first ``depth``.
+
+        ``depth`` is along the edges j -> i of the entries (i, j), from
+        vertex 0.  Along a cycle the depth fails to increase somewhere, so
+        the heads of the edges that do not increase it meet every cycle.
+        They are hubs, and so is each vertex whose row holds an entry from a
+        vertex that is not such a head beside another entry.  Every other
+        vertex has all its in-edges from the depth before its own and no
+        self-loop, so the rest holds no cycle.  Its links form a forest
+        under the roots, laid out in runs: a run follows the first of a
+        vertex's links, and each other link starts a run of its own.
+        """
+        import numpy as np
+
+        nnz = len(entries)
+        ij = np.fromiter(chain.from_iterable(entries), np.intp, 2 * nnz)
+        rows, cols = ij[0::2] - 1, ij[1::2] - 1
+        vals = np.fromiter(entries.values(), float, nnz)
+        exact = (rows, cols, np.fromiter(entries.values(), object, nnz))
+        dep = np.array(depth)
+        hub = np.zeros(n, dtype=bool)
+        hub[rows[dep[rows] <= dep[cols]]] = True
+        # a row that mixes an entry from the rest with another entry
+        hub[rows[~hub[cols] & (np.bincount(rows, minlength=n)[rows] > 1)]] = True
+        links = (~hub[rows] & ~hub[cols]).nonzero()[0]  # each link's one entry
+        lead = np.zeros(n, dtype=np.intp)
+        lead[rows[links]] = links
+        kids = [[] for _ in range(n)]
+        for r, j in zip(rows[links].tolist(), cols[links].tolist()):
+            kids[j].append(r)
+        roots = ~hub
+        roots[rows[links]] = False
+        rest = roots.nonzero()[0].tolist()  # the roots first, then the runs
+        root, runs = list(range(len(rest))), []
+        todo = [(p, r) for p, j in enumerate(rest) for r in kids[j]]
+        while todo:
+            p, r = todo.pop()
+            a = len(rest)
+            while True:
+                rest.append(r)
+                root.append(root[p])
+                todo += [(len(rest) - 1, kid) for kid in kids[r][1:]]
+                if not kids[r]:
+                    break
+                r = kids[r][0]
+            runs.append((a, len(rest), p))
+        rest = np.array(rest, dtype=np.intp)
+        return cls(
+            n, rows, cols, vals, exact, ((), (), ()), hub, rest, lead[rest], runs,
+            np.array(root, dtype=np.intp),
+        )
 
 
 def _hub_solve(program, scaled, x):
     """y with (xI - S)y = 1, for S with the entries ``scaled`` on ``program``'s pattern.
 
-    Every form of the rest is a sum of non-negative terms for x > 0; only
-    the dense hub system (xI - C) y_H = 1 + c, by LU with partial pivoting,
-    subtracts.  Raises numpy.linalg.LinAlgError when that system is
-    singular.  The rest then follows from y_H by its forms, so y is
-    positive wherever y_H is.
+    One sweep over the runs gives the rest's forms: each run's c and mu in
+    one pass down it from its predecessor's, c_r = 1/x + s_e c_j and
+    mu_r = s_e mu_j as ``_HubProgram`` states them.  Every form is a sum of
+    non-negative terms for x > 0; only the dense hub system
+    (xI - C) y_H = 1 + c, by LU with partial pivoting, subtracts.  Raises
+    numpy.linalg.LinAlgError when that system is singular.  The rest then
+    follows from y_H by its forms, so y is positive wherever y_H is.
     """
     import numpy as np
 
-    s = (scaled[program.tail] / x).tolist()
-    c = [1 / x] * len(program.rest)
-    mu = [1.0] * len(program.rest)
-    for r, e, j in program.links:
-        c[r] += s[e] * c[j]
-        mu[r] = s[e] * mu[j]
-    s, c, mu = np.array(s), np.array(c), np.array(mu)
+    s = scaled / x
+    inv = 1 / x
+    lead = s[program.lead].tolist()
+    c, mu = np.full(len(lead), inv), np.ones(len(lead))
+    # written into the arrays through memoryviews: a Python step function
+    # under itertools.accumulate, or lists turned into arrays, took longer
+    cs, ms = memoryview(c), memoryview(mu)
+    for a, b, p in program.runs:
+        cj, mj = cs[p], ms[p]
+        for r in range(a, b):
+            se = lead[r]
+            cs[r] = cj = inv + se * cj
+            ms[r] = mj = se * mj
     nh = len(program.hubs)
     e, k, t = program.through
     weights = np.concatenate((

@@ -23,16 +23,25 @@ dominant block B, so by cofactor expansion along that row it is
 Each build hands its entries to ``NNMatrix`` unchecked: they are positive
 ints at indices in 1..N by construction, and the tests check them.
 
-The Perron-Frobenius solve reads its breadth-first depths from the levels
-(``_level_depths``).  Along the edges j -> i of the entries (i, j), every
-vertex gets a depth: 0 at vertex 1, 1 at each last vertex n_j and hub
-n_i + 1 (their rows read column 1), and n_j - r + 1 at a vertex r strictly
-inside a level's chain, down its superdiagonal.  Along the edges, every
-vertex also reaches vertex 1: down its chain to its hub, then to rows
-n_i - 1 and n_i of the level before, and so on.  Each hub has a self-loop,
-so every transition matrix is primitive, and so is a dominant block: its
-depths are the first n_i + 1 of its extension by 1, whose last vertex feeds
-only the hub.  This lemma is why ``verify`` searches no graph.
+The Perron-Frobenius solve reads its structure from the levels
+(``_level_program``).  Along the edges j -> i of the entries (i, j), every
+vertex gets a breadth-first depth from vertex 1: 0 at vertex 1, 1 at each
+last vertex n_j and hub n_i + 1 (their rows read column 1), and
+n_j - r + 1 at a vertex r strictly inside a level's chain, down its
+superdiagonal.  Along the edges, every vertex also reaches vertex 1: down
+its chain to its hub, then to rows n_i - 1 and n_i of the level before,
+and so on.  Each hub has a self-loop, so every transition matrix is
+primitive, and so is a dominant block: its depths are the first n_i + 1 of
+its extension by 1, whose last vertex feeds only the hub.  This lemma is
+why no braid route searches a graph.  The heads of the edges that do not
+increase the depth are vertex 1, the last vertices and the hubs, 2(k + 1)
+of them (2k + 1 in a dominant block), and they are the solve's hubs.
+Every other vertex lies inside a chain and reads only the next one, except
+the chain's last, its root, which reads the last vertex n_j and, when a
+level follows, its hub n_j + 1.  So each chain is one run of the solve's
+elimination, read down from its root.  A hub row and a last row read 2 at
+every earlier hub: a ladder, whose exact row sums the certificate adds
+from one running sum.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix
+from .nnmatrix import NNMatrix, _HubProgram
 
 __all__ = [
     "BraidTuple",
@@ -220,13 +229,61 @@ def _entries(values):
     return e
 
 
-def _level_depths(values):
-    # the module docstring's depths: vertex 1, chain 2..n_1, then hub and chain
-    ns = block_boundaries(values)
-    depth = [0, *range(ns[0] - 1, 0, -1)]
-    for lo, hi in zip(ns, ns[1:]):
-        depth += [1, *range(hi - lo - 1, 0, -1)]
-    return depth
+def _level_program(values, size):
+    """The Perron-Frobenius solve's ``_HubProgram`` of a braid matrix, from its levels.
+
+    The matrix is the leading size-square block of the transition matrix
+    of the tuple ``values``: all of it at size n_{k+1}, or, at size
+    n_k + 1, the dominant block of ``values[:-1]``, as ``_extension`` cuts
+    it.  Past the nonzero limit of ``values`` it raises ValueError before
+    building anything.  The entries are built kind by kind, as the module
+    docstring lists them, in arrays with no dict: ``_entries`` builds the
+    same entries for ``NNMatrix``, whose commands load no numpy.  Each
+    row's entries come in ascending column order, as in ``_entries``.  The
+    hubs, the chains and the ladder are read from the levels.
+    """
+    import numpy as np
+
+    _check_nonzeros(values)
+    bounds = block_boundaries(values)
+    heads = [b for b in bounds if b < size]  # each level's hub n_i + 1, 0-based
+    ends = [b - 1 for b in bounds if b <= size]  # each level's last row n_j, 0-based
+    h, l = len(heads), len(ends)
+    head, last, line = np.array(heads, np.intp), np.array(ends[1:], np.intp), np.arange(size)
+    # the ladder: a level's hub row and last row read 2 at every earlier hub,
+    # and a dominant block's last level has no last row
+    row, col = (line[:h, None] > line[:h]).nonzero()
+    cut = (l - 1) * (l - 2) // 2
+    # by kind, each in its rows' column order: column 1, the ladder, each
+    # hub's self-loop and each last row's own hub, the superdiagonal, and
+    # row n_i - 1 into the hub
+    rows = np.concatenate((ends, head, head[row], last[row[:cut]], head, last, line[:-1], head - 2))
+    cols = np.concatenate((
+        np.zeros(l + h, np.intp), head[col], head[col[:cut]], head, head[: l - 1], line[1:], head
+    ))
+    ladder = slice(l + h, l + h + len(row) + cut)
+    ints = np.repeat([1, 2, 1, 2, 1, 1], [l + h, ladder.stop - ladder.start, h, l - 1, size - 1, h])
+    exact = [np.concatenate((x[: ladder.start], x[ladder.stop :])) for x in (rows, cols, ints)]
+    hub = np.zeros(size, dtype=bool)
+    hub[[0, *ends, *heads]] = True
+    # each nonempty chain: its root, the row before its level's last row,
+    # and its links, each reading the row after it, down to the row after
+    # the level's hub (row 2 on level 0); the roots come first in the rest
+    chains = [(end - 1, end - start) for end, start in zip(ends, [1, *(x + 1 for x in heads)])]
+    roots = np.array([r for r, n in chains if n], np.intp)
+    links = np.array([n - 1 for r, n in chains if n], np.intp)
+    firsts = len(roots) + np.cumsum(links) - links  # each run's first place
+    runs = [
+        (a, a + n, p) for p, (a, n) in enumerate(zip(firsts.tolist(), links.tolist())) if n
+    ]
+    places = np.arange(len(roots), len(roots) + links.sum())
+    rest = np.concatenate((roots, (roots - 1 + firsts).repeat(links) - places))
+    root = np.concatenate((np.arange(len(roots)), np.arange(len(roots)).repeat(links)))
+    lead = rest + (rows.size - h - (size - 1))  # each chain row's superdiagonal entry
+    ladder = (heads, [*heads, *ends[1:]], [*range(h), *range(l - 1)])
+    return _HubProgram(
+        size, rows, cols, ints.astype(float), exact, ladder, hub, rest, lead, runs, root
+    )
 
 
 def dominant_matrix(prefix):

@@ -26,7 +26,7 @@ from pabraid import (
     poly_matrix_det,
     transition_matrix,
 )
-from pabraid.nnmatrix import _perron
+from pabraid.nnmatrix import _HubProgram, _perron
 
 
 def grid_tuples():
@@ -308,10 +308,13 @@ def subinvariance_bound(matrix, y):
 def seeded_radius(matrix, above, tol=1e-10):
     """``matrix.spectral_radius(tol)`` with Noda's first shift just above ``above``.
 
-    The braid routes' one entry into the solve, ``_perron``, on the depths
-    of the primitivity search; ``above`` None gives the unseeded solve.
+    The braid routes' one entry into the solve, ``_perron``, on the program
+    that ``NNMatrix.spectral_radius`` builds: its entries as the dict holds
+    them, and its hubs and runs from the depths of the primitivity search.
+    ``above`` None gives the unseeded solve.
     """
-    return _perron(matrix.size, matrix.entries, matrix._primitive_depths(), tol, above)
+    program = _HubProgram.from_depths(matrix.size, matrix.entries, matrix._primitive_depths())
+    return _perron(program, tol, above)
 
 
 def all_rows_certificate(rows, cols, vals, v, tol):

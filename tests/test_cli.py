@@ -15,6 +15,7 @@ import pytest
 
 import pabraid
 import pabraid.cli
+import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
@@ -80,6 +81,32 @@ class TestPolynomialCommand:
         lines = out.splitlines()
         assert lines[0] == "chain[1]: t^6 - t^5 - 2*t"
         assert lines[-1] == "char_poly: t^8 - t^7 - 2*t^5 - 2*t^3 - t + 1"
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (("polynomial", "--tuple", "1,1000000000000"), 1000000000003),
+            (("dilatation", "--tuple", "1,1000000000000", "--method", "formula"), 1000000000003),
+            (("polynomial", "--chain", "--tuple", "1000000000000,1"), 1000000000002),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_past_the_degree_limit_is_one_error_line(self, capsys, argv, degree):
+        # the polynomial's padded coefficient list, 8 TB, ended in an
+        # uncaught MemoryError
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: the polynomial would have degree {degree}; the limit is 10000000\n"
+
+    def test_the_degree_limit_admits_its_own_degree(self, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("pabraid.dilatation"), "_MAX_DEGREE", 8)
+        assert run(capsys, "polynomial", "--tuple", "4,2", "--chain")[0] == 0
+        rc, _, err = run(capsys, "polynomial", "--tuple", "4,3")
+        assert (rc, err) == (1, "error: the polynomial would have degree 9; the limit is 8\n")
+
+    def test_a_degree_of_a_million_prints(self, capsys):
+        rc, out, _ = run(capsys, "polynomial", "--tuple", "1,1000000")
+        assert (rc, out) == (0, "char_poly: t^1000003 - t^1000002 - 2*t^1000001 - 2*t^2 - t + 1\n")
 
 
 class TestMatrixCommand:
@@ -242,6 +269,28 @@ class TestBoundCommand:
     def test_invalid_targets_fail_computationally(self, capsys):
         rc, _, err = run(capsys, "bound", "--lambda", "0.9", "--volume", "1")
         assert rc == 1 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--lambda", "1.1", "--volume", "20"),
+        ("dilatation", "--tuple", ",".join(["79"] * 42), "--method", "matrix"),
+    ],
+    ids=["bound 1.1 20", "dilatation (79,)*42 matrix"],
+)
+def test_the_solve_is_built_from_the_levels_alone(capsys, monkeypatch, argv):
+    # the braid route's Perron-Frobenius solve builds no entries dict and no
+    # program from breadth-first depths, and prints the same
+    expected = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("entries dict or breadth-first program built")
+
+    monkeypatch.setattr(treebuilder, "_entries", refuse)
+    monkeypatch.setattr(nnmatrix._HubProgram, "from_depths", refuse)
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize(
@@ -684,6 +733,7 @@ class TestReadme:
         nnmatrix, volume, formula = (importlib.import_module(f"pabraid.{n}") for n in names)
         printed = {
             "`_MAX_NONZEROS`": str(treebuilder._MAX_NONZEROS),
+            "`_MAX_DEGREE`": str(formula._MAX_DEGREE),
             "`_MAX_HUBS`": str(nnmatrix._MAX_HUBS),
             "`_NODA_STEPS`": str(nnmatrix._NODA_STEPS),
             "`_SMALLEST_NORMAL`": f"{nnmatrix._SMALLEST_NORMAL:.1e}",
@@ -692,7 +742,7 @@ class TestReadme:
             "`_V3_BITS_CAP`": f"2^-{volume._V3_BITS_CAP}",
             "`_FINEST_GRID`": f"2^-{formula._FINEST_GRID}",
         }
-        assert len(rows) == 11
+        assert len(rows) == 12
         assert {constant for _, constant in rows} == set(printed) | {"–"}
         for value, constant in rows:
             if constant != "–":

@@ -605,10 +605,18 @@ class TestLimitCertificateProperties:
         assert_in_enclosure(limit_dilatation(prefix), prefix)
 
 
+def _entries_1_to_80(shortest, longest):
+    # tuples with entries 1..80, their length drawn first so that long ones
+    # are as likely as short ones
+    entry = st.integers(1, 80)
+    return st.integers(shortest, longest).flatmap(lambda n: st.tuples(*[entry] * n))
+
+
 class TestLevelRoute:
-    # the braid routes solve on the levels' structure (``_perron`` on
-    # ``_limited_entries`` and ``_level_depths``) and certify exactly what
-    # the seeded solve certifies on the NNMatrix
+    # the braid routes solve on the program built from the levels
+    # (``_perron`` on ``_level_program``) and certify exactly what the
+    # seeded solve certifies on the NNMatrix, whose program comes from its
+    # dict and its breadth-first search
 
     def test_tuple_certificates_are_spectral_radius(self):
         for values in corpus_parameters()[0][1:201]:
@@ -633,6 +641,35 @@ class TestLevelRoute:
             above = float(cell.bracket()[1])
             assert cert == seeded_radius(dominant_matrix(prefix), above)
             checked.clear()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(values=_entries_1_to_80(2, 30))
+    @example(values=(80,) * 30)
+    @example(values=(1,) * 30)
+    def test_random_tuple_certificates_are_spectral_radius(self, values):
+        matrix = transition_matrix(values)
+        above = dilatation_module._float_hint(values[:-1], values[-1])
+        assert dilatation(values, "matrix").certificate == seeded_radius(matrix, above)
+        report = dilatation(values, "both")
+        above = float(report.formula_bracket[1])
+        assert report.certificate == seeded_radius(matrix, above)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(prefix=_entries_1_to_80(1, 29))
+    @example(prefix=(80,) * 29)
+    @example(prefix=(1,) * 29)
+    def test_random_limit_certificates_are_spectral_radius(self, prefix):
+        checked, cross_check = [], dilatation_module._cross_check
+
+        def spy(cell, *args):
+            checked.append((cell, cross_check(cell, *args)))
+            return checked[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dilatation_module, "_cross_check", spy)
+            dilatation_module._certified_limit(prefix)
+        (cell, cert), = checked
+        assert cert == seeded_radius(dominant_matrix(prefix), float(cell.bracket()[1]))
 
     def test_no_matrix_is_validated_and_no_search_is_run(self, monkeypatch):
         # the limit's dominant block is _extension's, built unchecked

@@ -94,6 +94,21 @@ def cycles_with_chords(draw):
     return NNMatrix(n, entries)
 
 
+@st.composite
+def forests_under_a_hub(draw):
+    # vertex 1 has a self-loop and reads every leaf; every other vertex reads
+    # one earlier vertex, its parent.  So vertex 1 is the one hub, and the
+    # rest is a forest under its children that branches wherever a vertex
+    # has two children
+    n = draw(st.integers(2, 30))
+    weight = st.integers(1, 4)
+    parents = {v: draw(st.integers(1, v - 1)) for v in range(2, n + 1)}
+    entries = {(v, p): draw(weight) for v, p in parents.items()}
+    entries.update({(1, v): draw(weight) for v in parents if v not in parents.values()})
+    entries[(1, 1)] = draw(weight)
+    return NNMatrix(n, entries)
+
+
 def scaled_value(poly, x):
     """poly(x)·2^(s·deg) exactly, in integers, for the float x = num / 2^s."""
     num, den = x.as_integer_ratio()
@@ -429,11 +444,11 @@ _VECTOR_ENTRY = st.one_of(
 
 def screened_and_oracle(rows, cols, vals, v, tol):
     """``_certificate``'s (lower, upper, eigenvalue), or None, and the all-rows oracle's."""
-    entries = {(i + 1, j + 1): x for i, j, x in zip(rows, cols, vals)}
     v, fvals = np.array(v), np.array(vals, dtype=float)
     rows, cols = np.array(rows), np.array(cols)
     w = np.bincount(rows, fvals * v[cols], minlength=len(v))  # as Noda's loop forms Mv
-    cert = nnmatrix._certificate(rows, cols, fvals, entries, v, w, tol)
+    exact = (rows, cols, np.array(vals))  # every entry one by one, and no ladder
+    cert = nnmatrix._certificate(rows, fvals, exact, ((), (), ()), v, w, tol)
     screened = None if cert is None else (cert.lower, cert.upper, cert.eigenvalue)
     return screened, all_rows_certificate(rows.tolist(), cols.tolist(), vals, v.tolist(), tol)
 
@@ -500,8 +515,7 @@ class TestScreenedCertificate:
 
 def hub_program(m):
     """The elimination's structure for m, built as spectral_radius builds it."""
-    ij = np.array(list(m.entries)) - 1
-    return nnmatrix._HubProgram(m.size, ij[:, 0], ij[:, 1], m._primitive_depths())
+    return nnmatrix._HubProgram.from_depths(m.size, m.entries, m._primitive_depths())
 
 
 def corpus_matrices():
@@ -548,6 +562,28 @@ class TestHubSolve:
     def test_sparse_primitive_matrix_matches_splu(self, m):
         assume(m.is_primitive())
         assert_solve_matches_splu(m)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(m=forests_under_a_hub())
+    def test_a_forest_under_the_hubs_matches_splu(self, m):
+        assert_solve_matches_splu(m)
+        assert_certified(m.spectral_radius(), m.char_poly(), 1e-10)
+
+    def test_a_tree_splits_into_paths(self):
+        # 0-based: 1 reads the hub 0, 2 reads 1, and 3 and 4 both read 2,
+        # then 5 reads 4; the hub reads the leaves 3 and 5.  The root 1
+        # starts the run 2, 3 (2's first child), and 4 starts a run of its
+        # own from the link 2
+        m = NNMatrix(6, {(1, 1): 1, (2, 1): 1, (3, 2): 2, (4, 3): 1, (5, 3): 3, (6, 5): 1,
+                         (1, 4): 1, (1, 6): 2})
+        program = hub_program(m)
+        rest = program.rest.tolist()
+        assert program.hubs.tolist() == [0]
+        runs = {(rest[p], tuple(rest[a:b])) for a, b, p in program.runs}
+        assert runs == {(1, (2, 3)), (2, (4, 5))}
+        assert program.root.tolist() == [0] * 5
+        assert_solve_matches_splu(m)
+        assert_certified(m.spectral_radius(), m.char_poly(), 1e-10)
 
     def test_corpus_matrices_match_splu(self):
         for m in corpus_matrices():

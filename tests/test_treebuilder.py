@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import itertools
 import re
@@ -23,6 +22,7 @@ from pabraid import (
     transition_matrix,
     validate_structure,
 )
+import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid.cli import main
 from pabraid.treebuilder import StructureCheck, StructureReport, params, parse_params
@@ -234,11 +234,13 @@ class TestMatrixSizeLimit:
     @pytest.fixture
     def no_entries(self, monkeypatch):
         # a matrix past the limit must not be built: without the limit these
-        # tests would fill gigabytes
+        # tests would fill gigabytes.  The dict and the solve's arrays are
+        # both built from the block boundaries, after the limit's check
         def refuse(vals):
             raise AssertionError("entries built")
 
-        monkeypatch.setattr(importlib.import_module("pabraid.treebuilder"), "_entries", refuse)
+        monkeypatch.setattr(treebuilder, "_entries", refuse)
+        monkeypatch.setattr(treebuilder, "block_boundaries", refuse)
 
     @pytest.mark.parametrize(
         "values, nonzeros",
@@ -297,21 +299,78 @@ class TestMatrixSizeLimit:
         )
 
 
-def assert_level_depths(values):
-    # the formula is the breadth-first search of the primitivity test
-    matrix = transition_matrix(values)
-    assert treebuilder._level_depths(values) == matrix._primitive_depths()
+def lemma_depths(values):
+    # the module docstring's depths: vertex 1, chain 2..n_1, then hub and chain
+    ns = block_boundaries(values)
+    depth = [0, *range(ns[0] - 1, 0, -1)]
+    for lo, hi in zip(ns, ns[1:]):
+        depth += [1, *range(hi - lo - 1, 0, -1)]
+    return depth
+
+
+def by_row(rows, cols, ints):
+    # each row's (column, entry) pairs, in the order given
+    out = {}
+    for i, j, v in zip(rows, cols, ints):
+        out.setdefault(i, []).append((j, v))
+    return out
+
+
+def runs_of(program):
+    # each run as (the vertex it starts from, its vertices), checking that
+    # each vertex's lead entry reads the vertex before it
+    rest, rows, cols = (x.tolist() for x in (program.rest, program.rows, program.cols))
+    runs = set()
+    for a, b, p in program.runs:
+        path = rest[a:b]
+        lead = program.lead[a:b].tolist()
+        assert [rows[e] for e in lead] == path
+        assert [cols[e] for e in lead] == [rest[p], *path[:-1]]
+        runs.add((rest[p], tuple(path)))
+    return runs
+
+
+def assert_level_structure(matrix, program, depth):
+    """The levels give the search's depths and the program the search builds.
+
+    ``program`` holds the entries of ``matrix`` row by row in _entries'
+    order, and the exact entries and the ladder hold them too; its hubs,
+    roots and runs are those that the breadth-first depths give.
+    """
+    entries = [(i - 1, j - 1, v) for (i, j), v in matrix.entries.items()]
+    arrays = (x.tolist() for x in (program.rows, program.cols, program.vals))
+    assert by_row(*arrays) == by_row(*zip(*entries))
+    heads, ladder, counts = program.ladder
+    exact = [*zip(*(x.tolist() for x in program.exact))]
+    exact += [(i, heads[t], 2) for i, count in zip(ladder, counts) for t in range(count)]
+    assert sorted(exact) == sorted(entries)
+    assert depth == matrix._primitive_depths()
     assert matrix.is_primitive()
+    searched = nnmatrix._HubProgram.from_depths(matrix.size, matrix.entries, depth)
+    assert program.hubs.tolist() == searched.hubs.tolist()
+    roots = [program.rest[program.root].tolist(), searched.rest[searched.root].tolist()]
+    assert dict(zip(program.rest.tolist(), roots[0])) == dict(zip(searched.rest.tolist(), roots[1]))
+    assert runs_of(program) == runs_of(searched)
+
+
+def assert_level_depths(values):
+    assert_level_structure(
+        transition_matrix(values),
+        treebuilder._level_program(values, block_boundaries(values)[-1]),
+        lemma_depths(values),
+    )
 
 
 def assert_block_depths(prefix):
     # a dominant block's depths are the first n_i + 1 of its extension by 1
     block = dominant_matrix(prefix)
-    assert treebuilder._level_depths(prefix + (1,))[: block.size] == block._primitive_depths()
+    program = treebuilder._level_program(prefix + (1,), block.size)
+    assert_level_structure(block, program, lemma_depths(prefix + (1,))[: block.size])
 
 
 class TestLevelDepths:
-    # the depths and the primitivity lemma of the module docstring
+    # the depths and the primitivity lemma of the module docstring, and the
+    # solve's program that _level_program reads from the levels
 
     @pytest.mark.parametrize(
         "values", [(1, 1), (1, 2), (2, 1), (79,) * 42], ids=["1,1", "1,2", "2,1", "(79,)*42"]
