@@ -20,10 +20,13 @@ import math
 from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import accumulate
 
 from .intpoly import _GRID, IntPoly, _integer, _tolerance
-from .nnmatrix import _perron
-from .treebuilder import BraidTuple, _level_program, _size, closing_sign, params
+from .nnmatrix import (
+    PFCertificate, _dense_solve, _dyadic_ints, _extremes, _noda, _round_down, _uncertified
+)
+from .treebuilder import BraidTuple, _hub_matrix, _level_hubs, _size, closing_sign, params
 
 __all__ = [
     "DilatationReport",
@@ -50,6 +53,10 @@ _EXACT_RATIO = 64
 # bytes and more per coefficient: printing one of degree 10^7 takes about
 # 0.7 s and 250 MB
 _MAX_DEGREE = 10_000_000
+# the matrix route's chain ratio rho = num / 2^_RHO_BITS, and the bits of
+# the balls of its powers: both far finer than a double
+_RHO_BITS = 96
+_POWER_BITS = 128
 
 
 def dominant_chain(prefix):
@@ -428,15 +435,15 @@ def dilatation(m, method="both", tol=1e-10):
     m = BraidTuple(m)
     lam_formula = agreement = certificate = bracket = None
     # the nonzero limit refuses a matrix route before any formula work
-    program = None if method == "formula" else _level_program(m.values, m.size)
+    levels = None if method == "formula" else _level_hubs(m.values, m.size)
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = _perron(program, tol, above)
+        certificate = _level_perron(levels, tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
         if method == "both":
-            certificate = _cross_check(cell, program, tol)
+            certificate = _cross_check(cell, levels, tol)
             agreement = abs(lam_formula - certificate.eigenvalue)
     lam_matrix = None if certificate is None else certificate.eigenvalue
     return DilatationReport(
@@ -462,18 +469,18 @@ def limit_dilatation(prefix):
 
 
 def _certified_limit(vals):
-    block = _level_program(vals + (1,), _size(vals) + 1)  # the dominant block
-    cell = _cell(vals)  # after the nonzero limit, which _level_program checks
+    block = _level_hubs(vals + (1,), _size(vals) + 1)  # the dominant block
+    cell = _cell(vals)  # after the nonzero limit, which _level_hubs checks
     _cross_check(cell, block)
     return cell
 
 
-def _cross_check(cell, program, tol=1e-10):
-    """``_perron``'s certificate of a braid matrix, checked against ``cell``.
+def _cross_check(cell, levels, tol=1e-10):
+    """``_level_perron``'s certificate of a braid matrix, checked against ``cell``.
 
-    The matrix and its solve's structure are ``program``, built from the
-    levels: primitive by ``treebuilder``'s lemma, so no graph is searched
-    and no matrix validated.  The formula route's cell and the
+    The matrix is ``levels``, built from the block boundaries: primitive
+    by ``treebuilder``'s lemma, so no graph is searched and no matrix
+    validated.  The formula route's cell and the
     Collatz-Wielandt enclosure (width ``tol``) are compared exactly and must
     share a point, else AssertionError; the test is exact at any ``tol``.
     Noda's iteration starts just above the cell's upper end, but the
@@ -481,14 +488,125 @@ def _cross_check(cell, program, tol=1e-10):
     never a false overlap.
     """
     lo, hi = cell.bracket()
-    cert = _perron(program, tol, float(hi))
+    cert = _level_perron(levels, tol, float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
             f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
             f"Perron-Frobenius enclosure [{cert.lower}, {cert.upper}] of "
-            f"its {program.size}x{program.size} matrix"
+            f"its {levels.size}x{levels.size} matrix"
         )
     return cert
+
+
+def _level_perron(levels, tol, above):
+    """The certified Perron-Frobenius eigenvalue of a braid matrix, on its hubs alone.
+
+    Noda's iteration (``_noda``, shared with ``NNMatrix.spectral_radius``)
+    runs on the hub matrix R(t) of ``treebuilder._hub_matrix``, for a chain
+    ratio t = 1/rho, rho = num / 2^96 nearest to 1/``above`` at first; the
+    float ``above`` (a braid route's cell or hint) is also the first
+    shift.  The enclosure is exact on the whole matrix (``_level_enclosure``).
+    R(t) has the Perron root r(t) = t only at t = lambda, so when the hub
+    rows' quotients lie within tol but the enclosure does not, t moves:
+    first to r(t), then by secant steps on r(t) - t.  An enclosure that no
+    longer narrows raises the step cap's RuntimeError.
+    """
+    import numpy as np
+
+    t, v, seed, points = Fraction(above), np.ones(len(levels.hubs)), above, []
+    while True:
+        num = round((1 << _RHO_BITS) / t)
+        t = Fraction(1 << _RHO_BITS, num)
+        balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) if n else (1, 0, 0)
+                 for n in {*levels.lengths}}
+        weights = [math.ldexp(balls[n][0], -balls[n][2]) for n in levels.lengths]
+        matrix = _hub_matrix(levels, np.array(weights))
+        out = _noda(
+            v, matrix.dot, partial(_dense_solve, matrix),
+            partial(_level_enclosure, levels, num, balls, tol), tol, seed,
+        )
+        if isinstance(out, PFCertificate):
+            return out
+        width, r, v = out
+        if len(points) > 1 and width >= min(p[0] for p in points):
+            raise _uncertified(tol)
+        points.append((width, t, r - t))
+        if len(points) == 1:  # a probe
+            t = r
+        else:  # a secant step
+            (_, t0, f0), (_, t1, f1) = points[-2:]
+            if f1 == f0:
+                raise _uncertified(tol)
+            t = t1 - f1 * (t1 - t0) / (f1 - f0)
+        seed = None
+
+
+def _level_enclosure(levels, num, balls, tol, v, w):
+    """``_level_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
+
+    The vector of the whole matrix is v on the hubs and, on each chain,
+    (v_{E_i} + v_{H_(i+1)}) rho^(d+1) at d rows from its root, with
+    rho = num / 2^96.  So every chain row's quotient is exactly 1/rho, and
+    only the hub rows are evaluated, on v scaled to integers and rho^L as
+    the ball ``balls[L]``, which ``_power`` rounds outward.  Returns a
+    PFCertificate within tol; None when the hub rows alone lie wider than
+    tol, for more Noda steps; else the enclosure's width, the midpoint of
+    the hub rows' quotients and v.
+    """
+    vl = v.tolist()
+    h = len(vl)
+    ints = _dyadic_ints(range(h), vl)
+    sums = [0] * h
+    for i, j, a in zip(*levels.entries):
+        sums[i] += a * ints[j]
+    heads, steps, counts = levels.ladder
+    below = [0, *accumulate(ints[j] for j in heads)]
+    for i, count in zip(steps, counts):
+        sums[i] += 2 * below[count]
+    lows = [(total, ints[i]) for i, total in enumerate(sums)]
+    highs = lows[:]
+    for i, n in zip(range(0, h, 2), levels.lengths):  # each chain's reader H_i
+        mid, rad, lift = balls[n]
+        reads = ints[i + 1] + (ints[i + 2] if i + 2 < h else 0)
+        top, den = sums[i] << lift, ints[i] << lift
+        lows[i], highs[i] = (top + reads * (mid - rad), den), (top + reads * (mid + rad), den)
+    lower, upper = hubs = _extremes(lows, highs)
+    if Fraction(upper) - Fraction(lower) > Fraction(tol):
+        return None
+    if any(levels.lengths):  # a chain row's quotient 2^96 / num
+        ratio = Fraction(1 << _RHO_BITS, num)
+        lower, upper = min(lower, _round_down(ratio)), max(upper, -_round_down(-ratio))
+    width = Fraction(upper) - Fraction(lower)
+    if width > Fraction(tol):
+        return width, (Fraction(hubs[0]) + Fraction(hubs[1])) / 2, v
+    lam = 0.5 * (lower + upper)
+    vector, residual = _level_vector(levels, v, w, num / (1 << _RHO_BITS), lam)
+    return PFCertificate(lam, lower, upper, vector, residual)
+
+
+def _level_vector(levels, v, w, rho, lam):
+    # the float eigenvector of the whole matrix, v on the hubs and
+    # (v_E + v_H) rho^(d+1) on the chains, rounded and scaled to max entry
+    # 1, and its float residual max |Mv - lam v|, with w = R(t)v for Mv on
+    # the hubs
+    import numpy as np
+
+    hubs, n = np.array(levels.hubs), levels.size
+    readers = 2 * np.arange(len(levels.lengths))
+    # each root's two reads; a dominant block, with an odd hub count, ends on a hub
+    base = v[readers + 1] + np.append(v[readers[1:]], v[-1] if len(v) % 2 else 0.0)
+    chain = np.ones(n, dtype=bool)
+    chain[hubs] = False
+    at = chain.nonzero()[0]
+    ends = hubs[readers + 1]
+    level = np.searchsorted(ends, at)
+    mv = base[level] * rho ** (ends[level] - at - 1)
+    full, product = np.empty(n), np.empty(n)
+    full[hubs], full[at] = v, mv * rho
+    product[hubs], product[at] = w, mv
+    top = full.max()  # a chain vertex of a dominant block may pass the hubs
+    full, product = full / top, product / top
+    return tuple(full.tolist()), float(abs(product - lam * full).max())
 
 
 MonotonicityCheck = namedtuple("MonotonicityCheck", "lambda_before lambda_after strictly_decreasing")

@@ -11,23 +11,21 @@ Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
 commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
 comes from Noda inverse iteration from the all-ones vector with an exact
-Collatz-Wielandt enclosure (``_perron``).  A caller's float just above the
-eigenvalue, when there is one, is the first step's shift; the enclosure is
-still evaluated on the matrix alone.  Each Noda step eliminates every
-vertex off a set of hubs that meets every cycle, run by run, a run being a
-path on which each vertex reads only the one before it (``_HubProgram``);
-only the dense system on the hubs, at most ``_MAX_HUBS`` vertices, is
-solved by LU.  ``NNMatrix.spectral_radius`` finds the hubs and the runs
-from the breadth-first depths of its search; the braid routes of
-``dilatation`` build the whole program from the levels
-(``treebuilder._level_program``).  The enclosure screens its rows: a row
-whose only entry is 1, from j, has (Mv)_i = v_j, so its float quotient is
-v_j / v_i correctly rounded.  Rounding is monotone, so the least (greatest)
-exact quotient of such rows is among those tied at their float minimum
-(maximum); only those and the other rows are evaluated exactly.  A braid
-matrix's hub rows read 2 at every earlier hub, and those k^2 entries are
-added from one running sum (``_certificate``'s ladder).  Only the spectral
-radius uses numpy, imported on its first call,
+Collatz-Wielandt enclosure (``_perron``).  The iteration, its shifts and
+its step cap are written once (``_noda``): the braid routes of
+``dilatation`` run it on the hub matrix that ``treebuilder`` builds from
+the levels, whose chains are eliminated exactly, with a certificate of
+their own.  Each Noda step of ``NNMatrix.spectral_radius`` eliminates
+every vertex off a set of hubs that meets every cycle, run by run, a run
+being a path on which each vertex reads only the one before it
+(``_HubProgram``, found from the breadth-first depths of its search); only
+the dense system on the hubs, at most ``_MAX_HUBS`` vertices, is solved by
+LU.  The enclosure screens its rows: a row whose only entry is 1, from j,
+has (Mv)_i = v_j, so its float quotient is v_j / v_i correctly rounded.
+Rounding is monotone, so the least (greatest) exact quotient of such rows
+is among those tied at their float minimum (maximum); only those and the
+other rows are evaluated exactly.  Only the spectral radius uses numpy,
+imported on its first call,
 so the commands without a matrix route (``polynomial``, ``matrix``,
 ``verify`` and ``dilatation --method formula``) never load it.
 """
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 
 from .intpoly import IntPoly, _integer, _tolerance
 
@@ -65,7 +63,8 @@ class PFCertificate(namedtuple(
     eigenvalue lambda, with ``upper - lower <= tol``; ``eigenvalue`` is the
     midpoint.  ``right_eigenvector`` is a tuple of floats, and ``residual``
     is max_i |(Mv)_i - eigenvalue*v_i| in floating point for that
-    eigenvector v.
+    eigenvector v.  The braid routes certify a vector that is geometric
+    down each chain; on the chains their float vector is a rounding of it.
     """
 
     __slots__ = ()
@@ -203,7 +202,8 @@ class NNMatrix:
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
         Noda solve is not positive even from the fallback shift.  The solve
-        is ``_perron``, which ``dilatation`` runs on braid matrices directly.
+        is ``_perron``; ``dilatation`` runs ``_noda`` on braid matrices'
+        hubs directly.
         """
         _tolerance(tol)
         depth = self._primitive_depths()
@@ -377,24 +377,44 @@ class NNMatrix:
 
 def _perron(program, tol, above):
     # NNMatrix.spectral_radius on a _HubProgram, the primitive matrix with
-    # the structure of its solves.  A float ``above`` lambda (a braid
-    # route's cell or hint) makes x = above*(1 + 1e-13) the first shift: for
-    # x > lambda, xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a
-    # positive solution; else the step goes on with sigma, at the cost of
-    # one solve
+    # the structure of its solves: ``_noda`` with its sparse products, its
+    # solves by elimination and its screened certificate
     import numpy as np
 
     n, rows, cols, vals = program.size, program.rows, program.cols, program.vals
-    v = np.ones(n)
-    w = np.bincount(rows, vals, minlength=n)
+    return _noda(
+        np.ones(n),
+        lambda v: np.bincount(rows, vals * v[cols], minlength=n),
+        lambda v, x: _hub_solve(program, vals * v[cols] / v[rows], x),
+        lambda v, w: _certificate(rows, cols, vals, program.ints, v, w, tol),
+        tol,
+        above,
+    )
+
+
+def _noda(v, product, solve, certify, tol, above):
+    """Noda's iteration from the positive vector v: the first ``certify(v, w)`` not None.
+
+    ``product(v)`` is Mv, and ``solve(v, x)`` is y with (xI - D^-1 M D)y = 1,
+    D = diag(v); it raises numpy.linalg.LinAlgError when that system is
+    singular.  Each step whose Collatz-Wielandt ratios w/v lie within tol
+    asks ``certify`` first.  A float ``above`` lambda (a braid route's cell
+    or hint) makes x = above*(1 + 1e-13) the first shift: for x > lambda,
+    xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a positive
+    solution; else the step goes on with sigma, at the cost of one solve.
+    RuntimeError after ``_NODA_STEPS`` steps, when an entry of v falls below
+    ``_SMALLEST_NORMAL``, or when no shift gives a positive solve.
+    """
+    import numpy as np
+
+    w = product(v)
     for step in range(_NODA_STEPS):
         ratios = w / v
         lo, sigma = float(ratios.min()), float(ratios.max())
         if sigma - lo <= tol:
-            cert = _certificate(rows, vals, program.exact, program.ladder, v, w, tol)
-            if cert is not None:
-                return cert
-        scaled = vals * v[cols] / v[rows]
+            out = certify(v, w)
+            if out is not None:
+                return out
         # Noda's shift sigma first.  The solve fails (singular hub system)
         # or loses positivity when sigma is far closer to lambda than v is
         # to the eigenvector; the step is then retried from above sigma by
@@ -404,7 +424,7 @@ def _perron(program, tol, above):
             shifts = (above * (1 + _SEED_MARGIN), *shifts)
         for shift in shifts:
             try:
-                y = _hub_solve(program, scaled, shift)
+                y = solve(v, shift)
             except np.linalg.LinAlgError:  # shift equals lambda to double precision
                 continue
             if np.all(y > 0):
@@ -418,24 +438,58 @@ def _perron(program, tol, above):
                 "an iterate entry fell below the smallest normal double "
                 f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
             )
-        w = np.bincount(rows, vals * v[cols], minlength=n)
-    raise RuntimeError(
+        w = product(v)
+    raise _uncertified(tol)
+
+
+def _uncertified(tol):
+    # the error of an enclosure that stays wider than tol
+    return RuntimeError(
         f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
     )
 
 
-def _certificate(rows, vals, exact, ladder, v, w, tol):
+def _dense_solve(matrix, v, x):
+    """``_noda``'s solve on the dense matrix M: y with (xI - D^-1 M D)y = 1, D = diag(v).
+
+    LU with partial pivoting first.  When its y is not positive (an
+    iterate spanning many decades loses its small entries to the pivoting's
+    subtractions), the system A = xI - D^-1 M D is eliminated again without
+    pivoting, column by column from the last.  For x above the Perron root
+    A is an M-matrix, and that elimination subtracts only on the diagonal:
+    each row r < k with an entry in column k takes f = a_rk / a_kk <= 0
+    times row k, whose entries left of k are <= 0 as row r's are, and the
+    right side only grows.  The lower triangle left is solved forward, each
+    y_i a sum of non-negative terms over its pivot.  The hub matrix's rows
+    read at most two columns past their own, so this costs O(h^2).
+    """
+    import numpy as np
+
+    h = len(v)
+    a = matrix * (-v / v[:, None])
+    a.flat[:: h + 1] += x
+    y = np.linalg.solve(a, np.ones(h))
+    if np.all(y > 0):
+        return y
+    b, z = np.ones(h), np.empty(h)
+    with np.errstate(all="ignore"):  # below the Perron root a pivot fails
+        for k in range(h - 1, 0, -1):
+            for r in a[:k, k].nonzero()[0]:
+                f = a[r, k] / a[k, k]
+                a[r, :k] -= f * a[k, :k]
+                b[r] -= f * b[k]
+        for i in range(h):
+            z[i] = (b[i] - a[i, :i] @ z[:i]) / a[i, i]
+    return z if np.isfinite(z).all() else y
+
+
+def _certificate(rows, cols, vals, ints, v, w, tol):
     """PFCertificate for the positive vector v, or None if wider than tol.
 
-    ``rows`` and ``vals`` are the entries' 0-based rows and floats, and
-    w = Mv.  The rows the float screen keeps (module docstring) are compared
-    exactly, on v scaled to integers.  A kept row's (Mv)_i sums its entries
-    in ``exact``, 0-based (rows, cols, ints) arrays, one by one, then the
-    ``ladder`` (heads, rows, counts): each of those rows also reads 2 at
-    the first ``count`` heads, added from a running sum over the heads.  A
-    braid matrix's hub rows read 2 at every earlier hub, so its k^2 such
-    entries cost k additions; another matrix's ladder is empty.  Ladder
-    rows have more than one entry, so the screen keeps them.
+    ``rows``, ``cols`` and ``vals`` are the entries' 0-based rows and
+    columns and their floats, ``ints`` the same entries exactly, and
+    w = Mv.  The rows the float screen keeps (module docstring) are
+    compared exactly, on v scaled to integers.
     """
     import numpy as np
 
@@ -444,34 +498,40 @@ def _certificate(rows, vals, exact, ladder, v, w, tol):
     screened = (np.bincount(rows, minlength=n) == 1) & (np.bincount(rows, vals, minlength=n) == 1)
     kept = ~screened | (ratios == np.where(screened, ratios, math.inf).min())
     kept |= ratios == np.where(screened, ratios, -math.inf).max()
-    xrows, xcols, xints = exact
-    picked = kept[xrows]  # the kept rows' entries
-    r, c, a = xrows[picked].tolist(), xcols[picked].tolist(), xints[picked].tolist()
-    heads, steps, counts = ladder
+    picked = kept[rows]  # the kept rows' entries
+    r, c, a = rows[picked].tolist(), cols[picked].tolist(), ints[picked].tolist()
     vl = v.tolist()
-    pairs = {j: vl[j].as_integer_ratio() for j in {*r, *c, *heads}}
-    top = max(d for _, d in pairs.values()).bit_length()  # each d is a power of 2
-    ints = {j: p << (top - d.bit_length()) for j, (p, d) in pairs.items()}
+    ints = _dyadic_ints({*r, *c}, vl)
     mv = dict.fromkeys(r, 0)
     for i, j, x in zip(r, c, a):
         mv[i] += x * ints[j]
-    below = [0, *accumulate(ints[h] for h in heads)]  # the sums over the first heads
-    for i, count in zip(steps, counts):
-        mv[i] += 2 * below[count]
-    lo = hi = None
-    for i, num in mv.items():
-        den = ints[i]
-        if lo is None or num * lo[1] < lo[0] * den:
-            lo = (num, den)
-        if hi is None or num * hi[1] > hi[0] * den:
-            hi = (num, den)
-    lower = _round_down(Fraction(*lo))
-    upper = -_round_down(-Fraction(*hi))
+    quotients = [(num, ints[i]) for i, num in mv.items()]
+    lower, upper = _extremes(quotients, quotients)
     if Fraction(upper) - Fraction(lower) > Fraction(tol):
         return None
     lam = 0.5 * (lower + upper)
-    residual = float(abs(w - lam * v).max())
-    return PFCertificate(lam, lower, upper, tuple(vl), residual)
+    return PFCertificate(lam, lower, upper, tuple(vl), float(abs(w - lam * v).max()))
+
+
+def _dyadic_ints(places, vl):
+    # the floats vl at ``places`` times one power of 2 that makes them all
+    # integers, by place: each denominator of a float is a power of 2
+    pairs = {j: vl[j].as_integer_ratio() for j in places}
+    top = max(d for _, d in pairs.values()).bit_length()
+    return {j: p << (top - d.bit_length()) for j, (p, d) in pairs.items()}
+
+
+def _extremes(lows, highs):
+    # the least of the positive fractions (num, den) ``lows``, rounded down
+    # to a float, and the greatest of ``highs``, rounded up
+    lo = hi = None
+    for num, den in lows:
+        if lo is None or num * lo[1] < lo[0] * den:
+            lo = (num, den)
+    for num, den in highs:
+        if hi is None or num * hi[1] > hi[0] * den:
+            hi = (num, den)
+    return _round_down(Fraction(*lo)), -_round_down(-Fraction(*hi))
 
 
 class _HubProgram:
@@ -479,8 +539,8 @@ class _HubProgram:
 
     The n-square matrix M has its entries as 0-based ``rows`` and ``cols``
     and floats ``vals``, each row's in ascending column order, so that each
-    row sum of Mv adds in one order.  ``exact`` and ``ladder`` give the same
-    entries to ``_certificate``.  The solves are (xI - S)y = 1 for S with
+    row sum of Mv adds in one order, and ``ints`` holds the same entries
+    exactly for ``_certificate``.  The solves are (xI - S)y = 1 for S with
     M's pattern.
 
     Every cycle of the graph meets a hub (the mask ``hub``).  Every other
@@ -504,18 +564,12 @@ class _HubProgram:
     entry t, from h, of k's root.
     """
 
-    def __init__(self, n, rows, cols, vals, exact, ladder, hub, rest, lead, runs, root):
+    def __init__(self, n, rows, cols, vals, ints, hub, rest, lead, runs, root):
         import numpy as np
 
-        self.size, self.rows, self.cols, self.vals = n, rows, cols, vals
-        self.exact, self.ladder = exact, ladder
+        self.size, self.rows, self.cols, self.vals, self.ints = n, rows, cols, vals, ints
         self.hubs = hub.nonzero()[0]
-        nh = len(self.hubs)
-        if nh > _MAX_HUBS:
-            raise ValueError(
-                f"the Perron-Frobenius solve would eliminate to {nh} hub "
-                f"vertices; the limit is {_MAX_HUBS}"
-            )
+        nh = _check_hubs(len(self.hubs))
         self.rest, self.lead, self.runs, self.root = rest, lead, runs, root
         # a vertex's place among the hubs, or in the rest
         place = np.zeros(n, dtype=np.intp)
@@ -563,7 +617,7 @@ class _HubProgram:
         ij = np.fromiter(chain.from_iterable(entries), np.intp, 2 * nnz)
         rows, cols = ij[0::2] - 1, ij[1::2] - 1
         vals = np.fromiter(entries.values(), float, nnz)
-        exact = (rows, cols, np.fromiter(entries.values(), object, nnz))
+        ints = np.fromiter(entries.values(), object, nnz)
         dep = np.array(depth)
         hub = np.zeros(n, dtype=bool)
         hub[rows[dep[rows] <= dep[cols]]] = True
@@ -593,9 +647,18 @@ class _HubProgram:
             runs.append((a, len(rest), p))
         rest = np.array(rest, dtype=np.intp)
         return cls(
-            n, rows, cols, vals, exact, ((), (), ()), hub, rest, lead[rest], runs,
-            np.array(root, dtype=np.intp),
+            n, rows, cols, vals, ints, hub, rest, lead[rest], runs, np.array(root, dtype=np.intp)
         )
+
+
+def _check_hubs(count):
+    # the hub count of a solve, or ValueError past ``_MAX_HUBS``
+    if count > _MAX_HUBS:
+        raise ValueError(
+            f"the Perron-Frobenius solve would eliminate to {count} hub "
+            f"vertices; the limit is {_MAX_HUBS}"
+        )
+    return count
 
 
 def _hub_solve(program, scaled, x):

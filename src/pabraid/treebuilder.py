@@ -24,7 +24,7 @@ Each build hands its entries to ``NNMatrix`` unchecked: they are positive
 ints at indices in 1..N by construction, and the tests check them.
 
 The Perron-Frobenius solve reads its structure from the levels
-(``_level_program``).  Along the edges j -> i of the entries (i, j), every
+(``_level_hubs``).  Along the edges j -> i of the entries (i, j), every
 vertex gets a breadth-first depth from vertex 1: 0 at vertex 1, 1 at each
 last vertex n_j and hub n_i + 1 (their rows read column 1), and
 n_j - r + 1 at a vertex r strictly inside a level's chain, down its
@@ -38,10 +38,10 @@ increase the depth are vertex 1, the last vertices and the hubs, 2(k + 1)
 of them (2k + 1 in a dominant block), and they are the solve's hubs.
 Every other vertex lies inside a chain and reads only the next one, except
 the chain's last, its root, which reads the last vertex n_j and, when a
-level follows, its hub n_j + 1.  So each chain is one run of the solve's
-elimination, read down from its root.  A hub row and a last row read 2 at
-every earlier hub: a ladder, whose exact row sums the certificate adds
-from one running sum.
+level follows, its hub n_j + 1.  On a chain an eigenvector is geometric,
+so each chain is eliminated exactly (``_hub_matrix``), and the solve runs
+on the hubs alone.  A hub row and a last row read 2 at every earlier hub:
+a ladder, whose exact row sums the certificate adds from one running sum.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix, _HubProgram
+from .nnmatrix import NNMatrix, _check_hubs
 
 __all__ = [
     "BraidTuple",
@@ -229,61 +229,66 @@ def _entries(values):
     return e
 
 
-def _level_program(values, size):
-    """The Perron-Frobenius solve's ``_HubProgram`` of a braid matrix, from its levels.
+_Levels = namedtuple("_Levels", "size hubs entries ladder lengths")
+
+
+def _level_hubs(values, size):
+    """The braid matrix of ``values`` on its hubs, with its chains eliminated.
 
     The matrix is the leading size-square block of the transition matrix
     of the tuple ``values``: all of it at size n_{k+1}, or, at size
     n_k + 1, the dominant block of ``values[:-1]``, as ``_extension`` cuts
     it.  Past the nonzero limit of ``values`` it raises ValueError before
-    building anything.  The entries are built kind by kind, as the module
-    docstring lists them, in arrays with no dict: ``_entries`` builds the
-    same entries for ``NNMatrix``, whose commands load no numpy.  Each
-    row's entries come in ascending column order, as in ``_entries``.  The
-    hubs, the chains and the ladder are read from the levels.
+    building anything, and past ``_MAX_HUBS`` hubs as well.  A ``_Levels``:
+    ``hubs``, the hubs' 0-based vertices in order, H_0 = vertex 1, then
+    each level's last row E_i and the next level's hub H_{i+1} (at hub
+    places 2i + 1 and 2i + 2); ``entries`` (rows, cols, ints) and
+    ``ladder`` (heads, rows, counts), the entries among hubs by hub place,
+    each ladder row reading 2 at the first ``count`` heads H_1, H_2, ...;
+    and ``lengths``, the length L_i of each complete level's chain.  That
+    chain is read by H_i from its first vertex, and its root reads E_i and
+    H_{i+1}, when there is one, so ``_hub_matrix`` eliminates it.
+    """
+    _check_nonzeros(values)
+    bounds = block_boundaries(values)
+    levels = len(values) - (size < bounds[-1])  # those with a last row
+    h = _check_hubs(2 * len(values) - (size < bounds[-1]))
+    hubs = [0, *(x for b in bounds[:levels] for x in (b - 1, b))][:h]
+    # column 1 and each hub's self-loop; each last row's own hub and the
+    # next level's hub
+    entries = [(2 * i, j, 1) for i in range(1, (h + 1) // 2) for j in (0, 2 * i)]
+    for i in range(levels):
+        entries += [(2 * i + 1, 0, 1)] + [(2 * i + 1, 2 * i, 2)] * (i > 0)
+        entries += [(2 * i + 1, 2 * i + 2, 1)] * (2 * i + 2 < h)
+    steps = range(4, h)  # H_i and E_i, i >= 2, read 2 at H_1 .. H_{i-1}
+    ladder = [2 * i for i in range(1, (h + 1) // 2)], steps, [i // 2 - 1 for i in steps]
+    return _Levels(size, hubs, tuple(zip(*entries)), ladder, [m - 1 for m in values[:levels]])
+
+
+def _hub_matrix(levels, weights):
+    """The hub matrix R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH of ``_Levels``.
+
+    ``weights`` holds t^-L for each chain of length L, a float array or an
+    object array of exact values.  On the chain's vertices c_1 .. c_L, c_L
+    its root, (tI - M)v = 0 gives t v_{c_d} = v_{c_(d+1)} and
+    t v_{c_L} = v_{E_i} + v_{H_(i+1)}, so v_{c_1} = t^-L (v_{E_i} + v_{H_(i+1)}):
+    H_i, which reads c_1 (or, when L = 0, those two hubs itself), reads
+    t^-L at both.  R(lambda) has the Perron root lambda, and its Perron
+    vector is the matrix's on the hubs.
     """
     import numpy as np
 
-    _check_nonzeros(values)
-    bounds = block_boundaries(values)
-    heads = [b for b in bounds if b < size]  # each level's hub n_i + 1, 0-based
-    ends = [b - 1 for b in bounds if b <= size]  # each level's last row n_j, 0-based
-    h, l = len(heads), len(ends)
-    head, last, line = np.array(heads, np.intp), np.array(ends[1:], np.intp), np.arange(size)
-    # the ladder: a level's hub row and last row read 2 at every earlier hub,
-    # and a dominant block's last level has no last row
-    row, col = (line[:h, None] > line[:h]).nonzero()
-    cut = (l - 1) * (l - 2) // 2
-    # by kind, each in its rows' column order: column 1, the ladder, each
-    # hub's self-loop and each last row's own hub, the superdiagonal, and
-    # row n_i - 1 into the hub
-    rows = np.concatenate((ends, head, head[row], last[row[:cut]], head, last, line[:-1], head - 2))
-    cols = np.concatenate((
-        np.zeros(l + h, np.intp), head[col], head[col[:cut]], head, head[: l - 1], line[1:], head
-    ))
-    ladder = slice(l + h, l + h + len(row) + cut)
-    ints = np.repeat([1, 2, 1, 2, 1, 1], [l + h, ladder.stop - ladder.start, h, l - 1, size - 1, h])
-    exact = [np.concatenate((x[: ladder.start], x[ladder.stop :])) for x in (rows, cols, ints)]
-    hub = np.zeros(size, dtype=bool)
-    hub[[0, *ends, *heads]] = True
-    # each nonempty chain: its root, the row before its level's last row,
-    # and its links, each reading the row after it, down to the row after
-    # the level's hub (row 2 on level 0); the roots come first in the rest
-    chains = [(end - 1, end - start) for end, start in zip(ends, [1, *(x + 1 for x in heads)])]
-    roots = np.array([r for r, n in chains if n], np.intp)
-    links = np.array([n - 1 for r, n in chains if n], np.intp)
-    firsts = len(roots) + np.cumsum(links) - links  # each run's first place
-    runs = [
-        (a, a + n, p) for p, (a, n) in enumerate(zip(firsts.tolist(), links.tolist())) if n
-    ]
-    places = np.arange(len(roots), len(roots) + links.sum())
-    rest = np.concatenate((roots, (roots - 1 + firsts).repeat(links) - places))
-    root = np.concatenate((np.arange(len(roots)), np.arange(len(roots)).repeat(links)))
-    lead = rest + (rows.size - h - (size - 1))  # each chain row's superdiagonal entry
-    ladder = (heads, [*heads, *ends[1:]], [*range(h), *range(l - 1)])
-    return _HubProgram(
-        size, rows, cols, ints.astype(float), exact, ladder, hub, rest, lead, runs, root
-    )
+    h = len(levels.hubs)
+    r = np.zeros((h, h), dtype=weights.dtype)
+    rows, cols, ints = levels.entries
+    r[rows, cols] = ints
+    heads, steps, counts = (np.array(x, dtype=np.intp) for x in levels.ladder)
+    r[steps[:, None], heads] += 2 * (np.arange(len(heads)) < counts[:, None])
+    readers = 2 * np.arange(len(weights))
+    r[readers, readers + 1] += weights
+    more = readers + 2 < h
+    r[readers[more], readers[more] + 2] += weights[more]
+    return r
 
 
 def dominant_matrix(prefix):

@@ -317,6 +317,46 @@ def seeded_radius(matrix, above, tol=1e-10):
     return _perron(program, tol, above)
 
 
+def schur_hub_matrix(entries, hubs, t):
+    """R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH over the 0-based vertices ``hubs``, exactly.
+
+    ``entries`` maps 1-based (row, col) to M's entries and t is a Fraction.
+    The rest C must hold no cycle, so M_CC is nilpotent and (tI - M_CC)^-1
+    M_CH is the finite sum of t^-(k+1) M_CC^k M_CH, formed column by column
+    on sparse dicts until the power vanishes.  A dense list of rows, in the
+    order of ``hubs``.
+    """
+    place = {h: p for p, h in enumerate(hubs)}
+    rows = {}
+    for (i, j), a in entries.items():
+        rows.setdefault(i - 1, {})[j - 1] = a
+    cols = {}
+    for i, row in rows.items():
+        for j, a in row.items():
+            cols.setdefault(j, {})[i] = a
+    r = [[Fraction(0)] * len(hubs) for _ in hubs]
+    for i, row in rows.items():
+        for j, a in row.items():
+            if i in place and j in place:
+                r[place[i]][place[j]] += a
+    for h, q in place.items():
+        # x = t^-(k+1) M_CC^k M_CH e_h on C, each power read by the hub rows
+        x = {i: Fraction(a) / t for i, a in cols.get(h, {}).items() if i not in place}
+        for _ in range(len(entries) + 1):
+            if not x:
+                break
+            nxt = {}
+            for j, xj in x.items():
+                for i, a in cols.get(j, {}).items():
+                    if i in place:
+                        r[place[i]][q] += a * xj
+                    else:
+                        nxt[i] = nxt.get(i, 0) + a * xj / t
+            x = nxt
+        assert not x, "the rest holds a cycle"
+    return r
+
+
 def all_rows_certificate(rows, cols, vals, v, tol):
     """(lower, upper, eigenvalue) of the exact Collatz-Wielandt pass over every row.
 

@@ -612,64 +612,104 @@ def _entries_1_to_80(shortest, longest):
     return st.integers(shortest, longest).flatmap(lambda n: st.tuples(*[entry] * n))
 
 
+def assert_level_contract(cert, tol, cell, seeded, below, root=lambda x: False):
+    """The braid routes' enclosure: exact, at most tol wide, overlapping
+    ``seeded_radius``'s enclosure and meeting the formula cell.
+
+    ``below(x)`` is the exact decision "the eigenvalue < x" at a dyadic x,
+    and ``root(x)`` whether x is the eigenvalue (a limit may be rational).
+    """
+    lower, upper = Fraction(cert.lower), Fraction(cert.upper)
+    assert not below(lower) and (below(upper) or root(upper))
+    assert upper - lower <= Fraction(tol)
+    assert lower <= Fraction(seeded.upper) and Fraction(seeded.lower) <= upper
+    assert _overlaps(cell.bracket(), cert)
+
+
+def assert_tuple_routes(values, tol=1e-10):
+    # both braid routes of a tuple, against the seeded solve on its NNMatrix
+    matrix = transition_matrix(values)
+    below = partial(_below, values)
+    cell = dilatation_module._cell(values[:-1], values[-1])
+    above = dilatation_module._float_hint(values[:-1], values[-1])
+    cert = dilatation(values, "matrix", tol=tol).certificate
+    assert_level_contract(cert, tol, cell, seeded_radius(matrix, above), below)
+    cert = dilatation(values, "both", tol=tol).certificate
+    assert_level_contract(cert, tol, cell, seeded_radius(matrix, float(cell.bracket()[1])), below)
+
+
+def certified_limit(prefix):
+    # _certified_limit's cell and the certificate its cross-check certified
+    checked, cross_check = [], dilatation_module._cross_check
+
+    def spy(cell, *args):
+        checked.append(cross_check(cell, *args))
+        return checked[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dilatation_module, "_cross_check", spy)
+        cell = dilatation_module._certified_limit(prefix)
+    (cert,) = checked
+    return cell, cert
+
+
+def assert_limit_route(prefix):
+    cell, cert = certified_limit(prefix)
+    seeded = seeded_radius(dominant_matrix(prefix), float(cell.bracket()[1]))
+    root = lambda x: dominant_chain(prefix)[-1](x) == 0  # noqa: E731
+    assert_level_contract(cert, 1e-10, cell, seeded, partial(_limit_below, prefix), root)
+
+
 class TestLevelRoute:
-    # the braid routes solve on the program built from the levels
-    # (``_perron`` on ``_level_program``) and certify exactly what the
-    # seeded solve certifies on the NNMatrix, whose program comes from its
-    # dict and its breadth-first search
+    # the braid routes solve on the hubs alone (``_level_perron`` on
+    # ``_level_hubs``) and certify an exact enclosure of width at most tol
+    # that overlaps the seeded solve's on the NNMatrix, whose program comes
+    # from its dict and its breadth-first search, and meets the formula cell
 
-    def test_tuple_certificates_are_spectral_radius(self):
-        for values in corpus_parameters()[0][1:201]:
-            matrix = transition_matrix(values)
-            above = dilatation_module._float_hint(values[:-1], values[-1])
-            assert dilatation(values, "matrix").certificate == seeded_radius(matrix, above)
-            report = dilatation(values, "both")
-            above = float(report.formula_bracket[1])
-            assert report.certificate == seeded_radius(matrix, above)
+    def test_tuple_certificates_overlap_spectral_radius(self):
+        for values in corpus_parameters()[0][:201]:
+            assert_tuple_routes(values)
 
-    def test_limit_certificates_are_spectral_radius(self, monkeypatch):
-        checked, cross_check = [], dilatation_module._cross_check
+    @pytest.mark.parametrize("values", [(300, 1), (1, 300)], ids=["300,1", "1,300"])
+    def test_a_long_first_or_last_chain(self, values):
+        assert_tuple_routes(values)
 
-        def spy(cell, *args):
-            checked.append((cell, cross_check(cell, *args)))
-            return checked[-1][1]
-
-        monkeypatch.setattr(dilatation_module, "_cross_check", spy)
-        for prefix in [*corpus_parameters()[1], (1,), (4,), (5,) * 25]:
-            limit_dilatation(prefix)
-            (cell, cert), = checked
-            above = float(cell.bracket()[1])
-            assert cert == seeded_radius(dominant_matrix(prefix), above)
-            checked.clear()
+    def test_limit_certificates_overlap_spectral_radius(self):
+        for prefix in [*corpus_parameters()[1], (1,), (4,), (5,) * 25, (3,) * 300]:
+            assert_limit_route(prefix)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(values=_entries_1_to_80(2, 30))
     @example(values=(80,) * 30)
     @example(values=(1,) * 30)
-    def test_random_tuple_certificates_are_spectral_radius(self, values):
-        matrix = transition_matrix(values)
-        above = dilatation_module._float_hint(values[:-1], values[-1])
-        assert dilatation(values, "matrix").certificate == seeded_radius(matrix, above)
-        report = dilatation(values, "both")
-        above = float(report.formula_bracket[1])
-        assert report.certificate == seeded_radius(matrix, above)
+    def test_random_tuple_certificates_overlap_spectral_radius(self, values):
+        assert_tuple_routes(values)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(prefix=_entries_1_to_80(1, 29))
     @example(prefix=(80,) * 29)
     @example(prefix=(1,) * 29)
-    def test_random_limit_certificates_are_spectral_radius(self, prefix):
-        checked, cross_check = [], dilatation_module._cross_check
+    def test_random_limit_certificates_overlap_spectral_radius(self, prefix):
+        assert_limit_route(prefix)
 
-        def spy(cell, *args):
-            checked.append((cell, cross_check(cell, *args)))
-            return checked[-1][1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dilatation_module, "_cross_check", spy)
-            dilatation_module._certified_limit(prefix)
-        (cell, cert), = checked
-        assert cert == seeded_radius(dominant_matrix(prefix), float(cell.bracket()[1]))
+    @pytest.mark.parametrize(
+        "run, solves",
+        [
+            (lambda: dilatation((79,) * 42, "matrix"), 2),
+            (lambda: dilatation((79,) * 42, "both"), 2),
+            (lambda: limit_dilatation((3,) * 300), 2),
+        ],
+        ids=["witness matrix", "witness both", "limit (3,)*300"],
+    )
+    def test_solve_counts(self, monkeypatch, run, solves):
+        # one dense hub solve per Noda step; (3,)*300 took 165 solves of its
+        # whole block before its chains were eliminated
+        calls, solve = [], dilatation_module._dense_solve
+        monkeypatch.setattr(
+            dilatation_module, "_dense_solve", lambda *args: calls.append(1) or solve(*args)
+        )
+        run()
+        assert len(calls) == solves
 
     def test_no_matrix_is_validated_and_no_search_is_run(self, monkeypatch):
         # the limit's dominant block is _extension's, built unchecked
@@ -687,6 +727,38 @@ class TestLevelRoute:
         monkeypatch.setattr(NNMatrix, "_primitive_depths", refuse)
         monkeypatch.setattr(NNMatrix, "__init__", refuse)
         assert [run() for run in runs] == expected
+
+
+class TestTightTolerances:
+    # every (tuple, tol) that certified while the solve ran on the whole
+    # matrix still certifies, by both braid routes: all 213 corpus tuples at
+    # 1e-12 and 1e-14 and three small tuples at 1e-15 all did
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14])
+    def test_corpus_tuples(self, tol):
+        for values in corpus_parameters()[0]:
+            for method in ("matrix", "both"):
+                cert = dilatation(values, method, tol=tol).certificate
+                assert Fraction(cert.upper) - Fraction(cert.lower) <= Fraction(tol)
+
+    @pytest.mark.parametrize("values", [(4, 2), (1, 1, 1, 1), (3, 10, 2, 5, 2, 7)])
+    def test_small_tuples_at_1e_15(self, values):
+        for method in ("matrix", "both"):
+            cert = dilatation(values, method, tol=1e-15).certificate
+            assert Fraction(cert.upper) - Fraction(cert.lower) <= Fraction(1e-15)
+
+    def test_the_witness_at_1e_15(self):
+        # the whole matrix's float vector stopped at a width of about
+        # 1.8e-15 and raised after 500 steps; the hubs' vector, with the
+        # chain ratio moved past a double, certifies
+        cert = dilatation((79,) * 42, "matrix", tol=1e-15).certificate
+        assert Fraction(cert.upper) - Fraction(cert.lower) <= Fraction(1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-20])
+    def test_an_unreachable_tol_names_the_step_cap(self, tol):
+        # below an ulp of lambda no pair of floats encloses it
+        with pytest.raises(RuntimeError, match=f"to tol={tol} within 500 Noda steps$"):
+            dilatation((79,) * 42, "matrix", tol=tol)
 
 
 class TestMonotonicity:

@@ -129,10 +129,11 @@ def assert_certified(cert, poly, tol):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    # a spy on the solve that spectral_radius looks up in its module: one
-    # entry per LU of a hub system, False where that system was singular
+    # a spy on numpy's dense solve, which both the eliminating solve of
+    # spectral_radius and the braid routes' hub solve call once per Noda
+    # solve: one entry per LU of a hub system, False where it was singular
     calls = []
-    solve = nnmatrix._hub_solve
+    solve = np.linalg.solve
 
     def spy(*args):
         try:
@@ -143,7 +144,7 @@ def factorizations(monkeypatch):
         calls.append(True)
         return y
 
-    monkeypatch.setattr(nnmatrix, "_hub_solve", spy)
+    monkeypatch.setattr(np.linalg, "solve", spy)
     return calls
 
 
@@ -447,8 +448,7 @@ def screened_and_oracle(rows, cols, vals, v, tol):
     v, fvals = np.array(v), np.array(vals, dtype=float)
     rows, cols = np.array(rows), np.array(cols)
     w = np.bincount(rows, fvals * v[cols], minlength=len(v))  # as Noda's loop forms Mv
-    exact = (rows, cols, np.array(vals))  # every entry one by one, and no ladder
-    cert = nnmatrix._certificate(rows, fvals, exact, ((), (), ()), v, w, tol)
+    cert = nnmatrix._certificate(rows, cols, fvals, np.array(vals), v, w, tol)
     screened = None if cert is None else (cert.lower, cert.upper, cert.eigenvalue)
     return screened, all_rows_certificate(rows.tolist(), cols.tolist(), vals, v.tolist(), tol)
 

@@ -3,9 +3,11 @@ import io
 import itertools
 import re
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pabraid import (
     BraidTuple,
@@ -37,6 +39,7 @@ from helpers import (
     corpus_parameters,
     grid_tuples,
     krylov_rows,
+    schur_hub_matrix,
 )
 
 
@@ -308,14 +311,6 @@ def lemma_depths(values):
     return depth
 
 
-def by_row(rows, cols, ints):
-    # each row's (column, entry) pairs, in the order given
-    out = {}
-    for i, j, v in zip(rows, cols, ints):
-        out.setdefault(i, []).append((j, v))
-    return out
-
-
 def runs_of(program):
     # each run as (the vertex it starts from, its vertices), checking that
     # each vertex's lead entry reads the vertex before it
@@ -330,33 +325,40 @@ def runs_of(program):
     return runs
 
 
-def assert_level_structure(matrix, program, depth):
-    """The levels give the search's depths and the program the search builds.
+def assert_level_structure(matrix, levels, depth):
+    """The levels give the search's depths, and the hubs and chains the search finds.
 
-    ``program`` holds the entries of ``matrix`` row by row in _entries'
-    order, and the exact entries and the ladder hold them too; its hubs,
-    roots and runs are those that the breadth-first depths give.
+    The hubs of ``levels`` are those that the breadth-first depths give;
+    each chain of length L >= 1 has its root, the row before its level's
+    last row, among the search's roots, and the rest of it is one of the
+    search's runs, read down from the root.  The entries among the hubs
+    are the levels' entries, ladder and chains of length 0.
     """
-    entries = [(i - 1, j - 1, v) for (i, j), v in matrix.entries.items()]
-    arrays = (x.tolist() for x in (program.rows, program.cols, program.vals))
-    assert by_row(*arrays) == by_row(*zip(*entries))
-    heads, ladder, counts = program.ladder
-    exact = [*zip(*(x.tolist() for x in program.exact))]
-    exact += [(i, heads[t], 2) for i, count in zip(ladder, counts) for t in range(count)]
-    assert sorted(exact) == sorted(entries)
     assert depth == matrix._primitive_depths()
     assert matrix.is_primitive()
     searched = nnmatrix._HubProgram.from_depths(matrix.size, matrix.entries, depth)
-    assert program.hubs.tolist() == searched.hubs.tolist()
-    roots = [program.rest[program.root].tolist(), searched.rest[searched.root].tolist()]
-    assert dict(zip(program.rest.tolist(), roots[0])) == dict(zip(searched.rest.tolist(), roots[1]))
-    assert runs_of(program) == runs_of(searched)
+    hubs = levels.hubs
+    assert hubs == searched.hubs.tolist()
+    chains = [(hubs[2 * i + 1] - 1, tuple(range(hubs[2 * i + 1] - 2, hubs[2 * i], -1)))
+              for i, n in enumerate(levels.lengths) if n]
+    assert [len(path) + 1 for _, path in chains] == [n for n in levels.lengths if n]
+    assert {root for root, _ in chains} == set(searched.rest[searched.root].tolist())
+    assert {chain for chain in chains if chain[1]} == runs_of(searched)
+    place = {h: p for p, h in enumerate(hubs)}
+    among = [(place[i - 1], place[j - 1], v) for (i, j), v in matrix.entries.items()
+             if i - 1 in place and j - 1 in place]
+    heads, steps, counts = levels.ladder
+    built = [*zip(*levels.entries)]
+    built += [(i, heads[t], 2) for i, count in zip(steps, counts) for t in range(count)]
+    built += [(2 * i, j, 1) for i, n in enumerate(levels.lengths) if not n
+              for j in (2 * i + 1, 2 * i + 2) if j < len(hubs)]
+    assert sorted(built) == sorted(among)
 
 
 def assert_level_depths(values):
     assert_level_structure(
         transition_matrix(values),
-        treebuilder._level_program(values, block_boundaries(values)[-1]),
+        treebuilder._level_hubs(values, block_boundaries(values)[-1]),
         lemma_depths(values),
     )
 
@@ -364,13 +366,13 @@ def assert_level_depths(values):
 def assert_block_depths(prefix):
     # a dominant block's depths are the first n_i + 1 of its extension by 1
     block = dominant_matrix(prefix)
-    program = treebuilder._level_program(prefix + (1,), block.size)
-    assert_level_structure(block, program, lemma_depths(prefix + (1,))[: block.size])
+    levels = treebuilder._level_hubs(prefix + (1,), block.size)
+    assert_level_structure(block, levels, lemma_depths(prefix + (1,))[: block.size])
 
 
 class TestLevelDepths:
     # the depths and the primitivity lemma of the module docstring, and the
-    # solve's program that _level_program reads from the levels
+    # hubs and chains that _level_hubs reads from the levels
 
     @pytest.mark.parametrize(
         "values", [(1, 1), (1, 2), (2, 1), (79,) * 42], ids=["1,1", "1,2", "2,1", "(79,)*42"]
@@ -399,6 +401,46 @@ class TestLevelDepths:
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=11).map(tuple))
     def test_random_blocks(self, prefix):
         assert_block_depths(prefix)
+
+
+def _entries_1_to_80(shortest, longest):
+    # tuples with entries 1..80, their length drawn first; entries of 1 are
+    # drawn often, for empty chains and for vertex 1 as a chain's root
+    entry = st.one_of(st.just(1), st.integers(1, 80))
+    return st.integers(shortest, longest).flatmap(lambda n: st.tuples(*[entry] * n))
+
+
+class TestChainElimination:
+    # _hub_matrix's R(t), built from the levels, against the dense Schur
+    # complement of the entries dict over the hubs of the breadth-first
+    # search, entry by entry in exact arithmetic
+    TS = (Fraction(1), Fraction(7, 5), Fraction(3))
+
+    def assert_schur(self, matrix, levels):
+        hubs = nnmatrix._HubProgram.from_depths(
+            matrix.size, matrix.entries, matrix._primitive_depths()
+        ).hubs.tolist()
+        for t in self.TS:
+            weights = np.array([t**-n for n in levels.lengths], dtype=object)
+            built = treebuilder._hub_matrix(levels, weights).tolist()
+            assert built == schur_hub_matrix(matrix.entries, hubs, t)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(values=_entries_1_to_80(2, 30))
+    @example(values=(1, 1))
+    @example(values=(1, 80))
+    @example(values=(80, 1))
+    def test_tuples(self, values):
+        levels = treebuilder._level_hubs(values, block_boundaries(values)[-1])
+        self.assert_schur(transition_matrix(values), levels)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(prefix=_entries_1_to_80(1, 29))
+    @example(prefix=(1,))
+    @example(prefix=(1, 1))
+    def test_dominant_blocks(self, prefix):
+        block = dominant_matrix(prefix)
+        self.assert_schur(block, treebuilder._level_hubs(prefix + (1,), block.size))
 
 
 class TestDominantMatrix:
