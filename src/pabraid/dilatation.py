@@ -20,13 +20,10 @@ import math
 from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate
 
-from .intpoly import _GRID, IntPoly, _integer, _tolerance
-from .nnmatrix import (
-    PFCertificate, _dense_solve, _dyadic_ints, _extremes, _noda, _round_down, _uncertified
-)
-from .treebuilder import BraidTuple, _hub_matrix, _level_hubs, _size, closing_sign, params
+from .intpoly import _GRID, IntPoly, _integer, _power, _scaled, _tolerance
+from .nnmatrix import _hub_perron
+from .treebuilder import BraidTuple, _level_hubs, _size, closing_sign, params
 
 __all__ = [
     "DilatationReport",
@@ -53,10 +50,6 @@ _EXACT_RATIO = 64
 # bytes and more per coefficient: printing one of degree 10^7 takes about
 # 0.7 s and 250 MB
 _MAX_DEGREE = 10_000_000
-# the matrix route's chain ratio rho = num / 2^_RHO_BITS, and the bits of
-# the balls of its powers: both far finer than a double
-_RHO_BITS = 96
-_POWER_BITS = 128
 
 
 def dominant_chain(prefix):
@@ -221,29 +214,6 @@ def _decide(prefix, last, num, shift):
             return answer
         prec *= _RUNG_GROWTH
     return _decision(prefix, last, num, shift, None)
-
-
-def _scaled(mid, rad, n):
-    # the ball mid ± rad times 2^n: a left shift for n >= 0, else rounded
-    # outward to integers, the midpoint floored and the radius rounded up plus 1
-    return (mid << n, rad << n) if n >= 0 else (mid >> -n, -(-rad >> -n) + 1)
-
-
-def _power(num, shift, n, prec):
-    # x^n for x = num / 2^shift as (mid, rad, lift), the ball mid ± rad
-    # times 2^-lift: squared up with each product rounded outward to prec
-    # bits, so lift < 0 once x^n passes 2^prec; exact when prec is None
-    if prec is None:
-        return num**n, 0, shift * n
-    mid, rad, lift = num, 0, shift
-    for bit in bin(n)[3:]:
-        mid, rad, lift = mid * mid, 2 * mid * rad + rad * rad, 2 * lift
-        if bit == "1":
-            mid, rad, lift = mid * num, rad * num, lift + shift
-        d = max(mid.bit_length(), rad.bit_length()) - prec
-        if d > 0:
-            (mid, rad), lift = _scaled(mid, rad, -d), lift - d
-    return mid, rad, lift
 
 
 def _float_hint(prefix, last=None, lo=1.0, hi=None):
@@ -438,7 +408,7 @@ def dilatation(m, method="both", tol=1e-10):
     levels = None if method == "formula" else _level_hubs(m.values, m.size)
     if method == "matrix":
         above = _float_hint(m.values[:-1], m.values[-1])
-        certificate = _level_perron(levels, tol, above)
+        certificate = _hub_perron(levels, tol, above)
     else:
         cell = _cell(m.values[:-1], m.values[-1])
         lam_formula, bracket = cell.value(), cell.bracket()
@@ -476,7 +446,7 @@ def _certified_limit(vals):
 
 
 def _cross_check(cell, levels, tol=1e-10):
-    """``_level_perron``'s certificate of a braid matrix, checked against ``cell``.
+    """``_hub_perron``'s certificate of a braid matrix, checked against ``cell``.
 
     The matrix is ``levels``, built from the block boundaries: primitive
     by ``treebuilder``'s lemma, so no graph is searched and no matrix
@@ -488,7 +458,7 @@ def _cross_check(cell, levels, tol=1e-10):
     never a false overlap.
     """
     lo, hi = cell.bracket()
-    cert = _level_perron(levels, tol, float(hi))
+    cert = _hub_perron(levels, tol, float(hi))
     if not (lo <= Fraction(cert.upper) and Fraction(cert.lower) <= hi):
         raise AssertionError(
             f"the cell [{float(lo)!r}, {float(hi)!r}] misses the "
@@ -496,117 +466,6 @@ def _cross_check(cell, levels, tol=1e-10):
             f"its {levels.size}x{levels.size} matrix"
         )
     return cert
-
-
-def _level_perron(levels, tol, above):
-    """The certified Perron-Frobenius eigenvalue of a braid matrix, on its hubs alone.
-
-    Noda's iteration (``_noda``, shared with ``NNMatrix.spectral_radius``)
-    runs on the hub matrix R(t) of ``treebuilder._hub_matrix``, for a chain
-    ratio t = 1/rho, rho = num / 2^96 nearest to 1/``above`` at first; the
-    float ``above`` (a braid route's cell or hint) is also the first
-    shift.  The enclosure is exact on the whole matrix (``_level_enclosure``).
-    R(t) has the Perron root r(t) = t only at t = lambda, so when the hub
-    rows' quotients lie within tol but the enclosure does not, t moves:
-    first to r(t), then by secant steps on r(t) - t.  An enclosure that no
-    longer narrows raises the step cap's RuntimeError.
-    """
-    import numpy as np
-
-    t, v, seed, points = Fraction(above), np.ones(len(levels.hubs)), above, []
-    while True:
-        num = round((1 << _RHO_BITS) / t)
-        t = Fraction(1 << _RHO_BITS, num)
-        balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) if n else (1, 0, 0)
-                 for n in {*levels.lengths}}
-        weights = [math.ldexp(balls[n][0], -balls[n][2]) for n in levels.lengths]
-        matrix = _hub_matrix(levels, np.array(weights))
-        out = _noda(
-            v, matrix.dot, partial(_dense_solve, matrix),
-            partial(_level_enclosure, levels, num, balls, tol), tol, seed,
-        )
-        if isinstance(out, PFCertificate):
-            return out
-        width, r, v = out
-        if len(points) > 1 and width >= min(p[0] for p in points):
-            raise _uncertified(tol)
-        points.append((width, t, r - t))
-        if len(points) == 1:  # a probe
-            t = r
-        else:  # a secant step
-            (_, t0, f0), (_, t1, f1) = points[-2:]
-            if f1 == f0:
-                raise _uncertified(tol)
-            t = t1 - f1 * (t1 - t0) / (f1 - f0)
-        seed = None
-
-
-def _level_enclosure(levels, num, balls, tol, v, w):
-    """``_level_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
-
-    The vector of the whole matrix is v on the hubs and, on each chain,
-    (v_{E_i} + v_{H_(i+1)}) rho^(d+1) at d rows from its root, with
-    rho = num / 2^96.  So every chain row's quotient is exactly 1/rho, and
-    only the hub rows are evaluated, on v scaled to integers and rho^L as
-    the ball ``balls[L]``, which ``_power`` rounds outward.  Returns a
-    PFCertificate within tol; None when the hub rows alone lie wider than
-    tol, for more Noda steps; else the enclosure's width, the midpoint of
-    the hub rows' quotients and v.
-    """
-    vl = v.tolist()
-    h = len(vl)
-    ints = _dyadic_ints(range(h), vl)
-    sums = [0] * h
-    for i, j, a in zip(*levels.entries):
-        sums[i] += a * ints[j]
-    heads, steps, counts = levels.ladder
-    below = [0, *accumulate(ints[j] for j in heads)]
-    for i, count in zip(steps, counts):
-        sums[i] += 2 * below[count]
-    lows = [(total, ints[i]) for i, total in enumerate(sums)]
-    highs = lows[:]
-    for i, n in zip(range(0, h, 2), levels.lengths):  # each chain's reader H_i
-        mid, rad, lift = balls[n]
-        reads = ints[i + 1] + (ints[i + 2] if i + 2 < h else 0)
-        top, den = sums[i] << lift, ints[i] << lift
-        lows[i], highs[i] = (top + reads * (mid - rad), den), (top + reads * (mid + rad), den)
-    lower, upper = hubs = _extremes(lows, highs)
-    if Fraction(upper) - Fraction(lower) > Fraction(tol):
-        return None
-    if any(levels.lengths):  # a chain row's quotient 2^96 / num
-        ratio = Fraction(1 << _RHO_BITS, num)
-        lower, upper = min(lower, _round_down(ratio)), max(upper, -_round_down(-ratio))
-    width = Fraction(upper) - Fraction(lower)
-    if width > Fraction(tol):
-        return width, (Fraction(hubs[0]) + Fraction(hubs[1])) / 2, v
-    lam = 0.5 * (lower + upper)
-    vector, residual = _level_vector(levels, v, w, num / (1 << _RHO_BITS), lam)
-    return PFCertificate(lam, lower, upper, vector, residual)
-
-
-def _level_vector(levels, v, w, rho, lam):
-    # the float eigenvector of the whole matrix, v on the hubs and
-    # (v_E + v_H) rho^(d+1) on the chains, rounded and scaled to max entry
-    # 1, and its float residual max |Mv - lam v|, with w = R(t)v for Mv on
-    # the hubs
-    import numpy as np
-
-    hubs, n = np.array(levels.hubs), levels.size
-    readers = 2 * np.arange(len(levels.lengths))
-    # each root's two reads; a dominant block, with an odd hub count, ends on a hub
-    base = v[readers + 1] + np.append(v[readers[1:]], v[-1] if len(v) % 2 else 0.0)
-    chain = np.ones(n, dtype=bool)
-    chain[hubs] = False
-    at = chain.nonzero()[0]
-    ends = hubs[readers + 1]
-    level = np.searchsorted(ends, at)
-    mv = base[level] * rho ** (ends[level] - at - 1)
-    full, product = np.empty(n), np.empty(n)
-    full[hubs], full[at] = v, mv * rho
-    product[hubs], product[at] = w, mv
-    top = full.max()  # a chain vertex of a dominant block may pass the hubs
-    full, product = full / top, product / top
-    return tuple(full.tolist()), float(abs(product - lam * full).max())
 
 
 MonotonicityCheck = namedtuple("MonotonicityCheck", "lambda_before lambda_after strictly_decreasing")

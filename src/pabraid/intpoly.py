@@ -221,6 +221,29 @@ def _exact_sign_at_dyadic(coeffs, num, shift):
     return (acc > 0) - (acc < 0)
 
 
+def _scaled(mid, rad, n):
+    # the ball mid ± rad times 2^n: a left shift for n >= 0, else rounded
+    # outward to integers, the midpoint floored and the radius rounded up plus 1
+    return (mid << n, rad << n) if n >= 0 else (mid >> -n, -(-rad >> -n) + 1)
+
+
+def _power(num, shift, n, prec):
+    # x^n for x = num / 2^shift as (mid, rad, lift), the ball mid ± rad
+    # times 2^-lift: squared up with each product rounded outward to prec
+    # bits, so lift < 0 once x^n passes 2^prec; exact when prec is None
+    if prec is None:
+        return num**n, 0, shift * n
+    mid, rad, lift = num, 0, shift
+    for bit in bin(n)[3:]:
+        mid, rad, lift = mid * mid, 2 * mid * rad + rad * rad, 2 * lift
+        if bit == "1":
+            mid, rad, lift = mid * num, rad * num, lift + shift
+        d = max(mid.bit_length(), rad.bit_length()) - prec
+        if d > 0:
+            (mid, rad), lift = _scaled(mid, rad, -d), lift - d
+    return mid, rad, lift
+
+
 _GRID = 48  # the dyadic grid 2^-48 ~ 3.6e-15 of every certified root cell
 _WINDOW_CAP = 1 << 32  # widest confirmation half-window, in grid units (~1.5e-5)
 

@@ -9,35 +9,30 @@ only ``is_primitive`` and ``NNMatrix.spectral_radius`` on arbitrary
 matrices: a braid matrix is primitive by ``treebuilder``'s lemma.
 Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
-commutative ring, so it also gives ``poly_matrix_det``.  The spectral radius
-comes from Noda inverse iteration from the all-ones vector with an exact
-Collatz-Wielandt enclosure (``_perron``).  The iteration, its shifts and
-its step cap are written once (``_noda``): the braid routes of
-``dilatation`` run it on the hub matrix that ``treebuilder`` builds from
-the levels, whose chains are eliminated exactly, with a certificate of
-their own.  Each Noda step of ``NNMatrix.spectral_radius`` eliminates
-every vertex off a set of hubs that meets every cycle, run by run, a run
-being a path on which each vertex reads only the one before it
-(``_HubProgram``, found from the breadth-first depths of its search); only
-the dense system on the hubs, at most ``_MAX_HUBS`` vertices, is solved by
-LU.  The enclosure screens its rows: a row whose only entry is 1, from j,
-has (Mv)_i = v_j, so its float quotient is v_j / v_i correctly rounded.
-Rounding is monotone, so the least (greatest) exact quotient of such rows
-is among those tied at their float minimum (maximum); only those and the
-other rows are evaluated exactly.  Only the spectral radius uses numpy,
-imported on its first call,
-so the commands without a matrix route (``polynomial``, ``matrix``,
-``verify`` and ``dilatation --method formula``) never load it.
+commutative ring, so it also gives ``poly_matrix_det``.
+
+One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``), on
+a ``_Hubs``: hubs that meet every cycle, and a rest whose vertices each
+read hubs alone or one other vertex of the rest.  On the rest an
+eigenvector is fixed by its hub values, so the rest is eliminated exactly,
+and Noda's iteration (``_noda``) runs on the dense hub matrix R(t) of a
+chain ratio t, with an exact Collatz-Wielandt enclosure of the whole
+matrix.  ``treebuilder._level_hubs`` builds a braid matrix's ``_Hubs`` from
+its block boundaries, and ``_searched_hubs`` any matrix's from the depths
+of ``spectral_radius``'s search.  Only the solve uses numpy, imported on
+its first call, so the commands without a matrix route (``polynomial``,
+``matrix``, ``verify`` and ``dilatation --method formula``) never load it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import accumulate
 
-from .intpoly import IntPoly, _integer, _tolerance
+from .intpoly import IntPoly, _integer, _power, _tolerance
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 
@@ -46,12 +41,33 @@ _SMALLEST_NORMAL = 2.0**-1022
 # relative gap between a caller's float just above lambda and the first Noda
 # shift: it covers that float's rounding
 _SEED_MARGIN = 1e-13
-# the most hubs of a spectral_radius elimination, whose dense hub system
-# takes 8 bytes per hub squared.  A tuple of k + 1 parameters gives 2(k + 1)
-# hubs in its transition matrix and 2k + 1 in its dominant block; under
-# treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with N >= 2(k + 1),
-# k + 1 is at most 998
+# the relative width at which spectral_radius stops bisecting for its seed,
+# after about 20 dense solves from the row sums; the chain ratio's moves
+# close the rest.  On the 601 hubs of dominant_matrix((3,)*300) the whole
+# solve took 0.8 s, against 1.2 s at 1e-13 and 1.6 s at 1e-3
+_SEED_WIDTH = 1e-6
+# the most hubs of a solve, whose dense hub system takes 8 bytes per hub
+# squared.  Under treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with
+# N >= 2(k + 1), a braid matrix has at most 2(k + 1) = 1996 hubs
 _MAX_HUBS = 2000
+# the greatest product of link entries down to a vertex of the rest: every
+# integer up to 2^53 is a double
+_EXACT_COEF = 1 << 53
+# the chain ratio rho = num / 2^_RHO_BITS, and the bits of the balls of its
+# powers: both far finer than a double
+_RHO_BITS = 96
+_POWER_BITS = 128
+
+# A primitive matrix on its hubs, which meet every cycle; every other vertex,
+# the rest, reads hubs alone (a root) or one vertex of the rest (a link).
+# ``hubs``: the hubs' 0-based vertices, ascending.  ``entries`` (rows, cols,
+# ints): the entries among hubs, by hub place.  ``ladder`` (heads, steps,
+# counts): row ``step`` reads 2 at the first ``count`` heads.  ``chains``
+# (readers, reads, coefs, lengths): R(t) gains coef t^-n at (reader, read).
+# The numpy arrays ``roots`` (owner, reads, floats), each root's entries by
+# its place in the rest, and ``rest`` (vertices, roots, coefs, powers), each
+# vertex of the rest with its root's place, pi and d, give the float vector.
+_Hubs = namedtuple("_Hubs", "size hubs entries ladder chains roots rest")
 
 
 class PFCertificate(namedtuple(
@@ -63,8 +79,8 @@ class PFCertificate(namedtuple(
     eigenvalue lambda, with ``upper - lower <= tol``; ``eigenvalue`` is the
     midpoint.  ``right_eigenvector`` is a tuple of floats, and ``residual``
     is max_i |(Mv)_i - eigenvalue*v_i| in floating point for that
-    eigenvector v.  The braid routes certify a vector that is geometric
-    down each chain; on the chains their float vector is a rounding of it.
+    eigenvector v.  The certified vector is exact off the hubs
+    (``_hub_enclosure``); there the float vector is a rounding of it.
     """
 
     __slots__ = ()
@@ -185,25 +201,22 @@ class NNMatrix:
         positive and converges quadratically once sigma is near lambda.  The
         rescaling keeps tiny eigenvector entries relatively accurate.
 
-        Each solve eliminates, without subtraction, every vertex off the hubs
-        that the breadth-first depths of the primitivity test give, along
-        the runs of the rest, and solves only the dense hub system by LU
-        (``_HubProgram.from_depths``).  A matrix with more than
-        ``_MAX_HUBS`` hubs raises ValueError before any step.
-
-        The iteration starts from the all-ones vector.  The enclosure
-        min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is evaluated exactly
-        on the float vector and the matrix alone (on the rows of the float
-        screen, module docstring), then rounded outward to ``lower`` and
-        ``upper``, with ``upper - lower <= tol``; ``eigenvalue`` is their
-        midpoint.  A bad solve thus costs steps, never a false enclosure.
-        The eigenvector has max entry 1.
+        The solve runs on the hubs that the depths of the primitivity test
+        give (``_searched_hubs``; past ``_MAX_HUBS`` of them, ValueError
+        before any step), the rest eliminated exactly (``_hub_perron``).
+        It starts from the all-ones vector on the hubs, unseeded when every
+        vertex is a hub; else its first shift and chain ratio are a float
+        above lambda that ``_seed`` bisects for from the least and greatest
+        row sums.  The enclosure min_i (Mv)_i/v_i <= lambda <=
+        max_i (Mv)_i/v_i is evaluated exactly on the whole matrix, then
+        rounded outward to ``lower`` and ``upper``, with
+        ``upper - lower <= tol``; ``eigenvalue`` is their midpoint.  A bad
+        solve thus costs steps, never a false enclosure.  The eigenvector
+        has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
-        Noda solve is not positive even from the fallback shift.  The solve
-        is ``_perron``; ``dilatation`` runs ``_noda`` on braid matrices'
-        hubs directly.
+        Noda solve is not positive even from the fallback shift.
         """
         _tolerance(tol)
         depth = self._primitive_depths()
@@ -212,7 +225,11 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        return _perron(_HubProgram.from_depths(self.size, self.entries, depth), tol, None)
+        hubs = _searched_hubs(self.size, self.entries, depth)
+        sums = [0] * self.size
+        for (i, _), a in self.entries.items():
+            sums[i - 1] += a
+        return _hub_perron(hubs, tol, _seed(hubs, min(sums), max(sums)) if hubs.chains[0] else None)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -375,21 +392,144 @@ class NNMatrix:
         return self._pair
 
 
-def _perron(program, tol, above):
-    # NNMatrix.spectral_radius on a _HubProgram, the primitive matrix with
-    # the structure of its solves: ``_noda`` with its sparse products, its
-    # solves by elimination and its screened certificate
+def _searched_hubs(size, entries, depth):
+    """The primitive matrix of ``entries`` as a ``_Hubs``, its hubs found from ``depth``.
+
+    ``depth`` is breadth-first along the edges j -> i of the entries
+    (i, j), from vertex 0.  Along a cycle the depth fails to increase
+    somewhere, so the heads of the edges that do not increase it meet every
+    cycle.  They are hubs, and so is each vertex whose row holds an entry
+    from a vertex that is not such a head beside another entry.  Every
+    other vertex reads only from the depth before its own, so the rest
+    holds no cycle.  Taken by depth, a link k that reads j with entry a has
+    j's root, d_k = d_j + 1 and pi_k = a pi_j, unless pi_k would pass 2^53:
+    then k is a hub, so that every pi_k is exact as a float.  Raises
+    ValueError past ``_MAX_HUBS`` hubs.
+    """
     import numpy as np
 
-    n, rows, cols, vals = program.size, program.rows, program.cols, program.vals
-    return _noda(
-        np.ones(n),
-        lambda v: np.bincount(rows, vals * v[cols], minlength=n),
-        lambda v, x: _hub_solve(program, vals * v[cols] / v[rows], x),
-        lambda v, w: _certificate(rows, cols, vals, program.ints, v, w, tol),
-        tol,
-        above,
+    rows = [[] for _ in range(size)]
+    for (i, j), a in entries.items():
+        rows[i - 1].append((j - 1, a))
+    hub = [any(depth[j] >= depth[i] for j, _ in row) for i, row in enumerate(rows)]
+    hub = [h or len(row) > 1 and not all(hub[j] for j, _ in row) for h, row in zip(hub, rows)]
+    found = {}  # each vertex of the rest: its root, pi and d
+    for k in sorted((k for k in range(size) if not hub[k]), key=depth.__getitem__):
+        j, a = rows[k][0]
+        if hub[j]:
+            found[k] = (k, 1, 0)
+        elif a * found[j][1] > _EXACT_COEF:
+            hub[k] = True
+        else:
+            root, pi, d = found[j]
+            found[k] = (root, a * pi, d + 1)
+    hubs = [k for k in range(size) if hub[k]]
+    if len(hubs) > _MAX_HUBS:
+        raise ValueError(
+            f"the Perron-Frobenius solve would eliminate to {len(hubs)} hub "
+            f"vertices; the limit is {_MAX_HUBS}"
+        )
+    # a vertex's place among the hubs, or in the rest
+    at = {k: p for places in (hubs, sorted(found)) for p, k in enumerate(places)}
+    among, terms = [], Counter()
+    for i in hubs:
+        for j, a in rows[i]:
+            if hub[j]:
+                among.append((at[i], at[j], a))
+                continue
+            root, pi, d = found[j]
+            for g, b in rows[root]:
+                terms[at[i], at[g], d + 1] += a * pi * b
+    rest = [(k, at[root], pi, d) for k, (root, pi, d) in sorted(found.items())]
+    reads = [(at[k], at[j], b) for k, root, _, _ in rest if root == at[k] for j, b in sorted(rows[k])]
+    return _Hubs(
+        size, hubs, _columns(among), ((), (), ()),
+        _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4),
+        _arrays(reads, np.intp, np.intp, float), _arrays(rest, np.intp, np.intp, float, np.intp),
     )
+
+
+def _columns(rows, width=3):
+    # the tuples ``rows``, each ``width`` long, as that many columns
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def _arrays(rows, *types):
+    # ``_columns`` of ``rows`` as numpy arrays of the given types
+    import numpy as np
+
+    return tuple(np.array(x, dtype=t) for x, t in zip(_columns(rows, len(types)), types))
+
+
+def _seed(hubs, lo, hi):
+    """A float above the Perron root lambda of ``hubs``, bisected from lo <= lambda <= hi.
+
+    A trial t is above lambda when the float solve of (tI - R(t))y = 1 is
+    positive, which in exact arithmetic holds exactly for t > lambda: there
+    tI - R(t) is a nonsingular M-matrix, and below, R(t) has a Perron root
+    at least lambda > t, which a positive y would put below t
+    (Collatz-Wielandt).  A float answer that errs near lambda costs Noda
+    steps, never a false enclosure.
+    """
+    import numpy as np
+
+    coefs, lengths = hubs.chains[2:]
+    ones = np.ones(len(hubs.hubs))
+    while hi - lo > _SEED_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        a = -_hub_matrix(hubs, np.array([c * mid**-n for c, n in zip(coefs, lengths)]))
+        a.flat[:: len(ones) + 1] += mid
+        try:
+            above = np.all(np.linalg.solve(a, ones) > 0)
+        except np.linalg.LinAlgError:
+            above = False
+        lo, hi = (lo, mid) if above else (mid, hi)
+    return hi
+
+
+def _hub_perron(hubs, tol, above):
+    """The certified Perron-Frobenius eigenvalue of the ``_Hubs`` ``hubs``, on its hubs alone.
+
+    Noda's iteration (``_noda``) runs on the hub matrix R(t) of
+    ``_hub_matrix``, for a chain ratio t = 1/rho, rho = num / 2^96 nearest
+    to 1/``above`` at first; the float ``above``, a braid route's cell or
+    hint or ``_seed``'s bracket, is also the first shift, and None starts
+    unseeded.  The enclosure is exact on the whole matrix
+    (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
+    t = lambda, so when the hub rows' quotients lie within tol but the
+    enclosure does not, t moves: first to r(t), then by secant steps on
+    r(t) - t.  An enclosure that no longer narrows raises the step cap's
+    RuntimeError.
+    """
+    import numpy as np
+
+    coefs, lengths = hubs.chains[2:]
+    t, v, seed, points = Fraction(1 if above is None else above), np.ones(len(hubs.hubs)), above, []
+    while True:
+        num = round((1 << _RHO_BITS) / t)
+        t = Fraction(1 << _RHO_BITS, num)
+        balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
+        floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
+        weights = [c * floats[n] for c, n in zip(coefs, lengths)]
+        matrix = _hub_matrix(hubs, np.array(weights))
+        out = _noda(
+            v, matrix.dot, partial(_dense_solve, matrix),
+            partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
+        )
+        if isinstance(out, PFCertificate):
+            return out
+        width, r, v = out
+        if len(points) > 1 and width >= min(p[0] for p in points):
+            raise _uncertified(tol)
+        points.append((width, t, r - t))
+        if len(points) == 1:  # a probe
+            t = r
+        else:  # a secant step
+            (_, t0, f0), (_, t1, f1) = points[-2:]
+            if f1 == f0:
+                raise _uncertified(tol)
+            t = t1 - f1 * (t1 - t0) / (f1 - f0)
+        seed = None
 
 
 def _noda(v, product, solve, certify, tol, above):
@@ -399,9 +539,9 @@ def _noda(v, product, solve, certify, tol, above):
     D = diag(v); it raises numpy.linalg.LinAlgError when that system is
     singular.  Each step whose Collatz-Wielandt ratios w/v lie within tol
     asks ``certify`` first.  A float ``above`` lambda (a braid route's cell
-    or hint) makes x = above*(1 + 1e-13) the first shift: for x > lambda,
-    xI - M is a nonsingular M-matrix and (xI - M)y = 1 has a positive
-    solution; else the step goes on with sigma, at the cost of one solve.
+    or hint, or ``_seed``'s) makes x = above*(1 + 1e-13) the first shift:
+    for x > lambda, xI - M is a nonsingular M-matrix and (xI - M)y = 1 has
+    a positive solution; else the step goes on with sigma, at one solve.
     RuntimeError after ``_NODA_STEPS`` steps, when an entry of v falls below
     ``_SMALLEST_NORMAL``, or when no shift gives a positive solve.
     """
@@ -460,8 +600,9 @@ def _dense_solve(matrix, v, x):
     each row r < k with an entry in column k takes f = a_rk / a_kk <= 0
     times row k, whose entries left of k are <= 0 as row r's are, and the
     right side only grows.  The lower triangle left is solved forward, each
-    y_i a sum of non-negative terms over its pivot.  The hub matrix's rows
-    read at most two columns past their own, so this costs O(h^2).
+    y_i a sum of non-negative terms over its pivot.  A braid matrix's hub
+    rows read at most two columns past their own, so there this costs
+    O(h^2); on the hubs of a search it can cost O(h^3).
     """
     import numpy as np
 
@@ -483,34 +624,95 @@ def _dense_solve(matrix, v, x):
     return z if np.isfinite(z).all() else y
 
 
-def _certificate(rows, cols, vals, ints, v, w, tol):
-    """PFCertificate for the positive vector v, or None if wider than tol.
+def _hub_matrix(hubs, weights):
+    """The hub matrix R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH of the ``_Hubs`` ``hubs``.
 
-    ``rows``, ``cols`` and ``vals`` are the entries' 0-based rows and
-    columns and their floats, ``ints`` the same entries exactly, and
-    w = Mv.  The rows the float screen keeps (module docstring) are
-    compared exactly, on v scaled to integers.
+    ``weights`` holds coef t^-n for each chain term, a float array or an
+    object array of exact values.  On the rest C, (tI - M)v = 0 gives
+    t v_r = sum_h b_h v_h at a root r, over its entries b_h from hubs, and
+    t v_k = a v_j at a link k that reads j with entry a, so
+    v_k = pi_k t^-(d_k + 1) times the sum of k's root: a hub row that reads
+    k with entry a reads a pi_k b_h t^-(d_k + 1) at each hub h, the chain
+    terms.  R(lambda) has the Perron root lambda, and its Perron vector is
+    the matrix's on the hubs.
     """
     import numpy as np
 
-    n = len(v)
-    ratios = w / v
-    screened = (np.bincount(rows, minlength=n) == 1) & (np.bincount(rows, vals, minlength=n) == 1)
-    kept = ~screened | (ratios == np.where(screened, ratios, math.inf).min())
-    kept |= ratios == np.where(screened, ratios, -math.inf).max()
-    picked = kept[rows]  # the kept rows' entries
-    r, c, a = rows[picked].tolist(), cols[picked].tolist(), ints[picked].tolist()
+    h = len(hubs.hubs)
+    r = np.zeros((h, h), dtype=weights.dtype)
+    rows, cols, ints = hubs.entries
+    r[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = ints
+    heads, steps, counts = (np.array(x, dtype=np.intp) for x in hubs.ladder)
+    r[steps[:, None], heads] += 2 * (np.arange(len(heads)) < counts[:, None])
+    readers, reads = (np.array(x, dtype=np.intp) for x in hubs.chains[:2])
+    np.add.at(r, (readers, reads), weights)
+    return r
+
+
+def _hub_enclosure(hubs, num, balls, tol, v, w):
+    """``_hub_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
+
+    The vector of the whole matrix is v on the hubs and, at each vertex k
+    of the rest, pi_k rho^(d_k + 1) times the sum of k's root over its
+    entries from hubs, with rho = num / 2^96.  So every row of the rest has
+    the quotient 1/rho exactly, and only the hub rows are evaluated, on v
+    scaled to integers and rho^n as the ball ``balls[n]``, which ``_power``
+    rounds outward.  Returns a PFCertificate within tol; None when the hub
+    rows alone lie wider than tol, for more Noda steps; else the
+    enclosure's width, the midpoint of the hub rows' quotients and v.
+    """
     vl = v.tolist()
-    ints = _dyadic_ints({*r, *c}, vl)
-    mv = dict.fromkeys(r, 0)
-    for i, j, x in zip(r, c, a):
-        mv[i] += x * ints[j]
-    quotients = [(num, ints[i]) for i, num in mv.items()]
-    lower, upper = _extremes(quotients, quotients)
+    h = len(vl)
+    ints = _dyadic_ints(range(h), vl)
+    sums = [0] * h
+    for i, j, a in zip(*hubs.entries):
+        sums[i] += a * ints[j]
+    heads, steps, counts = hubs.ladder
+    below = [0, *accumulate(ints[j] for j in heads)]
+    for i, count in zip(steps, counts):
+        sums[i] += 2 * below[count]
+    lows = [(total, ints[i]) for i, total in enumerate(sums)]
+    highs = lows[:]
+    # each row that reads chains, over the finest ball's denominator 2^top
+    top = max((lift for _, _, lift in balls.values()), default=0)
+    for i in {*hubs.chains[0]}:
+        lows[i] = highs[i] = sums[i] << top, ints[i] << top
+    for i, j, c, n in zip(*hubs.chains):
+        mid, rad, lift = balls[n]
+        x = c * ints[j] << top - lift
+        lows[i] = lows[i][0] + x * (mid - rad), lows[i][1]
+        highs[i] = highs[i][0] + x * (mid + rad), highs[i][1]
+    lower, upper = bounds = _extremes(lows, highs)
     if Fraction(upper) - Fraction(lower) > Fraction(tol):
         return None
+    if len(hubs.rest[0]):  # a row of the rest: its quotient 2^96 / num
+        ratio = Fraction(1 << _RHO_BITS, num)
+        lower, upper = min(lower, _round_down(ratio)), max(upper, -_round_down(-ratio))
+    width = Fraction(upper) - Fraction(lower)
+    if width > Fraction(tol):
+        return width, (Fraction(bounds[0]) + Fraction(bounds[1])) / 2, v
     lam = 0.5 * (lower + upper)
-    return PFCertificate(lam, lower, upper, tuple(vl), float(abs(w - lam * v).max()))
+    vector, residual = _hub_vector(hubs, v, w, num / (1 << _RHO_BITS), lam)
+    return PFCertificate(lam, lower, upper, vector, residual)
+
+
+def _hub_vector(hubs, v, w, rho, lam):
+    # the float eigenvector of the whole matrix, v on the hubs and
+    # pi_k rho^(d_k + 1) times its root's sum on the rest, rounded and scaled
+    # to max entry 1, and its float residual max |Mv - lam v|, with w = R(t)v
+    # for Mv on the hubs
+    import numpy as np
+
+    vertices, roots, coefs, powers = hubs.rest
+    owner, reads, entries = hubs.roots
+    sums = np.bincount(owner, entries * v[reads], minlength=len(vertices))
+    mv = sums[roots] * (coefs * rho**powers)
+    full, product = np.empty(hubs.size), np.empty(hubs.size)
+    full[hubs.hubs], full[vertices] = v, mv * rho
+    product[hubs.hubs], product[vertices] = w, mv
+    top = full.max()  # a vertex of the rest may pass the hubs
+    full, product = full / top, product / top
+    return tuple(full.tolist()), float(abs(product - lam * full).max())
 
 
 def _dyadic_ints(places, vl):
@@ -532,175 +734,6 @@ def _extremes(lows, highs):
         if hi is None or num * hi[1] > hi[0] * den:
             hi = (num, den)
     return _round_down(Fraction(*lo)), -_round_down(-Fraction(*hi))
-
-
-class _HubProgram:
-    """A primitive matrix as ``_perron`` reads it, with the structure of its solves.
-
-    The n-square matrix M has its entries as 0-based ``rows`` and ``cols``
-    and floats ``vals``, each row's in ascending column order, so that each
-    row sum of Mv adds in one order, and ``ints`` holds the same entries
-    exactly for ``_certificate``.  The solves are (xI - S)y = 1 for S with
-    M's pattern.
-
-    Every cycle of the graph meets a hub (the mask ``hub``).  Every other
-    vertex, the rest, reads either hubs alone (a root) or exactly one entry,
-    from another vertex of the rest (a link), and no cycle runs through the
-    rest.  So y_r = (1 + sum_j S_rj y_j)/x is a sum of non-negative
-    multiples of 1 and of hub values, c_r + mu_r * sum_h b_h y_h, with the
-    b of r's root: b_h = s_e for the root's entry e from h, s_e = S_e/x.  A
-    root has c_r = 1/x and mu_r = 1; a link r whose entry e comes from j
-    has c_r = 1/x + s_e c_j and mu_r = s_e mu_j.
-
-    ``rest`` orders the rest so that the links form runs: each run (a, b, p)
-    is the slice a:b of ``rest``, whose first vertex reads the vertex at
-    place p < a and each next vertex the one before it.  ``lead`` is each
-    vertex's one entry (a root's is never read) and ``root`` the place of
-    its root.  A braid matrix's rest is one run per level, down its chain;
-    another matrix's may be a tree, which splits into paths.  The hub rows'
-    entries scatter into the |H| x (|H| + 1) system [C | c] with
-    (xI - C) y_H = 1 + c: S_e for an entry among hubs, and for an entry e
-    from k in the rest, S_e c_k into c and S_e mu_k s_t into C for each
-    entry t, from h, of k's root.
-    """
-
-    def __init__(self, n, rows, cols, vals, ints, hub, rest, lead, runs, root):
-        import numpy as np
-
-        self.size, self.rows, self.cols, self.vals, self.ints = n, rows, cols, vals, ints
-        self.hubs = hub.nonzero()[0]
-        nh = _check_hubs(len(self.hubs))
-        self.rest, self.lead, self.runs, self.root = rest, lead, runs, root
-        # a vertex's place among the hubs, or in the rest
-        place = np.zeros(n, dtype=np.intp)
-        place[self.hubs] = np.arange(nh)
-        place[rest] = np.arange(len(rest))
-        from_hub, at_hub = hub[cols], hub[rows]
-        # the roots' entries, all from hubs, root by root in array order
-        own = (from_hub & ~at_hub).nonzero()[0]
-        own = own[np.argsort(place[rows[own]], kind="stable")]
-        self.owned = np.array((place[rows[own]], own, place[cols[own]]))
-        counts = np.bincount(self.owned[0], minlength=len(rest))
-        # the hub rows' entries: among hubs, from k in the rest, and from k
-        # through each entry t of k's root (the root's run of ``own``)
-        width = nh + 1
-        self.direct = (at_hub & from_hub).nonzero()[0]
-        self.into = into = (at_hub & ~from_hub).nonzero()[0]
-        self.k = k = place[cols[into]]
-        reach = counts[root[k]]  # the number of entries of k's root
-        e = into.repeat(reach)
-        t = own[np.arange(len(e)) + (np.cumsum(counts)[root[k]] - np.cumsum(reach)).repeat(reach)]
-        self.through = np.array((e, k.repeat(reach), t))
-        self.cells = np.concatenate((
-            place[rows[self.direct]] * width + place[cols[self.direct]],
-            place[rows[into]] * width + nh,
-            place[rows[e]] * width + place[cols[t]],
-        ))
-
-    @classmethod
-    def from_depths(cls, n, entries, depth):
-        """The program of the n-square matrix of ``entries``, by its breadth-first ``depth``.
-
-        ``depth`` is along the edges j -> i of the entries (i, j), from
-        vertex 0.  Along a cycle the depth fails to increase somewhere, so
-        the heads of the edges that do not increase it meet every cycle.
-        They are hubs, and so is each vertex whose row holds an entry from a
-        vertex that is not such a head beside another entry.  Every other
-        vertex has all its in-edges from the depth before its own and no
-        self-loop, so the rest holds no cycle.  Its links form a forest
-        under the roots, laid out in runs: a run follows the first of a
-        vertex's links, and each other link starts a run of its own.
-        """
-        import numpy as np
-
-        nnz = len(entries)
-        ij = np.fromiter(chain.from_iterable(entries), np.intp, 2 * nnz)
-        rows, cols = ij[0::2] - 1, ij[1::2] - 1
-        vals = np.fromiter(entries.values(), float, nnz)
-        ints = np.fromiter(entries.values(), object, nnz)
-        dep = np.array(depth)
-        hub = np.zeros(n, dtype=bool)
-        hub[rows[dep[rows] <= dep[cols]]] = True
-        # a row that mixes an entry from the rest with another entry
-        hub[rows[~hub[cols] & (np.bincount(rows, minlength=n)[rows] > 1)]] = True
-        links = (~hub[rows] & ~hub[cols]).nonzero()[0]  # each link's one entry
-        lead = np.zeros(n, dtype=np.intp)
-        lead[rows[links]] = links
-        kids = [[] for _ in range(n)]
-        for r, j in zip(rows[links].tolist(), cols[links].tolist()):
-            kids[j].append(r)
-        roots = ~hub
-        roots[rows[links]] = False
-        rest = roots.nonzero()[0].tolist()  # the roots first, then the runs
-        root, runs = list(range(len(rest))), []
-        todo = [(p, r) for p, j in enumerate(rest) for r in kids[j]]
-        while todo:
-            p, r = todo.pop()
-            a = len(rest)
-            while True:
-                rest.append(r)
-                root.append(root[p])
-                todo += [(len(rest) - 1, kid) for kid in kids[r][1:]]
-                if not kids[r]:
-                    break
-                r = kids[r][0]
-            runs.append((a, len(rest), p))
-        rest = np.array(rest, dtype=np.intp)
-        return cls(
-            n, rows, cols, vals, ints, hub, rest, lead[rest], runs, np.array(root, dtype=np.intp)
-        )
-
-
-def _check_hubs(count):
-    # the hub count of a solve, or ValueError past ``_MAX_HUBS``
-    if count > _MAX_HUBS:
-        raise ValueError(
-            f"the Perron-Frobenius solve would eliminate to {count} hub "
-            f"vertices; the limit is {_MAX_HUBS}"
-        )
-    return count
-
-
-def _hub_solve(program, scaled, x):
-    """y with (xI - S)y = 1, for S with the entries ``scaled`` on ``program``'s pattern.
-
-    One sweep over the runs gives the rest's forms: each run's c and mu in
-    one pass down it from its predecessor's, c_r = 1/x + s_e c_j and
-    mu_r = s_e mu_j as ``_HubProgram`` states them.  Every form is a sum of
-    non-negative terms for x > 0; only the dense hub system
-    (xI - C) y_H = 1 + c, by LU with partial pivoting, subtracts.  Raises
-    numpy.linalg.LinAlgError when that system is singular.  The rest then
-    follows from y_H by its forms, so y is positive wherever y_H is.
-    """
-    import numpy as np
-
-    s = scaled / x
-    inv = 1 / x
-    lead = s[program.lead].tolist()
-    c, mu = np.full(len(lead), inv), np.ones(len(lead))
-    # written into the arrays through memoryviews: a Python step function
-    # under itertools.accumulate, or lists turned into arrays, took longer
-    cs, ms = memoryview(c), memoryview(mu)
-    for a, b, p in program.runs:
-        cj, mj = cs[p], ms[p]
-        for r in range(a, b):
-            se = lead[r]
-            cs[r] = cj = inv + se * cj
-            ms[r] = mj = se * mj
-    nh = len(program.hubs)
-    e, k, t = program.through
-    weights = np.concatenate((
-        scaled[program.direct], scaled[program.into] * c[program.k], scaled[e] * mu[k] * s[t]
-    ))
-    system = np.bincount(program.cells, -weights, minlength=nh * (nh + 1)).reshape(nh, nh + 1)
-    lhs = system[:, :nh]  # -C, then xI - C
-    lhs.flat[:: nh + 1] += x
-    y = np.empty(program.size)
-    y[program.hubs] = y_hub = np.linalg.solve(lhs, 1 - system[:, nh])
-    owner, own, h = program.owned
-    sums = np.bincount(owner, s[own] * y_hub[h], minlength=len(program.rest))
-    y[program.rest] = c + mu * sums[program.root]
-    return y
 
 
 def _bfs_depths(adj):

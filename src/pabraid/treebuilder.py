@@ -24,24 +24,24 @@ Each build hands its entries to ``NNMatrix`` unchecked: they are positive
 ints at indices in 1..N by construction, and the tests check them.
 
 The Perron-Frobenius solve reads its structure from the levels
-(``_level_hubs``).  Along the edges j -> i of the entries (i, j), every
-vertex gets a breadth-first depth from vertex 1: 0 at vertex 1, 1 at each
-last vertex n_j and hub n_i + 1 (their rows read column 1), and
-n_j - r + 1 at a vertex r strictly inside a level's chain, down its
-superdiagonal.  Along the edges, every vertex also reaches vertex 1: down
-its chain to its hub, then to rows n_i - 1 and n_i of the level before,
-and so on.  Each hub has a self-loop, so every transition matrix is
-primitive, and so is a dominant block: its depths are the first n_i + 1 of
-its extension by 1, whose last vertex feeds only the hub.  This lemma is
-why no braid route searches a graph.  The heads of the edges that do not
-increase the depth are vertex 1, the last vertices and the hubs, 2(k + 1)
-of them (2k + 1 in a dominant block), and they are the solve's hubs.
-Every other vertex lies inside a chain and reads only the next one, except
-the chain's last, its root, which reads the last vertex n_j and, when a
-level follows, its hub n_j + 1.  On a chain an eigenvector is geometric,
-so each chain is eliminated exactly (``_hub_matrix``), and the solve runs
-on the hubs alone.  A hub row and a last row read 2 at every earlier hub:
-a ladder, whose exact row sums the certificate adds from one running sum.
+(``_level_hubs``): the ``nnmatrix._Hubs`` that ``nnmatrix._searched_hubs``
+would find by a search, as the tests check field by field.  Along the
+edges j -> i of the entries (i, j), every vertex gets a breadth-first
+depth from vertex 1: 0 at vertex 1, 1 at each last vertex n_j and hub
+n_i + 1 (their rows read column 1), and n_j - r + 1 at a vertex r strictly
+inside a level's chain, down its superdiagonal.  Along the edges, every
+vertex also reaches vertex 1: down its chain to its hub, then to rows
+n_i - 1 and n_i of the level before, and so on.  Each hub has a self-loop,
+so every transition matrix is primitive, and so is a dominant block: its
+depths are the first n_i + 1 of its extension by 1, whose last vertex
+feeds only the hub.  This lemma is why no braid route searches a graph.
+The heads of the edges that do not increase the depth are vertex 1, the
+last vertices and the hubs, 2(k + 1) of them (2k + 1 in a dominant block),
+and they are the solve's hubs.  Every other vertex lies inside a chain and
+reads only the next one, except the chain's last, its root, which reads
+the last vertex n_j and, when a level follows, its hub n_j + 1.  A hub row
+and a last row read 2 at every earlier hub: a ladder, whose exact row sums
+the certificate adds from one running sum.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix, _check_hubs
+from .nnmatrix import NNMatrix, _arrays, _columns, _Hubs
 
 __all__ = [
     "BraidTuple",
@@ -229,66 +229,46 @@ def _entries(values):
     return e
 
 
-_Levels = namedtuple("_Levels", "size hubs entries ladder lengths")
-
-
 def _level_hubs(values, size):
-    """The braid matrix of ``values`` on its hubs, with its chains eliminated.
+    """The braid matrix of ``values`` as a ``nnmatrix._Hubs``, read from its levels.
 
     The matrix is the leading size-square block of the transition matrix
     of the tuple ``values``: all of it at size n_{k+1}, or, at size
     n_k + 1, the dominant block of ``values[:-1]``, as ``_extension`` cuts
     it.  Past the nonzero limit of ``values`` it raises ValueError before
-    building anything, and past ``_MAX_HUBS`` hubs as well.  A ``_Levels``:
-    ``hubs``, the hubs' 0-based vertices in order, H_0 = vertex 1, then
-    each level's last row E_i and the next level's hub H_{i+1} (at hub
-    places 2i + 1 and 2i + 2); ``entries`` (rows, cols, ints) and
-    ``ladder`` (heads, rows, counts), the entries among hubs by hub place,
-    each ladder row reading 2 at the first ``count`` heads H_1, H_2, ...;
-    and ``lengths``, the length L_i of each complete level's chain.  That
-    chain is read by H_i from its first vertex, and its root reads E_i and
-    H_{i+1}, when there is one, so ``_hub_matrix`` eliminates it.
+    building anything.  The hubs are H_0 = vertex 1, then each level's last
+    row E_i and the next level's hub H_{i+1}, at hub places 2i + 1 and
+    2i + 2.  H_i reads the chain of a complete level i, of length
+    L_i = m_i - 1, whose root reads E_i and H_{i+1}, when there is one,
+    with 1: so H_i reads t^-L_i at both, an entry of 1 when L_i = 0, and
+    every vertex of the chain has pi = 1.
     """
+    import numpy as np
+
     _check_nonzeros(values)
     bounds = block_boundaries(values)
     levels = len(values) - (size < bounds[-1])  # those with a last row
-    h = _check_hubs(2 * len(values) - (size < bounds[-1]))
+    h = 2 * len(values) - (size < bounds[-1])
     hubs = [0, *(x for b in bounds[:levels] for x in (b - 1, b))][:h]
+    lengths = [m - 1 for m in values[:levels]]
+    # each chain's reads, H_i's own entries when it is empty
+    reads = [(i, j, n) for i, n in enumerate(lengths) for j in (2 * i + 1, 2 * i + 2) if j < h]
     # column 1 and each hub's self-loop; each last row's own hub and the
     # next level's hub
     entries = [(2 * i, j, 1) for i in range(1, (h + 1) // 2) for j in (0, 2 * i)]
     for i in range(levels):
         entries += [(2 * i + 1, 0, 1)] + [(2 * i + 1, 2 * i, 2)] * (i > 0)
         entries += [(2 * i + 1, 2 * i + 2, 1)] * (2 * i + 2 < h)
+    entries += [(2 * i, j, 1) for i, j, n in reads if not n]
     steps = range(4, h)  # H_i and E_i, i >= 2, read 2 at H_1 .. H_{i-1}
     ladder = [2 * i for i in range(1, (h + 1) // 2)], steps, [i // 2 - 1 for i in steps]
-    return _Levels(size, hubs, tuple(zip(*entries)), ladder, [m - 1 for m in values[:levels]])
-
-
-def _hub_matrix(levels, weights):
-    """The hub matrix R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH of ``_Levels``.
-
-    ``weights`` holds t^-L for each chain of length L, a float array or an
-    object array of exact values.  On the chain's vertices c_1 .. c_L, c_L
-    its root, (tI - M)v = 0 gives t v_{c_d} = v_{c_(d+1)} and
-    t v_{c_L} = v_{E_i} + v_{H_(i+1)}, so v_{c_1} = t^-L (v_{E_i} + v_{H_(i+1)}):
-    H_i, which reads c_1 (or, when L = 0, those two hubs itself), reads
-    t^-L at both.  R(lambda) has the Perron root lambda, and its Perron
-    vector is the matrix's on the hubs.
-    """
-    import numpy as np
-
-    h = len(levels.hubs)
-    r = np.zeros((h, h), dtype=weights.dtype)
-    rows, cols, ints = levels.entries
-    r[rows, cols] = ints
-    heads, steps, counts = (np.array(x, dtype=np.intp) for x in levels.ladder)
-    r[steps[:, None], heads] += 2 * (np.arange(len(heads)) < counts[:, None])
-    readers = 2 * np.arange(len(weights))
-    r[readers, readers + 1] += weights
-    more = readers + 2 < h
-    r[readers[more], readers[more] + 2] += weights[more]
-    return r
+    last = [n - 1 for n in accumulate(lengths)]  # each chain's root, by its place in the rest
+    vertices = np.delete(np.arange(size), hubs)  # level by level, each level's last row after
+    rest = vertices, np.repeat(last, lengths), np.ones(len(vertices))
+    rest += (np.repeat(hubs[1::2], lengths) - vertices - 1,)
+    roots = _arrays([(last[i], j, 1) for i, j, n in reads if n], np.intp, np.intp, float)
+    chains = _columns([(2 * i, j, 1, n) for i, j, n in reads if n], 4)
+    return _Hubs(size, hubs, _columns(entries), ladder, chains, roots, rest)
 
 
 def dominant_matrix(prefix):

@@ -26,7 +26,7 @@ from pabraid import (
     poly_matrix_det,
     transition_matrix,
 )
-from pabraid.nnmatrix import _HubProgram, _perron
+from pabraid.nnmatrix import _hub_perron, _searched_hubs
 
 
 def grid_tuples():
@@ -306,15 +306,21 @@ def subinvariance_bound(matrix, y):
 
 
 def seeded_radius(matrix, above, tol=1e-10):
-    """``matrix.spectral_radius(tol)`` with Noda's first shift just above ``above``.
+    """``matrix.spectral_radius(tol)`` with Noda's first shift and chain ratio at ``above``.
 
-    The braid routes' one entry into the solve, ``_perron``, on the program
-    that ``NNMatrix.spectral_radius`` builds: its entries as the dict holds
-    them, and its hubs and runs from the depths of the primitivity search.
-    ``above`` None gives the unseeded solve.
+    The braid routes' one entry into the solve, ``_hub_perron``, on the
+    hubs that ``NNMatrix.spectral_radius`` builds from its entries dict and
+    the depths of its breadth-first search.  ``above`` None gives
+    ``spectral_radius`` itself, which bisects for its own seed.
     """
-    program = _HubProgram.from_depths(matrix.size, matrix.entries, matrix._primitive_depths())
-    return _perron(program, tol, above)
+    if above is None:
+        return matrix.spectral_radius(tol)
+    return _hub_perron(searched_hubs(matrix), tol, above)
+
+
+def searched_hubs(matrix):
+    """The ``_Hubs`` that ``NNMatrix.spectral_radius`` solves on."""
+    return _searched_hubs(matrix.size, matrix.entries, matrix._primitive_depths())
 
 
 def schur_hub_matrix(entries, hubs, t):
@@ -355,34 +361,6 @@ def schur_hub_matrix(entries, hubs, t):
             x = nxt
         assert not x, "the rest holds a cycle"
     return r
-
-
-def all_rows_certificate(rows, cols, vals, v, tol):
-    """(lower, upper, eigenvalue) of the exact Collatz-Wielandt pass over every row.
-
-    The library's certificate before its float screen: the float vector v
-    is scaled to integers (its entries are dyadic), Mv is formed in
-    integers from the exact entries ``vals`` at the 0-based ``(rows,
-    cols)``, and every row's quotient is compared exactly.  The extremes
-    are rounded outward to floats; None when they are wider than tol.
-    """
-    pairs = [x.as_integer_ratio() for x in v]
-    scale = max(d for _, d in pairs)
-    ints = [p * (scale // d) for p, d in pairs]
-    mv = [0] * len(v)
-    for i, j, val in zip(rows, cols, vals):
-        mv[i] += val * ints[j]
-    quotients = [Fraction(num, den) for num, den in zip(mv, ints)]
-    lower, upper = _float_below(min(quotients)), -_float_below(-max(quotients))
-    if Fraction(upper) - Fraction(lower) > Fraction(tol):
-        return None
-    return lower, upper, 0.5 * (lower + upper)
-
-
-def _float_below(q):
-    """Largest float <= the rational q."""
-    x = float(q)  # correctly rounded
-    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
 
 
 def corpus_parameters():

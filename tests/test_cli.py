@@ -280,18 +280,15 @@ class TestBoundCommand:
     ids=["bound 1.1 20", "dilatation (79,)*42 matrix"],
 )
 def test_the_solve_is_built_from_the_levels_alone(capsys, monkeypatch, argv):
-    # the braid route's Perron-Frobenius solve builds no entries dict, no
-    # program of the whole matrix and no elimination over its chains, and
-    # prints the same
+    # the braid route's Perron-Frobenius solve builds no entries dict and
+    # finds no hubs by a search, and prints the same
     expected = run(capsys, *argv)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("entries dict, whole-matrix program or its solve used")
+        raise AssertionError("entries dict or hub search used")
 
     monkeypatch.setattr(treebuilder, "_entries", refuse)
-    monkeypatch.setattr(nnmatrix._HubProgram, "from_depths", refuse)
-    monkeypatch.setattr(nnmatrix, "_HubProgram", refuse)
-    monkeypatch.setattr(nnmatrix, "_hub_solve", refuse)
+    monkeypatch.setattr(nnmatrix, "_searched_hubs", refuse)
     assert expected[0] == 0
     assert run(capsys, *argv) == expected
 

@@ -42,6 +42,7 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 # the package re-exports the function dilatation under the module's name
 dilatation_module = importlib.import_module("pabraid.dilatation")
+nnmatrix = importlib.import_module("pabraid.nnmatrix")
 
 
 class TestDominantChain:
@@ -661,9 +662,9 @@ def assert_limit_route(prefix):
 
 
 class TestLevelRoute:
-    # the braid routes solve on the hubs alone (``_level_perron`` on
+    # the braid routes solve on the hubs alone (``_hub_perron`` on
     # ``_level_hubs``) and certify an exact enclosure of width at most tol
-    # that overlaps the seeded solve's on the NNMatrix, whose program comes
+    # that overlaps the seeded solve's on the NNMatrix, whose hubs come
     # from its dict and its breadth-first search, and meets the formula cell
 
     def test_tuple_certificates_overlap_spectral_radius(self):
@@ -704,10 +705,8 @@ class TestLevelRoute:
     def test_solve_counts(self, monkeypatch, run, solves):
         # one dense hub solve per Noda step; (3,)*300 took 165 solves of its
         # whole block before its chains were eliminated
-        calls, solve = [], dilatation_module._dense_solve
-        monkeypatch.setattr(
-            dilatation_module, "_dense_solve", lambda *args: calls.append(1) or solve(*args)
-        )
+        calls, solve = [], nnmatrix._dense_solve
+        monkeypatch.setattr(nnmatrix, "_dense_solve", lambda *args: calls.append(1) or solve(*args))
         run()
         assert len(calls) == solves
 

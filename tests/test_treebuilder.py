@@ -40,6 +40,7 @@ from helpers import (
     grid_tuples,
     krylov_rows,
     schur_hub_matrix,
+    searched_hubs,
 )
 
 
@@ -311,48 +312,36 @@ def lemma_depths(values):
     return depth
 
 
-def runs_of(program):
-    # each run as (the vertex it starts from, its vertices), checking that
-    # each vertex's lead entry reads the vertex before it
-    rest, rows, cols = (x.tolist() for x in (program.rest, program.rows, program.cols))
-    runs = set()
-    for a, b, p in program.runs:
-        path = rest[a:b]
-        lead = program.lead[a:b].tolist()
-        assert [rows[e] for e in lead] == path
-        assert [cols[e] for e in lead] == [rest[p], *path[:-1]]
-        runs.add((rest[p], tuple(path)))
-    return runs
+def among_hubs(hubs):
+    # the entries among the hubs as (row, col, entry) triples, sorted, the
+    # ladder unrolled into them
+    heads, steps, counts = hubs.ladder
+    ladder = [(i, heads[t], 2) for i, count in zip(steps, counts) for t in range(count)]
+    return sorted([*zip(*hubs.entries), *ladder])
+
+
+def assert_same_structure(searched, levels):
+    """The search builds the levels' structure field by field, the ladder unrolled.
+
+    A search reads the ladder's entries one by one, among the others.
+    """
+    assert (searched.size, searched.hubs) == (levels.size, levels.hubs)
+    assert among_hubs(searched) == among_hubs(levels)
+    assert searched.chains == levels.chains
+    for found, built in zip(searched.roots + searched.rest, levels.roots + levels.rest):
+        assert (found.dtype, found.tolist()) == (built.dtype, built.tolist())
 
 
 def assert_level_structure(matrix, levels, depth):
-    """The levels give the search's depths, and the hubs and chains the search finds.
+    """The levels give the search's depths, and the search finds the levels' structure.
 
-    The hubs of ``levels`` are those that the breadth-first depths give;
-    each chain of length L >= 1 has its root, the row before its level's
-    last row, among the search's roots, and the rest of it is one of the
-    search's runs, read down from the root.  The entries among the hubs
-    are the levels' entries, ladder and chains of length 0.
+    The hubs, the entries among them, the chain terms, the roots' entries
+    and each vertex of the rest with its root, product and power: the
+    search's equal those that ``_level_hubs`` reads from the levels.
     """
     assert depth == matrix._primitive_depths()
     assert matrix.is_primitive()
-    searched = nnmatrix._HubProgram.from_depths(matrix.size, matrix.entries, depth)
-    hubs = levels.hubs
-    assert hubs == searched.hubs.tolist()
-    chains = [(hubs[2 * i + 1] - 1, tuple(range(hubs[2 * i + 1] - 2, hubs[2 * i], -1)))
-              for i, n in enumerate(levels.lengths) if n]
-    assert [len(path) + 1 for _, path in chains] == [n for n in levels.lengths if n]
-    assert {root for root, _ in chains} == set(searched.rest[searched.root].tolist())
-    assert {chain for chain in chains if chain[1]} == runs_of(searched)
-    place = {h: p for p, h in enumerate(hubs)}
-    among = [(place[i - 1], place[j - 1], v) for (i, j), v in matrix.entries.items()
-             if i - 1 in place and j - 1 in place]
-    heads, steps, counts = levels.ladder
-    built = [*zip(*levels.entries)]
-    built += [(i, heads[t], 2) for i, count in zip(steps, counts) for t in range(count)]
-    built += [(2 * i, j, 1) for i, n in enumerate(levels.lengths) if not n
-              for j in (2 * i + 1, 2 * i + 2) if j < len(hubs)]
-    assert sorted(built) == sorted(among)
+    assert_same_structure(nnmatrix._searched_hubs(matrix.size, matrix.entries, depth), levels)
 
 
 def assert_level_depths(values):
@@ -413,17 +402,18 @@ def _entries_1_to_80(shortest, longest):
 class TestChainElimination:
     # _hub_matrix's R(t), built from the levels, against the dense Schur
     # complement of the entries dict over the hubs of the breadth-first
-    # search, entry by entry in exact arithmetic
+    # search, entry by entry in exact arithmetic; the search's structure is
+    # the levels' field by field
     TS = (Fraction(1), Fraction(7, 5), Fraction(3))
 
     def assert_schur(self, matrix, levels):
-        hubs = nnmatrix._HubProgram.from_depths(
-            matrix.size, matrix.entries, matrix._primitive_depths()
-        ).hubs.tolist()
+        searched = searched_hubs(matrix)
+        assert_same_structure(searched, levels)
+        coefs, lengths = levels.chains[2:]
         for t in self.TS:
-            weights = np.array([t**-n for n in levels.lengths], dtype=object)
-            built = treebuilder._hub_matrix(levels, weights).tolist()
-            assert built == schur_hub_matrix(matrix.entries, hubs, t)
+            weights = np.array([c * t**-n for c, n in zip(coefs, lengths)], dtype=object)
+            built = nnmatrix._hub_matrix(levels, weights).tolist()
+            assert built == schur_hub_matrix(matrix.entries, searched.hubs, t)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(values=_entries_1_to_80(2, 30))
