@@ -464,6 +464,114 @@ class TestCertificateProperties:
         assert_certified(m.spectral_radius(tol=tol), m.char_poly(), tol)
 
 
+@st.composite
+def hub_rows(draw):
+    # 0-based (rows, cols, vals) with every row nonempty: mostly one entry of
+    # 1, 2 or 3, anywhere (the diagonal included), else two or three entries
+    n = draw(st.integers(1, 12))
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        heads = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        if draw(st.integers(0, 2)):
+            heads = heads[:1]
+        for j in heads:
+            rows.append(i)
+            cols.append(j)
+            vals.append(draw(st.sampled_from([1, 1, 1, 2, 3])))
+    return n, rows, cols, vals
+
+
+# a vector entry: a few shared values, so quotients tie, or one spanning
+# 2^-996 (about 1.5e-300) to 1
+_VECTOR_ENTRY = st.one_of(
+    st.sampled_from([1.0, 0.75, 0.5, 0.25]),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-995, 0)),
+)
+
+
+def float_below(q):
+    """Largest float <= the rational q."""
+    x = float(q)  # correctly rounded
+    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+
+
+def enclosure_and_oracle(rows, cols, vals, v, tol):
+    """``_hub_enclosure``'s (lower, upper, eigenvalue), or None, and the exact pass's.
+
+    Every vertex is a hub, so there is no rest and no chain term, and the
+    enclosure is the hub rows' alone.  The oracle takes every row's quotient
+    (Mv)_i / v_i as a Fraction and rounds the extremes outward to floats.
+    """
+    n = len(v)
+    no_rest = nnmatrix._arrays([], np.intp, np.intp, float)
+    hubs = nnmatrix._Hubs(
+        n, list(range(n)), (tuple(rows), tuple(cols), tuple(vals)), ((), (), ()),
+        ((), (), (), ()), no_rest, nnmatrix._arrays([], np.intp, np.intp, float, np.intp),
+    )
+    va = np.array(v)
+    w = np.bincount(rows, np.array(vals, dtype=float) * va[cols], minlength=n)
+    cert = nnmatrix._hub_enclosure(hubs, 1 << nnmatrix._RHO_BITS, {}, tol, va, w)
+    found = None if cert is None else (cert.lower, cert.upper, cert.eigenvalue)
+    mv = [Fraction(0)] * n
+    for i, j, a in zip(rows, cols, vals):
+        mv[i] += a * Fraction(v[j])
+    quotients = [x / Fraction(vi) for x, vi in zip(mv, v)]
+    lower, upper = float_below(min(quotients)), -float_below(-max(quotients))
+    if Fraction(upper) - Fraction(lower) > Fraction(tol):
+        return found, None
+    return found, (lower, upper, 0.5 * (lower + upper))
+
+
+class TestExactEnclosure:
+    # ``_hub_enclosure`` compares the hub rows' quotients exactly, on v
+    # scaled to integers, and rounds only the extremes: rows whose float
+    # quotients tie, or round past one another, give the exact least and
+    # greatest
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=st.sampled_from([1e-10, 1.0, 1e300]))
+    def test_random_rows_and_vectors_match_the_exact_pass(self, data, tol):
+        n, rows, cols, vals = data.draw(hub_rows())
+        v = data.draw(st.lists(_VECTOR_ENTRY, min_size=n, max_size=n))
+        found, oracle = enclosure_and_oracle(rows, cols, vals, v, tol)
+        assert found == oracle
+
+    @pytest.mark.parametrize("n, shift", [(2, 0), (5, 1), (40, 3), (200, 5)])
+    def test_every_quotient_ties(self, n, shift):
+        # a chain of 1s, row i reading column i + 1, closed by the last row
+        # reading 1 in column 0 and 2 in its own; v_i = 2^(-shift i), so every
+        # chain row has the same quotient 2^-shift in floats and exactly
+        rows = [*range(n - 1), n - 1, n - 1]
+        cols = [*range(1, n), 0, n - 1]
+        v = [2.0 ** (-shift * i) for i in range(n)]
+        found, oracle = enclosure_and_oracle(rows, cols, [1] * n + [2], v, 1e300)
+        assert found == oracle
+        assert oracle[0] == 2.0**-shift  # the closing row's quotient exceeds 2
+
+    def test_the_least_of_rows_tied_in_floats_is_exact(self):
+        # rows 0 and 1 read 1 in columns 3 and 2; their float quotients tie
+        # at v_3 = fl(0.701 / 0.75), above the exact quotient of row 1
+        v2 = 0.701
+        v = [1.0, 0.75, v2, v2 / 0.75]
+        assert Fraction(v2) / Fraction(0.75) < Fraction(v[3])
+        rows, cols, vals = [0, 1, 2, 2, 3, 3], [3, 2, 2, 0, 3, 1], [1, 1, 4, 1, 4, 1]
+        found, oracle = enclosure_and_oracle(rows, cols, vals, v, 1e300)
+        assert found == oracle
+        assert oracle[0] < v[3]
+
+    def test_a_single_entry_of_3_is_compared_exactly(self):
+        # row 0 reads 3 in column 2, whose float quotient rounds twice: it
+        # lies above row 1's quotient x = v_3 / v_1, while the exact one lies
+        # below it and is the least
+        va, vj = float.fromhex("0x1.3f1f65ac2f2b4p-1"), float.fromhex("0x1.7814e8bbca4e2p-1")
+        x = float.fromhex("0x1.c489ebac06194p+1")
+        assert Fraction(3) * Fraction(vj) / Fraction(va) < Fraction(x) < 3.0 * vj / va
+        rows, cols, vals = [0, 1, 2, 3, 3], [2, 3, 3, 3, 0], [3, 1, 1, 4, 1]
+        found, oracle = enclosure_and_oracle(rows, cols, vals, [va, 1.0, vj, x], 1e300)
+        assert found == oracle
+        assert oracle[0] < x
+
+
 def corpus_matrices():
     """The matrices the benchmark's corpora solve: each tuple's, then each prefix's block."""
     tuples, prefixes = corpus_parameters()
