@@ -30,7 +30,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .intpoly import IntPoly, _integer, _power, _tolerance
 
@@ -60,13 +60,14 @@ _POWER_BITS = 128
 
 # A primitive matrix on its hubs, which meet every cycle; every other vertex,
 # the rest, reads hubs alone (a root) or one vertex of the rest (a link).
-# ``hubs``: the hubs' 0-based vertices, ascending.  ``entries`` (rows, cols,
-# ints): the entries among hubs, by hub place.  ``ladder`` (heads, steps,
-# counts): row ``step`` reads 2 at the first ``count`` heads.  ``chains``
-# (readers, reads, coefs, lengths): R(t) gains coef t^-n at (reader, read).
-# The numpy arrays ``roots`` (owner, reads, floats), each root's entries by
-# its place in the rest, and ``rest`` (vertices, roots, coefs, powers), each
-# vertex of the rest with its root's place, pi and d, give the float vector.
+# Every field but ``size`` is columns of ints.  ``hubs``: the hubs' 0-based
+# vertices, ascending.  ``entries`` (rows, cols, ints): the entries among
+# hubs, by hub place.  ``ladder`` (heads, steps, counts): row ``step`` reads 2
+# at the first ``count`` heads.  ``chains`` (readers, reads, coefs, lengths):
+# R(t) gains coef t^-n at (reader, read).  For the float vector, ``rest``
+# (starts, counts, roots, coefs, tops) holds runs of consecutive vertices with
+# one root and pi, d falling by 1 from ``top``, each with the run that ends
+# at its root, and ``roots`` (runs, reads, ints) each root's entries.
 _Hubs = namedtuple("_Hubs", "size hubs entries ladder chains roots rest")
 
 
@@ -225,11 +226,10 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
-        hubs = _searched_hubs(self.size, self.entries, depth)
-        sums = [0] * self.size
-        for (i, _), a in self.entries.items():
-            sums[i - 1] += a
-        return _hub_perron(hubs, tol, _seed(hubs, min(sums), max(sums)) if hubs.chains[0] else None)
+        hubs, sums = _searched_hubs(self.size, self.entries, depth), Counter()
+        for (i, _), a in self.entries.items() if hubs.chains[0] else ():
+            sums[i] += a
+        return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -408,14 +408,18 @@ def _searched_hubs(size, entries, depth):
     """
     import numpy as np
 
-    rows = [[] for _ in range(size)]
-    for (i, j), a in entries.items():
-        rows[i - 1].append((j - 1, a))
-    hub = [any(depth[j] >= depth[i] for j, _ in row) for i, row in enumerate(rows)]
-    hub = [h or len(row) > 1 and not all(hub[j] for j, _ in row) for h, row in zip(hub, rows)]
-    found = {}  # each vertex of the rest: its root, pi and d
+    ij = np.fromiter(chain.from_iterable(entries), np.intp, 2 * len(entries)) - 1
+    rows, cols, ints = ij[0::2], ij[1::2], np.fromiter(entries.values(), object, len(entries))
+    dep = np.array(depth)
+    hub = np.zeros(size, dtype=bool)
+    hub[rows[dep[cols] >= dep[rows]]] = True
+    hub[rows[~hub[cols] & (np.bincount(rows, minlength=size)[rows] > 1)]] = True
+    own = [[] for _ in range(size)]  # the entries of each vertex of the rest
+    for i, j, a in zip(*(x[~hub[rows]].tolist() for x in (rows, cols, ints))):
+        own[i].append((j, a))
+    hub, found = hub.tolist(), {}  # each vertex of the rest: its root, pi and d
     for k in sorted((k for k in range(size) if not hub[k]), key=depth.__getitem__):
-        j, a = rows[k][0]
+        j, a = own[k][0]
         if hub[j]:
             found[k] = (k, 1, 0)
         elif a * found[j][1] > _EXACT_COEF:
@@ -429,23 +433,28 @@ def _searched_hubs(size, entries, depth):
             f"the Perron-Frobenius solve would eliminate to {len(hubs)} hub "
             f"vertices; the limit is {_MAX_HUBS}"
         )
-    # a vertex's place among the hubs, or in the rest
-    at = {k: p for places in (hubs, sorted(found)) for p, k in enumerate(places)}
-    among, terms = [], Counter()
-    for i in hubs:
-        for j, a in rows[i]:
-            if hub[j]:
-                among.append((at[i], at[j], a))
-                continue
-            root, pi, d = found[j]
-            for g, b in rows[root]:
-                terms[at[i], at[g], d + 1] += a * pi * b
-    rest = [(k, at[root], pi, d) for k, (root, pi, d) in sorted(found.items())]
-    reads = [(at[k], at[j], b) for k, root, _, _ in rest if root == at[k] for j, b in sorted(rows[k])]
+    runs = []  # consecutive vertices of the rest with one root and pi, d falling by 1
+    for k, (root, pi, d) in sorted(found.items()):
+        if found.get(k - 1) == (root, pi, d + 1):
+            runs[-1][1] += 1
+        else:
+            runs.append([k, 1, root, pi, d])
+    at = {k: p for p, k in enumerate(hubs)}  # a hub's place, and a root's run
+    at.update((start + count - 1, p) for p, (start, count, *_) in enumerate(runs))
+    hub = np.array(hub)
+    place, both = np.cumsum(hub) - 1, hub[rows] & hub[cols]  # a hub's place
+    among = tuple(tuple(x.tolist()) for x in (place[rows[both]], place[cols[both]], ints[both]))
+    terms = Counter()
+    for i, j, a in zip(*(x[hub[rows] & ~hub[cols]].tolist() for x in (rows, cols, ints))):
+        root, pi, d = found[j]
+        for g, b in own[root]:
+            terms[at[i], at[g], d + 1] += a * pi * b
+    reads = [(at[k], at[j], b) for k in sorted(found) if found[k][0] == k for j, b in sorted(own[k])]
     return _Hubs(
-        size, hubs, _columns(among), ((), (), ()),
+        size, hubs, among, ((), (), ()),
         _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4),
-        _arrays(reads, np.intp, np.intp, float), _arrays(rest, np.intp, np.intp, float, np.intp),
+        _columns(reads),
+        _columns([(start, count, at[root], pi, top) for start, count, root, pi, top in runs], 5),
     )
 
 
@@ -454,36 +463,33 @@ def _columns(rows, width=3):
     return tuple(zip(*rows)) or ((),) * width
 
 
-def _arrays(rows, *types):
-    # ``_columns`` of ``rows`` as numpy arrays of the given types
-    import numpy as np
+def _above(hubs, t):
+    """Whether the float t lies above the Perron root lambda of ``hubs``.
 
-    return tuple(np.array(x, dtype=t) for x, t in zip(_columns(rows, len(types)), types))
-
-
-def _seed(hubs, lo, hi):
-    """A float above the Perron root lambda of ``hubs``, bisected from lo <= lambda <= hi.
-
-    A trial t is above lambda when the float solve of (tI - R(t))y = 1 is
-    positive, which in exact arithmetic holds exactly for t > lambda: there
-    tI - R(t) is a nonsingular M-matrix, and below, R(t) has a Perron root
-    at least lambda > t, which a positive y would put below t
-    (Collatz-Wielandt).  A float answer that errs near lambda costs Noda
-    steps, never a false enclosure.
+    It does when the float solve of (tI - R(t))y = 1 (``_dense_solve``, whose
+    elimination without pivoting keeps the signs of a y that spans many
+    decades) is positive, which in exact arithmetic holds exactly for
+    t > lambda: there tI - R(t) is a nonsingular M-matrix, and below, R(t)
+    has a Perron root at least lambda > t, which a positive y would put
+    below t (Collatz-Wielandt).  A float answer that errs near lambda costs
+    Noda steps, never a false enclosure.
     """
     import numpy as np
 
     coefs, lengths = hubs.chains[2:]
-    ones = np.ones(len(hubs.hubs))
+    matrix = _hub_matrix(hubs, np.array([c * t**-n for c, n in zip(coefs, lengths)]))
+    try:
+        return bool(np.all(_dense_solve(matrix, np.ones(len(hubs.hubs)), t) > 0))
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _seed(hubs, lo, hi):
+    # a float above the Perron root lambda of ``hubs``, bisected by ``_above``
+    # from lo <= lambda <= hi down to the relative width _SEED_WIDTH
     while hi - lo > _SEED_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        a = -_hub_matrix(hubs, np.array([c * mid**-n for c, n in zip(coefs, lengths)]))
-        a.flat[:: len(ones) + 1] += mid
-        try:
-            above = np.all(np.linalg.solve(a, ones) > 0)
-        except np.linalg.LinAlgError:
-            above = False
-        lo, hi = (lo, mid) if above else (mid, hi)
+        lo, hi = (lo, mid) if _above(hubs, mid) else (mid, hi)
     return hi
 
 
@@ -494,28 +500,42 @@ def _hub_perron(hubs, tol, above):
     ``_hub_matrix``, for a chain ratio t = 1/rho, rho = num / 2^96 nearest
     to 1/``above`` at first; the float ``above``, a braid route's cell or
     hint or ``_seed``'s bracket, is also the first shift, and None starts
-    unseeded.  The enclosure is exact on the whole matrix
+    unseeded.  The first run takes R(t)v from ``_hub_product`` until its
+    first solve, so a start that certifies forms no dense R(t).  The
+    enclosure is exact on the whole matrix
     (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
     t = lambda, so when the hub rows' quotients lie within tol but the
     enclosure does not, t moves: first to r(t), then by secant steps on
     r(t) - t.  An enclosure that no longer narrows raises the step cap's
-    RuntimeError.
+    RuntimeError.  Far from lambda, R(t)'s Perron vector can span more
+    than the doubles: when a run on R(t) raises and ``_above`` finds lambda
+    farther than ``_SEED_WIDTH`` from t, the solve starts again, once, from
+    ``_seed``'s bisection; nearer, the error stands.
     """
     import numpy as np
 
     coefs, lengths = hubs.chains[2:]
     t, v, seed, points = Fraction(1 if above is None else above), np.ones(len(hubs.hubs)), above, []
+    restarted = False
     while True:
         num = round((1 << _RHO_BITS) / t)
         t = Fraction(1 << _RHO_BITS, num)
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
-        weights = [c * floats[n] for c, n in zip(coefs, lengths)]
-        matrix = _hub_matrix(hubs, np.array(weights))
-        out = _noda(
-            v, matrix.dot, partial(_dense_solve, matrix),
-            partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
-        )
+        weights = np.array([c * floats[n] for c, n in zip(coefs, lengths)])
+        try:  # a run after a move forms R(t) at once
+            out = _noda(
+                v, partial(_hub_matrix, hubs, weights), None if points else partial(_hub_product, hubs, weights),
+                partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
+            )
+        except RuntimeError:
+            x, ones = float(t), np.ones(len(v))
+            if restarted or not lengths or _above(hubs, x * (1 + _SEED_WIDTH)) > _above(hubs, x * (1 - _SEED_WIDTH)):
+                raise  # R is M on its hubs for any t, or lambda lies near t
+            # lambda < r(x) <= R(x)'s greatest row sum, or 1 <= lambda < x
+            seed = _seed(hubs, *((1.0, x) if _above(hubs, x) else (x, float(_hub_product(hubs, weights, ones).max()))))
+            t, v, points, restarted = Fraction(seed), ones, [], True
+            continue
         if isinstance(out, PFCertificate):
             return out
         width, r, v = out
@@ -532,12 +552,12 @@ def _hub_perron(hubs, tol, above):
         seed = None
 
 
-def _noda(v, product, solve, certify, tol, above):
+def _noda(v, matrix, product, certify, tol, above):
     """Noda's iteration from the positive vector v: the first ``certify(v, w)`` not None.
 
-    ``product(v)`` is Mv, and ``solve(v, x)`` is y with (xI - D^-1 M D)y = 1,
-    D = diag(v); it raises numpy.linalg.LinAlgError when that system is
-    singular.  Each step whose Collatz-Wielandt ratios w/v lie within tol
+    ``matrix()`` forms the dense M, for ``_dense_solve``; until the first
+    solve, ``product(v)`` is Mv, and with ``product`` None M is formed at
+    once.  Each step whose Collatz-Wielandt ratios w/v lie within tol
     asks ``certify`` first.  A float ``above`` lambda (a braid route's cell
     or hint, or ``_seed``'s) makes x = above*(1 + 1e-13) the first shift:
     for x > lambda, xI - M is a nonsingular M-matrix and (xI - M)y = 1 has
@@ -547,7 +567,8 @@ def _noda(v, product, solve, certify, tol, above):
     """
     import numpy as np
 
-    w = product(v)
+    dense = None if product else matrix()
+    w = dense.dot(v) if product is None else product(v)
     for step in range(_NODA_STEPS):
         ratios = w / v
         lo, sigma = float(ratios.min()), float(ratios.max())
@@ -562,9 +583,10 @@ def _noda(v, product, solve, certify, tol, above):
         shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
         if step == 0 and above is not None and 0 < above < math.inf:
             shifts = (above * (1 + _SEED_MARGIN), *shifts)
+        dense = matrix() if dense is None else dense
         for shift in shifts:
             try:
-                y = solve(v, shift)
+                y = _dense_solve(dense, v, shift)
             except np.linalg.LinAlgError:  # shift equals lambda to double precision
                 continue
             if np.all(y > 0):
@@ -578,7 +600,7 @@ def _noda(v, product, solve, certify, tol, above):
                 "an iterate entry fell below the smallest normal double "
                 f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
             )
-        w = product(v)
+        w = dense.dot(v)
     raise _uncertified(tol)
 
 
@@ -592,7 +614,8 @@ def _uncertified(tol):
 def _dense_solve(matrix, v, x):
     """``_noda``'s solve on the dense matrix M: y with (xI - D^-1 M D)y = 1, D = diag(v).
 
-    LU with partial pivoting first.  When its y is not positive (an
+    Raises numpy.linalg.LinAlgError when that system is singular.  LU with
+    partial pivoting first.  When its y is not positive (an
     iterate spanning many decades loses its small entries to the pivoting's
     subtractions), the system A = xI - D^-1 M D is eliminated again without
     pivoting, column by column from the last.  For x above the Perron root
@@ -649,6 +672,18 @@ def _hub_matrix(hubs, weights):
     return r
 
 
+def _hub_product(hubs, weights, v):
+    # R(t)v on the columns of ``hubs``, ``weights`` as in ``_hub_matrix``
+    import numpy as np
+
+    (rows, cols, ints), (heads, steps, counts), (readers, reads) = (
+        (np.array(x, dtype=np.intp) for x in field) for field in (hubs.entries, hubs.ladder, hubs.chains[:2])
+    )
+    w = np.bincount(rows, ints * v[cols], len(v)) + np.bincount(readers, weights * v[reads], len(v))
+    w[steps] += 2 * np.append(0.0, np.cumsum(v[heads]))[counts]
+    return w
+
+
 def _hub_enclosure(hubs, num, balls, tol, v, w):
     """``_hub_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
 
@@ -685,7 +720,7 @@ def _hub_enclosure(hubs, num, balls, tol, v, w):
     lower, upper = bounds = _extremes(lows, highs)
     if Fraction(upper) - Fraction(lower) > Fraction(tol):
         return None
-    if len(hubs.rest[0]):  # a row of the rest: its quotient 2^96 / num
+    if hubs.rest[0]:  # a row of the rest: its quotient 2^96 / num
         ratio = Fraction(1 << _RHO_BITS, num)
         lower, upper = min(lower, _round_down(ratio)), max(upper, -_round_down(-ratio))
     width = Fraction(upper) - Fraction(lower)
@@ -703,11 +738,13 @@ def _hub_vector(hubs, v, w, rho, lam):
     # for Mv on the hubs
     import numpy as np
 
-    vertices, roots, coefs, powers = hubs.rest
-    owner, reads, entries = hubs.roots
-    sums = np.bincount(owner, entries * v[reads], minlength=len(vertices))
-    mv = sums[roots] * (coefs * rho**powers)
+    starts, counts, roots, coefs, tops = np.array(hubs.rest, dtype=np.intp)
+    owner, reads, entries = np.array(hubs.roots, dtype=np.intp)
+    sums = np.bincount(owner, entries * v[reads], minlength=len(starts))
+    steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    mv = np.repeat(sums[roots], counts) * (np.repeat(coefs, counts) * rho ** (np.repeat(tops, counts) - steps))
     full, product = np.empty(hubs.size), np.empty(hubs.size)
+    vertices = np.repeat(starts, counts) + steps
     full[hubs.hubs], full[vertices] = v, mv * rho
     product[hubs.hubs], product[vertices] = w, mv
     top = full.max()  # a vertex of the rest may pass the hubs

@@ -50,7 +50,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .intpoly import IntPoly, _integer
-from .nnmatrix import NNMatrix, _arrays, _columns, _Hubs
+from .nnmatrix import NNMatrix, _columns, _Hubs
 
 __all__ = [
     "BraidTuple",
@@ -241,10 +241,8 @@ def _level_hubs(values, size):
     2i + 2.  H_i reads the chain of a complete level i, of length
     L_i = m_i - 1, whose root reads E_i and H_{i+1}, when there is one,
     with 1: so H_i reads t^-L_i at both, an entry of 1 when L_i = 0, and
-    every vertex of the chain has pi = 1.
+    the chain is one run of the rest, with pi = 1 and d from L_i - 1 to 0.
     """
-    import numpy as np
-
     _check_nonzeros(values)
     bounds = block_boundaries(values)
     levels = len(values) - (size < bounds[-1])  # those with a last row
@@ -262,11 +260,9 @@ def _level_hubs(values, size):
     entries += [(2 * i, j, 1) for i, j, n in reads if not n]
     steps = range(4, h)  # H_i and E_i, i >= 2, read 2 at H_1 .. H_{i-1}
     ladder = [2 * i for i in range(1, (h + 1) // 2)], steps, [i // 2 - 1 for i in steps]
-    last = [n - 1 for n in accumulate(lengths)]  # each chain's root, by its place in the rest
-    vertices = np.delete(np.arange(size), hubs)  # level by level, each level's last row after
-    rest = vertices, np.repeat(last, lengths), np.ones(len(vertices))
-    rest += (np.repeat(hubs[1::2], lengths) - vertices - 1,)
-    roots = _arrays([(last[i], j, 1) for i, j, n in reads if n], np.intp, np.intp, float)
+    run = {i: p for p, i in enumerate(i for i, n in enumerate(lengths) if n)}
+    rest = _columns([(hubs[2 * i] + 1, lengths[i], p, 1, lengths[i] - 1) for i, p in run.items()], 5)
+    roots = _columns([(run[i], j, 1) for i, j, n in reads if n])
     chains = _columns([(2 * i, j, 1, n) for i, j, n in reads if n], 4)
     return _Hubs(size, hubs, _columns(entries), ladder, chains, roots, rest)
 

@@ -328,15 +328,14 @@ def assert_same_structure(searched, levels):
     assert (searched.size, searched.hubs) == (levels.size, levels.hubs)
     assert among_hubs(searched) == among_hubs(levels)
     assert searched.chains == levels.chains
-    for found, built in zip(searched.roots + searched.rest, levels.roots + levels.rest):
-        assert (found.dtype, found.tolist()) == (built.dtype, built.tolist())
+    assert (searched.roots, searched.rest) == (levels.roots, levels.rest)
 
 
 def assert_level_structure(matrix, levels, depth):
     """The levels give the search's depths, and the search finds the levels' structure.
 
     The hubs, the entries among them, the chain terms, the roots' entries
-    and each vertex of the rest with its root, product and power: the
+    and the runs of the rest with their roots, products and powers: the
     search's equal those that ``_level_hubs`` reads from the levels.
     """
     assert depth == matrix._primitive_depths()
