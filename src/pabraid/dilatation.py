@@ -450,12 +450,11 @@ def _cross_check(cell, levels, tol=1e-10):
 
     The matrix is ``levels``, built from the block boundaries: primitive
     by ``treebuilder``'s lemma, so no graph is searched and no matrix
-    validated.  The formula route's cell and the
-    Collatz-Wielandt enclosure (width ``tol``) are compared exactly and must
-    share a point, else AssertionError; the test is exact at any ``tol``.
-    Noda's iteration starts just above the cell's upper end, but the
-    enclosure is evaluated on the matrix alone: a wrong cell costs steps,
-    never a false overlap.
+    validated.  The formula route's cell and the Collatz-Wielandt enclosure
+    (width ``tol``) are compared exactly and must share a point, else
+    AssertionError; the test is exact at any ``tol``.  Noda's iteration
+    starts just above the cell's upper end, but the enclosure is evaluated
+    on the matrix alone: a wrong cell costs steps, never a false overlap.
     """
     lo, hi = cell.bracket()
     cert = _hub_perron(levels, tol, float(hi))

@@ -11,16 +11,14 @@ Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
 commutative ring, so it also gives ``poly_matrix_det``.
 
-One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``), on
-a ``_Hubs``: hubs that meet every cycle, and a rest whose vertices each
-read hubs alone or one other vertex of the rest.  On the rest an
-eigenvector is fixed by its hub values, so the rest is eliminated exactly,
-and Noda's iteration (``_noda``) runs on the dense hub matrix R(t) of a
-chain ratio t, with an exact Collatz-Wielandt enclosure of the whole
-matrix.  ``treebuilder._level_hubs`` builds a braid matrix's ``_Hubs`` from
-its block boundaries, and ``_searched_hubs`` any matrix's from the depths
-of ``spectral_radius``'s search.  Only the solve uses numpy, imported on
-its first call, so the commands without a matrix route (``polynomial``,
+One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``): on
+a ``_Hubs``, whose rest holds no cycle and is eliminated exactly, Noda's
+iteration (``_noda``) runs on the hub matrix R(t) of a chain ratio t, with
+an exact Collatz-Wielandt enclosure of the whole matrix.
+``treebuilder._level_hubs`` builds a braid matrix's ``_Hubs`` from its
+block boundaries, and ``_searched_hubs`` any matrix's from the depths of
+``spectral_radius``'s search.  Only the solve uses numpy, imported on its
+first call, so the commands without a matrix route (``polynomial``,
 ``matrix``, ``verify`` and ``dilatation --method formula``) never load it.
 """
 
@@ -41,10 +39,9 @@ _SMALLEST_NORMAL = 2.0**-1022
 # relative gap between a caller's float just above lambda and the first Noda
 # shift: it covers that float's rounding
 _SEED_MARGIN = 1e-13
-# the relative width at which spectral_radius stops bisecting for its seed,
-# after about 20 dense solves from the row sums; the chain ratio's moves
-# close the rest.  On the 601 hubs of dominant_matrix((3,)*300) the whole
-# solve took 0.8 s, against 1.2 s at 1e-13 and 1.6 s at 1e-3
+# the relative width at which ``_seed`` stops bisecting, after about 20 dense
+# solves; the chain ratio's moves close the rest.  On dominant_matrix((3,)*300)
+# spectral_radius took 0.8 s, against 1.2 s at 1e-13 and 1.6 s at 1e-3
 _SEED_WIDTH = 1e-6
 # the most hubs of a solve, whose dense hub system takes 8 bytes per hub
 # squared.  Under treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with
@@ -80,8 +77,7 @@ class PFCertificate(namedtuple(
     eigenvalue lambda, with ``upper - lower <= tol``; ``eigenvalue`` is the
     midpoint.  ``right_eigenvector`` is a tuple of floats, and ``residual``
     is max_i |(Mv)_i - eigenvalue*v_i| in floating point for that
-    eigenvector v.  The certified vector is exact off the hubs
-    (``_hub_enclosure``); there the float vector is a rounding of it.
+    eigenvector v, a rounding of the one certified (``_hub_enclosure``).
     """
 
     __slots__ = ()
@@ -202,18 +198,15 @@ class NNMatrix:
         positive and converges quadratically once sigma is near lambda.  The
         rescaling keeps tiny eigenvector entries relatively accurate.
 
-        The solve runs on the hubs that the depths of the primitivity test
-        give (``_searched_hubs``; past ``_MAX_HUBS`` of them, ValueError
-        before any step), the rest eliminated exactly (``_hub_perron``).
-        It starts from the all-ones vector on the hubs, unseeded when every
-        vertex is a hub; else its first shift and chain ratio are a float
-        above lambda that ``_seed`` bisects for from the least and greatest
-        row sums.  The enclosure min_i (Mv)_i/v_i <= lambda <=
-        max_i (Mv)_i/v_i is evaluated exactly on the whole matrix, then
-        rounded outward to ``lower`` and ``upper``, with
-        ``upper - lower <= tol``; ``eigenvalue`` is their midpoint.  A bad
-        solve thus costs steps, never a false enclosure.  The eigenvector
-        has max entry 1.
+        The solve (``_hub_perron``) runs on the hubs that the primitivity
+        test's depths give (``_searched_hubs``; past ``_MAX_HUBS`` of them,
+        ValueError before any step), from the all-ones vector: unseeded when
+        every vertex is a hub, else from a float above lambda that ``_seed``
+        bisects for from the least and greatest row sums.  The enclosure
+        min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is exact on the whole
+        matrix, rounded outward to ``lower`` and ``upper`` within tol, and
+        ``eigenvalue`` is their midpoint: a bad solve costs steps, never a
+        false enclosure.  The eigenvector has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, when an iterate entry underflows, or when a
@@ -425,8 +418,7 @@ def _searched_hubs(size, entries, depth):
         elif a * found[j][1] > _EXACT_COEF:
             hub[k] = True
         else:
-            root, pi, d = found[j]
-            found[k] = (root, a * pi, d + 1)
+            found[k] = (found[j][0], a * found[j][1], found[j][2] + 1)
     hubs = [k for k in range(size) if hub[k]]
     if len(hubs) > _MAX_HUBS:
         raise ValueError(
@@ -452,8 +444,7 @@ def _searched_hubs(size, entries, depth):
     reads = [(at[k], at[j], b) for k in sorted(found) if found[k][0] == k for j, b in sorted(own[k])]
     return _Hubs(
         size, hubs, among, ((), (), ()),
-        _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4),
-        _columns(reads),
+        _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4), _columns(reads),
         _columns([(start, count, at[root], pi, top) for start, count, root, pi, top in runs], 5),
     )
 
@@ -464,20 +455,15 @@ def _columns(rows, width=3):
 
 
 def _above(hubs, t):
-    """Whether the float t lies above the Perron root lambda of ``hubs``.
-
-    It does when the float solve of (tI - R(t))y = 1 (``_dense_solve``, whose
-    elimination without pivoting keeps the signs of a y that spans many
-    decades) is positive, which in exact arithmetic holds exactly for
-    t > lambda: there tI - R(t) is a nonsingular M-matrix, and below, R(t)
-    has a Perron root at least lambda > t, which a positive y would put
-    below t (Collatz-Wielandt).  A float answer that errs near lambda costs
-    Noda steps, never a false enclosure.
-    """
+    # whether the float t lies above the Perron root lambda of ``hubs``: whether
+    # ``_dense_solve``'s y with (tI - R(t))y = 1 is positive, which in exact
+    # arithmetic holds exactly for t > lambda: there tI - R(t) is a nonsingular
+    # M-matrix, and below, R(t) has a Perron root above t, which a positive y
+    # would put below t (Collatz-Wielandt).  An error near lambda costs Noda
+    # steps, never a false enclosure
     import numpy as np
 
-    coefs, lengths = hubs.chains[2:]
-    matrix = _hub_matrix(hubs, np.array([c * t**-n for c, n in zip(coefs, lengths)]))
+    matrix = _hub_matrix(hubs, np.array([c * t**-n for _, _, c, n in zip(*hubs.chains)]))
     try:
         return bool(np.all(_dense_solve(matrix, np.ones(len(hubs.hubs)), t) > 0))
     except np.linalg.LinAlgError:
@@ -496,21 +482,19 @@ def _seed(hubs, lo, hi):
 def _hub_perron(hubs, tol, above):
     """The certified Perron-Frobenius eigenvalue of the ``_Hubs`` ``hubs``, on its hubs alone.
 
-    Noda's iteration (``_noda``) runs on the hub matrix R(t) of
-    ``_hub_matrix``, for a chain ratio t = 1/rho, rho = num / 2^96 nearest
-    to 1/``above`` at first; the float ``above``, a braid route's cell or
-    hint or ``_seed``'s bracket, is also the first shift, and None starts
-    unseeded.  The first run takes R(t)v from ``_hub_product`` until its
-    first solve, so a start that certifies forms no dense R(t).  The
-    enclosure is exact on the whole matrix
+    Noda's iteration (``_noda``) runs on the hub matrix R(t) of a chain
+    ratio t = 1/rho, rho = num / 2^96 nearest 1/``above`` at first; the
+    float ``above`` (a braid route's cell or hint, or ``_seed``'s) is also
+    the first shift, and None starts unseeded.  The first run takes R(t)v
+    from ``_hub_product`` until its first solve, so a start that certifies
+    forms no dense R(t).  The enclosure is exact on the whole matrix
     (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
-    t = lambda, so when the hub rows' quotients lie within tol but the
-    enclosure does not, t moves: first to r(t), then by secant steps on
-    r(t) - t.  An enclosure that no longer narrows raises the step cap's
-    RuntimeError.  Far from lambda, R(t)'s Perron vector can span more
-    than the doubles: when a run on R(t) raises and ``_above`` finds lambda
-    farther than ``_SEED_WIDTH`` from t, the solve starts again, once, from
-    ``_seed``'s bisection; nearer, the error stands.
+    t = lambda: when the hub rows' quotients lie within tol but the
+    enclosure does not, t moves to r(t), then by secant steps on r(t) - t,
+    and an enclosure that no longer narrows raises the step cap's error.
+    Far from lambda, R(t)'s Perron vector can span more than the doubles:
+    when a run raises and ``_above`` puts lambda farther than
+    ``_SEED_WIDTH`` from t, the solve starts again, once, from ``_seed``.
     """
     import numpy as np
 
@@ -523,17 +507,19 @@ def _hub_perron(hubs, tol, above):
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
         weights = np.array([c * floats[n] for c, n in zip(coefs, lengths)])
-        try:  # a run after a move forms R(t) at once
+        product = None if points else partial(_hub_product, hubs, weights)  # after a move, R(t) at once
+        try:
             out = _noda(
-                v, partial(_hub_matrix, hubs, weights), None if points else partial(_hub_product, hubs, weights),
+                v, partial(_hub_matrix, hubs, weights), product,
                 partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
             )
         except RuntimeError:
-            x, ones = float(t), np.ones(len(v))
-            if restarted or not lengths or _above(hubs, x * (1 + _SEED_WIDTH)) > _above(hubs, x * (1 - _SEED_WIDTH)):
+            x, ones, w = float(t), np.ones(len(v)), _SEED_WIDTH
+            if restarted or not lengths or _above(hubs, x * (1 + w)) > _above(hubs, x * (1 - w)):
                 raise  # R is M on its hubs for any t, or lambda lies near t
-            # lambda < r(x) <= R(x)'s greatest row sum, or 1 <= lambda < x
-            seed = _seed(hubs, *((1.0, x) if _above(hubs, x) else (x, float(_hub_product(hubs, weights, ones).max()))))
+            # 1 <= lambda < x, or lambda < r(x) <= R(x)'s greatest row sum
+            lo, hi = (1.0, x) if _above(hubs, x) else (x, _hub_product(hubs, weights, ones).max())
+            seed = _seed(hubs, lo, float(hi))
             t, v, points, restarted = Fraction(seed), ones, [], True
             continue
         if isinstance(out, PFCertificate):
@@ -576,10 +562,9 @@ def _noda(v, matrix, product, certify, tol, above):
             out = certify(v, w)
             if out is not None:
                 return out
-        # Noda's shift sigma first.  The solve fails (singular hub system)
-        # or loses positivity when sigma is far closer to lambda than v is
-        # to the eigenvector; the step is then retried from above sigma by
-        # the current enclosure width.
+        # Noda's shift sigma first.  Its solve fails (singular) or loses
+        # positivity when sigma is far closer to lambda than v is to the
+        # eigenvector: then from above sigma by the enclosure's width.
         shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
         if step == 0 and above is not None and 0 < above < math.inf:
             shifts = (above * (1 + _SEED_MARGIN), *shifts)
@@ -606,26 +591,23 @@ def _noda(v, matrix, product, certify, tol, above):
 
 def _uncertified(tol):
     # the error of an enclosure that stays wider than tol
-    return RuntimeError(
-        f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps"
-    )
+    return RuntimeError(f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps")
 
 
 def _dense_solve(matrix, v, x):
     """``_noda``'s solve on the dense matrix M: y with (xI - D^-1 M D)y = 1, D = diag(v).
 
-    Raises numpy.linalg.LinAlgError when that system is singular.  LU with
-    partial pivoting first.  When its y is not positive (an
-    iterate spanning many decades loses its small entries to the pivoting's
-    subtractions), the system A = xI - D^-1 M D is eliminated again without
-    pivoting, column by column from the last.  For x above the Perron root
-    A is an M-matrix, and that elimination subtracts only on the diagonal:
-    each row r < k with an entry in column k takes f = a_rk / a_kk <= 0
-    times row k, whose entries left of k are <= 0 as row r's are, and the
-    right side only grows.  The lower triangle left is solved forward, each
-    y_i a sum of non-negative terms over its pivot.  A braid matrix's hub
-    rows read at most two columns past their own, so there this costs
-    O(h^2); on the hubs of a search it can cost O(h^3).
+    LU with partial pivoting first, which raises numpy.linalg.LinAlgError
+    on a singular system.  When its y is not positive (an iterate spanning
+    many decades loses its small entries to the pivoting's subtractions),
+    A = xI - D^-1 M D is eliminated again without pivoting, column by column
+    from the last.  For x above the Perron root A is an M-matrix, and that
+    elimination subtracts only on the diagonal: each row r < k with an entry
+    in column k takes f = a_rk / a_kk <= 0 times row k, whose entries left
+    of k are <= 0 as row r's are, and the right side only grows.  The lower
+    triangle left is solved forward, each y_i a sum of non-negative terms
+    over its pivot.  That costs O(h^2) on a braid matrix's hubs, whose rows
+    read at most two columns past their own, and up to O(h^3) on a search's.
     """
     import numpy as np
 
@@ -650,35 +632,37 @@ def _dense_solve(matrix, v, x):
 def _hub_matrix(hubs, weights):
     """The hub matrix R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH of the ``_Hubs`` ``hubs``.
 
-    ``weights`` holds coef t^-n for each chain term, a float array or an
-    object array of exact values.  On the rest C, (tI - M)v = 0 gives
-    t v_r = sum_h b_h v_h at a root r, over its entries b_h from hubs, and
-    t v_k = a v_j at a link k that reads j with entry a, so
-    v_k = pi_k t^-(d_k + 1) times the sum of k's root: a hub row that reads
-    k with entry a reads a pi_k b_h t^-(d_k + 1) at each hub h, the chain
-    terms.  R(lambda) has the Perron root lambda, and its Perron vector is
-    the matrix's on the hubs.
+    ``weights``, floats or exact objects, holds coef t^-n for each chain
+    term.  On the rest C, (tI - M)v = 0 gives t v_r = sum_h b_h v_h at a
+    root r, over its entries b_h from hubs, and t v_k = a v_j at a link k
+    that reads j with entry a, so v_k = pi_k t^-(d_k + 1) times the sum of
+    k's root: a hub row that reads k with entry a reads a pi_k b_h
+    t^-(d_k + 1) at each hub h, the chain terms.  R(lambda) has the Perron
+    root lambda, and its Perron vector is the matrix's on the hubs.
     """
     import numpy as np
 
     h = len(hubs.hubs)
     r = np.zeros((h, h), dtype=weights.dtype)
-    rows, cols, ints = hubs.entries
-    r[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = ints
-    heads, steps, counts = (np.array(x, dtype=np.intp) for x in hubs.ladder)
+    rows, cols, _, heads, steps, counts, readers, reads = _indices(hubs)
+    r[rows, cols] = hubs.entries[2]
     r[steps[:, None], heads] += 2 * (np.arange(len(heads)) < counts[:, None])
-    readers, reads = (np.array(x, dtype=np.intp) for x in hubs.chains[:2])
     np.add.at(r, (readers, reads), weights)
     return r
+
+
+def _indices(hubs):
+    # the entries', ladder's and chain terms' columns of ints, as numpy arrays
+    import numpy as np
+
+    return [np.array(x, dtype=np.intp) for x in (*hubs.entries, *hubs.ladder, *hubs.chains[:2])]
 
 
 def _hub_product(hubs, weights, v):
     # R(t)v on the columns of ``hubs``, ``weights`` as in ``_hub_matrix``
     import numpy as np
 
-    (rows, cols, ints), (heads, steps, counts), (readers, reads) = (
-        (np.array(x, dtype=np.intp) for x in field) for field in (hubs.entries, hubs.ladder, hubs.chains[:2])
-    )
+    rows, cols, ints, heads, steps, counts, readers, reads = _indices(hubs)
     w = np.bincount(rows, ints * v[cols], len(v)) + np.bincount(readers, weights * v[reads], len(v))
     w[steps] += 2 * np.append(0.0, np.cumsum(v[heads]))[counts]
     return w
@@ -689,29 +673,24 @@ def _hub_enclosure(hubs, num, balls, tol, v, w):
 
     The vector of the whole matrix is v on the hubs and, at each vertex k
     of the rest, pi_k rho^(d_k + 1) times the sum of k's root over its
-    entries from hubs, with rho = num / 2^96.  So every row of the rest has
-    the quotient 1/rho exactly, and only the hub rows are evaluated, on v
-    scaled to integers and rho^n as the ball ``balls[n]``, which ``_power``
-    rounds outward.  Returns a PFCertificate within tol; None when the hub
-    rows alone lie wider than tol, for more Noda steps; else the
-    enclosure's width, the midpoint of the hub rows' quotients and v.
+    entries from hubs, rho = num / 2^96: every row of the rest has the
+    quotient 1/rho exactly.  Only the hub rows are evaluated, on v scaled to
+    integers and rho^n as the outward ball ``balls[n]`` of ``_power``.
+    Returns a PFCertificate within tol; None when the hub rows alone lie
+    wider than tol; else the width, the hub rows' mid quotient and v.
     """
-    vl = v.tolist()
-    h = len(vl)
-    ints = _dyadic_ints(range(h), vl)
-    sums = [0] * h
+    ints = _dyadic_ints(v.tolist())
+    sums = [0] * len(ints)
     for i, j, a in zip(*hubs.entries):
         sums[i] += a * ints[j]
     heads, steps, counts = hubs.ladder
     below = [0, *accumulate(ints[j] for j in heads)]
     for i, count in zip(steps, counts):
         sums[i] += 2 * below[count]
-    lows = [(total, ints[i]) for i, total in enumerate(sums)]
-    highs = lows[:]
-    # each row that reads chains, over the finest ball's denominator 2^top
+    # each row's quotient, over the finest ball's denominator 2^top
     top = max((lift for _, _, lift in balls.values()), default=0)
-    for i in {*hubs.chains[0]}:
-        lows[i] = highs[i] = sums[i] << top, ints[i] << top
+    lows = [(total << top, ints[i] << top) for i, total in enumerate(sums)]
+    highs = lows[:]
     for i, j, c, n in zip(*hubs.chains):
         mid, rad, lift = balls[n]
         x = c * ints[j] << top - lift
@@ -727,37 +706,33 @@ def _hub_enclosure(hubs, num, balls, tol, v, w):
     if width > Fraction(tol):
         return width, (Fraction(bounds[0]) + Fraction(bounds[1])) / 2, v
     lam = 0.5 * (lower + upper)
-    vector, residual = _hub_vector(hubs, v, w, num / (1 << _RHO_BITS), lam)
-    return PFCertificate(lam, lower, upper, vector, residual)
+    return PFCertificate(lam, lower, upper, *_hub_vector(hubs, v, w, num / (1 << _RHO_BITS), lam))
 
 
 def _hub_vector(hubs, v, w, rho, lam):
-    # the float eigenvector of the whole matrix, v on the hubs and
-    # pi_k rho^(d_k + 1) times its root's sum on the rest, rounded and scaled
-    # to max entry 1, and its float residual max |Mv - lam v|, with w = R(t)v
-    # for Mv on the hubs
+    # ``_hub_enclosure``'s vector in floats, scaled to max entry 1, and its
+    # float residual max |Mv - lam v|, with w = R(t)v for Mv on the hubs
     import numpy as np
 
-    starts, counts, roots, coefs, tops = np.array(hubs.rest, dtype=np.intp)
-    owner, reads, entries = np.array(hubs.roots, dtype=np.intp)
-    sums = np.bincount(owner, entries * v[reads], minlength=len(starts))
-    steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    mv = np.repeat(sums[roots], counts) * (np.repeat(coefs, counts) * rho ** (np.repeat(tops, counts) - steps))
+    rest, (owner, reads, entries) = (np.array(x, dtype=np.intp) for x in (hubs.rest, hubs.roots))
+    sums = np.bincount(owner, entries * v[reads], minlength=rest.shape[1])
+    starts, _, roots, coefs, tops = np.repeat(rest, rest[1], axis=1)  # by vertex
+    steps = np.arange(len(starts)) - np.repeat(np.cumsum(rest[1]) - rest[1], rest[1])
+    mv = sums[roots] * (coefs * rho ** (tops - steps))
     full, product = np.empty(hubs.size), np.empty(hubs.size)
-    vertices = np.repeat(starts, counts) + steps
-    full[hubs.hubs], full[vertices] = v, mv * rho
-    product[hubs.hubs], product[vertices] = w, mv
+    full[hubs.hubs], full[starts + steps] = v, mv * rho
+    product[hubs.hubs], product[starts + steps] = w, mv
     top = full.max()  # a vertex of the rest may pass the hubs
     full, product = full / top, product / top
     return tuple(full.tolist()), float(abs(product - lam * full).max())
 
 
-def _dyadic_ints(places, vl):
-    # the floats vl at ``places`` times one power of 2 that makes them all
-    # integers, by place: each denominator of a float is a power of 2
-    pairs = {j: vl[j].as_integer_ratio() for j in places}
-    top = max(d for _, d in pairs.values()).bit_length()
-    return {j: p << (top - d.bit_length()) for j, (p, d) in pairs.items()}
+def _dyadic_ints(vl):
+    # the floats vl times one power of 2 that makes them all integers: each
+    # denominator of a float is a power of 2
+    pairs = [x.as_integer_ratio() for x in vl]
+    top = max(d for _, d in pairs).bit_length()
+    return [p << (top - d.bit_length()) for p, d in pairs]
 
 
 def _extremes(lows, highs):

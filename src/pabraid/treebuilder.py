@@ -35,13 +35,9 @@ n_i - 1 and n_i of the level before, and so on.  Each hub has a self-loop,
 so every transition matrix is primitive, and so is a dominant block: its
 depths are the first n_i + 1 of its extension by 1, whose last vertex
 feeds only the hub.  This lemma is why no braid route searches a graph.
-The heads of the edges that do not increase the depth are vertex 1, the
-last vertices and the hubs, 2(k + 1) of them (2k + 1 in a dominant block),
-and they are the solve's hubs.  Every other vertex lies inside a chain and
-reads only the next one, except the chain's last, its root, which reads
-the last vertex n_j and, when a level follows, its hub n_j + 1.  A hub row
-and a last row read 2 at every earlier hub: a ladder, whose exact row sums
-the certificate adds from one running sum.
+The heads of the edges that do not increase the depth, vertex 1, the last
+vertices and the hubs, are the solve's hubs; every other vertex lies inside
+a level's chain (``_level_hubs``).
 """
 
 from __future__ import annotations
