@@ -485,10 +485,10 @@ def _hub_perron(hubs, tol, above):
     Noda's iteration (``_noda``) runs on the hub matrix R(t) of a chain
     ratio t = 1/rho, rho = num / 2^96 nearest 1/``above`` at first; the
     float ``above`` (a braid route's cell or hint, or ``_seed``'s) is also
-    the first shift, and None starts unseeded.  The first run takes R(t)v
-    from ``_hub_product`` until its first solve, so a start that certifies
-    forms no dense R(t).  The enclosure is exact on the whole matrix
-    (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
+    the first shift, and None starts unseeded: then the first run takes
+    R(t)v from ``_hub_product`` until its first solve, so a start that
+    certifies forms no dense R(t).  The enclosure is exact on the whole
+    matrix (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
     t = lambda: when the hub rows' quotients lie within tol but the
     enclosure does not, t moves to r(t), then by secant steps on r(t) - t,
     and an enclosure that no longer narrows raises the step cap's error.
@@ -507,7 +507,7 @@ def _hub_perron(hubs, tol, above):
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
         weights = np.array([c * floats[n] for c, n in zip(coefs, lengths)])
-        product = None if points else partial(_hub_product, hubs, weights)  # after a move, R(t) at once
+        product = None if seed or points else partial(_hub_product, hubs, weights)  # R(t) at once
         try:
             out = _noda(
                 v, partial(_hub_matrix, hubs, weights), product,

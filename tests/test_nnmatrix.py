@@ -340,6 +340,21 @@ class TestSpectralRadius:
         assert cert.lower == cert.upper == 2.0
         assert factorizations == []
 
+    def test_a_start_that_certifies_forms_no_hub_matrix(self, monkeypatch):
+        # a cycle of 2000 with a self-loop at every vertex: every vertex is a
+        # hub, and the all-ones vector is the Perron vector, so the enclosure
+        # certifies on the sparse product before any solve would need R dense
+        n = 2000
+        entries = {(i, i): 1 for i in range(1, n + 1)}
+        entries.update({(i % n + 1, i): 1 for i in range(1, n + 1)})
+
+        def refuse(*args):
+            raise AssertionError("the hub matrix was formed densely")
+
+        monkeypatch.setattr(nnmatrix, "_hub_matrix", refuse)
+        cert = NNMatrix(n, entries).spectral_radius()
+        assert cert.lower == cert.upper == 2.0 and cert.right_eigenvector == (1.0,) * n
+
     def test_bounds_round_outward(self):
         # 1/10 rounds up to the nearest double and 2/3 rounds down
         assert Fraction(nnmatrix._round_down(Fraction(1, 10))) < Fraction(1, 10)
