@@ -422,8 +422,7 @@ def _searched_hubs(size, entries, depth):
     hubs = [k for k in range(size) if hub[k]]
     if len(hubs) > _MAX_HUBS:
         raise ValueError(
-            f"the Perron-Frobenius solve would eliminate to {len(hubs)} hub "
-            f"vertices; the limit is {_MAX_HUBS}"
+            f"the Perron-Frobenius solve would eliminate to {len(hubs)} hub vertices; the limit is {_MAX_HUBS}"
         )
     runs = []  # consecutive vertices of the rest with one root and pi, d falling by 1
     for k, (root, pi, d) in sorted(found.items()):
@@ -455,12 +454,11 @@ def _columns(rows, width=3):
 
 
 def _above(hubs, t):
-    # whether the float t lies above the Perron root lambda of ``hubs``: whether
-    # ``_dense_solve``'s y with (tI - R(t))y = 1 is positive, which in exact
-    # arithmetic holds exactly for t > lambda: there tI - R(t) is a nonsingular
-    # M-matrix, and below, R(t) has a Perron root above t, which a positive y
-    # would put below t (Collatz-Wielandt).  An error near lambda costs Noda
-    # steps, never a false enclosure
+    # whether ``_dense_solve``'s y with (tI - R(t))y = 1 is positive, which in
+    # exact arithmetic holds exactly for t above the Perron root lambda: there
+    # tI - R(t) is a nonsingular M-matrix, and below, R(t) has a Perron root
+    # above t, which a positive y would put below t (Collatz-Wielandt).  An
+    # error near lambda costs Noda steps, never a false enclosure
     import numpy as np
 
     matrix = _hub_matrix(hubs, np.array([c * t**-n for _, _, c, n in zip(*hubs.chains)]))
@@ -687,16 +685,18 @@ def _hub_enclosure(hubs, num, balls, tol, v, w):
     below = [0, *accumulate(ints[j] for j in heads)]
     for i, count in zip(steps, counts):
         sums[i] += 2 * below[count]
-    # each row's quotient, over the finest ball's denominator 2^top
+    # each row's quotient; one that reads chains over the finest ball's 2^top
     top = max((lift for _, _, lift in balls.values()), default=0)
-    lows = [(total << top, ints[i] << top) for i, total in enumerate(sums)]
+    lows, dens = sums[:], ints[:]
+    for i in {*hubs.chains[0]}:
+        lows[i], dens[i] = sums[i] << top, ints[i] << top
     highs = lows[:]
     for i, j, c, n in zip(*hubs.chains):
         mid, rad, lift = balls[n]
         x = c * ints[j] << top - lift
-        lows[i] = lows[i][0] + x * (mid - rad), lows[i][1]
-        highs[i] = highs[i][0] + x * (mid + rad), highs[i][1]
-    lower, upper = bounds = _extremes(lows, highs)
+        lows[i] += x * (mid - rad)
+        highs[i] += x * (mid + rad)
+    lower, upper = bounds = _extremes(zip(lows, dens), zip(highs, dens))
     if Fraction(upper) - Fraction(lower) > Fraction(tol):
         return None
     if hubs.rest[0]:  # a row of the rest: its quotient 2^96 / num
