@@ -505,7 +505,7 @@ def _hub_perron(hubs, tol, above):
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
         weights = np.array([c * floats[n] for c, n in zip(coefs, lengths)])
-        product = None if seed or points else partial(_hub_product, hubs, weights)  # R(t) at once
+        product = None if seed or points else partial(_hub_product, hubs, weights)
         try:
             out = _noda(
                 v, partial(_hub_matrix, hubs, weights), product,
@@ -551,8 +551,8 @@ def _noda(v, matrix, product, certify, tol, above):
     """
     import numpy as np
 
-    dense = None if product else matrix()
-    w = dense.dot(v) if product is None else product(v)
+    dense = matrix() if product is None else None
+    w = product(v) if dense is None else dense.dot(v)
     for step in range(_NODA_STEPS):
         ratios = w / v
         lo, sigma = float(ratios.min()), float(ratios.max())
