@@ -62,9 +62,9 @@ _POWER_BITS = 128
 # hubs, by hub place.  ``ladder`` (heads, steps, counts): row ``step`` reads 2
 # at the first ``count`` heads.  ``chains`` (readers, reads, coefs, lengths):
 # R(t) gains coef t^-n at (reader, read).  For the float vector, ``rest``
-# (starts, counts, roots, coefs, tops) holds runs of consecutive vertices with
-# one root and pi, d falling by 1 from ``top``, each with the run that ends
-# at its root, and ``roots`` (runs, reads, ints) each root's entries.
+# (starts, roots, coefs, tops): runs of consecutive vertices up to the next
+# start or hub, each with one root (by the run it ends) and pi, d falling by
+# 1 from ``top``; ``roots`` (runs, reads, ints): each root's entries.
 _Hubs = namedtuple("_Hubs", "size hubs entries ladder chains roots rest")
 
 
@@ -444,7 +444,7 @@ def _searched_hubs(size, entries, depth):
     return _Hubs(
         size, hubs, among, ((), (), ()),
         _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4), _columns(reads),
-        _columns([(start, count, at[root], pi, top) for start, count, root, pi, top in runs], 5),
+        _columns([(start, at[root], pi, top) for start, _, root, pi, top in runs], 4),
     )
 
 
@@ -454,11 +454,10 @@ def _columns(rows, width=3):
 
 
 def _above(hubs, t):
-    # whether ``_dense_solve``'s y with (tI - R(t))y = 1 is positive, which in
-    # exact arithmetic holds exactly for t above the Perron root lambda: there
-    # tI - R(t) is a nonsingular M-matrix, and below, R(t) has a Perron root
-    # above t, which a positive y would put below t (Collatz-Wielandt).  An
-    # error near lambda costs Noda steps, never a false enclosure
+    # whether ``_dense_solve``'s y with (tI - R(t))y = 1 is positive: exactly
+    # so for t above the Perron root lambda, where tI - R(t) is a nonsingular
+    # M-matrix, and not below, where R(t)'s Perron root exceeds t (Collatz-
+    # Wielandt).  An error near lambda costs Noda steps, never a false enclosure
     import numpy as np
 
     matrix = _hub_matrix(hubs, np.array([c * t**-n for _, _, c, n in zip(*hubs.chains)]))
@@ -714,14 +713,15 @@ def _hub_vector(hubs, v, w, rho, lam):
     # float residual max |Mv - lam v|, with w = R(t)v for Mv on the hubs
     import numpy as np
 
-    rest, (owner, reads, entries) = (np.array(x, dtype=np.intp) for x in (hubs.rest, hubs.roots))
-    sums = np.bincount(owner, entries * v[reads], minlength=rest.shape[1])
-    starts, _, roots, coefs, tops = np.repeat(rest, rest[1], axis=1)  # by vertex
-    steps = np.arange(len(starts)) - np.repeat(np.cumsum(rest[1]) - rest[1], rest[1])
-    mv = sums[roots] * (coefs * rho ** (tops - steps))
+    starts, roots, coefs, tops = np.array(hubs.rest, dtype=np.intp)
+    owner, reads, entries = np.array(hubs.roots, dtype=np.intp)
+    sums = np.bincount(owner, entries * v[reads], minlength=len(starts))
+    vertices = np.flatnonzero(np.bincount(hubs.hubs, minlength=hubs.size) == 0)  # the rest's
+    run = np.searchsorted(starts, vertices, "right") - 1
+    mv = sums[roots[run]] * (coefs[run] * rho ** (starts[run] + tops[run] - vertices))
     full, product = np.empty(hubs.size), np.empty(hubs.size)
-    full[hubs.hubs], full[starts + steps] = v, mv * rho
-    product[hubs.hubs], product[starts + steps] = w, mv
+    full[hubs.hubs], full[vertices] = v, mv * rho
+    product[hubs.hubs], product[vertices] = w, mv
     top = full.max()  # a vertex of the rest may pass the hubs
     full, product = full / top, product / top
     return tuple(full.tolist()), float(abs(product - lam * full).max())

@@ -257,7 +257,7 @@ def _level_hubs(values, size):
     steps = range(4, h)  # H_i and E_i, i >= 2, read 2 at H_1 .. H_{i-1}
     ladder = [2 * i for i in range(1, (h + 1) // 2)], steps, [i // 2 - 1 for i in steps]
     run = {i: p for p, i in enumerate(i for i, n in enumerate(lengths) if n)}
-    rest = _columns([(hubs[2 * i] + 1, lengths[i], p, 1, lengths[i] - 1) for i, p in run.items()], 5)
+    rest = _columns([(hubs[2 * i] + 1, p, 1, lengths[i] - 1) for i, p in run.items()], 4)
     roots = _columns([(run[i], j, 1) for i, j, n in reads if n])
     chains = _columns([(2 * i, j, 1, n) for i, j, n in reads if n], 4)
     return _Hubs(size, hubs, _columns(entries), ladder, chains, roots, rest)
