@@ -636,6 +636,12 @@ def assert_hub_matrix_is_the_schur_complement(m):
     hubs = searched_hubs(m)
     for t in (Fraction(1), Fraction(7, 5), Fraction(3)):
         assert hub_matrix_at(hubs, t, object).tolist() == schur_hub_matrix(m.entries, hubs.hubs, t)
+    # the sparse R(t)v sums the same positive terms as the dense product in
+    # another order
+    v = np.linspace(1.0, 2.0, len(hubs.hubs))
+    weights = np.array([c * 1.4**-n for _, _, c, n in zip(*hubs.chains)])
+    dense = nnmatrix._hub_matrix(hubs, weights) @ v
+    np.testing.assert_allclose(nnmatrix._hub_product(hubs, weights, v), dense, rtol=1e-12)
 
 
 class TestTightTolerances:

@@ -413,6 +413,12 @@ class TestChainElimination:
             weights = np.array([c * t**-n for c, n in zip(coefs, lengths)], dtype=object)
             built = nnmatrix._hub_matrix(levels, weights).tolist()
             assert built == schur_hub_matrix(matrix.entries, searched.hubs, t)
+        # the sparse R(t)v, ladder included, sums the same positive terms as
+        # the dense product in another order
+        v = np.linspace(1.0, 2.0, len(levels.hubs))
+        weights = np.array([c * 1.4**-n for c, n in zip(coefs, lengths)])
+        dense = nnmatrix._hub_matrix(levels, weights) @ v
+        np.testing.assert_allclose(nnmatrix._hub_product(levels, weights, v), dense, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(values=_entries_1_to_80(2, 30))
