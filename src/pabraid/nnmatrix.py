@@ -468,8 +468,7 @@ def _above(hubs, t):
 
 
 def _seed(hubs, lo, hi):
-    # a float above the Perron root lambda of ``hubs``, bisected by ``_above``
-    # from lo <= lambda <= hi down to the relative width _SEED_WIDTH
+    # a float above lambda, bisected by ``_above`` from lo <= lambda <= hi to _SEED_WIDTH
     while hi - lo > _SEED_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if _above(hubs, mid) else (mid, hi)
@@ -511,10 +510,11 @@ def _hub_perron(hubs, tol, above):
                 partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
             )
         except RuntimeError:
-            x, ones, w = float(t), np.ones(len(v)), _SEED_WIDTH
+            x, ones, w = max(float(t), 1.0), np.ones(len(v)), _SEED_WIDTH  # 1 <= lambda
             if restarted or not lengths or _above(hubs, x * (1 + w)) > _above(hubs, x * (1 - w)):
                 raise  # R is M on its hubs for any t, or lambda lies near t
             # 1 <= lambda < x, or lambda < r(x) <= R(x)'s greatest row sum
+            weights = np.array([c * x**-n for c, n in zip(coefs, lengths)])
             lo, hi = (1.0, x) if _above(hubs, x) else (x, _hub_product(hubs, weights, ones).max())
             seed = _seed(hubs, lo, float(hi))
             t, v, points, restarted = Fraction(seed), ones, [], True
