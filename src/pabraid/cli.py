@@ -17,6 +17,7 @@ import sys
 
 from .dilatation import (
     ScanRow,
+    _check_degree,
     _closed,
     _next_level,
     braid_char_poly,
@@ -62,9 +63,12 @@ def _tuple_arg(text):
 
 
 @functools.cache
-def build_parser():
-    # built on the first call, not at import, and shared by every later
-    # call: parse_args keeps no state between calls
+def build_parser(command=None):
+    """The parser of every subcommand, or of ``command`` alone, which ``main`` parses.
+
+    Built on the first call, not at import, and shared by every later call:
+    parse_args keeps no state between calls.
+    """
     parser = argparse.ArgumentParser(
         prog="pabraid",
         description=(
@@ -73,49 +77,56 @@ def build_parser():
             "tuples m1,m2,..."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-
-    p = sub.add_parser("dilatation", help="dilatation of one tuple, one or both routes")
-    p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
-    p.add_argument("--method", choices=("formula", "matrix", "both"), default="both")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--dump-matrix", action="store_true", help="include the transition matrix")
-    p.add_argument("--tol", type=float, default=1e-10, help="matrix-route enclosure width")
-    common(p)
-
-    p = sub.add_parser("polynomial", help="characteristic polynomial of one tuple")
-    p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
-    p.add_argument("--chain", action="store_true", help="also print the dominant chain")
-    common(p)
-
-    p = sub.add_parser("matrix", help="transition matrix of one tuple")
-    p.add_argument("--tuple", required=True, type=_tuple_arg, dest="braid")
-    p.add_argument("--sparse", action="store_true", help="sparse 'row col value' format")
-    common(p)
-
-    p = sub.add_parser("verify", help="check the formula/matrix identities over a grid")
-    p.add_argument("--max-k", type=int, default=3, help="largest k (tuple length - 1)")
-    p.add_argument("--max-m", type=int, default=5, help="largest parameter value")
-    common(p)
-
-    p = sub.add_parser("scan", help="sweep the last parameter, CSV output")
-    p.add_argument("--prefix", required=True, type=_params_arg)
-    p.add_argument("--m-max", required=True, type=int)
-    p.add_argument("--m-min", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("limit", help="limit dilatation of a prefix")
-    p.add_argument("--prefix", required=True, type=_params_arg)
-
-    p = sub.add_parser("bound", help="witness parameters for dilatation/volume targets")
-    p.add_argument("--lambda", required=True, type=float, dest="target_lambda")
-    p.add_argument("--volume", required=True, type=float, dest="target_volume")
-    common(p)
-
+    # a parser of one command still names every command in its usage line
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, *arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
     return parser
+
+
+def _arg(*names, **options):
+    return names, options
+
+
+_TUPLE = _arg("--tuple", required=True, type=_tuple_arg, dest="braid")
+_OUT = _arg("--out", help="write the report to this path instead of stdout")
+# each subcommand: its help line, then its arguments
+_COMMANDS = {
+    "dilatation": (
+        "dilatation of one tuple, one or both routes", _TUPLE,
+        _arg("--method", choices=("formula", "matrix", "both"), default="both"),
+        _arg("--json", action="store_true", help="emit a JSON report"),
+        _arg("--dump-matrix", action="store_true", help="include the transition matrix"),
+        _arg("--tol", type=float, default=1e-10, help="matrix-route enclosure width"), _OUT,
+    ),
+    "polynomial": (
+        "characteristic polynomial of one tuple", _TUPLE,
+        _arg("--chain", action="store_true", help="also print the dominant chain"), _OUT,
+    ),
+    "matrix": (
+        "transition matrix of one tuple", _TUPLE,
+        _arg("--sparse", action="store_true", help="sparse 'row col value' format"), _OUT,
+    ),
+    "verify": (
+        "check the formula/matrix identities over a grid",
+        _arg("--max-k", type=int, default=3, help="largest k (tuple length - 1)"),
+        _arg("--max-m", type=int, default=5, help="largest parameter value"), _OUT,
+    ),
+    "scan": (
+        "sweep the last parameter, CSV output", _arg("--prefix", required=True, type=_params_arg),
+        _arg("--m-max", required=True, type=int), _arg("--m-min", type=int, default=1), _OUT,
+    ),
+    "limit": ("limit dilatation of a prefix", _arg("--prefix", required=True, type=_params_arg)),
+    "bound": (
+        "witness parameters for dilatation/volume targets",
+        _arg("--lambda", required=True, type=float, dest="target_lambda"),
+        _arg("--volume", required=True, type=float, dest="target_volume"), _OUT,
+    ),
+}
 
 
 def _emit(text, out_path):
@@ -140,6 +151,10 @@ def _check_dense(braid):
 def _run_dilatation(args):
     if args.dump_matrix:
         _check_dense(args.braid)
+    if args.method == "formula":
+        # the report prints the polynomial: its degree limit comes before
+        # the cell, as the nonzero limit does on the matrix routes
+        _check_degree(args.braid.size)
     report = dilatation(args.braid, method=args.method, tol=args.tol)
     if args.json:
         payload = report.to_json_dict()
@@ -259,8 +274,8 @@ _RUNNERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if args.command == "verify":
             text, ok = _run_verify(args)

@@ -13,13 +13,14 @@ commutative ring, so it also gives ``poly_matrix_det``.
 
 One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``): on
 a ``_Hubs``, whose rest holds no cycle and is eliminated exactly, Noda's
-iteration (``_noda``) runs on the hub matrix R(t) of a chain ratio t, with
-an exact Collatz-Wielandt enclosure of the whole matrix.
-``treebuilder._level_hubs`` builds a braid matrix's ``_Hubs`` from its
-block boundaries, and ``_searched_hubs`` any matrix's from the depths of
-``spectral_radius``'s search.  Only the solve uses numpy, imported on its
-first call, so the commands without a matrix route (``polynomial``,
-``matrix``, ``verify`` and ``dilatation --method formula``) never load it.
+iteration (``_noda``) runs on the hub matrix R(t) of a chain ratio t, its
+iterate a float and an integer exponent per entry, with an exact
+Collatz-Wielandt enclosure of the whole matrix.  ``treebuilder._level_hubs``
+builds a braid matrix's ``_Hubs`` from its block boundaries, solved level
+by level in plain Python (``_sweep``), and ``_searched_hubs`` any matrix's
+from the depths of ``spectral_radius``'s search, solved densely
+(``_dense_solve``).  numpy serves only that search path, imported on its
+first call, so no command loads it.
 """
 
 from __future__ import annotations
@@ -28,14 +29,22 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 from .intpoly import IntPoly, _integer, _power, _tolerance
 
 __all__ = ["NNMatrix", "PFCertificate", "poly_matrix_det"]
 
 _NODA_STEPS = 500  # Noda steps before spectral_radius gives up
-_SMALLEST_NORMAL = 2.0**-1022
+# the binary exponent past which ``_sweep`` moves a sum to another scale
+_SPAN = 300
+# the enclosure's power steps when the hub rows' first quotients lie wider
+# than tol: at 1e-15, (3,10,2,5,2,7) by "both" certified after 2, not 1
+_POWER_STEPS = 2
+# the least entry of a search's plain float iterate, over its greatest
+_PLAIN = 2.0**-1000
+# ``_levels``' place for R(t)'s entry (i, j) by i % 2 and j - i, but column 0's
+_PLACES = {(0, 0): 0, (0, 1): 2, (0, 2): 3, (1, -1): 5, (1, 1): 6}
 # relative gap between a caller's float just above lambda and the first Noda
 # shift: it covers that float's rounding
 _SEED_MARGIN = 1e-13
@@ -209,7 +218,7 @@ class NNMatrix:
         false enclosure.  The eigenvector has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
-        is narrower than tol, when an iterate entry underflows, or when a
+        is narrower than tol, or an iterate repeats exactly first, or when a
         Noda solve is not positive even from the fallback shift.
         """
         _tolerance(tol)
@@ -222,7 +231,7 @@ class NNMatrix:
         hubs, sums = _searched_hubs(self.size, self.entries, depth), Counter()
         for (i, _), a in self.entries.items() if hubs.chains[0] else ():
             sums[i] += a
-        return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None)
+        return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None, True)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -475,57 +484,44 @@ def _seed(hubs, lo, hi):
     return hi
 
 
-def _hub_perron(hubs, tol, above):
+def _hub_perron(hubs, tol, above, dense=False):
     """The certified Perron-Frobenius eigenvalue of the ``_Hubs`` ``hubs``, on its hubs alone.
 
     Noda's iteration (``_noda``) runs on the hub matrix R(t) of a chain
     ratio t = 1/rho, rho = num / 2^96 nearest 1/``above`` at first; the
     float ``above`` (a braid route's cell or hint, or ``_seed``'s) is also
-    the first shift, and None starts unseeded: then the first run takes
-    R(t)v from ``_hub_product`` until its first solve, so a start that
-    certifies forms no dense R(t).  The enclosure is exact on the whole
-    matrix (``_hub_enclosure``).  R(t) has the Perron root r(t) = t only at
-    t = lambda: when the hub rows' quotients lie within tol but the
-    enclosure does not, t moves to r(t), then by secant steps on r(t) - t,
-    and an enclosure that no longer narrows raises the step cap's error.
-    Far from lambda, R(t)'s Perron vector can span more than the doubles:
-    when a run raises and ``_above`` puts lambda farther than
-    ``_SEED_WIDTH`` from t, the solve starts again, once, from ``_seed``.
+    the first shift, and None starts unseeded.  A braid's levels solve by
+    ``_sweep``, a search's hubs (``dense``) by ``_dense_solve``.  The
+    enclosure is exact on the whole matrix (``_hub_enclosure``).  R(t) has
+    the Perron root r(t) = t only at t = lambda and falls with t, so lambda
+    lies between t and r(t): while the closest such pair lies wider than
+    ``_SEED_WIDTH``, t moves to its midpoint.  Nearer, when the hub rows'
+    quotients lie within tol but the enclosure does not, t moves to r(t),
+    then by secant steps on r(t) - t; an enclosure that no longer narrows
+    raises the step cap's error.
     """
-    import numpy as np
-
     coefs, lengths = hubs.chains[2:]
-    t, v, seed, points = Fraction(1 if above is None else above), np.ones(len(hubs.hubs)), above, []
-    restarted = False
+    ones = ([1.0] * len(hubs.hubs), [0] * len(hubs.hubs))
+    t, v, seed, points = Fraction(1 if above is None else above), ones, above, []
+    lo, hi = 0, math.inf  # lambda lies between t and r(t)
     while True:
         num = round((1 << _RHO_BITS) / t)
         t = Fraction(1 << _RHO_BITS, num)
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
-        weights = np.array([c * floats[n] for c, n in zip(coefs, lengths)])
-        product = None if seed or points else partial(_hub_product, hubs, weights)
-        try:
-            out = _noda(
-                v, partial(_hub_matrix, hubs, weights), product,
-                partial(_hub_enclosure, hubs, num, balls, tol), tol, seed,
-            )
-        except RuntimeError:
-            x, ones, w = max(float(t), 1.0), np.ones(len(v)), _SEED_WIDTH  # 1 <= lambda
-            if restarted or not lengths or _above(hubs, x * (1 + w)) > _above(hubs, x * (1 - w)):
-                raise  # R is M on its hubs for any t, or lambda lies near t
-            # 1 <= lambda < x, or lambda < r(x) <= R(x)'s greatest row sum
-            weights = np.array([c * x**-n for c, n in zip(coefs, lengths)])
-            lo, hi = (1.0, x) if _above(hubs, x) else (x, _hub_product(hubs, weights, ones).max())
-            seed = _seed(hubs, lo, float(hi))
-            t, v, points, restarted = Fraction(seed), ones, [], True
-            continue
+        weights = [c * floats[n] for c, n in zip(coefs, lengths)]
+        kernel = _dense_kernel(hubs, weights, v is ones and not seed) if dense else _sweep_kernel(hubs, weights)
+        out = _noda(v, *kernel, partial(_hub_enclosure, hubs, num, balls, tol), tol, seed)
         if isinstance(out, PFCertificate):
             return out
         width, r, v = out
+        lo, hi = max(lo, min(r, t)), min(hi, max(r, t))
         if len(points) > 1 and width >= min(p[0] for p in points):
             raise _uncertified(tol)
         points.append((width, t, r - t))
-        if len(points) == 1:  # a probe
+        if hi - lo > _SEED_WIDTH * hi:  # far from lambda, a bisection step
+            t, points = (lo + hi) / 2, []
+        elif len(points) == 1:  # a probe
             t = r
         else:  # a secant step
             (_, t0, f0), (_, t1, f1) = points[-2:]
@@ -535,54 +531,48 @@ def _hub_perron(hubs, tol, above):
         seed = None
 
 
-def _noda(v, matrix, product, certify, tol, above):
-    """Noda's iteration from the positive vector v: the first ``certify(v, w)`` not None.
+def _noda(v, ratios, solve, certify, tol, above):
+    """Noda's iteration from the positive vector v: the first ``certify(v)`` not None.
 
-    ``matrix()`` forms the dense M, for ``_dense_solve``; until the first
-    solve, ``product(v)`` is Mv, and with ``product`` None M is formed at
-    once.  Each step whose Collatz-Wielandt ratios w/v lie within tol
-    asks ``certify`` first.  A float ``above`` lambda (a braid route's cell
-    or hint, or ``_seed``'s) makes x = above*(1 + 1e-13) the first shift:
-    for x > lambda, xI - M is a nonsingular M-matrix and (xI - M)y = 1 has
-    a positive solution; else the step goes on with sigma, at one solve.
-    RuntimeError after ``_NODA_STEPS`` steps, when an entry of v falls below
-    ``_SMALLEST_NORMAL``, or when no shift gives a positive solve.
+    v is a pair of lists, floats m and integer exponents e, for the entries
+    m_i 2^e_i.  ``ratios(v)`` gives the Collatz-Wielandt ratios (Mv)_i/v_i,
+    and ``solve(v, x)`` the next iterate, (xI - M)^-1 v times a positive
+    factor, with its ratios, or None when it is not positive.  Each step
+    whose ratios lie within tol asks ``certify`` first.  A float ``above``
+    lambda makes x = above*(1 + 1e-13) the first shift: for x > lambda,
+    xI - M is a nonsingular M-matrix and the solve is positive; else the
+    step goes on with sigma, at one solve.  An iterate that repeats exactly
+    asks ``certify`` once more, and else the run, which would only repeat
+    itself, ends with the step cap's RuntimeError, as ``_NODA_STEPS`` steps
+    do; RuntimeError too when no shift gives a positive solve.
     """
-    import numpy as np
-
-    dense = matrix() if product is None else None
-    w = product(v) if dense is None else dense.dot(v)
+    q, seen = ratios(v), set()
     for step in range(_NODA_STEPS):
-        ratios = w / v
-        lo, sigma = float(ratios.min()), float(ratios.max())
+        lo, sigma = min(q), max(q)
         if sigma - lo <= tol:
-            out = certify(v, w)
+            out = certify(v)
             if out is not None:
                 return out
+        key = (*v[0], *v[1])
+        if key in seen:  # the run would only repeat itself
+            out = certify(v)
+            if out is not None:
+                return out
+            break
+        seen.add(key)
         # Noda's shift sigma first.  Its solve fails (singular) or loses
         # positivity when sigma is far closer to lambda than v is to the
         # eigenvector: then from above sigma by the enclosure's width.
         shifts = (sigma, 2 * sigma - lo + 4 * math.ulp(sigma))
         if step == 0 and above is not None and 0 < above < math.inf:
             shifts = (above * (1 + _SEED_MARGIN), *shifts)
-        dense = matrix() if dense is None else dense
         for shift in shifts:
-            try:
-                y = _dense_solve(dense, v, shift)
-            except np.linalg.LinAlgError:  # shift equals lambda to double precision
-                continue
-            if np.all(y > 0):
+            out = solve(v, shift)
+            if out is not None:
                 break
         else:
             raise RuntimeError("Noda iteration produced a non-positive entry")
-        v = v * y
-        v = v / v.max()
-        if not v.min() >= _SMALLEST_NORMAL:
-            raise RuntimeError(
-                "an iterate entry fell below the smallest normal double "
-                f"({_SMALLEST_NORMAL:.1e}); the float eigenvector cannot represent it"
-            )
-        w = dense.dot(v)
+        v, q = out
     raise _uncertified(tol)
 
 
@@ -591,8 +581,174 @@ def _uncertified(tol):
     return RuntimeError(f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps")
 
 
+def _dense_kernel(hubs, weights, sparse):
+    # ``_noda``'s ratios and solve on a search's hubs: ``_dense_solve`` on
+    # D^-1 R(t) D, D = diag(2^e).  The iterate is plain floats over their
+    # greatest while its least entry stays above _PLAIN times that, else
+    # mantissas in [1/2, 1).  With ``sparse`` (the all-ones start) the ratios
+    # come from ``_hub_product`` until the first solve forms R(t)
+    import numpy as np
+
+    weights, formed = np.array(weights), []
+
+    def scaled(e):
+        if not formed:
+            formed.append(_hub_matrix(hubs, weights))
+        if not any(e):
+            return formed[0]
+        e = np.array(e)
+        return np.ldexp(formed[0], e[None, :] - e[:, None])
+
+    def ratios(v):
+        m = np.array(v[0])
+        w = _hub_product(hubs, weights, m) if sparse and not formed else scaled(v[1]).dot(m)
+        return (w / m).tolist()
+
+    def solve(v, x):
+        m = np.array(v[0])
+        try:
+            y = _dense_solve(scaled(v[1]), m, x)
+        except np.linalg.LinAlgError:  # x equals lambda to double precision
+            return None
+        if not (np.all(y > 0) and np.isfinite(y).all()):
+            return None
+        y = m * y
+        if not any(v[1]) and y.min() >= _PLAIN * y.max():  # the floats of a plain iterate
+            v = (y / y.max()).tolist(), v[1]
+        else:
+            y, e = np.frexp(y)
+            e += np.array(v[1], dtype=e.dtype)
+            v = y.tolist(), (e - e.max()).tolist()
+        return v, ratios(v)
+
+    return ratios, solve
+
+
+def _sweep_kernel(hubs, weights):
+    # ``_noda``'s ratios and solve on a braid's levels, in plain Python
+    levels = _levels(hubs, weights)
+
+    def solve(v, x):
+        z = _sweep(levels, v, x)
+        if z is None:
+            return None
+        # over H_0, so that an iterate that repeats repeats exactly
+        f, q = math.frexp(z[0][0])
+        z = [x / f for x in z[0]], [k - z[1][0] - q for k in z[1]]
+        return z, _level_ratios(levels, z)
+
+    return partial(_level_ratios, levels), solve
+
+
+def _levels(hubs, weights):
+    """R(t) on a braid's hubs, level by level, read from the fields ``entries``, ``ladder`` and ``chains``.
+
+    Level j is the hub H_j at place 2j and the last row E_j at 2j + 1 (none
+    after a dominant block's last hub), as the list [a, g, u, w, g', b, f]:
+    row H_j reads a at itself, g at H_0 (j > 0), u at E_j and w at H_(j+1),
+    row E_j reads g' at H_0, b at H_j (j > 0) and f at H_(j+1), and both the
+    ladder's 2 at H_1, ..., H_(j-1).  ``weights`` are the chain terms' as in
+    ``_hub_matrix``; any other entry is a KeyError or ValueError.
+    """
+    h = len(hubs.hubs)
+    heads, steps, counts = hubs.ladder
+    if [*heads] != [*range(2, h, 2)] or [*steps] != [*range(4, h)] or [*counts] != [s // 2 - 1 for s in steps]:
+        raise ValueError("the ladder is not a braid's")
+    flat = [0.0] * (7 * ((h + 1) // 2))
+    for i, j, a in chain(zip(*hubs.entries), zip(*hubs.chains[:2], weights)):
+        flat[7 * (i >> 1) + (3 * (i & 1) + 1 if j == 0 < i else _PLACES[i & 1, j - i])] += a
+    return [flat[k : k + 7] for k in range(0, len(flat), 7)]
+
+
+def _sweep(levels, v, x):
+    """``_noda``'s solve on a braid's levels: z with (xI - R)z = v, in O(h).
+
+    v and z are pairs of lists, floats and integer exponents, the exponents
+    equal within each level.  Write h_j and e_j for z at H_j and E_j, and
+    S_j = h_1 + ... + h_j.  Only row H_j reads E_j, and the rows of levels
+    past j read levels j and before only through h_0 and S_j, so h_(j+1) =
+    alpha + beta h_0 + gamma S_j.  From the last level, row E_j gives e_j in
+    h_0, S_(j-1) and h_j, and row H_j then h_j's alpha, beta and gamma over
+    its pivot; level 0 gives h_0, and forward from it each h_j, e_j and S_j
+    follow.  That is elimination without pivoting of the M-matrix xI - R
+    (Alfa, Xue and Ye, Math. Comp. 71, 2002), the ladder's semiseparable
+    part carried as S (Eidelman and Gohberg, Integral Equations Operator
+    Theory 34, 1999): all but the pivots are sums of non-negative terms, and
+    the pivots, of the trailing principal minors, are all positive exactly
+    when x lies above the Perron root; else None.  alpha carries v's scale
+    and the forward sums a running one, each moved when it passes 2^+-_SPAN.
+    """
+    (m, e), h = _padded(v), len(v[0])
+    big, small = 2.0**_SPAN, 2.0**-_SPAN
+    alpha = beta = gamma = 0.0
+    s, back = e[-1], []
+    for (a, g, u, w, g2, b, f), vh, ve, k in zip(levels[:0:-1], m[-2:1:-2], m[:2:-2], e[-2:1:-2]):
+        if k != s:  # v to alpha's scale, or alpha to v's when v passes it by far
+            if k - s > _SPAN:
+                alpha, s = math.ldexp(alpha, s - k), k
+            vh, ve = math.ldexp(vh, k - s), math.ldexp(ve, k - s)
+        e0, ez, es, eh = (ve + f * alpha) / x, (g2 + f * beta) / x, (2 + f * gamma) / x, (b + f * gamma) / x
+        p = x - a - u * eh - w * gamma
+        if not p > 0:
+            return None
+        alpha, beta, gamma = (vh + u * e0 + w * alpha) / p, (g + u * ez + w * beta) / p, (2 + u * es + w * gamma) / p
+        back.append((alpha, s, beta, gamma, e0, ez, es, eh))
+        if not small < alpha < big:
+            alpha, q = math.frexp(alpha)
+            s += q
+    (a, _, u, w, g2, _, f), vh, ve = levels[0], m[0], m[1]
+    if e[0] != s:
+        if e[0] - s > _SPAN:
+            alpha, s = math.ldexp(alpha, s - e[0]), e[0]
+        vh, ve = math.ldexp(vh, e[0] - s), math.ldexp(ve, e[0] - s)
+    e0, ez = (ve + f * alpha) / x, (g2 + f * beta) / x
+    p = x - a - u * ez - w * beta  # level 0: h_0 is z_0
+    if not p > 0:
+        return None
+    z = (vh + u * e0 + w * alpha) / p
+    out, exps, total = [z, e0 + ez * z], [s], 0.0
+    for alpha, k, beta, gamma, e0, ez, es, eh in reversed(back):
+        if k - s > _SPAN or total > big:  # the running sums to the larger scale
+            q = max(k, s + math.frexp(total)[1])
+            z, total, s = math.ldexp(z, s - q), math.ldexp(total, s - q), q
+        if k != s:
+            alpha, e0 = math.ldexp(alpha, k - s), math.ldexp(e0, k - s)
+        hj = alpha + beta * z + gamma * total
+        out += (hj, e0 + ez * z + es * total + eh * hj)
+        exps.append(s)
+        total += hj
+    return out[:h], [q for q in exps for _ in (0, 1)][:h]
+
+
+def _padded(v):
+    # v on a braid's levels: after a dominant block's last hub, a phantom
+    # row E that no row reads, dropped from each result
+    m, e = v
+    return (m, e) if len(m) % 2 == 0 else (m + [1.0], e + e[-1:])
+
+
+def _level_ratios(levels, v):
+    # the Collatz-Wielandt ratios (Rv)_i / v_i on a braid's levels, v's
+    # exponents one per level; H_0 and the sum of H_1 .. H_(j-1) follow in
+    # each level's scale
+    (m, e), h = _padded(v), len(v[0])
+    hs, ks = m[0::2], e[0::2]
+    out, first, total, last = [], hs[0], 0.0, ks[0]
+    for (a, g, u, w, g2, b, f), vh, ve, k, nh, nk, add in zip(
+        levels, hs, m[1::2], ks, [*hs[1:], 0.0], [*ks[1:], ks[-1]], [0.0, *hs[1:]]
+    ):
+        if k != last:
+            scale = math.ldexp(1.0, last - k)
+            first, total, last = first * scale, total * scale, k
+        if nk != k:
+            nh = math.ldexp(nh, nk - k)
+        out += ((a * vh + g * first + 2 * total + u * ve + w * nh) / vh, (g2 * first + b * vh + 2 * total + f * nh) / ve)
+        total += add
+    return out[:h]
+
+
 def _dense_solve(matrix, v, x):
-    """``_noda``'s solve on the dense matrix M: y with (xI - D^-1 M D)y = 1, D = diag(v).
+    """A search's dense solve, in numpy: y with (xI - D^-1 M D)y = 1, D = diag(v).
 
     LU with partial pivoting first, which raises numpy.linalg.LinAlgError
     on a singular system.  When its y is not positive (an iterate spanning
@@ -602,9 +758,7 @@ def _dense_solve(matrix, v, x):
     elimination subtracts only on the diagonal: each row r < k with an entry
     in column k takes f = a_rk / a_kk <= 0 times row k, whose entries left
     of k are <= 0 as row r's are, and the right side only grows.  The lower
-    triangle left is solved forward, each y_i a sum of non-negative terms
-    over its pivot.  That costs O(h^2) on a braid matrix's hubs, whose rows
-    read at most two columns past their own, and up to O(h^3) on a search's.
+    triangle left is solved forward, in up to O(h^3).
     """
     import numpy as np
 
@@ -665,87 +819,113 @@ def _hub_product(hubs, weights, v):
     return w
 
 
-def _hub_enclosure(hubs, num, balls, tol, v, w):
+def _hub_enclosure(hubs, num, balls, tol, v):
     """``_hub_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
 
     The vector of the whole matrix is v on the hubs and, at each vertex k
     of the rest, pi_k rho^(d_k + 1) times the sum of k's root over its
     entries from hubs, rho = num / 2^96: every row of the rest has the
-    quotient 1/rho exactly.  Only the hub rows are evaluated, on v scaled to
-    integers and rho^n as the outward ball ``balls[n]`` of ``_power``.
-    Returns a PFCertificate within tol; None when the hub rows alone lie
-    wider than tol; else the width, the hub rows' mid quotient and v.
+    quotient 1/rho exactly.  Only the hub rows are evaluated, on v shifted
+    to integers and rho^n as the outward ball ``balls[n]`` of ``_power``;
+    while they lie wider than tol, up to ``_POWER_STEPS`` times more on the
+    integers R(t)v (the balls' midpoints), a power step, which never widens
+    the enclosure and damps the rounding of v.  Returns a PFCertificate
+    within tol, its vector the one certified; None when the hub rows alone
+    lie wider than tol; else the width, the hub rows' mid quotient and v.
     """
-    ints = _dyadic_ints(v.tolist())
-    sums = [0] * len(ints)
-    for i, j, a in zip(*hubs.entries):
-        sums[i] += a * ints[j]
-    heads, steps, counts = hubs.ladder
-    below = [0, *accumulate(ints[j] for j in heads)]
-    for i, count in zip(steps, counts):
-        sums[i] += 2 * below[count]
+    ints = _dyadic_ints(*v)
     # each row's quotient; one that reads chains over the finest ball's 2^top
-    top = max((lift for _, _, lift in balls.values()), default=0)
-    lows, dens = sums[:], ints[:]
-    for i in {*hubs.chains[0]}:
-        lows[i], dens[i] = sums[i] << top, ints[i] << top
-    highs = lows[:]
-    for i, j, c, n in zip(*hubs.chains):
-        mid, rad, lift = balls[n]
-        x = c * ints[j] << top - lift
-        lows[i] += x * (mid - rad)
-        highs[i] += x * (mid + rad)
-    lower, upper = bounds = _extremes(zip(lows, dens), zip(highs, dens))
-    if Fraction(upper) - Fraction(lower) > Fraction(tol):
+    top, chained = max((lift for _, _, lift in balls.values()), default=0), {*hubs.chains[0]}
+    heads, steps, counts = hubs.ladder
+    for _ in range(1 + _POWER_STEPS):
+        sums = [0] * len(ints)
+        for i, j, a in zip(*hubs.entries):
+            sums[i] += a * ints[j]
+        below = [0, *accumulate(ints[j] for j in heads)]
+        for i, count in zip(steps, counts):
+            sums[i] += 2 * below[count]
+        lows, dens = sums[:], ints[:]
+        for i in chained:
+            lows[i], dens[i] = sums[i] << top, ints[i] << top
+        highs = lows[:]
+        for i, j, c, n in zip(*hubs.chains):
+            mid, rad, lift = balls[n]
+            x = c * ints[j] << top - lift
+            lows[i] += x * (mid - rad)
+            highs[i] += x * (mid + rad)
+        # int / int rounds correctly: the exact extremes are among the rows
+        # whose floats are extreme
+        lowf = [a / b for a, b in zip(lows, dens)]
+        highf = [a / b for a, b in zip(highs, dens)] if chained else lowf
+        (a, b), (c, d) = _extreme(lows, dens, lowf, min), _extreme(highs, dens, highf, max)
+        lower, upper = bounds = _round_down(a, b), -_round_down(-c, d)
+        if not _wider(lower, upper, tol):
+            break
+        ints = [(lo + hi << (0 if i in chained else top)) >> 1 for i, (lo, hi) in enumerate(zip(lows, highs))]
+    else:
         return None
     if hubs.rest[0]:  # a row of the rest: its quotient 2^96 / num
-        ratio = Fraction(1 << _RHO_BITS, num)
-        lower, upper = min(lower, _round_down(ratio)), max(upper, -_round_down(-ratio))
-    width = Fraction(upper) - Fraction(lower)
-    if width > Fraction(tol):
-        return width, (Fraction(bounds[0]) + Fraction(bounds[1])) / 2, v
+        lower, upper = min(lower, _round_down(1 << _RHO_BITS, num)), max(upper, -_round_down(-1 << _RHO_BITS, num))
+    if _wider(lower, upper, tol):
+        return Fraction(upper) - Fraction(lower), (Fraction(bounds[0]) + Fraction(bounds[1])) / 2, v
     lam = 0.5 * (lower + upper)
-    return PFCertificate(lam, lower, upper, *_hub_vector(hubs, v, w, num / (1 << _RHO_BITS), lam))
+    return PFCertificate(lam, lower, upper, *_hub_vector(hubs, ints, lowf, num / (1 << _RHO_BITS), lam))
 
 
-def _hub_vector(hubs, v, w, rho, lam):
-    # ``_hub_enclosure``'s vector in floats, scaled to max entry 1, and its
-    # float residual max |Mv - lam v|, with w = R(t)v for Mv on the hubs
-    import numpy as np
+def _hub_vector(hubs, ints, quotients, rho, lam):
+    # ``_hub_enclosure``'s vector of the hub integers in floats, scaled to
+    # max entry 1 (a hub entry below 2^-970 keeps fewer bits, one below
+    # 2^-1023 reads 0.0), and its residual max |Mv - lam v|, each row from
+    # its exact quotient: (Mv)_i / v_i on the hubs, 1/rho on the rest
+    shift = max(max(ints).bit_length() - 1023, 0)  # so that the greatest is a double
+    top = float(max(ints) >> shift)
+    hub = [float(x >> shift) / top for x in ints]
+    sums = [0.0] * len(hubs.rest[0])
+    for run, j, a in zip(*hubs.roots):
+        sums[run] += a * hub[j]
+    # every vertex in order: a hub, or a run of the rest up to the next
+    # start or hub, pi rho^(d + 1) times its root's sum, d falling by 1;
+    # rho^n is greatest at an end of a run
+    starts, _, _, tops = hubs.rest
+    marks = sorted([*hubs.hubs, *starts])
+    ends = dict(zip(marks, [*marks[1:], hubs.size]))
+    powers = list(map(rho.__pow__, range(max(tops, default=0) + 2)))
+    runs = [(c * sums[r], powers[d + 1 : d + 1 + k - ends[k] : -1]) for k, r, c, d in zip(*hubs.rest)]
+    rest = max([b * max(run[0], run[-1]) for b, run in runs], default=0.0)
+    parts = dict(zip(hubs.hubs, zip(hub, repeat((1.0,)))))
+    parts.update(zip(starts, runs))
+    full = [b * p for b, run in map(parts.__getitem__, marks) for p in run]
+    residual = max(max([abs(q - lam) * x for q, x in zip(quotients, hub)]), abs(1 / rho - lam) * rest)
+    if rest > 1.0:  # a vertex of the rest passes the hubs
+        return tuple([x / rest for x in full]), residual / rest
+    return tuple(full), residual
 
-    starts, roots, coefs, tops = np.array(hubs.rest, dtype=np.intp)
-    owner, reads, entries = np.array(hubs.roots, dtype=np.intp)
-    sums = np.bincount(owner, entries * v[reads], minlength=len(starts))
-    vertices = np.flatnonzero(np.bincount(hubs.hubs, minlength=hubs.size) == 0)  # the rest's
-    run = np.searchsorted(starts, vertices, "right") - 1
-    mv = sums[roots[run]] * (coefs[run] * rho ** (starts[run] + tops[run] - vertices))
-    full, product = np.empty(hubs.size), np.empty(hubs.size)
-    full[hubs.hubs], full[vertices] = v, mv * rho
-    product[hubs.hubs], product[vertices] = w, mv
-    top = full.max()  # a vertex of the rest may pass the hubs
-    full, product = full / top, product / top
-    return tuple(full.tolist()), float(abs(product - lam * full).max())
+
+def _dyadic_ints(m, e):
+    # the entries m_i 2^e_i times one power of 2 that makes them all
+    # integers: each denominator of a float is a power of 2
+    pairs = [x.as_integer_ratio() for x in m]
+    shifts = [d.bit_length() - 1 - s for (_, d), s in zip(pairs, e)]
+    top = max(shifts)
+    return [p << top - s for (p, _), s in zip(pairs, shifts)]
 
 
-def _dyadic_ints(vl):
-    # the floats vl times one power of 2 that makes them all integers: each
-    # denominator of a float is a power of 2
-    pairs = [x.as_integer_ratio() for x in vl]
-    top = max(d for _, d in pairs).bit_length()
-    return [p << (top - d.bit_length()) for p, d in pairs]
+def _extreme(nums, dens, floats, pick):
+    # the least (pick min) or greatest (pick max) of the positive fractions
+    # nums_i / dens_i, exactly, as (num, den), among those whose floats are
+    best, x = None, pick(floats)
+    for a, b, f in zip(nums, dens, floats):
+        if f == x and (best is None or (a * best[1] < best[0] * b) == (pick is min)):
+            best = (a, b)
+    return best
 
 
-def _extremes(lows, highs):
-    # the least of the positive fractions (num, den) ``lows``, rounded down
-    # to a float, and the greatest of ``highs``, rounded up
-    lo = hi = None
-    for num, den in lows:
-        if lo is None or num * lo[1] < lo[0] * den:
-            lo = (num, den)
-    for num, den in highs:
-        if hi is None or num * hi[1] > hi[0] * den:
-            hi = (num, den)
-    return _round_down(Fraction(*lo)), -_round_down(-Fraction(*hi))
+def _wider(lower, upper, tol):
+    # whether upper - lower > tol exactly: within a factor 2 the float
+    # difference of two positive floats is exact (Sterbenz)
+    if 0 < upper <= 2 * lower:
+        return upper - lower > tol
+    return Fraction(upper) - Fraction(lower) > Fraction(tol)
 
 
 def _bfs_depths(adj):
@@ -761,10 +941,11 @@ def _bfs_depths(adj):
     return depth
 
 
-def _round_down(q):
-    """Largest float <= the rational q."""
-    x = q.numerator / q.denominator  # correctly rounded
-    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+def _round_down(num, den):
+    """Largest float <= the rational num / den, den > 0."""
+    x = num / den  # correctly rounded
+    p, q = x.as_integer_ratio()
+    return x if p * den <= num * q else math.nextafter(x, -math.inf)
 
 
 def _berkowitz(size, entries):

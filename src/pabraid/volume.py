@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .dilatation import _bisect, _decide, dilatation
 from .intpoly import _integer
+from .treebuilder import _check_nonzeros
 
 __all__ = [
     "lobachevsky",
@@ -227,6 +228,9 @@ def find_parameters(target_lambda, target_volume):
 
     volume = Fraction(target_volume)
     k = _least_below(lambda kk: _bound_exceeds(kk, volume))
+    # the least witness, every entry 1, would pass the nonzero limit: so
+    # would every other, whatever m the search finds
+    _check_nonzeros((1,) * (k + 1))
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
     m = _least_below(lambda mm: _decide((mm,) * k, mm, num, shift))

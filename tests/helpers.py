@@ -310,12 +310,12 @@ def seeded_radius(matrix, above, tol=1e-10):
 
     The braid routes' one entry into the solve, ``_hub_perron``, on the
     hubs that ``NNMatrix.spectral_radius`` builds from its entries dict and
-    the depths of its breadth-first search.  ``above`` None gives
-    ``spectral_radius`` itself, which bisects for its own seed.
+    the depths of its breadth-first search, with its dense solve.  ``above``
+    None gives ``spectral_radius`` itself, which bisects for its own seed.
     """
     if above is None:
         return matrix.spectral_radius(tol)
-    return _hub_perron(searched_hubs(matrix), tol, above)
+    return _hub_perron(searched_hubs(matrix), tol, above, True)
 
 
 def searched_hubs(matrix):

@@ -51,27 +51,50 @@ class TestDilatationCommand:
         assert rc == 0
         assert "lambda (formula):" in out and "lambda (matrix):" not in out
 
-    # The shortest tuple known to reach the matrix route's underflow (ROADMAP
-    # item 2): N = 1122 with 1374 nonzeros, far inside the size limit, but
-    # lambda is about 2 + 2e-15, so the Perron vector spans about 2^-N and a
-    # float eigenvector cannot hold it.  Thirteen 79s then 1 (N = 1042) still
-    # certifies.  Per-entry exponents must flip this test on purpose.
+    # The shortest tuple known to have reached the matrix route's underflow:
+    # N = 1122 with 1374 nonzeros, far inside the size limit, but lambda is
+    # about 2 + 2e-15, so the Perron vector spans about 2^-N and a float
+    # eigenvector cannot hold it.  The hub solve carries an exponent per
+    # entry, and both routes certify it.
     UNDERFLOWING = ",".join(["79"] * 14 + ["1"])
 
     @pytest.mark.parametrize("method", ["both", "matrix"])
-    def test_matrix_route_underflow_is_one_clear_error_line(self, capsys, method):
+    def test_matrix_route_certifies_the_once_underflowing_tuple(self, capsys, method):
         rc, out, err = run(capsys, "dilatation", "--tuple", self.UNDERFLOWING, "--method", method)
-        assert (rc, out) == (1, "")
-        assert err == (
-            "error: an iterate entry fell below the smallest normal double (2.2e-308); "
-            "the float eigenvector cannot represent it\n"
-        )
+        assert (rc, err) == (0, "")
+        lam = float(out.split("lambda (matrix): ", 1)[1].split()[0])
+        assert abs(lam - 2.0000000000000018) <= 1e-9
 
     def test_formula_route_certifies_the_underflowing_tuple(self, capsys):
         argv = ("dilatation", "--tuple", self.UNDERFLOWING, "--method", "formula")
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         assert out.endswith("\nlambda (formula): 2.0000000000000018\n")
+
+
+    @pytest.mark.parametrize(
+        "values, degree",
+        [("1000000000000,1", 1000000000003), ("1000000000,3,1000000000", 2000000006)],
+        ids=["10^12,1", "10^9,3,10^9"],
+    )
+    def test_formula_route_refuses_the_degree_before_the_cell(self, capsys, monkeypatch, values, degree):
+        # the printed polynomial's limit comes first: the formula cell of
+        # these was still running after 10 s
+        module = importlib.import_module("pabraid.dilatation")
+
+        def refuse(*args):
+            raise AssertionError("the formula cell ran")
+
+        monkeypatch.setattr(module, "_cell", refuse)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "dilatation", "--tuple", values, "--method", "formula")
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == f"error: the polynomial would have degree {degree}; the limit is 10000000\n"
+        # the matrix routes keep their nonzero limit, which comes first
+        for method in ("matrix", "both"):
+            rc, _, err = run(capsys, "dilatation", "--tuple", values, "--method", method)
+            assert rc == 1 and err.endswith("nonzeros; the limit is 1000000\n")
 
 
 class TestPolynomialCommand:
@@ -269,6 +292,32 @@ class TestBoundCommand:
     def test_invalid_targets_fail_computationally(self, capsys):
         rc, _, err = run(capsys, "bound", "--lambda", "0.9", "--volume", "1")
         assert rc == 1 and "error:" in err
+
+    def test_a_volume_past_the_nonzero_limit_is_refused_before_the_search(self, capsys, monkeypatch):
+        # k = 22 462 for volume 10^4: even the least witness, every entry 1,
+        # passes the limit, so the search for m (12.9 s before) never starts
+        volume = importlib.import_module("pabraid.volume")
+
+        def refuse(*args):
+            raise AssertionError("the search for m ran")
+
+        monkeypatch.setattr(volume, "_decide", refuse)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "bound", "--lambda", "1.1", "--volume", "10000")
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: the transition matrix of size 39416 would have 388484093 "
+            "nonzeros; the limit is 1000000\n"
+        )
+
+    def test_volume_100_is_certified(self, capsys):
+        # the witness (79,)*200, whose hub vector spans more than the
+        # doubles, is cross-checked by its matrix route
+        rc, out, err = run(capsys, "bound", "--lambda", "1.1", "--volume", "100")
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["k"], payload["m"]) == (199, 79)
 
 
 @pytest.mark.parametrize(
@@ -736,13 +785,12 @@ class TestReadme:
             "`_MAX_DEGREE`": str(formula._MAX_DEGREE),
             "`_MAX_HUBS`": str(nnmatrix._MAX_HUBS),
             "`_NODA_STEPS`": str(nnmatrix._NODA_STEPS),
-            "`_SMALLEST_NORMAL`": f"{nnmatrix._SMALLEST_NORMAL:.1e}",
             "`_MAX_ITEMS`": str(pabraid.cli._MAX_ITEMS),
             "`_SEARCH_CAP`": str(volume._SEARCH_CAP),
             "`_V3_BITS_CAP`": f"2^-{volume._V3_BITS_CAP}",
             "`_FINEST_GRID`": f"2^-{formula._FINEST_GRID}",
         }
-        assert len(rows) == 12
+        assert len(rows) == 11
         assert {constant for _, constant in rows} == set(printed) | {"–"}
         for value, constant in rows:
             if constant != "–":
@@ -784,6 +832,19 @@ class TestDecisionLadder:
             monkeypatch.setattr(module, "_decision", undecided)
         argvs = [argv for argv, _ in GOLDEN_COMMANDS] + commands
         assert [run(capsys, *argv) for argv in argvs] == [(0, out, "") for out in expected]
+
+
+def test_help_texts(capsys, monkeypatch):
+    # pabraid --help and each command's --help, built whole or one command
+    # at a time (main builds only the command it parses), at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for argv in [["--help"]] + [[name, "--help"] for name in pabraid.cli._COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append("$ pabraid " + " ".join(argv) + "\n" + capsys.readouterr().out)
+    assert "".join(texts) == (GOLDEN / "help.txt").read_text()
 
 
 class TestUsageErrors:
@@ -873,7 +934,8 @@ def test_private_imports():
         if alias.name.startswith("_")
     }
     assert names == {
-        "_MAX_NONZEROS", "_check_nonzeros", "_closed", "_extension", "_next_level", "_recessive"
+        "_MAX_NONZEROS", "_check_degree", "_check_nonzeros", "_closed", "_extension", "_next_level",
+        "_recessive",
     }
 
 

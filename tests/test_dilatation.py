@@ -703,10 +703,12 @@ class TestLevelRoute:
         ids=["witness matrix", "witness both", "limit (3,)*300"],
     )
     def test_solve_counts(self, monkeypatch, run, solves):
-        # one dense hub solve per Noda step; (3,)*300 took 165 solves of its
-        # whole block before its chains were eliminated
-        calls, solve = [], nnmatrix._dense_solve
-        monkeypatch.setattr(nnmatrix, "_dense_solve", lambda *args: calls.append(1) or solve(*args))
+        # one sweep of the hubs per Noda step, and no dense solve; (3,)*300
+        # took 165 solves of its whole block before its chains were
+        # eliminated
+        calls, sweep = [], nnmatrix._sweep
+        monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        monkeypatch.setattr(nnmatrix, "_dense_solve", None)
         run()
         assert len(calls) == solves
 
@@ -754,10 +756,14 @@ class TestTightTolerances:
         assert Fraction(cert.upper) - Fraction(cert.lower) <= Fraction(1e-15)
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-20])
-    def test_an_unreachable_tol_names_the_step_cap(self, tol):
-        # below an ulp of lambda no pair of floats encloses it
+    def test_an_unreachable_tol_names_the_step_cap(self, monkeypatch, tol):
+        # below an ulp of lambda no pair of floats encloses it; the iterate
+        # repeats exactly after 72 sweeps, which ends the run before 500
+        calls, sweep = [], nnmatrix._sweep
+        monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
         with pytest.raises(RuntimeError, match=f"to tol={tol} within 500 Noda steps$"):
             dilatation((79,) * 42, "matrix", tol=tol)
+        assert 0 < len(calls) <= 100
 
 
 class TestMonotonicity:

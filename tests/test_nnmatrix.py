@@ -52,9 +52,13 @@ from helpers import (
 )
 
 dilatation_module = importlib.import_module("pabraid.dilatation")
+level_hubs = importlib.import_module("pabraid.treebuilder")._level_hubs
 
 FIB = NNMatrix.from_rows([[1, 1], [1, 0]])
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+# the places, among 300 random tuples, of the 17 whose float hub vector
+# underflowed (TestSweep)
+UNDERFLOWED = [3, 25, 26, 46, 66, 70, 81, 99, 160, 161, 168, 173, 184, 196, 283, 291, 296]
 
 
 @st.composite
@@ -357,20 +361,37 @@ class TestSpectralRadius:
 
     def test_bounds_round_outward(self):
         # 1/10 rounds up to the nearest double and 2/3 rounds down
-        assert Fraction(nnmatrix._round_down(Fraction(1, 10))) < Fraction(1, 10)
-        assert Fraction(-nnmatrix._round_down(-Fraction(2, 3))) > Fraction(2, 3)
+        assert Fraction(nnmatrix._round_down(1, 10)) < Fraction(1, 10)
+        assert Fraction(-nnmatrix._round_down(-2, 3)) > Fraction(2, 3)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", None])
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             FIB.spectral_radius(tol=tol)
 
-    def test_unreachable_tol_names_the_step_cap(self):
+    def test_unreachable_tol_names_the_step_cap(self, solves):
         # seeded at the golden ratio or by spectral_radius's bisection, the
-        # same cap
+        # same cap; the iterate soon repeats exactly, which ends the run
+        # long before the cap's 500 steps
         for above in (None, GOLDEN_RATIO):
+            solves.clear()
             with pytest.raises(RuntimeError, match=r"to tol=1e-16 within 500 Noda steps$"):
                 seeded_radius(FIB, above, tol=1e-16)
+            assert 0 < len(solves) <= 20
+
+    @pytest.mark.parametrize(
+        "values", [(3, 1, 1), (9, 5, 33, 24, 37, 20, 28, 33, 23, 34, 21, 1)], ids=str
+    )
+    def test_a_float_cycle_near_two_ulps_still_certifies(self, values):
+        # at 1e-15 the float quotients of these once cycled 2-3 ulps wide
+        # until the step cap: the power step of the enclosure certifies them
+        assert_certified(transition_matrix(values).spectral_radius(1e-15), braid_char_poly(values), 1e-15)
+
+    def test_a_hub_vector_past_the_doubles_certifies(self):
+        # fourteen 79s then 1: the dense iterate's entries pass 2^-1000 of
+        # its greatest and take exponents; a float iterate underflowed
+        values = (79,) * 14 + (1,)
+        assert_certified(transition_matrix(values).spectral_radius(), braid_char_poly(values), 1e-10)
 
     def test_takes_no_seed(self):
         # only the braid routes pass a seed, through _hub_perron
@@ -428,10 +449,14 @@ class TestSeededStart:
             "matrix route (79,)*42",
         ],
     )
-    def test_a_start_just_above_lambda_needs_few_factorizations(self, factorizations, run):
-        # from the all-ones vector these make 103, 73, 103 and 103
+    def test_a_start_just_above_lambda_needs_few_sweeps(self, monkeypatch, run):
+        # from the all-ones vector these made 103, 73, 103 and 103 dense
+        # solves; the braid routes sweep their hubs and factor no matrix
+        calls, sweep = [], nnmatrix._sweep
+        monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        monkeypatch.setattr(nnmatrix, "_dense_solve", None)
         run()
-        assert 1 <= len(factorizations) <= 3
+        assert 1 <= len(calls) <= 3
 
     def test_a_failed_seed_costs_one_factorization(self, factorizations):
         # every vertex is a hub, so the seed moves no chain ratio: seeded at
@@ -517,25 +542,28 @@ def enclosure_and_oracle(rows, cols, vals, v, tol):
 
     Every vertex is a hub, so there is no rest and no chain term, and the
     enclosure is the hub rows' alone.  The oracle takes every row's quotient
-    (Mv)_i / v_i as a Fraction and rounds the extremes outward to floats.
+    (Mv)_i / v_i as a Fraction and rounds the extremes outward to floats;
+    wider than tol, it does the same for the vector Mv, up to
+    ``_POWER_STEPS`` times.
     """
     n = len(v)
     hubs = nnmatrix._Hubs(
         n, list(range(n)), (tuple(rows), tuple(cols), tuple(vals)), ((), (), ()),
         ((), (), (), ()), ((), (), ()), ((),) * 4,
     )
-    va = np.array(v)
-    w = np.bincount(rows, np.array(vals, dtype=float) * va[cols], minlength=n)
-    cert = nnmatrix._hub_enclosure(hubs, 1 << nnmatrix._RHO_BITS, {}, tol, va, w)
+    cert = nnmatrix._hub_enclosure(hubs, 1 << nnmatrix._RHO_BITS, {}, tol, (v, [0] * n))
     found = None if cert is None else (cert.lower, cert.upper, cert.eigenvalue)
-    mv = [Fraction(0)] * n
-    for i, j, a in zip(rows, cols, vals):
-        mv[i] += a * Fraction(v[j])
-    quotients = [x / Fraction(vi) for x, vi in zip(mv, v)]
-    lower, upper = float_below(min(quotients)), -float_below(-max(quotients))
-    if Fraction(upper) - Fraction(lower) > Fraction(tol):
-        return found, None
-    return found, (lower, upper, 0.5 * (lower + upper))
+    vector = [Fraction(x) for x in v]
+    for _ in range(1 + nnmatrix._POWER_STEPS):
+        mv = [Fraction(0)] * n
+        for i, j, a in zip(rows, cols, vals):
+            mv[i] += a * vector[j]
+        quotients = [x / vi for x, vi in zip(mv, vector)]
+        lower, upper = float_below(min(quotients)), -float_below(-max(quotients))
+        if Fraction(upper) - Fraction(lower) <= Fraction(tol):
+            return found, (lower, upper, 0.5 * (lower + upper))
+        vector = mv
+    return found, None
 
 
 class TestExactEnclosure:
@@ -647,8 +675,9 @@ def assert_hub_matrix_is_the_schur_complement(m):
 class TestTightTolerances:
     # every corpus matrix certifies at 1e-12 and 1e-14 on the hubs its
     # search finds, as on the whole matrix before the search built a hub
-    # structure.  At 1e-15, about two ulps of lambda, 196 of the 225 do,
-    # against 128 on the whole matrix (CHANGES.md names the two lost)
+    # structure.  At 1e-15, about two ulps of lambda, 218 of the 225 do
+    # with the enclosure's power step (196 without it, 128 on the whole
+    # matrix)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-14])
     def test_corpus_matrices(self, tol):
@@ -667,6 +696,116 @@ class TestTightTolerances:
             cert = m.spectral_radius()
             assert hubs.chains[0]
             assert cert.upper < seed <= cert.upper * (1 + nnmatrix._SEED_WIDTH)
+
+
+@st.composite
+def braid_solves(draw):
+    # a braid's hubs (a whole tuple's, or a prefix's dominant block), their
+    # R(lambda) in floats, a shift x just above lambda and a positive vector
+    # v in exponent form, its exponents equal within each level as the
+    # iterates' are
+    values = tuple(draw(st.lists(st.integers(1, 80), min_size=2, max_size=12)))
+    if draw(st.booleans()):
+        hubs, lam = level_hubs(values, sum(values) + len(values)), dilatation(values, "formula").lambda_formula
+    else:
+        prefix = values[:-1]
+        hubs, lam = level_hubs(prefix + (1,), sum(prefix) + len(prefix) + 1), limit_dilatation(prefix)
+    coefs, lengths = hubs.chains[2:]
+    weights = [c * lam**-n for c, n in zip(coefs, lengths)]
+    x = lam * (1 + draw(st.sampled_from([1e-6, 1e-3, 0.1])))
+    h = len(hubs.hubs)
+    scales = [draw(st.integers(-8, 0)) for _ in range((h + 1) // 2)]
+    v = ([draw(st.floats(0.5, 1.0)) for _ in range(h)], [scales[i // 2] for i in range(h)])
+    return hubs, weights, lam, x, v
+
+
+def exact_solve(a, b):
+    """z with a z = b, a a square list of Fraction rows, by Gaussian elimination."""
+    n = len(a)
+    a = [row[:] + [y] for row, y in zip(a, b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    z = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        z[i] = (a[i][n] - sum(a[i][j] * z[j] for j in range(i + 1, n))) / a[i][i]
+    return z
+
+
+class TestSweep:
+    # the braid routes' O(h) sweep of (xI - R)z = v, level by level, against
+    # an exact solve of the same float system and the dense solve
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=braid_solves())
+    def test_the_sweep_matches_the_exact_and_dense_solves(self, case):
+        hubs, weights, lam, x, (m, e) = case
+        levels = nnmatrix._levels(hubs, weights)
+        zm, ze = nnmatrix._sweep(levels, (m, e), x)
+        assert min(zm) > 0
+        r = nnmatrix._hub_matrix(hubs, np.array(weights))
+        if len(m) <= 12:
+            v = [Fraction(a) * Fraction(2) ** b for a, b in zip(m, e)]
+            a = [[Fraction(x) * (i == j) - Fraction(c) for j, c in enumerate(row)] for i, row in enumerate(r.tolist())]
+            exact = exact_solve(a, v)
+            z = [Fraction(a) * Fraction(2) ** b for a, b in zip(zm, ze)]
+            # only the pivots subtract, so the error grows as x nears lambda
+            assert max(abs(a - b) / b for a, b in zip(z, exact)) <= 1e-15 * x / (x - lam)
+        else:
+            # y with (xI - D^-1 R D)y = 1, D = diag(v), is z / v; the pivoted
+            # LU's own error reaches 2e-10 at x = 1.1 lambda on these
+            v = np.ldexp(m, e)
+            dense = v * nnmatrix._dense_solve(r, v, x)
+            np.testing.assert_allclose(np.ldexp(zm, ze), dense, rtol=1e-9 * x / (x - lam))
+        # the sweep reads only exponent differences: v by 2^-2000, outside
+        # the doubles, gives z by 2^-2000
+        assert nnmatrix._sweep(levels, (m, [q - 2000 for q in e]), x) == (zm, [q - 2000 for q in ze])
+
+    def test_below_lambda_a_pivot_fails(self):
+        hubs = level_hubs((4, 2), 8)
+        weights = [c * 1.8**-n for c, n in zip(*hubs.chains[2:])]
+        assert nnmatrix._sweep(nnmatrix._levels(hubs, weights), ([1.0] * 4, [0] * 4), 1.7) is None
+
+    def test_an_entry_off_the_levels_is_refused(self):
+        hubs = level_hubs((4, 2), 8)
+        rows, cols, ints = hubs.entries
+        broken = hubs._replace(entries=(rows + (1,), cols + (1,), ints + (1,)))  # E_0 reads itself
+        with pytest.raises(KeyError):
+            nnmatrix._levels(broken, [1.0] * len(hubs.chains[0]))
+
+    @pytest.mark.parametrize(
+        "values, most",
+        [((79,) * 14 + (1,), 50), ((2,) * 600, 2), ((79,) * 200, 4)],
+        ids=["fourteen 79s then 1", "(2,)*600", "(79,)*200"],
+    )
+    def test_a_hub_vector_past_the_doubles_certifies(self, monkeypatch, values, most):
+        # each hub vector spans more than 2^1074: the float iterate of the
+        # dense solve underflowed on all three
+        calls, sweep = [], nnmatrix._sweep
+        monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        for method in ("matrix", "both"):
+            calls.clear()
+            report = dilatation(values, method)
+            assert Fraction(report.certificate.upper) - Fraction(report.certificate.lower) <= Fraction(1e-10)
+            assert len(calls) <= most
+        cell = dilatation_module._cell(values[:-1], values[-1]).bracket()
+        assert cell[0] <= Fraction(report.certificate.upper) and Fraction(report.certificate.lower) <= cell[1]
+
+    def test_the_random_tuples_that_underflowed_certify(self):
+        # the 17 of 300 random tuples (random.Random(5), length 2-30, entries
+        # 1-80) whose matrix route ended in the underflow error
+        rng = random.Random(5)
+        tuples = [tuple(rng.randint(1, 80) for _ in range(rng.randint(2, 30))) for _ in range(300)]
+        for values in [tuples[i] for i in UNDERFLOWED]:
+            lo, hi = dilatation_module._cell(values[:-1], values[-1]).bracket()
+            for method in ("matrix", "both"):
+                cert = dilatation(values, method).certificate
+                lower, upper = Fraction(cert.lower), Fraction(cert.upper)
+                assert upper - lower <= Fraction(1e-10) and lo <= upper and lower <= hi
 
 
 class TestHubSolve:
@@ -797,7 +936,9 @@ class TestHubSolve:
         )
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
-    def test_numpy_only_on_the_matrix_route(self):
+    def test_no_command_loads_numpy(self):
+        # the braid routes solve by the sweep in plain Python: only a
+        # search's dense solve, NNMatrix.spectral_radius, imports numpy
         src = Path(nnmatrix.__file__).parent
         top_level = re.compile(r"^(import numpy|from numpy)", re.MULTILINE)
         assert [p.name for p in src.glob("*.py") if top_level.search(p.read_text())] == []
@@ -812,15 +953,19 @@ class TestHubSolve:
             "      run('matrix', '--tuple', '4,2'),",
             "      run('dilatation', '--tuple', '4,2', '--method', 'formula'),",
             "      run('verify', '--max-k', '2', '--max-m', '3'),",
-            "      run('dilatation', '--tuple', '4,2'))",
+            "      run('dilatation', '--tuple', '4,2'),",
+            "      run('dilatation', '--tuple', '4,2', '--method', 'matrix'),",
+            "      run('limit', '--prefix', '4'),",
+            "      run('scan', '--prefix', '4', '--m-max', '3'),",
+            "      run('bound', '--lambda', '1.1', '--volume', '20'))",
+            "cli.transition_matrix((4, 2)).spectral_radius()",
+            "print('numpy' in sys.modules)",
         ])
         env = dict(os.environ, PYTHONPATH=str(src.parent))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "False False False False True\n", ""
-        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False " * 8 + "False\nTrue\n", "")
 
     def test_no_dataclasses_at_start_up(self):
         # the records are named tuples and one slots class: no import-time
