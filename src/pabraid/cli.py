@@ -64,11 +64,9 @@ def _tuple_arg(text):
 
 @functools.cache
 def build_parser(command=None):
-    """The parser of every subcommand, or of ``command`` alone, which ``main`` parses.
-
-    Built on the first call, not at import, and shared by every later call:
-    parse_args keeps no state between calls.
-    """
+    # the parser of every subcommand, or of ``command`` alone, which ``main``
+    # parses: built on the first call, not at import, and shared by every
+    # later call, since parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="pabraid",
         description=(
@@ -152,8 +150,7 @@ def _run_dilatation(args):
     if args.dump_matrix:
         _check_dense(args.braid)
     if args.method == "formula":
-        # the report prints the polynomial: its degree limit comes before
-        # the cell, as the nonzero limit does on the matrix routes
+        # the printed polynomial's degree limit, before the cell
         _check_degree(args.braid.size)
     report = dilatation(args.braid, method=args.method, tol=args.tol)
     if args.json:

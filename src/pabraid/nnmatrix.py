@@ -11,16 +11,14 @@ Characteristic polynomials are exact: Berkowitz's division-free recurrence
 grows det(tI - A_r) over the leading blocks A_r, in integers or over any
 commutative ring, so it also gives ``poly_matrix_det``.
 
-One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``): on
-a ``_Hubs``, whose rest holds no cycle and is eliminated exactly, Noda's
+One solver gives every Perron-Frobenius eigenvalue (``_hub_perron``): on a
+``_Hubs``, whose rest holds no cycle and is eliminated exactly, Noda's
 iteration (``_noda``) runs on the hub matrix R(t) of a chain ratio t, its
 iterate a float and an integer exponent per entry, with an exact
-Collatz-Wielandt enclosure of the whole matrix.  ``treebuilder._level_hubs``
-builds a braid matrix's ``_Hubs`` from its block boundaries, solved level
-by level in plain Python (``_sweep``), and ``_searched_hubs`` any matrix's
-from the depths of ``spectral_radius``'s search, solved densely
-(``_dense_solve``).  numpy serves only that search path, imported on its
-first call, so no command loads it.
+Collatz-Wielandt enclosure of the whole matrix.  A braid's ``_Hubs``
+(``treebuilder._level_hubs``) solves level by level in plain Python
+(``_sweep``); ``spectral_radius`` searches for any matrix's and solves it
+densely in numpy (``hubsearch``, which no command imports).
 """
 
 from __future__ import annotations
@@ -41,24 +39,20 @@ _SPAN = 300
 # the enclosure's power steps when the hub rows' first quotients lie wider
 # than tol: at 1e-15, (3,10,2,5,2,7) by "both" certified after 2, not 1
 _POWER_STEPS = 2
-# the least entry of a search's plain float iterate, over its greatest
-_PLAIN = 2.0**-1000
 # ``_levels``' place for R(t)'s entry (i, j) by i % 2 and j - i, but column 0's
 _PLACES = {(0, 0): 0, (0, 1): 2, (0, 2): 3, (1, -1): 5, (1, 1): 6}
 # relative gap between a caller's float just above lambda and the first Noda
 # shift: it covers that float's rounding
 _SEED_MARGIN = 1e-13
-# the relative width at which ``_seed`` stops bisecting, after about 20 dense
-# solves; the chain ratio's moves close the rest.  On dominant_matrix((3,)*300)
-# spectral_radius took 0.8 s, against 1.2 s at 1e-13 and 1.6 s at 1e-3
+# the relative width at which ``hubsearch._seed`` stops bisecting, after
+# about 20 dense solves, and ``_hub_perron`` bisects a chain ratio.  On
+# dominant_matrix((3,)*300) spectral_radius took 0.8 s, against 1.2 s at
+# 1e-13 and 1.6 s at 1e-3
 _SEED_WIDTH = 1e-6
 # the most hubs of a solve, whose dense hub system takes 8 bytes per hub
 # squared.  Under treebuilder's limit of 10^6 nonzeros, N + k^2 + 4k with
 # N >= 2(k + 1), a braid matrix has at most 2(k + 1) = 1996 hubs
 _MAX_HUBS = 2000
-# the greatest product of link entries down to a vertex of the rest: every
-# integer up to 2^53 is a double
-_EXACT_COEF = 1 << 53
 # the chain ratio rho = num / 2^_RHO_BITS, and the bits of the balls of its
 # powers: both far finer than a double
 _RHO_BITS = 96
@@ -208,14 +202,13 @@ class NNMatrix:
         rescaling keeps tiny eigenvector entries relatively accurate.
 
         The solve (``_hub_perron``) runs on the hubs that the primitivity
-        test's depths give (``_searched_hubs``; past ``_MAX_HUBS`` of them,
-        ValueError before any step), from the all-ones vector: unseeded when
-        every vertex is a hub, else from a float above lambda that ``_seed``
-        bisects for from the least and greatest row sums.  The enclosure
-        min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is exact on the whole
-        matrix, rounded outward to ``lower`` and ``upper`` within tol, and
-        ``eigenvalue`` is their midpoint: a bad solve costs steps, never a
-        false enclosure.  The eigenvector has max entry 1.
+        test's depths give (``hubsearch``; past ``_MAX_HUBS``, ValueError),
+        from the all-ones vector, unseeded when every vertex is a hub, else
+        at a float above lambda bisected for from the row sums.  The
+        enclosure min_i (Mv)_i/v_i <= lambda <= max_i (Mv)_i/v_i is exact on
+        the whole matrix, rounded outward to ``lower`` and ``upper`` within
+        tol, and ``eigenvalue`` is their midpoint: a bad solve costs steps,
+        never a false enclosure.  The eigenvector has max entry 1.
 
         Raises RuntimeError when the step cap is reached before the enclosure
         is narrower than tol, or an iterate repeats exactly first, or when a
@@ -228,10 +221,12 @@ class NNMatrix:
                 "spectral_radius requires a primitive matrix "
                 "(the Perron-Frobenius certificate is only defined there)"
             )
+        from .hubsearch import _dense_kernel, _searched_hubs, _seed
+
         hubs, sums = _searched_hubs(self.size, self.entries, depth), Counter()
         for (i, _), a in self.entries.items() if hubs.chains[0] else ():
             sums[i] += a
-        return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None, True)
+        return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None, _dense_kernel)
 
     def char_poly(self, *, _block=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
@@ -394,111 +389,25 @@ class NNMatrix:
         return self._pair
 
 
-def _searched_hubs(size, entries, depth):
-    """The primitive matrix of ``entries`` as a ``_Hubs``, its hubs found from ``depth``.
-
-    ``depth`` is breadth-first along the edges j -> i of the entries
-    (i, j), from vertex 0.  Along a cycle the depth fails to increase
-    somewhere, so the heads of the edges that do not increase it meet every
-    cycle.  They are hubs, and so is each vertex whose row holds an entry
-    from a vertex that is not such a head beside another entry.  Every
-    other vertex reads only from the depth before its own, so the rest
-    holds no cycle.  Taken by depth, a link k that reads j with entry a has
-    j's root, d_k = d_j + 1 and pi_k = a pi_j, unless pi_k would pass 2^53:
-    then k is a hub, so that every pi_k is exact as a float.  Raises
-    ValueError past ``_MAX_HUBS`` hubs.
-    """
-    import numpy as np
-
-    ij = np.fromiter(chain.from_iterable(entries), np.intp, 2 * len(entries)) - 1
-    rows, cols, ints = ij[0::2], ij[1::2], np.fromiter(entries.values(), object, len(entries))
-    dep = np.array(depth)
-    hub = np.zeros(size, dtype=bool)
-    hub[rows[dep[cols] >= dep[rows]]] = True
-    hub[rows[~hub[cols] & (np.bincount(rows, minlength=size)[rows] > 1)]] = True
-    own = [[] for _ in range(size)]  # the entries of each vertex of the rest
-    for i, j, a in zip(*(x[~hub[rows]].tolist() for x in (rows, cols, ints))):
-        own[i].append((j, a))
-    hub, found = hub.tolist(), {}  # each vertex of the rest: its root, pi and d
-    for k in sorted((k for k in range(size) if not hub[k]), key=depth.__getitem__):
-        j, a = own[k][0]
-        if hub[j]:
-            found[k] = (k, 1, 0)
-        elif a * found[j][1] > _EXACT_COEF:
-            hub[k] = True
-        else:
-            found[k] = (found[j][0], a * found[j][1], found[j][2] + 1)
-    hubs = [k for k in range(size) if hub[k]]
-    if len(hubs) > _MAX_HUBS:
-        raise ValueError(
-            f"the Perron-Frobenius solve would eliminate to {len(hubs)} hub vertices; the limit is {_MAX_HUBS}"
-        )
-    runs = []  # consecutive vertices of the rest with one root and pi, d falling by 1
-    for k, (root, pi, d) in sorted(found.items()):
-        if found.get(k - 1) == (root, pi, d + 1):
-            runs[-1][1] += 1
-        else:
-            runs.append([k, 1, root, pi, d])
-    at = {k: p for p, k in enumerate(hubs)}  # a hub's place, and a root's run
-    at.update((start + count - 1, p) for p, (start, count, *_) in enumerate(runs))
-    hub = np.array(hub)
-    place, both = np.cumsum(hub) - 1, hub[rows] & hub[cols]  # a hub's place
-    among = tuple(tuple(x.tolist()) for x in (place[rows[both]], place[cols[both]], ints[both]))
-    terms = Counter()
-    for i, j, a in zip(*(x[hub[rows] & ~hub[cols]].tolist() for x in (rows, cols, ints))):
-        root, pi, d = found[j]
-        for g, b in own[root]:
-            terms[at[i], at[g], d + 1] += a * pi * b
-    reads = [(at[k], at[j], b) for k in sorted(found) if found[k][0] == k for j, b in sorted(own[k])]
-    return _Hubs(
-        size, hubs, among, ((), (), ()),
-        _columns([(i, j, c, n) for (i, j, n), c in sorted(terms.items())], 4), _columns(reads),
-        _columns([(start, at[root], pi, top) for start, _, root, pi, top in runs], 4),
-    )
-
-
 def _columns(rows, width=3):
     # the tuples ``rows``, each ``width`` long, as that many columns
     return tuple(zip(*rows)) or ((),) * width
 
 
-def _above(hubs, t):
-    # whether ``_dense_solve``'s y with (tI - R(t))y = 1 is positive: exactly
-    # so for t above the Perron root lambda, where tI - R(t) is a nonsingular
-    # M-matrix, and not below, where R(t)'s Perron root exceeds t (Collatz-
-    # Wielandt).  An error near lambda costs Noda steps, never a false enclosure
-    import numpy as np
-
-    matrix = _hub_matrix(hubs, np.array([c * t**-n for _, _, c, n in zip(*hubs.chains)]))
-    try:
-        return bool(np.all(_dense_solve(matrix, np.ones(len(hubs.hubs)), t) > 0))
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _seed(hubs, lo, hi):
-    # a float above lambda, bisected by ``_above`` from lo <= lambda <= hi to _SEED_WIDTH
-    while hi - lo > _SEED_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if _above(hubs, mid) else (mid, hi)
-    return hi
-
-
-def _hub_perron(hubs, tol, above, dense=False):
+def _hub_perron(hubs, tol, above, dense=None):
     """The certified Perron-Frobenius eigenvalue of the ``_Hubs`` ``hubs``, on its hubs alone.
 
     Noda's iteration (``_noda``) runs on the hub matrix R(t) of a chain
     ratio t = 1/rho, rho = num / 2^96 nearest 1/``above`` at first; the
-    float ``above`` (a braid route's cell or hint, or ``_seed``'s) is also
-    the first shift, and None starts unseeded.  A braid's levels solve by
-    ``_sweep``, a search's hubs (``dense``) by ``_dense_solve``.  The
-    enclosure is exact on the whole matrix (``_hub_enclosure``).  R(t) has
-    the Perron root r(t) = t only at t = lambda and falls with t, so lambda
-    lies between t and r(t): while the closest such pair lies wider than
-    ``_SEED_WIDTH``, t moves to its midpoint.  Nearer, when the hub rows'
-    quotients lie within tol but the enclosure does not, t moves to r(t),
-    then by secant steps on r(t) - t; an enclosure that no longer narrows
-    raises the step cap's error.
+    float ``above`` (None: unseeded) is also the first shift.  A braid's
+    levels solve by ``_sweep``, a search's hubs by ``dense``
+    (``hubsearch._dense_kernel``), and the enclosure is exact on the whole
+    matrix (``_hub_enclosure``).  R(t)'s Perron root r(t) falls with t and
+    equals t only at lambda, which lies between them: while that bracket is
+    wider than ``_SEED_WIDTH``, t moves to its midpoint.  Nearer, while the
+    enclosure is wider than tol, t moves to r(t), then by secant steps on
+    r(t) - t, and an enclosure that no longer narrows raises the step cap's
+    error.
     """
     coefs, lengths = hubs.chains[2:]
     ones = ([1.0] * len(hubs.hubs), [0] * len(hubs.hubs))
@@ -510,7 +419,7 @@ def _hub_perron(hubs, tol, above, dense=False):
         balls = {n: _power(num, _RHO_BITS, n, _POWER_BITS) for n in {*lengths}}
         floats = {n: math.ldexp(mid, -lift) for n, (mid, _, lift) in balls.items()}
         weights = [c * floats[n] for c, n in zip(coefs, lengths)]
-        kernel = _dense_kernel(hubs, weights, v is ones and not seed) if dense else _sweep_kernel(hubs, weights)
+        kernel = dense(hubs, weights, v is ones and not seed) if dense else _sweep_kernel(hubs, weights)
         out = _noda(v, *kernel, partial(_hub_enclosure, hubs, num, balls, tol), tol, seed)
         if isinstance(out, PFCertificate):
             return out
@@ -542,9 +451,9 @@ def _noda(v, ratios, solve, certify, tol, above):
     lambda makes x = above*(1 + 1e-13) the first shift: for x > lambda,
     xI - M is a nonsingular M-matrix and the solve is positive; else the
     step goes on with sigma, at one solve.  An iterate that repeats exactly
-    asks ``certify`` once more, and else the run, which would only repeat
-    itself, ends with the step cap's RuntimeError, as ``_NODA_STEPS`` steps
-    do; RuntimeError too when no shift gives a positive solve.
+    asks ``certify`` once more, then raises the step cap's RuntimeError, as
+    ``_NODA_STEPS`` steps do; RuntimeError too when no shift gives a
+    positive solve.
     """
     q, seen = ratios(v), set()
     for step in range(_NODA_STEPS):
@@ -581,49 +490,6 @@ def _uncertified(tol):
     return RuntimeError(f"spectral radius not certified to tol={tol} within {_NODA_STEPS} Noda steps")
 
 
-def _dense_kernel(hubs, weights, sparse):
-    # ``_noda``'s ratios and solve on a search's hubs: ``_dense_solve`` on
-    # D^-1 R(t) D, D = diag(2^e).  The iterate is plain floats over their
-    # greatest while its least entry stays above _PLAIN times that, else
-    # mantissas in [1/2, 1).  With ``sparse`` (the all-ones start) the ratios
-    # come from ``_hub_product`` until the first solve forms R(t)
-    import numpy as np
-
-    weights, formed = np.array(weights), []
-
-    def scaled(e):
-        if not formed:
-            formed.append(_hub_matrix(hubs, weights))
-        if not any(e):
-            return formed[0]
-        e = np.array(e)
-        return np.ldexp(formed[0], e[None, :] - e[:, None])
-
-    def ratios(v):
-        m = np.array(v[0])
-        w = _hub_product(hubs, weights, m) if sparse and not formed else scaled(v[1]).dot(m)
-        return (w / m).tolist()
-
-    def solve(v, x):
-        m = np.array(v[0])
-        try:
-            y = _dense_solve(scaled(v[1]), m, x)
-        except np.linalg.LinAlgError:  # x equals lambda to double precision
-            return None
-        if not (np.all(y > 0) and np.isfinite(y).all()):
-            return None
-        y = m * y
-        if not any(v[1]) and y.min() >= _PLAIN * y.max():  # the floats of a plain iterate
-            v = (y / y.max()).tolist(), v[1]
-        else:
-            y, e = np.frexp(y)
-            e += np.array(v[1], dtype=e.dtype)
-            v = y.tolist(), (e - e.max()).tolist()
-        return v, ratios(v)
-
-    return ratios, solve
-
-
 def _sweep_kernel(hubs, weights):
     # ``_noda``'s ratios and solve on a braid's levels, in plain Python
     levels = _levels(hubs, weights)
@@ -647,8 +513,8 @@ def _levels(hubs, weights):
     after a dominant block's last hub), as the list [a, g, u, w, g', b, f]:
     row H_j reads a at itself, g at H_0 (j > 0), u at E_j and w at H_(j+1),
     row E_j reads g' at H_0, b at H_j (j > 0) and f at H_(j+1), and both the
-    ladder's 2 at H_1, ..., H_(j-1).  ``weights`` are the chain terms' as in
-    ``_hub_matrix``; any other entry is a KeyError or ValueError.
+    ladder's 2 at H_1, ..., H_(j-1), and ``weights`` the chain terms'; any
+    other entry is a KeyError or ValueError.
     """
     h = len(hubs.hubs)
     heads, steps, counts = hubs.ladder
@@ -747,78 +613,6 @@ def _level_ratios(levels, v):
     return out[:h]
 
 
-def _dense_solve(matrix, v, x):
-    """A search's dense solve, in numpy: y with (xI - D^-1 M D)y = 1, D = diag(v).
-
-    LU with partial pivoting first, which raises numpy.linalg.LinAlgError
-    on a singular system.  When its y is not positive (an iterate spanning
-    many decades loses its small entries to the pivoting's subtractions),
-    A = xI - D^-1 M D is eliminated again without pivoting, column by column
-    from the last.  For x above the Perron root A is an M-matrix, and that
-    elimination subtracts only on the diagonal: each row r < k with an entry
-    in column k takes f = a_rk / a_kk <= 0 times row k, whose entries left
-    of k are <= 0 as row r's are, and the right side only grows.  The lower
-    triangle left is solved forward, in up to O(h^3).
-    """
-    import numpy as np
-
-    h = len(v)
-    a = matrix * (-v / v[:, None])
-    a.flat[:: h + 1] += x
-    y = np.linalg.solve(a, np.ones(h))
-    if np.all(y > 0):
-        return y
-    b, z = np.ones(h), np.empty(h)
-    with np.errstate(all="ignore"):  # below the Perron root a pivot fails
-        for k in range(h - 1, 0, -1):
-            for r in a[:k, k].nonzero()[0]:
-                f = a[r, k] / a[k, k]
-                a[r, :k] -= f * a[k, :k]
-                b[r] -= f * b[k]
-        for i in range(h):
-            z[i] = (b[i] - a[i, :i] @ z[:i]) / a[i, i]
-    return z if np.isfinite(z).all() else y
-
-
-def _hub_matrix(hubs, weights):
-    """The hub matrix R(t) = M_HH + M_HC (tI - M_CC)^-1 M_CH of the ``_Hubs`` ``hubs``.
-
-    ``weights``, floats or exact objects, holds coef t^-n for each chain
-    term.  On the rest C, (tI - M)v = 0 gives t v_r = sum_h b_h v_h at a
-    root r, over its entries b_h from hubs, and t v_k = a v_j at a link k
-    that reads j with entry a, so v_k = pi_k t^-(d_k + 1) times the sum of
-    k's root: a hub row that reads k with entry a reads a pi_k b_h
-    t^-(d_k + 1) at each hub h, the chain terms.  R(lambda) has the Perron
-    root lambda, and its Perron vector is the matrix's on the hubs.
-    """
-    import numpy as np
-
-    h = len(hubs.hubs)
-    r = np.zeros((h, h), dtype=weights.dtype)
-    rows, cols, _, heads, steps, counts, readers, reads = _indices(hubs)
-    r[rows, cols] = hubs.entries[2]
-    r[steps[:, None], heads] += 2 * (np.arange(len(heads)) < counts[:, None])
-    np.add.at(r, (readers, reads), weights)
-    return r
-
-
-def _indices(hubs):
-    # the entries', ladder's and chain terms' columns of ints, as numpy arrays
-    import numpy as np
-
-    return [np.array(x, dtype=np.intp) for x in (*hubs.entries, *hubs.ladder, *hubs.chains[:2])]
-
-
-def _hub_product(hubs, weights, v):
-    # R(t)v on the columns of ``hubs``, ``weights`` as in ``_hub_matrix``
-    import numpy as np
-
-    rows, cols, ints, heads, steps, counts, readers, reads = _indices(hubs)
-    w = np.bincount(rows, ints * v[cols], len(v)) + np.bincount(readers, weights * v[reads], len(v))
-    w[steps] += 2 * np.append(0.0, np.cumsum(v[heads]))[counts]
-    return w
-
-
 def _hub_enclosure(hubs, num, balls, tol, v):
     """``_hub_perron``'s exact Collatz-Wielandt enclosure, from the hub vector v.
 
@@ -873,10 +667,9 @@ def _hub_enclosure(hubs, num, balls, tol, v):
 
 
 def _hub_vector(hubs, ints, quotients, rho, lam):
-    # ``_hub_enclosure``'s vector of the hub integers in floats, scaled to
-    # max entry 1 (a hub entry below 2^-970 keeps fewer bits, one below
-    # 2^-1023 reads 0.0), and its residual max |Mv - lam v|, each row from
-    # its exact quotient: (Mv)_i / v_i on the hubs, 1/rho on the rest
+    # ``_hub_enclosure``'s float vector of the hub integers, max entry 1 (one
+    # below 2^-970 keeps fewer bits, below 2^-1023 reads 0.0), and its residual
+    # max |Mv - lam v| from each row's exact quotient, 1/rho on the rest
     shift = max(max(ints).bit_length() - 1023, 0)  # so that the greatest is a double
     top = float(max(ints) >> shift)
     hub = [float(x >> shift) / top for x in ints]

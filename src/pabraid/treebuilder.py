@@ -24,7 +24,7 @@ Each build hands its entries to ``NNMatrix`` unchecked: they are positive
 ints at indices in 1..N by construction, and the tests check them.
 
 The Perron-Frobenius solve reads its structure from the levels
-(``_level_hubs``): the ``nnmatrix._Hubs`` that ``nnmatrix._searched_hubs``
+(``_level_hubs``): the ``nnmatrix._Hubs`` that ``hubsearch._searched_hubs``
 would find by a search, as the tests check field by field.  Along the
 edges j -> i of the entries (i, j), every vertex gets a breadth-first
 depth from vertex 1: 0 at vertex 1, 1 at each last vertex n_j and hub

@@ -228,8 +228,7 @@ def find_parameters(target_lambda, target_volume):
 
     volume = Fraction(target_volume)
     k = _least_below(lambda kk: _bound_exceeds(kk, volume))
-    # the least witness, every entry 1, would pass the nonzero limit: so
-    # would every other, whatever m the search finds
+    # past the nonzero limit at the least witness, so at every m
     _check_nonzeros((1,) * (k + 1))
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1

@@ -26,7 +26,8 @@ from pabraid import (
     poly_matrix_det,
     transition_matrix,
 )
-from pabraid.nnmatrix import _hub_perron, _searched_hubs
+from pabraid.hubsearch import _dense_kernel, _searched_hubs
+from pabraid.nnmatrix import _hub_perron
 
 
 def grid_tuples():
@@ -315,7 +316,7 @@ def seeded_radius(matrix, above, tol=1e-10):
     """
     if above is None:
         return matrix.spectral_radius(tol)
-    return _hub_perron(searched_hubs(matrix), tol, above, True)
+    return _hub_perron(searched_hubs(matrix), tol, above, _dense_kernel)
 
 
 def searched_hubs(matrix):

@@ -15,6 +15,7 @@ import pytest
 
 import pabraid
 import pabraid.cli
+import pabraid.hubsearch as hubsearch
 import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid import NNMatrix, monotonicity_check
@@ -337,7 +338,7 @@ def test_the_solve_is_built_from_the_levels_alone(capsys, monkeypatch, argv):
         raise AssertionError("entries dict or hub search used")
 
     monkeypatch.setattr(treebuilder, "_entries", refuse)
-    monkeypatch.setattr(nnmatrix, "_searched_hubs", refuse)
+    monkeypatch.setattr(hubsearch, "_searched_hubs", refuse)
     assert expected[0] == 0
     assert run(capsys, *argv) == expected
 

@@ -42,6 +42,7 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 # the package re-exports the function dilatation under the module's name
 dilatation_module = importlib.import_module("pabraid.dilatation")
+hubsearch = importlib.import_module("pabraid.hubsearch")
 nnmatrix = importlib.import_module("pabraid.nnmatrix")
 
 
@@ -708,7 +709,7 @@ class TestLevelRoute:
         # eliminated
         calls, sweep = [], nnmatrix._sweep
         monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
-        monkeypatch.setattr(nnmatrix, "_dense_solve", None)
+        monkeypatch.setattr(hubsearch, "_dense_solve", None)
         run()
         assert len(calls) == solves
 

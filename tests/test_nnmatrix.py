@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import splu
 
+import pabraid.hubsearch as hubsearch
 import pabraid.nnmatrix as nnmatrix
 from pabraid import (
     IntPoly,
@@ -158,7 +159,7 @@ def factorizations(monkeypatch):
 def solves(monkeypatch):
     # a spy on the dense solves of Noda's steps, not those of the seed's
     # bisection: (shift, whether the solve came back positive) per solve
-    calls, solve, seed, seeding = [], nnmatrix._dense_solve, nnmatrix._seed, []
+    calls, solve, seed, seeding = [], hubsearch._dense_solve, hubsearch._seed, []
 
     def spy(r, v, x):
         y = solve(r, v, x)
@@ -173,8 +174,8 @@ def solves(monkeypatch):
         finally:
             seeding.pop()
 
-    monkeypatch.setattr(nnmatrix, "_dense_solve", spy)
-    monkeypatch.setattr(nnmatrix, "_seed", unspied)
+    monkeypatch.setattr(hubsearch, "_dense_solve", spy)
+    monkeypatch.setattr(hubsearch, "_seed", unspied)
     return calls
 
 
@@ -312,7 +313,7 @@ class TestSpectralRadius:
         # all-ones vector's row sums, and the enclosure stays exact
         matrix = NNMatrix.from_rows([[1, 2], [1, 1]])
         assert searched_hubs(matrix).hubs == [0, 1]
-        shifts, solve = [], nnmatrix._dense_solve
+        shifts, solve = [], hubsearch._dense_solve
 
         def first_negated(r, v, x):
             y = solve(r, v, x)
@@ -321,7 +322,7 @@ class TestSpectralRadius:
                 y[0] = -y[0]
             return y
 
-        monkeypatch.setattr(nnmatrix, "_dense_solve", first_negated)
+        monkeypatch.setattr(hubsearch, "_dense_solve", first_negated)
         cert = matrix.spectral_radius()
         sigma, lo = 3, 2  # the row sums
         assert shifts[:2] == [sigma, 2 * sigma - lo + 4 * math.ulp(sigma)]
@@ -355,7 +356,7 @@ class TestSpectralRadius:
         def refuse(*args):
             raise AssertionError("the hub matrix was formed densely")
 
-        monkeypatch.setattr(nnmatrix, "_hub_matrix", refuse)
+        monkeypatch.setattr(hubsearch, "_hub_matrix", refuse)
         cert = NNMatrix(n, entries).spectral_radius()
         assert cert.lower == cert.upper == 2.0 and cert.right_eigenvector == (1.0,) * n
 
@@ -454,7 +455,7 @@ class TestSeededStart:
         # solves; the braid routes sweep their hubs and factor no matrix
         calls, sweep = [], nnmatrix._sweep
         monkeypatch.setattr(nnmatrix, "_sweep", lambda *args: calls.append(1) or sweep(*args))
-        monkeypatch.setattr(nnmatrix, "_dense_solve", None)
+        monkeypatch.setattr(hubsearch, "_dense_solve", None)
         run()
         assert 1 <= len(calls) <= 3
 
@@ -631,7 +632,7 @@ def corpus_polynomials():
 def hub_matrix_at(hubs, t, dtype):
     """``_hub_matrix`` of the ``_Hubs`` ``hubs`` at the chain ratio t, in floats or exactly."""
     coefs, lengths = hubs.chains[2:]
-    return nnmatrix._hub_matrix(hubs, np.array([c * t**-n for c, n in zip(coefs, lengths)], dtype))
+    return hubsearch._hub_matrix(hubs, np.array([c * t**-n for c, n in zip(coefs, lengths)], dtype))
 
 
 def assert_solve_matches_splu(m):
@@ -651,7 +652,7 @@ def assert_solve_matches_splu(m):
     perron = np.array(cert.right_eigenvector)[hubs.hubs]
     cases = [(perron, 1.5 * lam), (perron, lam * (1 + 1e-6)), (np.ones(h), 1.5 * lam)]
     for v, x in cases:
-        y = nnmatrix._dense_solve(r, v, x)
+        y = hubsearch._dense_solve(r, v, x)
         a = x * identity(h, format="csc") - csc_matrix(r * v / v[:, None])
         oracle = splu(a.tocsc()).solve(np.ones(h))
         assert np.all(y > 0)
@@ -668,8 +669,8 @@ def assert_hub_matrix_is_the_schur_complement(m):
     # another order
     v = np.linspace(1.0, 2.0, len(hubs.hubs))
     weights = np.array([c * 1.4**-n for _, _, c, n in zip(*hubs.chains)])
-    dense = nnmatrix._hub_matrix(hubs, weights) @ v
-    np.testing.assert_allclose(nnmatrix._hub_product(hubs, weights, v), dense, rtol=1e-12)
+    dense = hubsearch._hub_matrix(hubs, weights) @ v
+    np.testing.assert_allclose(hubsearch._hub_product(hubs, weights, v), dense, rtol=1e-12)
 
 
 class TestTightTolerances:
@@ -692,7 +693,7 @@ class TestTightTolerances:
         for m in corpus_matrices():
             hubs = searched_hubs(m)
             sums = [sum(row) for row in m.to_rows()]
-            seed = nnmatrix._seed(hubs, min(sums), max(sums))
+            seed = hubsearch._seed(hubs, min(sums), max(sums))
             cert = m.spectral_radius()
             assert hubs.chains[0]
             assert cert.upper < seed <= cert.upper * (1 + nnmatrix._SEED_WIDTH)
@@ -747,7 +748,7 @@ class TestSweep:
         levels = nnmatrix._levels(hubs, weights)
         zm, ze = nnmatrix._sweep(levels, (m, e), x)
         assert min(zm) > 0
-        r = nnmatrix._hub_matrix(hubs, np.array(weights))
+        r = hubsearch._hub_matrix(hubs, np.array(weights))
         if len(m) <= 12:
             v = [Fraction(a) * Fraction(2) ** b for a, b in zip(m, e)]
             a = [[Fraction(x) * (i == j) - Fraction(c) for j, c in enumerate(row)] for i, row in enumerate(r.tolist())]
@@ -759,7 +760,7 @@ class TestSweep:
             # y with (xI - D^-1 R D)y = 1, D = diag(v), is z / v; the pivoted
             # LU's own error reaches 2e-10 at x = 1.1 lambda on these
             v = np.ldexp(m, e)
-            dense = v * nnmatrix._dense_solve(r, v, x)
+            dense = v * hubsearch._dense_solve(r, v, x)
             np.testing.assert_allclose(np.ldexp(zm, ze), dense, rtol=1e-9 * x / (x - lam))
         # the sweep reads only exponent differences: v by 2^-2000, outside
         # the doubles, gives z by 2^-2000

@@ -24,6 +24,7 @@ from pabraid import (
     transition_matrix,
     validate_structure,
 )
+import pabraid.hubsearch as hubsearch
 import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
 from pabraid.cli import main
@@ -340,7 +341,7 @@ def assert_level_structure(matrix, levels, depth):
     """
     assert depth == matrix._primitive_depths()
     assert matrix.is_primitive()
-    assert_same_structure(nnmatrix._searched_hubs(matrix.size, matrix.entries, depth), levels)
+    assert_same_structure(hubsearch._searched_hubs(matrix.size, matrix.entries, depth), levels)
 
 
 def assert_level_depths(values):
@@ -411,14 +412,14 @@ class TestChainElimination:
         coefs, lengths = levels.chains[2:]
         for t in self.TS:
             weights = np.array([c * t**-n for c, n in zip(coefs, lengths)], dtype=object)
-            built = nnmatrix._hub_matrix(levels, weights).tolist()
+            built = hubsearch._hub_matrix(levels, weights).tolist()
             assert built == schur_hub_matrix(matrix.entries, searched.hubs, t)
         # the sparse R(t)v, ladder included, sums the same positive terms as
         # the dense product in another order
         v = np.linspace(1.0, 2.0, len(levels.hubs))
         weights = np.array([c * 1.4**-n for c, n in zip(coefs, lengths)])
-        dense = nnmatrix._hub_matrix(levels, weights) @ v
-        np.testing.assert_allclose(nnmatrix._hub_product(levels, weights, v), dense, rtol=1e-12)
+        dense = hubsearch._hub_matrix(levels, weights) @ v
+        np.testing.assert_allclose(hubsearch._hub_product(levels, weights, v), dense, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(values=_entries_1_to_80(2, 30))
