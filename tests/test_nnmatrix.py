@@ -676,9 +676,9 @@ def assert_hub_matrix_is_the_schur_complement(m):
 class TestTightTolerances:
     # every corpus matrix certifies at 1e-12 and 1e-14 on the hubs its
     # search finds, as on the whole matrix before the search built a hub
-    # structure.  At 1e-15, about two ulps of lambda, 218 of the 225 do
-    # with the enclosure's power step (196 without it, 128 on the whole
-    # matrix)
+    # structure.  At 1e-15, about two ulps of lambda, 223 of the 225 do
+    # with the enclosure's two power steps (218 with one, 195 with none,
+    # 128 on the whole matrix)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-14])
     def test_corpus_matrices(self, tol):
