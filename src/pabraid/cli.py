@@ -31,8 +31,10 @@ from .treebuilder import (
     _MAX_NONZEROS,
     BraidTuple,
     _check_nonzeros,
+    _child_extension,
     _extension,
     _recessive,
+    _tuple_piece,
     closing_sign,
     parse_params,
     transition_matrix,
@@ -221,13 +223,12 @@ def _run_verify(args):
         raise ValueError(f"verify asks for {count} tuples; the limit is {_MAX_ITEMS}")
     # and the grid's largest matrix, of (m, ..., m), within the nonzero limit
     _check_nonzeros((m,) * (k + 1))
-    # depth first over the prefix tree, on a stack of (prefix, parent block,
-    # parent chain level): each prefix folds its chain level onto its
-    # parent's, its block closes from its parent's block, its leading
-    # corner, and its tuples close from its block, whose memo also gives the
-    # recessive polynomial.  Only the blocks of the current prefix's
-    # ancestors are kept.  The walk meets the prefixes in sorted order, and
-    # a stable sort by length puts the tuples back in grid order
+    # depth first over the prefix tree, on a stack of (prefix, parent's
+    # block and last row, parent chain level), keeping only the blocks of
+    # the current prefix's ancestors: a first-level block is built whole,
+    # any other grown from its parent's by its child piece, and each tuple
+    # closes on its block and its tuple piece.  The walk meets the prefixes
+    # in sorted order; a stable sort by length puts the tuples in grid order
     tuple_failures, prefix_failures = [], []
     stack = [((first,), None, [1]) for first in range(m, 0, -1)]
     while stack:
@@ -235,18 +236,19 @@ def _run_verify(args):
         chain = _next_level(parent_chain, prefix[-1], len(prefix))
         dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
-        block, last_row = _extension(prefix)
+        block, last_row = _child_extension(*parent, prefix[-1]) if parent else _extension(prefix)
         if len(prefix) < k:  # a parent of longer prefixes
-            stack += [(prefix + (last,), block, chain) for last in range(m, 0, -1)]
-        if block.char_poly(_block=parent) != dom:
+            stack += [(prefix + (last,), (block, last_row), chain) for last in range(m, 0, -1)]
+        if block.char_poly() != dom:
             prefix_failures.append(f"prefix {prefix}: dominant block has the wrong polynomial")
         # the dual identity follows from this one and the block's: the dual
         # recessive polynomial is this one reversed at degree block.size
         if _recessive(block, last_row) != dom.reciprocal(dom.degree) * sign:
             prefix_failures.append(f"prefix {prefix}: recessive polynomial mismatch")
         for last in range(1, m + 1):
-            bt = BraidTuple(prefix + (last,))
-            if transition_matrix(bt).char_poly(_block=block) != _closed(chain, last, sign):
+            piece = _tuple_piece(block.size, last_row, last)
+            if block._joined_poly(block.size + last, piece) != _closed(chain, last, sign):
+                bt = BraidTuple(prefix + (last,))
                 tuple_failures.append((len(bt), f"{bt}: formula and matrix polynomials differ"))
     failures = [line for _, line in sorted(tuple_failures, key=lambda f: f[0])] + prefix_failures
 

@@ -228,16 +228,18 @@ class NNMatrix:
             sums[i] += a
         return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None, _dense_kernel)
 
-    def char_poly(self, *, _block=None):
+    def char_poly(self, *, _block=None, _past=None):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
 
         Memoized, with the run's last two rows (``_leading_pair``).  A
-        leading principal block B passed as ``_block`` (in ``verify``, a
-        prefix's dominant matrix) finishes the pair from B's own run, with no
-        row run, when B's entries equal M's n-square corner, n = B.size, and
-        M ends at row n, at the row N where a unit chain closes, or at the
-        hub row N+1 after it (below); otherwise the recurrence runs in full,
-        so a wrong ``_block`` costs time, never a wrong result.
+        leading principal block B passed as ``_block`` finishes the pair from
+        B's own run, with no row run, when B's entries equal M's n-square
+        corner, n = B.size, and M ends at row n, at the row N where a unit
+        chain closes, or at the hub row N+1 after it (below); otherwise the
+        recurrence runs in full, so a wrong ``_block`` costs time, never a
+        wrong result.  Given ``_past``, M's entries past that corner when M
+        is B's entries and those, no pass over M tests the corner: an entry
+        of ``_past`` inside it runs the recurrence.
 
         The unit chain.  Let N > n be the first row whose entries in columns
         1..N+1 are not exactly (N, N+1) = 1.  The chain closes at N when row
@@ -286,50 +288,52 @@ class NNMatrix:
         z = Q / det(tI - C) and det(tI - C) R u = X h.  C's memo takes X h
         under R, and C's p is Q.
 
-        In ``verify`` a prefix's tuples close on row R after the prefix's
-        block, and so does each child's block, whose hub row follows and
-        whose tuples close on R plus 2 in the hub's column: only a block
-        without a parent forms a Krylov sequence or runs the recurrence.
+        In ``verify`` only a first-level block runs the recurrence and forms
+        a Krylov sequence: any other is its parent's entries and child piece
+        (``_past``), which closes on R and lifts, and each tuple its block and
+        tuple piece (``_joined_poly``), closing on R plus 2 at the hub.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            self._pair = _block and _block._seed(self) or _berkowitz(self.size, self.entries)
+            self._pair = _block and _block._seed(self, _past) or _berkowitz(self.size, self.entries)
             self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
 
-    def _seed(self, matrix):
-        """``char_poly``'s finished pair for ``matrix``, given this leading block, or None.
+    def _seed(self, matrix, past=None):
+        # char_poly's pair for matrix from this leading block (_finish), or None;
+        # unless given, past is set apart by one pass, and the corner must be this block
+        n, entries = self.size, matrix.entries
+        if past is None:
+            past = {(i, j): v for (i, j), v in entries.items() if i > n or j > n}
+            if len(entries) - len(past) != len(self.entries) or not self.entries.items() <= entries.items():
+                return None
+        return self._finish(matrix.size, past, matrix._closings)
 
-        The pair is finished only when this block is the matrix's corner and
-        the matrix ends where ``char_poly``'s pair closes: at this block, at
-        the row N where a unit chain closes, or at the hub row N+1 after it,
-        whose matrix takes the lift.  Any other shape is None before this
-        block's memo is asked, so it forms no Krylov sequence.  One pass
-        over the matrix's entries sets apart those outside the corner, which
-        is this block when it holds all of this block's entries and no
-        others; the chain is read from those apart.
-        """
-        n, size, entries = self.size, matrix.size, matrix.entries
-        if n > size:
-            return None
-        past = [(i, j, v) for (i, j), v in entries.items() if i > n or j > n]
-        if len(entries) - len(past) != len(self.entries) or not (
-            self.entries.items() <= entries.items()
-        ):
-            return None
+    def _joined_poly(self, size, piece):
+        # char_poly of the matrix of this block's entries and piece's, past its
+        # corner, which is built only when the piece does not close it
+        pair = self._finish(size, piece, {}) or _berkowitz(size, {**self.entries, **piece})
+        return IntPoly(pair[-1])
+
+    def _finish(self, size, past, closings):
+        # char_poly's pair for the size-square M of this block's entries and
+        # past's, taken as M's outside the corner, where char_poly closes, the
+        # lift going to M's memo closings; any other shape, or an entry of
+        # past inside the corner, is None before this block's memo is asked
+        n = self.size
+        if n >= size:
+            return None if past or n > size else list(self._leading_pair())
         pair = self._leading_pair()
-        if n == size:
-            return list(pair)
-        left = min((i for i, j, _ in past if j <= i), default=size)
+        left = min((i for i, j in past if j <= i), default=size)
         end = n + 1  # past each row that reads (end, end + 1) = 1 and nothing left of it
-        while end < left and entries.get((end, end + 1)) == 1:
+        while end < left and past.get((end, end + 1)) == 1:
             end += 1
         if end + 1 < size:  # the matrix goes on past the hub row
             return None
         s, row, hub, feed = 0, {}, {}, {}  # feed: column end + 1 above the diagonal
-        for i, j, v in past:
+        for (i, j), v in past.items():
             if j == end + 1 and i <= end:
                 feed[i] = v
             elif i == end + 1 and j <= end:
@@ -356,8 +360,8 @@ class NNMatrix:
             weight = v if i == n else s * v
             for j, c in enumerate(h, start=end - i):
                 xh[j] += weight * c
-        a = entries.get((end + 1, end + 1), 0)
-        matrix._closings[key] = xh
+        a = past.get((end + 1, end + 1), 0)
+        closings[key] = xh
         return [closed, [c - a * d - x for c, d, x in zip([0] + closed, closed + [0], xh + [0])]]
 
     def _closing(self, row):

@@ -2,16 +2,15 @@
 
 A parameter tuple (m_1, ..., m_{k+1}) describes a chain of star-shaped
 trees; the matrix of the induced graph map is assembled level by level.
-Writing n_j = m_1 + ... + m_j + j for the block boundaries, level 0 is the
-cyclic rotation matrix of the first star and gluing star i+1 appends rows
-and columns n_i+1 .. n_{i+1}:
-
-* rows n_i - 1 and n_i gain an entry 1 in column n_i + 1;
-* row n_i + 1 reads 1 in column 1, 2 in every column n_j + 1 with j < i,
-  and 1 in columns n_i + 1 and n_i + 2;
-* rows n_i + 2 .. n_{i+1} - 1 carry a unit superdiagonal;
-* row n_{i+1} reads 1 in column 1, 2 in every column n_j + 1 with j < i,
-  and 2 in column n_i + 1.
+Write n_j = m_1 + ... + m_j + j for the block boundaries, n_0 = 0, and R_i
+for the row that reads 1 in column 1 and 2 in every column n_j + 1 with
+0 < j < i.  Level 0 is the cyclic rotation matrix of the first star, and
+gluing star i+1 appends rows and columns n_i+1 .. n_{i+1}: rows n_i - 1
+and n_i gain an entry 1 in column n_i + 1, the hub; the hub row reads R_i
+and 1 in columns n_i + 1 and n_i + 2; rows n_i + 2 .. n_{i+1} - 1 carry a
+unit superdiagonal; and the last row n_{i+1} reads R_{i+1}.  So a tuple
+and a dominant block (below) are built as pieces added to the dominant
+block of their prefix (``_tuple_piece``, ``_child_piece``).
 
 The upper-left (n_i + 1)-square block is the transition matrix of the
 dominant (restricted) map, and a bordered determinant extracts the
@@ -177,13 +176,8 @@ def transition_matrix(m):
     building anything.
     """
     values = params(m, 2)
-    return NNMatrix._of(_size(values), _limited_entries(values))
-
-
-def _limited_entries(values):
-    # the entries of a checked tuple, refused above the limit before building
     _check_nonzeros(values)
-    return _entries(values)
+    return NNMatrix._of(_size(values), _entries(values))
 
 
 def _check_nonzeros(values):
@@ -199,30 +193,45 @@ def _check_nonzeros(values):
 
 
 def _entries(values):
-    ns = block_boundaries(values)
-    e = {}
-    first = ns[0]
-    for i in range(1, first):
-        e[(i, i + 1)] = 1
-    e[(first, 1)] = 1
-    for level in range(1, len(values)):
-        lo = ns[level - 1]
-        hi = ns[level]
-        e[(lo - 1, lo + 1)] = 1
-        e[(lo, lo + 1)] = 1
-        row = lo + 1
-        e[(row, 1)] = 1
-        for j in range(level - 1):
-            e[(row, ns[j] + 1)] = 2
-        e[(row, lo + 1)] = 1
-        e[(row, lo + 2)] = 1
-        for r in range(lo + 2, hi):
-            e[(r, r + 1)] = 1
-        e[(hi, 1)] = 1
-        for j in range(level - 1):
-            e[(hi, ns[j] + 1)] = 2
-        e[(hi, lo + 1)] = 2
-    return e
+    # the checked tuple's entries: its prefix's block, then its tuple piece
+    entries, size, row = _block(values[:-1])
+    entries.update(_tuple_piece(size, row, values[-1]))
+    return entries
+
+
+def _block(vals):
+    # the checked prefix's dominant block entries, size and last row, by the
+    # child pieces of its levels from the empty prefix's: vertex 1 alone
+    entries, size, row = {}, 1, {1: 1}
+    for m in vals:
+        entries.update(_child_piece(size, row, m))
+        size += m + 1
+        row[size] = 2
+    return entries, size, row
+
+
+def _tuple_piece(n, row, m):
+    # what the matrix of prefix + (m,) adds to the prefix's n-square block,
+    # whose last row is ``row``: the link (n, n + 1), the unit chain up to
+    # N = n + m and the last row N, reading ``row``
+    piece = {(r, r + 1): 1 for r in range(n, n + m)}
+    return piece | {(n + m, j): v for j, v in row.items()}
+
+
+def _child_piece(n, row, m):
+    # what the dominant block of prefix + (m,) adds to the prefix's: the
+    # tuple piece, the feeds into hub N + 1 and the hub row
+    hub = n + m + 1
+    piece = _tuple_piece(n, row, m) | {(hub - 2, hub): 1, (hub - 1, hub): 1}
+    return piece | {(hub, j): v for j, v in row.items()} | {(hub, hub): 1}
+
+
+def _child_extension(block, row, m):
+    # _extension of prefix + (m,) from the prefix's: its block and last row
+    hub, piece = block.size + m + 1, _child_piece(block.size, row, m)
+    child = NNMatrix._of(hub, {**block.entries, **piece})
+    child.char_poly(_block=block, _past=piece)
+    return child, {**row, hub: 2}
 
 
 def _level_hubs(values, size):
@@ -230,7 +239,7 @@ def _level_hubs(values, size):
 
     The matrix is the leading size-square block of the transition matrix
     of the tuple ``values``: all of it at size n_{k+1}, or, at size
-    n_k + 1, the dominant block of ``values[:-1]``, as ``_extension`` cuts
+    n_k + 1, the dominant block of ``values[:-1]``, as ``_extension`` builds
     it.  Past the nonzero limit of ``values`` it raises ValueError before
     building anything.  The hubs are H_0 = vertex 1, then each level's last
     row E_i and the next level's hub H_{i+1}, at hub places 2i + 1 and
@@ -266,27 +275,18 @@ def _level_hubs(values, size):
 def dominant_matrix(prefix):
     """Transition matrix of the dominant map for a parameter prefix.
 
-    This is the upper-left (n_i + 1)-square block of any extension of the
-    prefix, here of the prefix extended by 1.
+    This is the upper-left (n_i + 1)-square block of any extension of the prefix.
     """
     return _extension(params(prefix, 1))[0]
 
 
 def _extension(vals):
-    """The dominant block of the checked prefix ``vals`` and one more row.
-
-    One build of the prefix extended by 1: its upper-left (n_i + 1)-square
-    corner, the block, and its last row n_i + 2 as {column: entry}, all of
-    whose columns lie in the block.  The corner is the build less that row
-    and the entry (n_i + 1, n_i + 2), taken out in place.
-    """
-    cut = _size(vals) + 1
-    block = _limited_entries(vals + (1,))
-    last = {j: v for (i, j), v in block.items() if i > cut}
-    for j in last:
-        del block[(cut + 1, j)]
-    del block[(cut, cut + 1)]
-    return NNMatrix._of(cut, block), last
+    # the dominant block of the checked prefix, built whole, and its last row
+    # n_i + 2 ({column: entry}); past the nonzero limit of the prefix
+    # extended by 1, ValueError before building anything
+    _check_nonzeros(vals + (1,))
+    entries, size, row = _block(vals)
+    return NNMatrix._of(size, entries), row
 
 
 def recessive_poly(prefix):
@@ -302,14 +302,8 @@ def recessive_poly(prefix):
 
 
 def _recessive(block, last):
-    """recessive_poly from the block and any last row ({column: entry}).
-
-    The bordered block is tI - B with its last row replaced by -L, L the
-    last row; expanding along that row, whose cofactors are those of
-    tI - B, gives -L adj(tI - B) e_{n_i+1}.  That is minus the block's h
-    for L (``NNMatrix.char_poly``), memoized by the block, whose tuples
-    close on the same row.
-    """
+    # recessive_poly from the block and any last row L ({column: entry}):
+    # -L adj(tI - B) e_{n_i+1}, minus the block's memoized h for L
     return -IntPoly(block._closing(tuple(sorted(last.items()))))
 
 

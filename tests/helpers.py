@@ -572,6 +572,28 @@ GOLDEN_8x8 = [
 ]
 
 
+def glued_entries_oracle(values):
+    """The transition matrix entries of the tuple ``values``, glued star by star.
+
+    The rules of ``treebuilder``'s docstring in absolute indices: the first
+    star's cyclic rotation, then for each star i+1 the feeds into hub
+    n_i + 1, the hub row, the unit superdiagonal and the last row n_{i+1}.
+    """
+    ns = block_boundaries(values)
+    e = {(r, r + 1): 1 for r in range(1, ns[0])}
+    e[(ns[0], 1)] = 1
+    for i in range(1, len(values)):
+        lo, hi = ns[i - 1], ns[i]
+        reads = {1: 1, **{ns[j] + 1: 2 for j in range(i - 1)}}
+        e[(lo - 1, lo + 1)] = e[(lo, lo + 1)] = 1
+        e.update({(lo + 1, j): v for j, v in reads.items()})
+        e[(lo + 1, lo + 1)] = e[(lo + 1, lo + 2)] = 1
+        e.update({(r, r + 1): 1 for r in range(lo + 2, hi)})
+        e.update({(hi, j): v for j, v in reads.items()})
+        e[(hi, lo + 1)] = 2
+    return e
+
+
 def bordered_rows_oracle(prefix, appended, last=None):
     """``bordered_det_oracle(prefix, appended, False)`` from integer rows.
 

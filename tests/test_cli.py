@@ -203,6 +203,9 @@ GOLDEN_COMMANDS = [
     (("limit", "--prefix", "4"), "limit-4.txt"),
     (("bound", "--lambda", "1.1", "--volume", "20"), "bound-1.1-20.json"),
     (("bound", "--lambda", "1.02", "--volume", "20"), "bound-1.02-20.json"),
+    (("verify", "--max-k", "6", "--max-m", "3"), "verify-6-3.txt"),
+    (("verify", "--max-k", "2", "--max-m", "9"), "verify-2-9.txt"),
+    (("verify", "--max-k", "60", "--max-m", "1"), "verify-60-1.txt"),
 ]
 
 
@@ -387,6 +390,34 @@ def test_ranges_beyond_the_limit_are_refused_before_they_are_built(capsys, argv,
     assert (rc, err) == (1, f"error: {argv[0]} asks for {asks}; the limit is 100000\n")
 
 
+def _spied(build, calls, key=None):
+    # ``build``, appending each call's arguments, or their ``key``, to ``calls``
+    def spied(*args):
+        calls.append(args if key is None else key(args))
+        return build(*args)
+
+    return spied
+
+
+def _written(build, sizes):
+    # the piece builder ``build``, appending each piece's entry count to ``sizes``
+    def spied(*args):
+        piece = build(*args)
+        sizes.append(len(piece))
+        return piece
+
+    return spied
+
+
+def _piece_tuple(args):
+    # the tuple, or the prefix, whose piece _tuple_piece or _child_piece
+    # builds from (n, row, m): the row's columns are 1 and the prefix's hubs
+    # n_j + 1, so consecutive columns lie m_j + 1 apart
+    _, row, m = args
+    columns = list(row)
+    return tuple(b - a - 1 for a, b in zip(columns, columns[1:])) + (m,)
+
+
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--max-k", "1", "--max-m", "2")
@@ -395,18 +426,45 @@ class TestVerifyCommand:
         assert "failures: 0" in out
 
     def test_each_matrix_is_built_once(self, capsys, monkeypatch):
-        # one build per tuple and one per prefix, its extension by 1, from
-        # which both the dominant block and the recessive row are cut
-        built, entries = [], treebuilder._entries
-        monkeypatch.setattr(treebuilder, "_entries", lambda v: built.append(v) or entries(v))
+        # the five first-level blocks are whole builds; every other block is
+        # its parent's entries and its child piece, and every tuple is its
+        # block and its tuple piece.  So each prefix's child piece is built
+        # once (a whole build's own included) and each tuple's piece once
+        built = collections.defaultdict(list)
+        for module, name, key in [
+            (treebuilder, "_entries", None), (treebuilder, "_block", None),
+            (treebuilder, "_child_piece", _piece_tuple), (pabraid.cli, "_tuple_piece", _piece_tuple),
+        ]:
+            monkeypatch.setattr(module, name, _spied(getattr(module, name), built[name], key))
         rc, out, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
         assert rc == 0 and out.startswith("tuples checked: 775\nprefixes checked: 155\n")
         prefixes = [p for n in (1, 2, 3) for p in itertools.product(range(1, 6), repeat=n)]
         tuples = [p + (last,) for p in prefixes for last in range(1, 6)]
-        assert len(built) == 930
-        assert collections.Counter(built) == collections.Counter(
-            tuples + [p + (1,) for p in prefixes]
-        )
+        assert built["_entries"] == []
+        assert sorted(built["_block"]) == [((first,),) for first in range(1, 6)]
+        assert len(built["_child_piece"]) == 155 and len(built["_tuple_piece"]) == 775
+        assert collections.Counter(built["_child_piece"]) == collections.Counter(prefixes)
+        assert collections.Counter(built["_tuple_piece"]) == collections.Counter(tuples)
+
+    def test_the_pieces_write_quadratically_many_entries(self, capsys, monkeypatch):
+        # verify --max-k K --max-m 1 builds one block whole, that of (1,),
+        # and writes its other entries as pieces.  The prefix of i ones has
+        # a last row of i + 1 entries, so its tuple piece writes i + 2: the
+        # link and that row.  The child piece of a prefix of i >= 2 ones is
+        # the tuple piece of its parent, i + 1 entries, the two feeds and
+        # the hub row, i + 1 entries.  Summed, 3K(K + 5)/2 - 6 entries, while
+        # the matrices hold about K^3/3
+        k = 200
+        built = collections.defaultdict(list)
+        monkeypatch.setattr(treebuilder, "_entries", _spied(treebuilder._entries, built["_entries"]))
+        monkeypatch.setattr(treebuilder, "_block", _spied(treebuilder._block, built["_block"]))
+        for module, name in [(pabraid.cli, "_tuple_piece"), (treebuilder, "_child_piece")]:
+            monkeypatch.setattr(module, name, _written(getattr(module, name), built["written"]))
+        rc, out, err = run(capsys, "verify", "--max-k", str(k), "--max-m", "1")
+        assert (rc, out, err) == (0, "tuples checked: 200\nprefixes checked: 200\nfailures: 0\n", "")
+        assert built["_entries"] == [] and built["_block"] == [((1,),)]
+        # and the whole build's own child piece, of (1,), writes 6
+        assert sum(built["written"]) == 6 + 3 * k * (k + 5) // 2 - 6
 
     def test_each_prefix_runs_its_block_once(self, capsys):
         # per prefix: a block without a parent runs unseeded; every other
@@ -439,10 +497,12 @@ class TestVerifyCommand:
     ):
         # 100 000 tuples pass the grid's limit, but (1,)*100001 has 10^10
         # nonzeros, and the grid's prefixes alone would fill gigabytes
-        def refuse(values):
+        def refuse(*args):
             raise AssertionError("entries built")
 
-        monkeypatch.setattr(treebuilder, "_entries", refuse)
+        for name in ("_entries", "_block", "_child_piece", "_tuple_piece"):
+            monkeypatch.setattr(treebuilder, name, refuse)
+        monkeypatch.setattr(pabraid.cli, "_tuple_piece", refuse)
         start = time.perf_counter()
         rc, out, err = run(capsys, "verify", "--max-k", "100000", "--max-m", "1")
         assert time.perf_counter() - start < 1
@@ -466,30 +526,44 @@ class TestVerifyCommand:
         )
 
     def test_corrupted_entries_fail_loudly(self, capsys, monkeypatch):
-        # Three corruptions: one entry inside the leading 8-square block of
-        # (2,3,4) alone, so that block is no longer the dominant matrix of
-        # (2,3) and the seed must be refused; the last row of (3,1,4); and
-        # the extension by 1 of the prefix (1,2), from which its dominant
-        # block is cut.  Were a wrong block accepted as a seed, the sound
-        # tuples (1,2,2)..(1,2,4) would report differing polynomials too.
-        entries = treebuilder._entries
+        # Three corruptions, each through a piece: the entry (1,2), inside
+        # the leading 8-square block of (2,3), in the tuple piece of (2,3,4)
+        # alone, so that its block is no longer the corner and the seed must
+        # be refused; the last row of (3,1,4); and (1,2) in the child piece of
+        # the prefix (1,2), inside its parent's 3-square corner.  Were an
+        # entry inside the corner taken as part of a piece, 2,3,4 would pass
+        # and the block of (1,2) would have the right polynomial.  The block
+        # of (1,2) is the matrix of its tuples less their tuple pieces, so all
+        # four of them differ
+        child_piece, tuple_piece = treebuilder._child_piece, pabraid.cli._tuple_piece
 
-        def corrupted(values):
-            e = entries(values)
-            if values in ((2, 3, 4), (1, 2, 1)):
-                e[(1, 2)] += 1
-            elif values == (3, 1, 4):
-                e[(treebuilder.block_boundaries(values)[-1], 1)] += 1
-            return e
+        def corrupted_child(*args):
+            piece = child_piece(*args)
+            if _piece_tuple(args) == (1, 2):
+                piece[(1, 2)] = 2
+            return piece
 
-        monkeypatch.setattr(treebuilder, "_entries", corrupted)
+        def corrupted_tuple(*args):
+            piece = tuple_piece(*args)
+            n, _, last = args
+            if _piece_tuple(args) == (2, 3, 4):
+                piece[(1, 2)] = 2
+            elif _piece_tuple(args) == (3, 1, 4):
+                piece[(n + last, 1)] += 1
+            return piece
+
+        monkeypatch.setattr(treebuilder, "_child_piece", corrupted_child)
+        monkeypatch.setattr(pabraid.cli, "_tuple_piece", corrupted_tuple)
         rc, out, err = run(capsys, "verify", "--max-k", "2", "--max-m", "4")
         assert (rc, err) == (1, "")
         assert out == (
             "tuples checked: 80\n"
             "prefixes checked: 20\n"
-            "failures: 5\n"
+            "failures: 8\n"
             "1,2,1: formula and matrix polynomials differ\n"
+            "1,2,2: formula and matrix polynomials differ\n"
+            "1,2,3: formula and matrix polynomials differ\n"
+            "1,2,4: formula and matrix polynomials differ\n"
             "2,3,4: formula and matrix polynomials differ\n"
             "3,1,4: formula and matrix polynomials differ\n"
             "prefix (1, 2): dominant block has the wrong polynomial\n"
@@ -497,30 +571,48 @@ class TestVerifyCommand:
         )
 
     def test_failures_come_in_grid_order(self, capsys, monkeypatch):
-        # the tuples (2,3) and (3,1) and the extension by 1 of the prefix
-        # (3,), which is also the tuple (3,1), are corrupted.  The walk meets
-        # (1,1,2) before them, but the grid lists tuples by length: length 2,
-        # then length 3, then the prefix failures in sorted order
-        entries = treebuilder._entries
+        # the tuple pieces of (1,1,2) and (2,3) read 2 at (1,2), inside their
+        # blocks, and the child piece of the prefix (3,), which its whole
+        # build takes, reads 2 there on its link: so the block of (3,) and
+        # every block and tuple built on it are wrong.  The walk meets
+        # (1,1,2) first, but the grid lists tuples by length: length 2, then
+        # length 3, then the prefix failures in sorted order
+        child_piece, tuple_piece = treebuilder._child_piece, pabraid.cli._tuple_piece
 
-        def corrupted(values):
-            e = entries(values)
-            if values in ((1, 1, 2), (2, 3), (3, 1)):
-                e[(1, 2)] += 1
-            return e
+        def corrupted(build, tuples):
+            def corrupted_build(*args):
+                piece = build(*args)
+                if _piece_tuple(args) in tuples:
+                    piece[(1, 2)] = 2
+                return piece
 
-        monkeypatch.setattr(treebuilder, "_entries", corrupted)
+            return corrupted_build
+
+        monkeypatch.setattr(treebuilder, "_child_piece", corrupted(child_piece, [(3,)]))
+        monkeypatch.setattr(pabraid.cli, "_tuple_piece", corrupted(tuple_piece, [(1, 1, 2), (2, 3)]))
         rc, out, err = run(capsys, "verify", "--max-k", "2", "--max-m", "3")
         assert (rc, err) == (1, "")
-        assert out == (
-            "tuples checked: 36\n"
-            "prefixes checked: 12\n"
-            "failures: 5\n"
-            "2,3: formula and matrix polynomials differ\n"
-            "3,1: formula and matrix polynomials differ\n"
-            "1,1,2: formula and matrix polynomials differ\n"
-            "prefix (3,): dominant block has the wrong polynomial\n"
-            "prefix (3,): recessive polynomial mismatch\n"
+        below = [f"3,{a}" for a in (1, 2, 3)]
+        assert out == "".join(
+            line + "\n"
+            for line in [
+                "tuples checked: 36",
+                "prefixes checked: 12",
+                "failures: 22",
+                *[f"{t}: formula and matrix polynomials differ" for t in ["2,3", *below]],
+                *[
+                    f"{t}: formula and matrix polynomials differ"
+                    for t in ["1,1,2", *[f"{p},{b}" for p in below for b in (1, 2, 3)]]
+                ],
+                *[
+                    f"prefix {p}: {failure}"
+                    for p in [(3,), (3, 1), (3, 2), (3, 3)]
+                    for failure in [
+                        "dominant block has the wrong polynomial",
+                        "recessive polynomial mismatch",
+                    ]
+                ],
+            ]
         )
 
     @pytest.mark.parametrize("k, m", [(6, 3), (3, 5)])
@@ -538,16 +630,20 @@ class TestVerifyCommand:
             def __del__(self):
                 alive[0] -= 1
 
-        extension = pabraid.cli._extension
+        def counting(extension):
+            def counted(*args):
+                block, last = extension(*args)
+                block.__class__ = Counted
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+                return block, last
 
-        def counted(vals):
-            block, last = extension(vals)
-            block.__class__ = Counted
-            alive[0] += 1
-            peak[0] = max(peak[0], alive[0])
-            return block, last
+            return counted
 
-        monkeypatch.setattr(pabraid.cli, "_extension", counted)
+        # a first-level block comes from _extension, every other one from
+        # _child_extension
+        for name in ("_extension", "_child_extension"):
+            monkeypatch.setattr(pabraid.cli, name, counting(getattr(pabraid.cli, name)))
         rc, out, _ = run(capsys, "verify", "--max-k", str(k), "--max-m", str(m))
         assert rc == 0 and out.endswith("failures: 0\n")
         assert 1 < peak[0] <= k + 1
@@ -935,8 +1031,8 @@ def test_private_imports():
         if alias.name.startswith("_")
     }
     assert names == {
-        "_MAX_NONZEROS", "_check_degree", "_check_nonzeros", "_closed", "_extension", "_next_level",
-        "_recessive",
+        "_MAX_NONZEROS", "_check_degree", "_check_nonzeros", "_child_extension", "_closed",
+        "_extension", "_next_level", "_recessive", "_tuple_piece",
     }
 
 

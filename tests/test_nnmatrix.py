@@ -1284,6 +1284,34 @@ class TestSeededCharPoly:
                 assert NNMatrix(m.size, m.entries).char_poly(_block=block) == expected
             assert starts == [None]
 
+    @_SEED_SETTINGS
+    @given(m=square_matrices(), data=st.data())
+    def test_entries_past_the_corner_are_taken_as_given_but_none_inside_it(self, m, data):
+        # with _past, M's entries outside B's corner, no pass over M tests
+        # the corner: M = B and past closes with the runs of the tested
+        # seed, and so does _joined_poly, which builds no M.  An entry of
+        # past inside the corner, which overwrites B's in M, runs the
+        # recurrence in full, at n = size too
+        expected = m.char_poly()
+        n = data.draw(st.integers(1, m.size))
+        block = corner(m, n)
+        block.char_poly()
+        past = {k: v for k, v in m.entries.items() if max(k) > n}
+        with berkowitz_starts() as tested:
+            NNMatrix(m.size, m.entries).char_poly(_block=block)
+        with berkowitz_starts() as starts:
+            assert NNMatrix(m.size, m.entries).char_poly(_block=block, _past=past) == expected
+            assert block._joined_poly(m.size, past) == expected
+        assert starts == tested * 2
+        cell = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+        inside = {**past, cell: block.entries.get(cell, 0) + 1}
+        wrong = NNMatrix(m.size, {**block.entries, **inside})
+        unseeded = NNMatrix(m.size, wrong.entries).char_poly()
+        with berkowitz_starts() as starts:
+            assert wrong.char_poly(_block=block, _past=inside) == unseeded
+            assert block._joined_poly(m.size, inside) == unseeded
+        assert starts == [None] * 2
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=10).map(tuple))
     def test_tuple_matrix_seeded_by_its_dominant_block(self, t):

@@ -38,6 +38,7 @@ from helpers import (
     bordered_rows_oracle,
     corner,
     corpus_parameters,
+    glued_entries_oracle,
     grid_tuples,
     krylov_rows,
     schur_hub_matrix,
@@ -611,6 +612,51 @@ class TestValidateStructure:
         report = StructureReport((1, 1), (bad,))
         assert not report.ok
         assert report.failures == (bad,)
+
+
+class TestLevelPieces:
+    # verify grows each block from its parent's by the child piece, and
+    # closes each tuple on its block and its tuple piece, with no whole build
+    @staticmethod
+    def _grown(prefix):
+        # the block and last row of prefix from its parent's, the empty
+        # prefix's (vertex 1 alone) for a first-level prefix
+        return treebuilder._child_extension(*treebuilder._extension(prefix[:-1]), prefix[-1])
+
+    def _check(self, prefix, lasts):
+        block, row = self._grown(prefix)
+        whole, whole_row = treebuilder._extension(prefix)
+        assert block == dominant_matrix(prefix) == whole
+        assert row == whole_row
+        assert block.char_poly() == whole.char_poly()
+        for last in lasts:
+            t = prefix + (last,)
+            piece = treebuilder._tuple_piece(block.size, row, last)
+            assert {**block.entries, **piece} == transition_matrix(t).entries == glued_entries_oracle(t)
+            assert block._joined_poly(block.size + last, piece) == braid_char_poly(t)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(prefix=st.lists(st.integers(1, 12), min_size=1, max_size=8).map(tuple))
+    def test_a_block_and_its_tuples_grow_from_the_parent(self, prefix):
+        self._check(prefix, range(1, 13))
+
+    def test_the_verify_grid(self):
+        # the prefixes and tuples of verify --max-k 3 --max-m 5
+        for length in (1, 2, 3):
+            for prefix in itertools.product(range(1, 6), repeat=length):
+                self._check(prefix, range(1, 6))
+
+    def test_the_pieces(self):
+        # (2,3): n_1 = 3, n_2 = 7, hubs 4 and 8; its tuple (2,3,2) adds the
+        # link (8,9), the unit (9,10) and the last row 10, and its child
+        # (2,3,2) that, the feeds (9,11) and (10,11) and the hub row 11
+        row = {1: 1, 4: 2, 8: 2}
+        piece = {(8, 9): 1, (9, 10): 1, (10, 1): 1, (10, 4): 2, (10, 8): 2}
+        assert treebuilder._extension((2, 3))[1] == row
+        assert treebuilder._tuple_piece(8, row, 2) == piece
+        assert treebuilder._child_piece(8, row, 2) == {
+            **piece, (9, 11): 1, (10, 11): 1, (11, 1): 1, (11, 4): 2, (11, 8): 2, (11, 11): 1
+        }
 
 
 class TestGridIdentities:
