@@ -49,7 +49,7 @@ from .volume import find_parameters
 # time both ways when it ended by os._exit.
 gc.freeze()
 
-# the most rows of a scan or tuples of a verify grid, each built whole
+# the most rows of a scan or tuples of a verify grid
 _MAX_ITEMS = 100_000
 
 
@@ -225,18 +225,19 @@ def _run_verify(args):
     _check_nonzeros((m,) * (k + 1))
     # depth first over the prefix tree, on a stack of (prefix, parent's
     # block and last row, parent chain level), keeping only the blocks of
-    # the current prefix's ancestors: a first-level block is built whole,
-    # any other grown from its parent's by its child piece, and each tuple
-    # closes on its block and its tuple piece.  The walk meets the prefixes
+    # the current prefix's ancestors: each block grows from its parent's,
+    # the empty prefix's at the first level, by its child piece, and each
+    # tuple from its block by its tuple piece.  The walk meets the prefixes
     # in sorted order; a stable sort by length puts the tuples in grid order
     tuple_failures, prefix_failures = [], []
-    stack = [((first,), None, [1]) for first in range(m, 0, -1)]
+    root = _extension(())
+    stack = [((first,), root, [1]) for first in range(m, 0, -1)]
     while stack:
         prefix, parent, parent_chain = stack.pop()
         chain = _next_level(parent_chain, prefix[-1], len(prefix))
         dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
-        block, last_row = _child_extension(*parent, prefix[-1]) if parent else _extension(prefix)
+        block, last_row = _child_extension(*parent, prefix[-1])
         if len(prefix) < k:  # a parent of longer prefixes
             stack += [(prefix + (last,), (block, last_row), chain) for last in range(m, 0, -1)]
         if block.char_poly() != dom:
@@ -247,7 +248,7 @@ def _run_verify(args):
             prefix_failures.append(f"prefix {prefix}: recessive polynomial mismatch")
         for last in range(1, m + 1):
             piece = _tuple_piece(block.size, last_row, last)
-            if block._joined_poly(block.size + last, piece) != _closed(chain, last, sign):
+            if block._joined(block.size + last, piece).char_poly() != _closed(chain, last, sign):
                 bt = BraidTuple(prefix + (last,))
                 tuple_failures.append((len(bt), f"{bt}: formula and matrix polynomials differ"))
     failures = [line for _, line in sorted(tuple_failures, key=lambda f: f[0])] + prefix_failures

@@ -24,7 +24,7 @@ densely in numpy (``hubsearch``, which no command imports).
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import ChainMap, Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, repeat
@@ -228,18 +228,14 @@ class NNMatrix:
             sums[i] += a
         return _hub_perron(hubs, tol, _seed(hubs, min(sums.values()), max(sums.values())) if sums else None, _dense_kernel)
 
-    def char_poly(self, *, _block=None, _past=None):
+    def char_poly(self):
         """Exact det(tI - M) by Berkowitz's recurrence over the leading blocks of M.
 
-        Memoized, with the run's last two rows (``_leading_pair``).  A
-        leading principal block B passed as ``_block`` finishes the pair from
-        B's own run, with no row run, when B's entries equal M's n-square
-        corner, n = B.size, and M ends at row n, at the row N where a unit
-        chain closes, or at the hub row N+1 after it (below); otherwise the
-        recurrence runs in full, so a wrong ``_block`` costs time, never a
-        wrong result.  Given ``_past``, M's entries past that corner when M
-        is B's entries and those, no pass over M tests the corner: an entry
-        of ``_past`` inside it runs the recurrence.
+        Memoized, with the run's last two rows (``_leading_pair``).  A matrix
+        that a leading principal block B of size n joined to a piece
+        (``_joined``) may hold its pair already, finished from B's own run
+        with no row run, when M ends at row n, at the row N where a unit
+        chain closes, or at the hub row N+1 after it (below).
 
         The unit chain.  Let N > n be the first row whose entries in columns
         1..N+1 are not exactly (N, N+1) = 1.  The chain closes at N when row
@@ -288,34 +284,29 @@ class NNMatrix:
         z = Q / det(tI - C) and det(tI - C) R u = X h.  C's memo takes X h
         under R, and C's p is Q.
 
-        In ``verify`` only a first-level block runs the recurrence and forms
-        a Krylov sequence: any other is its parent's entries and child piece
-        (``_past``), which closes on R and lifts, and each tuple its block and
-        tuple piece (``_joined_poly``), closing on R plus 2 at the hub.
+        In ``verify`` only the empty prefix's 1-square block runs the
+        recurrence and forms a Krylov sequence: every other block is joined
+        to its parent's by its child piece, which closes on R and lifts, and
+        each tuple to its block by its tuple piece, closing on R plus 2 at
+        the hub.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            self._pair = _block and _block._seed(self, _past) or _berkowitz(self.size, self.entries)
+            self._pair = self._pair or _berkowitz(self.size, self.entries)
             self._char_poly = IntPoly(self._pair[-1])
         return self._char_poly
 
-    def _seed(self, matrix, past=None):
-        # char_poly's pair for matrix from this leading block (_finish), or None;
-        # unless given, past is set apart by one pass, and the corner must be this block
-        n, entries = self.size, matrix.entries
-        if past is None:
-            past = {(i, j): v for (i, j), v in entries.items() if i > n or j > n}
-            if len(entries) - len(past) != len(self.entries) or not self.entries.items() <= entries.items():
-                return None
-        return self._finish(matrix.size, past, matrix._closings)
-
-    def _joined_poly(self, size, piece):
-        # char_poly of the matrix of this block's entries and piece's, past its
-        # corner, which is built only when the piece does not close it
-        pair = self._finish(size, piece, {}) or _berkowitz(size, {**self.entries, **piece})
-        return IntPoly(pair[-1])
+    def _joined(self, size, piece):
+        # the size-square matrix of this block's entries and piece's, which
+        # win, shared in one flat ChainMap (len recurses through nested ones).
+        # Its pair is _finish's; where that refuses, char_poly runs the
+        # recurrence, so a wrong piece costs time, never a wrong result
+        maps = self.entries.maps if isinstance(self.entries, ChainMap) else [self.entries]
+        matrix = NNMatrix._of(size, ChainMap(piece, *maps))
+        matrix._pair = self._finish(size, piece, matrix._closings)
+        return matrix
 
     def _finish(self, size, past, closings):
         # char_poly's pair for the size-square M of this block's entries and

@@ -228,10 +228,8 @@ def _child_piece(n, row, m):
 
 def _child_extension(block, row, m):
     # _extension of prefix + (m,) from the prefix's: its block and last row
-    hub, piece = block.size + m + 1, _child_piece(block.size, row, m)
-    child = NNMatrix._of(hub, {**block.entries, **piece})
-    child.char_poly(_block=block, _past=piece)
-    return child, {**row, hub: 2}
+    hub = block.size + m + 1
+    return block._joined(hub, _child_piece(block.size, row, m)), {**row, hub: 2}
 
 
 def _level_hubs(values, size):

@@ -407,6 +407,17 @@ def corner(matrix, n):
     return NNMatrix(n, {ij: v for ij, v in matrix.entries.items() if max(ij) <= n})
 
 
+def split_at_corner(matrix, n):
+    """M's upper-left n-square corner B and M's entries past it, one scan of M.
+
+    ``B._joined(M.size, past)`` is M again: the whole-matrix reference for
+    ``NNMatrix._joined``, which takes its piece as the entries past the
+    corner unscanned.
+    """
+    past = {ij: v for ij, v in matrix.entries.items() if max(ij) > n}
+    return corner(matrix, n), past
+
+
 def _positive_power(adj, power):
     """Whether the boolean matrix power adj^power is entrywise positive."""
     result = np.eye(len(adj), dtype=bool)

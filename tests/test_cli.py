@@ -426,10 +426,10 @@ class TestVerifyCommand:
         assert "failures: 0" in out
 
     def test_each_matrix_is_built_once(self, capsys, monkeypatch):
-        # the five first-level blocks are whole builds; every other block is
-        # its parent's entries and its child piece, and every tuple is its
-        # block and its tuple piece.  So each prefix's child piece is built
-        # once (a whole build's own included) and each tuple's piece once
+        # the empty prefix's block, vertex 1 alone, is the only whole build;
+        # every other block is its parent's entries and its child piece, and
+        # every tuple is its block and its tuple piece.  So each prefix's
+        # child piece is built once and each tuple's piece once
         built = collections.defaultdict(list)
         for module, name, key in [
             (treebuilder, "_entries", None), (treebuilder, "_block", None),
@@ -441,56 +441,69 @@ class TestVerifyCommand:
         prefixes = [p for n in (1, 2, 3) for p in itertools.product(range(1, 6), repeat=n)]
         tuples = [p + (last,) for p in prefixes for last in range(1, 6)]
         assert built["_entries"] == []
-        assert sorted(built["_block"]) == [((first,),) for first in range(1, 6)]
+        assert built["_block"] == [((),)]
         assert len(built["_child_piece"]) == 155 and len(built["_tuple_piece"]) == 775
         assert collections.Counter(built["_child_piece"]) == collections.Counter(prefixes)
         assert collections.Counter(built["_tuple_piece"]) == collections.Counter(tuples)
 
     def test_the_pieces_write_quadratically_many_entries(self, capsys, monkeypatch):
-        # verify --max-k K --max-m 1 builds one block whole, that of (1,),
-        # and writes its other entries as pieces.  The prefix of i ones has
-        # a last row of i + 1 entries, so its tuple piece writes i + 2: the
-        # link and that row.  The child piece of a prefix of i >= 2 ones is
-        # the tuple piece of its parent, i + 1 entries, the two feeds and
-        # the hub row, i + 1 entries.  Summed, 3K(K + 5)/2 - 6 entries, while
-        # the matrices hold about K^3/3
+        # verify --max-k K --max-m 1 builds no block whole but the empty
+        # prefix's, vertex 1 alone, which holds no entry, and writes every
+        # entry as pieces.  The prefix of i ones has a last row of i + 1
+        # entries, so its tuple piece writes i + 2: the link and that row.
+        # The child piece of a prefix of i >= 1 ones is the tuple piece of
+        # its parent, i + 1 entries, the two feeds and the hub row, i + 1
+        # entries.  Summed, 3K(K + 5)/2 entries, while the matrices hold
+        # about K^3/3.  Each block shares its ancestors' pieces in one flat
+        # chain of maps, one per level and the empty prefix's
         k = 200
         built = collections.defaultdict(list)
         monkeypatch.setattr(treebuilder, "_entries", _spied(treebuilder._entries, built["_entries"]))
         monkeypatch.setattr(treebuilder, "_block", _spied(treebuilder._block, built["_block"]))
         for module, name in [(pabraid.cli, "_tuple_piece"), (treebuilder, "_child_piece")]:
             monkeypatch.setattr(module, name, _written(getattr(module, name), built["written"]))
+        child_extension = pabraid.cli._child_extension
+
+        def flat(block, row, m):
+            child, last = child_extension(block, row, m)
+            prefix = _piece_tuple((block.size, row, m))
+            built["maps"].append(len(child.entries.maps) - len(prefix))
+            return child, last
+
+        monkeypatch.setattr(pabraid.cli, "_child_extension", flat)
         rc, out, err = run(capsys, "verify", "--max-k", str(k), "--max-m", "1")
         assert (rc, out, err) == (0, "tuples checked: 200\nprefixes checked: 200\nfailures: 0\n", "")
-        assert built["_entries"] == [] and built["_block"] == [((1,),)]
-        # and the whole build's own child piece, of (1,), writes 6
-        assert sum(built["written"]) == 6 + 3 * k * (k + 5) // 2 - 6
+        assert built["_entries"] == [] and built["_block"] == [((),)]
+        assert sum(built["written"]) == 3 * k * (k + 5) // 2
+        assert built["maps"] == [1] * k
 
     def test_each_prefix_runs_its_block_once(self, capsys):
-        # per prefix: a block without a parent runs unseeded; every other
-        # block closes its level's chain and its hub row from its parent
-        # block's memo, with no run; the recessive polynomial comes from the
+        # only the empty prefix's 1-square block runs the recurrence, and
+        # fills its memo by one Krylov sequence, for the empty row, since
+        # its last row reads only its own column.  Per prefix, the block
+        # closes its level's chain and its hub row from its parent block's
+        # memo, with no run; the recessive polynomial comes from the
         # block's pair, with no run; and every tuple's chain closes from the
-        # block's memo, with no run.  Only a block without a parent fills its
-        # memo by a Krylov sequence, and forms two more in its run; every
-        # other block's memo comes from its lift
+        # block's memo, with no run.  Every block's memo but the root's comes
+        # from its lift
         with berkowitz_starts() as starts, krylov_rows() as sequences:
             rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "3")
         assert rc == 0
-        assert starts == [None] * 3
-        assert sequences == [3 * (1 + 2)]
+        assert starts == [None]
+        assert sequences == [1]
 
-    def test_the_grid_forms_krylov_sequences_only_in_its_first_level(self, capsys):
+    def test_the_grid_forms_krylov_sequences_only_in_its_root(self, capsys):
         # 1 240 Krylov rows before the chains closed from their block's
-        # memo, and 315 before the hub rows did.  Now each of the five
-        # first-level blocks forms two in its unseeded run, the only runs of
-        # the recurrence, and one that fills its memo; the 150 other blocks
-        # take their memos from their lifts
+        # memo, and 315 before the hub rows did, and 15 while the five
+        # first-level blocks were built whole.  Now the empty prefix's
+        # block runs the recurrence, on its one row, and forms the grid's
+        # one Krylov sequence; the 155 blocks take their memos from their
+        # lifts
         with berkowitz_starts() as starts, krylov_rows() as sequences:
             rc, _, _ = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
         assert rc == 0
-        assert starts == [None] * 5
-        assert sequences == [5 * (1 + 2)]
+        assert starts == [None]
+        assert sequences == [1]
 
     def test_a_grid_whose_largest_matrix_passes_the_limit_is_refused_before_it_is_built(
         self, capsys, monkeypatch
@@ -572,11 +585,11 @@ class TestVerifyCommand:
 
     def test_failures_come_in_grid_order(self, capsys, monkeypatch):
         # the tuple pieces of (1,1,2) and (2,3) read 2 at (1,2), inside their
-        # blocks, and the child piece of the prefix (3,), which its whole
-        # build takes, reads 2 there on its link: so the block of (3,) and
-        # every block and tuple built on it are wrong.  The walk meets
-        # (1,1,2) first, but the grid lists tuples by length: length 2, then
-        # length 3, then the prefix failures in sorted order
+        # blocks, and the child piece of the prefix (3,), which grows its
+        # block from the empty prefix's, reads 2 there on its link: so the
+        # block of (3,) and every block and tuple built on it are wrong.  The
+        # walk meets (1,1,2) first, but the grid lists tuples by length:
+        # length 2, then length 3, then the prefix failures in sorted order
         child_piece, tuple_piece = treebuilder._child_piece, pabraid.cli._tuple_piece
 
         def corrupted(build, tuples):
@@ -640,10 +653,8 @@ class TestVerifyCommand:
 
             return counted
 
-        # a first-level block comes from _extension, every other one from
-        # _child_extension
-        for name in ("_extension", "_child_extension"):
-            monkeypatch.setattr(pabraid.cli, name, counting(getattr(pabraid.cli, name)))
+        # every block but the empty prefix's comes from _child_extension
+        monkeypatch.setattr(pabraid.cli, "_child_extension", counting(pabraid.cli._child_extension))
         rc, out, _ = run(capsys, "verify", "--max-k", str(k), "--max-m", str(m))
         assert rc == 0 and out.endswith("failures: 0\n")
         assert 1 < peak[0] <= k + 1

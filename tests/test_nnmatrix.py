@@ -46,6 +46,7 @@ from helpers import (
     schur_hub_matrix,
     searched_hubs,
     seeded_radius,
+    split_at_corner,
     strongly_connected,
     subinvariance_bound,
     unit_chain_end,
@@ -1036,26 +1037,25 @@ _SEED_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, dat
 
 
 class TestSeededCharPoly:
-    # char_poly(_block=B) finishes M's pair from B's run, with no run of
-    # Berkowitz's recurrence, when B is M's leading corner and M ends at
-    # B's row n, at the row where a unit chain after B closes
+    # B._joined(size, past), the matrix M of B's entries and past's, finishes
+    # M's pair from B's run, with no run of Berkowitz's recurrence, when M
+    # ends at B's row n, at the row where a unit chain after B closes
     # (helpers.unit_chain_end), or at the hub row after it
     # (helpers.hub_row_follows); B's memo is filled by a Krylov sequence,
     # not by a run.  Any other M runs the recurrence in full ([None]) and
     # asks B's memo nothing, so the seed never changes the polynomial.
-    # Each seeded call is on a fresh copy of M, because char_poly is
-    # memoized.
+    # helpers.split_at_corner splits a whole M into its corner B and past
 
     @_SEED_SETTINGS
     @given(m=square_matrices())
     def test_every_leading_block_gives_the_same_polynomial(self, m):
         expected = m.char_poly()
         for n in range(1, m.size + 1):
-            fresh, block = NNMatrix(m.size, m.entries), corner(m, n)
+            block, past = split_at_corner(m, n)
             block.char_poly()
             end = unit_chain_end(m, n)
             with berkowitz_starts() as starts:
-                assert fresh.char_poly(_block=block) == expected
+                assert block._joined(m.size, past).char_poly() == expected
             if n == m.size:
                 assert starts == []
             elif end is None:
@@ -1090,9 +1090,12 @@ class TestSeededCharPoly:
             return end, size, entries
 
         def seeded(size, entries):
-            expected = NNMatrix(size, entries).char_poly()
+            matrix = NNMatrix(size, entries)
+            expected = matrix.char_poly()
+            leading, past = split_at_corner(matrix, n)
+            assert leading == block
             with berkowitz_starts() as starts, krylov_rows() as sequences:
-                assert NNMatrix(size, entries).char_poly(_block=block) == expected
+                assert block._joined(size, past).char_poly() == expected
             return starts, sequences[0]
 
         memo = set()  # B's memo: each closing row, and that row less its column-n entry
@@ -1168,22 +1171,27 @@ class TestSeededCharPoly:
             entries[end + 1, end + 1] = a
             return end, {ij: v for ij, v in entries.items() if v}
 
+        def joined(size, entries):
+            # B joined to the entries of M past its corner, which must be B
+            leading, past = split_at_corner(NNMatrix(size, entries), n)
+            assert leading == block
+            return block._joined(size, past)
+
         def seeded(size, entries):
             expected = NNMatrix(size, entries).char_poly()
             with berkowitz_starts() as starts:
-                assert NNMatrix(size, entries).char_poly(_block=block) == expected
+                assert joined(size, entries).char_poly() == expected
             return starts
 
         def after(hub_block, row):
             # a unit chain after the hub block C, closed on ``row``: the
             # starts and Krylov sequences of its seeded run
             size = hub_block.size + data.draw(st.integers(1, 4))
-            chain = {(r, r + 1): 1 for r in range(hub_block.size, size)}
-            entries = {**hub_block.entries, **chain}
-            entries.update(((size, j), v) for j, v in row.items() if v)
-            expected = NNMatrix(size, entries).char_poly()
+            past = {(r, r + 1): 1 for r in range(hub_block.size, size)}
+            past.update(((size, j), v) for j, v in row.items() if v)
+            expected = NNMatrix(size, {**hub_block.entries, **past}).char_poly()
             with berkowitz_starts() as starts, krylov_rows() as sequences:
-                assert NNMatrix(size, entries).char_poly(_block=hub_block) == expected
+                assert hub_block._joined(size, past).char_poly() == expected
             return starts, sequences[0]
 
         for chain in [1, *data.draw(st.lists(st.integers(2, 6), max_size=2))]:
@@ -1197,14 +1205,13 @@ class TestSeededCharPoly:
             assert seeded(end + 2, longer) == [None]
             # the hub block's lift: a row that reads R and c in column N + 1
             # takes its h from the memo, any other row from a Krylov sequence
-            hub_block = NNMatrix(end + 1, entries)
-            hub_block.char_poly(_block=block)
+            hub_block = joined(end + 1, entries)
             assert after(hub_block, {**last, end + 1: data.draw(st.integers(0, 9))}) == ([], 0)
             column = data.draw(st.integers(n + 1, end))
             assert after(hub_block, {**last, column: data.draw(value)}) == ([], 1)
             # a block that goes on past the hub row takes no lift
-            longer = NNMatrix(end + 2, longer)
-            longer.char_poly(_block=block)
+            longer = joined(end + 2, longer)
+            longer.char_poly()
             assert after(longer, {**last, end + 2: data.draw(value)}) == ([], 1)
 
         end, entries = hub(data.draw(st.integers(1, 6)))
@@ -1264,53 +1271,39 @@ class TestSeededCharPoly:
         entries.update(((i, end + 1), v) for i, v in feed.items())
         entries.update(((r, j), v) for r in (end, end + 1) for j, v in last.items())
         entries[end + 1, end + 1] = a
-        hub = NNMatrix(end + 1, {ij: v for ij, v in entries.items() if v})
+        _, past = split_at_corner(NNMatrix(end + 1, {ij: v for ij, v in entries.items() if v}), n)
         with berkowitz_starts() as starts:
-            hub.char_poly(_block=block)
+            hub = block._joined(end + 1, past)
         assert starts == [] and hub._closings.keys() == {key}
         assert IntPoly(hub._closings[key]) == lemma(hub, key)
 
     @_SEED_SETTINGS
-    @given(m=square_matrices(), data=st.data())
-    def test_a_block_that_is_not_the_corner_is_ignored(self, m, data):
-        expected = m.char_poly()
-        n = data.draw(st.integers(1, m.size))
-        leading = corner(m, n).entries
-        cell = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
-        wrong = NNMatrix(n, {**leading, cell: leading.get(cell, 0) + 1})
-        larger = NNMatrix(m.size + 1, m.entries)
-        for block in (wrong, larger):
-            with berkowitz_starts() as starts:
-                assert NNMatrix(m.size, m.entries).char_poly(_block=block) == expected
-            assert starts == [None]
+    @given(m=square_matrices())
+    def test_a_block_that_is_not_the_corner_is_ignored(self, m):
+        # a block larger than the matrix is refused before its memo is asked
+        expected, larger = m.char_poly(), NNMatrix(m.size + 1, m.entries)
+        with berkowitz_starts() as starts:
+            assert larger._joined(m.size, {}).char_poly() == expected
+        assert starts == [None]
 
     @_SEED_SETTINGS
     @given(m=square_matrices(), data=st.data())
     def test_entries_past_the_corner_are_taken_as_given_but_none_inside_it(self, m, data):
-        # with _past, M's entries outside B's corner, no pass over M tests
-        # the corner: M = B and past closes with the runs of the tested
-        # seed, and so does _joined_poly, which builds no M.  An entry of
-        # past inside the corner, which overwrites B's in M, runs the
+        # no pass over M tests the corner: the joined matrix is M, and holds
+        # the piece and B's entries themselves, not copies.  An entry of the
+        # piece inside the corner, which overwrites B's in M, runs the
         # recurrence in full, at n = size too
-        expected = m.char_poly()
         n = data.draw(st.integers(1, m.size))
-        block = corner(m, n)
-        block.char_poly()
-        past = {k: v for k, v in m.entries.items() if max(k) > n}
-        with berkowitz_starts() as tested:
-            NNMatrix(m.size, m.entries).char_poly(_block=block)
-        with berkowitz_starts() as starts:
-            assert NNMatrix(m.size, m.entries).char_poly(_block=block, _past=past) == expected
-            assert block._joined_poly(m.size, past) == expected
-        assert starts == tested * 2
+        block, past = split_at_corner(m, n)
+        joined = block._joined(m.size, past)
+        assert joined == m and joined.char_poly() == m.char_poly()
+        assert list(map(id, joined.entries.maps)) == [id(past), id(block.entries)]
         cell = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
         inside = {**past, cell: block.entries.get(cell, 0) + 1}
-        wrong = NNMatrix(m.size, {**block.entries, **inside})
-        unseeded = NNMatrix(m.size, wrong.entries).char_poly()
+        unseeded = NNMatrix(m.size, {**block.entries, **inside}).char_poly()
         with berkowitz_starts() as starts:
-            assert wrong.char_poly(_block=block, _past=inside) == unseeded
-            assert block._joined_poly(m.size, inside) == unseeded
-        assert starts == [None] * 2
+            assert block._joined(m.size, inside).char_poly() == unseeded
+        assert starts == [None]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(t=st.lists(st.integers(1, 30), min_size=2, max_size=10).map(tuple))
@@ -1321,15 +1314,22 @@ class TestSeededCharPoly:
         block.char_poly()
         sibling = t[:-1] + (t[-1] + 1,)
         expected = [braid_char_poly(t), braid_char_poly(sibling)]
+        matrices = [transition_matrix(u) for u in (t, sibling)]
+        pasts = [split_at_corner(m, block.size)[1] for m in matrices]
         with berkowitz_starts() as starts, krylov_rows() as sequences:
-            got = [transition_matrix(u).char_poly(_block=block) for u in (t, sibling)]
+            got = [block._joined(m.size, past).char_poly() for m, past in zip(matrices, pasts)]
         assert got == expected
         assert starts == [] and sequences == [1]
 
     def test_the_polynomial_is_memoized(self):
+        # and a joined matrix's pair, finished when it is joined, runs nothing
         m = NNMatrix.from_rows(GOLDEN_8x8)
+        block, past = split_at_corner(m, 6)
+        block.char_poly()
         with berkowitz_starts() as starts:
-            assert m.char_poly() is m.char_poly(_block=corner(m, 6))
+            assert m.char_poly() is m.char_poly()
+            joined = block._joined(m.size, past)
+            assert joined.char_poly() is joined.char_poly() == m.char_poly()
         assert starts == [None]
 
 

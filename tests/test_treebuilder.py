@@ -531,7 +531,7 @@ class TestRecessivePolynomials:
             recessive_poly(prefix)
         assert starts == [None] and sequences == [run[0] + 1]
         block, last = treebuilder._extension(prefix)
-        transition_matrix(prefix + (2,)).char_poly(_block=block)
+        block._joined(cut + 2, treebuilder._tuple_piece(cut, last, 2)).char_poly()
         row = {**last, cut: 3}  # a changed diagonal closes from the same memo entry
         with berkowitz_starts() as starts, krylov_rows() as sequences:
             got = [treebuilder._recessive(block, last), treebuilder._recessive(block, row)]
@@ -615,25 +615,28 @@ class TestValidateStructure:
 
 
 class TestLevelPieces:
-    # verify grows each block from its parent's by the child piece, and
-    # closes each tuple on its block and its tuple piece, with no whole build
+    # verify grows each block from its parent's by the child piece, from the
+    # empty prefix's (vertex 1 alone) down, and joins each tuple to its block
+    # by its tuple piece, with no whole build; every block shares its
+    # ancestors' pieces in one flat chain of maps
     @staticmethod
     def _grown(prefix):
-        # the block and last row of prefix from its parent's, the empty
-        # prefix's (vertex 1 alone) for a first-level prefix
-        return treebuilder._child_extension(*treebuilder._extension(prefix[:-1]), prefix[-1])
+        grown = treebuilder._extension(())
+        for m in prefix:
+            grown = treebuilder._child_extension(*grown, m)
+        return grown
 
     def _check(self, prefix, lasts):
         block, row = self._grown(prefix)
         whole, whole_row = treebuilder._extension(prefix)
         assert block == dominant_matrix(prefix) == whole
-        assert row == whole_row
+        assert row == whole_row and len(block.entries.maps) == len(prefix) + 1
         assert block.char_poly() == whole.char_poly()
         for last in lasts:
             t = prefix + (last,)
-            piece = treebuilder._tuple_piece(block.size, row, last)
-            assert {**block.entries, **piece} == transition_matrix(t).entries == glued_entries_oracle(t)
-            assert block._joined_poly(block.size + last, piece) == braid_char_poly(t)
+            joined = block._joined(block.size + last, treebuilder._tuple_piece(block.size, row, last))
+            assert joined == transition_matrix(t) and joined.entries == glued_entries_oracle(t)
+            assert joined.char_poly() == braid_char_poly(t)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(prefix=st.lists(st.integers(1, 12), min_size=1, max_size=8).map(tuple))
