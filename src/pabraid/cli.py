@@ -26,14 +26,12 @@ from .dilatation import (
     dominant_chain,
     limit_dilatation,
 )
-from .intpoly import IntPoly
 from .treebuilder import (
     _MAX_NONZEROS,
     BraidTuple,
     _check_nonzeros,
     _child_extension,
     _extension,
-    _recessive,
     _tuple_piece,
     closing_sign,
     parse_params,
@@ -227,40 +225,42 @@ def _run_verify(args):
     # block and last row, parent chain level), keeping only the blocks of
     # the current prefix's ancestors: each block grows from its parent's,
     # the empty prefix's at the first level, by its child piece, and each
-    # tuple from its block by its tuple piece.  The walk meets the prefixes
-    # in sorted order; a stable sort by length puts the tuples in grid order
+    # tuple's pair from its block's by its tuple piece, on coefficient lists
+    # with no matrix built.  The walk meets the prefixes in sorted order; a
+    # stable sort by length puts the tuples in grid order
     tuple_failures, prefix_failures = [], []
     root = _extension(())
     stack = [((first,), root, [1]) for first in range(m, 0, -1)]
     while stack:
         prefix, parent, parent_chain = stack.pop()
         chain = _next_level(parent_chain, prefix[-1], len(prefix))
-        dom = IntPoly(chain)
         sign = closing_sign(len(prefix) + 1)
         block, last_row = _child_extension(*parent, prefix[-1])
         if len(prefix) < k:  # a parent of longer prefixes
             stack += [(prefix + (last,), (block, last_row), chain) for last in range(m, 0, -1)]
-        if block.char_poly() != dom:
+        if block._leading_pair()[-1] != chain:
             prefix_failures.append(f"prefix {prefix}: dominant block has the wrong polynomial")
-        # the dual identity follows from this one and the block's: the dual
-        # recessive polynomial is this one reversed at degree block.size
-        if _recessive(block, last_row) != dom.reciprocal(dom.degree) * sign:
+        # the recessive polynomial, minus the block's h of the last row, is the
+        # chain reversed times sign; the dual identity follows from the two
+        h = block._closing(tuple(sorted(last_row.items())))
+        if _trimmed(h) != _trimmed([-sign * c for c in reversed(chain)]):
             prefix_failures.append(f"prefix {prefix}: recessive polynomial mismatch")
         for last in range(1, m + 1):
             piece = _tuple_piece(block.size, last_row, last)
-            if block._joined(block.size + last, piece).char_poly() != _closed(chain, last, sign):
+            if block._joined_pair(block.size + last, piece, {})[-1] != _closed(chain, last, sign):
                 bt = BraidTuple(prefix + (last,))
                 tuple_failures.append((len(bt), f"{bt}: formula and matrix polynomials differ"))
     failures = [line for _, line in sorted(tuple_failures, key=lambda f: f[0])] + prefix_failures
 
-    lines = [
-        f"tuples checked: {count}",
-        f"prefixes checked: {count // m}",
-        f"failures: {len(failures)}",
-    ]
-    lines.extend(failures)
-    text = "\n".join(lines) + "\n"
-    return text, not failures
+    lines = [f"tuples checked: {count}", f"prefixes checked: {count // m}", f"failures: {len(failures)}"]
+    return "\n".join(lines + failures) + "\n", not failures
+
+
+def _trimmed(coeffs):
+    # ascending coefficients without trailing zeros, as IntPoly holds them
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
 _RUNNERS = {

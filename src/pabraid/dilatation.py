@@ -79,7 +79,7 @@ def braid_char_poly(m):
     """
     m = BraidTuple(m)
     _check_degree(m.size)
-    return _closed(deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign)
+    return IntPoly(_closed(deque(_expanded(m.prefix), maxlen=1)[0], m.values[-1], m.sign))
 
 
 def _check_degree(degree):
@@ -89,10 +89,10 @@ def _check_degree(degree):
 
 
 def _closed(p, last, sign):
-    # t^last P + sign P* for the ascending coefficients p of a chain level P
+    # t^last P + sign P*, ascending, for the ascending coefficients p of a chain level P
     q = [*[sign * c for c in reversed(p)], *[0] * last]  # sign P*, padded
     q[last:] = [a + b for a, b in zip(q[last:], p)]  # + t^last P
-    return IntPoly(q)
+    return q
 
 
 def _expanded(prefix):

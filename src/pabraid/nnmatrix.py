@@ -287,26 +287,30 @@ class NNMatrix:
         In ``verify`` only the empty prefix's 1-square block runs the
         recurrence and forms a Krylov sequence: every other block is joined
         to its parent's by its child piece, which closes on R and lifts, and
-        each tuple to its block by its tuple piece, closing on R plus 2 at
-        the hub.
+        each tuple's pair is its block's finished by its tuple piece
+        (``_joined_pair``, no matrix built), closing on R plus 2 at the hub.
 
         >>> NNMatrix.from_rows([[0, 1], [1, 1]]).char_poly()
         IntPoly('t^2 - t - 1')
         """
         if self._char_poly is None:
-            self._pair = self._pair or _berkowitz(self.size, self.entries)
-            self._char_poly = IntPoly(self._pair[-1])
+            self._char_poly = IntPoly(self._leading_pair()[-1])
         return self._char_poly
 
     def _joined(self, size, piece):
-        # the size-square matrix of this block's entries and piece's, which
-        # win, shared in one flat ChainMap (len recurses through nested ones).
-        # Its pair is _finish's; where that refuses, char_poly runs the
-        # recurrence, so a wrong piece costs time, never a wrong result
-        maps = self.entries.maps if isinstance(self.entries, ChainMap) else [self.entries]
-        matrix = NNMatrix._of(size, ChainMap(piece, *maps))
-        matrix._pair = self._finish(size, piece, matrix._closings)
+        # the size-square matrix of this block's entries and piece's, which win
+        matrix = NNMatrix._of(size, self._chained(piece))
+        matrix._pair = self._joined_pair(size, piece, matrix._closings)
         return matrix
+
+    def _joined_pair(self, size, piece, closings):
+        # char_poly's pair for the matrix that _joined builds: _finish's, else
+        # the recurrence's, so a wrong piece costs time, never a wrong result
+        return self._finish(size, piece, closings) or _berkowitz(size, self._chained(piece))
+
+    def _chained(self, piece):
+        # piece, then this block's maps, in one flat ChainMap: len recurses through nested ones
+        return ChainMap(piece, *getattr(self.entries, "maps", [self.entries]))
 
     def _finish(self, size, past, closings):
         # char_poly's pair for the size-square M of this block's entries and
@@ -380,7 +384,8 @@ class NNMatrix:
         Ascending coefficients of det(tI - M_{n-1}), M_{n-1} the leading
         (n-1)-square block, then of det(tI - M).
         """
-        self.char_poly()
+        if self._pair is None:
+            self._pair = _berkowitz(self.size, self.entries)
         return self._pair
 
 

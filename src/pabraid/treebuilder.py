@@ -293,15 +293,10 @@ def recessive_poly(prefix):
     Determinant of the bordered block: take tI - B for any extension B,
     replace row n_i + 1 by the last row, and keep the upper-left
     (n_i + 1)-square corner.  Independent of the appended parameter.
-    Expanded along that last row, it is minus the dominant block's h for
-    the row (``_recessive``).
+    Expanded along that last row L, it is -L adj(tI - B) e_{n_i+1}: minus
+    the dominant block's memoized h for L (``NNMatrix._closing``).
     """
-    return _recessive(*_extension(params(prefix, 1)))
-
-
-def _recessive(block, last):
-    # recessive_poly from the block and any last row L ({column: entry}):
-    # -L adj(tI - B) e_{n_i+1}, minus the block's memoized h for L
+    block, last = _extension(params(prefix, 1))
     return -IntPoly(block._closing(tuple(sorted(last.items()))))
 
 

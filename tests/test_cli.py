@@ -18,7 +18,7 @@ import pabraid.cli
 import pabraid.hubsearch as hubsearch
 import pabraid.nnmatrix as nnmatrix
 import pabraid.treebuilder as treebuilder
-from pabraid import NNMatrix, monotonicity_check
+from pabraid import IntPoly, NNMatrix, monotonicity_check
 from pabraid.cli import build_parser, main
 
 from helpers import GOLDEN_8x8, berkowitz_starts, krylov_rows, record_decisions
@@ -445,6 +445,21 @@ class TestVerifyCommand:
         assert len(built["_child_piece"]) == 155 and len(built["_tuple_piece"]) == 775
         assert collections.Counter(built["_child_piece"]) == collections.Counter(prefixes)
         assert collections.Counter(built["_tuple_piece"]) == collections.Counter(tuples)
+
+    def test_no_tuple_builds_a_matrix_or_a_polynomial(self, capsys, monkeypatch):
+        # the empty prefix's block and the 155 prefixes' blocks are the only
+        # matrices, 156, and every check compares coefficient lists: each
+        # tuple's pair is finished from its block's by its tuple piece, and
+        # nothing builds an IntPoly, so neither count grows with the tuples
+        made = collections.defaultdict(list)
+        of = NNMatrix._of.__func__
+        monkeypatch.setattr(NNMatrix, "_of", classmethod(_spied(of, made["NNMatrix"], len)))
+        for cls in (NNMatrix, IntPoly):
+            monkeypatch.setattr(cls, "__init__", _spied(cls.__init__, made[cls.__name__], len))
+        rc, out, err = run(capsys, "verify", "--max-k", "3", "--max-m", "5")
+        assert (rc, out, err) == (0, "tuples checked: 775\nprefixes checked: 155\nfailures: 0\n", "")
+        assert len(made["NNMatrix"]) == 156
+        assert made["IntPoly"] == []
 
     def test_the_pieces_write_quadratically_many_entries(self, capsys, monkeypatch):
         # verify --max-k K --max-m 1 builds no block whole but the empty
@@ -1043,7 +1058,7 @@ def test_private_imports():
     }
     assert names == {
         "_MAX_NONZEROS", "_check_degree", "_check_nonzeros", "_child_extension", "_closed",
-        "_extension", "_next_level", "_recessive", "_tuple_piece",
+        "_extension", "_next_level", "_tuple_piece",
     }
 
 

@@ -464,6 +464,12 @@ class TestDominantMatrix:
             assert corner(full, block.size) == block
 
 
+def recessive(block, row):
+    # recessive_poly's expansion along any last row ({column: entry}): minus
+    # the block's memoized h for it
+    return -IntPoly(block._closing(tuple(sorted(row.items()))))
+
+
 class TestRecessivePolynomials:
     def test_worked_example(self):
         assert recessive_poly((4,)) == IntPoly.parse("-2*t^5 - t + 1")
@@ -521,7 +527,7 @@ class TestRecessivePolynomials:
     def test_recessive_poly_runs_the_block_once_then_closes_from_its_memo(self, prefix):
         # the recessive polynomial is minus the block's h of the last row:
         # recessive_poly runs the block once and forms one Krylov sequence
-        # past the run's; after a tuple has closed on that row, _recessive
+        # past the run's; after a tuple has closed on that row, its expansion
         # runs nothing and forms none, and any other last row is still the
         # bordered determinant
         cut = block_boundaries(prefix)[-1] + 1
@@ -531,16 +537,16 @@ class TestRecessivePolynomials:
             recessive_poly(prefix)
         assert starts == [None] and sequences == [run[0] + 1]
         block, last = treebuilder._extension(prefix)
-        block._joined(cut + 2, treebuilder._tuple_piece(cut, last, 2)).char_poly()
+        block._joined_pair(cut + 2, treebuilder._tuple_piece(cut, last, 2), {})
         row = {**last, cut: 3}  # a changed diagonal closes from the same memo entry
         with berkowitz_starts() as starts, krylov_rows() as sequences:
-            got = [treebuilder._recessive(block, last), treebuilder._recessive(block, row)]
+            got = [recessive(block, last), recessive(block, row)]
         assert starts == [] and sequences == [0]
         assert got == [bordered_rows_oracle(prefix, 2), bordered_rows_oracle(prefix, 2, row)]
         row = {**last, 1: last[1] + 1}
-        assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, 2, row)
+        assert recessive(block, row) == bordered_rows_oracle(prefix, 2, row)
 
-    # _recessive by cofactor expansion, on the family's last row, on that
+    # the expansion by cofactors, on the family's last row, on that
     # row with its diagonal changed and on any row, against the bordered
     # oracles
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -552,12 +558,12 @@ class TestRecessivePolynomials:
         appended = data.draw(st.integers(1, 4))
         cut = block_boundaries(prefix)[-1] + 1
         block, last = treebuilder._extension(prefix)
-        assert treebuilder._recessive(block, last) == bordered_det_oracle(prefix, appended, False)
+        assert recessive(block, last) == bordered_det_oracle(prefix, appended, False)
         diagonal = data.draw(st.integers(0, 5))
         row = {j: v for j, v in {**last, cut: diagonal}.items() if v}
-        assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
+        assert recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
         row = data.draw(st.dictionaries(st.integers(1, cut), st.integers(1, 5)))
-        assert treebuilder._recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
+        assert recessive(block, row) == bordered_rows_oracle(prefix, appended, row)
 
     @pytest.mark.parametrize("prefix", [(1,), (4,), (1, 1), (3, 2), (1, 2, 1)])
     def test_mirror_identities(self, prefix):
@@ -642,6 +648,35 @@ class TestLevelPieces:
     @given(prefix=st.lists(st.integers(1, 12), min_size=1, max_size=8).map(tuple))
     def test_a_block_and_its_tuples_grow_from_the_parent(self, prefix):
         self._check(prefix, range(1, 13))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=st.lists(st.integers(1, 12), min_size=1, max_size=8).map(tuple),
+        last=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_a_tuple_is_checked_on_coefficient_lists(self, prefix, last, data):
+        # verify's tuple check: the pair that _joined_pair finishes from the
+        # block's by the tuple piece, with no run and no matrix built, ends
+        # in the tuple's polynomial by both routes.  With one piece entry
+        # moved inside the block's corner, _finish refuses, and the one
+        # refusal path runs the recurrence once on the merged entries, where
+        # the piece's win
+        block, row = self._grown(prefix)
+        n, t = block.size, prefix + (last,)
+        piece = treebuilder._tuple_piece(n, row, last)
+        with berkowitz_starts() as starts:
+            coeffs = block._joined_pair(n + last, piece, {})[-1]
+        assert starts == []
+        assert tuple(coeffs) == braid_char_poly(t).coeffs == transition_matrix(t).char_poly().coeffs
+        cell = data.draw(st.sampled_from(sorted(piece)))
+        inside = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+        moved = {ij: v for ij, v in piece.items() if ij != cell} | {inside: piece[cell]}
+        merged = NNMatrix(n + last, {**block.entries, **moved})
+        with berkowitz_starts() as starts:
+            coeffs = block._joined_pair(n + last, moved, {})[-1]
+        assert starts == [None]
+        assert tuple(coeffs) == merged.char_poly().coeffs
 
     def test_the_verify_grid(self):
         # the prefixes and tuples of verify --max-k 3 --max-m 5
