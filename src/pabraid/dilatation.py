@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from .intpoly import _GRID, IntPoly, _integer, _power, _scaled, _tolerance
 from .nnmatrix import _hub_perron
@@ -113,11 +113,11 @@ def _next_level(p, m, i):
     return q
 
 
+@lru_cache(maxsize=8)  # a scan's rows, hints and decisions all read one prefix
 def _levels(prefix):
-    # (m, s) for each chain level of the prefix: P' = t^m (t-1) P + 2s t P*,
-    # from P = P* = 1, with m = m_1 + 1 on the first level and s the parity
-    # sign closing_sign(i) on level i
-    return [(m + (i == 1), closing_sign(i)) for i, m in enumerate(prefix, start=1)]
+    # (m, s) for each chain level i: P' = t^m (t-1) P + 2s t P* from P = P* = 1,
+    # with m = m_1 + 1 on level 1 and s = closing_sign(i)
+    return tuple((m + (i == 1), closing_sign(i)) for i, m in enumerate(prefix, start=1))
 
 
 def _pair(prefix, num, shift, prec=None):
@@ -216,13 +216,9 @@ def _decide(prefix, last, num, shift):
     return _decision(prefix, last, num, shift, None)
 
 
-def _float_hint(prefix, last=None, lo=1.0, hi=None):
-    # λ(prefix + (last,)), or μ(prefix) when last is None, by bisecting a
-    # double-precision pass of the recurrence inside [lo, hi], doubling from
-    # lo when hi is None: each level is divided by x^m and the pair
-    # normalised, which keeps every sign; a guide for the exact bracket,
-    # never a result.  The matrix route starts Noda's iteration at it, so its
-    # float operations and their order are kept bit for bit
+def _float_pass(prefix, last=None):
+    # below(x), in double precision, whether λ(prefix + (last,)) < x (μ(prefix) if last is None):
+    # a guide, never a result; each level is divided by x^m and the pair normalised, keeping signs
     sigma = closing_sign(len(prefix) + 1)
     levels = [(-m, 2.0 * s) for m, s in _levels(prefix)]
 
@@ -238,6 +234,14 @@ def _float_hint(prefix, last=None, lo=1.0, hi=None):
             p, q = p / scale, q / scale
         return last is None or p + sigma * q * x**-last > 0.0
 
+    return below
+
+
+def _float_hint(prefix, last=None, lo=1.0, hi=None):
+    # λ(prefix + (last,)), or μ(prefix) when last is None, bisecting ``_float_pass``
+    # in [lo, hi], doubling from lo when hi is None.  The matrix route starts
+    # Noda's iteration at it, so its float operations stay bit for bit
+    below = _float_pass(prefix, last)
     if hi is None:
         hi = 2.0 * lo
         while not below(hi):
@@ -273,7 +277,7 @@ class _Cell:
         return self.lo << d, (self.lo + 1) << d
 
     def refine(self):
-        self.lo = _bisect(self.below, 2 * self.lo, 2 * self.lo + 2, self.shift + 1)
+        self.lo = 2 * self.lo + (0 if self.below(2 * self.lo + 1, self.shift + 1) else 1)
         self.shift += 1
 
     def bracket(self):
@@ -284,47 +288,55 @@ class _Cell:
         return (2 * (self.lo >> (self.shift - _GRID)) + 1) * 2.0 ** -(_GRID + 1)
 
 
-def _bisect(below, lo, hi, shift):
-    # the one-unit cell inside [lo, hi] with not below(lo) and below(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid, shift):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _asked(below, lo, hi, n, shift):
+    return below(n, shift) if lo < n < hi else n > lo  # the bracket answers at and past its ends
 
 
-def _formula_cell(below, hint):
+def _search(below, guess, lo, hi=math.inf, shift=_GRID):
+    """The n in [lo, hi) with not below(n, shift) and below(n + 1, shift).
+
+    ``below`` is monotone in n, known False at lo and True at hi (maybe
+    infinite), and asked nothing at or outside them (``_asked``): one unit
+    asks nothing, two units one question.  A right ``guess`` costs two; a
+    miss tries the adjacent n, then doubles the step away from the guess
+    and bisects.  Guess 0 with lo 0 asks n = 1, 2, 4, ... up to hi.
+    """
+    n = guess
+    if _asked(below, lo, hi, n, shift):
+        top, n, step = n, n - 1, 2
+        while _asked(below, lo, hi, n, shift):
+            top, n, step = n, n - step, 2 * step
+    else:
+        top, step = n + 1, 1
+        while not _asked(below, lo, hi, top, shift):
+            n, top, step = top, top + step, 2 * step
+    while top - n > 1:
+        mid = (n + top) // 2
+        n, top = (n, mid) if _asked(below, lo, hi, mid, shift) else (mid, top)
+    return n
+
+
+def _formula_cell(below, hint, lo=1 << _GRID, hi=math.inf):
     """The 2^-48 cell of the root r of the exact decision ``below``.
 
     ``below(num, shift)`` answers "r < num / 2^shift"; the cell holds
     lo <= r < lo + 1 in units of 2^-48.  A tuple's λ is never a grid point:
     its polynomial is monic with constant term ±1, so its only rational
-    roots could be ±1.  A limit μ can be one: (1,) has μ = 2.  Two exact
-    decisions at the float ``hint``'s own cell, not below(lo) and then
-    below(lo + 1), certify it.  When the hint misses, the search tries the
-    adjacent cell, then doubles its step away from the hint, and bisects
-    the bracket it finds to one unit.  The hint is the upper end of a float
-    bracket, so it misses mostly from above, which costs two decisions; one
-    cell below costs three.  A hint that is not finite starts at 1.
+    roots could be ±1.  A limit μ can be one: (1,) has μ = 2.  r lies in
+    the known grid bracket [lo, hi), r >= 1 by default, which answers every
+    decision at or outside it (``_search``).  The search starts at the
+    float ``hint``'s cell (lo if not finite), the upper end of a float
+    bracket: a miss by one cell costs two decisions from above, three below.
     """
-    lo = math.floor(hint * 2.0**_GRID) if math.isfinite(hint) else 1 << _GRID
-    if below(lo, _GRID):
-        lo, hi, step = lo - 1, lo, 2
-        while below(lo, _GRID):
-            lo, hi, step = lo - step, lo, 2 * step
-    else:
-        hi, step = lo + 1, 1
-        while not below(hi, _GRID):
-            lo, hi, step = hi, hi + step, 2 * step
-    return _Cell(below, _bisect(below, lo, hi, _GRID))
+    guess = math.floor(hint * 2.0**_GRID) if math.isfinite(hint) else lo
+    return _Cell(below, _search(below, guess, lo, hi))
 
 
-def _cell(prefix, last=None, lo=1.0, hi=None):
-    # λ(prefix + (last,)), or μ(prefix) when last is None, on the 2^-48 grid,
-    # from the float hint inside [lo, hi]
-    return _formula_cell(partial(_decide, prefix, last), _float_hint(prefix, last, lo, hi))
+def _cell(prefix, last=None, lo=1 << _GRID, hi=math.inf):
+    # λ(prefix + (last,)), or μ(prefix) if last is None, in the grid bracket [lo, hi)
+    ends = lo * 2.0**-_GRID, hi * 2.0**-_GRID if hi < math.inf else None
+    hint = _float_hint(prefix, last, *ends) if hi - lo > 2 else math.nan
+    return _formula_cell(partial(_decide, prefix, last), hint, lo, hi)
 
 
 def _separate(upper, lower):
@@ -517,9 +529,9 @@ def convergence_table(prefix, last_values):
     ``last_values`` must be strictly increasing integers >= 1.  Each row's
     ``lam`` is the midpoint of λ's 2^-48 cell and ``gap_to_limit`` the
     difference of that float and the limit's, so deep rows may show a gap
-    of 0.0.  Each row's ``bracket`` is that cell, certified by two exact
-    decisions at the float hint, which is sought between the lower end of
-    μ's cell and the upper end of the previous row's.
+    of 0.0.  Each row's ``bracket`` is that cell, sought only between μ's
+    cell and the previous row's, where the lemma below puts it (``_cell``):
+    a row after one in μ's cell is that cell, with no decision.
 
     The statement being reproduced, λ falling strictly toward μ, holds for
     every prefix by the last-coordinate lemma, so no decision checks it.
@@ -537,11 +549,9 @@ def convergence_table(prefix, last_values):
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("the sweep range must be strictly increasing")
     mu = _certified_limit(vals)
-    limit, lo = mu.value(), mu.lo * 2.0**-_GRID
-    cells = []
+    limit, cells = mu.value(), []
     for last in steps:
-        hi = None if not cells else (cells[-1].lo + 1) * 2.0**-_GRID
-        cells.append(_cell(vals, last, lo, hi))
+        cells.append(_cell(vals, last, mu.lo, cells[-1].lo + 1 if cells else math.inf))
     degree = _size(vals) + 1  # of the prefix's dominant polynomial
     return [
         ScanRow(vals + (last,), cell.value(), cell.value() - limit, degree + last, cell.bracket())

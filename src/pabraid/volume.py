@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .dilatation import _bisect, _decide, dilatation
+from .dilatation import _decide, _float_pass, _search, dilatation
 from .intpoly import _integer
 from .treebuilder import _check_nonzeros
 
@@ -188,18 +188,15 @@ class BoundReport(namedtuple(
 
 
 _SEARCH_CAP = 10**6
+_SEARCH_TOP = 1 << (_SEARCH_CAP.bit_length() - 1)  # 2^19, the last n doubling from 1 asks
 
 
-def _least_below(below):
-    # least n >= 1 with below(n), for a predicate that holds from some n
-    # on: double from 1, then bisect
-    lo, hi = 0, 1
-    while not below(hi):
-        lo = hi
-        hi *= 2
-        if hi > _SEARCH_CAP:
-            raise RuntimeError(f"parameter search exceeded the cap {_SEARCH_CAP}")
-    return _bisect(lambda n, _: below(n), lo, hi, None) + 1
+def _least_below(below, guess=1):
+    # least n >= 1 with below(n), monotone, from the guess; from 1 it doubles
+    n = _search(lambda n, _: below(n), guess - 1, 0, _SEARCH_TOP + 1) + 1
+    if n > _SEARCH_TOP:
+        raise RuntimeError(f"parameter search exceeded the cap {_SEARCH_CAP}")
+    return n
 
 
 def find_parameters(target_lambda, target_volume):
@@ -209,15 +206,16 @@ def find_parameters(target_lambda, target_volume):
     ``target_volume``, compared exactly with the enclosure of v3
     (``_bound_exceeds``); m is the least value for which the diagonal tuple
     (m, ..., m) with k+1 entries has dilatation below ``target_lambda``
-    (monotone in m, so found by doubling plus binary search).  Each target
-    is the exact value of the float passed, and each comparison of a
-    dilatation with it is an exact decision on the chain's transfer
-    recurrence, so λ(m) < target and λ(m-1) >= target are proved, not
-    inferred from rounded roots.  By monotonicity any tuple with every
-    entry >= m satisfies the dilatation bound as well.  The witness comes
-    from ``dilatation(..., method="both")``, which cross-checks its 2^-48
-    cell exactly against the Perron-Frobenius enclosure of its transition
-    matrix.
+    (monotone in m).  k is searched from 2V/v3, and m from the float pass
+    of the transfer recurrence (``_float_pass``) or else from 1; two exact
+    decisions certify a right guess, a wrong one costs more.  Each target
+    is the exact value of the float passed, and each comparison with it is
+    an exact decision, so λ(m) < target and λ(m-1) >= target are proved,
+    not inferred from rounded roots.  By monotonicity any tuple with every
+    entry >= m satisfies the dilatation bound as well.  A parameter above
+    ``_SEARCH_TOP`` raises RuntimeError.  The witness comes from
+    ``dilatation(..., method="both")``, which cross-checks its 2^-48 cell
+    exactly against the Perron-Frobenius enclosure of its transition matrix.
     """
     target_lambda = float(target_lambda)
     target_volume = float(target_volume)
@@ -227,12 +225,14 @@ def find_parameters(target_lambda, target_volume):
         raise ValueError("target_volume must be finite and positive")
 
     volume = Fraction(target_volume)
-    k = _least_below(lambda kk: _bound_exceeds(kk, volume))
+    guess = math.floor(min(2.0 * target_volume / ideal_tetrahedron_volume(), _SEARCH_CAP)) + 2
+    k = _least_below(lambda n: _bound_exceeds(n, volume), guess)
     # past the nonzero limit at the least witness, so at every m
     _check_nonzeros((1,) * (k + 1))
+    floats = _search(lambda n, _: _float_pass((n,) * k, n)(target_lambda), 0, 0, _SEARCH_TOP + 1) + 1
     target = Fraction(target_lambda)
     num, shift = target.numerator, target.denominator.bit_length() - 1
-    m = _least_below(lambda mm: _decide((mm,) * k, mm, num, shift))
+    m = _least_below(lambda n: _decide((n,) * k, n, num, shift), floats if floats <= _SEARCH_TOP else 1)
     witness = dilatation((m,) * (k + 1), method="both")
     return BoundReport(
         k=k,

@@ -199,6 +199,32 @@ def record_decisions(monkeypatch):
     return calls
 
 
+def record_float_passes(monkeypatch):
+    """Record every double-precision pass, as (prefix, last, x) per pass.
+
+    Not an oracle: a spy on ``pabraid.dilatation._float_pass``, which builds
+    the pass of a prefix and which ``_float_hint`` looks up at each call,
+    and on the name ``pabraid.volume`` imports, as ``record_decisions`` pins
+    the exact decisions.
+    """
+    module = importlib.import_module("pabraid.dilatation")
+    float_pass = module._float_pass
+    passes = []
+
+    def recorded(prefix, last=None):
+        below = float_pass(prefix, last)
+
+        def counted(x):
+            passes.append((prefix, last, x))
+            return below(x)
+
+        return counted
+
+    monkeypatch.setattr(module, "_float_pass", recorded)
+    monkeypatch.setattr(importlib.import_module("pabraid.volume"), "_float_pass", recorded)
+    return passes
+
+
 def bisect_root(poly, lo, hi, steps=60):
     """Exact-rational bisection; requires poly(lo) < 0 < poly(hi)."""
     lo, hi = Fraction(lo), Fraction(hi)

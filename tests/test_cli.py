@@ -198,8 +198,13 @@ GOLDEN_COMMANDS = [
     (("scan", "--prefix", "2,8,8", "--m-max", "40"), "scan-2-8-8.csv"),
     (("scan", "--prefix", "9,4,6,4", "--m-max", "40"), "scan-9-4-6-4.csv"),
     # μ(1) = 2 is a grid point, and rows from m = 49 on share its 2^-48
-    # cell: each row is that cell, certified by its own two decisions
+    # cell: the lemma of convergence_table brackets each such row in that
+    # one cell, so the row is the cell with no decision
     (("scan", "--prefix", "1", "--m-max", "60"), "scan-1.csv"),
+    # rows from m = 25 on lie in μ's cell; the second scan starts deep,
+    # where its first row has no upper end but μ's cell is its lower one
+    (("scan", "--prefix", "4,10,2,6,1,1", "--m-max", "60"), "scan-4-10-2-6-1-1.csv"),
+    (("scan", "--prefix", "1,1", "--m-min", "30", "--m-max", "90"), "scan-1-1-from-30.csv"),
     (("limit", "--prefix", "4"), "limit-4.txt"),
     (("bound", "--lambda", "1.1", "--volume", "20"), "bound-1.1-20.json"),
     (("bound", "--lambda", "1.02", "--volume", "20"), "bound-1.02-20.json"),
@@ -259,11 +264,14 @@ class TestScanCommand:
 
     def test_the_order_is_not_decided_again(self, capsys, monkeypatch):
         # the last-coordinate lemma orders the rows, so no decision checks
-        # the order and no cell is refined below the 2^-48 grid: two
-        # decisions for μ's cell and two for each row's, at the float hint
+        # the order and no cell is refined below the 2^-48 grid.  It also
+        # brackets each row between μ's cell and the previous row's: rows
+        # from m = 21 on lie in μ's cell, so m = 21 costs one decision and
+        # each later row, bracketed in that one cell, none.  With two for
+        # μ's cell and two for each of the first 20 rows, 43
         calls = record_decisions(monkeypatch)
         rc, _, _ = run(capsys, "scan", "--prefix", "10,1,8,5", "--m-max", "40")
-        assert (rc, len(calls)) == (0, 82)
+        assert (rc, len(calls)) == (0, 43)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "scan", "--prefix", "2", "--m-max", "4")
@@ -314,6 +322,12 @@ class TestBoundCommand:
             "error: the transition matrix of size 39416 would have 388484093 "
             "nonzeros; the limit is 1000000\n"
         )
+
+    def test_a_target_too_close_to_1_names_the_cap(self, capsys):
+        # λ(m, m, m, m) < 1 + 2^-52 needs m far past 2^19, the last m that
+        # doubling from 1 asks within the cap
+        rc, out, err = run(capsys, "bound", "--lambda", "1.0000000000000002", "--volume", "1")
+        assert (rc, out, err) == (1, "", "error: parameter search exceeded the cap 1000000\n")
 
     def test_volume_100_is_certified(self, capsys):
         # the witness (79,)*200, whose hub vector spans more than the

@@ -34,6 +34,7 @@ from helpers import (
     float_hint_oracle,
     grid_tuples,
     record_decisions,
+    record_float_passes,
     record_rungs,
     seeded_radius,
 )
@@ -272,6 +273,34 @@ class TestTransferRecurrence:
         below = partial(dilatation_module._decide, (4,), 2)
         cell = dilatation_module._formula_cell(below, (_CELL_4_2 + k) * 2.0**-48)
         assert (cell.lo, len(calls)) == (_CELL_4_2, decisions)
+
+    @pytest.mark.parametrize(
+        "lo, hi, hint, decisions",
+        [
+            # one cell is the cell and two cost one decision, from any hint
+            (0, 1, math.nan, 0), (0, 1, 1.9, 0), (0, 2, math.nan, 1), (-1, 1, 7.5, 1),
+            # wider brackets search from the hint, or from lo without one
+            (-1, 2, 0.5, 2), (-3, 5, 0.5, 2), (-3, 5, math.nan, 4), (-1000, 1000, 1.5, 2),
+        ],
+    )
+    def test_a_known_bracket_answers_what_it_holds(self, monkeypatch, lo, hi, hint, decisions):
+        # hints in units of 2^-48 from the cell's lower end, as above; no
+        # decision is asked at or outside the bracket, which answers those
+        calls = record_decisions(monkeypatch)
+        below = partial(dilatation_module._decide, (4,), 2)
+        if 0 < hint < 2:
+            hint = (_CELL_4_2 + hint) * 2.0**-48
+        cell = dilatation_module._formula_cell(below, hint, _CELL_4_2 + lo, _CELL_4_2 + hi)
+        assert (cell.lo, len(calls)) == (_CELL_4_2, decisions)
+        assert all(_CELL_4_2 + lo < num < _CELL_4_2 + hi for _, _, num, _ in calls)
+
+    @pytest.mark.parametrize("lo, hi, decisions", [(0, 1, 0), (0, 2, 1), (-1, 1, 1), (-1, 2, 2)])
+    def test_a_bracket_of_two_cells_needs_no_hint(self, monkeypatch, lo, hi, decisions):
+        # _cell makes no float pass for a bracket of one or two cells; a
+        # wider one takes the hint, here two decisions at its cell
+        calls, passes = record_decisions(monkeypatch), record_float_passes(monkeypatch)
+        cell = dilatation_module._cell((4,), 2, _CELL_4_2 + lo, _CELL_4_2 + hi)
+        assert (cell.lo, len(calls), bool(passes)) == (_CELL_4_2, decisions, hi - lo > 2)
 
     def test_matches_root_isolation_on_the_grid(self):
         # climbing the expanded chain with the generic root finders, an
@@ -877,12 +906,29 @@ class TestConvergence:
         lo, hi = assert_rows_fall_toward_the_limit(rows).bracket()
         assert hi - lo < Fraction(1, 2**1024)
 
-    @pytest.mark.parametrize("last_values, decisions", [([4000], 4), ([99999, 100000], 6)])
-    def test_deep_rows_cost_two_decisions(self, monkeypatch, last_values, decisions):
-        # two decisions for μ's cell and two for each row's; refining a row
-        # below the 2^-48 grid would cost one per bit, about m·log2 μ, so
-        # the spy stops a scan that refines at its twenty-first decision
+    def test_brackets_spare_the_limit_scan_corpus(self, monkeypatch):
+        # a count, not a timing: the 12 scans of the benchmark's limit-scan
+        # corpus, 40 rows each, ask 774 exact decisions and make 383 float
+        # hints (984 and 492 when every row asked two decisions at its hint)
         calls = record_decisions(monkeypatch)
+        passes = record_float_passes(monkeypatch)
+        hints = 0
+        for prefix in corpus_parameters()[1]:  # (7,) is drawn twice
+            passes.clear()
+            convergence_table(prefix, range(1, 41))
+            hints += len({last for _, last, _ in passes})
+        assert (len(calls), hints) == (774, 383)
+
+    @pytest.mark.parametrize("last_values, decisions", [([4000], 3), ([99999, 100000], 3)])
+    def test_deep_rows_cost_one_decision_at_most(self, monkeypatch, last_values, decisions):
+        # two decisions for μ's cell; a deep row lies in μ's cell, which
+        # bounds it below, so the first row's hint costs one decision and a
+        # later row, bracketed in that one cell, no decision and no float
+        # pass.  Refining a row below the 2^-48 grid would cost one decision
+        # per bit, about m·log2 μ, so the spy stops a scan that refines at
+        # its twenty-first decision
+        calls = record_decisions(monkeypatch)
+        passes = record_float_passes(monkeypatch)
         recorded = dilatation_module._decide
 
         def capped(*args):
@@ -893,6 +939,8 @@ class TestConvergence:
         monkeypatch.setattr(dilatation_module, "_decide", capped)
         rows = convergence_table((1, 1), last_values)
         assert (len(rows), len(calls)) == (len(last_values), decisions)
+        assert [last for _, last, _, _ in calls] == [None, None, last_values[0]]
+        assert {last for _, last, _ in passes} == {None, last_values[0]}
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -926,6 +974,54 @@ class TestConvergenceProperties:
         assert_rows_fall_toward_the_limit(rows)
         last = transition_matrix(rows[-1].tuple_values).spectral_radius()
         assert _overlaps(rows[-1].bracket, last)
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        prefix=_SCAN_PREFIXES,
+        last_values=st.lists(
+            st.one_of(st.integers(2, 40), st.integers(41, 10**4)), min_size=1, max_size=6, unique=True
+        ).map(sorted),
+    )
+    def test_row_brackets_answer_only_what_the_lemma_settles(self, prefix, last_values):
+        # rows from m_min > 1, with gaps, deep or not: each row is its cell
+        # built alone, and every question a bracket answered is checked
+        rows = scan_with_bracket_answers_checked(prefix, last_values)[0]
+        for row, last in zip(rows, last_values):
+            assert row.bracket == dilatation_module._cell(prefix, last).bracket()
+        # refining fresh cells orders the shallow rows as the lemma does;
+        # deep rows lie closer to μ than the finest grid
+        shallow = [row for row in rows if row.tuple_values[-1] <= 40]
+        if shallow:
+            assert_rows_fall_toward_the_limit(shallow)
+
+    def test_rows_in_the_limits_cell_are_answered_by_their_brackets(self):
+        # from m = 25 on λ(1,1,m) lies in μ's cell: the row at 30 asks the
+        # bracket's lower end, and each later row is answered whole
+        answered = scan_with_bracket_answers_checked((1, 1), [2, 30, 31, 9000])[1]
+        assert {last for (_, last), _, _ in answered} == {30, 31, 9000}
+
+
+def scan_with_bracket_answers_checked(prefix, last_values):
+    # the scan's rows, and each question a row's bracket answered without a
+    # decision, as ((prefix, last), n, answer) on the 2^-48 grid; _decide
+    # gives each the same answer there and on a grid 2^-8 finer, since the
+    # bracket's ends are exact dyadic rationals
+    answered, asked = [], dilatation_module._asked
+
+    def spy(below, lo, hi, n, shift):
+        answer = asked(below, lo, hi, n, shift)
+        if not lo < n < hi:
+            answered.append((below.args, n, answer))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dilatation_module, "_asked", spy)
+        rows = convergence_table(prefix, last_values)
+    for (vals, last), n, answer in answered:
+        assert dilatation_module._decide(vals, last, n, 48) == answer
+        assert dilatation_module._decide(vals, last, n << 8, 56) == answer
+    return rows, answered
 
 
 def assert_rows_fall_toward_the_limit(rows):

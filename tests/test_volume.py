@@ -21,7 +21,14 @@ from pabraid import (
     volume_lower_bound,
 )
 
-from helpers import SIMPSON_BUDGET, lobachevsky_by_parts, lobachevsky_by_quad, record_rungs
+from helpers import (
+    SIMPSON_BUDGET,
+    lobachevsky_by_parts,
+    lobachevsky_by_quad,
+    record_decisions,
+    record_float_passes,
+    record_rungs,
+)
 
 V3_REFERENCE = 1.0149416064
 # v3 = 3/2 Cl_2(2π/3) cut after 50 decimals (OEIS A143298)
@@ -32,7 +39,8 @@ LOG_DIGITS = Fraction("0.73926477774123579216541423588870957507530438945281")
 SRC = Path(importlib.import_module("pabraid").__file__).parent
 # every precision _bound_exceeds asks of the enclosure of v3: 16 bits,
 # doubled up to the cap
-V3_BITS_CAP = importlib.import_module("pabraid.volume")._V3_BITS_CAP
+volume_module = importlib.import_module("pabraid.volume")
+V3_BITS_CAP = volume_module._V3_BITS_CAP
 V3_BITS = [16 << i for i in range((V3_BITS_CAP // 16).bit_length())]
 
 # (0, π/2], (π/2, π), beyond π and below 0
@@ -176,6 +184,13 @@ class TestVolumeLowerBound:
             volume_lower_bound(0)
 
 
+def _below_target(values, x):
+    # exactly whether λ(values) < x, the decision find_parameters asks
+    target = Fraction(x)
+    shift = target.denominator.bit_length() - 1
+    return importlib.import_module("pabraid.dilatation")._decide(values[:-1], values[-1], target.numerator, shift)
+
+
 class TestFindParameters:
     def test_easy_targets(self):
         report = find_parameters(10, 0.1)
@@ -244,9 +259,9 @@ class TestFindParameters:
             find_parameters(1.1, 20, tol=1e-10)
 
     def test_headline_search_settles_on_the_ball_rungs(self, monkeypatch):
-        # a count, not a timing: no decision of the headline search falls
-        # through the ball rungs to the exact rung.  The exact rung answers
-        # only the two narrow decisions m = 1, 2 of the doubling, at once
+        # a count, not a timing: every decision of the headline search, the
+        # two that certify m's guess and the two of the witness's cell, is
+        # answered by its first ball rung, and none reaches the exact rung
         rungs = record_rungs(monkeypatch)
         report = find_parameters(1.1, 20)
         assert (report.k, report.m) == (41, 79)
@@ -254,8 +269,80 @@ class TestFindParameters:
             rung for before, rung in zip(rungs, rungs[1:]) if rung[0] is None and before[1] is None
         ]
         assert fell_through == []
-        assert [rung for rung in rungs if rung[0] is None] == [(None, False)] * 2
-        assert sum(prec is not None and answer is not None for prec, answer in rungs) == 14
+        assert [rung for rung in rungs if rung[0] is None] == []
+        assert sum(prec is not None and answer is not None for prec, answer in rungs) == 4
+
+    def test_guesses_are_certified_by_two_decisions(self, monkeypatch):
+        # k's guess from 2V/v3 and m's from the float pass are both right:
+        # the volume bound of k = 40 and 41, and λ of (78,)*42 and (79,)*42
+        # against 1.1, each decided once
+        calls = record_decisions(monkeypatch)
+        passes = record_float_passes(monkeypatch)
+        exceeds = []
+        bound_exceeds = volume_module._bound_exceeds
+        monkeypatch.setattr(
+            volume_module, "_bound_exceeds", lambda k, t: exceeds.append(k) or bound_exceeds(k, t)
+        )
+        report = find_parameters(1.1, 20)
+        assert (report.k, report.m) == (41, 79)
+        assert exceeds == [40, 41]
+        target = Fraction(1.1)
+        searched = [(prefix, last) for prefix, last, num, _ in calls if num == target.numerator]
+        assert searched == [((78,) * 41, 78), ((79,) * 41, 79)]
+        assert [_below_target(values, 1.1) for values in [(78,) * 42, (79,) * 42]] == [False, True]
+        # the float search doubles m from 1 to 128 and bisects: 14 passes
+        assert [last for _, last, x in passes if x == 1.1] == [1, 2, 4, 8, 16, 32, 64, 128, 96, 80, 72, 76, 78, 79]
+
+    def test_no_float_guess_searches_from_1(self, monkeypatch):
+        # at 1e308 the float pass overflows and finds no m, so the search
+        # doubles from 1 and stops there, never asking near 2^19, where an
+        # exact decision at an integer target is a 10^8-bit power
+        calls = record_decisions(monkeypatch)
+        recorded = volume_module._decide
+
+        def refuse_large_m(prefix, last, num, shift):
+            assert last < 1000, "an exact decision far past the answer"
+            return recorded(prefix, last, num, shift)
+
+        monkeypatch.setattr(volume_module, "_decide", refuse_large_m)
+        report = find_parameters(1e308, 0.001)
+        assert (report.k, report.m) == (2, 1)
+        target = Fraction(1e308)
+        assert [(prefix, last) for prefix, last, num, _ in calls if num == target.numerator] == [((1, 1), 1)]
+
+    @pytest.mark.parametrize("guess", [0, 1, 40, 10**6, 10**12], ids=["zero", "one", "low", "cap", "far"])
+    def test_any_guess_gives_the_same_report(self, monkeypatch, guess):
+        # every search of the headline, for k, for m's float guess and for
+        # m, starts at the same wrong guess; a miss costs decisions only
+        expected = find_parameters(1.1, 20)
+        search = volume_module._search
+        monkeypatch.setattr(volume_module, "_search", lambda below, _, *bracket: search(below, guess, *bracket))
+        assert find_parameters(1.1, 20) == expected
+        assert (expected.k, expected.m) == (41, 79)
+
+    @pytest.mark.parametrize("guess", [1, 2, 300_000, 2**19, 10**6, 10**12])
+    def test_search_refuses_only_past_what_doubling_reaches(self, guess):
+        # from any guess the search finds every n up to 2^19, the last n
+        # that doubling from 1 asks within the cap, and refuses past it:
+        # from 300 000 the climb to 500 000 would pass 2^19 and asks 2^19
+        top = volume_module._SEARCH_TOP
+        assert top == 2**19
+        for answer in (1, 79, 300_001, 500_000, top):
+            assert volume_module._least_below(lambda n: n >= answer, guess) == answer
+        with pytest.raises(RuntimeError, match="exceeded the cap 1000000"):
+            volume_module._least_below(lambda n: n > top, guess)
+
+    def test_search_from_1_doubles_as_before(self):
+        # the questions of the doubling search from 1, which the guesses
+        # fall back to: powers of two, then a bisection; refusing, every
+        # power of two up to 2^19
+        asked = []
+        assert volume_module._least_below(lambda n: asked.append(n) or n >= 79) == 79
+        assert asked == [1, 2, 4, 8, 16, 32, 64, 128, 96, 80, 72, 76, 78, 79]
+        asked.clear()
+        with pytest.raises(RuntimeError):
+            volume_module._least_below(lambda n: asked.append(n) or False)
+        assert asked == [2**j for j in range(20)]
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
@@ -319,7 +406,6 @@ class TestFindParameters:
         assert monotonicity_check((m,) * (k + 1), 1).strictly_decreasing
 
     def test_search_names_its_cap(self):
-        volume_module = importlib.import_module("pabraid.volume")
         with pytest.raises(RuntimeError, match="cap 1000000"):
             volume_module._least_below(lambda n: False)
 
